@@ -9,8 +9,8 @@ use dyno_relational::{delta_join_probe, DataUpdate, Delta, SignedBag, SourceUpda
 use dyno_sim::{build_testbed, TestbedConfig};
 use dyno_source::{SourceId, UpdateId, UpdateMessage};
 use dyno_view::{
-    equation6_delta, eval_with_bound, sweep_maintain, BoundTable, InProcessPort, LocalProvider,
-    MaintPlan,
+    equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_observed, BoundTable,
+    InProcessPort, LocalProvider, MaintPlan, PlanCache,
 };
 
 fn cfg(tuples: usize) -> TestbedConfig {
@@ -42,7 +42,8 @@ const SCAN_SWEEP_CAP: usize = 400_000;
 
 /// Per-DU maintenance and delta-join propagation as relation size grows,
 /// on the indexed path. With key indexes every `__D ⋈ Ri` step is a
-/// constant-size probe, so the sweep curve stays flat to 10 M rows.
+/// constant-size probe, so the sweep curves (`sweep_du_indexed`: plan built
+/// per call; `sweep_du_planned`: plan cached) stay flat to 10 M rows.
 ///
 /// One testbed per size serves both bench pairs: at 10 M rows the build
 /// (~17 GB of BTreeMap rows plus hash indexes) dominates the whole bench
@@ -74,8 +75,9 @@ fn bench_indexed_sweep(h: &mut Harness) {
                 rows: d_rows.clone(),
             }];
             let provider = space.provider();
+            let query = step.query();
             h.bench(&format!("join_replay/{tuples}"), || {
-                eval_with_bound(&provider, &step.query, &bound).expect("step query")
+                eval_with_bound(&provider, &query, &bound).expect("step query")
             });
 
             let sid = space.locate(&step.target).expect("testbed relation");
@@ -96,6 +98,14 @@ fn bench_indexed_sweep(h: &mut Harness) {
         // a per-call clone of the whole source space.
         h.bench(&format!("sweep_du_indexed/{tuples}"), || {
             sweep_maintain(&view, &msg, &[], &mut port)
+        });
+        // `sweep_maintain` plans from scratch on every call, and that
+        // planning is most of the row above. This row is what a warehouse
+        // pays per DU: the plan comes out of its `PlanCache`.
+        let mut plans = PlanCache::new();
+        let obs = dyno_obs::Collector::disabled();
+        h.bench(&format!("sweep_du_planned/{tuples}"), || {
+            sweep_maintain_observed(&view, &msg, &[], &mut port, &mut plans, &obs)
         });
     }
 }

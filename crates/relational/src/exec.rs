@@ -344,18 +344,48 @@ fn plan_order<'q, P: RelationProvider + ?Sized>(
     Ok(order)
 }
 
+/// Constant filters on one table, resolved to column positions.
+type Filters<'q> = [(usize, CmpOp, &'q Value)];
+
 /// True iff every constant filter compares a non-null literal against a
 /// column of the same type. Only then is an index shortcut provably
 /// equivalent to the scan: [`compare`] returns `false` for NULL literals
 /// and *errors* on type mismatches, and both behaviors must survive intact,
 /// so ill-typed filters always take the scan path.
-fn filters_well_typed(filters: &[(usize, CmpOp, &Value)], schema: &Schema) -> bool {
+fn filters_well_typed(filters: &Filters<'_>, schema: &Schema) -> bool {
     filters.iter().all(|&(i, _, v)| !v.is_null() && v.runtime_type() == Some(schema.attrs()[i].ty))
 }
 
-/// Loads a table into a cursor, applying its constant filters. When a
-/// well-typed equality filter is covered by a provider index, the matching
-/// rows are probed instead of scanned.
+/// True iff `t` satisfies every filter, with [`compare`]'s semantics.
+fn passes(t: &Tuple, filters: &Filters<'_>) -> Result<bool, RelationalError> {
+    for &(idx, op, v) in filters {
+        if !compare(t.get(idx), op, v)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The constant filters `query` places on table `name`, resolved against
+/// `schema`.
+fn filters_on<'q>(
+    query: &'q SpjQuery,
+    name: &str,
+    schema: &Schema,
+) -> Vec<(usize, CmpOp, &'q Value)> {
+    query
+        .predicates
+        .iter()
+        .filter_map(|p| match p {
+            Predicate::Compare(c, op, v) if c.relation == name => {
+                schema.index_of(&c.attr).map(|i| (i, *op, v))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Loads a table into a cursor, applying its constant filters.
 fn load_filtered<P: RelationProvider + ?Sized>(
     query: &SpjQuery,
     name: &str,
@@ -364,60 +394,54 @@ fn load_filtered<P: RelationProvider + ?Sized>(
 ) -> Result<Cursor, RelationalError> {
     let cols: Vec<ColRef> =
         slice.schema.attrs().iter().map(|a| ColRef::new(name, a.name.clone())).collect();
-    let filters: Vec<(usize, CmpOp, &Value)> = query
-        .predicates
-        .iter()
-        .filter_map(|p| match p {
-            Predicate::Compare(c, op, v) if c.relation == name => {
-                slice.schema.index_of(&c.attr).map(|i| (i, *op, v))
-            }
-            _ => None,
-        })
-        .collect();
+    let filters = filters_on(query, name, slice.schema);
+    Ok(Cursor { cols, rows: load_rows(name, slice, &filters, provider)? })
+}
+
+/// The rows of `slice` that pass `filters`. When a well-typed equality
+/// filter is covered by a provider index, the matching rows are probed
+/// instead of scanned.
+fn load_rows<P: RelationProvider + ?Sized>(
+    name: &str,
+    slice: TableSlice<'_>,
+    filters: &Filters<'_>,
+    provider: &P,
+) -> Result<SignedBag, RelationalError> {
     let mut rows = SignedBag::new();
     let mut scanned = 0u64;
 
-    if filters_well_typed(&filters, slice.schema) {
+    if filters_well_typed(filters, slice.schema) {
         if let Some(&(ei, _, ev)) = filters.iter().find(|&&(_, op, _)| op == CmpOp::Eq) {
             let attr = slice.schema.attrs()[ei].name.as_str();
             if let Some(index) = provider.index_on(name, &[attr]) {
                 let key = [ev];
                 if let Some(bucket) = index.lookup(&key) {
-                    'hits: for (t, c) in bucket.iter() {
+                    for (t, c) in bucket.iter() {
                         scanned += 1;
-                        if !index.key_matches(t, &key) {
-                            continue;
-                        }
                         // Residual filters (the indexed one re-checks as a
                         // no-op). Well-typedness means this cannot error.
-                        for (idx, op, v) in &filters {
-                            if !compare(t.get(*idx), *op, v)? {
-                                continue 'hits;
-                            }
+                        if index.key_matches(t, &key) && passes(t, filters)? {
+                            rows.add(t.clone(), c);
                         }
-                        rows.add(t.clone(), c);
                     }
                 }
                 bump(|s| {
                     s.index_probes += 1;
                     s.rows_scanned += scanned;
                 });
-                return Ok(Cursor { cols, rows });
+                return Ok(rows);
             }
         }
     }
 
-    'tuples: for (t, c) in slice.rows.iter() {
+    for (t, c) in slice.rows.iter() {
         scanned += 1;
-        for (idx, op, v) in &filters {
-            if !compare(t.get(*idx), *op, v)? {
-                continue 'tuples;
-            }
+        if passes(t, filters)? {
+            rows.add(t.clone(), c);
         }
-        rows.add(t.clone(), c);
     }
     bump(|s| s.rows_scanned += scanned);
-    Ok(Cursor { cols, rows })
+    Ok(rows)
 }
 
 /// SQL-style comparison: NULL never satisfies; mismatched types (other than
@@ -442,15 +466,7 @@ fn compare(left: &Value, op: CmpOp, right: &Value) -> Result<bool, RelationalErr
 const INDEX_JOIN_FANOUT: usize = 4;
 
 /// Joins the current intermediate with the next table on all equi-join
-/// predicates that span them; degenerates to a cartesian product when none
-/// apply. When the provider has an index covering exactly the join-key
-/// attributes and the intermediate is at least [`INDEX_JOIN_FANOUT`]×
-/// smaller than the table, each intermediate row probes the index —
-/// O(|Δ| × fan-out) instead of O(|table|). Otherwise a hash join runs over
-/// 64-bit key hashes of borrowed values (no per-row key tuples are
-/// materialized), built over the smaller side. The next table's constant
-/// filters are applied before any hash lookup, so non-qualifying rows
-/// never hash.
+/// predicates that span them; see [`join_rows`] for the access paths.
 fn hash_join<P: RelationProvider + ?Sized>(
     cur: Cursor,
     slice: TableSlice<'_>,
@@ -459,26 +475,7 @@ fn hash_join<P: RelationProvider + ?Sized>(
     new_name: &str,
     provider: &P,
 ) -> Result<Cursor, RelationalError> {
-    let new_cols: Vec<ColRef> =
-        slice.schema.attrs().iter().map(|a| ColRef::new(new_name, a.name.clone())).collect();
-    let filters: Vec<(usize, CmpOp, &Value)> = query
-        .predicates
-        .iter()
-        .filter_map(|p| match p {
-            Predicate::Compare(c, op, v) if c.relation == new_name => {
-                slice.schema.index_of(&c.attr).map(|i| (i, *op, v))
-            }
-            _ => None,
-        })
-        .collect();
-    let passes = |t: &Tuple| -> Result<bool, RelationalError> {
-        for (idx, op, v) in &filters {
-            if !compare(t.get(*idx), *op, v)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
+    let filters = filters_on(query, new_name, slice.schema);
 
     // Keys: (index in cur, index in new) for each applicable JoinEq.
     let mut keys: Vec<(usize, usize)> = Vec::new();
@@ -500,125 +497,165 @@ fn hash_join<P: RelationProvider + ?Sized>(
         }
     }
 
-    let mut out_cols = cur.cols;
-    out_cols.extend(new_cols);
+    let probe = probe_plan(provider, new_name, slice, &keys, &filters, cur.rows.distinct_len());
     let mut rows = SignedBag::new();
+    join_rows(&cur.rows, slice.rows, &keys, &filters, probe, |lt, rt, w| {
+        rows.add(lt.concat(rt), w);
+    })?;
+    let mut cols = cur.cols;
+    cols.extend(slice.schema.attrs().iter().map(|a| ColRef::new(new_name, a.name.clone())));
+    Ok(Cursor { cols, rows })
+}
+
+/// Decides whether a join of `left_len` driving rows against table `name`
+/// runs as an index-nested-loop, and over which index. Only when the index
+/// covers the exact join-key attribute set, every constant filter is
+/// well-typed (so skipping unprobed rows cannot swallow a type error the
+/// scan would raise), and the driving side is at least
+/// [`INDEX_JOIN_FANOUT`]× smaller than the table, so probing beats one
+/// table pass. Returns the index and the driving-side column feeding each
+/// of its key attributes, in `index.attrs()` order.
+fn probe_plan<'p, P: RelationProvider + ?Sized>(
+    provider: &'p P,
+    name: &str,
+    slice: TableSlice<'_>,
+    keys: &[(usize, usize)],
+    filters: &Filters<'_>,
+    left_len: usize,
+) -> Option<(&'p HashIndex, Vec<usize>)> {
+    if keys.is_empty()
+        || !filters_well_typed(filters, slice.schema)
+        || left_len.saturating_mul(INDEX_JOIN_FANOUT) > slice.rows.distinct_len()
+    {
+        return None;
+    }
+    let key_attrs: Vec<&str> =
+        keys.iter().map(|&(_, ni)| slice.schema.attrs()[ni].name.as_str()).collect();
+    let index = provider.index_on(name, &key_attrs)?;
+    // The index may list its key attributes in a different order; line the
+    // probe values up with it.
+    let probe_cols = index
+        .attrs()
+        .iter()
+        .map(|a| {
+            let j = key_attrs
+                .iter()
+                .position(|k| k == a)
+                .expect("covering index key is a permutation of the join key");
+            keys[j].0
+        })
+        .collect();
+    Some((index, probe_cols))
+}
+
+/// Joins `left` with `right` on the positional equi-join `keys`
+/// (`(left column, right column)` pairs), handing every match to `emit` as
+/// `(left row, right row, weight product)`; `filters` are `right`'s constant
+/// filters. No keys degenerates to a cartesian product. With a `probe` plan
+/// each left row probes the index — O(|left| × fan-out) instead of
+/// O(|right|). Otherwise a hash join runs over 64-bit key hashes of
+/// borrowed values (no per-row key tuples are materialized), built over the
+/// smaller side; `right`'s filters are applied before any hash lookup, so
+/// non-qualifying rows never hash. NULL keys match nothing.
+fn join_rows(
+    left: &SignedBag,
+    right: &SignedBag,
+    keys: &[(usize, usize)],
+    filters: &Filters<'_>,
+    probe: Option<(&HashIndex, Vec<usize>)>,
+    mut emit: impl FnMut(&Tuple, &Tuple, i64),
+) -> Result<(), RelationalError> {
     let mut scanned = 0u64;
 
     if keys.is_empty() {
         // Cartesian product.
-        for (lt, lc) in cur.rows.iter() {
-            for (rt, rc) in slice.rows.iter() {
+        for (lt, lc) in left.iter() {
+            for (rt, rc) in right.iter() {
                 scanned += 1;
-                if passes(rt)? {
-                    rows.add(lt.concat(rt), lc * rc);
+                if passes(rt, filters)? {
+                    emit(lt, rt, lc * rc);
                 }
             }
         }
         bump(|s| s.rows_scanned += scanned);
-        return Ok(Cursor { cols: out_cols, rows });
+        return Ok(());
     }
 
-    let cur_key_idx: Vec<usize> = keys.iter().map(|&(ci, _)| ci).collect();
-    let new_key_idx: Vec<usize> = keys.iter().map(|&(_, ni)| ni).collect();
-    let null_key = |t: &Tuple, idx: &[usize]| idx.iter().any(|&i| t.get(i).is_null());
+    let left_null = |t: &Tuple| keys.iter().any(|&(li, _)| t.get(li).is_null());
+    let right_null = |t: &Tuple| keys.iter().any(|&(_, ri)| t.get(ri).is_null());
 
-    // Index-nested-loop: probe the table's index with each intermediate
-    // row. Only when the index covers the exact join-key attribute set,
-    // every constant filter is well-typed (so skipping unprobed rows
-    // cannot swallow a type error the scan would raise), and the
-    // intermediate is small enough that probing beats one table pass.
-    if filters_well_typed(&filters, slice.schema)
-        && cur.rows.distinct_len().saturating_mul(INDEX_JOIN_FANOUT) <= slice.rows.distinct_len()
-    {
-        let key_attrs: Vec<&str> =
-            new_key_idx.iter().map(|&i| slice.schema.attrs()[i].name.as_str()).collect();
-        if let Some(index) = provider.index_on(new_name, &key_attrs) {
-            // The index may list its key attributes in a different order;
-            // line the probe values up with it.
-            let probe_cols: Vec<usize> = index
-                .attrs()
-                .iter()
-                .map(|a| {
-                    let j = key_attrs
-                        .iter()
-                        .position(|k| k == a)
-                        .expect("covering index key is a permutation of the join key");
-                    cur_key_idx[j]
-                })
-                .collect();
-            let mut probes = 0u64;
-            for (lt, lc) in cur.rows.iter() {
-                if null_key(lt, &cur_key_idx) {
-                    continue;
-                }
-                let key: Vec<&Value> = probe_cols.iter().map(|&i| lt.get(i)).collect();
-                probes += 1;
-                if let Some(bucket) = index.lookup(&key) {
-                    for (rt, rc) in bucket.iter() {
-                        scanned += 1;
-                        if !index.key_matches(rt, &key) {
-                            continue;
-                        }
-                        if passes(rt)? {
-                            rows.add(lt.concat(rt), lc * rc);
-                        }
+    if let Some((index, probe_cols)) = probe {
+        let mut probes = 0u64;
+        let mut key: Vec<&Value> = Vec::with_capacity(probe_cols.len());
+        for (lt, lc) in left.iter() {
+            if left_null(lt) {
+                continue;
+            }
+            key.clear();
+            key.extend(probe_cols.iter().map(|&i| lt.get(i)));
+            probes += 1;
+            if let Some(bucket) = index.lookup(&key) {
+                for (rt, rc) in bucket.iter() {
+                    scanned += 1;
+                    if index.key_matches(rt, &key) && passes(rt, filters)? {
+                        emit(lt, rt, lc * rc);
                     }
                 }
             }
-            bump(|s| {
-                s.index_probes += probes;
-                s.rows_scanned += scanned;
-                s.index_join_steps += 1;
-            });
-            return Ok(Cursor { cols: out_cols, rows });
         }
+        bump(|s| {
+            s.index_probes += probes;
+            s.rows_scanned += scanned;
+            s.index_join_steps += 1;
+        });
+        return Ok(());
     }
 
     // Hash-join fallback over 64-bit hashes of borrowed key values; bucket
     // entries are verified against the actual key columns, so hash
     // collisions cannot produce spurious matches.
-    let hash_of = |t: &Tuple, idx: &[usize]| key_hash(idx.iter().map(|&i| t.get(i)));
-    let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(ci, ni)| lt.get(ci) == rt.get(ni));
+    let left_hash = |t: &Tuple| key_hash(keys.iter().map(|&(li, _)| t.get(li)));
+    let right_hash = |t: &Tuple| key_hash(keys.iter().map(|&(_, ri)| t.get(ri)));
+    let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(li, ri)| lt.get(li) == rt.get(ri));
 
-    if cur.rows.distinct_len() <= slice.rows.distinct_len() {
-        // Build over the (smaller) intermediate, probe the table.
+    if left.distinct_len() <= right.distinct_len() {
+        // Build over the (smaller) left side, probe the table.
         let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
-        for (t, c) in cur.rows.iter() {
-            if !null_key(t, &cur_key_idx) {
-                table.entry(hash_of(t, &cur_key_idx)).or_default().push((t, c));
+        for (t, c) in left.iter() {
+            if !left_null(t) {
+                table.entry(left_hash(t)).or_default().push((t, c));
             }
         }
-        for (rt, rc) in slice.rows.iter() {
+        for (rt, rc) in right.iter() {
             scanned += 1;
-            if null_key(rt, &new_key_idx) || !passes(rt)? {
+            if right_null(rt) || !passes(rt, filters)? {
                 continue;
             }
-            if let Some(matches) = table.get(&hash_of(rt, &new_key_idx)) {
+            if let Some(matches) = table.get(&right_hash(rt)) {
                 for (lt, lc) in matches {
                     if keys_match(lt, rt) {
-                        rows.add(lt.concat(rt), lc * rc);
+                        emit(lt, rt, lc * rc);
                     }
                 }
             }
         }
     } else {
-        // Build over the table (filtered), probe the intermediate.
+        // Build over the table (filtered), probe the left side.
         let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
-        for (t, c) in slice.rows.iter() {
+        for (t, c) in right.iter() {
             scanned += 1;
-            if !null_key(t, &new_key_idx) && passes(t)? {
-                table.entry(hash_of(t, &new_key_idx)).or_default().push((t, c));
+            if !right_null(t) && passes(t, filters)? {
+                table.entry(right_hash(t)).or_default().push((t, c));
             }
         }
-        for (lt, lc) in cur.rows.iter() {
-            if null_key(lt, &cur_key_idx) {
+        for (lt, lc) in left.iter() {
+            if left_null(lt) {
                 continue;
             }
-            if let Some(matches) = table.get(&hash_of(lt, &cur_key_idx)) {
+            if let Some(matches) = table.get(&left_hash(lt)) {
                 for (rt, rc) in matches {
                     if keys_match(lt, rt) {
-                        rows.add(lt.concat(rt), lc * rc);
+                        emit(lt, rt, lc * rc);
                     }
                 }
             }
@@ -628,7 +665,7 @@ fn hash_join<P: RelationProvider + ?Sized>(
         s.rows_scanned += scanned;
         s.hash_join_steps += 1;
     });
-    Ok(Cursor { cols: out_cols, rows })
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -721,6 +758,83 @@ pub fn delta_join_probe(delta: &SignedBag, probe_cols: &[usize], index: &HashInd
         s.weights_cancelled += cancelled;
     });
     out
+}
+
+/// One compiled SWEEP hop, answered at the source: `Δ ⋈ target` on
+/// `join_keys` (position in Δ's rows ↔ target attribute), through the
+/// target's constant `t_filters`, emitting `Δ-row ⧺ π_{t_proj}(t)`.
+///
+/// This is [`eval`] of the maintenance step query
+/// `SELECT __D.*, target.t_proj FROM __D, target WHERE …` with Δ bound as
+/// `__D`, minus everything that query needed only because it was a query:
+/// no bound-table schema, no name → position resolution of Δ's columns, no
+/// planning, no full-width intermediate. What a source can observe is
+/// unchanged, value for value:
+///
+/// * **Handshake** — the target must exist and carry every attribute the
+///   step references, else the [`RelationalError`] [`validate`] returns for
+///   that query (an unknown relation, or the first missing attribute in
+///   attribute order): the broken-query signal.
+/// * **Access path** — the side [`eval`] would seed from drives the join
+///   (Δ unless the target is smaller, or as small and filtered); a Δ-driven
+///   join probes a covering index when every filter is well-typed and
+///   `|Δ| · INDEX_JOIN_FANOUT ≤ |target|`, and hash-joins against the
+///   target's rows otherwise. Filter errors, NULL keys and the cartesian
+///   fallback behave as in [`eval`].
+/// * **Metering** — [`ExecStats`] move exactly as under [`eval`], including
+///   the |Δ| rows of the bound table in `rows_scanned`.
+pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
+    provider: &P,
+    target: &str,
+    join_keys: &'a [(usize, String)],
+    t_filters: &'a [(String, CmpOp, Value)],
+    t_proj: &'a [String],
+    delta: &SignedBag,
+) -> Result<SignedBag, RelationalError> {
+    let slice = provider.table(target)?;
+    let schema = slice.schema;
+    // Resolve every referenced attribute; on a miss report the one a
+    // name-ordered walk (the executor's validation order) meets first.
+    let mut missing: Option<&'a str> = None;
+    let mut resolve = |a: &'a str| {
+        schema.index_of(a).unwrap_or_else(|| {
+            missing = Some(missing.map_or(a, |m| m.min(a)));
+            usize::MAX
+        })
+    };
+    let proj: Vec<usize> = t_proj.iter().map(|a| resolve(a)).collect();
+    let keys: Vec<(usize, usize)> = join_keys.iter().map(|(d, a)| (*d, resolve(a))).collect();
+    let filters: Vec<(usize, CmpOp, &Value)> =
+        t_filters.iter().map(|(a, op, v)| (resolve(a), *op, v)).collect();
+    if let Some(attr) = missing {
+        return Err(schema.require(attr).expect_err("the attribute did not resolve"));
+    }
+
+    let (n_d, n_t) = (delta.distinct_len(), slice.rows.distinct_len());
+    if keys.is_empty() {
+        bump(|s| s.cartesian_fallbacks += 1);
+    }
+    let mut out = SignedBag::new();
+    let mut emit = |d: &Tuple, t: &Tuple, w: i64| {
+        let mut row = Vec::with_capacity(d.arity() + proj.len());
+        row.extend_from_slice(d.values());
+        row.extend(proj.iter().map(|&i| t.get(i).clone()));
+        out.add(Tuple::new(row), w);
+    };
+    if n_d < n_t || (n_d == n_t && filters.is_empty()) {
+        // Δ seeds: the executor loads (scans) the unfiltered bound table,
+        // then joins the target in.
+        bump(|s| s.rows_scanned += n_d as u64);
+        let probe = probe_plan(provider, target, slice, &keys, &filters, n_d);
+        join_rows(delta, slice.rows, &keys, &filters, probe, emit)?;
+    } else {
+        // The target seeds: its filters apply at load, and Δ — bound, so
+        // never indexed — joins in from the right.
+        let loaded = load_rows(target, slice, &filters, provider)?;
+        let swapped: Vec<(usize, usize)> = keys.iter().map(|&(d, t)| (t, d)).collect();
+        join_rows(&loaded, delta, &swapped, &[], None, |t, d, w| emit(d, t, w))?;
+    }
+    Ok(out)
 }
 
 /// ΔA ⋈ ΔB — equi-join of two deltas on positional keys (`left_keys[i]`

@@ -36,8 +36,8 @@ pub use catalog::Catalog;
 pub use ddl::{apply_to_relation, compose, SchemaChange};
 pub use error::RelationalError;
 pub use exec::{
-    delta_join, delta_join_probe, delta_project, delta_select, distinct_delta, eval, thread_stats,
-    validate, ExecStats, Overlay, QueryResult, RelationProvider, TableSlice,
+    delta_hop, delta_join, delta_join_probe, delta_project, delta_select, distinct_delta, eval,
+    thread_stats, validate, ExecStats, Overlay, QueryResult, RelationProvider, TableSlice,
 };
 pub use index::{key_hash, HashIndex};
 pub use parser::{parse_create_view, parse_query, ParseError};

@@ -11,9 +11,9 @@
 use std::collections::VecDeque;
 
 use dyno_obs::{field, Collector, Counter, Histogram, Level, StalenessTracker, VirtualClock};
-use dyno_relational::{QueryResult, Relation, RelationalError, SourceUpdate, SpjQuery};
+use dyno_relational::{QueryResult, Relation, RelationalError, SignedBag, SourceUpdate, SpjQuery};
 use dyno_source::{SourceId, SourceSpace, UpdateMessage};
-use dyno_view::{eval_with_bound, BoundTable, MaintEvent, SourcePort};
+use dyno_view::{eval_with_bound, BoundTable, HopRequest, MaintEvent, SourcePort};
 
 use crate::cost::CostModel;
 use crate::metrics::Metrics;
@@ -261,13 +261,10 @@ impl SimPort {
         }
     }
 
-    /// Estimated tuples a query scans at sources: the sizes of all
-    /// non-bound relations it reads.
-    fn scanned_tuples(&self, query: &SpjQuery, bound: &[BoundTable]) -> u64 {
-        query
-            .tables
-            .iter()
-            .filter(|t| !bound.iter().any(|b| b.name == **t))
+    /// Estimated tuples a query or hop scans at sources: the sizes of the
+    /// source relations (`tables`) it reads.
+    fn scanned_tuples<'t>(&self, tables: impl Iterator<Item = &'t str>) -> u64 {
+        tables
             .map(|t| {
                 self.space
                     .locate(t)
@@ -275,6 +272,41 @@ impl SimPort {
                     .unwrap_or(0)
             })
             .sum()
+    }
+
+    /// One metered source round trip — the shared body of `execute` and
+    /// `hop`. The clock advances by the query latency *before* `eval`
+    /// (commits landing during the round trip are visible to it), the
+    /// executor's work feeds the `exec.*` counters, and the answer is
+    /// charged for scanning `scanned` and shipping `weight(&answer)` tuples.
+    fn round_trip<'t, R>(
+        &mut self,
+        scanned: impl Iterator<Item = &'t str>,
+        eval: impl FnOnce(&SourceSpace) -> Result<R, RelationalError>,
+        weight: impl FnOnce(&R) -> u64,
+    ) -> Result<R, RelationalError> {
+        if self.metering {
+            self.sim.queries.inc();
+            self.advance(self.cost.query_latency_us);
+        }
+        let before = dyno_relational::thread_stats();
+        let result = eval(&self.space);
+        let d = dyno_relational::thread_stats().since(before);
+        self.sim.rows_scanned.add(d.rows_scanned);
+        self.sim.index_probes.add(d.index_probes);
+        self.sim.cartesian_fallback.add(d.cartesian_fallbacks);
+        if self.metering {
+            // Simulated time is charged from *schema-level* relation sizes,
+            // not the executor's actual work: the simulated-seconds series
+            // of the paper figures must not depend on which access path the
+            // in-process executor happened to pick.
+            let scanned = self.scanned_tuples(scanned);
+            let shipped = result.as_ref().map(weight).unwrap_or(0);
+            self.advance_quiet(
+                scanned * self.cost.scan_tuple_us + shipped * self.cost.result_tuple_us,
+            );
+        }
+        result
     }
 }
 
@@ -301,29 +333,20 @@ impl SourcePort for SimPort {
         query: &SpjQuery,
         bound: &[BoundTable],
     ) -> Result<QueryResult, RelationalError> {
-        if self.metering {
-            self.sim.queries.inc();
-            // The round trip: commits landing during it are visible.
-            self.advance(self.cost.query_latency_us);
-        }
-        let before = dyno_relational::thread_stats();
-        let result = eval_with_bound(&self.space.provider(), query, bound);
-        let d = dyno_relational::thread_stats().since(before);
-        self.sim.rows_scanned.add(d.rows_scanned);
-        self.sim.index_probes.add(d.index_probes);
-        self.sim.cartesian_fallback.add(d.cartesian_fallbacks);
-        if self.metering {
-            // Simulated time is charged from *schema-level* relation sizes,
-            // not the executor's actual work: the simulated-seconds series
-            // of the paper figures must not depend on which access path the
-            // in-process executor happened to pick.
-            let scanned = self.scanned_tuples(query, bound);
-            let shipped = result.as_ref().map(|r| r.weight()).unwrap_or(0);
-            self.advance_quiet(
-                scanned * self.cost.scan_tuple_us + shipped * self.cost.result_tuple_us,
-            );
-        }
-        result
+        let unbound = query.tables.iter().filter(|t| !bound.iter().any(|b| b.name == **t));
+        self.round_trip(
+            unbound.map(String::as_str),
+            |space| eval_with_bound(&space.provider(), query, bound),
+            QueryResult::weight,
+        )
+    }
+
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+        self.round_trip(
+            std::iter::once(req.target),
+            |space| req.answer(&space.provider()),
+            SignedBag::weight,
+        )
     }
 
     fn fetch_relation_at(

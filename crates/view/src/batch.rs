@@ -116,19 +116,21 @@ pub fn adapt_batch(
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
 ) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
+    let pending: Vec<&UpdateMessage> = pending.iter().collect();
     let mut drained = Vec::new();
-    let result = adapt_inner(view, batch, pending, info, mode, port, &mut drained, None);
+    let result = adapt_inner(view, batch, &pending, info, mode, port, &mut drained, None);
     (result, drained)
 }
 
-/// [`adapt_batch`] under a `va.adapt` span: reports which adaptation path
+/// [`adapt_batch`] over a borrowed `pending` set and under a `va.adapt` span:
+/// reports which adaptation path
 /// was taken per batch (`va.mode` event, `va.incremental`/`va.recompute`
 /// counters) and surfaces broken maintenance queries as `va.broken_query`
 /// warning events.
 pub fn adapt_batch_observed(
     view: &ViewDefinition,
     batch: &[&UpdateMessage],
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     info: &dyno_source::InfoSpace,
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
@@ -166,7 +168,7 @@ pub fn adapt_batch_observed(
 fn adapt_inner(
     view: &ViewDefinition,
     batch: &[&UpdateMessage],
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     info: &dyno_source::InfoSpace,
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
@@ -201,7 +203,7 @@ fn adapt_inner(
 fn adapt_recompute(
     new_view: ViewDefinition,
     batch: &[&UpdateMessage],
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
 ) -> Result<Adapted, BatchFailure> {
@@ -232,7 +234,7 @@ fn fetch_batch_point_state(
     new_view: &ViewDefinition,
     table: &str,
     batch_ids: &[dyno_source::UpdateId],
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
 ) -> Result<(Schema, SignedBag), BatchFailure> {
@@ -242,13 +244,14 @@ fn fetch_batch_point_state(
         projection: referenced.iter().map(|c| ProjItem::plain(c.clone())).collect(),
         predicates: Vec::new(),
     };
-    let fetched =
-        port.execute(&q, &[]).map_err(|e| BatchFailure::from(MaintFailure::from_query(&q, e)))?;
+    let fetched = port
+        .execute(&q, &[])
+        .map_err(|e| BatchFailure::from(MaintFailure::from_query(|| q.clone(), e)))?;
     drained.extend(port.drain_arrivals());
 
     let mut rows = fetched.rows;
     let col_names: Vec<String> = fetched.cols.clone();
-    for m in pending.iter().chain(drained.iter()) {
+    for m in pending.iter().copied().chain(drained.iter()) {
         if batch_ids.contains(&m.id) {
             continue;
         }
@@ -297,7 +300,7 @@ fn incremental_applicable(
 fn adapt_incremental(
     new_view: &ViewDefinition,
     batch: &[&UpdateMessage],
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
     prof: Option<Prof<'_>>,

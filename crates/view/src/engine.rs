@@ -15,9 +15,12 @@ use std::collections::HashMap;
 
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    eval, AttrType, Attribute, QueryResult, RelationalError, Schema, SignedBag, SpjQuery,
+    delta_hop, eval, AttrType, Attribute, CmpOp, ColRef, Predicate, ProjItem, QueryResult,
+    RelationalError, Schema, SignedBag, SpjQuery, Value,
 };
 use dyno_source::{SourceId, SourceSpace, UpdateMessage};
+
+use crate::vm::{flat, D};
 
 /// A table shipped with a query (e.g. an update's delta bound in place of
 /// its relation in a maintenance query).
@@ -62,6 +65,93 @@ pub fn schema_from_bag(name: &str, cols: &[String], rows: &SignedBag) -> Schema 
         .map(|(n, ty)| Attribute::new(n.clone(), ty.unwrap_or(AttrType::Int)))
         .collect();
     Schema::new(name, attrs).expect("intermediate columns are unique by construction")
+}
+
+/// Where the names of Δ's columns come from when a [`HopRequest`] has to be
+/// rendered as a query. The hop itself is positional and never looks.
+#[derive(Debug, Clone, Copy)]
+pub enum DeltaCols<'a> {
+    /// A chain hop: the running intermediate's (flattened) column names.
+    Named(&'a [String]),
+    /// A first hop over an update's own delta at full width: `R.a` for
+    /// every attribute `a` of its schema `R`.
+    Delta(&'a Schema),
+}
+
+impl DeltaCols<'_> {
+    /// Δ's arity.
+    pub fn arity(&self) -> usize {
+        match self {
+            DeltaCols::Named(cols) => cols.len(),
+            DeltaCols::Delta(schema) => schema.arity(),
+        }
+    }
+
+    /// The column names, in tuple order.
+    pub fn names(&self) -> Vec<String> {
+        match self {
+            DeltaCols::Named(cols) => cols.to_vec(),
+            DeltaCols::Delta(schema) => {
+                schema.attrs().iter().map(|a| format!("{}.{}", schema.relation, a.name)).collect()
+            }
+        }
+    }
+}
+
+/// One SWEEP hop as a *request*: the intermediate Δ plus the precompiled
+/// form of the paper's maintenance query `Δ ⋈ target` (Query (2)), so the
+/// source answers with [`delta_hop`] — an index probe when it can — instead
+/// of parsing, validating and planning a query per update.
+#[derive(Debug, Clone, Copy)]
+pub struct HopRequest<'a> {
+    /// The view relation to join in.
+    pub target: &'a str,
+    /// Equi-join keys: position in Δ's rows ↔ target attribute.
+    pub join_keys: &'a [(usize, String)],
+    /// Constant filters on the target (attribute, op, literal).
+    pub t_filters: &'a [(String, CmpOp, Value)],
+    /// Target attributes to append to each Δ row, in output order.
+    pub t_proj: &'a [String],
+    /// Names for Δ's columns, should the request be rendered as a query.
+    pub d_cols: DeltaCols<'a>,
+    /// The intermediate Δ.
+    pub delta: &'a SignedBag,
+}
+
+impl HopRequest<'_> {
+    /// Answers the request over `provider`'s current tables.
+    pub fn answer<P: RelationProvider + ?Sized>(
+        &self,
+        provider: &P,
+    ) -> Result<SignedBag, RelationalError> {
+        delta_hop(provider, self.target, self.join_keys, self.t_filters, self.t_proj, self.delta)
+    }
+
+    /// The request as the `__D ⋈ target` query it compiles: what a port
+    /// without a native [`SourcePort::hop`] executes, and what error
+    /// reports quote.
+    pub fn query(&self) -> SpjQuery {
+        let d_cols = self.d_cols.names();
+        let t_col = |a: &String| ColRef::new(self.target, a.clone());
+        SpjQuery {
+            tables: vec![D.to_string(), self.target.to_string()],
+            projection: d_cols
+                .iter()
+                .map(|c| ProjItem::aliased(ColRef::new(D, c.clone()), c.clone()))
+                .chain(self.t_proj.iter().map(|a| ProjItem::aliased(t_col(a), flat(&t_col(a)))))
+                .collect(),
+            predicates: self
+                .join_keys
+                .iter()
+                .map(|(pos, a)| Predicate::JoinEq(ColRef::new(D, d_cols[*pos].clone()), t_col(a)))
+                .chain(
+                    self.t_filters
+                        .iter()
+                        .map(|(a, op, v)| Predicate::Compare(t_col(a), *op, v.clone())),
+                )
+                .collect(),
+        }
+    }
 }
 
 /// Maintenance lifecycle notifications, so a timed port can meter
@@ -109,6 +199,17 @@ pub trait SourcePort {
         query: &SpjQuery,
         bound: &[BoundTable],
     ) -> Result<QueryResult, RelationalError>;
+
+    /// Answers one SWEEP hop over the target's current state. Semantically
+    /// `execute(req.query(), [Δ bound as __D]).rows` — which is the default,
+    /// so a port that only implements [`SourcePort::execute`] keeps working —
+    /// but every in-repo port answers natively through [`delta_hop`], with
+    /// the same results, errors, faults and metering.
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+        let bound =
+            BoundTable { name: D.to_string(), cols: req.d_cols.names(), rows: req.delta.clone() };
+        self.execute(&req.query(), &[bound]).map(|r| r.rows)
+    }
 
     /// Fetches the named relation's extent *as of* a past source version
     /// (the intelligent wrapper's history capability, used by view
@@ -219,6 +320,22 @@ impl<'a, P: SourcePort + ?Sized> TracingPort<'a, P> {
     pub fn take_trace(&mut self) -> Vec<String> {
         std::mem::take(&mut self.trace)
     }
+
+    /// Records one `r(DS:relation)` per source relation a just-answered
+    /// query or hop read, marking the last one when it came back broken.
+    fn record_reads<'t>(&mut self, targets: impl IntoIterator<Item = &'t str>, broken: bool) {
+        for t in targets {
+            self.trace.push(match self.inner.locate(t) {
+                Some(sid) => format!("r({sid}:{t})"),
+                None => format!("r(?:{t})!"),
+            });
+        }
+        if broken {
+            if let Some(last) = self.trace.last_mut() {
+                last.push_str("BROKEN");
+            }
+        }
+    }
 }
 
 impl<P: SourcePort + ?Sized> SourcePort for TracingPort<'_, P> {
@@ -239,24 +356,15 @@ impl<P: SourcePort + ?Sized> SourcePort for TracingPort<'_, P> {
         query: &SpjQuery,
         bound: &[BoundTable],
     ) -> Result<QueryResult, RelationalError> {
-        let targets: Vec<&str> = query
-            .tables
-            .iter()
-            .filter(|t| !bound.iter().any(|b| b.name == **t))
-            .map(String::as_str)
-            .collect();
         let result = self.inner.execute(query, bound);
-        for t in targets {
-            self.trace.push(match self.inner.locate(t) {
-                Some(sid) => format!("r({sid}:{t})"),
-                None => format!("r(?:{t})!"),
-            });
-        }
-        if result.is_err() {
-            if let Some(last) = self.trace.last_mut() {
-                last.push_str("BROKEN");
-            }
-        }
+        let targets = query.tables.iter().filter(|t| !bound.iter().any(|b| b.name == **t));
+        self.record_reads(targets.map(String::as_str), result.is_err());
+        result
+    }
+
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+        let result = self.inner.hop(req);
+        self.record_reads([req.target], result.is_err());
         result
     }
 
@@ -357,6 +465,10 @@ impl SourcePort for InProcessPort {
         bound: &[BoundTable],
     ) -> Result<QueryResult, RelationalError> {
         eval_with_bound(&self.space.provider(), query, bound)
+    }
+
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+        req.answer(&self.space.provider())
     }
 
     fn fetch_relation_at(

@@ -34,10 +34,10 @@ use std::collections::HashMap;
 use dyno_fault::rng::Rng;
 use dyno_fault::{QueryFault, Recovery, RetryPolicy, Transport};
 use dyno_obs::{Collector, Counter};
-use dyno_relational::{QueryResult, Relation, RelationalError, SpjQuery};
+use dyno_relational::{QueryResult, Relation, RelationalError, SignedBag, SpjQuery};
 use dyno_source::{SourceId, UpdateMessage};
 
-use crate::engine::{BoundTable, MaintEvent, SourcePort};
+use crate::engine::{BoundTable, HopRequest, MaintEvent, SourcePort};
 
 /// `retry.*` registry handles.
 #[derive(Debug, Clone, Default)]
@@ -292,18 +292,18 @@ impl<P: SourcePort, T: Transport> FaultedPort<P, T> {
         }
     }
 
-    /// The distinct sources hosting the query's unbound tables, sorted so
-    /// fault rolls are deterministic.
+    /// The distinct sources hosting `tables` — the relations a query or hop
+    /// reads at the sources — sorted so fault rolls are deterministic.
     ///
-    /// If any unbound table cannot be located, the view's name map is stale
+    /// If any of them cannot be located, the view's name map is stale
     /// — typically a schema change renamed or dropped the relation and the
     /// announcing message is still in flight (or was dropped). The query is
     /// about to fail as broken, and the announcement MUST reach the queue
     /// or the scheduler re-runs the same broken query forever; scoping to
     /// every source makes the post-execution sync recover it.
-    fn involved_sources(&mut self, query: &SpjQuery, bound: &[BoundTable]) -> Vec<SourceId> {
+    fn involved_sources<'t>(&mut self, tables: impl Iterator<Item = &'t str>) -> Vec<SourceId> {
         let mut sources = Vec::new();
-        for t in query.tables.iter().filter(|t| !bound.iter().any(|b| &b.name == *t)) {
+        for t in tables {
             match self.inner.locate(t) {
                 Some(s) => sources.push(s),
                 None => return self.all_sources.clone(),
@@ -337,8 +337,14 @@ impl<P: SourcePort, T: Transport> SourcePort for FaultedPort<P, T> {
         query: &SpjQuery,
         bound: &[BoundTable],
     ) -> Result<QueryResult, RelationalError> {
-        let sources = self.involved_sources(query, bound);
+        let unbound = query.tables.iter().filter(|t| !bound.iter().any(|b| &b.name == *t));
+        let sources = self.involved_sources(unbound.map(String::as_str));
         self.with_query_faults(&sources, |p| p.execute(query, bound))
+    }
+
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+        let sources = self.involved_sources(std::iter::once(req.target));
+        self.with_query_faults(&sources, |p| p.hop(req))
     }
 
     fn fetch_relation_at(

@@ -39,8 +39,8 @@ pub use batch::{
     AdaptationMode, Adapted, BatchFailure,
 };
 pub use engine::{
-    eval_with_bound, schema_from_bag, BoundTable, InProcessPort, LocalProvider, MaintEvent,
-    SourcePort, TracingPort,
+    eval_with_bound, schema_from_bag, BoundTable, DeltaCols, HopRequest, InProcessPort,
+    LocalProvider, MaintEvent, SourcePort, TracingPort,
 };
 pub use fport::FaultedPort;
 pub use ingress::IngressGate;

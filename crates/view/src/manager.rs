@@ -18,7 +18,7 @@ use crate::ingress::IngressGate;
 use crate::mview::MaterializedView;
 use crate::plan::PlanCache;
 use crate::viewdef::ViewDefinition;
-use crate::vm::sweep_maintain_observed;
+use crate::vm::sweep_maintain_shared;
 use crate::vs::VsError;
 use crate::wal::{
     sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, DurableState,
@@ -413,8 +413,8 @@ impl Maintainer<UpdateMessage> for MaintCtx<'_> {
     ) -> MaintainOutcome {
         let schema_changes = batch.iter().filter(|m| m.payload.is_schema_change()).count();
         self.port.on_maintenance_event(MaintEvent::Begin { updates: batch.len(), schema_changes });
-        let pending: Vec<UpdateMessage> =
-            rest.iter().flat_map(|node| node.iter().map(|m| m.payload.clone())).collect();
+        let pending: Vec<&UpdateMessage> =
+            rest.iter().flat_map(|node| node.iter().map(|m| &m.payload)).collect();
 
         let is_plain_du =
             batch.len() == 1 && matches!(batch[0].payload.update, SourceUpdate::Data(_));
@@ -442,13 +442,14 @@ impl Maintainer<UpdateMessage> for MaintCtx<'_> {
         let mut written_rows: u64 = 0;
         let mut logged: Option<AppliedChange> = None;
         let failure: Option<BatchFailure> = if is_plain_du {
-            let (result, drained) = sweep_maintain_observed(
+            let (result, drained) = sweep_maintain_shared(
                 &self.core.view,
                 &batch[0].payload,
                 &pending,
                 self.port,
                 &mut self.core.plans,
                 &self.core.obs,
+                None,
             );
             self.drained.extend(drained);
             match result {

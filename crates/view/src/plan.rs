@@ -10,39 +10,39 @@
 //!
 //! Invalidation is two-layered: the view manager explicitly invalidates on
 //! every schema-change batch commit (VS rewrote or revalidated the view),
-//! and the cache additionally fingerprints the rendered view definition —
-//! if a view ever changes without an explicit invalidation, the fingerprint
+//! and the cache additionally pins the view definition it planned for — if
+//! a view ever changes without an explicit invalidation, the structural
 //! mismatch clears the cache rather than serving a stale plan.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use dyno_obs::Collector;
-use dyno_relational::{CmpOp, ColRef, Predicate, ProjItem, RelationalError, SpjQuery, Value};
+use dyno_relational::{
+    CmpOp, ColRef, Predicate, ProjItem, RelationalError, SignedBag, SpjQuery, Value,
+};
 
+use crate::engine::{DeltaCols, HopRequest};
 use crate::viewdef::ViewDefinition;
-use crate::vm::{flat, D};
+use crate::vm::flat;
 
-/// One maintenance-query step: join the running intermediate `__D` with
-/// `target` through the view's predicates.
+/// One maintenance step: join the running intermediate `__D` with `target`
+/// through the view's predicates.
 ///
-/// Besides the shippable [`SpjQuery`], each step carries the *compiled*
-/// delta-operator form of the same join — key positions, residual filters,
-/// and the target projection — so view-manager-local work (SWEEP
-/// compensation against a pending delta) runs as direct Z-set algebra
-/// instead of replaying the query over rebuilt bound tables. Target-side
-/// attribute names are resolved against the concrete delta schema at use
-/// time, which keeps the plan valid across schema versions.
+/// A step is the *compiled* form of the paper's per-source maintenance
+/// query — key positions, residual filters, and the target projection — so
+/// that both the source round trip ([`MaintStep::request`] →
+/// [`crate::SourcePort::hop`]) and view-manager-local work (SWEEP
+/// compensation against a pending delta) run as direct Z-set algebra. The
+/// `__D ⋈ target` [`SpjQuery`] itself is rendered only on demand
+/// ([`MaintStep::query`]). Target-side attribute names are resolved against
+/// the concrete schema at use time, which keeps the plan valid across
+/// schema versions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintStep {
     /// The view relation this step joins in.
     pub target: String,
-    /// The `__D ⋈ target` query shipped to the source hosting `target`.
-    pub query: SpjQuery,
-    /// Column names of the intermediate flowing *into* this step (the
-    /// bound `__D` table's columns).
+    /// Column names of the intermediate flowing *into* this step.
     pub d_cols_in: Vec<String>,
     /// Equi-join keys: position in `d_cols_in` ↔ target attribute name.
     pub join_keys: Vec<(usize, String)>,
@@ -53,17 +53,45 @@ pub struct MaintStep {
     pub t_proj: Vec<String>,
 }
 
+impl MaintStep {
+    /// This step's hop over the intermediate `delta`.
+    pub fn request<'a>(&'a self, delta: &'a SignedBag) -> HopRequest<'a> {
+        HopRequest {
+            target: &self.target,
+            join_keys: &self.join_keys,
+            t_filters: &self.t_filters,
+            t_proj: &self.t_proj,
+            d_cols: DeltaCols::Named(&self.d_cols_in),
+            delta,
+        }
+    }
+
+    /// The step as the `__D ⋈ target` query a generic source would be sent.
+    pub fn query(&self) -> SpjQuery {
+        self.request(&SignedBag::new()).query()
+    }
+}
+
+/// The shared-join signature of a plan's first hop: two views share the hop
+/// iff they join the same updated relation to the same target over the same
+/// attribute pairs — the signature the secondary indexes key on.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct HopKey {
+    pub(crate) relation: String,
+    pub(crate) target: String,
+    /// Sorted `(ΔR attribute, target attribute)` equi-join pairs.
+    pub(crate) keys: Vec<(String, String)>,
+}
+
 /// The full per-relation maintenance plan for a view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaintPlan {
     /// The updated relation this plan maintains.
     pub relation: String,
-    /// Step 0: local projection/selection of the delta itself.
-    pub local_query: SpjQuery,
-    /// Step 0 compiled: constant filters on the updated relation
-    /// (attribute, op, literal), applied with executor semantics.
+    /// Step 0: constant filters on the updated relation (attribute, op,
+    /// literal), applied with executor semantics.
     pub local_filters: Vec<(String, CmpOp, Value)>,
-    /// Step 0 compiled: referenced attributes of the updated relation, in
+    /// Step 0: referenced attributes of the updated relation, in
     /// seed-projection order.
     pub local_proj: Vec<String>,
     /// The `__D ⋈ target` chain, in join order.
@@ -72,38 +100,34 @@ pub struct MaintPlan {
     pub final_indices: Vec<usize>,
     /// The view's output column names.
     pub out_cols: Vec<String>,
+    /// `steps[0]`'s cross-view sharing signature (`None` without steps).
+    pub(crate) first_hop: Option<Rc<HopKey>>,
 }
 
 impl MaintPlan {
     /// Plans maintenance of an update to `relation` against `view`. The
     /// relation must be referenced by the view.
     pub fn build(view: &ViewDefinition, relation: &str) -> Result<MaintPlan, RelationalError> {
-        let out_cols = view.output_cols();
+        // Every column the view uses, in the name order the per-relation
+        // slices below (and the executor's validation) walk them in.
+        let all_refs = view.query.referenced_cols();
+        let cols_of = |r: &str| all_refs.iter().filter(|c| c.relation == r).collect::<Vec<_>>();
 
         // Step 0: local projection/selection of the delta itself.
-        let referenced = view.cols_of_relation(relation);
-        let local_query = SpjQuery {
-            tables: vec![relation.to_string()],
-            projection: referenced.iter().map(|c| ProjItem::aliased(c.clone(), flat(c))).collect(),
-            predicates: view
-                .query
-                .predicates
-                .iter()
-                .filter(|p| matches!(p, Predicate::Compare(c, _, _) if c.relation == relation))
-                .cloned()
-                .collect(),
-        };
-        let local_filters: Vec<(String, CmpOp, Value)> = local_query
+        let referenced = cols_of(relation);
+        let local_filters: Vec<(String, CmpOp, Value)> = view
+            .query
             .predicates
             .iter()
             .filter_map(|p| match p {
-                Predicate::Compare(c, op, v) => Some((c.attr.clone(), *op, v.clone())),
+                Predicate::Compare(c, op, v) if c.relation == relation => {
+                    Some((c.attr.clone(), *op, v.clone()))
+                }
                 _ => None,
             })
             .collect();
         let local_proj: Vec<String> = referenced.iter().map(|c| c.attr.clone()).collect();
-        let mut d_cols: Vec<String> =
-            local_query.projection.iter().map(|p| p.output.clone()).collect();
+        let mut d_cols: Vec<String> = referenced.iter().map(|c| flat(c)).collect();
         let mut joined: Vec<String> = vec![relation.to_string()];
 
         // Join order: repeatedly pick a not-yet-joined view relation
@@ -126,19 +150,10 @@ impl MaintPlan {
                 .unwrap_or(0);
             let target = remaining.remove(next_pos);
 
-            // The maintenance query: __D ⋈ target with the view's join and
-            // filter predicates, projecting __D plus target's referenced
-            // columns (flattened).
-            let target_refs = view.cols_of_relation(&target);
-            let mut q = SpjQuery {
-                tables: vec![D.to_string(), target.clone()],
-                projection: d_cols
-                    .iter()
-                    .map(|c| ProjItem::aliased(ColRef::new(D, c.clone()), c.clone()))
-                    .chain(target_refs.iter().map(|c| ProjItem::aliased(c.clone(), flat(c))))
-                    .collect(),
-                predicates: Vec::new(),
-            };
+            // The hop: __D ⋈ target through the view's join and filter
+            // predicates, emitting __D plus target's referenced columns
+            // (flattened).
+            let target_refs = cols_of(&target);
             let mut join_keys: Vec<(usize, String)> = Vec::new();
             let mut t_filters: Vec<(String, CmpOp, Value)> = Vec::new();
             for p in &view.query.predicates {
@@ -161,22 +176,19 @@ impl MaintPlan {
                                 }
                             })?;
                         join_keys.push((d_pos, t_side.attr.clone()));
-                        q.predicates
-                            .push(Predicate::JoinEq(ColRef::new(D, flat(d_side)), t_side.clone()));
                     }
                     Predicate::Compare(c, op, v) if c.relation == target => {
                         t_filters.push((c.attr.clone(), *op, v.clone()));
-                        q.predicates.push(Predicate::Compare(c.clone(), *op, v.clone()));
                     }
                     Predicate::Compare(..) => {}
                 }
             }
 
-            let d_cols_out: Vec<String> = q.projection.iter().map(|p| p.output.clone()).collect();
+            let d_cols_out: Vec<String> =
+                d_cols.iter().cloned().chain(target_refs.iter().map(|c| flat(c))).collect();
             let t_proj: Vec<String> = target_refs.iter().map(|c| c.attr.clone()).collect();
             steps.push(MaintStep {
                 target: target.clone(),
-                query: q,
                 d_cols_in: d_cols,
                 join_keys,
                 t_filters,
@@ -200,30 +212,55 @@ impl MaintPlan {
             })
             .collect::<Result<_, _>>()?;
 
+        // `steps[0].d_cols_in[pos]` is the flattened `local_proj[pos]`, so
+        // the first hop's keys name ΔR attributes directly.
+        let first_hop = steps.first().map(|step| {
+            let mut keys: Vec<(String, String)> = step
+                .join_keys
+                .iter()
+                .map(|(pos, t_attr)| (local_proj[*pos].clone(), t_attr.clone()))
+                .collect();
+            keys.sort();
+            Rc::new(HopKey { relation: relation.to_string(), target: step.target.clone(), keys })
+        });
+
         Ok(MaintPlan {
             relation: relation.to_string(),
-            local_query,
             local_filters,
             local_proj,
             steps,
             final_indices,
-            out_cols,
+            out_cols: view.output_cols(),
+            first_hop,
         })
+    }
+
+    /// Step 0 as the query a generic executor would run over the delta:
+    /// the local selection and (flattened) projection.
+    pub fn local_query(&self) -> SpjQuery {
+        let col = |a: &String| ColRef::new(self.relation.clone(), a.clone());
+        SpjQuery {
+            tables: vec![self.relation.clone()],
+            projection: self
+                .local_proj
+                .iter()
+                .map(|a| ProjItem::aliased(col(a), flat(&col(a))))
+                .collect(),
+            predicates: self
+                .local_filters
+                .iter()
+                .map(|(a, op, v)| Predicate::Compare(col(a), *op, v.clone()))
+                .collect(),
+        }
     }
 }
 
 /// Per-view cache of [`MaintPlan`]s, keyed by updated relation and pinned
-/// to a fingerprint of the view definition.
+/// to the view definition they were planned for.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    fingerprint: Option<u64>,
+    pinned: Option<ViewDefinition>,
     plans: HashMap<String, Rc<MaintPlan>>,
-}
-
-fn fingerprint_of(view: &ViewDefinition) -> u64 {
-    let mut h = DefaultHasher::new();
-    view.to_string().hash(&mut h);
-    h.finish()
 }
 
 impl PlanCache {
@@ -251,27 +288,27 @@ impl PlanCache {
             return;
         }
         self.plans.clear();
-        self.fingerprint = None;
+        self.pinned = None;
         obs.counter("plan.cache_invalidations").add(schema_changes);
     }
 
-    /// The plan maintaining `relation` against `view`: cached when the view
-    /// fingerprint still matches, rebuilt (and counted as a miss) otherwise.
+    /// The plan maintaining `relation` against `view`: cached when `view`
+    /// still equals the pinned definition, rebuilt (and counted as a miss)
+    /// otherwise.
     pub fn plan_for(
         &mut self,
         view: &ViewDefinition,
         relation: &str,
         obs: &Collector,
     ) -> Result<Rc<MaintPlan>, RelationalError> {
-        let fp = fingerprint_of(view);
-        if self.fingerprint != Some(fp) {
-            if self.fingerprint.is_some() {
+        if self.pinned.as_ref() != Some(view) {
+            if self.pinned.is_some() {
                 // The view changed without an explicit invalidation — the
-                // fingerprint safety net catches it.
+                // pinned-definition safety net catches it.
                 obs.counter("plan.cache_invalidations").inc();
             }
             self.plans.clear();
-            self.fingerprint = Some(fp);
+            self.pinned = Some(view.clone());
         }
         if let Some(plan) = self.plans.get(relation) {
             obs.counter("plan.cache_hits").inc();
@@ -337,10 +374,10 @@ mod tests {
         let plan = MaintPlan::build(&view, "Item").unwrap();
         assert_eq!(plan.steps.len(), view.query.tables.len() - 1);
         for step in &plan.steps {
-            assert_eq!(step.query.tables[0], D);
-            assert_eq!(step.query.tables[1], step.target);
+            let query = step.query();
+            assert_eq!(query.tables, [crate::vm::D, step.target.as_str()]);
             assert!(
-                step.query.predicates.iter().any(|p| matches!(p, Predicate::JoinEq(..))),
+                query.predicates.iter().any(|p| matches!(p, Predicate::JoinEq(..))),
                 "each step joins through at least one equi-join key"
             );
         }

@@ -29,46 +29,32 @@
 //! `subplan.shared_hits` / `subplan.shared_misses`.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use dyno_relational::{
-    delta_select, CmpOp, ColRef, DataUpdate, Predicate, ProjItem, RelationalError, SignedBag,
-    SpjQuery, Value,
-};
+use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, SignedBag, Value};
 use dyno_source::UpdateMessage;
 
 use dyno_obs::OpPhase;
 
-use crate::engine::{BoundTable, SourcePort};
-use crate::plan::{MaintPlan, MaintStep};
-use crate::vm::{compensate, flat, prof_op, prof_start, MaintFailure, Prof, D};
-
-/// Cache key: the shared-join signature of a first hop. Two views share a
-/// hop iff they join the same updated relation to the same target over the
-/// same attribute pairs — the signature the secondary indexes key on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct HopKey {
-    relation: String,
-    target: String,
-    /// Sorted `(ΔR flat column, target attribute)` equi-join pairs.
-    keys: Vec<(String, String)>,
-}
+use crate::engine::{DeltaCols, HopRequest, SourcePort};
+use crate::plan::{HopKey, MaintPlan, MaintStep};
+use crate::vm::{compensate_pending, prof_op, prof_start, MaintFailure, Prof};
 
 /// One computed full-width hop: `ΔR ⋈ target` (compensated), no per-view
-/// filters, no per-view projection.
+/// filters, no per-view projection. Rows are all of ΔR in its schema's
+/// order, then `t_attrs`.
 #[derive(Debug, Clone)]
 struct Hop {
-    /// Column names of `rows`: all of ΔR flattened (`R.a`), then the
-    /// covered target attributes flattened (`T.b`).
-    cols: Vec<String>,
-    /// Target attributes covered (unflattened), for coverage checks.
+    /// Target attributes covered.
     t_attrs: Vec<String>,
     rows: SignedBag,
 }
 
-/// Per-batch cache of shared first hops. See the module docs.
+/// Per-batch cache of shared first hops, keyed by the plans' [`HopKey`]
+/// signatures. See the module docs.
 #[derive(Debug, Default)]
 pub struct SharedSubplans {
-    entries: HashMap<HopKey, Hop>,
+    entries: HashMap<Rc<HopKey>, Hop>,
     hits: u64,
     misses: u64,
 }
@@ -89,39 +75,45 @@ impl SharedSubplans {
         self.misses
     }
 
-    /// Executes (or reuses) the shared first hop for `plan.steps[0]` and
-    /// derives this view's step-1 intermediate, in the exact layout the
-    /// unshared step would produce (`step.d_cols_in` then the flattened
-    /// `step.t_proj`).
+    /// Executes (or reuses) the shared first hop for `step` — `plan`'s
+    /// first, with signature `key` — and derives this view's step-1
+    /// intermediate, in the exact layout the unshared step would produce
+    /// (`step.d_cols_in` then the flattened `step.t_proj`).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn first_hop(
         &mut self,
         plan: &MaintPlan,
         step: &MaintStep,
+        key: &Rc<HopKey>,
         du: &DataUpdate,
         msg: &UpdateMessage,
-        pending: &[UpdateMessage],
+        pending: &[&UpdateMessage],
         port: &mut dyn SourcePort,
         drained: &mut Vec<UpdateMessage>,
         prof: Option<Prof<'_>>,
     ) -> Result<SignedBag, MaintFailure> {
+        // Everything the view names in ΔR resolves against the delta's own
+        // schema, as the unshared seed does — an attribute the delta no
+        // longer carries is the same schema conflict there and here.
         let schema = du.delta.schema();
-        let d_full: Vec<String> =
-            schema.attrs().iter().map(|a| flat(&ColRef::new(&du.relation, &a.name))).collect();
-
-        // The join signature, in ΔR-full-layout terms. `d_cols_in[pos]` is
-        // already the flat `R.a` spelling, so it names a full-layout column.
-        let mut keys: Vec<(String, String)> = step
-            .join_keys
-            .iter()
-            .map(|(pos, t_attr)| (step.d_cols_in[*pos].clone(), t_attr.clone()))
-            .collect();
-        keys.sort();
-        let key = HopKey { relation: du.relation.clone(), target: step.target.clone(), keys };
+        let local = || -> Result<_, RelationalError> {
+            let filters = plan
+                .local_filters
+                .iter()
+                .map(|(a, op, v)| Ok((schema.require(a)?, *op, v.clone())))
+                .collect::<Result<Vec<(usize, CmpOp, Value)>, RelationalError>>()?;
+            let proj =
+                plan.local_proj.iter().map(|a| schema.require(a)).collect::<Result<Vec<_>, _>>()?;
+            let d_keys =
+                key.keys.iter().map(|(a, _)| schema.require(a)).collect::<Result<Vec<_>, _>>()?;
+            Ok((filters, proj, d_keys))
+        };
+        let (mut filters, mut out, d_keys) =
+            local().map_err(|e| MaintFailure::from_query(|| plan.local_query(), e))?;
 
         let covered = self
             .entries
-            .get(&key)
+            .get(key)
             .is_some_and(|h| step.t_proj.iter().all(|a| h.t_attrs.contains(a)));
         if covered {
             self.hits += 1;
@@ -131,14 +123,14 @@ impl SharedSubplans {
             // attribute set so every view seen so far stays covered.
             self.misses += 1;
             let mut t_attrs: Vec<String> =
-                self.entries.get(&key).map(|h| h.t_attrs.clone()).unwrap_or_default();
+                self.entries.get(key).map(|h| h.t_attrs.clone()).unwrap_or_default();
             for a in &step.t_proj {
                 if !t_attrs.contains(a) {
                     t_attrs.push(a.clone());
                 }
             }
             let started = prof_start(prof);
-            let hop = compute_hop(&key, &d_full, &t_attrs, du, msg, pending, port, drained)?;
+            let rows = compute_hop(key, &d_keys, &t_attrs, du, msg, pending, port, drained)?;
             prof_op(
                 prof,
                 started,
@@ -148,38 +140,24 @@ impl SharedSubplans {
                 "first_hop_compute",
                 &step.target,
                 du.delta.rows().distinct_len() as u64,
-                hop.rows.distinct_len() as u64,
+                rows.distinct_len() as u64,
             );
-            self.entries.insert(key.clone(), hop);
+            self.entries.insert(Rc::clone(key), Hop { t_attrs, rows });
         }
-        let hop = &self.entries[&key];
+        let hop = &self.entries[key];
 
         // Per-view derivation: δσ (local ΔR filters + target filters) then
         // δπ to the unshared step's output layout.
-        let resolve = |name: &str| -> Result<usize, RelationalError> {
-            hop.cols.iter().position(|c| c == name).ok_or_else(|| RelationalError::InvalidQuery {
-                reason: format!("column {name} missing from shared hop"),
-            })
+        let t_pos = |a: &String| {
+            let i = hop.t_attrs.iter().position(|t| t == a);
+            schema.arity() + i.expect("a covering hop carries every attribute the step projects")
         };
-        let derive = || -> Result<SignedBag, RelationalError> {
-            let mut filters: Vec<(usize, CmpOp, Value)> = Vec::new();
-            for (a, op, v) in &plan.local_filters {
-                filters.push((resolve(&flat(&ColRef::new(&du.relation, a)))?, *op, v.clone()));
-            }
-            for (a, op, v) in &step.t_filters {
-                filters.push((resolve(&flat(&ColRef::new(&step.target, a)))?, *op, v.clone()));
-            }
-            let out: Vec<usize> = step
-                .d_cols_in
-                .iter()
-                .map(String::as_str)
-                .map(resolve)
-                .chain(step.t_proj.iter().map(|a| resolve(&flat(&ColRef::new(&step.target, a)))))
-                .collect::<Result<_, _>>()?;
-            Ok(delta_select(&hop.rows, &filters)?.project(&out))
-        };
+        filters.extend(step.t_filters.iter().map(|(a, op, v)| (t_pos(a), *op, v.clone())));
+        out.extend(step.t_proj.iter().map(t_pos));
         let started = prof_start(prof);
-        let derived = derive().map_err(|e| MaintFailure::from_query(&step.query, e))?;
+        let derived = delta_select(&hop.rows, &filters)
+            .map_err(|e| MaintFailure::from_query(|| step.query(), e))?
+            .project(&out);
         prof_op(
             prof,
             started,
@@ -196,88 +174,32 @@ impl SharedSubplans {
     }
 }
 
-/// Runs the full-width hop query and applies SWEEP compensation at hop
-/// width.
+/// Answers the full-width hop — all of ΔR, joined on `key` (ΔR-side
+/// positions in `d_keys`), projecting `t_attrs`; no target filters, they
+/// are per-view and applied in the derivation — and applies SWEEP
+/// compensation at hop width.
 #[allow(clippy::too_many_arguments)]
 fn compute_hop(
     key: &HopKey,
-    d_full: &[String],
+    d_keys: &[usize],
     t_attrs: &[String],
     du: &DataUpdate,
     msg: &UpdateMessage,
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-) -> Result<Hop, MaintFailure> {
-    let target = &key.target;
-    let query = SpjQuery {
-        tables: vec![D.to_string(), target.clone()],
-        projection: d_full
-            .iter()
-            .map(|c| ProjItem::aliased(ColRef::new(D, c.clone()), c.clone()))
-            .chain(t_attrs.iter().map(|a| {
-                let c = ColRef::new(target.clone(), a.clone());
-                let out = flat(&c);
-                ProjItem::aliased(c, out)
-            }))
-            .collect(),
-        predicates: key
-            .keys
-            .iter()
-            .map(|(d_flat, t_attr)| {
-                Predicate::JoinEq(
-                    ColRef::new(D, d_flat.clone()),
-                    ColRef::new(target.clone(), t_attr.clone()),
-                )
-            })
-            .collect(),
+) -> Result<SignedBag, MaintFailure> {
+    let join_keys: Vec<(usize, String)> =
+        d_keys.iter().zip(&key.keys).map(|(&d, (_, t))| (d, t.clone())).collect();
+    let hop = HopRequest {
+        target: &key.target,
+        join_keys: &join_keys,
+        t_filters: &[],
+        t_proj: t_attrs,
+        d_cols: DeltaCols::Delta(du.delta.schema()),
+        delta: du.delta.rows(),
     };
-    let cols: Vec<String> = query.projection.iter().map(|p| p.output.clone()).collect();
-
-    let bound = vec![BoundTable {
-        name: D.to_string(),
-        cols: d_full.to_vec(),
-        rows: du.delta.rows().clone(),
-    }];
-    let result = port.execute(&query, &bound).map_err(|e| MaintFailure::from_query(&query, e))?;
-    drained.extend(port.drain_arrivals());
-
-    // SWEEP compensation at hop width: subtract `ΔR ⋈ Δⱼ` for every pending
-    // update of the target the query result may already include. The
-    // synthetic step mirrors the hop exactly (no target filters — they are
-    // per-view and applied in the derivation).
-    let synth = MaintStep {
-        target: target.clone(),
-        query: query.clone(),
-        d_cols_in: d_full.to_vec(),
-        join_keys: key
-            .keys
-            .iter()
-            .map(|(d_flat, t_attr)| {
-                let pos = d_full
-                    .iter()
-                    .position(|c| c == d_flat)
-                    .expect("join key names a ΔR full-layout column");
-                (pos, t_attr.clone())
-            })
-            .collect(),
-        t_filters: Vec::new(),
-        t_proj: t_attrs.to_vec(),
-    };
-    let mut rows = result.rows;
-    let d_rows = du.delta.rows();
-    for m in pending.iter().chain(drained.iter()) {
-        if m.id == msg.id {
-            continue;
-        }
-        if let dyno_relational::SourceUpdate::Data(pdu) = &m.update {
-            if pdu.relation == *target {
-                let comp = compensate(&synth, d_rows, pdu)
-                    .map_err(|e| MaintFailure::from_query(&query, e))?;
-                port.charge_local(comp.weight() + pdu.delta.weight());
-                rows.merge_negated(&comp);
-            }
-        }
-    }
-    Ok(Hop { cols, t_attrs: t_attrs.to_vec(), rows })
+    let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
+    compensate_pending(&hop, &mut rows, msg, pending, port, drained, None)?;
+    Ok(rows)
 }

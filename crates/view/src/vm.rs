@@ -19,8 +19,8 @@ use dyno_relational::{
 };
 use dyno_source::UpdateMessage;
 
-use crate::engine::{BoundTable, SourcePort};
-use crate::plan::{MaintPlan, MaintStep, PlanCache};
+use crate::engine::{HopRequest, SourcePort};
+use crate::plan::{MaintPlan, PlanCache};
 use crate::subplan::SharedSubplans;
 use crate::viewdef::ViewDefinition;
 
@@ -53,11 +53,13 @@ pub enum MaintFailure {
 }
 
 impl MaintFailure {
-    pub(crate) fn from_query(query: &SpjQuery, error: RelationalError) -> Self {
+    /// Classifies a failed maintenance query; `query` renders it, and runs
+    /// only for the broken-query report.
+    pub(crate) fn from_query(query: impl FnOnce() -> SpjQuery, error: RelationalError) -> Self {
         if error.is_unavailable() {
             MaintFailure::Unavailable(error)
         } else if error.is_schema_conflict() {
-            MaintFailure::Broken { query: query.to_string(), error }
+            MaintFailure::Broken { query: query().to_string(), error }
         } else {
             MaintFailure::Internal(error)
         }
@@ -130,38 +132,9 @@ pub fn sweep_maintain(
     pending: &[UpdateMessage],
     port: &mut dyn SourcePort,
 ) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
+    let pending: Vec<&UpdateMessage> = pending.iter().collect();
     let mut drained: Vec<UpdateMessage> = Vec::new();
-    let result = sweep_inner(view, msg, pending, port, &mut drained, None, None);
-    (result, drained)
-}
-
-/// [`sweep_maintain_observed`] with a cross-view [`SharedSubplans`] cache:
-/// the first `__D ⋈ target` hop is served from (or computed into) `shared`,
-/// so overlapping views maintaining the same batch pay for it once. The
-/// derived per-view result is bit-identical to the unshared path (see the
-/// [`crate::subplan`] module docs for the algebra).
-pub fn sweep_maintain_shared(
-    view: &ViewDefinition,
-    msg: &UpdateMessage,
-    pending: &[UpdateMessage],
-    port: &mut dyn SourcePort,
-    plans: &mut PlanCache,
-    obs: &Collector,
-    shared: &mut SharedSubplans,
-) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
-    let _span = obs.span("vm.sweep", &[field("pending", pending.len())]);
-    obs.counter("vm.sweeps").inc();
-    obs.counter("vm.compensations").add(pending.len() as u64);
-    obs.prov(msg.id.0, dyno_obs::stage::SWEEP, &[field("pending", pending.len())]);
-    let mut drained: Vec<UpdateMessage> = Vec::new();
-    let result =
-        sweep_inner(view, msg, pending, port, &mut drained, Some((plans, obs)), Some(shared));
-    if let Err(MaintFailure::Broken { query, .. }) = &result {
-        obs.counter("engine.break_detections").inc();
-        if obs.tracing_on() {
-            obs.event(Level::Warn, "vm.broken_query", &[field("query", query.clone())]);
-        }
-    }
+    let result = sweep_inner(view, msg, &pending, port, &mut drained, None, None);
     (result, drained)
 }
 
@@ -178,12 +151,32 @@ pub fn sweep_maintain_observed(
     plans: &mut PlanCache,
     obs: &Collector,
 ) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
+    let pending: Vec<&UpdateMessage> = pending.iter().collect();
+    sweep_maintain_shared(view, msg, &pending, port, plans, obs, None)
+}
+
+/// [`sweep_maintain_observed`] over a *borrowed* compensation set (the
+/// maintainers hand over their queues without cloning a message) and,
+/// optionally, a cross-view [`SharedSubplans`] cache: the first
+/// `__D ⋈ target` hop is then served from (or computed into) `shared`, so
+/// overlapping views maintaining the same batch pay for it once. The
+/// derived per-view result is bit-identical to the unshared path (see the
+/// [`crate::subplan`] module docs for the algebra).
+pub fn sweep_maintain_shared(
+    view: &ViewDefinition,
+    msg: &UpdateMessage,
+    pending: &[&UpdateMessage],
+    port: &mut dyn SourcePort,
+    plans: &mut PlanCache,
+    obs: &Collector,
+    shared: Option<&mut SharedSubplans>,
+) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
     let _span = obs.span("vm.sweep", &[field("pending", pending.len())]);
     obs.counter("vm.sweeps").inc();
     obs.counter("vm.compensations").add(pending.len() as u64);
     obs.prov(msg.id.0, dyno_obs::stage::SWEEP, &[field("pending", pending.len())]);
     let mut drained: Vec<UpdateMessage> = Vec::new();
-    let result = sweep_inner(view, msg, pending, port, &mut drained, Some((plans, obs)), None);
+    let result = sweep_inner(view, msg, pending, port, &mut drained, Some((plans, obs)), shared);
     if let Err(MaintFailure::Broken { query, .. }) = &result {
         obs.counter("engine.break_detections").inc();
         if obs.tracing_on() {
@@ -196,7 +189,7 @@ pub fn sweep_maintain_observed(
 fn sweep_inner(
     view: &ViewDefinition,
     msg: &UpdateMessage,
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
     plans: Option<(&mut PlanCache, &Collector)>,
@@ -226,30 +219,24 @@ fn sweep_inner(
     if let Some((o, v)) = prof {
         o.profile_invocation(v, &du.relation);
     }
-    execute_plan(&plan, msg, pending, port, drained, shared, prof)
+    execute_plan(&plan, du, msg, pending, port, drained, shared, prof)
 }
 
 /// Runs a maintenance plan: seed the intermediate from the delta, walk the
 /// `__D ⋈ target` chain with SWEEP compensation, project to the view's
 /// SELECT list. With a `shared` cache the first hop (seed + join to
 /// `steps[0].target`) is derived from the cross-view shared hop instead.
+#[allow(clippy::too_many_arguments)]
 fn execute_plan(
     plan: &MaintPlan,
+    du: &DataUpdate,
     msg: &UpdateMessage,
-    pending: &[UpdateMessage],
+    pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
     shared: Option<&mut SharedSubplans>,
     prof: Option<Prof<'_>>,
 ) -> Result<ViewDelta, MaintFailure> {
-    let du = match &msg.update {
-        dyno_relational::SourceUpdate::Data(du) => du,
-        dyno_relational::SourceUpdate::Schema(_) => {
-            return Err(MaintFailure::Internal(RelationalError::InvalidQuery {
-                reason: "execute_plan called with a schema change".into(),
-            }))
-        }
-    };
     let scope = du.relation.as_str();
 
     // With a shared-subplan cache and at least one join step, the seed plus
@@ -259,15 +246,15 @@ fn execute_plan(
     // (δσ then δπ) over the update's rows; no provider, no clone of the
     // delta, no executor round.
     let start;
-    let mut d_rows = match (shared, plan.steps.first()) {
-        (Some(sh), Some(step)) => {
+    let mut d_rows = match (shared, plan.steps.first().zip(plan.first_hop.as_ref())) {
+        (Some(sh), Some((step, key))) => {
             port.charge_local(du.delta.weight());
             start = 1;
-            sh.first_hop(plan, step, du, msg, pending, port, drained, prof)?
+            sh.first_hop(plan, step, key, du, msg, pending, port, drained, prof)?
         }
         _ => {
             let seed = seed_delta(plan, du, prof)
-                .map_err(|e| MaintFailure::from_query(&plan.local_query, e))?;
+                .map_err(|e| MaintFailure::from_query(|| plan.local_query(), e))?;
             port.charge_local(du.delta.weight());
             start = 0;
             seed
@@ -280,15 +267,10 @@ fn execute_plan(
             return Ok(ViewDelta { cols: plan.out_cols.clone(), rows: SignedBag::new() });
         }
         let step_no = (i + 1) as u32;
-        let q = &step.query;
-        let bound = vec![BoundTable {
-            name: D.to_string(),
-            cols: step.d_cols_in.clone(),
-            rows: d_rows.clone(),
-        }];
+        let hop = step.request(&d_rows);
         let rows_in = if prof.is_some() { d_rows.distinct_len() as u64 } else { 0 };
         let t = prof_start(prof);
-        let result = port.execute(q, &bound).map_err(|e| MaintFailure::from_query(q, e))?;
+        let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
         prof_op(
             prof,
             t,
@@ -298,38 +280,17 @@ fn execute_plan(
             "join",
             &step.target,
             rows_in,
-            if prof.is_some() { result.rows.distinct_len() as u64 } else { 0 },
+            if prof.is_some() { rows.distinct_len() as u64 } else { 0 },
         );
-        drained.extend(port.drain_arrivals());
-
-        // SWEEP compensation: subtract the effect of every pending data
-        // update to `target` that the query result may already include.
-        let mut rows = result.rows;
-        for m in pending.iter().chain(drained.iter()) {
-            if m.id == msg.id {
-                continue;
-            }
-            if let dyno_relational::SourceUpdate::Data(pdu) = &m.update {
-                if pdu.relation == step.target {
-                    let t = prof_start(prof);
-                    let comp = compensate(step, &d_rows, pdu)
-                        .map_err(|e| MaintFailure::from_query(q, e))?;
-                    port.charge_local(comp.weight() + pdu.delta.weight());
-                    rows.merge_negated(&comp);
-                    prof_op(
-                        prof,
-                        t,
-                        scope,
-                        step_no,
-                        OpPhase::Compensate,
-                        "compensate",
-                        &step.target,
-                        if prof.is_some() { pdu.delta.rows().distinct_len() as u64 } else { 0 },
-                        if prof.is_some() { comp.distinct_len() as u64 } else { 0 },
-                    );
-                }
-            }
-        }
+        compensate_pending(
+            &hop,
+            &mut rows,
+            msg,
+            pending,
+            port,
+            drained,
+            prof.map(|p| (p, scope, step_no)),
+        )?;
         d_rows = rows;
     }
 
@@ -394,39 +355,80 @@ fn seed_delta(
     Ok(out)
 }
 
-/// The SWEEP compensation term `__D ⋈ Δⱼ` for one pending update of the
-/// step's target — a direct delta-delta join (both sides are small Z-sets)
+/// After a hop came back: streams in the updates that committed while it
+/// ran, then subtracts from its `rows` the effect of every pending data
+/// update to the hop's target that the source may already have shown it
+/// (SWEEP compensation — view-manager-local, no further round trip). With
+/// `prof` (profiler, plan scope, step) each compensation join is recorded as
+/// a node of that plan step.
+pub(crate) fn compensate_pending(
+    hop: &HopRequest<'_>,
+    rows: &mut SignedBag,
+    msg: &UpdateMessage,
+    pending: &[&UpdateMessage],
+    port: &mut dyn SourcePort,
+    drained: &mut Vec<UpdateMessage>,
+    prof: Option<(Prof<'_>, &str, u32)>,
+) -> Result<(), MaintFailure> {
+    drained.extend(port.drain_arrivals());
+    for m in pending.iter().copied().chain(drained.iter()) {
+        let dyno_relational::SourceUpdate::Data(pdu) = &m.update else { continue };
+        if m.id == msg.id || pdu.relation != hop.target {
+            continue;
+        }
+        let t = prof_start(prof.map(|(p, ..)| p));
+        let comp = compensate(hop, pdu).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
+        port.charge_local(comp.weight() + pdu.delta.weight());
+        rows.merge_negated(&comp);
+        if let Some((p, scope, step_no)) = prof {
+            prof_op(
+                Some(p),
+                t,
+                scope,
+                step_no,
+                OpPhase::Compensate,
+                "compensate",
+                hop.target,
+                pdu.delta.rows().distinct_len() as u64,
+                comp.distinct_len() as u64,
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The SWEEP compensation term `Δ ⋈ Δⱼ` for one pending update of the
+/// hop's target — a direct delta-delta join (both sides are small Z-sets)
 /// instead of a replay of the step query over rebuilt bound tables. The
 /// executor's edge semantics survive intact: unknown attributes are schema
 /// conflicts, ill-typed filters error on every visited row, NULL join keys
-/// match nothing, and the output layout (all of `__D`, then the target's
-/// referenced attributes) equals the step query's projection exactly.
+/// match nothing, and the output layout (all of Δ, then the target's
+/// projected attributes) equals the hop's exactly.
 pub(crate) fn compensate(
-    step: &MaintStep,
-    d_rows: &SignedBag,
+    hop: &HopRequest<'_>,
     pdu: &DataUpdate,
 ) -> Result<SignedBag, RelationalError> {
     let schema = pdu.delta.schema();
-    let filters = step
+    let filters = hop
         .t_filters
         .iter()
         .map(|(a, op, v)| Ok((schema.require(a)?, *op, v.clone())))
         .collect::<Result<Vec<_>, RelationalError>>()?;
-    let t_keys = step
+    let t_keys = hop
         .join_keys
         .iter()
         .map(|(_, a)| schema.require(a))
         .collect::<Result<Vec<usize>, RelationalError>>()?;
-    let t_proj = step
+    let t_proj = hop
         .t_proj
         .iter()
         .map(|a| schema.require(a))
         .collect::<Result<Vec<usize>, RelationalError>>()?;
-    let d_keys: Vec<usize> = step.join_keys.iter().map(|&(i, _)| i).collect();
+    let d_keys: Vec<usize> = hop.join_keys.iter().map(|&(i, _)| i).collect();
 
     let filtered = delta_select(pdu.delta.rows(), &filters)?;
-    let joined = delta_join(d_rows, &d_keys, &filtered, &t_keys);
-    let d_len = step.d_cols_in.len();
+    let joined = delta_join(hop.delta, &d_keys, &filtered, &t_keys);
+    let d_len = hop.d_cols.arity();
     let out: Vec<usize> = (0..d_len).chain(t_proj.iter().map(|&i| d_len + i)).collect();
     Ok(joined.project(&out))
 }

@@ -34,7 +34,7 @@ use crate::mview::MaterializedView;
 use crate::plan::PlanCache;
 use crate::subplan::SharedSubplans;
 use crate::viewdef::ViewDefinition;
-use crate::vm::{prof_op, prof_start, sweep_maintain_observed, sweep_maintain_shared, Prof};
+use crate::vm::{prof_op, prof_start, sweep_maintain_shared, Prof};
 use crate::wal::{
     sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, DurableState,
     RecoverError, RecoverReport, ReplicaTailEvent, ViewState,
@@ -934,44 +934,42 @@ impl Warehouse {
             while let Some(front) = self.slots[idx].deferred.front() {
                 let batch = front.clone();
                 let schema_changes = batch.iter().filter(|m| m.payload.is_schema_change()).count();
-                let pending: Vec<UpdateMessage> = self.slots[idx]
-                    .deferred
+                let ViewSlot { view, plans, deferred, .. } = &mut self.slots[idx];
+                let pending: Vec<&UpdateMessage> = deferred
                     .iter()
                     .skip(1)
                     .flatten()
-                    .map(|m| m.payload.clone())
-                    .chain(self.umq.nodes().into_iter().flatten().map(|m| m.payload.clone()))
+                    .chain(self.umq.nodes().into_iter().flatten())
+                    .map(|m| &m.payload)
                     .collect();
                 let is_single_du = batch.len() == 1 && !batch[0].payload.is_schema_change();
                 port.on_maintenance_event(MaintEvent::Begin {
                     updates: batch.len(),
                     schema_changes,
                 });
-                let (staged, arrivals) = {
-                    let slot = &mut self.slots[idx];
-                    if is_single_du {
-                        let (r, arrivals) = sweep_maintain_observed(
-                            &slot.view,
-                            &batch[0].payload,
-                            &pending,
-                            port,
-                            &mut slot.plans,
-                            &self.obs,
-                        );
-                        (r.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
-                    } else {
-                        let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
-                        let (r, arrivals) = adapt_batch_observed(
-                            &slot.view,
-                            &refs,
-                            &pending,
-                            &self.info,
-                            self.adaptation,
-                            port,
-                            &self.obs,
-                        );
-                        (r.map(Staged::Adapted), arrivals)
-                    }
+                let (staged, arrivals) = if is_single_du {
+                    let (r, arrivals) = sweep_maintain_shared(
+                        view,
+                        &batch[0].payload,
+                        &pending,
+                        port,
+                        plans,
+                        &self.obs,
+                        None,
+                    );
+                    (r.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
+                } else {
+                    let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
+                    let (r, arrivals) = adapt_batch_observed(
+                        view,
+                        &refs,
+                        &pending,
+                        &self.info,
+                        self.adaptation,
+                        port,
+                        &self.obs,
+                    );
+                    (r.map(Staged::Adapted), arrivals)
                 };
                 self.ingest(arrivals);
                 match staged {
@@ -1184,8 +1182,8 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
     ) -> MaintainOutcome {
         let schema_changes = batch.iter().filter(|m| m.payload.is_schema_change()).count();
         self.port.on_maintenance_event(MaintEvent::Begin { updates: batch.len(), schema_changes });
-        let pending: Vec<UpdateMessage> =
-            rest.iter().flat_map(|n| n.iter().map(|m| m.payload.clone())).collect();
+        let pending: Vec<&UpdateMessage> =
+            rest.iter().flat_map(|n| n.iter().map(|m| &m.payload)).collect();
         let is_plain_du =
             batch.len() == 1 && matches!(batch[0].payload.update, SourceUpdate::Data(_));
 
@@ -1288,25 +1286,15 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
             active_total += 1;
             let slot = &mut self.slots[i];
             let result = if is_plain_du {
-                let (result, drained) = match shared.as_mut() {
-                    Some(sh) => sweep_maintain_shared(
-                        &slot.view,
-                        &batch[0].payload,
-                        &pending,
-                        self.port,
-                        &mut slot.plans,
-                        self.obs,
-                        sh,
-                    ),
-                    None => sweep_maintain_observed(
-                        &slot.view,
-                        &batch[0].payload,
-                        &pending,
-                        self.port,
-                        &mut slot.plans,
-                        self.obs,
-                    ),
-                };
+                let (result, drained) = sweep_maintain_shared(
+                    &slot.view,
+                    &batch[0].payload,
+                    &pending,
+                    self.port,
+                    &mut slot.plans,
+                    self.obs,
+                    shared.as_mut(),
+                );
                 self.drained.extend(drained);
                 result.map(Staged::Delta).map_err(BatchFailure::from)
             } else {

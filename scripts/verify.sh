@@ -20,6 +20,18 @@ cargo test -q --workspace --offline
 echo "== cargo test --features proptest (randomized suites) =="
 cargo test -q --workspace --offline --features proptest
 
+echo "== hop protocol differential suite, release codegen =="
+# tests/hop_props.rs: a port's native `hop` against the trait's default
+# `execute` path — rows, errors, ExecStats, simulated time, fault draws,
+# trace. Release too, because the probe path is what release builds inline.
+cargo test -q --release --offline --features proptest --test hop_props
+
+echo "== benchmark/ package suite (out-of-workspace SourcePort/Storage implementors) =="
+# `benchmark/` is its own workspace, so nothing above compiles it: a trait
+# change that breaks its `TimingPort`/`TimingStorage` would go unseen until
+# the benchmark driver runs.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
