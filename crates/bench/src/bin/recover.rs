@@ -1,4 +1,4 @@
-//! Recovery-time sweep: how long `ViewManager::recover` takes as a function
+//! Recovery-time sweep: how long `Warehouse::recover` takes as a function
 //! of WAL length × checkpoint interval.
 //!
 //! Each configuration drives a real manager through `n` insert/delete DU
@@ -23,7 +23,7 @@ use dyno_relational::{
     AttrType, Catalog, DataUpdate, Delta, Schema, SchemaChange, SourceUpdate, Tuple, Value,
 };
 use dyno_source::{SourceId, SourceServer, SourceSpace};
-use dyno_view::{DurableLog, InProcessPort, ViewDefinition, ViewManager};
+use dyno_view::{DurableLog, InProcessPort, ViewDefinition, Warehouse};
 
 /// Runs `n` maintained DUs with a WAL at the given checkpoint interval and
 /// returns the disk image plus the final log size in bytes.
@@ -46,10 +46,10 @@ fn build_log(n: usize, checkpoint_every: u64) -> (MemStorage, u64) {
     let log = DurableLog::create(Box::new(disk.clone()))
         .expect("MemStorage never fails")
         .with_checkpoint_every(checkpoint_every);
-    let mut mgr =
-        ViewManager::new(view, info, Strategy::Pessimistic).with_obs(Collector::disabled());
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic).with_obs(Collector::disabled());
+    mgr.add_view(view);
     mgr.initialize(&mut port).expect("initialize");
-    let mut mgr = mgr.with_wal(log);
+    let mut mgr = mgr.with_wal(log).expect("no admission bound");
 
     for i in 0..n {
         let row = Tuple::of([Value::from(i as i64), Value::from(1i64)]);
@@ -99,7 +99,7 @@ fn main() {
                     d
                 },
                 |d| {
-                    ViewManager::recover(Box::new(d), info.clone(), Collector::disabled())
+                    Warehouse::recover(Box::new(d), info.clone(), Collector::disabled())
                         .expect("recover")
                 },
             );

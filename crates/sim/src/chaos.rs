@@ -15,12 +15,21 @@
 //! * **Quiescence needs a flush**: messages the transport dropped are
 //!   withheld until NACKed, so when no future event remains the driver
 //!   force-flushes the transport once before declaring the run over.
+//!
+//! That loop — step, kill/recover, idle, flush, park — is [`drive`], shared
+//! with the crash ([`crate::crash`]) and multi-view ([`crate::multiview`])
+//! runners, which differ only in set-up and in what they report.
+
+use std::collections::HashMap;
 
 use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
+use dyno_durable::MemStorage;
 use dyno_fault::{ChaosTransport, FaultProfile, RetryPolicy};
 use dyno_obs::Collector;
+use dyno_source::{InfoSpace, SourceId, SourceSpace};
 use dyno_view::engine::SourcePort;
-use dyno_view::{FaultedPort, ViewManager};
+use dyno_view::wal::CrashPlan;
+use dyno_view::{FaultedPort, Warehouse};
 
 use crate::consistency::{check_convergence, check_reflected};
 use crate::cost::CostModel;
@@ -157,71 +166,143 @@ pub struct ChaosReport {
     pub obs: Collector,
 }
 
-/// Runs one seeded chaos experiment to quiescence (or budget/hard error).
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let tb = TestbedConfig { tuples_per_relation: cfg.tuples_per_relation, ..Default::default() };
-    let (space, view) = build_testbed(&tb);
-    let info = space.info().clone();
-    let mut gen = WorkloadGen::new(tb, cfg.seed);
-    let mut schedule = gen.du_flood(cfg.du_count);
-    if cfg.sc_count > 0 {
-        schedule.extend(gen.sc_train(cfg.sc_count, 1_000_000, 20_000_000));
+/// The chaos-wrapped port every fault run steps against.
+pub(crate) type ChaosPort = FaultedPort<SimPort, ChaosTransport>;
+
+/// Wraps `port` behind `transport` for warehouse life number `life` (0 for
+/// the first, the kill count after each recovery — so every life's retry
+/// jitter differs). Wrap after `initialize`: `baseline` versions are
+/// already reflected and must not be refetched.
+pub(crate) fn faulted(
+    port: SimPort,
+    transport: ChaosTransport,
+    baseline: HashMap<SourceId, u64>,
+    run: &FaultRun<'_>,
+    life: u64,
+) -> ChaosPort {
+    FaultedPort::new(port, transport, baseline)
+        .with_retry(run.retry)
+        .with_seed(run.seed ^ 0x9e37_79b9_7f4a_7c15 ^ life)
+        .with_obs(run.obs)
+}
+
+/// What [`drive`] needs besides the warehouse and its port.
+pub(crate) struct FaultRun<'a> {
+    /// Information space and collector a recovered warehouse is rebuilt with.
+    pub info: &'a InfoSpace,
+    pub obs: &'a Collector,
+    pub retry: RetryPolicy,
+    pub seed: u64,
+    /// Maintenance-step budget (committed/aborted/parked steps).
+    pub max_steps: u64,
+    /// Audit per-view strong consistency after every commit and recovery.
+    pub audit: bool,
+    /// For a warehouse with a WAL attached: the disk behind it (it outlives
+    /// every warehouse life) and the kill sequence, armed one plan at a
+    /// time — the first at start, the next after each recovery.
+    pub durable: Option<(&'a MemStorage, &'a [CrashPlan])>,
+}
+
+/// What a fault run did, plus the warehouse and port it ended with.
+pub(crate) struct FaultOutcome {
+    pub wh: Warehouse,
+    pub fport: ChaosPort,
+    /// Committed + aborted + parked steps, summed over all lives.
+    pub steps: u64,
+    pub parked_steps: u64,
+    /// Kills actually executed (a plan whose point never occurs stays armed).
+    pub kills: u64,
+    /// Per-view audit failures after commits / immediately after a recovery.
+    pub audit_violations: u64,
+    pub recovery_audit_failures: u64,
+    pub exhausted: bool,
+    /// The hard maintenance error that ended the run, if any.
+    pub last_error: Option<String>,
+}
+
+/// Strong-consistency audit of every view at the state vector *that view*
+/// claims to reflect (a deferring view audits at its own, older vector).
+/// Returns the number of views that failed.
+fn audit_views(wh: &Warehouse, space: &SourceSpace) -> u64 {
+    (0..wh.view_count())
+        .filter(|&i| {
+            let reflected: HashMap<SourceId, u64> =
+                wh.view_reflected(i).into_iter().map(|(s, v)| (SourceId(s), v)).collect();
+            !check_reflected(space, wh.view(i), &reflected, wh.mv(i)).unwrap_or(false)
+        })
+        .count() as u64
+}
+
+/// Steps `wh` against `fport` to quiescence (or budget / hard error),
+/// killing and recovering it from its WAL at each planned power cut.
+pub(crate) fn drive(mut wh: Warehouse, mut fport: ChaosPort, run: &FaultRun<'_>) -> FaultOutcome {
+    let init_versions = fport.inner().space().versions();
+    let mut plans = run.durable.map(|(_, kills)| kills).unwrap_or_default().iter();
+    if let Some(&plan) = plans.next() {
+        wh.arm_crash(plan);
     }
 
-    let mut port = SimPort::new(space, schedule, CostModel::default());
-    let obs =
-        if cfg.lineage { port.obs().clone().with_lineage(64 * 1024) } else { port.obs().clone() };
-    if cfg.op_profile {
-        obs.set_profile(true);
-    }
-    let mut mgr = ViewManager::new(view, info, cfg.strategy)
-        .with_obs(obs.clone())
-        .with_correction(cfg.policy);
-    if cfg.break_dedupe {
-        mgr = mgr.with_ingest_dedupe(false);
-    }
-    mgr.initialize(&mut port).expect("testbed initialization runs fault-free");
-    port.start_metering();
-
-    // Wrap after initialize: the baseline versions are already reflected and
-    // must not be refetched.
-    let baseline = port.space().versions();
-    let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);
-    let mut fport = FaultedPort::new(port, transport, baseline)
-        .with_retry(cfg.retry)
-        .with_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15)
-        .with_obs(&obs);
-    if cfg.break_dedupe {
-        fport = fport.with_recovery(false);
-    }
-
+    let mut kills = 0u64;
     let mut steps = 0u64;
     let mut parked_steps = 0u64;
     let mut audit_violations = 0u64;
+    let mut recovery_audit_failures = 0u64;
     let mut exhausted = false;
     let mut last_error: Option<String> = None;
     let mut flushed = false;
     // Idle/parked iterations do not count as steps, so bound raw iterations
     // separately against driver bugs.
     let mut iters = 0u64;
-    let iter_budget = cfg.max_steps.saturating_mul(20).max(100_000);
+    let iter_budget = run.max_steps.saturating_mul(20).max(100_000);
 
     loop {
         iters += 1;
-        if steps >= cfg.max_steps || iters >= iter_budget {
+        if steps >= run.max_steps || iters >= iter_budget {
             exhausted = true;
             break;
         }
         // The earliest moment anything changes on its own: a scheduled
         // source commit, or a transport event (delayed delivery falling
         // due, crashed source restarting).
-        let next_event = |f: &FaultedPort<SimPort, ChaosTransport>| -> Option<u64> {
+        let next_event = |f: &ChaosPort| -> Option<u64> {
             match (f.inner().next_commit_at_us(), f.next_wakeup_us()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             }
         };
-        match mgr.step(&mut fport) {
+        let outcome = wh.step(&mut fport);
+
+        // The power cut may have tripped anywhere inside that step. The
+        // doomed process may even have "committed" in memory — none of it
+        // is durable past the cut, and the kill discards it.
+        if wh.wal_power_cut() {
+            let (disk, _) = run.durable.expect("only an attached WAL can be cut");
+            kills += 1;
+            drop(wh);
+            let (port, transport) = fport.into_parts();
+            wh = Warehouse::recover(Box::new(disk.clone()), run.info.clone(), run.obs.clone())
+                .expect("a cut log always holds its initial checkpoint")
+                .0;
+            // Resubscription baseline: pre-wrap versions overlaid with the
+            // recovered admission marks.
+            let mut baseline = init_versions.clone();
+            for (s, v) in wh.ingress_marks() {
+                let e = baseline.entry(SourceId(s)).or_insert(0);
+                *e = (*e).max(v);
+            }
+            fport = faulted(port, transport, baseline, run, kills);
+            fport.resubscribe();
+            if run.audit {
+                recovery_audit_failures += audit_views(&wh, fport.inner().space());
+            }
+            if let Some(&plan) = plans.next() {
+                wh.arm_crash(plan);
+            }
+            flushed = false;
+            continue;
+        }
+
+        match outcome {
             Err(e) => {
                 last_error = Some(e.to_string());
                 break;
@@ -244,16 +325,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             Ok(StepOutcome::Committed) => {
                 steps += 1;
                 flushed = false;
-                if cfg.audit {
-                    let ok = check_reflected(
-                        fport.inner().space(),
-                        mgr.view(),
-                        mgr.reflected(),
-                        mgr.mv(),
-                    )
-                    .unwrap_or(false);
-                    if !ok {
-                        audit_violations += 1;
+                if run.audit {
+                    audit_violations += audit_views(&wh, fport.inner().space());
+                }
+                if run.durable.is_some() {
+                    // Everything admitted is durable (logged before enqueue),
+                    // so the transport may prune its replay log up to the
+                    // marks.
+                    for (s, v) in wh.ingress_marks() {
+                        fport.ack_durable(SourceId(s), v);
                     }
                 }
             }
@@ -272,13 +352,79 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                 let t = next_event(&fport).unwrap_or(now + 1_000_000);
                 fport.inner_mut().advance_to(t.max(now + 1));
             }
-            Ok(StepOutcome::Failed) => unreachable!("manager.step surfaces failures as Err"),
+            Ok(StepOutcome::Failed) => unreachable!("warehouse.step surfaces failures as Err"),
         }
     }
 
+    // Close the log cleanly (a no-op without one): the final checkpoint
+    // truncates the WAL so a later `recover` replays exactly one record and
+    // reports no torn tail.
+    wh.checkpoint_now();
+
+    FaultOutcome {
+        wh,
+        fport,
+        steps,
+        parked_steps,
+        kills,
+        audit_violations,
+        recovery_audit_failures,
+        exhausted,
+        last_error,
+    }
+}
+
+/// Runs one seeded chaos experiment to quiescence (or budget/hard error).
+pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
+    let tb = TestbedConfig { tuples_per_relation: cfg.tuples_per_relation, ..Default::default() };
+    let (space, view) = build_testbed(&tb);
+    let info = space.info().clone();
+    let mut gen = WorkloadGen::new(tb, cfg.seed);
+    let mut schedule = gen.du_flood(cfg.du_count);
+    if cfg.sc_count > 0 {
+        schedule.extend(gen.sc_train(cfg.sc_count, 1_000_000, 20_000_000));
+    }
+
+    let mut port = SimPort::new(space, schedule, CostModel::default());
+    let obs =
+        if cfg.lineage { port.obs().clone().with_lineage(64 * 1024) } else { port.obs().clone() };
+    if cfg.op_profile {
+        obs.set_profile(true);
+    }
+    let mut wh = Warehouse::new(info.clone(), cfg.strategy)
+        .with_obs(obs.clone())
+        .with_correction(cfg.policy)
+        .with_ingest_dedupe(!cfg.break_dedupe);
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initialization runs fault-free");
+    port.start_metering();
+
+    let run = FaultRun {
+        info: &info,
+        obs: &obs,
+        retry: cfg.retry,
+        seed: cfg.seed,
+        max_steps: cfg.max_steps,
+        audit: cfg.audit,
+        durable: None,
+    };
+    let baseline = port.space().versions();
+    let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);
+    let fport = faulted(port, transport, baseline, &run, 0).with_recovery(!cfg.break_dedupe);
+    let FaultOutcome {
+        wh,
+        fport,
+        steps,
+        parked_steps,
+        audit_violations,
+        exhausted,
+        last_error,
+        ..
+    } = drive(wh, fport, &run);
+
     let converged = last_error.is_none()
         && !exhausted
-        && check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        && check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap_or(false);
     let reg = obs.registry();
     let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
     ChaosReport {
@@ -292,7 +438,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         retry_attempts: counter("retry.attempts"),
         retry_exhausted: counter("retry.exhausted"),
         last_error,
-        final_mv_len: mgr.mv().len(),
+        final_mv_len: wh.mv(0).len(),
         metrics: fport.inner().metrics(),
         obs,
     }
@@ -326,19 +472,20 @@ mod tests {
         let (space, view, schedule) = mk();
         let info = space.info().clone();
         let mut port = SimPort::new(space, schedule, CostModel::default());
-        let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic);
-        mgr.initialize(&mut port).unwrap();
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+        wh.add_view(view);
+        wh.initialize(&mut port).unwrap();
         port.start_metering();
         let baseline = port.space().versions();
         let mut fport = FaultedPort::new(port, dyno_fault::Direct, baseline);
         loop {
-            if mgr.step(&mut fport).unwrap() == StepOutcome::Idle
+            if wh.step(&mut fport).unwrap() == StepOutcome::Idle
                 && !fport.inner_mut().advance_to_next_commit()
             {
                 break;
             }
         }
-        assert!(check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap());
+        assert!(check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap());
         assert_eq!(fport.injected_total(), 0);
         assert_eq!(bare.metrics, fport.inner().metrics(), "bit-identical series");
     }

@@ -5,9 +5,10 @@
 //!   states.
 //! * **Strong consistency** (Zhuge et al.): after every commit, the extent
 //!   equals the view evaluated over *some valid source state vector*, and
-//!   those vectors advance in per-source commit order. The view manager
+//!   those vectors advance in per-source commit order. The warehouse
 //!   exposes the vector it believes it reflects
-//!   ([`dyno_view::ViewManager::reflected`]); the auditor replays source
+//!   ([`dyno_view::Warehouse::reflected`], per view
+//!   [`dyno_view::Warehouse::view_reflected`]); the auditor replays source
 //!   history to that vector and compares.
 
 use std::collections::HashMap;
@@ -71,16 +72,17 @@ mod tests {
     use dyno_core::Strategy;
     use dyno_relational::SourceUpdate;
     use dyno_view::testkit::{bookinfo_space, bookinfo_view, insert_item};
-    use dyno_view::{InProcessPort, ViewManager};
+    use dyno_view::{InProcessPort, Warehouse};
 
     #[test]
     fn convergence_and_reflection_after_runs() {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+        let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+        mgr.add_view(bookinfo_view());
         mgr.initialize(&mut port).unwrap();
-        assert!(check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap());
+        assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
 
         port.commit(
             SourceId(0),
@@ -88,13 +90,13 @@ mod tests {
         )
         .unwrap();
         // Before processing: the MV lags the sources (not converged)…
-        assert!(!check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap());
+        assert!(!check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
         // …but still reflects the versions it claims (strong consistency).
-        assert!(check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv()).unwrap());
+        assert!(check_reflected(port.space(), mgr.view(0), mgr.reflected(), mgr.mv(0)).unwrap());
 
         mgr.run_to_quiescence(&mut port, 100).unwrap();
-        assert!(check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap());
-        assert!(check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv()).unwrap());
+        assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
+        assert!(check_reflected(port.space(), mgr.view(0), mgr.reflected(), mgr.mv(0)).unwrap());
     }
 
     #[test]

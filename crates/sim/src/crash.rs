@@ -2,15 +2,15 @@
 //! that additionally **kills the warehouse process** at deterministic points
 //! of the commit protocol and recovers it from its write-ahead log.
 //!
-//! A kill is a [`CrashPlan`] armed on the manager's [`DurableLog`]: after the
-//! planned record is written, the log simulates a power cut (drops every
-//! later write). The driver polls for the cut after each scheduling step;
-//! when it trips, the manager is dropped — taking its in-memory extent,
-//! queue, and the port's in-flight delivery state with it — and rebuilt via
-//! [`ViewManager::recover`] from the surviving storage. The transport and
-//! sources live on (they are the outside world), and the rebuilt port
-//! re-subscribes from the recovered high-water marks, replaying the window
-//! between the last durable admission and the crash.
+//! A kill is a [`CrashPlan`] armed on the warehouse's [`DurableLog`]: after
+//! the planned record is written, the log simulates a power cut (drops every
+//! later write). The shared driver ([`crate::chaos`]) polls for the cut after
+//! each scheduling step; when it trips, the warehouse is dropped — taking its
+//! in-memory extent, queue, and the port's in-flight delivery state with it —
+//! and rebuilt via [`Warehouse::recover`] from the surviving storage. The
+//! transport and sources live on (they are the outside world), and the
+//! rebuilt port re-subscribes from the recovered high-water marks, replaying
+//! the window between the last durable admission and the crash.
 //!
 //! ## Oracles
 //!
@@ -22,19 +22,16 @@
 //!   must equal the same seed's no-kill run: recovery must not change *what*
 //!   is computed, only when.
 
-use std::collections::HashMap;
-
-use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
+use dyno_core::{CorrectionPolicy, Strategy};
 use dyno_durable::{crc32, Enc, MemStorage};
 use dyno_fault::{ChaosTransport, FaultProfile, RetryPolicy};
 use dyno_obs::Collector;
 use dyno_relational::wire::enc_bag;
-use dyno_source::SourceId;
-use dyno_view::engine::SourcePort;
 use dyno_view::wal::{CrashPlan, DurableLog};
-use dyno_view::{FaultedPort, ViewManager};
+use dyno_view::Warehouse;
 
-use crate::consistency::{check_convergence, check_reflected};
+use crate::chaos::{drive, faulted, FaultOutcome, FaultRun};
+use crate::consistency::check_convergence;
 use crate::cost::CostModel;
 use crate::port::SimPort;
 use crate::testbed::{build_testbed, TestbedConfig};
@@ -155,7 +152,7 @@ pub struct CrashReport {
 }
 
 /// Canonical fingerprint of an extent (sorted encoding → CRC-32).
-fn extent_crc(mv: &dyno_view::MaterializedView) -> u32 {
+pub(crate) fn extent_crc(mv: &dyno_view::MaterializedView) -> u32 {
     let mut e = Enc::new();
     enc_bag(&mut e, mv.extent());
     crc32(&e.finish())
@@ -175,156 +172,46 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
     let mut port = SimPort::new(space, schedule, CostModel::default());
     let obs =
         if cfg.lineage { port.obs().clone().with_lineage(64 * 1024) } else { port.obs().clone() };
-    let mut mgr = ViewManager::new(view, info.clone(), cfg.strategy)
+    let mut wh = Warehouse::new(info.clone(), cfg.strategy)
         .with_obs(obs.clone())
         .with_correction(cfg.policy);
-    mgr.initialize(&mut port).expect("testbed initialization runs fault-free");
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initialization runs fault-free");
     port.start_metering();
 
-    // The disk outlives every warehouse life.
     let disk = MemStorage::new();
     let log = DurableLog::create(Box::new(disk.clone()))
         .expect("MemStorage never fails")
         .with_checkpoint_every(cfg.checkpoint_every);
-    let mut mgr = mgr.with_wal(log);
+    let wh = wh.with_wal(log).expect("no admission bound is configured");
 
-    // Wrap after initialize; remember the pre-wrap baseline — a recovered
-    // warehouse's resubscription baseline is this overlaid with its marks.
-    let init_versions = port.space().versions();
+    let run = FaultRun {
+        info: &info,
+        obs: &obs,
+        retry: cfg.retry,
+        seed: cfg.seed,
+        max_steps: cfg.max_steps,
+        audit: cfg.audit,
+        durable: Some((&disk, &cfg.kills)),
+    };
+    let baseline = port.space().versions();
     let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);
-    let mut fport = FaultedPort::new(port, transport, init_versions.clone())
-        .with_retry(cfg.retry)
-        .with_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15)
-        .with_obs(&obs);
-
-    let mut plans = cfg.kills.iter();
-    if let Some(&plan) = plans.next() {
-        mgr.arm_crash(plan);
-    }
-
-    let mut kills = 0u64;
-    let mut steps = 0u64;
-    let mut audit_violations = 0u64;
-    let mut recovery_audit_failures = 0u64;
-    let mut exhausted = false;
-    let mut last_error: Option<String> = None;
-    let mut flushed = false;
-    let mut iters = 0u64;
-    let iter_budget = cfg.max_steps.saturating_mul(20).max(100_000);
-
-    loop {
-        iters += 1;
-        if steps >= cfg.max_steps || iters >= iter_budget {
-            exhausted = true;
-            break;
-        }
-        let next_event = |f: &FaultedPort<SimPort, ChaosTransport>| -> Option<u64> {
-            match (f.inner().next_commit_at_us(), f.next_wakeup_us()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        };
-        let outcome = mgr.step(&mut fport);
-
-        // The power cut may have tripped anywhere inside that step. The
-        // doomed process may even have "committed" in memory — none of it
-        // is durable past the cut, and the kill discards it.
-        if mgr.wal_power_cut() {
-            kills += 1;
-            drop(mgr);
-            let (port, transport) = fport.into_parts();
-            let (recovered, report) =
-                ViewManager::recover(Box::new(disk.clone()), info.clone(), obs.clone())
-                    .expect("a cut log always holds its initial checkpoint");
-            mgr = recovered;
-            // Resubscription baseline: pre-wrap versions overlaid with the
-            // recovered admission marks.
-            let mut baseline: HashMap<SourceId, u64> = init_versions.clone();
-            for (s, v) in mgr.ingress_marks() {
-                let e = baseline.entry(SourceId(s)).or_insert(0);
-                *e = (*e).max(v);
-            }
-            fport = FaultedPort::new(port, transport, baseline)
-                .with_retry(cfg.retry)
-                .with_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15 ^ kills)
-                .with_obs(&obs);
-            fport.resubscribe();
-            if cfg.audit {
-                let ok =
-                    check_reflected(fport.inner().space(), mgr.view(), mgr.reflected(), mgr.mv())
-                        .unwrap_or(false);
-                if !ok {
-                    recovery_audit_failures += 1;
-                }
-            }
-            let _ = report; // counters already aggregate in `obs`
-            if let Some(&plan) = plans.next() {
-                mgr.arm_crash(plan);
-            }
-            flushed = false;
-            continue;
-        }
-
-        match outcome {
-            Err(e) => {
-                last_error = Some(e.to_string());
-                break;
-            }
-            Ok(StepOutcome::Idle) => match next_event(&fport) {
-                Some(t) => {
-                    let now = fport.now_us();
-                    fport.inner_mut().advance_to(t.max(now + 1));
-                    flushed = false;
-                }
-                None if !flushed => {
-                    fport.flush_all();
-                    flushed = true;
-                }
-                None => break,
-            },
-            Ok(StepOutcome::Committed) => {
-                steps += 1;
-                flushed = false;
-                if cfg.audit {
-                    let ok = check_reflected(
-                        fport.inner().space(),
-                        mgr.view(),
-                        mgr.reflected(),
-                        mgr.mv(),
-                    )
-                    .unwrap_or(false);
-                    if !ok {
-                        audit_violations += 1;
-                    }
-                }
-                // Everything admitted is durable (logged before enqueue), so
-                // the transport may prune its replay log up to the marks.
-                for (s, v) in mgr.ingress_marks() {
-                    fport.ack_durable(SourceId(s), v);
-                }
-            }
-            Ok(StepOutcome::Aborted) => {
-                steps += 1;
-                flushed = false;
-            }
-            Ok(StepOutcome::Parked) => {
-                steps += 1;
-                flushed = false;
-                let now = fport.now_us();
-                let t = next_event(&fport).unwrap_or(now + 1_000_000);
-                fport.inner_mut().advance_to(t.max(now + 1));
-            }
-            Ok(StepOutcome::Failed) => unreachable!("manager.step surfaces failures as Err"),
-        }
-    }
-
-    // Close the log cleanly: the final checkpoint truncates the WAL so a
-    // later `recover` replays exactly one record and reports no torn tail.
-    mgr.checkpoint_now();
+    let fport = faulted(port, transport, baseline, &run, 0);
+    let FaultOutcome {
+        wh,
+        fport,
+        steps,
+        kills,
+        audit_violations,
+        recovery_audit_failures,
+        exhausted,
+        last_error,
+        ..
+    } = drive(wh, fport, &run);
 
     let converged = last_error.is_none()
         && !exhausted
-        && check_convergence(fport.inner().space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        && check_convergence(fport.inner().space(), wh.view(0), wh.mv(0)).unwrap_or(false);
     let reg = obs.registry();
     let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
     CrashReport {
@@ -338,9 +225,9 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
         steps,
         exhausted,
         last_error,
-        final_mv_len: mgr.mv().len(),
-        final_extent_crc: extent_crc(mgr.mv()),
-        final_view_sql: mgr.view().to_string(),
+        final_mv_len: wh.mv(0).len(),
+        final_extent_crc: extent_crc(wh.mv(0)),
+        final_view_sql: wh.view(0).to_string(),
         obs,
     }
 }

@@ -24,20 +24,18 @@
 //!   across shared/unshared subplan execution and across crashed/uncrashed
 //!   runs of the same seed.
 
-use std::collections::HashMap;
-
-use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
-use dyno_durable::{crc32, Enc, MemStorage};
+use dyno_core::{CorrectionPolicy, Strategy};
+use dyno_durable::MemStorage;
 use dyno_fault::{ChaosTransport, FaultProfile, RetryPolicy};
 use dyno_obs::Collector;
-use dyno_relational::wire::enc_bag;
-use dyno_source::{SourceId, SourceSpace};
-use dyno_view::engine::SourcePort;
+use dyno_source::SourceSpace;
 use dyno_view::wal::{CrashPlan, DurableLog};
-use dyno_view::{FaultedPort, ViewDefinition, Warehouse};
+use dyno_view::{ViewDefinition, Warehouse};
 
-use crate::consistency::{check_convergence, check_reflected};
+use crate::chaos::{drive, faulted, FaultOutcome, FaultRun};
+use crate::consistency::check_convergence;
 use crate::cost::CostModel;
+use crate::crash::extent_crc;
 use crate::port::SimPort;
 use crate::testbed::{build_space, TestbedConfig};
 use crate::workload::WorkloadGen;
@@ -205,26 +203,6 @@ pub struct MultiViewReport {
     pub obs: Collector,
 }
 
-/// Canonical fingerprint of an extent (sorted encoding → CRC-32).
-fn extent_crc(mv: &dyno_view::MaterializedView) -> u32 {
-    let mut e = Enc::new();
-    enc_bag(&mut e, mv.extent());
-    crc32(&e.finish())
-}
-
-fn audit_all_views(wh: &Warehouse, space: &SourceSpace) -> u64 {
-    let mut failures = 0;
-    for i in 0..wh.view_count() {
-        let reflected: HashMap<SourceId, u64> =
-            wh.view_reflected(i).into_iter().map(|(s, v)| (SourceId(s), v)).collect();
-        let ok = check_reflected(space, wh.view(i), &reflected, wh.mv(i)).unwrap_or(false);
-        if !ok {
-            failures += 1;
-        }
-    }
-    failures
-}
-
 /// Runs one seeded multi-view experiment to quiescence (or budget/error).
 pub fn run_multiview(cfg: &MultiViewConfig) -> MultiViewReport {
     let tb = TestbedConfig { tuples_per_relation: cfg.tuples_per_relation, ..Default::default() };
@@ -248,130 +226,39 @@ pub fn run_multiview(cfg: &MultiViewConfig) -> MultiViewReport {
     wh.initialize(&mut port).expect("testbed initialization runs fault-free");
     port.start_metering();
 
-    // The disk outlives every warehouse life (only used when kills are armed).
+    // A non-empty kill sequence makes the run durable.
     let disk = MemStorage::new();
-    if !cfg.kills.is_empty() {
+    let durable = !cfg.kills.is_empty();
+    if durable {
         let log = DurableLog::create(Box::new(disk.clone()))
             .expect("MemStorage never fails")
             .with_checkpoint_every(cfg.checkpoint_every);
         wh = wh.with_wal(log).expect("no admission bound is configured");
     }
 
-    let init_versions = port.space().versions();
+    let run = FaultRun {
+        info: &info,
+        obs: &obs,
+        retry: cfg.retry,
+        seed: cfg.seed,
+        max_steps: cfg.max_steps,
+        audit: cfg.audit,
+        durable: durable.then_some((&disk, &cfg.kills)),
+    };
+    let baseline = port.space().versions();
     let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);
-    let mut fport = FaultedPort::new(port, transport, init_versions.clone())
-        .with_retry(cfg.retry)
-        .with_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15)
-        .with_obs(&obs);
-
-    let mut plans = cfg.kills.iter();
-    if let Some(&plan) = plans.next() {
-        wh.arm_crash(plan);
-    }
-
-    let mut kills = 0u64;
-    let mut steps = 0u64;
-    let mut parked_steps = 0u64;
-    let mut audit_violations = 0u64;
-    let mut recovery_audit_failures = 0u64;
-    let mut exhausted = false;
-    let mut last_error: Option<String> = None;
-    let mut flushed = false;
-    let mut iters = 0u64;
-    let iter_budget = cfg.max_steps.saturating_mul(20).max(100_000);
-
-    loop {
-        iters += 1;
-        if steps >= cfg.max_steps || iters >= iter_budget {
-            exhausted = true;
-            break;
-        }
-        let next_event = |f: &FaultedPort<SimPort, ChaosTransport>| -> Option<u64> {
-            match (f.inner().next_commit_at_us(), f.next_wakeup_us()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        };
-        let outcome = wh.step(&mut fport);
-
-        // The power cut may have tripped anywhere inside that step; nothing
-        // the doomed process did after the cut is durable.
-        if wh.wal_power_cut() {
-            kills += 1;
-            drop(wh);
-            let (port, transport) = fport.into_parts();
-            let (recovered, _report) =
-                Warehouse::recover(Box::new(disk.clone()), info.clone(), obs.clone())
-                    .expect("a cut log always holds its initial checkpoint");
-            wh = recovered;
-            let mut baseline: HashMap<SourceId, u64> = init_versions.clone();
-            for (s, v) in wh.ingress_marks() {
-                let e = baseline.entry(SourceId(s)).or_insert(0);
-                *e = (*e).max(v);
-            }
-            fport = FaultedPort::new(port, transport, baseline)
-                .with_retry(cfg.retry)
-                .with_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15 ^ kills)
-                .with_obs(&obs);
-            fport.resubscribe();
-            if cfg.audit {
-                recovery_audit_failures += audit_all_views(&wh, fport.inner().space());
-            }
-            if let Some(&plan) = plans.next() {
-                wh.arm_crash(plan);
-            }
-            flushed = false;
-            continue;
-        }
-
-        match outcome {
-            Err(e) => {
-                last_error = Some(e.to_string());
-                break;
-            }
-            Ok(StepOutcome::Idle) => match next_event(&fport) {
-                Some(t) => {
-                    let now = fport.now_us();
-                    fport.inner_mut().advance_to(t.max(now + 1));
-                    flushed = false;
-                }
-                None if !flushed => {
-                    fport.flush_all();
-                    flushed = true;
-                }
-                None => break,
-            },
-            Ok(StepOutcome::Committed) => {
-                steps += 1;
-                flushed = false;
-                if cfg.audit {
-                    audit_violations += audit_all_views(&wh, fport.inner().space());
-                }
-                if !cfg.kills.is_empty() {
-                    for (s, v) in wh.ingress_marks() {
-                        fport.ack_durable(SourceId(s), v);
-                    }
-                }
-            }
-            Ok(StepOutcome::Aborted) => {
-                steps += 1;
-                flushed = false;
-            }
-            Ok(StepOutcome::Parked) => {
-                steps += 1;
-                parked_steps += 1;
-                flushed = false;
-                let now = fport.now_us();
-                let t = next_event(&fport).unwrap_or(now + 1_000_000);
-                fport.inner_mut().advance_to(t.max(now + 1));
-            }
-            Ok(StepOutcome::Failed) => unreachable!("warehouse.step surfaces failures as Err"),
-        }
-    }
-
-    if !cfg.kills.is_empty() {
-        wh.checkpoint_now();
-    }
+    let fport = faulted(port, transport, baseline, &run, 0);
+    let FaultOutcome {
+        wh,
+        fport,
+        steps,
+        parked_steps,
+        kills,
+        audit_violations,
+        recovery_audit_failures,
+        exhausted,
+        last_error,
+    } = drive(wh, fport, &run);
 
     let space = fport.inner().space();
     let per_view_converged: Vec<bool> = (0..wh.view_count())

@@ -45,13 +45,6 @@ struct SimCounters {
     /// simulated time they consumed before parking.
     parks: Counter,
     parked_us: Counter,
-    /// Tuples the executor actually touched (scan + probe paths).
-    rows_scanned: Counter,
-    /// Secondary-index lookups the executor performed.
-    index_probes: Counter,
-    /// Joins that fell back to a cartesian product (planner found no
-    /// connecting predicate).
-    cartesian_fallback: Counter,
     /// Per-entry simulated cost of committed maintenance (log₂ buckets).
     entry_committed: Histogram,
     /// Per-entry simulated cost of aborted maintenance.
@@ -71,9 +64,6 @@ impl SimCounters {
             skipped_commits: obs.counter("sim.skipped_commits"),
             parks: obs.counter("sim.parks"),
             parked_us: obs.counter("sim.parked_us"),
-            rows_scanned: obs.counter("exec.rows_scanned"),
-            index_probes: obs.counter("exec.index_probes"),
-            cartesian_fallback: obs.counter("exec.cartesian_fallback"),
             entry_committed: obs.histogram("sim.entry_committed_us"),
             entry_abort: obs.histogram("sim.entry_abort_us"),
         }
@@ -106,8 +96,8 @@ impl SimPort {
     /// The port owns an enabled [`Collector`] stamped by its virtual clock:
     /// run counters live in its registry (the [`Metrics`] struct is a
     /// projection of them) and, when tracing is switched on, events and
-    /// spans carry simulated-µs timestamps. Share it with the view manager
-    /// (`ViewManager::with_obs(port.obs().clone())`) to get one coherent
+    /// spans carry simulated-µs timestamps. Share it with the warehouse
+    /// (`Warehouse::with_obs(port.obs().clone())`) to get one coherent
     /// timeline across the scheduler, the maintenance paths, and the port.
     pub fn new(space: SourceSpace, mut schedule: Vec<ScheduledCommit>, cost: CostModel) -> Self {
         schedule.sort_by_key(|c| c.at_us);
@@ -148,8 +138,8 @@ impl SimPort {
     }
 
     /// The port's collector. Clones share the pipeline, so this is the
-    /// handle to thread into `ViewManager::with_obs` / `Warehouse::with_obs`
-    /// and to flip tracing on (`set_tracing`) for a run.
+    /// handle to thread into `Warehouse::with_obs` and to flip tracing on
+    /// (`set_tracing`) for a run.
     pub fn obs(&self) -> &Collector {
         &self.obs
     }
@@ -276,9 +266,10 @@ impl SimPort {
 
     /// One metered source round trip — the shared body of `execute` and
     /// `hop`. The clock advances by the query latency *before* `eval`
-    /// (commits landing during the round trip are visible to it), the
-    /// executor's work feeds the `exec.*` counters, and the answer is
-    /// charged for scanning `scanned` and shipping `weight(&answer)` tuples.
+    /// (commits landing during the round trip are visible to it), and the
+    /// answer is charged for scanning `scanned` and shipping
+    /// `weight(&answer)` tuples. The executor's own work is not metered
+    /// here: the warehouse samples it per step into `exec.*`.
     fn round_trip<'t, R>(
         &mut self,
         scanned: impl Iterator<Item = &'t str>,
@@ -289,12 +280,7 @@ impl SimPort {
             self.sim.queries.inc();
             self.advance(self.cost.query_latency_us);
         }
-        let before = dyno_relational::thread_stats();
         let result = eval(&self.space);
-        let d = dyno_relational::thread_stats().since(before);
-        self.sim.rows_scanned.add(d.rows_scanned);
-        self.sim.index_probes.add(d.index_probes);
-        self.sim.cartesian_fallback.add(d.cartesian_fallbacks);
         if self.metering {
             // Simulated time is charged from *schema-level* relation sizes,
             // not the executor's actual work: the simulated-seconds series
@@ -562,6 +548,35 @@ mod tests {
         let r = port.execute(&q, &[]).unwrap();
         assert_eq!(r.weight(), 2, "visible to the query that could observe it");
         assert_eq!(port.drain_arrivals().len(), 1, "and streamed at the same moment");
+    }
+
+    #[test]
+    fn exec_counters_have_one_writer_when_a_warehouse_shares_the_ports_collector() {
+        // Regression: the port and the warehouse both folded the executor's
+        // thread-local stats into the same `exec.*` registry counters, so a
+        // warehouse bound to `port.obs()` read double.
+        use crate::testbed::{build_testbed, TestbedConfig};
+        let cfg = TestbedConfig { tuples_per_relation: 200, ..Default::default() };
+        let (space, view) = build_testbed(&cfg);
+        let schedule = crate::workload::WorkloadGen::new(cfg, 11).du_flood(20);
+        let info = space.info().clone();
+        let mut port = SimPort::new(space, schedule, CostModel::default());
+        let mut wh = dyno_view::Warehouse::new(info, dyno_core::Strategy::Pessimistic)
+            .with_obs(port.obs().clone());
+        wh.add_view(view);
+        wh.initialize(&mut port).unwrap();
+        port.start_metering();
+
+        let before = dyno_relational::thread_stats();
+        while wh.step(&mut port).unwrap() != dyno_core::StepOutcome::Idle
+            || port.advance_to_next_commit()
+        {}
+        let ran = dyno_relational::thread_stats().since(before);
+        assert_eq!(wh.stats(0).du_committed, 20);
+        assert!(ran.index_probes > 0, "the testbed maintains through index probes");
+        let reg = port.obs().registry();
+        assert_eq!(reg.counter_value("exec.index_probes"), Some(ran.index_probes));
+        assert_eq!(reg.counter_value("exec.rows_scanned"), Some(ran.rows_scanned));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The experiment runner: drives a [`dyno_view::ViewManager`] against a
+//! The experiment runner: drives a one-view [`dyno_view::Warehouse`] against a
 //! [`SimPort`] until every scheduled source commit has been maintained.
 
 use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
 use dyno_obs::Collector;
-use dyno_view::{AdaptationMode, ViewDefinition, ViewError, ViewManager};
+use dyno_view::{AdaptationMode, ViewDefinition, ViewError, Warehouse};
 
 use crate::consistency::{check_convergence, check_reflected};
 use crate::cost::CostModel;
@@ -163,10 +163,11 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
         // clone of this run's collector sees it.
         let _ = port.obs().clone().with_lineage(64 * 1024);
     }
-    let mut mgr = ViewManager::new(view, info, strategy)
+    let mut mgr = Warehouse::new(info, strategy)
         .with_obs(port.obs().clone())
         .with_correction(policy)
         .with_adaptation(adaptation);
+    mgr.add_view(view);
     mgr.initialize(&mut port)?;
     port.start_metering();
 
@@ -187,7 +188,7 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
             StepOutcome::Committed => {
                 steps += 1;
                 if audit {
-                    let ok = check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv())
+                    let ok = check_reflected(port.space(), mgr.view(0), mgr.reflected(), mgr.mv(0))
                         .unwrap_or(false);
                     if !ok {
                         audit_violations += 1;
@@ -202,12 +203,12 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
                 // the chaos runner (crate::chaos) drives parked entries.
                 steps += 1;
             }
-            StepOutcome::Failed => unreachable!("manager.step surfaces failures as Err"),
+            StepOutcome::Failed => unreachable!("warehouse.step surfaces failures as Err"),
         }
     }
 
     let converged =
-        !exhausted && check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap_or(false);
+        !exhausted && check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap_or(false);
     let metrics = port.metrics();
     assert_eq!(
         metrics.skipped_commits, 0,
@@ -215,9 +216,9 @@ pub fn run_scenario(scenario: Scenario) -> Result<RunReport, ViewError> {
     );
     Ok(RunReport {
         metrics,
-        view_stats: mgr.stats(),
+        view_stats: mgr.stats(0),
         dyno_stats: mgr.dyno_stats(),
-        final_mv_len: mgr.mv().len(),
+        final_mv_len: mgr.mv(0).len(),
         converged,
         audit_violations,
         steps,

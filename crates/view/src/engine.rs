@@ -600,8 +600,8 @@ mod tests {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let mut mgr =
-            crate::manager::ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+        let mut mgr = crate::Warehouse::new(info, Strategy::Pessimistic);
+        mgr.add_view(bookinfo_view());
         mgr.initialize(&mut port).unwrap();
         port.commit(
             SourceId(0),
@@ -628,8 +628,8 @@ mod tests {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let mut mgr =
-            crate::manager::ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+        let mut mgr = crate::Warehouse::new(info, Strategy::Pessimistic);
+        mgr.add_view(bookinfo_view());
         mgr.initialize(&mut port).unwrap();
         port.commit(
             SourceId(1),

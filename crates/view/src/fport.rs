@@ -82,7 +82,7 @@ pub struct FaultedPort<P, T> {
 impl<P: SourcePort, T: Transport> FaultedPort<P, T> {
     /// Wraps `inner` behind `transport`. `baseline` must be the per-source
     /// versions the view already reflects (wrap *after*
-    /// `ViewManager::initialize`), so pre-wrap commits are not refetched.
+    /// `Warehouse::initialize`), so pre-wrap commits are not refetched.
     pub fn new(inner: P, transport: T, baseline: HashMap<SourceId, u64>) -> Self {
         let mut all_sources: Vec<SourceId> = baseline.keys().copied().collect();
         all_sources.sort_unstable();
@@ -386,27 +386,24 @@ impl<P: SourcePort, T: Transport> SourcePort for FaultedPort<P, T> {
 mod tests {
     use super::*;
     use crate::engine::InProcessPort;
-    use crate::manager::ViewManager;
     use crate::testkit::*;
+    use crate::Warehouse;
     use dyno_core::Strategy;
     use dyno_fault::{ChaosTransport, Direct, FaultProfile};
     use dyno_relational::SourceUpdate;
 
-    fn faulted_manager<T: Transport>(transport: T) -> (ViewManager, FaultedPort<InProcessPort, T>) {
-        let space = bookinfo_space();
-        let info = space.info().clone();
-        let mut port = InProcessPort::new(space);
-        let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
-        mgr.initialize(&mut port).unwrap();
+    fn faulted_manager<T: Transport>(transport: T) -> (Warehouse, FaultedPort<InProcessPort, T>) {
+        let (mgr, port) = plain_manager();
         let baseline = port.space().versions();
         (mgr, FaultedPort::new(port, transport, baseline))
     }
 
-    fn plain_manager() -> (ViewManager, InProcessPort) {
+    fn plain_manager() -> (Warehouse, InProcessPort) {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+        let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+        mgr.add_view(bookinfo_view());
         mgr.initialize(&mut port).unwrap();
         (mgr, port)
     }
@@ -431,8 +428,8 @@ mod tests {
         commit_three_dus(&mut plain);
         mgr_f.run_to_quiescence(&mut fport, 100).unwrap();
         mgr_p.run_to_quiescence(&mut plain, 100).unwrap();
-        assert_eq!(mgr_f.mv().extent(), mgr_p.mv().extent());
-        assert_eq!(mgr_f.stats(), mgr_p.stats());
+        assert_eq!(mgr_f.mv(0).extent(), mgr_p.mv(0).extent());
+        assert_eq!(mgr_f.stats(0), mgr_p.stats(0));
         assert_eq!(mgr_f.dyno_stats(), mgr_p.dyno_stats());
         assert_eq!(fport.injected_total(), 0);
     }
@@ -454,11 +451,11 @@ mod tests {
             fport.flush_all();
             mgr.run_to_quiescence(&mut fport, 200).unwrap();
             assert_eq!(
-                mgr.mv().extent(),
-                mgr_p.mv().extent(),
+                mgr.mv(0).extent(),
+                mgr_p.mv(0).extent(),
                 "seed {seed}: chaos run must converge to the fault-free extent"
             );
-            assert_eq!(mgr.stats().du_committed, 3, "seed {seed}: each DU exactly once");
+            assert_eq!(mgr.stats(0).du_committed, 3, "seed {seed}: each DU exactly once");
         }
         assert!(obs.registry().counter_value("fault.injected_total").unwrap_or(0) > 0);
     }
@@ -479,8 +476,8 @@ mod tests {
         commit_three_dus(&mut plain);
         mgr_p.run_to_quiescence(&mut plain, 100).unwrap();
 
-        assert_eq!(mgr.mv().extent(), mgr_p.mv().extent(), "extent unchanged by duplication");
-        assert_eq!(mgr.stats().du_committed, 3);
+        assert_eq!(mgr.mv(0).extent(), mgr_p.mv(0).extent(), "extent unchanged by duplication");
+        assert_eq!(mgr.stats(0).du_committed, 3);
         let dropped = obs.registry().counter_value("fault.duplicates_dropped").unwrap_or(0);
         assert_eq!(dropped, 3, "every duplicated copy was dropped at the boundary");
     }
@@ -495,7 +492,7 @@ mod tests {
         fport = fport.with_obs(&obs);
         commit_three_dus(fport.inner_mut());
         mgr.run_to_quiescence(&mut fport, 200).unwrap();
-        assert_eq!(mgr.stats().du_committed, 3);
+        assert_eq!(mgr.stats(0).du_committed, 3);
         assert!(obs.registry().counter_value("retry.attempts").unwrap_or(0) > 0);
         assert_eq!(
             obs.registry().counter_value("retry.exhausted").unwrap_or(0),
@@ -514,7 +511,8 @@ mod tests {
         let outcome = mgr.step(&mut fport).unwrap();
         assert_eq!(outcome, dyno_core::StepOutcome::Parked);
         assert_eq!(mgr.dyno_stats().parked, 1);
-        assert_eq!(mgr.backlog(), 3, "nothing consumed, nothing lost");
-        assert_eq!(mgr.stats().aborts, 0, "a park is not an abort");
+        assert_eq!(mgr.admitted_count(), 3, "nothing lost");
+        assert_eq!(mgr.dyno_stats().committed, 0, "nothing consumed");
+        assert_eq!(mgr.stats(0).aborts, 0, "a park is not an abort");
     }
 }

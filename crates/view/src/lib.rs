@@ -1,4 +1,4 @@
-//! # dyno-view — the view manager
+//! # dyno-view — the warehouse
 //!
 //! The view-manager space of the paper's framework (Figure 3): view
 //! definitions, the materialized extent, the Update Message Queue, and the
@@ -12,8 +12,8 @@
 //!   adapting (paper Equation 6) the extent, including atomic processing of
 //!   Dyno's merged dependency-cycle batches (paper Section 5).
 //!
-//! [`manager::ViewManager`] ties these together behind `dyno-core`'s
-//! scheduler; [`engine::SourcePort`] abstracts the distributed query engine
+//! [`warehouse::Warehouse`] ties these together behind `dyno-core`'s
+//! scheduler, for one view or many; [`engine::SourcePort`] abstracts the distributed query engine
 //! so the discrete-event simulation (`dyno-sim`) can meter time and inject
 //! concurrency.
 
@@ -23,7 +23,6 @@ pub mod batch;
 pub mod engine;
 pub mod fport;
 pub mod ingress;
-pub mod manager;
 pub mod mview;
 pub mod plan;
 pub mod subplan;
@@ -44,7 +43,6 @@ pub use engine::{
 };
 pub use fport::FaultedPort;
 pub use ingress::IngressGate;
-pub use manager::{ReflectedVersions, ViewError, ViewManager, ViewStats};
 pub use mview::MaterializedView;
 pub use plan::{MaintPlan, MaintStep, PlanCache};
 pub use subplan::SharedSubplans;
@@ -57,4 +55,4 @@ pub use wal::{
     AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, DurableState, RecoverError,
     RecoverReport, ReplicaTailEvent, ViewState,
 };
-pub use warehouse::{PendingPublish, Warehouse};
+pub use warehouse::{PendingPublish, ReflectedVersions, ViewError, ViewStats, Warehouse};

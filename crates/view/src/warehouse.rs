@@ -8,12 +8,15 @@
 //! scheduler-side generalizations are small and instructive:
 //!
 //! - a schema change is view-relevant (draws concurrent-dependency edges)
-//!   iff it invalidates **any** view's definition — transitively, via the
-//!   same shadow-evolution walk the single-view manager uses;
+//!   iff it invalidates **any** view's definition — transitively, via a
+//!   shadow-evolution walk over the queue;
 //! - one queue entry is maintained against all views **atomically**: a
 //!   broken query during any view's maintenance aborts the entry for all of
 //!   them (their already-computed deltas are discarded — abort cost), so
 //!   every view reflects the same per-source state vector at all times.
+//!
+//! A warehouse with one registered view *is* the paper's single-view
+//! presentation: one slot, no sharing, no deferral.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -29,16 +32,55 @@ use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 use crate::batch::{adapt_batch_observed, AdaptationMode, Adapted, BatchFailure};
 use crate::engine::{MaintEvent, SourcePort};
 use crate::ingress::IngressGate;
-use crate::manager::{ReflectedVersions, ViewError, ViewStats};
 use crate::mview::MaterializedView;
 use crate::plan::PlanCache;
 use crate::subplan::SharedSubplans;
 use crate::viewdef::ViewDefinition;
 use crate::vm::{prof_op, prof_start, sweep_maintain_shared, Prof};
+use crate::vs::VsError;
 use crate::wal::{
     sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, DurableState,
     RecoverError, RecoverReport, ReplicaTailEvent, ViewState,
 };
+
+/// Hard (non-retryable) view-management failures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ViewError {
+    /// The view has no legal rewrite under a schema change.
+    Undefinable(VsError),
+    /// An internal invariant was violated.
+    Internal(RelationalError),
+}
+
+impl std::fmt::Display for ViewError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ViewError::Undefinable(e) => write!(f, "{e}"),
+            ViewError::Internal(e) => write!(f, "internal error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ViewError {}
+
+/// Counters for one view's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ViewStats {
+    /// Data updates committed to the view via SWEEP.
+    pub du_committed: u64,
+    /// Batches (schema-change or merged) committed via adaptation.
+    pub batches_committed: u64,
+    /// Of those, batches adapted incrementally (Equation 6) rather than by
+    /// recompute.
+    pub incremental_batches: u64,
+    /// Updates committed inside those batches.
+    pub batched_updates: u64,
+    /// Maintenance attempts aborted by broken queries.
+    pub aborts: u64,
+}
+
+/// The per-source versions a materialized view currently reflects.
+pub type ReflectedVersions = HashMap<SourceId, u64>;
 
 /// One view's state inside the warehouse. Views advance independently: each
 /// slot carries its own reflected version vector and a queue of batches it
@@ -100,6 +142,81 @@ enum Disposition {
 enum Staged {
     Delta(crate::vm::ViewDelta),
     Adapted(Adapted),
+}
+
+impl Staged {
+    /// The rows a peer replica is told changed: the delta, or — for a full
+    /// replace — the whole new extent.
+    fn publish_rows(&self) -> &SignedBag {
+        match self {
+            Staged::Delta(delta) | Staged::Adapted(Adapted::Incremental { delta, .. }) => {
+                &delta.rows
+            }
+            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent,
+        }
+    }
+
+    /// The WAL form of this change.
+    fn applied_change(&self) -> AppliedChange {
+        match self {
+            Staged::Delta(delta) => AppliedChange::Delta { rows: delta.rows.clone() },
+            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => AppliedChange::Replace {
+                sql: view.to_string(),
+                cols: cols.clone(),
+                extent: extent.clone(),
+            },
+            Staged::Adapted(Adapted::Incremental { view, delta }) => {
+                AppliedChange::Incremental { sql: view.to_string(), rows: delta.rows.clone() }
+            }
+        }
+    }
+
+    /// The profiler's name for the apply operator.
+    fn apply_op(&self) -> &'static str {
+        match self {
+            Staged::Delta(_) => "apply_delta",
+            Staged::Adapted(Adapted::Replaced { .. }) => "replace",
+            Staged::Adapted(Adapted::Incremental { .. }) => "apply_incremental",
+        }
+    }
+
+    /// Commits the change to `slot`: extent, and for an adaptation the
+    /// rewritten definition, plan-cache invalidation and batch counters.
+    /// Returns the tuples written (the caller charges the port for them).
+    fn apply(
+        self,
+        slot: &mut ViewSlot,
+        batch_len: usize,
+        schema_changes: usize,
+        clamp: Option<&Counter>,
+        obs: &Collector,
+    ) -> Result<u64, RelationalError> {
+        let adapted = match self {
+            Staged::Delta(delta) => {
+                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp)?;
+                slot.stats.du_committed += 1;
+                return Ok(delta.rows.weight());
+            }
+            Staged::Adapted(adapted) => adapted,
+        };
+        let (view, written) = match adapted {
+            Adapted::Replaced { view, cols, extent } => {
+                let written = extent.weight();
+                slot.mv.replace(cols, extent)?;
+                (view, written)
+            }
+            Adapted::Incremental { view, delta } => {
+                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp)?;
+                slot.stats.incremental_batches += 1;
+                (view, delta.rows.weight())
+            }
+        };
+        slot.view = view;
+        slot.plans.invalidate(schema_changes as u64, obs);
+        slot.stats.batches_committed += 1;
+        slot.stats.batched_updates += batch_len as u64;
+        Ok(written)
+    }
 }
 
 /// One committed batch waiting for the replication engine to publish it to
@@ -240,8 +357,9 @@ impl Warehouse {
     }
 
     /// Enables/disables cross-view sharing of first-hop join subplans
-    /// (default on). Shared and unshared execution produce bit-identical
-    /// view deltas; the toggle exists for benchmarking and bisection.
+    /// (default on; only batches that two or more views take ever share).
+    /// Shared and unshared execution produce bit-identical view deltas; the
+    /// toggle exists for benchmarking and bisection.
     pub fn with_subplan_sharing(mut self, enabled: bool) -> Self {
         self.share_subplans = enabled;
         self
@@ -255,7 +373,10 @@ impl Warehouse {
         self
     }
 
-    /// Attaches an observability collector (see [`crate::ViewManager::with_obs`]).
+    /// Attaches an observability collector: the scheduler and every
+    /// maintenance path report spans, events, and `view.*`/`vm.*`/`va.*`
+    /// metrics through it. The default is a disabled collector, which costs
+    /// nothing on the hot paths.
     pub fn with_obs(mut self, obs: Collector) -> Self {
         self.dyno = self.dyno.clone().with_obs(obs.clone());
         self.ingress.bind_obs(&obs);
@@ -312,8 +433,9 @@ impl Warehouse {
         self
     }
 
-    /// Enables/disables UMQ admission dedupe+resequencing (default on); see
-    /// [`crate::ViewManager::with_ingest_dedupe`].
+    /// Enables/disables the UMQ admission gate's dedupe+resequencing
+    /// (default on). Disabling exists solely so the chaos suite can prove
+    /// it detects the resulting double-applies.
     pub fn with_ingest_dedupe(mut self, enabled: bool) -> Self {
         self.ingress.set_dedupe(enabled);
         self
@@ -638,9 +760,10 @@ impl Warehouse {
     /// *all* views.
     pub fn ingest<I: IntoIterator<Item = UpdateMessage>>(&mut self, messages: I) {
         for msg in messages {
-            // The admission gate dedupes and resequences per source (see
-            // `ViewManager::ingest`); the reflected floor covers messages
-            // committed before initialization.
+            // The admission gate dedupes by (source, version) — including
+            // messages committed before initialization, via the reflected
+            // floor — and resequences early arrivals so enqueue order always
+            // equals version order per source.
             let floor = self.reflected.get(&msg.source).copied().unwrap_or(0);
             for msg in self.ingress.admit(msg, floor) {
                 // Admission control: at the bound, data updates are shed
@@ -1031,61 +1154,18 @@ impl Warehouse {
         if let Some(log) = self.wal.as_mut() {
             log.log_intent(&keys, schema_changes > 0);
         }
-        let pub_rows = self.replicate.then(|| match &staged {
-            Staged::Delta(delta) => delta.rows.clone(),
-            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent.clone(),
-            Staged::Adapted(Adapted::Incremental { delta, .. }) => delta.rows.clone(),
-        });
-        let clamp = self.umq_bound.is_some();
-        let log_change = self.wal.is_some().then(|| match &staged {
-            Staged::Delta(delta) => AppliedChange::Delta { rows: delta.rows.clone() },
-            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => AppliedChange::Replace {
-                sql: view.to_string(),
-                cols: cols.clone(),
-                extent: extent.clone(),
-            },
-            Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                AppliedChange::Incremental { sql: view.to_string(), rows: delta.rows.clone() }
-            }
-        });
+        let pub_rows = self.replicate.then(|| staged.publish_rows().clone());
+        let log_change = self.wal.is_some().then(|| staged.applied_change());
         {
             let slot = &mut self.slots[idx];
-            let applied = match staged {
-                Staged::Delta(delta) => {
-                    let written = delta.rows.weight();
-                    apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, &self.mv_clamped)
-                        .map(|()| {
-                            port.charge_mv_write(written);
-                            slot.stats.du_committed += 1;
-                        })
+            let clamp = self.umq_bound.is_some().then_some(&self.mv_clamped);
+            match staged.apply(slot, batch.len(), schema_changes, clamp, &self.obs) {
+                Ok(written) => port.charge_mv_write(written),
+                Err(e) => {
+                    self.last_error = Some(ViewError::Internal(e.clone()));
+                    port.on_maintenance_event(MaintEvent::Abort);
+                    return Err(ViewError::Internal(e));
                 }
-                Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                    let written = extent.weight();
-                    slot.mv.replace(cols, extent).map(|()| {
-                        port.charge_mv_write(written);
-                        slot.view = view;
-                        slot.plans.invalidate(schema_changes as u64, &self.obs);
-                        slot.stats.batches_committed += 1;
-                        slot.stats.batched_updates += batch.len() as u64;
-                    })
-                }
-                Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                    let written = delta.rows.weight();
-                    apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp, &self.mv_clamped)
-                        .map(|()| {
-                            port.charge_mv_write(written);
-                            slot.view = view;
-                            slot.plans.invalidate(schema_changes as u64, &self.obs);
-                            slot.stats.batches_committed += 1;
-                            slot.stats.incremental_batches += 1;
-                            slot.stats.batched_updates += batch.len() as u64;
-                        })
-                }
-            };
-            if let Err(e) = applied {
-                self.last_error = Some(ViewError::Internal(e.clone()));
-                port.on_maintenance_event(MaintEvent::Abort);
-                return Err(ViewError::Internal(e));
             }
             for meta in batch {
                 let entry = slot.reflected.entry(meta.payload.source).or_insert(0);
@@ -1096,27 +1176,20 @@ impl Warehouse {
         if let (Some(tracker), Some(lane)) = (&self.staleness, self.slots[idx].lane) {
             tracker.note_refresh_for(lane, &self.slots[idx].sorted_reflected(), self.obs.now_us());
         }
-        if self.wal.is_some() {
-            let change = log_change.expect("built when a wal is attached");
-            let rec = AppliedRecord {
+        if let (Some(change), Some(log)) = (log_change, self.wal.as_mut()) {
+            let mut changes = vec![AppliedChange::Skipped; self.slots.len()];
+            changes[idx] = change;
+            log.log_applied(&AppliedRecord {
                 keys: keys.clone(),
-                changes: (0..self.slots.len())
-                    .map(|i| if i == idx { change.clone() } else { AppliedChange::Skipped })
-                    .collect(),
+                changes,
                 reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
                 view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
-            };
-            if let Some(log) = self.wal.as_mut() {
-                log.log_applied(&rec);
-            }
-        }
-        if let Some(rows) = pub_rows {
-            self.publish.push(PendingPublish {
-                keys,
-                rows: (0..self.slots.len())
-                    .map(|i| if i == idx { rows.clone() } else { SignedBag::new() })
-                    .collect(),
             });
+        }
+        if let Some(changed) = pub_rows {
+            let mut rows = vec![SignedBag::new(); self.slots.len()];
+            rows[idx] = changed;
+            self.publish.push(PendingPublish { keys, rows });
         }
         self.drains.inc();
         self.obs.counter("view.commits").inc();
@@ -1155,22 +1228,23 @@ struct WarehouseCtx<'a> {
 /// Applies a signed delta to a view extent: strict when maintenance is
 /// lossless (a negative multiplicity is a bug), clamped when admission
 /// shedding is on (a shed insert's later delete legitimately misses the
-/// extent; the dropped magnitude feeds `view.clamped_rows`).
+/// extent; the dropped magnitude feeds the `view.clamped_rows` counter
+/// passed as `clamp`).
 fn apply_signed(
     mv: &mut MaterializedView,
     cols: &[String],
     rows: &SignedBag,
-    clamp: bool,
-    clamped: &Counter,
+    clamp: Option<&Counter>,
 ) -> Result<(), RelationalError> {
-    if clamp {
-        let dropped = mv.apply_delta_clamped(cols, rows)?;
-        if dropped > 0 {
-            clamped.add(dropped);
+    match clamp {
+        Some(clamped) => {
+            let dropped = mv.apply_delta_clamped(cols, rows)?;
+            if dropped > 0 {
+                clamped.add(dropped);
+            }
+            Ok(())
         }
-        Ok(())
-    } else {
-        mv.apply_delta(cols, rows)
+        None => mv.apply_delta(cols, rows),
     }
 }
 
@@ -1257,6 +1331,7 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                 }
             })
             .collect();
+        let active_total = dispo.iter().filter(|d| matches!(d, Disposition::Active)).count();
         prof_op(
             prof,
             classify_started,
@@ -1266,24 +1341,24 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
             "classify",
             "batch",
             batch.len() as u64,
-            dispo.iter().filter(|d| matches!(d, Disposition::Active)).count() as u64,
+            active_total as u64,
         );
 
         // Phase 1: compute every active view's change without committing
         // anything, so a broken query in view k discards views 0..k's work
-        // too. Overlapping views share first-hop join subplans through one
-        // per-batch cache. A source being unavailable is per-view: that
-        // view defers while its peers proceed — unless *every* active view
-        // is blocked, which parks the whole entry (classic Dyno semantics).
-        let mut shared = if is_plain_du && self.share { Some(SharedSubplans::new()) } else { None };
+        // too. When two or more views take the batch they share first-hop
+        // join subplans through one per-batch cache (a lone view has nobody
+        // to share with and runs the plain plan). A source being unavailable
+        // is per-view: that view defers while its peers proceed — unless
+        // *every* active view is blocked, which parks the whole entry
+        // (classic Dyno semantics).
+        let mut shared = (is_plain_du && self.share && active_total >= 2).then(SharedSubplans::new);
         let mut staged: Vec<Option<Staged>> = (0..self.slots.len()).map(|_| None).collect();
-        let mut active_total = 0usize;
         let mut blocked = 0usize;
         for i in 0..self.slots.len() {
             if !matches!(dispo[i], Disposition::Active) {
                 continue;
             }
-            active_total += 1;
             let slot = &mut self.slots[i];
             let result = if is_plain_du {
                 let (result, drained) = sweep_maintain_shared(
@@ -1369,94 +1444,23 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                 Disposition::Active => {
                     let change = staged[i].take().expect("active slot staged a change");
                     if self.replicate {
-                        pub_rows[i] = match &change {
-                            Staged::Delta(delta) => delta.rows.clone(),
-                            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent.clone(),
-                            Staged::Adapted(Adapted::Incremental { delta, .. }) => {
-                                delta.rows.clone()
-                            }
-                        };
+                        pub_rows[i] = change.publish_rows().clone();
                     }
                     if self.wal.is_some() {
-                        logged_changes[i] = match &change {
-                            Staged::Delta(delta) => {
-                                AppliedChange::Delta { rows: delta.rows.clone() }
-                            }
-                            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                                AppliedChange::Replace {
-                                    sql: view.to_string(),
-                                    cols: cols.clone(),
-                                    extent: extent.clone(),
-                                }
-                            }
-                            Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                                AppliedChange::Incremental {
-                                    sql: view.to_string(),
-                                    rows: delta.rows.clone(),
-                                }
-                            }
-                        };
+                        logged_changes[i] = change.applied_change();
                     }
                     let apply_meta = prof.map(|_| {
-                        let (op, rows): (&'static str, u64) = match &change {
-                            Staged::Delta(d) => ("apply_delta", d.rows.distinct_len() as u64),
-                            Staged::Adapted(Adapted::Replaced { extent, .. }) => {
-                                ("replace", extent.distinct_len() as u64)
-                            }
-                            Staged::Adapted(Adapted::Incremental { delta, .. }) => {
-                                ("apply_incremental", delta.rows.distinct_len() as u64)
-                            }
-                        };
-                        (op, rows, slot.view.name.clone())
+                        let rows = change.publish_rows().distinct_len() as u64;
+                        (change.apply_op(), rows, slot.view.name.clone())
                     });
                     let apply_started = prof_start(prof);
-                    let applied = match change {
-                        Staged::Delta(delta) => {
-                            let written = delta.rows.weight();
-                            apply_signed(
-                                &mut slot.mv,
-                                &delta.cols,
-                                &delta.rows,
-                                self.clamp,
-                                &self.clamped,
-                            )
-                            .map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.stats.du_committed += 1;
-                            })
-                        }
-                        Staged::Adapted(Adapted::Replaced { view, cols, extent }) => {
-                            let written = extent.weight();
-                            slot.mv.replace(cols, extent).map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.view = view;
-                                slot.plans.invalidate(schema_changes as u64, self.obs);
-                                slot.stats.batches_committed += 1;
-                                slot.stats.batched_updates += batch.len() as u64;
-                            })
-                        }
-                        Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                            let written = delta.rows.weight();
-                            apply_signed(
-                                &mut slot.mv,
-                                &delta.cols,
-                                &delta.rows,
-                                self.clamp,
-                                &self.clamped,
-                            )
-                            .map(|()| {
-                                self.port.charge_mv_write(written);
-                                total_written += written;
-                                slot.view = view;
-                                slot.plans.invalidate(schema_changes as u64, self.obs);
-                                slot.stats.batches_committed += 1;
-                                slot.stats.incremental_batches += 1;
-                                slot.stats.batched_updates += batch.len() as u64;
-                            })
-                        }
-                    };
+                    let applied = change.apply(
+                        slot,
+                        batch.len(),
+                        schema_changes,
+                        self.clamp.then_some(&self.clamped),
+                        self.obs,
+                    );
                     if let Some((op, rows, vname)) = apply_meta {
                         prof_op(
                             prof,
@@ -1470,10 +1474,16 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                             rows,
                         );
                     }
-                    if let Err(e) = applied {
-                        *self.last_error = Some(ViewError::Internal(e));
-                        self.port.on_maintenance_event(MaintEvent::Abort);
-                        return MaintainOutcome::Failed;
+                    match applied {
+                        Ok(written) => {
+                            self.port.charge_mv_write(written);
+                            total_written += written;
+                        }
+                        Err(e) => {
+                            *self.last_error = Some(ViewError::Internal(e));
+                            self.port.on_maintenance_event(MaintEvent::Abort);
+                            return MaintainOutcome::Failed;
+                        }
                     }
                 }
             }
@@ -1667,6 +1677,211 @@ mod tests {
         (wh, port)
     }
 
+    /// The paper's single-view presentation: one slot.
+    fn single(strategy: Strategy) -> (Warehouse, InProcessPort) {
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let mut wh = Warehouse::new(info, strategy);
+        wh.add_view(bookinfo_view());
+        wh.initialize(&mut port).unwrap();
+        (wh, port)
+    }
+
+    fn commit_guide(port: &mut InProcessPort) {
+        port.commit(
+            SourceId(0),
+            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
+        )
+        .unwrap();
+    }
+
+    /// Commits the Store ⋈ Item → StoreItems restructuring of Example 1.
+    fn commit_storeitems(port: &mut InProcessPort) {
+        let retailer = port.space().server(SourceId(0)).catalog();
+        let change =
+            storeitems_change(retailer.get("Store").unwrap(), retailer.get("Item").unwrap());
+        port.commit(SourceId(0), SourceUpdate::Schema(change)).unwrap();
+    }
+
+    fn commit_drop_review(port: &mut InProcessPort) {
+        port.commit(
+            SourceId(1),
+            SourceUpdate::Schema(SchemaChange::DropAttribute {
+                relation: "Catalog".into(),
+                attr: "Review".into(),
+            }),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn single_view_initialize_populates_extent_and_vector() {
+        let (wh, _) = single(Strategy::Pessimistic);
+        assert_eq!(wh.mv(0).len(), 1);
+        assert_eq!(wh.reflected().len(), 2, "Retailer and Library reflected");
+        assert_eq!(wh.view_reflected(0).len(), 2);
+    }
+
+    #[test]
+    fn single_view_du_is_maintained_incrementally_without_a_shared_cache() {
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        commit_guide(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert_eq!(wh.mv(0).len(), 2);
+        assert_eq!(wh.stats(0).du_committed, 1);
+        assert_eq!(wh.stats(0).aborts, 0);
+        // A lone active view has nobody to share a first hop with: the
+        // per-batch cache is never built, let alone consulted.
+        assert_eq!(wh.subplan_misses(), 0);
+        assert_eq!(wh.subplan_hits(), 0);
+    }
+
+    #[test]
+    fn broken_query_anomaly_resolved_by_reordering() {
+        // Example 1(b): DU buffered, then the StoreItems restructuring
+        // commits. Pessimistic Dyno reorders so no broken query occurs…
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        commit_guide(&mut port);
+        commit_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert_eq!(wh.mv(0).len(), 2, "both books visible after adaptation");
+        assert_eq!(wh.stats(0).aborts, 0, "pessimistic pre-exec avoided the break");
+        // DU and SC are same-source → cycle → merged batch.
+        assert!(wh.dyno_stats().merges >= 1);
+    }
+
+    #[test]
+    fn optimistic_endures_abort_on_same_scenario() {
+        let (mut wh, mut port) = single(Strategy::Optimistic);
+        commit_guide(&mut port);
+        commit_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert_eq!(wh.mv(0).len(), 2);
+        assert!(wh.stats(0).aborts >= 1, "optimistic pays the broken query");
+    }
+
+    #[test]
+    fn cyclic_schema_changes_merge_and_commit() {
+        // Section 3.5: SC1 (StoreItems) + SC2 (drop Review) — both relevant,
+        // cyclic, processed as one atomic batch producing Query (5).
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        commit_storeitems(&mut port);
+        commit_drop_review(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert!(wh.view(0).references_relation("StoreItems"));
+        assert!(wh.view(0).references_relation("ReaderDigest"));
+        assert_eq!(wh.stats(0).batches_committed, 1);
+        assert_eq!(wh.stats(0).batched_updates, 2);
+        assert_eq!(wh.mv(0).len(), 1);
+    }
+
+    #[test]
+    fn irrelevant_schema_change_commits_quietly() {
+        let (mut wh, mut port) = single(Strategy::Pessimistic);
+        port.commit(
+            SourceId(1),
+            SourceUpdate::Schema(SchemaChange::AddAttribute {
+                relation: "Catalog".into(),
+                attr: dyno_relational::Attribute::new("ISBN", dyno_relational::AttrType::Str),
+                default: dyno_relational::Value::Null,
+            }),
+        )
+        .unwrap();
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+        assert_eq!(wh.mv(0).len(), 1, "extent untouched");
+        assert_eq!(wh.stats(0).aborts, 0);
+    }
+
+    #[test]
+    fn observed_warehouse_reports_maintenance_metrics() {
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let obs = Collector::wall().with_tracing(1024);
+        let mut wh = Warehouse::new(info, Strategy::Optimistic).with_obs(obs.clone());
+        wh.add_view(bookinfo_view());
+        wh.initialize(&mut port).unwrap();
+        commit_guide(&mut port);
+        commit_storeitems(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+
+        let reg = obs.registry();
+        let counter = |name| reg.counter_value(name).unwrap_or(0);
+        let stats = wh.stats(0);
+        assert_eq!(counter("view.aborts"), stats.aborts, "abort counter mirrors ViewStats");
+        assert_eq!(counter("view.commits"), stats.du_committed + stats.batches_committed);
+        assert_eq!(counter("view.attempts"), counter("view.commits") + counter("view.aborts"));
+        assert!(counter("va.recompute") + counter("va.incremental") >= 1);
+        let names: Vec<&str> = obs.trace_records().iter().map(|r| r.name).collect();
+        assert!(names.contains(&"view.maintain"));
+        assert!(names.contains(&"va.adapt"));
+    }
+
+    #[test]
+    fn single_view_wal_recovers_bit_identically_from_a_kill_at_every_crash_point() {
+        use crate::wal::CrashPoint;
+        let crc = |wh: &Warehouse| {
+            let mut e = dyno_durable::Enc::new();
+            dyno_relational::wire::enc_bag(&mut e, wh.mv(0).extent());
+            dyno_durable::crc32(&e.finish())
+        };
+        // One schema-change node (a different source than the DUs, so Dyno
+        // reorders it first instead of merging) and two plain DUs: every
+        // crash point has a record to strike at. All three are admitted —
+        // durably — before the cut is armed, so nothing needs redelivery.
+        let run = |kill: Option<CrashPoint>| {
+            let (wh, mut port) = single(Strategy::Pessimistic);
+            let info = port.space().info().clone();
+            let disk = dyno_durable::MemStorage::new();
+            let mut wh = wh
+                .with_wal(DurableLog::create(Box::new(disk.clone())).unwrap())
+                .expect("no admission bound");
+            commit_guide(&mut port);
+            commit_drop_review(&mut port);
+            port.commit(
+                SourceId(0),
+                SourceUpdate::Data(insert_item(11, "Data Integration Guide", "Brook", 41)),
+            )
+            .unwrap();
+            wh.ingest(port.drain_arrivals());
+            let mut kills = 0;
+            if let Some(point) = kill {
+                wh.arm_crash(CrashPlan { point, skip: 0 });
+            }
+            while wh.step(&mut port).unwrap() != StepOutcome::Idle {
+                if wh.wal_power_cut() {
+                    kills += 1;
+                    drop(wh);
+                    let (back, report) =
+                        Warehouse::recover(Box::new(disk.clone()), info.clone(), Collector::wall())
+                            .unwrap();
+                    assert_eq!(report.torn_records, 0, "a power cut drops whole records");
+                    wh = back;
+                }
+            }
+            assert_eq!(kills, u32::from(kill.is_some()), "{kill:?}: the planned cut fired");
+            (crc(&wh), wh.view(0).clone(), wh.reflected().clone(), disk)
+        };
+
+        let (crc0, view0, reflected0, disk0) = run(None);
+        assert!(view0.references_relation("ReaderDigest"), "the SC was adapted");
+        // The clean log round-trips: extent, definition and vector.
+        let info = bookinfo_space().info().clone();
+        let (back, report) = Warehouse::recover(Box::new(disk0), info, Collector::wall()).unwrap();
+        assert_eq!(report.torn_records, 0);
+        assert_eq!((crc(&back), back.view(0), back.reflected()), (crc0, &view0, &reflected0));
+
+        for point in [CrashPoint::BetweenSteps, CrashPoint::AfterIntent, CrashPoint::MidBatch] {
+            let (crc, view, reflected, _) = run(Some(point));
+            assert_eq!(crc, crc0, "{point:?}: recovery changes when work happens, not what");
+            assert_eq!(view, view0, "{point:?}");
+            assert_eq!(reflected, reflected0, "{point:?}");
+        }
+    }
+
     #[test]
     fn initializes_all_views() {
         let (wh, _) = warehouse();
@@ -1679,11 +1894,7 @@ mod tests {
     #[test]
     fn one_du_updates_exactly_the_affected_views() {
         let (mut wh, mut port) = warehouse();
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         assert_eq!(wh.mv(0).len(), 2, "BookInfo gains the joined row");
         assert_eq!(wh.mv(1).len(), 2, "PriceList gains the item");
@@ -1693,9 +1904,7 @@ mod tests {
     #[test]
     fn schema_change_rewrites_only_affected_views() {
         let (mut wh, mut port) = warehouse();
-        let store = port.space().server(SourceId(0)).catalog().get("Store").unwrap().clone();
-        let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
-        port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item))).unwrap();
+        commit_storeitems(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         assert!(wh.view(0).references_relation("StoreItems"));
         assert!(wh.view(1).references_relation("StoreItems"));
@@ -1708,19 +1917,8 @@ mod tests {
     #[test]
     fn views_reflect_the_same_state_vector() {
         let (mut wh, mut port) = warehouse();
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
-        port.commit(
-            SourceId(1),
-            SourceUpdate::Schema(SchemaChange::DropAttribute {
-                relation: "Catalog".into(),
-                attr: "Review".into(),
-            }),
-        )
-        .unwrap();
+        commit_guide(&mut port);
+        commit_drop_review(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         // Every view matches a fresh evaluation of its (current) definition
         // over the final source states.
@@ -1765,11 +1963,7 @@ mod tests {
             .with_obs(obs.clone());
         wh.add_view(bookinfo_view());
         wh.initialize(&mut port).unwrap();
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         let before = wh.dyno_stats();
         assert!(before.committed > 0);
@@ -1780,6 +1974,11 @@ mod tests {
         );
         let wh = wh.with_correction(CorrectionPolicy::MergeCycles);
         assert_eq!(wh.dyno_stats(), before, "stats survive a mid-run policy change");
+        assert_eq!(
+            obs.registry().counter_value("dyno.committed"),
+            Some(before.committed),
+            "collector binding survives with_correction"
+        );
     }
 
     fn durable_warehouse() -> (Warehouse, InProcessPort, dyno_durable::MemStorage) {
@@ -1798,11 +1997,7 @@ mod tests {
     #[test]
     fn recover_restores_views_versions_and_queue() {
         let (mut wh, mut port, disk) = durable_warehouse();
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         // One more committed source update, ingested but not yet maintained.
         port.commit(
@@ -1835,11 +2030,7 @@ mod tests {
     #[test]
     fn crash_after_intent_loses_nothing() {
         let (mut wh, mut port, disk) = durable_warehouse();
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.arm_crash(CrashPlan { point: crate::wal::CrashPoint::AfterIntent, skip: 0 });
         wh.run_to_quiescence(&mut port, 100).unwrap();
         assert!(wh.wal_power_cut(), "the cut tripped during maintenance");
@@ -1858,9 +2049,7 @@ mod tests {
     #[test]
     fn schema_change_commit_is_durable_across_recovery() {
         let (mut wh, mut port, disk) = durable_warehouse();
-        let store = port.space().server(SourceId(0)).catalog().get("Store").unwrap().clone();
-        let item = port.space().server(SourceId(0)).catalog().get("Item").unwrap().clone();
-        port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item))).unwrap();
+        commit_storeitems(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         assert!(wh.view(0).references_relation("StoreItems"));
 
@@ -1885,11 +2074,7 @@ mod tests {
             reason: "earlier maintenance failure".into(),
         }));
         assert!(wh.last_error().is_some());
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         assert!(wh.dyno_stats().committed > 0, "a step committed");
         assert!(wh.last_error().is_none(), "the successful commit cleared the stale error");
@@ -2263,11 +2448,7 @@ mod tests {
 
         // Maintenance after the drop logs records in the 2-view shape and
         // recovery replays them cleanly.
-        port.commit(
-            SourceId(0),
-            SourceUpdate::Data(insert_item(10, "Data Integration Guide", "Adams", 36)),
-        )
-        .unwrap();
+        commit_guide(&mut port);
         wh.run_to_quiescence(&mut port, 100).unwrap();
         let info = port.space().info().clone();
         drop(wh);

@@ -78,7 +78,8 @@ fn part2_broken_query() -> Result<(), Box<dyn std::error::Error>> {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+    mgr.add_view(bookinfo_view());
     mgr.initialize(&mut port)?;
 
     // The insert of Example 1 is buffered…
@@ -92,13 +93,13 @@ fn part2_broken_query() -> Result<(), Box<dyn std::error::Error>> {
     port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item)))?;
 
     mgr.run_to_quiescence(&mut port, 100)?;
-    println!("  rewritten definition (paper Query (3) shape):\n    {}", mgr.view());
+    println!("  rewritten definition (paper Query (3) shape):\n    {}", mgr.view(0));
     println!(
         "  extent: {} tuples; aborts suffered: {} (pessimistic pre-exec detection\n\
          \x20 scheduled the schema change first, so the insert's query never broke);\n\
          \x20 cycles merged: {}\n",
-        mgr.mv().len(),
-        mgr.stats().aborts,
+        mgr.mv(0).len(),
+        mgr.stats(0).aborts,
         mgr.dyno_stats().merges,
     );
     Ok(())
@@ -110,7 +111,8 @@ fn part3_cyclic_dependencies() -> Result<(), Box<dyn std::error::Error>> {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+    mgr.add_view(bookinfo_view());
     mgr.initialize(&mut port)?;
 
     // SC1: the mapping re-tune; SC2: Review is dropped from the Catalog.
@@ -126,14 +128,14 @@ fn part3_cyclic_dependencies() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     mgr.run_to_quiescence(&mut port, 100)?;
-    println!("  final definition (paper Query (5)):\n    {}", mgr.view());
+    println!("  final definition (paper Query (5)):\n    {}", mgr.view(0));
     println!(
         "  processed as {} atomic batch(es) covering {} updates; extent:\n{}",
-        mgr.stats().batches_committed,
-        mgr.stats().batched_updates,
-        mgr.mv()
+        mgr.stats(0).batches_committed,
+        mgr.stats(0).batched_updates,
+        mgr.mv(0)
     );
-    assert!(mgr.view().references_relation("StoreItems"));
-    assert!(mgr.view().references_relation("ReaderDigest"));
+    assert!(mgr.view(0).references_relation("StoreItems"));
+    assert!(mgr.view(0).references_relation("ReaderDigest"));
     Ok(())
 }

@@ -67,8 +67,9 @@ fn main() {
     let (space, view) = dyno::sim::build_testbed(&cfg);
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic);
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+    mgr.add_view(view);
     mgr.initialize(&mut port).expect("init");
-    assert!(check_convergence(port.space(), mgr.view(), mgr.mv()).expect("check"));
+    assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).expect("check"));
     println!("dashboard verified against a fresh evaluation of the final grid state.");
 }

@@ -48,9 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic);
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
+    mgr.add_view(view);
     mgr.initialize(&mut port)?;
-    println!("initial extent:\n{}", mgr.mv());
+    println!("initial extent:\n{}", mgr.mv(0));
 
     // --- 3. A source commits a data update ---------------------------------
     port.commit(
@@ -61,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?)),
     )?;
     mgr.run_to_quiescence(&mut port, 100)?;
-    println!("after the order insert:\n{}", mgr.mv());
+    println!("after the order insert:\n{}", mgr.mv(0));
 
     // --- 4. A source autonomously renames a relation -----------------------
     // The view definition is rewritten (view synchronization) and the extent
@@ -74,14 +75,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
     )?;
     mgr.run_to_quiescence(&mut port, 100)?;
-    println!("after the source renamed Products to Items:\n  {}\n", mgr.view());
-    println!("extent (unchanged content, new definition):\n{}", mgr.mv());
+    println!("after the source renamed Products to Items:\n  {}\n", mgr.view(0));
+    println!("extent (unchanged content, new definition):\n{}", mgr.mv(0));
 
     println!(
         "stats: {} data updates maintained incrementally, {} adaptation batches, {} aborts",
-        mgr.stats().du_committed,
-        mgr.stats().batches_committed,
-        mgr.stats().aborts
+        mgr.stats(0).du_committed,
+        mgr.stats(0).batches_committed,
+        mgr.stats(0).aborts
     );
     Ok(())
 }

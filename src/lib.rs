@@ -12,7 +12,7 @@
 //! | [`relational`] | in-memory relational substrate: bag relations, signed deltas, SPJ query engine, DDL |
 //! | [`source`] | autonomous source servers, wrappers, the EVE-style information space |
 //! | [`core`] | Dyno itself: dependency graph, cycle merge, topological correction, pessimistic/optimistic scheduling — data-model-independent |
-//! | [`view`] | the view manager: UMQ, SWEEP maintenance with compensation, view synchronization, view adaptation (paper Equation 6) |
+//! | [`view`] | the warehouse (view manager, one view or many): UMQ, SWEEP maintenance with compensation, view synchronization, view adaptation (paper Equation 6) |
 //! | [`fault`] | deterministic fault injection: the transport seam between warehouse and sources, chaos profiles, retry policies, delivery recovery |
 //! | [`durable`] | crash durability: CRC-framed write-ahead log, manual binary codec, in-memory and file storage backends |
 //! | [`sim`] | the discrete-event testbed replacing the paper's Oracle cluster: virtual clock, cost model, workloads, consistency auditors, chaos + crash runners |
@@ -27,8 +27,9 @@
 //! let space = bookinfo_space();
 //! let info = space.info().clone();
 //! let mut port = InProcessPort::new(space);
-//! let mut mgr = ViewManager::new(bookinfo_view(), info, Strategy::Pessimistic);
-//! mgr.initialize(&mut port).unwrap();
+//! let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+//! wh.add_view(bookinfo_view());
+//! wh.initialize(&mut port).unwrap();
 //!
 //! // A source autonomously commits a data update…
 //! port.commit(
@@ -37,10 +38,10 @@
 //! )
 //! .unwrap();
 //!
-//! // …and the manager maintains the view incrementally, compensating for
+//! // …and the warehouse maintains the view incrementally, compensating for
 //! // any concurrent updates and re-ordering around schema changes.
-//! mgr.run_to_quiescence(&mut port, 100).unwrap();
-//! assert_eq!(mgr.mv().len(), 2);
+//! wh.run_to_quiescence(&mut port, 100).unwrap();
+//! assert_eq!(wh.mv(0).len(), 2);
 //! ```
 
 pub use dyno_core as core;
@@ -68,6 +69,6 @@ pub mod prelude {
     pub use dyno_source::{InfoSpace, SourceId, SourceServer, SourceSpace, UpdateMessage};
     pub use dyno_view::{
         FaultedPort, InProcessPort, MaterializedView, SourcePort, ViewDefinition, ViewError,
-        ViewManager, Warehouse,
+        Warehouse,
     };
 }

@@ -15,14 +15,15 @@ fn run_with_mode(
     timeline: &[(u64, EventKind)],
     seed: u64,
     mode: AdaptationMode,
-) -> (ViewManager, InProcessPort) {
+) -> (Warehouse, InProcessPort) {
     let cfg = TestbedConfig { tuples_per_relation: 40, ..Default::default() };
     let (space, view) = build_testbed(&cfg);
     let info = space.info().clone();
     let mut gen = WorkloadGen::new(cfg, seed);
     let schedule = gen.realize(timeline);
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(view, info, Strategy::Pessimistic).with_adaptation(mode);
+    let mut mgr = Warehouse::new(info, Strategy::Pessimistic).with_adaptation(mode);
+    mgr.add_view(view);
     mgr.initialize(&mut port).expect("testbed initializes");
     for c in schedule {
         port.commit(c.source, c.update).expect("workload is schema-consistent");
@@ -51,11 +52,11 @@ fn modes_agree() {
         let seed = rng.gen_range(0..500u64);
         let (auto, auto_port) = run_with_mode(&timeline, seed, AdaptationMode::Auto);
         let (reco, _) = run_with_mode(&timeline, seed, AdaptationMode::RecomputeOnly);
-        assert_eq!(auto.view(), reco.view(), "case {case}");
-        assert_eq!(auto.mv().extent(), reco.mv().extent(), "case {case}");
-        assert!(check_convergence(auto_port.space(), auto.view(), auto.mv()).unwrap());
+        assert_eq!(auto.view(0), reco.view(0), "case {case}");
+        assert_eq!(auto.mv(0).extent(), reco.mv(0).extent(), "case {case}");
+        assert!(check_convergence(auto_port.space(), auto.view(0), auto.mv(0)).unwrap());
         assert_eq!(
-            reco.stats().incremental_batches,
+            reco.stats(0).incremental_batches,
             0,
             "case {case}: RecomputeOnly never takes the incremental path"
         );
@@ -71,6 +72,6 @@ fn auto_uses_incremental_for_renames() {
         (0, EventKind::RenameRelation),
     ];
     let (mgr, port) = run_with_mode(&timeline, 7, AdaptationMode::Auto);
-    assert!(mgr.stats().incremental_batches >= 1, "stats: {:?}", mgr.stats());
-    assert!(check_convergence(port.space(), mgr.view(), mgr.mv()).unwrap());
+    assert!(mgr.stats(0).incremental_batches >= 1, "stats: {:?}", mgr.stats(0));
+    assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
 }

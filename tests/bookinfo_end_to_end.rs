@@ -10,23 +10,24 @@ use dyno::view::testkit::{
     bookinfo_space, bookinfo_view, catalog_schema, insert_item, storeitems_change,
 };
 
-fn managed(strategy: Strategy) -> (ViewManager, InProcessPort) {
+fn managed(strategy: Strategy) -> (Warehouse, InProcessPort) {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info, strategy);
+    let mut mgr = Warehouse::new(info, strategy);
+    mgr.add_view(bookinfo_view());
     mgr.initialize(&mut port).expect("fixture initializes");
     (mgr, port)
 }
 
-fn quiesce(mgr: &mut ViewManager, port: &mut InProcessPort) {
+fn quiesce(mgr: &mut Warehouse, port: &mut InProcessPort) {
     mgr.run_to_quiescence(port, 500).expect("scenario completes");
     assert!(
-        check_convergence(port.space(), mgr.view(), mgr.mv()).expect("checkable"),
+        check_convergence(port.space(), mgr.view(0), mgr.mv(0)).expect("checkable"),
         "extent must match the view over final source states"
     );
     assert!(
-        check_reflected(port.space(), mgr.view(), mgr.reflected(), mgr.mv()).expect("checkable"),
+        check_reflected(port.space(), mgr.view(0), mgr.reflected(), mgr.mv(0)).expect("checkable"),
         "extent must match the reflected state vector"
     );
 }
@@ -61,7 +62,7 @@ fn type1_concurrent_dus_no_duplication() {
             .expect("valid");
         quiesce(&mut mgr, &mut port);
         // Exactly one new view tuple — not two (the duplication anomaly).
-        assert_eq!(mgr.mv().len(), 2, "{strategy:?}");
+        assert_eq!(mgr.mv(0).len(), 2, "{strategy:?}");
     }
 }
 
@@ -82,9 +83,9 @@ fn type3_broken_du_maintenance() {
         port.commit(SourceId(0), SourceUpdate::Schema(storeitems_change(&store, &item)))
             .expect("valid");
         quiesce(&mut mgr, &mut port);
-        assert!(mgr.view().references_relation("StoreItems"), "{strategy:?}");
-        assert_eq!(mgr.mv().len(), 2, "{strategy:?}");
-        aborts.push(mgr.stats().aborts);
+        assert!(mgr.view(0).references_relation("StoreItems"), "{strategy:?}");
+        assert_eq!(mgr.mv(0).len(), 2, "{strategy:?}");
+        aborts.push(mgr.stats(0).aborts);
     }
     assert_eq!(aborts[0], 0, "pessimistic avoids the broken query");
     assert!(aborts[1] >= 1, "optimistic suffers it");
@@ -115,9 +116,9 @@ fn type2_du_during_sc_maintenance() {
     quiesce(&mut mgr, &mut port);
     // The fixture's information space replaces the dropped Review attribute
     // with ReaderDigest.Comments, so consumers keep their Review column.
-    assert!(mgr.view().references_relation("ReaderDigest"));
-    assert!(mgr.view().output_cols().contains(&"Review".to_string()));
-    assert_eq!(mgr.mv().len(), 2);
+    assert!(mgr.view(0).references_relation("ReaderDigest"));
+    assert!(mgr.view(0).output_cols().contains(&"Review".to_string()));
+    assert_eq!(mgr.mv(0).len(), 2);
 }
 
 /// Anomaly type (4): SC conflicts with M(SC) — the Section 3.5 deadlock:
@@ -140,7 +141,7 @@ fn type4_cyclic_schema_changes() {
         )
         .expect("valid");
         quiesce(&mut mgr, &mut port);
-        let v = mgr.view();
+        let v = mgr.view(0);
         assert!(v.references_relation("StoreItems"), "{strategy:?}");
         assert!(v.references_relation("ReaderDigest"), "{strategy:?}");
         assert_eq!(
@@ -183,10 +184,10 @@ fn rename_chains_are_transitively_relevant() {
     )
     .expect("valid");
     quiesce(&mut mgr, &mut port);
-    assert!(mgr.view().references_relation("Catalog_v4"));
+    assert!(mgr.view(0).references_relation("Catalog_v4"));
     // 'Data Integration Guide' now has two catalog rows but no matching
     // item; 'Databases' still matches → extent stays at 1.
-    assert_eq!(mgr.mv().len(), 1);
+    assert_eq!(mgr.mv(0).len(), 1);
 }
 
 /// A schema change that touches only unreferenced metadata must not disturb
@@ -195,7 +196,7 @@ fn rename_chains_are_transitively_relevant() {
 #[test]
 fn irrelevant_changes_cause_no_rewrite() {
     let (mut mgr, mut port) = managed(Strategy::Pessimistic);
-    let before = mgr.view().clone();
+    let before = mgr.view(0).clone();
     port.commit(
         SourceId(2),
         SourceUpdate::Schema(SchemaChange::AddAttribute {
@@ -206,8 +207,8 @@ fn irrelevant_changes_cause_no_rewrite() {
     )
     .expect("valid");
     quiesce(&mut mgr, &mut port);
-    assert_eq!(mgr.view(), &before);
-    assert_eq!(mgr.stats().aborts, 0);
+    assert_eq!(mgr.view(0), &before);
+    assert_eq!(mgr.stats(0).aborts, 0);
     assert_eq!(mgr.dyno_stats().merges, 0);
 }
 
@@ -225,7 +226,7 @@ fn deletes_shrink_the_view() {
     )
     .expect("valid");
     quiesce(&mut mgr, &mut port);
-    assert!(mgr.mv().is_empty(), "the only matching item is gone");
+    assert!(mgr.mv(0).is_empty(), "the only matching item is gone");
 }
 
 /// An undefinable schema change (dropping a relation with no replacement)

@@ -109,7 +109,7 @@ fn crash_quick_survives_kills_under_transport_faults() {
     assert_eq!(report.kills, 1);
 }
 
-/// The view-level torn-write matrix: a real manager log truncated at every
+/// The view-level torn-write matrix: a real warehouse log truncated at every
 /// byte boundary of its tail. Recovery must never panic, never lose the
 /// checkpointed prefix, and must report the torn tail via the counter.
 #[test]
@@ -122,10 +122,11 @@ fn view_recovery_survives_truncation_at_every_byte() {
     let space = bookinfo_space();
     let info = space.info().clone();
     let mut port = InProcessPort::new(space);
-    let mut mgr = ViewManager::new(bookinfo_view(), info.clone(), Strategy::Pessimistic);
+    let mut mgr = Warehouse::new(info.clone(), Strategy::Pessimistic);
+    mgr.add_view(bookinfo_view());
     mgr.initialize(&mut port).unwrap();
     let disk = MemStorage::new();
-    let mut mgr = mgr.with_wal(DurableLog::create(Box::new(disk.clone())).unwrap());
+    let mut mgr = mgr.with_wal(DurableLog::create(Box::new(disk.clone())).unwrap()).unwrap();
     for i in 0..4 {
         port.commit(
             SourceId(0),
@@ -138,8 +139,8 @@ fn view_recovery_survives_truncation_at_every_byte() {
     let full = Storage::len(&disk).unwrap() as usize;
     let checkpointed_extent = {
         let obs = Collector::disabled();
-        let (m, _) = ViewManager::recover(Box::new(disk.clone()), info.clone(), obs).unwrap();
-        m.mv().len()
+        let (m, _) = Warehouse::recover(Box::new(disk.clone()), info.clone(), obs).unwrap();
+        m.mv(0).len()
     };
     assert!(checkpointed_extent >= 1);
 
@@ -148,11 +149,11 @@ fn view_recovery_survives_truncation_at_every_byte() {
         let storage = MemStorage::new();
         storage.set(image[..cut].to_vec());
         let obs = Collector::wall();
-        match ViewManager::recover(Box::new(storage), info.clone(), obs.clone()) {
+        match Warehouse::recover(Box::new(storage), info.clone(), obs.clone()) {
             Ok((m, report)) => {
                 // The checkpointed prefix survives: the recovered view is a
                 // valid bookinfo state, never an empty or corrupt shell.
-                assert!(!m.mv().is_empty(), "cut={cut}: checkpointed prefix lost");
+                assert!(!m.mv(0).is_empty(), "cut={cut}: checkpointed prefix lost");
                 torn_seen += report.torn_records;
                 assert_eq!(
                     report.torn_records,
