@@ -1,16 +1,21 @@
 //! μ3: view-maintenance machinery — SWEEP incremental maintenance of one
-//! data update, Equation-6 incremental adaptation vs. full recompute, and
-//! batch adaptation of a merged schema-change group.
+//! data update, Equation-6 incremental adaptation vs. full recompute,
+//! batch adaptation of a merged schema-change group, and the durable
+//! layer's three costs (checkpoint image, one `Applied` append, CRC).
 
 use std::collections::HashMap;
 
 use dyno_bench::harness::Harness;
+use dyno_core::Strategy;
+use dyno_durable::storage::{Storage, StorageError};
+use dyno_durable::{crc32, MemStorage};
 use dyno_relational::{delta_join_probe, DataUpdate, Delta, SignedBag, SourceUpdate, Tuple, Value};
 use dyno_sim::{build_testbed, TestbedConfig};
 use dyno_source::{SourceId, UpdateId, UpdateMessage};
+use dyno_view::wal::{AppliedChange, AppliedRecord};
 use dyno_view::{
     equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_observed, BoundTable,
-    InProcessPort, LocalProvider, MaintPlan, PlanCache,
+    DurableLog, InProcessPort, LocalProvider, MaintPlan, PlanCache, Warehouse,
 };
 
 fn cfg(tuples: usize) -> TestbedConfig {
@@ -205,6 +210,67 @@ fn bench_compensation(h: &mut Harness) {
     }
 }
 
+/// A disk that keeps nothing, so an append-only bench does not spend its
+/// budget growing (and then paging) a buffer.
+#[derive(Debug, Clone, Default)]
+struct Sink(u64);
+
+impl Storage for Sink {
+    fn read_all(&self) -> Result<Vec<u8>, StorageError> {
+        Ok(Vec::new())
+    }
+    fn append(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.0 += bytes.len() as u64;
+        Ok(())
+    }
+    fn replace(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.0 = bytes.len() as u64;
+        Ok(())
+    }
+    fn len(&self) -> Result<u64, StorageError> {
+        Ok(self.0)
+    }
+    fn box_clone(&self) -> Box<dyn Storage> {
+        Box::new(self.clone())
+    }
+}
+
+/// What durability costs, piece by piece: `wal/checkpoint_20000x24` is one
+/// compaction of the `durable_du` benchmark's warehouse (a 20 000-row,
+/// 24-column extent encoded, checksummed and written to a `MemStorage`);
+/// `wal/append_applied_1row` is the largest of the three records a plain DU
+/// logs, framed and handed to a disk that discards it; `crc32/4MiB` is the
+/// checksum alone over a checkpoint-sized buffer.
+fn bench_wal(h: &mut Harness) {
+    let cfg = cfg(20_000);
+    let (space, view) = build_testbed(&cfg);
+    let info = space.info().clone();
+    let mut port = InProcessPort::new(space);
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initialization");
+    let arity = wh.mv(0).cols().len();
+    let log = DurableLog::create(Box::new(MemStorage::new())).expect("MemStorage never fails");
+    let mut wh = wh.with_wal(log).expect("no admission bound");
+    h.bench("wal/checkpoint_20000x24", || wh.checkpoint_now());
+
+    let row = Tuple::new((0..arity).map(|i| Value::from(i as i64)).collect());
+    let rec = AppliedRecord {
+        keys: vec![7],
+        changes: vec![AppliedChange::Delta { rows: [(row, 1)].into_iter().collect() }],
+        reflected: (0..6).map(|s| (s, 1_000)).collect(),
+        view_reflected: vec![(0..6).map(|s| (s, 1_000)).collect()],
+    };
+    // A pinned count that never comes: nothing but appends reaches the sink.
+    let mut log = DurableLog::create(Box::new(Sink::default()))
+        .expect("a sink never fails")
+        .with_checkpoint_every(u64::MAX);
+    h.bench("wal/append_applied_1row", || log.log_applied(&rec));
+
+    let image: Vec<u8> = (0..4usize << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+    h.bench("crc32/4MiB", || crc32(&image));
+}
+
 fn main() {
     let mut h = Harness::new("maintenance");
     bench_indexed_sweep(&mut h);
@@ -217,6 +283,7 @@ fn main() {
         bench_sweep(&mut h);
         bench_equation6_vs_recompute(&mut h);
         bench_compensation(&mut h);
+        bench_wal(&mut h);
     }
     h.finish();
 }

@@ -44,6 +44,14 @@ impl Enc {
         Self::default()
     }
 
+    /// An empty encoder that writes into `buf`'s allocation (its old
+    /// content is discarded) — hot paths hand one buffer back and forth
+    /// with [`Enc::finish`] instead of allocating per record.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Consume the encoder, yielding the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -97,6 +105,11 @@ impl Enc {
     /// Write a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Write `v` verbatim, with no length prefix (already-encoded bytes).
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 }

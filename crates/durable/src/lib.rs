@@ -33,6 +33,6 @@ pub mod storage;
 pub mod wal;
 
 pub use codec::{Dec, Enc, WireError};
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use storage::{FileStorage, MemStorage, Storage, StorageError};
 pub use wal::{Replay, Wal, WalError};

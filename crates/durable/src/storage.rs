@@ -102,7 +102,11 @@ impl Storage for MemStorage {
     }
 
     fn replace(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        *self.buf.borrow_mut() = bytes.to_vec();
+        // In place: the buffer a log of this size grew is the one its
+        // successor will need.
+        let mut buf = self.buf.borrow_mut();
+        buf.clear();
+        buf.extend_from_slice(bytes);
         Ok(())
     }
 

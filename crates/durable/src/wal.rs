@@ -28,10 +28,12 @@
 //! was never durably logged; the commit protocol upstream is designed so
 //! that this is always safe to discard.
 
-use crate::crc::crc32;
+use crate::codec::Enc;
+use crate::crc::Crc32;
 use crate::storage::{Storage, StorageError};
-use dyno_obs::Collector;
+use dyno_obs::{Collector, Counter};
 use std::fmt;
+use std::ops::Range;
 
 /// First magic byte of every record.
 pub const MAGIC0: u8 = 0xD1;
@@ -39,6 +41,11 @@ pub const MAGIC0: u8 = 0xD1;
 pub const MAGIC1: u8 = 0x40;
 /// Fixed header size: magic (2) + len (4) + seq (8) + crc (4).
 pub const HEADER_LEN: usize = 18;
+
+/// The frame buffer is reused from record to record; after a checkpoint
+/// image passed through it, it is cut back to this capacity so the log does
+/// not pin a snapshot-sized scratch area between compactions.
+const FRAME_BUF_KEEP: usize = 64 * 1024;
 
 /// A WAL-level failure. Torn or corrupt tails are *not* errors — they are
 /// reported through [`Replay`] — so the only failure source is storage I/O.
@@ -64,12 +71,13 @@ impl From<StorageError> for WalError {
     }
 }
 
-/// What [`Wal::open`] found in the log: the intact record payloads in write
-/// order, plus an accounting of any discarded tail.
+/// What [`Wal::open`] found in the log: the image it read, where each
+/// intact record's payload lies in it, plus an accounting of any discarded
+/// tail. Payloads are borrowed from the image — nothing is copied out.
 #[derive(Debug, Clone, Default)]
 pub struct Replay {
-    /// Payloads of every intact record, in append order.
-    pub payloads: Vec<Vec<u8>>,
+    image: Vec<u8>,
+    records: Vec<Range<usize>>,
     /// 1 if a torn/corrupt tail was discarded, 0 for a cleanly closed log.
     /// (The tail is opaque bytes — there is no way to count how many records
     /// it was "supposed" to hold, so this is a flag-shaped counter.)
@@ -78,20 +86,51 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
+impl Replay {
+    /// Payloads of every intact record, in append order.
+    pub fn payloads(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        self.records.iter().map(|r| &self.image[r.clone()])
+    }
+}
+
 /// An append-only, CRC-framed, sequence-numbered log over a [`Storage`]
 /// backend. See the module docs for the record format.
+///
+/// The log knows its own size from what it wrote (seeded by [`Wal::open`]
+/// from the image it read): `head` is the framed size of the record the log
+/// was last truncated to, everything after it is the tail. Compaction
+/// policies upstream compare the two without a `Storage::len` round trip.
 #[derive(Debug, Clone)]
 pub struct Wal {
     storage: Box<dyn Storage>,
     next_seq: u64,
-    obs: Collector,
+    len: u64,
+    head: u64,
+    /// Scratch every record is framed in before its one `Storage` call.
+    frame: Vec<u8>,
+    appends: Counter,
+    bytes: Counter,
+    checkpoints: Counter,
 }
 
 impl Wal {
+    fn over(storage: Box<dyn Storage>, next_seq: u64, len: u64, head: u64) -> Self {
+        Self {
+            storage,
+            next_seq,
+            len,
+            head,
+            frame: Vec::new(),
+            appends: Counter::default(),
+            bytes: Counter::default(),
+            checkpoints: Counter::default(),
+        }
+    }
+
     /// Start a fresh log on `storage`, erasing whatever it held.
     pub fn create(mut storage: Box<dyn Storage>) -> Result<Self, WalError> {
         storage.replace(&[])?;
-        Ok(Self { storage, next_seq: 1, obs: Collector::disabled() })
+        Ok(Self::over(storage, 1, 0, 0))
     }
 
     /// Open an existing log, replaying every intact record and discarding a
@@ -99,55 +138,111 @@ impl Wal {
     /// (the torn bytes stay on storage until the next [`Wal::rewrite`],
     /// which recovery performs as its final step).
     pub fn open(storage: Box<dyn Storage>) -> Result<(Self, Replay), WalError> {
-        let bytes = storage.read_all()?;
+        let image = storage.read_all()?;
         let mut replay = Replay::default();
         let mut pos = 0usize;
         let mut last_seq = 0u64;
-        while pos < bytes.len() {
-            match parse_record(&bytes[pos..], last_seq) {
-                Some((seq, payload, consumed)) => {
+        while pos < image.len() {
+            match parse_record(&image[pos..], last_seq) {
+                Some((seq, len)) => {
                     last_seq = seq;
-                    replay.payloads.push(payload.to_vec());
-                    pos += consumed;
+                    replay.records.push(pos + HEADER_LEN..pos + HEADER_LEN + len);
+                    pos += HEADER_LEN + len;
                 }
                 None => {
                     replay.torn_records = 1;
-                    replay.torn_bytes = (bytes.len() - pos) as u64;
+                    replay.torn_bytes = (image.len() - pos) as u64;
                     break;
                 }
             }
         }
-        let wal = Self { storage, next_seq: last_seq + 1, obs: Collector::disabled() };
+        let head = replay.records.first().map_or(0, |r| r.end) as u64;
+        let wal = Self::over(storage, last_seq + 1, image.len() as u64, head);
+        replay.image = image;
         Ok((wal, replay))
     }
 
     /// Attach an observability collector; subsequent appends count into
     /// `wal.appends`, `wal.bytes`, and `wal.checkpoints`.
     pub fn bind_obs(&mut self, obs: &Collector) {
-        self.obs = obs.clone();
+        self.appends = obs.counter("wal.appends");
+        self.bytes = obs.counter("wal.bytes");
+        self.checkpoints = obs.counter("wal.checkpoints");
     }
 
     /// Append one record, returning its sequence number.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        self.append_with(|e| e.raw(payload))
+    }
+
+    /// Append one record whose payload `encode` writes straight into the
+    /// log's frame buffer — no intermediate payload allocation.
+    pub fn append_with(&mut self, encode: impl FnOnce(&mut Enc)) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        let frame = frame_record(seq, payload);
-        self.storage.append(&frame)?;
+        let frame = self.build_frame(encode)?;
+        let written = frame.len() as u64;
+        let result = self.storage.append(&frame);
+        self.frame = frame;
+        result?;
         self.next_seq += 1;
-        self.obs.counter("wal.appends").inc();
-        self.obs.counter("wal.bytes").add(frame.len() as u64);
+        self.len += written;
+        self.appends.inc();
+        self.bytes.add(written);
         Ok(seq)
     }
 
     /// Atomically replace the whole log with a single record (a checkpoint).
     /// The sequence number keeps counting — truncation never resets it.
     pub fn rewrite(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        self.rewrite_with(|e| e.raw(payload))
+    }
+
+    /// [`Wal::rewrite`] with the payload encoded in place, like
+    /// [`Wal::append_with`].
+    pub fn rewrite_with(&mut self, encode: impl FnOnce(&mut Enc)) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        let frame = frame_record(seq, payload);
-        self.storage.replace(&frame)?;
+        // The record being replaced is the best guess at this one's size:
+        // one allocation instead of a doubling ladder of copies.
+        self.frame.clear();
+        self.frame.reserve(HEADER_LEN + self.head as usize);
+        let mut frame = self.build_frame(encode)?;
+        let written = frame.len() as u64;
+        let result = self.storage.replace(&frame);
+        frame.clear();
+        frame.shrink_to(FRAME_BUF_KEEP);
+        self.frame = frame;
+        result?;
         self.next_seq += 1;
-        self.obs.counter("wal.checkpoints").inc();
-        self.obs.counter("wal.bytes").add(frame.len() as u64);
+        self.len = written;
+        self.head = written;
+        self.checkpoints.inc();
+        self.bytes.add(written);
         Ok(seq)
+    }
+
+    /// Frames the next record in the reusable buffer: header placeholder,
+    /// payload, then the header patched in once length and CRC are known.
+    fn build_frame(&mut self, encode: impl FnOnce(&mut Enc)) -> Result<Vec<u8>, WalError> {
+        let mut e = Enc::reusing(std::mem::take(&mut self.frame));
+        e.raw(&[0; HEADER_LEN]);
+        encode(&mut e);
+        let mut frame = e.finish();
+        let seq = self.next_seq.to_le_bytes();
+        let payload_len = frame.len() - HEADER_LEN;
+        let len = u32::try_from(payload_len).map_err(|_| {
+            StorageError(format!(
+                "a {payload_len}-byte record exceeds the format's u32 length field"
+            ))
+        })?;
+        let mut crc = Crc32::new();
+        crc.update(&seq);
+        crc.update(&frame[HEADER_LEN..]);
+        frame[0] = MAGIC0;
+        frame[1] = MAGIC1;
+        frame[2..6].copy_from_slice(&len.to_le_bytes());
+        frame[6..14].copy_from_slice(&seq);
+        frame[14..18].copy_from_slice(&crc.finish().to_le_bytes());
+        Ok(frame)
     }
 
     /// The sequence number the next record will get.
@@ -155,9 +250,16 @@ impl Wal {
         self.next_seq
     }
 
-    /// Current size of the log in bytes.
-    pub fn len_bytes(&self) -> Result<u64, WalError> {
-        Ok(self.storage.len()?)
+    /// Current size of the log in bytes, from the log's own accounting.
+    pub fn len_bytes(&self) -> u64 {
+        self.len
+    }
+
+    /// Framed size of the record the log was last truncated to by
+    /// [`Wal::rewrite`] (for a reopened log: of the image's first record);
+    /// 0 for a log that holds none.
+    pub fn head_bytes(&self) -> u64 {
+        self.head
     }
 
     /// Records appended since the log was created/opened *plus* everything
@@ -167,27 +269,11 @@ impl Wal {
     }
 }
 
-fn frame_record(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    let crc = crc32(&crc_input);
-
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.push(MAGIC0);
-    frame.push(MAGIC1);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
 /// Parse one record at the start of `buf`. `last_seq` is the previous
 /// record's sequence number (0 before the first). Returns
-/// `(seq, payload, bytes_consumed)`, or `None` if the bytes are torn,
-/// corrupt, or out of sequence.
-fn parse_record(buf: &[u8], last_seq: u64) -> Option<(u64, &[u8], usize)> {
+/// `(seq, payload_len)` — the payload follows the [`HEADER_LEN`]-byte
+/// header — or `None` if the bytes are torn, corrupt, or out of sequence.
+fn parse_record(buf: &[u8], last_seq: u64) -> Option<(u64, usize)> {
     if buf.len() < HEADER_LEN {
         return None;
     }
@@ -197,10 +283,9 @@ fn parse_record(buf: &[u8], last_seq: u64) -> Option<(u64, &[u8], usize)> {
     let len = u32::from_le_bytes(buf[2..6].try_into().unwrap()) as usize;
     let seq = u64::from_le_bytes(buf[6..14].try_into().unwrap());
     let crc = u32::from_le_bytes(buf[14..18].try_into().unwrap());
-    if buf.len() < HEADER_LEN + len {
+    if buf.len() - HEADER_LEN < len {
         return None;
     }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
     // Sequence must be strictly consecutive within one log image: appends
     // after a checkpoint continue from the checkpoint's number.
     if last_seq != 0 && seq != last_seq + 1 {
@@ -209,13 +294,15 @@ fn parse_record(buf: &[u8], last_seq: u64) -> Option<(u64, &[u8], usize)> {
     if seq == 0 {
         return None;
     }
-    let mut crc_input = Vec::with_capacity(8 + len);
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    // The stored sequence bytes *are* `seq.to_le_bytes()`, so the CRC input
+    // `seq ‖ payload` is read in place.
+    let mut sum = Crc32::new();
+    sum.update(&buf[6..14]);
+    sum.update(&buf[HEADER_LEN..HEADER_LEN + len]);
+    if sum.finish() != crc {
         return None;
     }
-    Some((seq, payload, HEADER_LEN + len))
+    Some((seq, len))
 }
 
 #[cfg(test)]
@@ -227,6 +314,10 @@ mod tests {
         Box::new(disk.clone())
     }
 
+    fn payloads(replay: &Replay) -> Vec<Vec<u8>> {
+        replay.payloads().map(<[u8]>::to_vec).collect()
+    }
+
     #[test]
     fn append_and_replay_round_trip() {
         let disk = MemStorage::new();
@@ -236,7 +327,7 @@ mod tests {
         assert_eq!(wal.append(b"").unwrap(), 3); // empty payloads are legal
 
         let (wal2, replay) = Wal::open(boxed(&disk)).unwrap();
-        assert_eq!(replay.payloads, vec![b"first".to_vec(), b"second".to_vec(), Vec::new()]);
+        assert_eq!(payloads(&replay), vec![b"first".to_vec(), b"second".to_vec(), Vec::new()]);
         assert_eq!(replay.torn_records, 0);
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(wal2.next_seq(), 4);
@@ -253,7 +344,7 @@ mod tests {
         wal.append(b"tail").unwrap();
 
         let (wal2, replay) = Wal::open(boxed(&disk)).unwrap();
-        assert_eq!(replay.payloads, vec![b"checkpoint".to_vec(), b"tail".to_vec()]);
+        assert_eq!(payloads(&replay), vec![b"checkpoint".to_vec(), b"tail".to_vec()]);
         assert_eq!(replay.torn_records, 0);
         assert_eq!(wal2.next_seq(), 5);
     }
@@ -276,7 +367,7 @@ mod tests {
             torn_disk.set(full[..cut].to_vec());
             let (wal2, replay) = Wal::open(boxed(&torn_disk)).unwrap();
             assert_eq!(
-                replay.payloads,
+                payloads(&replay),
                 vec![b"keep-me-1".to_vec(), b"keep-me-2".to_vec()],
                 "cut at byte {cut}"
             );
@@ -310,8 +401,8 @@ mod tests {
             let (_, replay) = Wal::open(boxed(&torn_disk)).unwrap();
             // Either the corrupt record is rejected (flip in record 2) —
             // never silently accepted with altered content.
-            assert_eq!(replay.payloads[0], b"stable".to_vec(), "flip at byte {byte}");
-            if replay.payloads.len() > 1 {
+            assert_eq!(payloads(&replay)[0], b"stable".to_vec(), "flip at byte {byte}");
+            if replay.payloads().len() > 1 {
                 panic!("corrupt record at byte {byte} was accepted");
             }
             assert_eq!(replay.torn_records, 1);
@@ -362,7 +453,7 @@ mod tests {
         spliced.set(bytes);
 
         let (_, replay) = Wal::open(boxed(&spliced)).unwrap();
-        assert_eq!(replay.payloads, vec![b"log-a-1".to_vec(), b"log-a-2".to_vec()]);
+        assert_eq!(payloads(&replay), vec![b"log-a-1".to_vec(), b"log-a-2".to_vec()]);
         assert_eq!(replay.torn_records, 1);
     }
 }

@@ -198,9 +198,10 @@ pub(crate) struct FaultRun<'a> {
     /// Audit per-view strong consistency after every commit and recovery.
     pub audit: bool,
     /// For a warehouse with a WAL attached: the disk behind it (it outlives
-    /// every warehouse life) and the kill sequence, armed one plan at a
-    /// time — the first at start, the next after each recovery.
-    pub durable: Option<(&'a MemStorage, &'a [CrashPlan])>,
+    /// every warehouse life), the kill sequence, armed one plan at a time —
+    /// the first at start, the next after each recovery — and the log's
+    /// record-count checkpoint policy, re-applied to every recovered life.
+    pub durable: Option<(&'a MemStorage, &'a [CrashPlan], u64)>,
 }
 
 /// What a fault run did, plus the warehouse and port it ended with.
@@ -237,7 +238,7 @@ fn audit_views(wh: &Warehouse, space: &SourceSpace) -> u64 {
 /// killing and recovering it from its WAL at each planned power cut.
 pub(crate) fn drive(mut wh: Warehouse, mut fport: ChaosPort, run: &FaultRun<'_>) -> FaultOutcome {
     let init_versions = fport.inner().space().versions();
-    let mut plans = run.durable.map(|(_, kills)| kills).unwrap_or_default().iter();
+    let mut plans = run.durable.map(|(_, kills, _)| kills).unwrap_or_default().iter();
     if let Some(&plan) = plans.next() {
         wh.arm_crash(plan);
     }
@@ -276,13 +277,14 @@ pub(crate) fn drive(mut wh: Warehouse, mut fport: ChaosPort, run: &FaultRun<'_>)
         // doomed process may even have "committed" in memory — none of it
         // is durable past the cut, and the kill discards it.
         if wh.wal_power_cut() {
-            let (disk, _) = run.durable.expect("only an attached WAL can be cut");
+            let (disk, _, checkpoint_every) = run.durable.expect("only an attached WAL can be cut");
             kills += 1;
             drop(wh);
             let (port, transport) = fport.into_parts();
             wh = Warehouse::recover(Box::new(disk.clone()), run.info.clone(), run.obs.clone())
                 .expect("a cut log always holds its initial checkpoint")
                 .0;
+            wh.set_checkpoint_every(checkpoint_every);
             // Resubscription baseline: pre-wrap versions overlaid with the
             // recovered admission marks.
             let mut baseline = init_versions.clone();

@@ -192,7 +192,7 @@ pub fn run_crash_chaos(cfg: &CrashConfig) -> CrashReport {
         seed: cfg.seed,
         max_steps: cfg.max_steps,
         audit: cfg.audit,
-        durable: Some((&disk, &cfg.kills)),
+        durable: Some((&disk, &cfg.kills, cfg.checkpoint_every)),
     };
     let baseline = port.space().versions();
     let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);

@@ -243,7 +243,7 @@ pub fn run_multiview(cfg: &MultiViewConfig) -> MultiViewReport {
         seed: cfg.seed,
         max_steps: cfg.max_steps,
         audit: cfg.audit,
-        durable: durable.then_some((&disk, &cfg.kills)),
+        durable: durable.then_some((&disk, &cfg.kills, cfg.checkpoint_every)),
     };
     let baseline = port.space().versions();
     let transport = ChaosTransport::new(cfg.profile, cfg.seed).with_obs(&obs);

@@ -317,6 +317,7 @@ fn restart(
     r: usize,
     net: &mut PeerNet<Vec<u8>>,
     key_cols: Vec<usize>,
+    checkpoint_every: u64,
     now: u64,
 ) -> Result<(), String> {
     let n = peers.len();
@@ -324,6 +325,7 @@ fn restart(
     let info = p.port.space().info().clone();
     let (mut wh, _report) = Warehouse::recover(Box::new(p.disk.clone()), info, p.obs.clone())
         .map_err(|e| e.to_string())?;
+    wh.set_checkpoint_every(checkpoint_every);
     wh.enable_replication();
     let ext = wh.replica_ext().to_vec();
     let tail = wh.take_replica_tail();
@@ -456,7 +458,14 @@ pub fn run_replicated(cfg: &ReplicaConfig) -> ReplicaReport {
                     killed = true;
                     kills += 1;
                     drop(out);
-                    if let Err(e) = restart(&mut peers, r, &mut net, key_cols.clone(), now) {
+                    if let Err(e) = restart(
+                        &mut peers,
+                        r,
+                        &mut net,
+                        key_cols.clone(),
+                        cfg.checkpoint_every,
+                        now,
+                    ) {
                         last_error = Some(e);
                         break 'drive;
                     }

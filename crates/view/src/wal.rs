@@ -4,7 +4,7 @@
 //!
 //! | tag | record | written |
 //! |---|---|---|
-//! | 1 | `Checkpoint(DurableState)` | at attach, periodically, and at the end of every recovery (as a [`Wal::rewrite`], truncating the log) |
+//! | 1 | `Checkpoint(DurableState)` | at attach, whenever the tail has grown as large as the last checkpoint (see [`DurableLog::should_checkpoint`]), and at the end of every recovery (as a [`Wal::rewrite`], truncating the log) |
 //! | 2 | `Admitted(UpdateMeta)` | when the ingress gate admits a message to the UMQ |
 //! | 3 | `Intent{keys, has_sc}` | immediately **before** a batch's maintenance executes |
 //! | 4 | `Applied{keys, changes, reflected}` | immediately **after** the in-memory commit of a batch, as **one** record covering every view |
@@ -110,6 +110,61 @@ pub struct DurableState {
     /// records with its closing checkpoint, so the engine must fold the
     /// tail and re-checkpoint before normal operation resumes.
     pub tail: Vec<ReplicaTailEvent>,
+}
+
+/// A checkpoint's content borrowed from wherever it lives — the running
+/// warehouse's slots and queue, or a decoded [`DurableState`]. The one
+/// checkpoint encoder takes this form, so the extents and queued messages
+/// are never copied on their way into the log.
+pub(crate) struct StateRef<'a> {
+    pub strategy: Strategy,
+    pub policy: CorrectionPolicy,
+    pub adaptation: AdaptationMode,
+    pub dedupe: bool,
+    pub views: Vec<ViewRef<'a>>,
+    pub reflected: Vec<(u32, u64)>,
+    pub marks: Vec<(u32, u64)>,
+    pub batches: Vec<&'a [UpdateMeta<UpdateMessage>]>,
+    pub sc_flag: bool,
+    pub ext: &'a [u8],
+}
+
+/// One view of a [`StateRef`]; field for field a borrowed [`ViewState`].
+pub(crate) struct ViewRef<'a> {
+    pub sql: String,
+    pub cols: &'a [String],
+    pub extent: &'a SignedBag,
+    pub reflected: Vec<(u32, u64)>,
+    pub deferred: Vec<&'a [UpdateMeta<UpdateMessage>]>,
+    pub tier: u8,
+}
+
+impl DurableState {
+    fn as_ref(&self) -> StateRef<'_> {
+        StateRef {
+            strategy: self.strategy,
+            policy: self.policy,
+            adaptation: self.adaptation,
+            dedupe: self.dedupe,
+            views: self
+                .views
+                .iter()
+                .map(|v| ViewRef {
+                    sql: v.sql.clone(),
+                    cols: &v.cols,
+                    extent: &v.extent,
+                    reflected: v.reflected.clone(),
+                    deferred: v.deferred.iter().map(Vec::as_slice).collect(),
+                    tier: v.tier,
+                })
+                .collect(),
+            reflected: self.reflected.clone(),
+            marks: self.marks.clone(),
+            batches: self.batches.iter().map(Vec::as_slice).collect(),
+            sc_flag: self.sc_flag,
+            ext: &self.ext,
+        }
+    }
 }
 
 /// One post-checkpoint replication event surfaced to the engine by replay
@@ -279,8 +334,20 @@ const TAG_REPLICA: u8 = 5;
 const REPL_PUBLISHED: u8 = 0;
 const REPL_REMOTE: u8 = 1;
 
-/// Default checkpoint policy: snapshot after this many appended records.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 64;
+/// Below this many tail bytes the size rule never fires, so a warehouse
+/// whose whole snapshot is a few hundred bytes does not compact every third
+/// record.
+const COMPACT_FLOOR_BYTES: u64 = 16 * 1024;
+
+/// When the log compacts itself into a fresh checkpoint.
+#[derive(Debug, Clone, Copy)]
+enum CheckpointPolicy {
+    /// The tail has grown as large as the checkpoint it follows.
+    TailOutgrowsSnapshot,
+    /// A fixed number of records were appended (seeded crash grids pin
+    /// their kill points to this cadence).
+    EveryRecords(u64),
+}
 
 /// The commit-protocol log: typed records over a [`Wal`], plus the armed
 /// power-cut machinery for crash testing.
@@ -292,7 +359,7 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 64;
 #[derive(Debug, Clone)]
 pub struct DurableLog {
     wal: Wal,
-    checkpoint_every: u64,
+    policy: CheckpointPolicy,
     appends_since_ckpt: u64,
     plan: Option<CrashPlan>,
     cut: bool,
@@ -307,23 +374,34 @@ enum RecordKind {
 }
 
 impl DurableLog {
-    /// Starts a fresh log on `storage` (erasing prior content).
-    pub fn create(storage: Box<dyn Storage>) -> Result<Self, WalError> {
-        Ok(DurableLog {
-            wal: Wal::create(storage)?,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+    fn over(wal: Wal) -> Self {
+        DurableLog {
+            wal,
+            policy: CheckpointPolicy::TailOutgrowsSnapshot,
             appends_since_ckpt: 0,
             plan: None,
             cut: false,
             obs: Collector::disabled(),
-        })
+        }
+    }
+
+    /// Starts a fresh log on `storage` (erasing prior content).
+    pub fn create(storage: Box<dyn Storage>) -> Result<Self, WalError> {
+        Ok(Self::over(Wal::create(storage)?))
     }
 
     /// Overrides the checkpoint policy: snapshot after `n` appended records
     /// (`u64::MAX` disables periodic checkpoints).
     pub fn with_checkpoint_every(mut self, n: u64) -> Self {
-        self.checkpoint_every = n.max(1);
+        self.set_checkpoint_every(n);
         self
+    }
+
+    /// [`DurableLog::with_checkpoint_every`] on a log already in use — a
+    /// recovered log starts at the default policy, whatever its previous
+    /// life ran with (the policy is configuration, not logged state).
+    pub fn set_checkpoint_every(&mut self, n: u64) {
+        self.policy = CheckpointPolicy::EveryRecords(n.max(1));
     }
 
     /// Binds `wal.*` counters into a collector's registry.
@@ -346,14 +424,20 @@ impl DurableLog {
     /// Current log size in bytes (0 after a cut is *not* implied — the cut
     /// only stops new writes).
     pub fn len_bytes(&self) -> u64 {
-        self.wal.len_bytes().unwrap_or(0)
+        self.wal.len_bytes()
     }
 
-    fn append(&mut self, kind: RecordKind, payload: &[u8]) {
+    /// Framed size of the checkpoint record the log currently starts with.
+    pub fn snapshot_bytes(&self) -> u64 {
+        self.wal.head_bytes()
+    }
+
+    /// Appends one record, its payload encoded in the WAL's frame buffer.
+    fn append(&mut self, kind: RecordKind, encode: impl FnOnce(&mut Enc)) {
         if self.cut {
             return;
         }
-        if self.wal.append(payload).is_err() {
+        if self.wal.append_with(encode).is_err() {
             self.cut = true;
             return;
         }
@@ -383,27 +467,27 @@ impl DurableLog {
     /// Logs one gate-admitted message (with its classification) before it
     /// enters the UMQ.
     pub fn log_admitted(&mut self, meta: &UpdateMeta<UpdateMessage>) {
-        let mut e = Enc::new();
-        e.u8(TAG_ADMITTED);
-        core_wire::enc_meta(&mut e, meta, src_wire::enc_message);
-        self.append(RecordKind::Admitted, &e.finish());
+        self.append(RecordKind::Admitted, |e| {
+            e.u8(TAG_ADMITTED);
+            core_wire::enc_meta(e, meta, src_wire::enc_message);
+        });
     }
 
     /// Logs the intent to maintain a batch, before any query runs.
     pub fn log_intent(&mut self, keys: &[u64], has_sc: bool) {
-        let mut e = Enc::new();
-        e.u8(TAG_INTENT);
-        enc_seq(&mut e, keys, |e, k| e.u64(*k));
-        e.bool(has_sc);
-        self.append(RecordKind::Intent { batch_len: keys.len(), has_sc }, &e.finish());
+        self.append(RecordKind::Intent { batch_len: keys.len(), has_sc }, |e| {
+            e.u8(TAG_INTENT);
+            enc_seq(e, keys, |e, k| e.u64(*k));
+            e.bool(has_sc);
+        });
     }
 
     /// Logs a completed commit — one atomic record across every view.
     pub fn log_applied(&mut self, rec: &AppliedRecord) {
-        let mut e = Enc::new();
-        e.u8(TAG_APPLIED);
-        enc_applied(&mut e, rec);
-        self.append(RecordKind::Applied, &e.finish());
+        self.append(RecordKind::Applied, |e| {
+            e.u8(TAG_APPLIED);
+            enc_applied(e, rec);
+        });
     }
 
     /// Logs the engine-encoded publish event for a commit — written
@@ -411,11 +495,11 @@ impl DurableLog {
     /// record re-sends (receivers dedupe by sequence) rather than assigning
     /// the same sequences to different bodies.
     pub fn log_replica_published(&mut self, bytes: &[u8]) {
-        let mut e = Enc::new();
-        e.u8(TAG_REPLICA);
-        e.u8(REPL_PUBLISHED);
-        e.bytes(bytes);
-        self.append(RecordKind::Replica, &e.finish());
+        self.append(RecordKind::Replica, |e| {
+            e.u8(TAG_REPLICA);
+            e.u8(REPL_PUBLISHED);
+            e.bytes(bytes);
+        });
     }
 
     /// Logs one received peer delta and its resolution. Replay folds an
@@ -430,33 +514,59 @@ impl DurableLog {
         applied: bool,
         bytes: &[u8],
     ) {
-        let mut e = Enc::new();
-        e.u8(TAG_REPLICA);
-        e.u8(REPL_REMOTE);
-        e.u32(view);
-        e.u32(key_col);
-        rel_wire::enc_value(&mut e, key);
-        rel_wire::enc_bag(&mut e, post);
-        e.bool(applied);
-        e.bytes(bytes);
-        self.append(RecordKind::Replica, &e.finish());
+        self.append(RecordKind::Replica, |e| {
+            e.u8(TAG_REPLICA);
+            e.u8(REPL_REMOTE);
+            e.u32(view);
+            e.u32(key_col);
+            rel_wire::enc_value(e, key);
+            rel_wire::enc_bag(e, post);
+            e.bool(applied);
+            e.bytes(bytes);
+        });
     }
 
-    /// True when the size/record-count policy says it is checkpoint time.
+    /// True when the log should be compacted into a fresh checkpoint.
+    ///
+    /// By default that is when the tail appended since the last checkpoint
+    /// has reached that checkpoint's own size `S` (or a small floor, for a
+    /// near-empty warehouse). Every rewrite of a snapshot is then paid for
+    /// by at least as many bytes of records, which bounds three things at
+    /// once: the log holds less than `2·S + floor` bytes whenever a step
+    /// ends, the bytes ever written stay under twice the record bytes plus
+    /// one snapshot, and recovery never replays a tail longer than the
+    /// snapshot it follows. A log built
+    /// [`DurableLog::with_checkpoint_every`] counts records instead.
     pub fn should_checkpoint(&self) -> bool {
-        !self.cut && self.appends_since_ckpt >= self.checkpoint_every
+        if self.cut {
+            return false;
+        }
+        match self.policy {
+            CheckpointPolicy::TailOutgrowsSnapshot => {
+                let snapshot = self.wal.head_bytes();
+                self.wal.len_bytes() - snapshot >= snapshot.max(COMPACT_FLOOR_BYTES)
+            }
+            CheckpointPolicy::EveryRecords(n) => self.appends_since_ckpt >= n,
+        }
     }
 
     /// Writes a checkpoint, atomically truncating the log to that single
     /// record (sequence numbers keep counting).
     pub fn checkpoint(&mut self, state: &DurableState) {
+        self.checkpoint_ref(&state.as_ref());
+    }
+
+    /// [`DurableLog::checkpoint`] straight from borrowed live state: the
+    /// image is encoded once, into the WAL's frame buffer.
+    pub(crate) fn checkpoint_ref(&mut self, state: &StateRef<'_>) {
         if self.cut {
             return;
         }
-        let mut e = Enc::new();
-        e.u8(TAG_CHECKPOINT);
-        enc_state(&mut e, state);
-        if self.wal.rewrite(&e.finish()).is_err() {
+        let written = self.wal.rewrite_with(|e| {
+            e.u8(TAG_CHECKPOINT);
+            enc_state(e, state);
+        });
+        if written.is_err() {
             self.cut = true;
             return;
         }
@@ -476,7 +586,7 @@ pub fn recover(
     let (wal, replay) = Wal::open(storage)?;
     let _span = obs.span(
         "recover.replay",
-        &[field("records", replay.payloads.len()), field("torn_bytes", replay.torn_bytes)],
+        &[field("records", replay.payloads().len()), field("torn_bytes", replay.torn_bytes)],
     );
     let mut report = RecoverReport {
         torn_records: replay.torn_records,
@@ -486,7 +596,7 @@ pub fn recover(
     let mut state: Option<DurableState> = None;
     let mut open_intents: Vec<Vec<u64>> = Vec::new();
 
-    'replay: for payload in &replay.payloads {
+    'replay: for payload in replay.payloads() {
         let mut d = Dec::new(payload);
         let parsed: Result<(), WireError> = (|| {
             match d.u8()? {
@@ -515,22 +625,8 @@ pub fn recover(
                     let st = state
                         .as_mut()
                         .ok_or_else(|| WireError::Invalid("record before checkpoint".into()))?;
-                    apply_record(st, &rec)?;
-                    st.tail.push(ReplicaTailEvent::Applied {
-                        keys: rec.keys.clone(),
-                        rows: rec
-                            .changes
-                            .iter()
-                            .map(|c| match c {
-                                AppliedChange::Delta { rows }
-                                | AppliedChange::Incremental { rows, .. } => rows.clone(),
-                                AppliedChange::Replace { extent, .. } => extent.clone(),
-                                AppliedChange::Skipped | AppliedChange::Deferred => {
-                                    SignedBag::new()
-                                }
-                            })
-                            .collect(),
-                    });
+                    let event = apply_record(st, rec)?;
+                    st.tail.push(event);
                     open_intents.clear();
                 }
                 TAG_REPLICA => {
@@ -590,14 +686,7 @@ pub fn recover(
     obs.counter("recover.torn_records").add(report.torn_records);
     obs.counter("recover.reparked_intents").add(report.reparked_intents);
 
-    let mut log = DurableLog {
-        wal,
-        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        appends_since_ckpt: 0,
-        plan: None,
-        cut: false,
-        obs: obs.clone(),
-    };
+    let mut log = DurableLog::over(wal);
     log.bind_obs(obs);
     // Recovery commits its result durably: the torn tail is truncated away
     // and a second recovery from the same storage replays exactly this
@@ -633,8 +722,9 @@ fn bump_mark(marks: &mut Vec<(u32, u64)>, source: u32, version: u64) {
 }
 
 /// Folds one `Applied` record into the replayed state — the replay-side
-/// mirror of the in-memory commit it describes.
-fn apply_record(st: &mut DurableState, rec: &AppliedRecord) -> Result<(), WireError> {
+/// mirror of the in-memory commit it describes — and hands its rows on as
+/// the tail event the replication engine pairs with `Published`.
+fn apply_record(st: &mut DurableState, rec: AppliedRecord) -> Result<ReplicaTailEvent, WireError> {
     if rec.changes.len() != st.views.len() {
         return Err(WireError::Invalid(format!(
             "applied record covers {} views, state has {}",
@@ -652,20 +742,39 @@ fn apply_record(st: &mut DurableState, rec: &AppliedRecord) -> Result<(), WireEr
     // A deferring view takes its copy of the batch from the queue *before*
     // the committed keys are removed from it.
     let deferred_batch: Vec<UpdateMeta<UpdateMessage>> =
-        st.batches.iter().flatten().filter(|m| rec.keys.contains(&m.key.0)).cloned().collect();
-    for (view, change) in st.views.iter_mut().zip(&rec.changes) {
-        match change {
-            AppliedChange::Delta { rows } => view.extent.merge(rows),
+        if rec.changes.iter().any(|c| matches!(c, AppliedChange::Deferred)) {
+            st.batches.iter().flatten().filter(|m| rec.keys.contains(&m.key.0)).cloned().collect()
+        } else {
+            Vec::new()
+        };
+    let mut rows = Vec::with_capacity(rec.changes.len());
+    for (view, change) in st.views.iter_mut().zip(rec.changes) {
+        // A materializing change resolves the keys from this view's own
+        // deferred queue too (the per-view drain commits deferred batches
+        // through the same record shape, the peers marked `Skipped`).
+        if !matches!(change, AppliedChange::Skipped | AppliedChange::Deferred) {
+            for batch in &mut view.deferred {
+                batch.retain(|m| !rec.keys.contains(&m.key.0));
+            }
+            view.deferred.retain(|b| !b.is_empty());
+        }
+        rows.push(match change {
+            AppliedChange::Delta { rows } => {
+                view.extent.merge(&rows);
+                rows
+            }
             AppliedChange::Replace { sql, cols, extent } => {
-                view.sql = sql.clone();
-                view.cols = cols.clone();
+                view.sql = sql;
+                view.cols = cols;
                 view.extent = extent.clone();
+                extent
             }
             AppliedChange::Incremental { sql, rows } => {
-                view.sql = sql.clone();
-                view.extent.merge(rows);
+                view.sql = sql;
+                view.extent.merge(&rows);
+                rows
             }
-            AppliedChange::Skipped => {}
+            AppliedChange::Skipped => SignedBag::new(),
             AppliedChange::Deferred => {
                 if deferred_batch.is_empty() {
                     return Err(WireError::Invalid(
@@ -673,36 +782,36 @@ fn apply_record(st: &mut DurableState, rec: &AppliedRecord) -> Result<(), WireEr
                     ));
                 }
                 view.deferred.push(deferred_batch.clone());
+                SignedBag::new()
             }
-        }
-        // A materializing change resolves the keys from this view's own
-        // deferred queue too (the per-view drain commits deferred batches
-        // through the same record shape, the peers marked `Skipped`).
-        if matches!(
-            change,
-            AppliedChange::Delta { .. }
-                | AppliedChange::Replace { .. }
-                | AppliedChange::Incremental { .. }
-        ) {
-            for batch in &mut view.deferred {
-                batch.retain(|m| !rec.keys.contains(&m.key.0));
-            }
-            view.deferred.retain(|b| !b.is_empty());
-        }
+        });
     }
-    for (view, vr) in st.views.iter_mut().zip(&rec.view_reflected) {
-        view.reflected = vr.clone();
+    for (view, vr) in st.views.iter_mut().zip(rec.view_reflected) {
+        view.reflected = vr;
     }
-    st.reflected = rec.reflected.clone();
+    st.reflected = rec.reflected;
     // The committed batch leaves the queue.
     for batch in &mut st.batches {
         batch.retain(|m| !rec.keys.contains(&m.key.0));
     }
     st.batches.retain(|b| !b.is_empty());
-    Ok(())
+    Ok(ReplicaTailEvent::Applied { keys: rec.keys, rows })
 }
 
-fn enc_state(e: &mut Enc, st: &DurableState) {
+fn enc_versions(e: &mut Enc, versions: &[(u32, u64)]) {
+    enc_seq(e, versions, |e, (s, v)| {
+        e.u32(*s);
+        e.u64(*v);
+    });
+}
+
+fn enc_batches(e: &mut Enc, batches: &[&[UpdateMeta<UpdateMessage>]]) {
+    enc_seq(e, batches, |e, batch| {
+        enc_seq(e, batch, |e, m| core_wire::enc_meta(e, m, src_wire::enc_message));
+    });
+}
+
+fn enc_state(e: &mut Enc, st: &StateRef<'_>) {
     core_wire::enc_strategy(e, st.strategy);
     core_wire::enc_policy(e, st.policy);
     e.u8(match st.adaptation {
@@ -712,30 +821,17 @@ fn enc_state(e: &mut Enc, st: &DurableState) {
     e.bool(st.dedupe);
     enc_seq(e, &st.views, |e, v| {
         e.str(&v.sql);
-        enc_seq(e, &v.cols, |e, c| e.str(c));
-        rel_wire::enc_bag(e, &v.extent);
-        enc_seq(e, &v.reflected, |e, (s, ver)| {
-            e.u32(*s);
-            e.u64(*ver);
-        });
-        enc_seq(e, &v.deferred, |e, batch| {
-            enc_seq(e, batch, |e, m| core_wire::enc_meta(e, m, src_wire::enc_message));
-        });
+        enc_seq(e, v.cols, |e, c| e.str(c));
+        rel_wire::enc_bag(e, v.extent);
+        enc_versions(e, &v.reflected);
+        enc_batches(e, &v.deferred);
         e.u8(v.tier);
     });
-    enc_seq(e, &st.reflected, |e, (s, v)| {
-        e.u32(*s);
-        e.u64(*v);
-    });
-    enc_seq(e, &st.marks, |e, (s, v)| {
-        e.u32(*s);
-        e.u64(*v);
-    });
-    enc_seq(e, &st.batches, |e, batch| {
-        enc_seq(e, batch, |e, m| core_wire::enc_meta(e, m, src_wire::enc_message));
-    });
+    enc_versions(e, &st.reflected);
+    enc_versions(e, &st.marks);
+    enc_batches(e, &st.batches);
     e.bool(st.sc_flag);
-    e.bytes(&st.ext);
+    e.bytes(st.ext);
 }
 
 fn dec_state(d: &mut Dec<'_>) -> Result<DurableState, WireError> {
@@ -800,16 +896,8 @@ fn enc_applied(e: &mut Enc, rec: &AppliedRecord) {
         AppliedChange::Skipped => e.u8(3),
         AppliedChange::Deferred => e.u8(4),
     });
-    enc_seq(e, &rec.reflected, |e, (s, v)| {
-        e.u32(*s);
-        e.u64(*v);
-    });
-    enc_seq(e, &rec.view_reflected, |e, vr| {
-        enc_seq(e, vr, |e, (s, v)| {
-            e.u32(*s);
-            e.u64(*v);
-        });
-    });
+    enc_versions(e, &rec.reflected);
+    enc_seq(e, &rec.view_reflected, |e, vr| enc_versions(e, vr));
 }
 
 fn dec_applied(d: &mut Dec<'_>) -> Result<AppliedRecord, WireError> {
@@ -1152,6 +1240,49 @@ mod tests {
             recovered.tail,
             vec![ReplicaTailEvent::Applied { keys: vec![7], rows: vec![bag(&[4])] }]
         );
+    }
+
+    #[test]
+    fn compaction_follows_the_tail_to_snapshot_ratio_unless_a_count_is_pinned() {
+        let disk = MemStorage::new();
+        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
+        let mut st = sample_state();
+        st.ext = vec![7; 3 * COMPACT_FLOOR_BYTES as usize];
+        log.checkpoint(&st);
+        let snapshot = log.snapshot_bytes();
+        assert_eq!((log.len_bytes(), snapshot), (disk.snapshot().len() as u64, snapshot));
+        assert!(snapshot > 3 * COMPACT_FLOOR_BYTES);
+        while log.len_bytes() < 2 * snapshot {
+            assert!(!log.should_checkpoint(), "tail {} B", log.len_bytes() - snapshot);
+            log.log_replica_published(&[0; 4096]);
+        }
+        assert!(log.should_checkpoint(), "the tail has reached the snapshot's size");
+
+        // A near-empty snapshot waits for the floor instead.
+        log.checkpoint(&sample_state());
+        assert!(log.snapshot_bytes() < 1024);
+        log.log_replica_published(&[0; 4096]);
+        assert!(!log.should_checkpoint(), "4 KiB of tail over a sub-KiB snapshot");
+        log.log_replica_published(&[0; COMPACT_FLOOR_BYTES as usize]);
+        assert!(log.should_checkpoint());
+
+        // A pinned count ignores sizes…
+        log.set_checkpoint_every(3);
+        assert!(!log.should_checkpoint(), "two records, whatever their size");
+        log.log_intent(&[3], false);
+        assert!(log.should_checkpoint());
+        log.checkpoint(&st);
+
+        // …and is configuration, not state: the recovered log is back on
+        // the size rule, its sizes re-seeded by the closing checkpoint.
+        let (mut back, _, _) = recover(Box::new(disk.clone()), &Collector::disabled()).unwrap();
+        assert_eq!((back.len_bytes(), back.snapshot_bytes()), (snapshot, snapshot));
+        for key in 0..3 {
+            back.log_intent(&[key], false);
+        }
+        assert!(!back.should_checkpoint());
+        back.set_checkpoint_every(3);
+        assert!(back.should_checkpoint());
     }
 
     #[test]

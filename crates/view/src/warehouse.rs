@@ -39,8 +39,8 @@ use crate::viewdef::ViewDefinition;
 use crate::vm::{prof_op, prof_start, sweep_maintain_shared, Prof};
 use crate::vs::VsError;
 use crate::wal::{
-    sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, DurableState,
-    RecoverError, RecoverReport, ReplicaTailEvent, ViewState,
+    sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, RecoverError,
+    RecoverReport, ReplicaTailEvent, StateRef, ViewRef,
 };
 
 /// Hard (non-retryable) view-management failures.
@@ -466,9 +466,13 @@ impl Warehouse {
         Ok(self)
     }
 
-    /// Snapshots everything recovery needs into a [`DurableState`].
-    fn durable_state(&self) -> DurableState {
-        DurableState {
+    /// Forces a checkpoint now (no-op without a WAL or after a power cut).
+    /// The image is encoded straight from the live slots, queue and
+    /// deferred batches: the only copy of an extent the checkpoint makes is
+    /// the one that lands on storage.
+    pub fn checkpoint_now(&mut self) {
+        let Some(log) = self.wal.as_mut() else { return };
+        log.checkpoint_ref(&StateRef {
             strategy: self.dyno.strategy(),
             policy: self.dyno.policy(),
             adaptation: self.adaptation,
@@ -476,32 +480,38 @@ impl Warehouse {
             views: self
                 .slots
                 .iter()
-                .map(|s| ViewState {
+                .map(|s| ViewRef {
                     sql: s.view.to_string(),
-                    cols: s.mv.cols().to_vec(),
-                    extent: s.mv.extent().clone(),
+                    cols: s.mv.cols(),
+                    extent: s.mv.extent(),
                     reflected: s.sorted_reflected(),
-                    deferred: s.deferred.iter().cloned().collect(),
+                    deferred: s.deferred.iter().map(Vec::as_slice).collect(),
                     tier: s.tier,
                 })
                 .collect(),
             reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
             marks: self.ingress.marks(),
-            batches: self.umq.nodes().iter().map(|b| b.to_vec()).collect(),
+            batches: self.umq.nodes(),
             sc_flag: self.umq.schema_change_flag(),
-            ext: self.replica_ext.clone(),
-            tail: Vec::new(),
+            ext: &self.replica_ext,
+        });
+    }
+
+    /// Pins the attached log to checkpointing every `n` appended records
+    /// instead of by size (see [`DurableLog::with_checkpoint_every`]). The
+    /// policy is configuration, not logged state: a warehouse built by
+    /// [`Warehouse::recover`] starts at the default, and a caller that ran
+    /// its previous life with an explicit count re-applies it here. No-op
+    /// without a WAL.
+    pub fn set_checkpoint_every(&mut self, n: u64) {
+        if let Some(log) = self.wal.as_mut() {
+            log.set_checkpoint_every(n);
         }
     }
 
-    /// Forces a checkpoint now (no-op without a WAL or after a power cut).
-    pub fn checkpoint_now(&mut self) {
-        if self.wal.is_some() {
-            let state = self.durable_state();
-            if let Some(log) = self.wal.as_mut() {
-                log.checkpoint(&state);
-            }
-        }
+    /// The attached log, for reading its size accounting.
+    pub fn wal(&self) -> Option<&DurableLog> {
+        self.wal.as_ref()
     }
 
     /// Arms a deterministic power cut on the attached WAL (chaos testing).
@@ -540,15 +550,15 @@ impl Warehouse {
         dyno.set_policy(state.policy);
         let mut slots = Vec::with_capacity(state.views.len());
         let mut dag = ViewDag::new();
-        for (idx, vs) in state.views.iter().enumerate() {
+        for (idx, vs) in state.views.into_iter().enumerate() {
             let view = ViewDefinition::parse(&vs.sql, "view")
                 .map_err(|e| RecoverError::Corrupt(format!("checkpointed view sql: {e}")))?;
             let mut slot = ViewSlot::new(view, vs.tier);
             slot.mv
-                .replace(vs.cols.clone(), vs.extent.clone())
+                .replace(vs.cols, vs.extent)
                 .map_err(|e| RecoverError::Corrupt(format!("checkpointed extent: {e}")))?;
             slot.reflected = vs.reflected.iter().map(|&(s, v)| (SourceId(s), v)).collect();
-            slot.deferred = vs.deferred.iter().cloned().collect();
+            slot.deferred = vs.deferred.into();
             // The sources a view reads are exactly the ones it reflects.
             slot.sources = vs.reflected.iter().map(|&(s, _)| s).collect();
             dag.add_view(idx, &slot.sources, slot.tier);
@@ -588,8 +598,8 @@ impl Warehouse {
             exec: ExecCounters::registered(&obs2),
             replicate: false,
             publish: Vec::new(),
-            replica_ext: state.ext.clone(),
-            replica_tail: state.tail.clone(),
+            replica_ext: state.ext,
+            replica_tail: state.tail,
         };
         Ok((wh, report))
     }
@@ -613,7 +623,7 @@ impl Warehouse {
     }
 
     /// Stores the engine's encoded snapshot; carried in every later
-    /// checkpoint (see [`DurableState::ext`]).
+    /// checkpoint (see [`DurableState::ext`](crate::wal::DurableState::ext)).
     pub fn set_replica_ext(&mut self, ext: Vec<u8>) {
         self.replica_ext = ext;
     }
@@ -703,8 +713,8 @@ impl Warehouse {
         Ok(delta)
     }
 
-    /// Checkpoints when the record-count policy says so **and** no commit
-    /// is awaiting publication (the engine calls this after draining).
+    /// Checkpoints when the log's policy says so **and** no commit is
+    /// awaiting publication (the engine calls this after draining).
     pub fn maybe_checkpoint(&mut self) {
         if self.publish.is_empty() && self.wal.as_ref().is_some_and(DurableLog::should_checkpoint) {
             self.checkpoint_now();
@@ -2456,6 +2466,58 @@ mod tests {
         assert_eq!(report.torn_records, 0);
         assert_eq!(back.view_count(), 2);
         assert_eq!(back.mv(0).len(), 2, "post-drop maintenance survived recovery");
+    }
+
+    #[test]
+    fn checkpoint_from_live_state_equals_the_one_rewritten_from_its_decoded_form() {
+        // The live checkpoint is encoded from borrowed slots, queue nodes
+        // and deferred batches; recovery's closing checkpoint is encoded
+        // from the owned `DurableState` it decoded. Same bytes, with every
+        // optional part of the image present: a deferred batch, a merged
+        // UMQ node behind a plain one, and a replication snapshot.
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let disk = dyno_durable::MemStorage::new();
+        let mut port = DownPort::new(InProcessPort::new(space));
+        let mut wh = Warehouse::new(info.clone(), Strategy::Pessimistic);
+        wh.add_view(bookinfo_view());
+        wh.add_view(pricelist_view());
+        wh.initialize(&mut port).unwrap();
+        let mut wh =
+            wh.with_wal(DurableLog::create(Box::new(disk.clone())).unwrap()).expect("no bound");
+        wh.set_replica_ext(vec![0xDE, 0xAD, 0xBE, 0xEF]);
+
+        port.down.insert("Catalog".into());
+        commit_guide(&mut port.inner);
+        wh.step(&mut port).unwrap();
+        assert_eq!(wh.deferred_len(0), 1, "BookInfo deferred the insert");
+        // Correction merges an insert with the restructuring that
+        // invalidates it; with the Retailer down as well no view can
+        // maintain the merged node, so it parks at the head of the queue.
+        for rel in ["Store", "Item", "StoreItems"] {
+            port.down.insert(rel.into());
+        }
+        port.inner
+            .commit(SourceId(0), SourceUpdate::Data(insert_item(11, "Guide", "Brook", 41)))
+            .unwrap();
+        commit_storeitems(&mut port.inner);
+        wh.step(&mut port).unwrap();
+        let nodes: Vec<usize> = wh.umq.nodes().iter().map(|n| n.len()).collect();
+        assert!(nodes.iter().any(|&n| n > 1), "a merged node is queued: {nodes:?}");
+
+        let payload = |disk: &dyno_durable::MemStorage| -> Vec<u8> {
+            let (_, replay) = dyno_durable::Wal::open(Box::new(disk.clone())).unwrap();
+            let payloads: Vec<&[u8]> = replay.payloads().collect();
+            assert_eq!(payloads.len(), 1, "a checkpoint truncates the log");
+            payloads[0].to_vec()
+        };
+        wh.checkpoint_now();
+        let live = payload(&disk);
+        let (back, _) =
+            Warehouse::recover(Box::new(disk.clone()), info, Collector::wall()).unwrap();
+        assert_eq!(payload(&disk), live);
+        assert_eq!(back.replica_ext(), [0xDE, 0xAD, 0xBE, 0xEF]);
+        assert_eq!(back.deferred_len(0), 1);
     }
 
     #[test]

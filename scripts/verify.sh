@@ -218,6 +218,32 @@ torn_total="$(awk -F= '/recover.torn_records=/ { n += $NF } END { print n+0 }' "
 test "$torn_total" -eq 0
 echo "wal.kills = $kills_total, recover.torn_records = $torn_total" \
      "(over $(wc -l < "$crash_summary") runs)"
+# Every grid above pins `checkpoint_every`. tests/wal_compaction_props.rs
+# runs the default policy instead — its kill-restart seed
+# (`size_rule_is_crossed_before_and_after_a_power_cut`) crosses the size
+# rule on both sides of a power cut — along with the 2x bounds, the CRC
+# differential and the parent-format fixture; in release, because the CRC
+# and framing paths are what release builds inline.
+timeout 600 cargo test -q --release --offline --test wal_compaction_props
+
+echo "== WAL compaction bound on the recovery sweep's default-policy rows =="
+# A log the size rule maintains never exceeds two snapshots plus the rule's
+# floor (COMPACT_FLOOR_BYTES in crates/view/src/wal.rs).
+DYNO_BENCH_MS=20 cargo run -q --release --offline -p dyno-bench --bin recover -- \
+    --json "$out/recover.jsonl" >/dev/null
+compact_floor=16384
+auto_rows=0
+while IFS= read -r row; do
+    log_bytes="$(grep -o '"log_bytes":[0-9]*' <<<"$row" | grep -o '[0-9]*$')"
+    snapshot_bytes="$(grep -o '"snapshot_bytes":[0-9]*' <<<"$row" | grep -o '[0-9]*$')"
+    if [ "$log_bytes" -gt $((2 * snapshot_bytes + compact_floor)) ]; then
+        echo "recover: $row exceeds 2 x snapshot + $compact_floor B" >&2
+        exit 1
+    fi
+    auto_rows=$((auto_rows + 1))
+done < <(grep 'ckpt=auto' "$out/recover.jsonl")
+test "$auto_rows" -gt 0
+echo "recover: $auto_rows default-policy rows within 2 x snapshot + $compact_floor B"
 
 echo "== replication smoke (partitioned peer replicas, causal conflicts) =="
 # The replicated-warehouse suite (tests/replica_props.rs): N peer replicas
