@@ -1,7 +1,8 @@
 //! μ3: view-maintenance machinery — SWEEP incremental maintenance of one
 //! data update, Equation-6 incremental adaptation vs. full recompute,
-//! batch adaptation of a merged schema-change group, and the durable
-//! layer's three costs (checkpoint image, one `Applied` append, CRC).
+//! what a schema change costs (a rename's commit, one extent fetch, one
+//! batch adaptation), and the durable layer's three costs (checkpoint
+//! image, one `Applied` append, CRC).
 
 use std::collections::HashMap;
 
@@ -9,13 +10,17 @@ use dyno_bench::harness::Harness;
 use dyno_core::Strategy;
 use dyno_durable::storage::{Storage, StorageError};
 use dyno_durable::{crc32, MemStorage};
-use dyno_relational::{delta_join_probe, DataUpdate, Delta, SignedBag, SourceUpdate, Tuple, Value};
+use dyno_relational::{
+    delta_join_probe, DataUpdate, Delta, SchemaChange, SignedBag, SourceUpdate, SpjQuery, Tuple,
+    Value,
+};
 use dyno_sim::{build_testbed, TestbedConfig};
 use dyno_source::{SourceId, UpdateId, UpdateMessage};
 use dyno_view::wal::{AppliedChange, AppliedRecord};
 use dyno_view::{
-    equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_observed, BoundTable,
-    DurableLog, InProcessPort, LocalProvider, MaintPlan, PlanCache, Warehouse,
+    adapt_batch, equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_observed,
+    AdaptationMode, BoundTable, DurableLog, InProcessPort, LocalProvider, MaintPlan, PlanCache,
+    Warehouse,
 };
 
 fn cfg(tuples: usize) -> TestbedConfig {
@@ -210,6 +215,63 @@ fn bench_compensation(h: &mut Harness) {
     }
 }
 
+/// What a schema change costs, piece by piece — the `sc_storm` benchmark's
+/// round, taken apart. `source_commit_rename/N` is one relation rename
+/// committed at a source holding N-row relations: the relation is moved and
+/// nothing is pinned, so the two sizes must cost the same (`scripts/verify.sh`
+/// fails when the larger exceeds twice the smaller — the gate a per-commit
+/// copy of anything trips on any machine). `fetch_extent/2000x4` is one of
+/// the six whole-relation queries an adaptation ships (a single-table,
+/// predicate-free projection: one scan, bulk-built — the row behind
+/// `ZSet::project`'s bulk threshold). `adapt_batch_rename/6x2000` is the
+/// whole incremental adaptation of a merged batch (a data update and a
+/// rename) over the 6 × 2 000-row testbed: six such fetches plus Equation 6
+/// as a delta chain whose hops run against unindexed fetched states — the
+/// row behind `join_rows`' small-build-side threshold.
+fn bench_schema_change(h: &mut Harness) {
+    let rename = |from: &str, to: &str| {
+        SourceUpdate::Schema(SchemaChange::RenameRelation { from: from.into(), to: to.into() })
+    };
+    // Both source spaces are built before either row is timed and live
+    // until both are: a row that ran next to the other's teardown would
+    // allocate its log entries out of a freshly freed (and trimmed) heap.
+    let sizes = [2_000usize, 20_000];
+    let mut spaces = sizes.map(|n| build_testbed(&cfg(n)).0);
+    for (tuples, space) in sizes.iter().zip(&mut spaces) {
+        let server = space.server_mut(SourceId(0));
+        let mut flip = false;
+        h.bench(&format!("source_commit_rename/{tuples}"), || {
+            flip = !flip;
+            let (from, to) = if flip { ("R0", "R0x") } else { ("R0x", "R0") };
+            server.commit(rename(from, to)).expect("alternating renames apply")
+        });
+    }
+    drop(spaces);
+
+    let tb = cfg(2_000);
+    let (mut space, view) = build_testbed(&tb);
+    let fetch = tb
+        .schema(0)
+        .attrs()
+        .iter()
+        .fold(SpjQuery::over(["R0"]), |q, a| q.select("R0", &a.name))
+        .build();
+    {
+        let provider = space.provider();
+        h.bench("fetch_extent/2000x4", || dyno_relational::eval(&fetch, &provider).expect("R0"));
+    }
+
+    let du = space.commit(SourceId(0), SourceUpdate::Data(one_insert(&tb))).expect("valid");
+    let sc = space.commit(SourceId(0), rename("R1", "R1x")).expect("valid");
+    let info = space.info().clone();
+    let mut port = InProcessPort::new(space);
+    h.bench("adapt_batch_rename/6x2000", || {
+        adapt_batch(&view, &[&du, &sc], &[], &info, AdaptationMode::Auto, &mut port)
+            .0
+            .expect("a rename batch adapts")
+    });
+}
+
 /// A disk that keeps nothing, so an append-only bench does not spend its
 /// budget growing (and then paging) a buffer.
 #[derive(Debug, Clone, Default)]
@@ -283,6 +345,7 @@ fn main() {
         bench_sweep(&mut h);
         bench_equation6_vs_recompute(&mut h);
         bench_compensation(&mut h);
+        bench_schema_change(&mut h);
         bench_wal(&mut h);
     }
     h.finish();

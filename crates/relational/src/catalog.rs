@@ -132,14 +132,35 @@ impl Catalog {
     /// over, attribute changes rebuild them (dropping any index whose key
     /// attribute was dropped), and relation drops/replacements discard them.
     pub fn apply_schema_change(&mut self, sc: &SchemaChange) -> Result<(), RelationalError> {
-        self.apply_schema_change_inner(sc)?;
-        self.refresh_indexes_after(sc);
-        Ok(())
+        self.apply_schema_change_displacing(sc).map(drop)
     }
 
-    fn apply_schema_change_inner(&mut self, sc: &SchemaChange) -> Result<(), RelationalError> {
+    /// [`Catalog::apply_schema_change`], handing back what the change
+    /// **destroyed**: the relation a `DropAttribute` narrowed (as it was
+    /// before), the relation a `DropRelation` removed, every relation a
+    /// `ReplaceRelations` replaced. Every other change — renames,
+    /// `AddAttribute`, `CreateRelation` — can be undone from the change
+    /// itself and returns nothing. The pre-images are moved out, not copied;
+    /// a keeper of history (the source server) pins exactly these.
+    pub fn apply_schema_change_displacing(
+        &mut self,
+        sc: &SchemaChange,
+    ) -> Result<Vec<Relation>, RelationalError> {
+        let displaced = self.apply_schema_change_inner(sc)?;
+        self.refresh_indexes_after(sc);
+        Ok(displaced)
+    }
+
+    fn apply_schema_change_inner(
+        &mut self,
+        sc: &SchemaChange,
+    ) -> Result<Vec<Relation>, RelationalError> {
+        let unknown = |name: &String| RelationalError::UnknownRelation { relation: name.clone() };
         match sc {
-            SchemaChange::CreateRelation { schema } => self.create(schema.clone()),
+            SchemaChange::CreateRelation { schema } => {
+                self.create(schema.clone())?;
+                Ok(Vec::new())
+            }
             SchemaChange::ReplaceRelations { dropped, replacement } => {
                 for d in dropped {
                     // All dropped relations must exist, checked up front so a
@@ -153,41 +174,39 @@ impl Catalog {
                         relation: replacement.schema().relation.clone(),
                     });
                 }
-                for d in dropped {
-                    self.relations.remove(d);
-                }
-                self.add_relation((**replacement).clone())
+                let displaced = dropped.iter().filter_map(|d| self.relations.remove(d)).collect();
+                self.add_relation((**replacement).clone())?;
+                Ok(displaced)
             }
+            // Renames change no row: the relation is moved (or renamed where
+            // it sits), never copied.
             SchemaChange::RenameRelation { from, to } => {
                 if self.contains(to) {
                     return Err(RelationalError::DuplicateRelation { relation: to.clone() });
                 }
-                let rel = self.get(from)?;
-                let renamed = apply_to_relation(rel, sc)?.expect("rename keeps relation");
-                self.relations.remove(from);
-                self.relations.insert(to.clone(), renamed);
-                Ok(())
+                let mut rel = self.relations.remove(from).ok_or_else(|| unknown(from))?;
+                rel.set_schema(rel.schema().renamed(to.clone()));
+                self.relations.insert(to.clone(), rel);
+                Ok(Vec::new())
             }
-            _ => {
-                let name = sc
-                    .touched_relations()
-                    .first()
-                    .copied()
-                    .ok_or_else(|| RelationalError::InvalidQuery {
-                        reason: format!("schema change touches no relation: {sc}"),
-                    })?
-                    .to_string();
-                let rel = self.get(&name)?;
-                match apply_to_relation(rel, sc)? {
-                    Some(updated) => {
-                        self.relations.insert(name, updated);
-                        Ok(())
-                    }
-                    None => {
-                        self.relations.remove(&name);
-                        Ok(())
-                    }
-                }
+            SchemaChange::RenameAttribute { relation, from, to } => {
+                let rel = self.relations.get_mut(relation).ok_or_else(|| unknown(relation))?;
+                let schema = rel.schema().with_attr_renamed(from, to)?;
+                rel.set_schema(schema);
+                Ok(Vec::new())
+            }
+            SchemaChange::AddAttribute { relation, .. }
+            | SchemaChange::DropAttribute { relation, .. }
+            | SchemaChange::DropRelation { relation } => {
+                let before = match apply_to_relation(self.get(relation)?, sc)? {
+                    Some(updated) => self.relations.insert(relation.clone(), updated),
+                    None => self.relations.remove(relation),
+                };
+                Ok(match sc {
+                    // A widened relation is recovered by dropping the column.
+                    SchemaChange::AddAttribute { .. } => Vec::new(),
+                    _ => before.into_iter().collect(),
+                })
             }
         }
     }
@@ -300,6 +319,47 @@ mod tests {
         assert!(!c.contains("R"));
         assert!(c.contains("S"));
         assert_eq!(c.get("S").unwrap().schema().relation, "S");
+    }
+
+    #[test]
+    fn only_destructive_changes_displace_relations() {
+        let mut c = indexed_catalog();
+        let original = c.get("R").unwrap().clone();
+        let kept = |c: &mut Catalog, sc: SchemaChange| c.apply_schema_change_displacing(&sc);
+        let none = [
+            SchemaChange::RenameRelation { from: "R".into(), to: "S".into() },
+            SchemaChange::RenameAttribute {
+                relation: "S".into(),
+                from: "b".into(),
+                to: "c".into(),
+            },
+            SchemaChange::AddAttribute {
+                relation: "S".into(),
+                attr: crate::schema::Attribute::new("d", AttrType::Int),
+                default: Value::from(0),
+            },
+            SchemaChange::CreateRelation { schema: Schema::of("T", &[("x", AttrType::Int)]) },
+        ];
+        for sc in none {
+            assert!(kept(&mut c, sc.clone()).unwrap().is_empty(), "{sc}");
+        }
+        assert_eq!(c.get("S").unwrap().rows().project(&[0, 1]), *original.rows(), "rows moved");
+
+        let wide = c.get("S").unwrap().clone();
+        let sc = SchemaChange::DropAttribute { relation: "S".into(), attr: "d".into() };
+        assert_eq!(kept(&mut c, sc).unwrap(), vec![wide]);
+        let (s, t) = (c.get("S").unwrap().clone(), c.get("T").unwrap().clone());
+        let sc = SchemaChange::ReplaceRelations {
+            dropped: vec!["S".into(), "T".into()],
+            replacement: Box::new(Relation::empty(Schema::of("M", &[("m", AttrType::Int)]))),
+        };
+        assert_eq!(kept(&mut c, sc).unwrap(), vec![s, t]);
+        let m = c.get("M").unwrap().clone();
+        let sc = SchemaChange::DropRelation { relation: "M".into() };
+        assert_eq!(kept(&mut c, sc).unwrap(), vec![m]);
+        // A refused change displaces nothing and changes nothing.
+        assert!(kept(&mut c, SchemaChange::DropRelation { relation: "M".into() }).is_err());
+        assert!(c.is_empty());
     }
 
     #[test]

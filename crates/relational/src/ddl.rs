@@ -225,8 +225,10 @@ fn expect_touches(rel: &Relation, name: &str) -> Result<(), RelationalError> {
 /// - changes to a relation that is later dropped are elided.
 ///
 /// The result applied sequentially is equivalent to applying the input
-/// sequentially (verified by property tests).
-pub fn compose(changes: &[SchemaChange]) -> Vec<SchemaChange> {
+/// sequentially (verified by property tests). The input is borrowed — a
+/// slice of changes or an iterator over changes held elsewhere (a batch's
+/// messages) — and each change is copied once, into the output.
+pub fn compose<'a>(changes: impl IntoIterator<Item = &'a SchemaChange>) -> Vec<SchemaChange> {
     let mut out: Vec<SchemaChange> = Vec::new();
     for ch in changes {
         push_composed(&mut out, ch.clone());

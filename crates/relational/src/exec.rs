@@ -260,6 +260,9 @@ pub fn eval<P: RelationProvider + ?Sized>(
     if query.tables.is_empty() {
         return Err(RelationalError::InvalidQuery { reason: "empty FROM clause".into() });
     }
+    if let ([table], []) = (query.tables.as_slice(), query.predicates.as_slice()) {
+        return scan_project(query, provider.table(table)?);
+    }
 
     let order = plan_order(query, provider)?;
     let mut cursor: Option<Cursor> = None;
@@ -286,6 +289,22 @@ pub fn eval<P: RelationProvider + ?Sized>(
         cols.push(item.output.clone());
     }
     Ok(QueryResult { cols, rows: cursor.rows.project(&indices) })
+}
+
+/// A single-table, predicate-free query — the shape of every whole-extent
+/// fetch (view adaptation, initialization) — answered in one pass: the rows
+/// go straight from the table into the projection, with no filtered copy of
+/// the table in between. `query` has passed [`validate`], and the scan is
+/// metered as [`load_rows`] meters it.
+fn scan_project(query: &SpjQuery, slice: TableSlice<'_>) -> Result<QueryResult, RelationalError> {
+    let indices = query
+        .projection
+        .iter()
+        .map(|item| slice.schema.require(&item.col.attr))
+        .collect::<Result<Vec<usize>, RelationalError>>()?;
+    let cols = query.projection.iter().map(|item| item.output.clone()).collect();
+    bump(|s| s.rows_scanned += slice.rows.distinct_len() as u64);
+    Ok(QueryResult { cols, rows: slice.rows.project(&indices) })
 }
 
 /// Chooses the table processing order. The seed is the smallest input by
@@ -548,6 +567,52 @@ fn probe_plan<'p, P: RelationProvider + ?Sized>(
     Some((index, probe_cols))
 }
 
+/// Up to this many build-side rows a hash join keeps a plain list and every
+/// probe row compares its key against each entry, instead of hashing the
+/// probe key (SipHash over borrowed values) to find a bucket. That is the
+/// shape of Equation 6's chains — a Δ of a few rows against an unindexed
+/// fetched state of thousands (the `adapt_batch_rename/6x2000` bench row).
+/// Measured against 2 000 probe rows: a key hash costs ≈ 50 ns per probe
+/// row, a direct comparison ≈ 2.5 ns per probe row and build row, so the
+/// list wins up to ≈ 20 build rows (1 row: 17 µs vs 105 µs per hop).
+const LIST_BUILD_MAX: usize = 16;
+
+/// The build side of the hash-join fallback: the rows of the smaller input,
+/// bucketed by key hash — or, up to [`LIST_BUILD_MAX`] rows, not bucketed at
+/// all. Either way the caller verifies every candidate against the actual
+/// key columns, so both forms yield the same matches.
+enum BuildSide<'a> {
+    List(Vec<(&'a Tuple, i64)>),
+    Hashed(HashMap<u64, Vec<(&'a Tuple, i64)>>),
+}
+
+impl<'a> BuildSide<'a> {
+    /// An empty build side for an input of `rows` distinct rows.
+    fn sized_for(rows: usize) -> Self {
+        if rows <= LIST_BUILD_MAX {
+            BuildSide::List(Vec::with_capacity(rows))
+        } else {
+            BuildSide::Hashed(HashMap::new())
+        }
+    }
+
+    /// Adds a row; `hash` (its key hash) is computed only when bucketing.
+    fn push(&mut self, hash: impl FnOnce() -> u64, t: &'a Tuple, c: i64) {
+        match self {
+            BuildSide::List(rows) => rows.push((t, c)),
+            BuildSide::Hashed(table) => table.entry(hash()).or_default().push((t, c)),
+        }
+    }
+
+    /// The rows a probe key hashing to `hash()` can match.
+    fn candidates(&self, hash: impl FnOnce() -> u64) -> &[(&'a Tuple, i64)] {
+        match self {
+            BuildSide::List(rows) => rows,
+            BuildSide::Hashed(table) => table.get(&hash()).map_or(&[], Vec::as_slice),
+        }
+    }
+}
+
 /// Joins `left` with `right` on the positional equi-join `keys`
 /// (`(left column, right column)` pairs), handing every match to `emit` as
 /// `(left row, right row, weight product)`; `filters` are `right`'s constant
@@ -555,8 +620,9 @@ fn probe_plan<'p, P: RelationProvider + ?Sized>(
 /// each left row probes the index — O(|left| × fan-out) instead of
 /// O(|right|). Otherwise a hash join runs over 64-bit key hashes of
 /// borrowed values (no per-row key tuples are materialized), built over the
-/// smaller side; `right`'s filters are applied before any hash lookup, so
-/// non-qualifying rows never hash. NULL keys match nothing.
+/// smaller side ([`BuildSide`]: a handful of build rows are compared
+/// directly instead); `right`'s filters are applied before any hash lookup,
+/// so non-qualifying rows never hash. NULL keys match nothing.
 fn join_rows(
     left: &SignedBag,
     right: &SignedBag,
@@ -613,17 +679,18 @@ fn join_rows(
 
     // Hash-join fallback over 64-bit hashes of borrowed key values; bucket
     // entries are verified against the actual key columns, so hash
-    // collisions cannot produce spurious matches.
+    // collisions cannot produce spurious matches. A build side of a handful
+    // of rows is not hashed at all (see [`BuildSide`]).
     let left_hash = |t: &Tuple| key_hash(keys.iter().map(|&(li, _)| t.get(li)));
     let right_hash = |t: &Tuple| key_hash(keys.iter().map(|&(_, ri)| t.get(ri)));
     let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(li, ri)| lt.get(li) == rt.get(ri));
 
     if left.distinct_len() <= right.distinct_len() {
         // Build over the (smaller) left side, probe the table.
-        let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
+        let mut build = BuildSide::sized_for(left.distinct_len());
         for (t, c) in left.iter() {
             if !left_null(t) {
-                table.entry(left_hash(t)).or_default().push((t, c));
+                build.push(|| left_hash(t), t, c);
             }
         }
         for (rt, rc) in right.iter() {
@@ -631,32 +698,28 @@ fn join_rows(
             if right_null(rt) || !passes(rt, filters)? {
                 continue;
             }
-            if let Some(matches) = table.get(&right_hash(rt)) {
-                for (lt, lc) in matches {
-                    if keys_match(lt, rt) {
-                        emit(lt, rt, lc * rc);
-                    }
+            for (lt, lc) in build.candidates(|| right_hash(rt)) {
+                if keys_match(lt, rt) {
+                    emit(lt, rt, lc * rc);
                 }
             }
         }
     } else {
         // Build over the table (filtered), probe the left side.
-        let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
+        let mut build = BuildSide::sized_for(right.distinct_len());
         for (t, c) in right.iter() {
             scanned += 1;
             if !right_null(t) && passes(t, filters)? {
-                table.entry(right_hash(t)).or_default().push((t, c));
+                build.push(|| right_hash(t), t, c);
             }
         }
         for (lt, lc) in left.iter() {
             if left_null(lt) {
                 continue;
             }
-            if let Some(matches) = table.get(&left_hash(lt)) {
-                for (rt, rc) in matches {
-                    if keys_match(lt, rt) {
-                        emit(lt, rt, lc * rc);
-                    }
+            for (rt, rc) in build.candidates(|| left_hash(lt)) {
+                if keys_match(lt, rt) {
+                    emit(lt, rt, lc * rc);
                 }
             }
         }
@@ -1168,6 +1231,140 @@ mod tests {
             .build();
         let err = eval(&q, &fixture()).unwrap_err();
         assert!(matches!(err, RelationalError::IncomparableTypes { .. }));
+    }
+
+    /// The one-pass extent scan against the general path (forced by a
+    /// filter every row passes): same rows, same metering, same errors.
+    #[test]
+    fn single_table_scan_matches_the_general_path() {
+        let f = fixture();
+        for (table, cols) in [("R", vec!["name", "id"]), ("S", vec!["price"]), ("R", vec![])] {
+            let mut scan = SpjQuery::over([table]);
+            for c in &cols {
+                scan = scan.select(table, c);
+            }
+            let general = scan.clone().filter(table, "id", CmpOp::Ge, -1).build();
+            let scan = scan.build();
+            let before = thread_stats();
+            let a = eval(&scan, &f).unwrap();
+            let mid = thread_stats();
+            let b = eval(&general, &f).unwrap();
+            let after = thread_stats();
+            assert_eq!(a, b, "{table} {cols:?}");
+            assert_eq!(mid.since(before), after.since(mid), "{table} {cols:?}: ExecStats");
+            assert_eq!(
+                mid.since(before).rows_scanned,
+                f.table(table).unwrap().rows.distinct_len() as u64
+            );
+        }
+        // The broken-query signals, value for value.
+        for (table, attr) in [("Nope", "x"), ("R", "ghost")] {
+            let scan = SpjQuery::over([table]).select(table, attr);
+            let general = scan.clone().filter(table, attr, CmpOp::Ge, -1).build();
+            let (a, b) = (eval(&scan.build(), &f).unwrap_err(), eval(&general, &f).unwrap_err());
+            assert_eq!(a, b);
+            assert!(a.is_schema_conflict());
+        }
+        assert_eq!(
+            eval(&SpjQuery::over(["Nope"]).select("Nope", "x").build(), &f).unwrap_err(),
+            RelationalError::UnknownRelation { relation: "Nope".into() }
+        );
+        assert_eq!(
+            eval(&SpjQuery::over(["R"]).select("R", "ghost").build(), &f).unwrap_err(),
+            RelationalError::UnknownAttribute { relation: "R".into(), attr: "ghost".into() }
+        );
+    }
+
+    #[test]
+    fn single_table_scan_sums_and_cancels_collapsing_rows() {
+        // A signed table (a delta bound in place of a relation): rows that
+        // project onto the same tuple add up, and a sum of zero is absent.
+        let delta = Delta::from_rows(
+            Schema::of("S", &[("id", AttrType::Int), ("price", AttrType::Int)]),
+            [
+                (Tuple::of([1i64, 10]), 2),
+                (Tuple::of([1i64, 20]), -2),
+                (Tuple::of([2i64, 5]), 1),
+                (Tuple::of([2i64, 6]), 3),
+            ],
+        )
+        .unwrap();
+        let f = fixture();
+        let overlay = Overlay::new(&f).bind("S", (&delta).into());
+        let out = eval(&SpjQuery::over(["S"]).select("S", "id").build(), &overlay).unwrap();
+        assert_eq!(out.rows.count(&Tuple::of([2i64])), 4);
+        assert_eq!(out.rows.count(&Tuple::of([1i64])), 0);
+        assert_eq!(out.rows.distinct_len(), 1, "the cancelled tuple is absent, not zero");
+    }
+
+    /// `join_rows` over the hash fallback, with the build side as a list
+    /// (≤ `LIST_BUILD_MAX` rows) and as a hash table, against a nested-loop
+    /// reference: same matches and same metering whichever form and
+    /// whichever side builds; NULL keys match nothing.
+    #[test]
+    fn list_build_side_matches_hashed_build_side() {
+        let row = |k1: Option<i64>, k2: i64, v: i64| {
+            Tuple::of([k1.map_or(Value::Null, Value::from), Value::from(k2), Value::from(v)])
+        };
+        let bag = |n: usize, salt: i64| -> SignedBag {
+            (0..n as i64)
+                .map(|i| {
+                    let k1 = if (i + salt) % 5 == 4 { None } else { Some((i * 7 + salt) % 4) };
+                    (row(k1, (i + salt) % 3, i * 10 + salt), if i % 3 == 2 { -2 } else { 1 })
+                })
+                .collect()
+        };
+        let keys = [(0usize, 0usize), (1, 1)];
+        let two = Value::from(2);
+        let filters = [(2usize, CmpOp::Ge, &two)];
+        let big = bag(40, 1);
+        for n in 0..=2 * LIST_BUILD_MAX + 2 {
+            let small = bag(n, 0);
+            // Either side may be the small (build) one.
+            for (left, right) in [(&small, &big), (&big, &small)] {
+                let mut expected = SignedBag::new();
+                for (lt, lc) in left.iter() {
+                    for (rt, rc) in right.iter() {
+                        let matches = keys
+                            .iter()
+                            .all(|&(li, ri)| !lt.get(li).is_null() && lt.get(li) == rt.get(ri));
+                        if matches && passes(rt, &filters).unwrap() {
+                            expected.add(lt.concat(rt), lc * rc);
+                        }
+                    }
+                }
+                let mut got = SignedBag::new();
+                let before = thread_stats();
+                join_rows(left, right, &keys, &filters, None, |lt, rt, w| {
+                    got.add(lt.concat(rt), w);
+                })
+                .unwrap();
+                let d = thread_stats().since(before);
+                assert_eq!(got, expected, "build side of {n}");
+                let metered = ExecStats {
+                    rows_scanned: right.distinct_len() as u64,
+                    hash_join_steps: 1,
+                    ..ExecStats::default()
+                };
+                assert_eq!(d, metered, "build side of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn ill_typed_filter_errors_whatever_the_build_side() {
+        let rows = |n: i64| -> SignedBag { (0..n).map(|i| (Tuple::of([i % 3, i]), 1)).collect() };
+        let text = Value::str("x");
+        let filters = [(1usize, CmpOp::Eq, &text)];
+        let keys = [(0usize, 0usize)];
+        let over = (2 * LIST_BUILD_MAX) as i64;
+        for (l, r) in [(2, 30), (30, 2), (over, 30), (30, over)] {
+            let err = join_rows(&rows(l), &rows(r), &keys, &filters, None, |_, _, _| {});
+            assert!(
+                matches!(err, Err(RelationalError::IncomparableTypes { .. })),
+                "{l} x {r}: every visited right row is compared"
+            );
+        }
     }
 
     /// The fixture as an indexed catalog: same tables, indexes on the join

@@ -103,6 +103,13 @@ impl Relation {
         Relation { schema, rows }
     }
 
+    /// Renames in place (a relation or attribute rename): the rows stay
+    /// where they are, so `schema` must keep the arity and column types.
+    pub(crate) fn set_schema(&mut self, schema: Schema) {
+        debug_assert_eq!(schema.arity(), self.schema.arity());
+        self.schema = schema;
+    }
+
     /// The delta that transforms `old` into `new` (i.e. `new − old`).
     pub fn diff(old: &Relation, new: &Relation) -> Delta {
         Delta { schema: new.schema.clone(), rows: new.rows.diff(&old.rows) }

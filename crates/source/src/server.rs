@@ -1,27 +1,36 @@
-//! An autonomous source server: a catalog plus a committed-update log with
-//! version history.
+//! An autonomous source server: a catalog plus a committed-update log that
+//! doubles as its version history.
 //!
 //! Sources commit updates without coordinating with the view manager (the
 //! defining property of the loosely-coupled environment). Queries are always
 //! answered against the **current** state — this is what makes concurrent
 //! updates corrupt or break in-flight maintenance queries.
 //!
-//! The server keeps its commit log and sparse snapshots, so any historical
-//! state can be reconstructed. The view-adaptation algorithm uses this to
-//! obtain the pre-image of a replaced relation (`ΔRᵢ = Rᵢⁿᵉʷ − Rᵢ` in paper
-//! Equation 6); the paper attributes this capability to the "intelligent
-//! wrapper".
+//! **The log is the history.** Any past state can be reconstructed (the
+//! paper attributes this capability to the "intelligent wrapper"; here the
+//! consistency oracle and `SourcePort::fetch_relation_at` use it), and
+//! reconstructing one costs what changed since, not what the source holds:
+//! [`SourceServer::state_at`] clones the current catalog and walks the log
+//! backwards, applying the inverse of each later entry — derived from the
+//! entry itself at that moment, so a commit stores nothing beyond its log
+//! record. A data update is a signed delta: its inverse is the negated
+//! delta. A rename is undone by the swapped rename, an added attribute by
+//! dropping it, a created relation by dropping it. Only a **destructive**
+//! change (`DropAttribute`, `DropRelation`, `ReplaceRelations`) cannot be
+//! recovered from its description, and it alone pins data: the pre-image of
+//! exactly the relations it destroyed, moved out of the catalog as the
+//! change applies. A source that is only renamed, widened and updated —
+//! however large, however long — keeps no copy of anything.
 //!
-//! Snapshots are lazy: data updates are signed deltas and therefore
-//! *invertible*, so a data-only history needs no snapshot at all —
-//! [`SourceServer::state_at`] rewinds from the current catalog by applying
-//! negated deltas. Only a schema change is irreversible; committing one pins
-//! a pre-image snapshot (and a post-image, so later versions replay forward
-//! cheaply). A multi-gigabyte source that never changes schema thus carries
-//! zero snapshot overhead, where an eager version-0 snapshot would double
-//! its memory.
+//! The cost of `state_at(v)` is one catalog clone plus `version − v` inverse
+//! applications (an inverse costs what its forward change cost; restoring a
+//! destroyed relation copies it). Near the head of the log, where the
+//! oracle reads, that is at most what replaying forward from a stored
+//! catalog copy would pay — and no commit ever pays for such a copy.
 
-use dyno_relational::{Catalog, DataUpdate, RelationalError, SourceUpdate};
+use std::collections::BTreeMap;
+
+use dyno_relational::{Catalog, DataUpdate, Relation, RelationalError, SchemaChange, SourceUpdate};
 
 use crate::id::SourceId;
 
@@ -42,12 +51,10 @@ pub struct SourceServer {
     catalog: Catalog,
     version: u64,
     log: Vec<LogEntry>,
-    /// Sparse snapshots `(version, catalog-at-that-version)`, sorted by
-    /// version. Empty until the first schema change commits, which pins a
-    /// pre-image and a post-image pair; every later schema change adds its
-    /// post-image. Versions between snapshots are reachable by replaying
-    /// (or, before the first snapshot, rewinding) logged data deltas.
-    snapshots: Vec<(u64, Catalog)>,
+    /// What the log alone cannot bring back: for each destructive schema
+    /// change, keyed by the version it produced, the relations it destroyed
+    /// as they were just before. Empty for every other kind of commit.
+    destroyed: BTreeMap<u64, Vec<Relation>>,
 }
 
 impl SourceServer {
@@ -59,7 +66,7 @@ impl SourceServer {
             catalog,
             version: 0,
             log: Vec::new(),
-            snapshots: Vec::new(),
+            destroyed: BTreeMap::new(),
         }
     }
 
@@ -81,8 +88,9 @@ impl SourceServer {
     /// Declares a secondary hash index on a relation of this source; the
     /// catalog maintains it across committed updates. Historical states
     /// reconstructed by rewinding from the current catalog carry the current
-    /// index set (indexes speed reconstruction-time queries; they never
-    /// change their results).
+    /// index set, except on relations a rewound destructive change restored
+    /// (indexes speed reconstruction-time queries; they never change their
+    /// results).
     pub fn create_index(&mut self, relation: &str, attrs: &[&str]) -> Result<(), RelationalError> {
         self.catalog.create_index(relation, attrs)
     }
@@ -99,33 +107,28 @@ impl SourceServer {
 
     /// Commits an update autonomously. On success the catalog reflects the
     /// update and the new version is returned; on failure nothing changes.
+    /// Beyond the log entry, only the relations a destructive schema change
+    /// destroys are kept (moved, not copied).
     pub fn commit(&mut self, update: SourceUpdate) -> Result<u64, RelationalError> {
-        let is_sc = update.is_schema_change();
-        // The first schema change is the first irreversible step: pin the
-        // pre-image so versions before it stay reachable (everything earlier
-        // is invertible data deltas).
-        let pre_image =
-            if is_sc && self.snapshots.is_empty() { Some(self.catalog.clone()) } else { None };
-        self.catalog.apply_update(&update)?;
-        self.version += 1;
-        self.log.push(LogEntry { version: self.version, update });
-        if is_sc {
-            if let Some(pre) = pre_image {
-                self.snapshots.push((self.version - 1, pre));
+        let destroyed = match &update {
+            SourceUpdate::Data(du) => {
+                self.catalog.apply_data_update(du)?;
+                Vec::new()
             }
-            self.snapshots.push((self.version, self.catalog.clone()));
+            SourceUpdate::Schema(sc) => self.catalog.apply_schema_change_displacing(sc)?,
+        };
+        self.version += 1;
+        if !destroyed.is_empty() {
+            self.destroyed.insert(self.version, destroyed);
         }
+        self.log.push(LogEntry { version: self.version, update });
         Ok(self.version)
     }
 
-    /// Reconstructs the catalog as of `version`: forward-replays the log
-    /// from the nearest snapshot at or before `version`, or — when no such
-    /// snapshot exists — rewinds from the nearest later state by applying
-    /// logged data deltas negated. The rewind is always well-defined: the
-    /// first schema change pins a pre-image snapshot, so everything before
-    /// the earliest snapshot is invertible data updates. For a data-only
-    /// history this reconstructs recent versions in time proportional to
-    /// the rewound tail, not the whole log.
+    /// Reconstructs the catalog as of `version`: clones the current catalog
+    /// and rewinds it through the inverse of every later log entry, newest
+    /// first (see the module docs for what each inverse is). Costs one
+    /// catalog clone plus `self.version() − version` inverse applications.
     pub fn state_at(&self, version: u64) -> Result<Catalog, RelationalError> {
         if version > self.version {
             return Err(RelationalError::InvalidQuery {
@@ -135,35 +138,72 @@ impl SourceServer {
                 ),
             });
         }
-        if let Some((snap_v, snap)) = self.snapshots.iter().rev().find(|(v, _)| *v <= version) {
-            let mut catalog = snap.clone();
-            for entry in &self.log {
-                if entry.version > *snap_v && entry.version <= version {
-                    catalog.apply_update(&entry.update)?;
-                }
+        let mut catalog = self.catalog.clone();
+        for entry in self.log.iter().rev().take_while(|e| e.version > version) {
+            for undo in self.inverse(entry) {
+                catalog.apply_update(&undo)?;
             }
-            return Ok(catalog);
-        }
-        let (mut catalog, from) = match self.snapshots.first() {
-            Some((v, snap)) => (snap.clone(), *v),
-            None => (self.catalog.clone(), self.version),
-        };
-        for entry in self.log.iter().rev() {
-            if entry.version > from || entry.version <= version {
-                continue;
-            }
-            let SourceUpdate::Data(du) = &entry.update else {
-                return Err(RelationalError::InvalidQuery {
-                    reason: format!(
-                        "source {}: schema change at version {} has no snapshot",
-                        self.id, entry.version
-                    ),
-                });
-            };
-            let undo = SourceUpdate::Data(DataUpdate::new(du.delta.negated()));
-            catalog.apply_update(&undo)?;
         }
         Ok(catalog)
+    }
+
+    /// The updates that take the state just after `entry` back to the state
+    /// just before it, in application order.
+    fn inverse(&self, entry: &LogEntry) -> Vec<SourceUpdate> {
+        let undo = match &entry.update {
+            SourceUpdate::Data(du) => {
+                return vec![SourceUpdate::Data(DataUpdate::new(du.delta.negated()))]
+            }
+            SourceUpdate::Schema(sc) => match sc {
+                SchemaChange::RenameRelation { from, to } => {
+                    SchemaChange::RenameRelation { from: to.clone(), to: from.clone() }
+                }
+                SchemaChange::RenameAttribute { relation, from, to } => {
+                    SchemaChange::RenameAttribute {
+                        relation: relation.clone(),
+                        from: to.clone(),
+                        to: from.clone(),
+                    }
+                }
+                SchemaChange::AddAttribute { relation, attr, .. } => SchemaChange::DropAttribute {
+                    relation: relation.clone(),
+                    attr: attr.name.clone(),
+                },
+                SchemaChange::CreateRelation { schema } => {
+                    SchemaChange::DropRelation { relation: schema.relation.clone() }
+                }
+                SchemaChange::DropAttribute { relation, .. } => {
+                    return self.restore(entry.version, Some(relation))
+                }
+                SchemaChange::DropRelation { .. } => return self.restore(entry.version, None),
+                SchemaChange::ReplaceRelations { replacement, .. } => {
+                    return self.restore(entry.version, Some(&replacement.schema().relation))
+                }
+            },
+        };
+        vec![SourceUpdate::Schema(undo)]
+    }
+
+    /// Undoes the destructive change that produced `version`: the relation
+    /// it left standing where the destroyed ones were (if any) goes, and the
+    /// pinned pre-images come back, each through a `ReplaceRelations`.
+    fn restore(&self, version: u64, left_standing: Option<&String>) -> Vec<SourceUpdate> {
+        let mut dropped: Vec<String> = left_standing.into_iter().cloned().collect();
+        let pre_images = self.destroyed.get(&version).map_or(&[][..], Vec::as_slice);
+        let mut undo: Vec<SourceUpdate> = pre_images
+            .iter()
+            .map(|pre| {
+                SourceUpdate::Schema(SchemaChange::ReplaceRelations {
+                    dropped: std::mem::take(&mut dropped),
+                    replacement: Box::new(pre.clone()),
+                })
+            })
+            .collect();
+        // A `ReplaceRelations` that replaced nothing destroyed nothing.
+        if let Some(relation) = dropped.pop() {
+            undo.push(SourceUpdate::Schema(SchemaChange::DropRelation { relation }));
+        }
+        undo
     }
 
     /// The updates committed after `version`, in commit order.
@@ -172,19 +212,20 @@ impl SourceServer {
     }
 
     /// Applies a delta to the current catalog **silently**: no version bump,
-    /// no log entry, no snapshot. This is the replica write-back path — a
+    /// no log entry. This is the replica write-back path — a
     /// conflict-resolution winner delivered from a peer replaces local rows
     /// without looking like a fresh local commit (a version bump would make
     /// the ingress resequencer expect a committed-update message that never
     /// arrives, wedging delivery).
     ///
-    /// Caveat: because the mutation is invisible to the log,
-    /// [`SourceServer::state_at`] reconstructions that rewind *through* the
-    /// overwrite see a shifted current state — the rewind can even fail with
-    /// `DeleteMissing` when a logged insert was silently replaced. The
-    /// replica path only ever overwrites rows from data updates and never
-    /// runs compensation (`state_at`) against an overwritten source, so this
-    /// is safe there; any other caller must accept the same trade.
+    /// Caveat: every [`SourceServer::state_at`] reconstruction rewinds from
+    /// the current catalog, and the mutation is invisible to the log — so
+    /// after an overwrite every reconstructed version carries the shifted
+    /// rows, and a rewind that passes the logged commit of a replaced row
+    /// fails with `DeleteMissing` (the logged insert can no longer be
+    /// undone). The replica path only ever overwrites rows from data updates
+    /// and never asks an overwritten source for its history, so this is
+    /// safe there; any other caller must accept the same trade.
     pub fn overwrite(&mut self, delta: &dyno_relational::Delta) -> Result<(), RelationalError> {
         self.catalog.apply_update(&SourceUpdate::Data(DataUpdate::new(delta.clone())))
     }
@@ -274,11 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn data_only_history_needs_no_snapshot() {
+    fn data_only_history_pins_nothing() {
         let mut s = server();
         insert(&mut s, 2, "y");
         insert(&mut s, 3, "z");
-        assert!(s.snapshots.is_empty(), "data updates are invertible; nothing to pin");
+        assert!(s.destroyed.is_empty(), "data updates are invertible; nothing to pin");
         assert_eq!(s.state_at(0).unwrap().get("R").unwrap().len(), 1);
         assert_eq!(s.state_at(1).unwrap().get("R").unwrap().len(), 2);
         assert_eq!(s.state_at(2).unwrap().get("R").unwrap().len(), 3);
@@ -296,17 +337,80 @@ mod tests {
         assert_eq!(s.state_at(0).unwrap().get("R").unwrap().len(), 1);
     }
 
+    fn schema_change(s: &mut SourceServer, sc: SchemaChange) -> u64 {
+        s.commit(SourceUpdate::Schema(sc)).unwrap()
+    }
+
     #[test]
-    fn first_schema_change_pins_pre_and_post_images() {
+    fn invertible_changes_pin_nothing() {
         let mut s = server();
+        let v0 = s.catalog().clone();
         insert(&mut s, 2, "y");
-        s.commit(SourceUpdate::Schema(SchemaChange::DropAttribute {
-            relation: "R".into(),
-            attr: "b".into(),
-        }))
-        .unwrap();
-        let versions: Vec<u64> = s.snapshots.iter().map(|(v, _)| *v).collect();
-        assert_eq!(versions, vec![1, 2], "pre-image at SC-1, post-image at SC");
+        schema_change(&mut s, SchemaChange::RenameRelation { from: "R".into(), to: "S".into() });
+        schema_change(
+            &mut s,
+            SchemaChange::RenameAttribute {
+                relation: "S".into(),
+                from: "a".into(),
+                to: "k".into(),
+            },
+        );
+        schema_change(
+            &mut s,
+            SchemaChange::AddAttribute {
+                relation: "S".into(),
+                attr: dyno_relational::Attribute::new("c", AttrType::Int),
+                default: Value::from(0),
+            },
+        );
+        schema_change(
+            &mut s,
+            SchemaChange::CreateRelation { schema: Schema::of("T", &[("x", AttrType::Int)]) },
+        );
+        assert!(s.destroyed.is_empty(), "each of these is undone from its log entry alone");
+        assert_eq!(s.state_at(0).unwrap(), v0);
+        let v3 = s.state_at(3).unwrap();
+        assert_eq!(v3.get("S").unwrap().schema().attrs()[0].name, "k");
+        assert_eq!(v3.get("S").unwrap().schema().arity(), 2);
+        assert!(!s.state_at(4).unwrap().contains("T"));
+    }
+
+    #[test]
+    fn destructive_changes_pin_exactly_what_they_destroy() {
+        let mut s = server();
+        schema_change(
+            &mut s,
+            SchemaChange::CreateRelation { schema: Schema::of("T", &[("x", AttrType::Int)]) },
+        );
+        let before_drop_attr = s.catalog().get("R").unwrap().clone();
+        let v = schema_change(
+            &mut s,
+            SchemaChange::DropAttribute { relation: "R".into(), attr: "b".into() },
+        );
+        assert_eq!(s.destroyed[&v], vec![before_drop_attr], "the narrowed relation, not T");
+
+        let before_replace: Vec<Relation> =
+            ["R", "T"].iter().map(|r| s.catalog().get(r).unwrap().clone()).collect();
+        let v = schema_change(
+            &mut s,
+            SchemaChange::ReplaceRelations {
+                dropped: vec!["R".into(), "T".into()],
+                replacement: Box::new(Relation::empty(Schema::of("M", &[("m", AttrType::Int)]))),
+            },
+        );
+        assert_eq!(s.destroyed[&v], before_replace);
+
+        let before_drop = s.catalog().get("M").unwrap().clone();
+        let v = schema_change(&mut s, SchemaChange::DropRelation { relation: "M".into() });
+        assert_eq!(s.destroyed[&v], vec![before_drop]);
+        assert_eq!(s.destroyed.len(), 3, "one entry per destructive change, none for the create");
+
+        // And every version is still reachable through them.
+        assert!(s.state_at(4).unwrap().is_empty());
+        assert_eq!(s.state_at(3).unwrap().relation_names().collect::<Vec<_>>(), ["M"]);
+        assert_eq!(s.state_at(2).unwrap().relation_names().collect::<Vec<_>>(), ["R", "T"]);
+        assert_eq!(s.state_at(1).unwrap().get("R").unwrap().schema().arity(), 2);
+        assert_eq!(s.state_at(0).unwrap().relation_names().collect::<Vec<_>>(), ["R"]);
     }
 
     #[test]

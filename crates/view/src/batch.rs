@@ -25,17 +25,20 @@
 //!    *pending-but-unprocessed* concurrent data updates locally — the same
 //!    compensation idea SWEEP uses.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    ProjItem, QueryResult, RelationalError, Schema, SchemaChange, SignedBag, SourceUpdate, SpjQuery,
+    delta_project, ProjItem, QueryResult, RelationalError, Schema, SchemaChange, SignedBag,
+    SourceUpdate, SpjQuery,
 };
 use dyno_source::UpdateMessage;
 
 use crate::engine::{schema_from_bag, LocalProvider, SourcePort};
+use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
-use crate::vm::{prof_op, prof_start, MaintFailure, Prof, ViewDelta};
+use crate::vm::{compensate, prof_op, prof_start, seed_delta, MaintFailure, Prof, ViewDelta};
 use crate::vs::{synchronize_all, VsError};
 
 /// The result of adapting the view for one (possibly merged) batch.
@@ -177,21 +180,22 @@ fn adapt_inner(
 ) -> Result<Adapted, BatchFailure> {
     // Step 1: compose the batch's schema changes (in commit order — the
     // batch preserves queue order, which preserves per-source commit order).
-    let schema_changes: Vec<SchemaChange> = batch
+    // Borrowed: a `ReplaceRelations` carries its whole replacement extent.
+    let schema_changes: Vec<&SchemaChange> = batch
         .iter()
         .filter_map(|m| match &m.update {
-            SourceUpdate::Schema(sc) => Some(sc.clone()),
+            SourceUpdate::Schema(sc) => Some(sc),
             SourceUpdate::Data(_) => None,
         })
         .collect();
-    let composed = dyno_relational::compose(&schema_changes);
+    let composed = dyno_relational::compose(schema_changes.iter().copied());
 
     // Step 2: rewrite the view definition.
     let new_view = synchronize_all(view, &composed, info).map_err(BatchFailure::Undefinable)?;
     port.charge_local(composed.len() as u64);
 
     if mode == AdaptationMode::Auto && incremental_applicable(view, &new_view, &composed) {
-        adapt_incremental(&new_view, batch, pending, port, drained, prof)
+        adapt_incremental(&new_view, batch, &schema_changes, pending, port, drained, prof)
     } else {
         adapt_recompute(new_view, batch, pending, port, drained)
     }
@@ -300,6 +304,7 @@ fn incremental_applicable(
 fn adapt_incremental(
     new_view: &ViewDefinition,
     batch: &[&UpdateMessage],
+    schema_changes: &[&SchemaChange],
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
@@ -311,30 +316,28 @@ fn adapt_incremental(
     // Each delta must be mapped through the *raw* schema changes that follow
     // it in the batch (batch order preserves per-source commit order): the
     // composed sequence has collapsed away intermediate relation names that
-    // deltas committed mid-chain still carry.
+    // deltas committed mid-chain still carry. `schema_changes` holds the
+    // batch's changes in order, so "those that follow" is a suffix of it.
     let mut batch_deltas: HashMap<String, dyno_relational::Delta> = HashMap::new();
-    for (i, m) in batch.iter().enumerate() {
-        if let SourceUpdate::Data(du) = &m.update {
-            let later_scs: Vec<SchemaChange> = batch[i + 1..]
-                .iter()
-                .filter_map(|m| match &m.update {
-                    SourceUpdate::Schema(sc) => Some(sc.clone()),
-                    SourceUpdate::Data(_) => None,
-                })
-                .collect();
-            let homogenized =
-                homogenize_delta(&du.delta, &later_scs).map_err(BatchFailure::Internal)?;
-            port.charge_local(homogenized.weight());
-            let name = homogenized.schema().relation.clone();
-            if !new_view.references_relation(&name) {
-                continue; // irrelevant to this view
-            }
-            match batch_deltas.entry(name) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().merge(&homogenized).map_err(BatchFailure::Internal)?;
+    let mut scs_before = 0;
+    for m in batch {
+        match &m.update {
+            SourceUpdate::Schema(_) => scs_before += 1,
+            SourceUpdate::Data(du) => {
+                let homogenized = homogenize_through(&du.delta, &schema_changes[scs_before..])
+                    .map_err(BatchFailure::Internal)?;
+                port.charge_local(homogenized.weight());
+                let name = homogenized.schema().relation.clone();
+                if !new_view.references_relation(&name) {
+                    continue; // irrelevant to this view
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(homogenized);
+                match batch_deltas.entry(name) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        e.get_mut().merge(&homogenized).map_err(BatchFailure::Internal)?;
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(homogenized);
+                    }
                 }
             }
         }
@@ -377,11 +380,20 @@ pub fn homogenize_delta(
     delta: &dyno_relational::Delta,
     composed: &[SchemaChange],
 ) -> Result<dyno_relational::Delta, RelationalError> {
+    homogenize_through(delta, composed)
+}
+
+/// [`homogenize_delta`] over changes owned or borrowed (`&[SchemaChange]`,
+/// or the `&[&SchemaChange]` suffix the batch path hands each data update).
+fn homogenize_through<C: Borrow<SchemaChange>>(
+    delta: &dyno_relational::Delta,
+    changes: &[C],
+) -> Result<dyno_relational::Delta, RelationalError> {
     let mut name = delta.schema().relation.clone();
     let mut schema = delta.schema().clone();
     let mut rows = delta.rows().clone();
-    for change in composed {
-        match change {
+    for change in changes {
+        match change.borrow() {
             SchemaChange::RenameRelation { from, to } if *from == name => {
                 name = to.clone();
                 schema = schema.renamed(to.clone());
@@ -448,8 +460,16 @@ fn narrow_schema(table: &str, cols: &[String], rows: &SignedBag) -> Schema {
 ///
 /// `old` maps each of the query's tables to `(schema, rows)` at the state
 /// the view currently reflects; `deltas` maps table name to its signed
-/// change (tables absent from `deltas` are unchanged). The query is
-/// evaluated once per changed relation, entirely locally.
+/// change (tables absent from `deltas` are unchanged).
+///
+/// Each term is computed as SWEEP computes a data update's view delta, with
+/// the fetched old states standing in for the sources: the relation's
+/// [`MaintPlan`], `ΔRᵢ` seeded through the plan's local selection and
+/// projection, one hop per other relation against its **old** state — and,
+/// because `Rⱼⁿᵉʷ = Rⱼ + ΔRⱼ` and the join is bilinear, the compensation
+/// term `D ⋈ ΔRⱼ` *added* for every changed relation that precedes `Rᵢ` in
+/// FROM order — then the final projection. No new state is materialized and
+/// no term scans a relation it does not have to; everything is local.
 ///
 /// ```
 /// use std::collections::HashMap;
@@ -498,45 +518,35 @@ pub(crate) fn equation6_delta_profiled(
             return Err(RelationalError::UnknownRelation { relation: t.clone() });
         }
     }
-    let empty_cols: Vec<String> = query.projection.iter().map(|p| p.output.clone()).collect();
-    let mut total = QueryResult::empty(empty_cols);
-
-    // Materialize each changed relation's new state exactly once for the whole
-    // equation (one clone + merge per changed table); every term below then
-    // borrows old / new / delta Z-sets instead of cloning tables per term.
-    let mut new_states: HashMap<&str, SignedBag> = HashMap::new();
-    for table in tables {
-        if let Some(d) = deltas.get(table) {
-            if !d.is_empty() {
-                let mut r = old[table].1.clone();
-                r.merge(d);
-                new_states.insert(table.as_str(), r);
-            }
-        }
-    }
+    let cols: Vec<String> = query.projection.iter().map(|p| p.output.clone()).collect();
+    let mut total = QueryResult::empty(cols);
+    let changed = |table: &String| deltas.get(table).filter(|d| !d.is_empty());
+    let old_states = OldStates(old);
 
     for (i, table_i) in tables.iter().enumerate() {
-        let Some(delta_i) = deltas.get(table_i) else {
+        let Some(delta_i) = changed(table_i) else {
             continue; // unchanged relation contributes no term
         };
-        if delta_i.is_empty() {
-            continue;
-        }
-        let mut provider = SliceProvider { tables: HashMap::new() };
-        for (j, table_j) in tables.iter().enumerate() {
-            let (schema, old_rows) = &old[table_j];
-            let rows = if j < i {
-                // New state: old + delta (unchanged tables have no new state).
-                new_states.get(table_j.as_str()).unwrap_or(old_rows)
-            } else if j == i {
-                delta_i
-            } else {
-                old_rows
-            };
-            provider.tables.insert(table_j.as_str(), TableSlice { schema, rows });
-        }
         let started = prof_start(prof);
-        let term = dyno_relational::eval(query, &provider)?;
+        let plan = MaintPlan::for_query(query, table_i)?;
+        let mut d_rows =
+            seed_delta(&plan, TableSlice { schema: &old[table_i].0, rows: delta_i }, None)?;
+        for step in &plan.steps {
+            if d_rows.is_empty() {
+                break; // an empty intermediate joins to empty
+            }
+            let hop = step.request(&d_rows);
+            let mut rows = hop.answer(&old_states)?;
+            // Relations ahead of `Rᵢ` in FROM order join at their new state.
+            if tables[..i].contains(&step.target) {
+                if let Some(delta_j) = changed(&step.target) {
+                    let schema = &old[&step.target].0;
+                    rows.merge(&compensate(&hop, TableSlice { schema, rows: delta_j })?);
+                }
+            }
+            d_rows = rows;
+        }
+        let term = delta_project(&d_rows, &plan.final_indices);
         prof_op(
             prof,
             started,
@@ -546,25 +556,22 @@ pub(crate) fn equation6_delta_profiled(
             "eq6_term",
             table_i,
             delta_i.distinct_len() as u64,
-            term.rows.distinct_len() as u64,
+            term.distinct_len() as u64,
         );
-        total.rows.merge(&term.rows);
-        total.cols = term.cols;
+        total.rows.merge(&term);
     }
     Ok(total)
 }
 
-/// Borrow-only relation provider for [`equation6_delta`]: each term of the
-/// equation views the same old/new/delta Z-sets without copying them.
-struct SliceProvider<'a> {
-    tables: HashMap<&'a str, TableSlice<'a>>,
-}
+/// The fetched old states as the provider Equation 6's hops run against
+/// (borrowed as they are; no indexes, so every hop is a scan join).
+struct OldStates<'a>(&'a HashMap<String, (Schema, SignedBag)>);
 
-impl RelationProvider for SliceProvider<'_> {
+impl RelationProvider for OldStates<'_> {
     fn table(&self, name: &str) -> Result<TableSlice<'_>, RelationalError> {
-        self.tables
+        self.0
             .get(name)
-            .copied()
+            .map(|(schema, rows)| TableSlice { schema, rows })
             .ok_or_else(|| RelationalError::UnknownRelation { relation: name.into() })
     }
 }

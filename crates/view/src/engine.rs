@@ -211,10 +211,16 @@ pub trait SourcePort {
         self.execute(&req.query(), &[bound]).map(|r| r.rows)
     }
 
-    /// Fetches the named relation's extent *as of* a past source version
-    /// (the intelligent wrapper's history capability, used by view
-    /// adaptation for the pre-images of Equation 6). Pinned reads cannot be
-    /// broken by concurrent schema changes.
+    /// Fetches the named relation's extent *as of* a past source version —
+    /// the intelligent wrapper's history capability
+    /// (`SourceServer::state_at`: the current catalog rewound through the
+    /// log). Pinned reads cannot be broken by concurrent schema changes.
+    ///
+    /// Nothing in this crate calls it: view adaptation derives Equation 6's
+    /// pre-images locally, by rolling the batch's own deltas back out of the
+    /// states it fetched through [`SourcePort::execute`]. The method stays
+    /// on the trait because ports outside this crate implement and meter it
+    /// (`SimPort`, the wall-clock benchmark's `TimingPort`).
     fn fetch_relation_at(
         &mut self,
         source: SourceId,

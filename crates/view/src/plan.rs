@@ -108,15 +108,20 @@ impl MaintPlan {
     /// Plans maintenance of an update to `relation` against `view`. The
     /// relation must be referenced by the view.
     pub fn build(view: &ViewDefinition, relation: &str) -> Result<MaintPlan, RelationalError> {
+        MaintPlan::for_query(&view.query, relation)
+    }
+
+    /// [`MaintPlan::build`] from the defining query alone — a plan depends
+    /// on nothing else of the view.
+    pub fn for_query(query: &SpjQuery, relation: &str) -> Result<MaintPlan, RelationalError> {
         // Every column the view uses, in the name order the per-relation
         // slices below (and the executor's validation) walk them in.
-        let all_refs = view.query.referenced_cols();
+        let all_refs = query.referenced_cols();
         let cols_of = |r: &str| all_refs.iter().filter(|c| c.relation == r).collect::<Vec<_>>();
 
         // Step 0: local projection/selection of the delta itself.
         let referenced = cols_of(relation);
-        let local_filters: Vec<(String, CmpOp, Value)> = view
-            .query
+        let local_filters: Vec<(String, CmpOp, Value)> = query
             .predicates
             .iter()
             .filter_map(|p| match p {
@@ -133,13 +138,13 @@ impl MaintPlan {
         // Join order: repeatedly pick a not-yet-joined view relation
         // connected to the current intermediate by an equi-join predicate.
         let mut remaining: Vec<String> =
-            view.query.tables.iter().filter(|t| **t != relation).cloned().collect();
+            query.tables.iter().filter(|t| **t != relation).cloned().collect();
         let mut steps = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
             let next_pos = remaining
                 .iter()
                 .position(|t| {
-                    view.query.predicates.iter().any(|p| match p {
+                    query.predicates.iter().any(|p| match p {
                         Predicate::JoinEq(a, b) => {
                             (a.relation == *t && joined.contains(&b.relation))
                                 || (b.relation == *t && joined.contains(&a.relation))
@@ -156,7 +161,7 @@ impl MaintPlan {
             let target_refs = cols_of(&target);
             let mut join_keys: Vec<(usize, String)> = Vec::new();
             let mut t_filters: Vec<(String, CmpOp, Value)> = Vec::new();
-            for p in &view.query.predicates {
+            for p in &query.predicates {
                 match p {
                     Predicate::JoinEq(a, b) => {
                         let (d_side, t_side) =
@@ -199,8 +204,7 @@ impl MaintPlan {
         }
 
         // Final projection to the view's SELECT list.
-        let final_indices: Vec<usize> = view
-            .query
+        let final_indices: Vec<usize> = query
             .projection
             .iter()
             .map(|item| {
@@ -230,7 +234,7 @@ impl MaintPlan {
             local_proj,
             steps,
             final_indices,
-            out_cols: view.output_cols(),
+            out_cols: query.projection.iter().map(|p| p.output.clone()).collect(),
             first_hop,
         })
     }

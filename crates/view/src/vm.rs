@@ -13,6 +13,7 @@
 use std::rc::Rc;
 
 use dyno_obs::{field, Collector, Level, NodeKey, OpPhase, OpSample};
+use dyno_relational::exec::TableSlice;
 use dyno_relational::{
     delta_join, delta_project, delta_select, thread_stats, ColRef, DataUpdate, ExecStats,
     RelationalError, SignedBag, SpjQuery,
@@ -253,7 +254,7 @@ fn execute_plan(
             sh.first_hop(plan, step, key, du, msg, pending, port, drained, prof)?
         }
         _ => {
-            let seed = seed_delta(plan, du, prof)
+            let seed = seed_delta(plan, (&du.delta).into(), prof)
                 .map_err(|e| MaintFailure::from_query(|| plan.local_query(), e))?;
             port.charge_local(du.delta.weight());
             start = 0;
@@ -312,17 +313,17 @@ fn execute_plan(
     Ok(ViewDelta { cols: plan.out_cols.clone(), rows: projected })
 }
 
-/// Step 0 as Z-set algebra: the update's delta through the plan's compiled
-/// local filters and projection. Attribute names resolve against the
-/// delta's *own* schema, so an attribute the view references but the delta
-/// no longer carries surfaces as the same schema-conflict error the
-/// executor's validation would raise.
-fn seed_delta(
+/// Step 0 as Z-set algebra: a delta of the plan's relation through the
+/// plan's compiled local filters and projection. Attribute names resolve
+/// against the delta's *own* schema, so an attribute the view references but
+/// the delta no longer carries surfaces as the same schema-conflict error
+/// the executor's validation would raise.
+pub(crate) fn seed_delta(
     plan: &MaintPlan,
-    du: &DataUpdate,
+    delta: TableSlice<'_>,
     prof: Option<Prof<'_>>,
 ) -> Result<SignedBag, RelationalError> {
-    let schema = du.delta.schema();
+    let schema = delta.schema;
     let filters = plan
         .local_filters
         .iter()
@@ -333,10 +334,10 @@ fn seed_delta(
         .iter()
         .map(|a| schema.require(a))
         .collect::<Result<Vec<_>, RelationalError>>()?;
-    let scope = du.relation.as_str();
-    let rows_in = if prof.is_some() { du.delta.rows().distinct_len() as u64 } else { 0 };
+    let scope = plan.relation.as_str();
+    let rows_in = if prof.is_some() { delta.rows.distinct_len() as u64 } else { 0 };
     let t = prof_start(prof);
-    let selected = delta_select(du.delta.rows(), &filters)?;
+    let selected = delta_select(delta.rows, &filters)?;
     let sel_out = if prof.is_some() { selected.distinct_len() as u64 } else { 0 };
     prof_op(prof, t, scope, 0, OpPhase::Seed, "delta_select", scope, rows_in, sel_out);
     let t = prof_start(prof);
@@ -377,7 +378,8 @@ pub(crate) fn compensate_pending(
             continue;
         }
         let t = prof_start(prof.map(|(p, ..)| p));
-        let comp = compensate(hop, pdu).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
+        let comp = compensate(hop, (&pdu.delta).into())
+            .map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
         port.charge_local(comp.weight() + pdu.delta.weight());
         rows.merge_negated(&comp);
         if let Some((p, scope, step_no)) = prof {
@@ -397,18 +399,19 @@ pub(crate) fn compensate_pending(
     Ok(())
 }
 
-/// The SWEEP compensation term `Δ ⋈ Δⱼ` for one pending update of the
-/// hop's target — a direct delta-delta join (both sides are small Z-sets)
-/// instead of a replay of the step query over rebuilt bound tables. The
-/// executor's edge semantics survive intact: unknown attributes are schema
-/// conflicts, ill-typed filters error on every visited row, NULL join keys
-/// match nothing, and the output layout (all of Δ, then the target's
-/// projected attributes) equals the hop's exactly.
+/// The SWEEP compensation term `Δ ⋈ Δⱼ` for one delta `Δⱼ` of the hop's
+/// target (a pending update's, or in Equation 6 the batch's own) — a direct
+/// delta-delta join (both sides are small Z-sets) instead of a replay of the
+/// step query over rebuilt bound tables. The executor's edge semantics
+/// survive intact: unknown attributes are schema conflicts, ill-typed
+/// filters error on every visited row, NULL join keys match nothing, and the
+/// output layout (all of Δ, then the target's projected attributes) equals
+/// the hop's exactly.
 pub(crate) fn compensate(
     hop: &HopRequest<'_>,
-    pdu: &DataUpdate,
+    t_delta: TableSlice<'_>,
 ) -> Result<SignedBag, RelationalError> {
-    let schema = pdu.delta.schema();
+    let schema = t_delta.schema;
     let filters = hop
         .t_filters
         .iter()
@@ -426,7 +429,7 @@ pub(crate) fn compensate(
         .collect::<Result<Vec<usize>, RelationalError>>()?;
     let d_keys: Vec<usize> = hop.join_keys.iter().map(|&(i, _)| i).collect();
 
-    let filtered = delta_select(pdu.delta.rows(), &filters)?;
+    let filtered = delta_select(t_delta.rows, &filters)?;
     let joined = delta_join(hop.delta, &d_keys, &filtered, &t_keys);
     let d_len = hop.d_cols.arity();
     let out: Vec<usize> = (0..d_len).chain(t_proj.iter().map(|&i| d_len + i)).collect();

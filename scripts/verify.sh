@@ -26,6 +26,14 @@ echo "== hop protocol differential suite, release codegen =="
 # trace. Release too, because the probe path is what release builds inline.
 cargo test -q --release --offline --features proptest --test hop_props
 
+echo "== source history + adaptation chain differential suites, release codegen =="
+# tests/source_history_props.rs: every version `state_at` rewinds to equals
+# the forward replay, over all seven schema-change kinds. tests/
+# adapt_chain_props.rs: Equation 6 as delta chains against RecomputeOnly and
+# the term-by-term `eval` reference. Release too: the bulk projection and
+# the list-built join they lean on are what release builds inline.
+cargo test -q --release --offline --test source_history_props --test adapt_chain_props
+
 echo "== benchmark/ package suite (out-of-workspace SourcePort/Storage implementors) =="
 # `benchmark/` is its own workspace, so nothing above compiles it: a trait
 # change that breaks its `TimingPort`/`TimingStorage` would go unseen until
@@ -51,6 +59,24 @@ sed -E 's/"samples":[0-9]+,"block":[0-9]+,"min_ns":[0-9.]+,//; s/,"mean_ns":[0-9
     "$out/smoke.jsonl" > "$out/smoke_medians.jsonl"
 cargo run -q --release --offline -p dyno-bench --bin benchdiff -- \
     BENCH_smoke.json "$out/smoke_medians.jsonl" --tol 4.0
+
+echo "== structural gate: a rename's commit cost does not follow the relation's size =="
+# `source_commit_rename/N` commits one relation rename at a source holding
+# N-row relations. The relation is moved and nothing is pinned, so both
+# sizes cost the same; a reintroduced per-schema-change copy (of the
+# relation, or of the catalog as a snapshot) makes the 10x larger source
+# ~10x slower at any machine speed — where the 4x tolerance above, against a
+# baseline from another machine, can let it through.
+rename_median() {
+    grep "\"bench\":\"source_commit_rename/$1\"" "$out/smoke.jsonl" \
+        | grep -o '"median_ns":[0-9.]*' | grep -o '[0-9.]*$'
+}
+rename_small="$(rename_median 2000)"
+rename_large="$(rename_median 20000)"
+test -n "$rename_small"
+test -n "$rename_large"
+awk -v s="$rename_small" -v l="$rename_large" 'BEGIN { exit !(l <= 2 * s) }'
+echo "source_commit_rename: $rename_small ns at 2000 rows, $rename_large ns at 20000 (<= 2x)"
 
 echo "== fig10 --json/--trace smoke test =="
 DYNO_TUPLES=300 cargo run -q --release --offline -p dyno-bench --bin fig10 -- \

@@ -1,0 +1,302 @@
+//! Differential tests for batch adaptation's incremental path: Equation 6
+//! computed as compensated delta chains over one-pass fetched states.
+//!
+//! For seeded random merged batches — data updates on several relations
+//! (deletes included) interleaved with relation renames, attribute renames,
+//! attribute additions and drops of attributes the view never referenced,
+//! with pending non-batch updates to roll back, against views with constant
+//! filters and a two-attribute join key — three independently computed
+//! answers must agree:
+//!
+//! 1. `Adapted::Incremental`'s delta (the chains);
+//! 2. `RecomputeOnly`'s batch-point extent minus the extent before the batch;
+//! 3. Equation 6 term by term through the general executor — one full
+//!    `eval` of the view per changed relation over materialized new states,
+//!    the formulation the chains replaced, kept here as the reference —
+//!    over full-width states this file reconstructs itself.
+//!
+//! Cases come from the in-repo seeded PRNG; a failure names its case.
+
+use std::collections::HashMap;
+
+use dyno::prelude::*;
+use dyno::relational::exec::{RelationProvider, TableSlice};
+use dyno::relational::{eval, SignedBag};
+use dyno::sim::Rng;
+use dyno::view::{adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted};
+
+const CASES: u64 = 96;
+
+type States = HashMap<String, (Schema, SignedBag)>;
+
+/// Equation 6 as the parent commit computed it: for each changed relation
+/// `Rᵢ`, evaluate the whole query with `R₁…Rᵢ₋₁` at their new states, `Rᵢ`
+/// bound to its delta and `Rᵢ₊₁…Rₙ` at their old states; sum the terms.
+fn equation6_by_eval(
+    query: &SpjQuery,
+    old: &States,
+    deltas: &HashMap<String, SignedBag>,
+) -> SignedBag {
+    struct Slices<'a>(HashMap<&'a str, TableSlice<'a>>);
+    impl RelationProvider for Slices<'_> {
+        fn table(&self, name: &str) -> Result<TableSlice<'_>, RelationalError> {
+            self.0
+                .get(name)
+                .copied()
+                .ok_or_else(|| RelationalError::UnknownRelation { relation: name.into() })
+        }
+    }
+    let new_states: HashMap<&str, SignedBag> = deltas
+        .iter()
+        .map(|(t, d)| {
+            let mut rows = old[t].1.clone();
+            rows.merge(d);
+            (t.as_str(), rows)
+        })
+        .collect();
+    let mut total = SignedBag::new();
+    for (i, table_i) in query.tables.iter().enumerate() {
+        let Some(delta_i) = deltas.get(table_i) else { continue };
+        let mut provider = Slices(HashMap::new());
+        for (j, table_j) in query.tables.iter().enumerate() {
+            let (schema, old_rows) = &old[table_j];
+            let rows = match j.cmp(&i) {
+                std::cmp::Ordering::Less => new_states.get(table_j.as_str()).unwrap_or(old_rows),
+                std::cmp::Ordering::Equal => delta_i,
+                std::cmp::Ordering::Greater => old_rows,
+            };
+            provider.0.insert(table_j, TableSlice { schema, rows });
+        }
+        total.merge(&eval(query, &provider).expect("the reference evaluates").rows);
+    }
+    total
+}
+
+/// One relation of the fixture as the test tracks it across renames: where
+/// it lives, what it is called now, and how many leading attributes the view
+/// references (later ones are fair game for `DropAttribute`).
+struct Tracked {
+    source: SourceId,
+    name: String,
+    referenced: usize,
+}
+
+fn row(rng: &mut Rng, schema: &Schema) -> Tuple {
+    // Narrow ranges so keys match, filters cut and projections collide.
+    Tuple::new(
+        schema
+            .attrs()
+            .iter()
+            .enumerate()
+            .map(|(i, _)| Value::from(rng.gen_range(0..if i < 2 { 3 } else { 6i64 })))
+            .collect(),
+    )
+}
+
+fn build_space(rng: &mut Rng) -> (SourceSpace, Vec<Tracked>) {
+    let int = |n: &str| (n.to_string(), AttrType::Int);
+    let shapes = [
+        ("A", vec![int("k1"), int("k2"), int("a"), int("u")], 0u32, 3usize),
+        ("B", vec![int("k1"), int("k2"), int("b"), int("u")], 0, 3),
+        ("C", vec![int("k1"), int("c"), int("u")], 1, 2),
+    ];
+    let mut catalogs = [Catalog::new(), Catalog::new()];
+    let mut tracked = Vec::new();
+    for (name, cols, source, referenced) in shapes {
+        let attrs = cols.into_iter().map(|(n, t)| Attribute::new(n, t)).collect();
+        let schema = Schema::new(name, attrs).expect("distinct attributes");
+        let rows: Vec<Tuple> = (0..rng.gen_range(3..9usize)).map(|_| row(rng, &schema)).collect();
+        let rel = Relation::from_tuples(schema, rows).expect("typed rows");
+        catalogs[source as usize].add_relation(rel).expect("distinct relations");
+        tracked.push(Tracked { source: SourceId(source), name: name.into(), referenced });
+    }
+    let mut space = SourceSpace::new();
+    for (i, catalog) in catalogs.into_iter().enumerate() {
+        space.add_server(SourceServer::new(SourceId(i as u32), format!("s{i}"), catalog));
+    }
+    (space, tracked)
+}
+
+/// `A ⋈ B` on two attributes, `B ⋈ C` on one; filters on two relations in
+/// two cases of three. Outputs are aliased, so renames keep the columns.
+fn view(rng: &mut Rng) -> ViewDefinition {
+    let mut b = SpjQuery::over(["A", "B", "C"])
+        .select_as("A", "a", "a")
+        .select_as("B", "b", "b")
+        .select_as("C", "c", "c")
+        .select_as("A", "k1", "k")
+        .join_eq(("A", "k1"), ("B", "k1"))
+        .join_eq(("A", "k2"), ("B", "k2"))
+        .join_eq(("B", "k1"), ("C", "k1"));
+    if rng.gen_ratio(2, 3) {
+        b = b.filter("A", "a", CmpOp::Ge, 1).filter("C", "c", CmpOp::Lt, 5);
+    }
+    ViewDefinition::new("V", b.build())
+}
+
+/// A data update against `rel`'s current schema: an insert, or (when it has
+/// rows) a delete of stored rows.
+fn data_update(rng: &mut Rng, rel: &Relation) -> SourceUpdate {
+    let schema = rel.schema().clone();
+    let stored: Vec<Tuple> = rel.rows().iter().map(|(t, _)| t.clone()).collect();
+    let delta = if stored.is_empty() || rng.gen_ratio(3, 5) {
+        Delta::inserts(schema.clone(), (0..rng.gen_range(1..3u32)).map(|_| row(rng, &schema)))
+    } else {
+        Delta::deletes(schema, [rng.choose(&stored).clone()])
+    };
+    SourceUpdate::Data(DataUpdate::new(delta.expect("typed rows")))
+}
+
+/// Commits one random batch member and returns its message.
+fn commit_member(
+    rng: &mut Rng,
+    space: &mut SourceSpace,
+    tracked: &mut [Tracked],
+    fresh: &mut u32,
+) -> UpdateMessage {
+    let t = rng.gen_range(0..tracked.len());
+    let rel = space.server(tracked[t].source).catalog().get(&tracked[t].name).expect("tracked");
+    let attrs = rel.schema().attrs();
+    *fresh += 1;
+    let update = match rng.gen_range(0..10u32) {
+        0..=4 => data_update(rng, rel),
+        5 | 6 => {
+            let to = format!("{}_{fresh}", tracked[t].name);
+            let from = std::mem::replace(&mut tracked[t].name, to.clone());
+            SourceUpdate::Schema(SchemaChange::RenameRelation { from, to })
+        }
+        7 => SourceUpdate::Schema(SchemaChange::RenameAttribute {
+            relation: tracked[t].name.clone(),
+            from: rng.choose(attrs).name.clone(),
+            to: format!("x{fresh}"),
+        }),
+        8 => SourceUpdate::Schema(SchemaChange::AddAttribute {
+            relation: tracked[t].name.clone(),
+            attr: Attribute::new(format!("n{fresh}"), AttrType::Int),
+            default: Value::from(7),
+        }),
+        _ if attrs.len() > tracked[t].referenced => {
+            SourceUpdate::Schema(SchemaChange::DropAttribute {
+                relation: tracked[t].name.clone(),
+                attr: rng.choose(&attrs[tracked[t].referenced..]).name.clone(),
+            })
+        }
+        _ => data_update(rng, rel),
+    };
+    space.commit(tracked[t].source, update).expect("generated against the current schema")
+}
+
+fn extent_of(view: &ViewDefinition, space: &SourceSpace) -> SignedBag {
+    eval(&view.query, &space.provider()).expect("the view is defined").rows
+}
+
+/// The old states and per-relation batch deltas at full width, rebuilt from
+/// the sources' current relations the way the adaptation does it from its
+/// narrow fetches: current rows minus pending updates minus the batch's own
+/// (homogenized) deltas.
+fn reconstruct(
+    new_view: &ViewDefinition,
+    space: &SourceSpace,
+    batch: &[UpdateMessage],
+    pending: &[UpdateMessage],
+) -> (States, HashMap<String, SignedBag>) {
+    let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+    for (i, m) in batch.iter().enumerate() {
+        let SourceUpdate::Data(du) = &m.update else { continue };
+        let later: Vec<SchemaChange> = batch[i + 1..]
+            .iter()
+            .filter_map(|m| match &m.update {
+                SourceUpdate::Schema(sc) => Some(sc.clone()),
+                SourceUpdate::Data(_) => None,
+            })
+            .collect();
+        let h = homogenize_delta(&du.delta, &later).expect("homogenizes");
+        deltas.entry(h.schema().relation.clone()).or_default().merge(h.rows());
+    }
+    let mut old = States::new();
+    for table in &new_view.query.tables {
+        let sid = space.locate(table).expect("the rewritten view names current relations");
+        let rel = space.server(sid).catalog().get(table).expect("located");
+        let mut rows = rel.rows().clone();
+        for m in pending {
+            if let SourceUpdate::Data(du) = &m.update {
+                if du.relation == *table {
+                    rows.merge_negated(du.delta.rows());
+                }
+            }
+        }
+        if let Some(d) = deltas.get(table) {
+            rows.merge_negated(d);
+        }
+        old.insert(table.clone(), (rel.schema().clone(), rows));
+    }
+    (old, deltas)
+}
+
+#[test]
+fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
+    let (mut renames, mut drops, mut with_pending, mut nonempty) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xADA9_7000 + case);
+        let (mut space, mut tracked) = build_space(&mut rng);
+        let view = view(&mut rng);
+        let before = extent_of(&view, &space);
+
+        let mut fresh = 0;
+        let batch: Vec<UpdateMessage> = (0..rng.gen_range(3..11usize))
+            .map(|_| commit_member(&mut rng, &mut space, &mut tracked, &mut fresh))
+            .collect();
+        // Pending updates commit after the batch, against the final schema,
+        // and must be rolled back out of every fetched state.
+        let pending: Vec<UpdateMessage> = (0..rng.gen_range(0..4usize))
+            .map(|_| {
+                let t = rng.choose(&tracked);
+                let rel = space.server(t.source).catalog().get(&t.name).expect("tracked");
+                let update = data_update(&mut rng, rel);
+                space.commit(t.source, update).expect("current schema")
+            })
+            .collect();
+        for m in &batch {
+            match &m.update {
+                SourceUpdate::Schema(SchemaChange::DropAttribute { .. }) => drops += 1,
+                SourceUpdate::Schema(_) => renames += 1,
+                SourceUpdate::Data(_) => {}
+            }
+        }
+        with_pending += u32::from(!pending.is_empty());
+
+        let info = space.info().clone();
+        let members: Vec<&UpdateMessage> = batch.iter().collect();
+        let adapt = |mode| {
+            let mut port = InProcessPort::new(space.clone());
+            let (result, arrivals) = adapt_batch(&view, &members, &pending, &info, mode, &mut port);
+            assert!(arrivals.is_empty(), "case {case}: nothing commits during adaptation");
+            result.unwrap_or_else(|e| panic!("case {case}: {e:?}"))
+        };
+        let Adapted::Incremental { view: new_view, delta } = adapt(AdaptationMode::Auto) else {
+            panic!("case {case}: a shape-preserving batch adapts incrementally");
+        };
+        let Adapted::Replaced { view: recomputed_view, extent, .. } =
+            adapt(AdaptationMode::RecomputeOnly)
+        else {
+            panic!("case {case}: RecomputeOnly recomputes");
+        };
+        assert_eq!(new_view, recomputed_view, "case {case}");
+        assert_eq!(delta.cols, view.output_cols(), "case {case}");
+        assert_eq!(delta.rows, extent.diff(&before), "case {case}: chains vs recompute");
+
+        let (old, deltas) = reconstruct(&new_view, &space, &batch, &pending);
+        let reference = equation6_by_eval(&new_view.query, &old, &deltas);
+        assert_eq!(delta.rows, reference, "case {case}: chains vs term-by-term eval");
+        // And the public function on the very states the reference saw.
+        let direct = equation6_delta(&new_view.query, &old, &deltas).expect("well-formed");
+        assert_eq!(direct.rows, reference, "case {case}: equation6_delta at full width");
+        nonempty += u32::from(!delta.rows.is_empty());
+    }
+    assert!(
+        renames >= 40 && drops >= 10,
+        "schema changes ran: {renames} renames/adds, {drops} drops"
+    );
+    assert!(with_pending >= 30, "pending rollbacks ran: {with_pending}");
+    assert!(nonempty >= 30, "the deltas were not all trivially empty: {nonempty}");
+}

@@ -15,6 +15,12 @@ fn schema(i: usize) -> Schema {
 }
 
 fn view(n: usize) -> ViewDefinition {
+    filtered_view(n, &[])
+}
+
+/// The chain view over `R0..Rn`, with a constant filter `Ri.v <op> c` per
+/// entry of `filters`.
+fn filtered_view(n: usize, filters: &[(usize, CmpOp, i64)]) -> ViewDefinition {
     let names: Vec<String> = (0..n).map(|i| format!("R{i}")).collect();
     let mut b = SpjQuery::over(names.clone());
     for (i, name) in names.iter().enumerate() {
@@ -23,7 +29,30 @@ fn view(n: usize) -> ViewDefinition {
     for w in names.windows(2) {
         b = b.join_eq((w[0].as_str(), "k"), (w[1].as_str(), "k"));
     }
+    for &(i, op, c) in filters {
+        b = b.filter(&names[i], "v", op, c);
+    }
     ViewDefinition::new("V", b.build())
+}
+
+/// `eval(V, old + deltas) − eval(V, old)`: what Equation 6 must equal.
+fn recompute_diff(
+    view: &ViewDefinition,
+    old: &HashMap<String, (Schema, SignedBag)>,
+    deltas: &HashMap<String, SignedBag>,
+) -> SignedBag {
+    let eval_over = |pick_new: bool| -> SignedBag {
+        let mut p = LocalProvider::new();
+        for (name, (schema, rows)) in old {
+            let mut r = rows.clone();
+            if let Some(d) = deltas.get(name).filter(|_| pick_new) {
+                r.merge(d);
+            }
+            p.insert(schema.clone(), r);
+        }
+        dyno::relational::eval(&view.query, &p).expect("well-formed").rows
+    };
+    eval_over(true).diff(&eval_over(false))
 }
 
 /// 0..8 rows over keys 0..5, values 0..3, multiplicities 1..3.
@@ -85,22 +114,50 @@ fn equation6_equals_recompute_diff() {
         }
 
         let dv = equation6_delta(&view.query, &old, &deltas).expect("well-formed");
+        assert_eq!(dv.rows, recompute_diff(&view, &old, &deltas), "case {case}");
+    }
+}
 
-        let eval_over = |pick_new: bool| -> SignedBag {
-            let mut p = LocalProvider::new();
-            for (name, (schema, rows)) in &old {
-                let mut r = rows.clone();
-                if pick_new {
-                    if let Some(d) = deltas.get(name) {
-                        r.merge(d);
-                    }
-                }
-                p.insert(schema.clone(), r);
+/// The same identity through constant filters (on the changed relation —
+/// the chain's seed selection — and on hop targets), with one relation's
+/// delta built to cancel to empty (present in the map, contributing no
+/// term), and down to a one-relation view (a chain with no hop at all).
+#[test]
+fn equation6_with_filters_cancelled_deltas_and_a_single_relation() {
+    let mut rng = Rng::new(0xE6_F117);
+    for case in 0..96 {
+        let n = [1, 2, 4][case % 3];
+        let mut filters: Vec<(usize, CmpOp, i64)> = Vec::new();
+        for i in 0..n {
+            if rng.gen_ratio(1, 2) {
+                let op = *rng.choose(&[CmpOp::Ge, CmpOp::Lt, CmpOp::Eq]);
+                filters.push((i, op, rng.gen_range(1..4i64)));
             }
-            dyno::relational::eval(&view.query, &p).expect("well-formed").rows
-        };
-        let expected = eval_over(true).diff(&eval_over(false));
-        assert_eq!(dv.rows, expected, "case {case}");
+        }
+        let view = filtered_view(n, &filters);
+        let mut old: HashMap<String, (Schema, SignedBag)> = HashMap::new();
+        let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+        let cancelled = rng.gen_range(0..n);
+        for i in 0..n {
+            let rows = rel_rows(&mut rng);
+            let mut d: SignedBag = delta_rows(&mut rng).into_iter().collect();
+            if i == cancelled {
+                // Every insert is taken back within the same delta.
+                let inserts = d.clone();
+                d.merge_negated(&inserts);
+                assert!(d.is_empty());
+                deltas.insert(format!("R{i}"), d);
+            } else if rng.gen_ratio(2, 3) {
+                if let Some((t, c)) = rows.first() {
+                    d.add(t.clone(), -c);
+                }
+                deltas.insert(format!("R{i}"), d);
+            }
+            old.insert(format!("R{i}"), (schema(i), rows.into_iter().collect()));
+        }
+        let dv = equation6_delta(&view.query, &old, &deltas).expect("well-formed");
+        assert_eq!(dv.cols, view.output_cols(), "case {case}");
+        assert_eq!(dv.rows, recompute_diff(&view, &old, &deltas), "case {case} ({n} relations)");
     }
 }
 
