@@ -11,8 +11,7 @@ use dyno_core::Strategy;
 use dyno_durable::storage::{Storage, StorageError};
 use dyno_durable::{crc32, MemStorage};
 use dyno_relational::{
-    delta_join_probe, DataUpdate, Delta, SchemaChange, SignedBag, SourceUpdate, SpjQuery, Tuple,
-    Value,
+    delta_join_probe, DataUpdate, Delta, SchemaChange, SourceUpdate, SpjQuery, Tuple, Value, ZSet,
 };
 use dyno_sim::{build_testbed, TestbedConfig};
 use dyno_source::{SourceId, UpdateId, UpdateMessage};
@@ -77,7 +76,7 @@ fn bench_indexed_sweep(h: &mut Harness) {
         let schema = du.delta.schema();
         let proj: Vec<usize> =
             plan.local_proj.iter().map(|a| schema.require(a).expect("delta attr")).collect();
-        let d_rows: SignedBag = du.delta.rows().project(&proj);
+        let d_rows: ZSet = du.delta.rows().project(&proj);
         {
             let bound = vec![BoundTable {
                 name: "__D".to_string(),
@@ -152,8 +151,8 @@ fn bench_sweep(h: &mut Harness) {
     }
 }
 
-type States = HashMap<String, (dyno_relational::Schema, SignedBag)>;
-type Deltas = HashMap<String, SignedBag>;
+type States = HashMap<String, (dyno_relational::Schema, ZSet)>;
+type Deltas = HashMap<String, ZSet>;
 
 fn states_and_delta(tuples: usize) -> (dyno_view::ViewDefinition, States, Deltas) {
     let cfg = cfg(tuples);

@@ -19,9 +19,9 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dyno_bench::harness::Harness;
-use dyno_core::Strategy;
+use dyno_bench::run_converged;
 use dyno_obs::{field, stage, Collector, VirtualClock};
-use dyno_sim::{build_testbed, run_scenario, Scenario, TestbedConfig, WorkloadGen};
+use dyno_sim::{build_testbed, Experiment, TestbedConfig, WorkloadGen};
 
 /// Counts every heap allocation (alloc + realloc + alloc_zeroed).
 struct CountingAlloc;
@@ -69,18 +69,13 @@ fn assert_zero_alloc(label: &str, obs: &Collector) {
 
 /// The chaos suite's mixed workload, fault-free: 12 DUs + 3 SCs over a
 /// 200-tuple testbed — every SWEEP/merge/reorder instrumentation point runs.
-fn sweep_scenario(lineage: bool) -> Scenario {
+fn sweep_scenario(lineage: bool) -> Experiment {
     let cfg = TestbedConfig { tuples_per_relation: 200, ..Default::default() };
     let (space, view) = build_testbed(&cfg);
     let mut gen = WorkloadGen::new(cfg, 42);
     let mut schedule = gen.du_flood(12);
     schedule.extend(gen.sc_train(3, 1_000_000, 20_000_000));
-    let s = Scenario::new(space, view, schedule).with_strategy(Strategy::Pessimistic);
-    if lineage {
-        s.with_lineage()
-    } else {
-        s
-    }
+    Experiment { lineage, ..Experiment::new(space, vec![view], schedule) }
 }
 
 fn main() {
@@ -110,18 +105,13 @@ fn main() {
     h.bench_with_setup(
         "sweep_run/lineage_off",
         || sweep_scenario(false),
-        |s| {
-            let r = run_scenario(s).expect("fault-free run");
-            assert!(r.converged);
-            r.steps
-        },
+        |s| run_converged("lineage off", s).steps,
     );
     h.bench_with_setup(
         "sweep_run/lineage_on",
         || sweep_scenario(true),
         |s| {
-            let r = run_scenario(s).expect("fault-free run");
-            assert!(r.converged);
+            let r = run_converged("lineage on", s);
             assert!(!r.obs.lineage_records().is_empty(), "lineage actually captured");
             r.steps
         },

@@ -7,9 +7,8 @@
 //! on a rename-heavy workload (no attribute drops, so every batch is
 //! shape-preserving) at increasing view sizes.
 
-use dyno_bench::{render_table, secs, warn_if_debug, write_json_table, BenchArgs};
-use dyno_core::Strategy;
-use dyno_sim::{build_testbed, run_scenario, CostModel, Scenario, TestbedConfig, WorkloadGen};
+use dyno_bench::{render_table, run_converged, secs, warn_if_debug, write_json_table, BenchArgs};
+use dyno_sim::{build_testbed, CostModel, Experiment, TestbedConfig, WorkloadGen};
 use dyno_view::AdaptationMode;
 
 fn main() {
@@ -38,17 +37,17 @@ fn main() {
             }
             timeline.sort_by_key(|e| e.0);
             let schedule = gen.realize(&timeline);
-            let report = run_scenario(
-                Scenario::new(space, view, schedule)
-                    .with_strategy(Strategy::Pessimistic)
-                    .with_adaptation(mode)
-                    .with_cost(CostModel::calibrated(tuples as u64)),
-            )
-            .unwrap_or_else(|e| panic!("{tuples}/{label}: {e}"));
-            assert!(report.converged, "{tuples}/{label} must converge");
+            let report = run_converged(
+                &format!("{tuples}/{label}"),
+                Experiment {
+                    adaptation: mode,
+                    cost: CostModel::calibrated(tuples as u64),
+                    ..Experiment::new(space, vec![view], schedule)
+                },
+            );
             cells.push(secs(report.metrics.total_cost_us()));
             if mode == AdaptationMode::Auto {
-                cells.push(report.view_stats.incremental_batches.to_string());
+                cells.push(report.views[0].stats.incremental_batches.to_string());
             }
         }
         rows.push(cells);

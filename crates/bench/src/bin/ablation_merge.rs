@@ -9,10 +9,11 @@
 //! and the total/abort cost, under the pessimistic strategy.
 
 use dyno_bench::{
-    cost_model, render_table, secs, testbed_config, warn_if_debug, write_json_table, BenchArgs,
+    cost_model, render_table, run_converged, secs, testbed_config, warn_if_debug, write_json_table,
+    BenchArgs,
 };
-use dyno_core::{CorrectionPolicy, Strategy};
-use dyno_sim::{build_testbed, run_scenario, Scenario, WorkloadGen};
+use dyno_core::CorrectionPolicy;
+use dyno_sim::{build_testbed, Experiment, WorkloadGen};
 
 const SEEDS: u64 = 3;
 
@@ -32,17 +33,17 @@ fn main() {
                 let (space, view) = build_testbed(&cfg);
                 let mut gen = WorkloadGen::new(cfg, 0xAB1 + interval_s + 1000 * seed);
                 let schedule = gen.mixed(200, 500_000, 10, 0, interval_s * 1_000_000);
-                let report = run_scenario(
-                    Scenario::new(space, view, schedule)
-                        .with_strategy(Strategy::Pessimistic)
-                        .with_policy(policy)
-                        .with_cost(cost_model()),
-                )
-                .unwrap_or_else(|e| panic!("interval {interval_s}s/{policy:?}: {e}"));
-                assert!(report.converged, "interval {interval_s}s/{policy:?} must converge");
+                let report = run_converged(
+                    &format!("interval {interval_s}s/{policy:?}"),
+                    Experiment {
+                        policy,
+                        cost: cost_model(),
+                        ..Experiment::new(space, vec![view], schedule)
+                    },
+                );
                 total += report.metrics.total_cost_us();
                 abort += report.metrics.abort_us;
-                refreshes += report.dyno_stats.committed;
+                refreshes += report.counter("dyno.committed");
             }
             cells.push(secs(total / SEEDS));
             cells.push(secs(abort / SEEDS));

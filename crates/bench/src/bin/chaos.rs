@@ -8,7 +8,7 @@
 
 use dyno_bench::{render_table, write_json_table_with_status, BenchArgs};
 use dyno_fault::FaultProfile;
-use dyno_sim::{run_chaos, ChaosConfig};
+use dyno_sim::{run, Experiment};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -23,7 +23,7 @@ fn main() {
     let mut last_error: Option<String> = None;
     for profile in FaultProfile::all() {
         for seed in 0..seeds {
-            let report = run_chaos(&ChaosConfig::new(profile, seed));
+            let report = run(Experiment::chaos(profile, seed)).expect("testbed views initialize");
             if let Some(e) = &report.last_error {
                 last_error = Some(e.clone());
             }
@@ -32,10 +32,10 @@ fn main() {
                 seed.to_string(),
                 report.converged.to_string(),
                 report.steps.to_string(),
-                report.parked_steps.to_string(),
-                report.fault_injected.to_string(),
-                report.retry_attempts.to_string(),
-                report.duplicates_dropped.to_string(),
+                report.counter("dyno.parked").to_string(),
+                report.counter("fault.injected_total").to_string(),
+                report.counter("retry.attempts").to_string(),
+                report.counter("fault.duplicates_dropped").to_string(),
             ]);
         }
     }

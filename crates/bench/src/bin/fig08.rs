@@ -9,10 +9,11 @@
 //! path, and this binary demonstrates it end to end.
 
 use dyno_bench::{
-    cost_model, render_table, secs, testbed_config, warn_if_debug, write_json_table, BenchArgs,
+    cost_model, render_table, run_converged, secs, testbed_config, warn_if_debug, write_json_table,
+    BenchArgs,
 };
 use dyno_core::Strategy;
-use dyno_sim::{build_testbed, run_scenario, Scenario, WorkloadGen};
+use dyno_sim::{build_testbed, Experiment, WorkloadGen};
 
 fn main() {
     warn_if_debug();
@@ -33,17 +34,19 @@ fn main() {
             let (space, view) = build_testbed(&cfg);
             let mut gen = WorkloadGen::new(cfg, 0xF18 + n as u64);
             let schedule = gen.du_flood(n);
-            let report = run_scenario(
-                Scenario::new(space, view, schedule)
-                    .with_strategy(strategy)
-                    .with_cost(cost_model()),
-            )
-            .expect("DU-only runs cannot fail");
-            assert!(report.converged, "sanity: run must converge");
+            let report = run_converged(
+                &format!("{n} DUs/{strategy:?}"),
+                Experiment {
+                    strategy,
+                    cost: cost_model(),
+                    ..Experiment::new(space, vec![view], schedule)
+                },
+            );
             assert_eq!(report.metrics.aborts, 0, "sanity: DUs never break queries");
             if strategy == Strategy::Pessimistic {
                 assert_eq!(
-                    report.dyno_stats.graph_builds, 0,
+                    report.counter("dyno.graph_builds"),
+                    0,
                     "sanity: the O(1) flag fast path must avoid graph builds"
                 );
             }

@@ -13,11 +13,12 @@
 //! broken query, and pays the abort).
 
 use dyno_bench::{
-    cost_model, render_table, secs, testbed_config, warn_if_debug, write_json_table, BenchArgs,
+    cost_model, render_table, run_converged, secs, testbed_config, warn_if_debug, write_json_table,
+    BenchArgs,
 };
 use dyno_core::Strategy;
 use dyno_relational::{DataUpdate, Delta, SchemaChange, SourceUpdate, Tuple, Value};
-use dyno_sim::{build_testbed, run_scenario, Scenario, ScheduledCommit, TestbedConfig};
+use dyno_sim::{build_testbed, Experiment, ScheduledCommit, TestbedConfig};
 use dyno_source::SourceId;
 
 fn du_on_r0(cfg: &TestbedConfig, at_us: u64) -> ScheduledCommit {
@@ -84,13 +85,14 @@ fn main() {
             ("optimistic", 0, Strategy::Optimistic),
         ] {
             let (space, view) = build_testbed(&cfg);
-            let report = run_scenario(
-                Scenario::new(space, view, build(gap))
-                    .with_strategy(strategy)
-                    .with_cost(cost_model()),
-            )
-            .unwrap_or_else(|e| panic!("{label}/{setting}: {e}"));
-            assert!(report.converged, "{label}/{setting} must converge");
+            let report = run_converged(
+                &format!("{label}/{setting}"),
+                Experiment {
+                    strategy,
+                    cost: cost_model(),
+                    ..Experiment::new(space, vec![view], build(gap))
+                },
+            );
             cells.push(secs(report.metrics.total_cost_us()));
             if setting == "optimistic" {
                 cells.push(report.metrics.aborts.to_string());

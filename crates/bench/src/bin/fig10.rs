@@ -14,10 +14,11 @@
 //! * pessimistic ≤ optimistic throughout.
 
 use dyno_bench::{
-    cost_model, render_table, secs, testbed_config, warn_if_debug, write_json_table, BenchArgs,
+    cost_model, render_table, run_converged, secs, testbed_config, warn_if_debug, write_json_table,
+    BenchArgs,
 };
 use dyno_core::Strategy;
-use dyno_sim::{build_testbed, run_scenario, Scenario, WorkloadGen};
+use dyno_sim::{build_testbed, Experiment, TestbedConfig, WorkloadGen};
 
 const SEEDS: u64 = 3;
 
@@ -38,13 +39,14 @@ fn main() {
                 let mut gen = WorkloadGen::new(cfg, 0xF10 + interval_s + 1000 * seed);
                 // DUs trickle every 0.5 s across the run; 10 SCs at the interval.
                 let schedule = gen.mixed(200, 500_000, 10, 0, interval_s * 1_000_000);
-                let report = run_scenario(
-                    Scenario::new(space, view, schedule)
-                        .with_strategy(strategy)
-                        .with_cost(cost_model()),
-                )
-                .unwrap_or_else(|e| panic!("interval {interval_s}s/{strategy:?}: {e}"));
-                assert!(report.converged, "interval {interval_s}s/{strategy:?} must converge");
+                let report = run_converged(
+                    &format!("interval {interval_s}s/{strategy:?}"),
+                    Experiment {
+                        strategy,
+                        cost: cost_model(),
+                        ..Experiment::new(space, vec![view], schedule)
+                    },
+                );
                 total += report.metrics.total_cost_us();
                 abort += report.metrics.abort_us;
             }
@@ -78,19 +80,24 @@ fn main() {
     }
 }
 
-/// One representative traced run (interval 17 s, optimistic — plenty of
-/// aborts): JSONL trace to `path`, metrics snapshot to `path.metrics.json`.
-fn traced_run(path: &str, cfg: &dyno_sim::TestbedConfig) {
+/// The representative run the exports below capture: interval 17 s,
+/// optimistic — plenty of aborts — with tracing on.
+fn representative(cfg: &TestbedConfig) -> Experiment {
     let (space, view) = build_testbed(cfg);
     let mut gen = WorkloadGen::new(*cfg, 0xF10 + 17);
     let schedule = gen.mixed(200, 500_000, 10, 0, 17_000_000);
-    let report = run_scenario(
-        Scenario::new(space, view, schedule)
-            .with_strategy(Strategy::Optimistic)
-            .with_cost(cost_model())
-            .with_tracing(),
-    )
-    .expect("traced run");
+    Experiment {
+        strategy: Strategy::Optimistic,
+        cost: cost_model(),
+        tracing: true,
+        ..Experiment::new(space, vec![view], schedule)
+    }
+}
+
+/// JSONL trace of the representative run to `path`, metrics snapshot to
+/// `path.metrics.json`.
+fn traced_run(path: &str, cfg: &TestbedConfig) {
+    let report = run_converged("traced run", representative(cfg));
     std::fs::write(path, report.obs.trace_jsonl()).expect("write trace");
     let metrics_path = format!("{path}.metrics.json");
     std::fs::write(&metrics_path, report.obs.metrics_json()).expect("write metrics snapshot");
@@ -118,22 +125,13 @@ fn traced_run(path: &str, cfg: &dyno_sim::TestbedConfig) {
     );
 }
 
-/// One representative run with tracing *and* lineage, exported as a Chrome
+/// The representative run with tracing *and* lineage, exported as a Chrome
 /// `trace_event` document: per-subsystem lanes, 1 µs `prov.*` slices, and
 /// flow arrows following each causal id from source commit to extent delta.
 /// Load the file at <https://ui.perfetto.dev>.
-fn chrome_run(path: &str, cfg: &dyno_sim::TestbedConfig) {
-    let (space, view) = build_testbed(cfg);
-    let mut gen = WorkloadGen::new(*cfg, 0xF10 + 17);
-    let schedule = gen.mixed(200, 500_000, 10, 0, 17_000_000);
-    let report = run_scenario(
-        Scenario::new(space, view, schedule)
-            .with_strategy(Strategy::Optimistic)
-            .with_cost(cost_model())
-            .with_tracing()
-            .with_lineage(),
-    )
-    .expect("chrome-traced run");
+fn chrome_run(path: &str, cfg: &TestbedConfig) {
+    let report =
+        run_converged("chrome-traced run", Experiment { lineage: true, ..representative(cfg) });
     let records = report.obs.trace_records();
     let lineage = report.obs.lineage_records();
     let doc = dyno_obs::export_chrome(&records, &lineage);

@@ -9,10 +9,11 @@
 //! optimistic thanks to pre-exec detection.
 
 use dyno_bench::{
-    cost_model, render_table, secs, testbed_config, warn_if_debug, write_json_table, BenchArgs,
+    cost_model, render_table, run_converged, secs, testbed_config, warn_if_debug, write_json_table,
+    BenchArgs,
 };
 use dyno_core::Strategy;
-use dyno_sim::{build_testbed, run_scenario, Scenario, WorkloadGen};
+use dyno_sim::{build_testbed, Experiment, WorkloadGen};
 
 const SEEDS: u64 = 3;
 
@@ -33,13 +34,14 @@ fn main() {
                 let (space, view) = build_testbed(&cfg);
                 let mut gen = WorkloadGen::new(cfg, 0xF11 + k as u64 + 1000 * seed);
                 let schedule = gen.mixed(200, 500_000, k, 0, interval_us);
-                let report = run_scenario(
-                    Scenario::new(space, view, schedule)
-                        .with_strategy(strategy)
-                        .with_cost(cost_model()),
-                )
-                .unwrap_or_else(|e| panic!("k={k}/{strategy:?}: {e}"));
-                assert!(report.converged, "k={k}/{strategy:?} must converge");
+                let report = run_converged(
+                    &format!("k={k}/{strategy:?}"),
+                    Experiment {
+                        strategy,
+                        cost: cost_model(),
+                        ..Experiment::new(space, vec![view], schedule)
+                    },
+                );
                 total += report.metrics.total_cost_us();
                 abort += report.metrics.abort_us;
             }

@@ -22,7 +22,7 @@
 use dyno_bench::render_table;
 use dyno_fault::FaultProfile;
 use dyno_obs::forensics;
-use dyno_sim::{run_chaos, ChaosConfig, ChaosReport};
+use dyno_sim::{run, Experiment, Report};
 
 fn usage(bin: &str) -> ! {
     eprintln!("usage: {bin} [--json <path>] [--explain <id>] [--seed <n>] [--replica]");
@@ -140,9 +140,11 @@ fn main() {
     println!("== provenance forensics (chaos workload, seed {seed}) ==\n");
     let header = ["profile", "applied", "conflicted", "lineage", "dropped", "e2e p50", "e2e p95"];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut detailed: Option<(FaultProfile, ChaosReport)> = None;
+    let mut detailed: Option<(FaultProfile, Report)> = None;
     for profile in FaultProfile::all() {
-        let report = run_chaos(&ChaosConfig::new(profile, seed).with_lineage().with_profile());
+        let report =
+            run(Experiment { lineage: true, op_profile: true, ..Experiment::chaos(profile, seed) })
+                .expect("testbed views initialize");
         assert!(report.last_error.is_none(), "chaos run died: {:?}", report.last_error);
         let records = report.obs.lineage_records();
         let f = forensics::analyze(&records);

@@ -22,7 +22,7 @@
 //! exception and is off by default).
 
 use dyno_obs::SloPolicy;
-use dyno_sim::{run_monitor, MonitorConfig, OpenLoopConfig, TestbedConfig};
+use dyno_sim::{run, Experiment, Monitor, OpenLoopConfig, TestbedConfig};
 
 fn usage(bin: &str) -> ! {
     eprintln!(
@@ -32,13 +32,18 @@ fn usage(bin: &str) -> ! {
     std::process::exit(2);
 }
 
-fn profile_config(profile: &str, seed: u64, duration_s: u64) -> MonitorConfig {
+/// The profile's open-loop arrival process, UMQ bound, staleness SLO target
+/// and drain windows; `storms` overrides its schema-change storm count.
+fn profile_experiment(
+    profile: &str,
+    seed: u64,
+    duration_s: u64,
+    storms: Option<usize>,
+) -> Experiment {
     let duration_us = duration_s * 1_000_000;
-    let testbed = TestbedConfig { tuples_per_relation: 300, ..Default::default() };
-    match profile {
-        "burst" => MonitorConfig {
-            testbed,
-            open_loop: OpenLoopConfig {
+    let (mut load, umq_bound, slo_us, drain_windows) = match profile {
+        "burst" => (
+            OpenLoopConfig {
                 duration_us,
                 du_per_sec: 6.0,
                 zipf_skew: 1.1,
@@ -48,16 +53,12 @@ fn profile_config(profile: &str, seed: u64, duration_s: u64) -> MonitorConfig {
                 sc_storm_len: 2,
                 sc_storm_gap_us: 2_000_000,
             },
-            workload_seed: seed,
-            tenant_views: 3,
-            umq_bound: Some(16),
-            slo: SloPolicy::target(15_000_000),
-            drain_windows: 16,
-            ..Default::default()
-        },
-        "slow-source" => MonitorConfig {
-            testbed,
-            open_loop: OpenLoopConfig {
+            Some(16),
+            15_000_000,
+            16,
+        ),
+        "slow-source" => (
+            OpenLoopConfig {
                 duration_us,
                 du_per_sec: 1.0,
                 sc_storms: 1,
@@ -65,33 +66,39 @@ fn profile_config(profile: &str, seed: u64, duration_s: u64) -> MonitorConfig {
                 sc_storm_gap_us: 2_000_000,
                 ..Default::default()
             },
-            workload_seed: seed,
-            tenant_views: 3,
-            umq_bound: None,
-            slo: SloPolicy::target(3_000_000),
-            drain_windows: 24,
-            ..Default::default()
-        },
-        "steady" => MonitorConfig {
-            testbed,
-            open_loop: OpenLoopConfig {
+            None,
+            3_000_000,
+            24,
+        ),
+        "steady" => (
+            OpenLoopConfig {
                 duration_us,
                 du_per_sec: 2.0,
                 diurnal_amplitude: 0.3,
                 sc_storms: 0,
                 ..Default::default()
             },
-            workload_seed: seed,
-            tenant_views: 3,
-            umq_bound: None,
-            slo: SloPolicy::target(15_000_000),
-            drain_windows: 12,
-            ..Default::default()
-        },
+            None,
+            15_000_000,
+            12,
+        ),
         other => {
             eprintln!("unknown profile: {other}");
             std::process::exit(2);
         }
+    };
+    if let Some(s) = storms {
+        load.sc_storms = s;
+    }
+    let testbed = TestbedConfig { tuples_per_relation: 300, ..Default::default() };
+    Experiment {
+        umq_bound,
+        monitor: Some(Monitor {
+            slo: SloPolicy::target(slo_us),
+            drain_windows,
+            ..Default::default()
+        }),
+        ..Experiment::open_loop(testbed, &load, seed, 3)
     }
 }
 
@@ -101,11 +108,11 @@ fn profile_config(profile: &str, seed: u64, duration_s: u64) -> MonitorConfig {
 /// sampling cost show up in `BENCH_scale.json`; inherently noisy.
 fn overhead_json(seed: u64, duration_s: u64) -> String {
     let timed = |window_us: u64| -> (u128, u64) {
-        let mut cfg = profile_config("steady", seed, duration_s);
-        cfg.window_us = window_us;
+        let mut exp = profile_experiment("steady", seed, duration_s, None);
+        exp.monitor.as_mut().expect("open-loop runs are monitored").window_us = window_us;
         let t0 = std::time::Instant::now();
-        let report = run_monitor(&cfg).expect("steady overhead run");
-        (t0.elapsed().as_nanos(), report.sampler.windows())
+        let report = run(exp).expect("steady overhead run");
+        (t0.elapsed().as_nanos(), report.telemetry.expect("monitored run").sampler.windows())
     };
     let (with_ns, with_windows) = timed(1_000_000);
     let (without_ns, without_windows) = timed(duration_s * 1_000_000 * 4);
@@ -148,15 +155,13 @@ fn main() {
         }
     }
 
-    let mut cfg = profile_config(&profile, seed, duration_s);
+    let mut exp = profile_experiment(&profile, seed, duration_s, storms);
     if let Some(b) = umq_bound {
-        cfg.umq_bound = if b == 0 { None } else { Some(b) };
-    }
-    if let Some(s) = storms {
-        cfg.open_loop.sc_storms = s;
+        exp.umq_bound = if b == 0 { None } else { Some(b) };
     }
     println!("== live monitor: profile {profile}, seed {seed}, {duration_s}s simulated ==\n");
-    let report = run_monitor(&cfg).expect("monitored run");
+    let report = run(exp).expect("monitored run");
+    assert!(report.last_error.is_none(), "monitored run died: {:?}", report.last_error);
     print!("{}", report.render_text());
 
     if let Some(path) = json {

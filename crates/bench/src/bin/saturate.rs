@@ -4,7 +4,7 @@
 //! pipeline stops keeping up (p99 staleness blows past 2× the baseline, or
 //! the bounded UMQ starts shedding).
 //!
-//! Every step is one [`run_monitor`] run with the per-operator profiler on,
+//! Every step is one monitored [`run`] with the per-operator profiler on,
 //! so the sweep also answers *why* the knee is where it is: the heaviest
 //! step's `EXPLAIN ANALYZE` plan tree is printed after the curve, showing
 //! which operator's rows grew superlinearly with offered load.
@@ -18,7 +18,7 @@
 
 use dyno_bench::render_table;
 use dyno_obs::{Profile, SloPolicy};
-use dyno_sim::{run_monitor, MonitorConfig, MonitorReport, OpenLoopConfig, TestbedConfig};
+use dyno_sim::{run, Experiment, Monitor, OpenLoopConfig, TestbedConfig};
 
 fn usage(bin: &str) -> ! {
     eprintln!(
@@ -44,7 +44,7 @@ struct StepResult {
     /// Deterministic profile totals summed over every plan node:
     /// (rows_in, rows_out, weights_cancelled, index_probes).
     prof: (u64, u64, u64, u64),
-    report: MonitorReport,
+    profile: Profile,
 }
 
 /// Sums the deterministic columns of every node in every plan. The `ns`
@@ -62,53 +62,59 @@ fn profile_totals(p: &Profile) -> (u64, u64, u64, u64) {
     t
 }
 
-fn sweep_config(
+fn sweep_experiment(
     rate: u64,
     seed: u64,
     duration_s: u64,
     tuples: usize,
     bound: usize,
-) -> MonitorConfig {
-    let duration_us = duration_s * 1_000_000;
-    MonitorConfig {
-        testbed: TestbedConfig { tuples_per_relation: tuples, ..Default::default() },
-        open_loop: OpenLoopConfig {
-            duration_us,
-            du_per_sec: rate as f64,
-            zipf_skew: 0.8,
-            diurnal_amplitude: 0.0,
-            sc_storms: 0,
-            ..Default::default()
-        },
-        workload_seed: seed,
-        tenant_views: 2,
-        umq_bound: if bound == 0 { None } else { Some(bound) },
-        slo: SloPolicy::target(15_000_000),
-        drain_windows: 8,
-        profile: true,
+) -> Experiment {
+    let load = OpenLoopConfig {
+        duration_us: duration_s * 1_000_000,
+        du_per_sec: rate as f64,
+        zipf_skew: 0.8,
+        diurnal_amplitude: 0.0,
+        sc_storms: 0,
         ..Default::default()
+    };
+    Experiment {
+        umq_bound: if bound == 0 { None } else { Some(bound) },
+        monitor: Some(Monitor {
+            slo: SloPolicy::target(15_000_000),
+            drain_windows: 8,
+            ..Default::default()
+        }),
+        op_profile: true,
+        ..Experiment::open_loop(
+            TestbedConfig { tuples_per_relation: tuples, ..Default::default() },
+            &load,
+            seed,
+            2,
+        )
     }
 }
 
 fn run_step(rate: u64, seed: u64, duration_s: u64, tuples: usize, bound: usize) -> StepResult {
-    let cfg = sweep_config(rate, seed, duration_s, tuples, bound);
-    let report = run_monitor(&cfg).expect("saturate sweep step");
+    let report =
+        run(sweep_experiment(rate, seed, duration_s, tuples, bound)).expect("saturate sweep step");
+    assert!(report.last_error.is_none(), "rate {rate} DU/s died: {:?}", report.last_error);
     assert!(!report.exhausted, "step budget exhausted at rate {rate} DU/s");
     // Lane 0 is the full testbed join — the heaviest view and the one whose
     // staleness defines the knee.
-    let (samples, p50_us, p95_us, p99_us) = report.tracker.lifetime(0);
-    let prof = profile_totals(&report.profile);
+    let tracker = &report.telemetry.as_ref().expect("monitored run").tracker;
+    let (samples, p50_us, p95_us, p99_us) = tracker.lifetime(0);
+    let profile = report.obs.profile_snapshot();
     StepResult {
         rate,
-        admitted: report.admitted,
-        shed: report.shed,
+        admitted: report.counter("umq.admitted"),
+        shed: report.counter("umq.shed"),
         steps: report.steps,
         samples,
         p50_us,
         p95_us,
         p99_us,
-        prof,
-        report,
+        prof: profile_totals(&profile),
+        profile,
     }
 }
 
@@ -243,7 +249,7 @@ fn main() {
     // Why the knee is where it is: the per-operator plan trees of the knee
     // step. ns columns are wall-clock — informative here, never in the JSON.
     println!("-- operator profile at the knee ({} DU/s) --\n", steps[knee].rate);
-    print!("{}", steps[knee].report.profile.render_text(None));
+    print!("{}", steps[knee].profile.render_text(None));
 
     if let Some(path) = json {
         std::fs::write(&path, jsonl(&steps, knee, seed, duration_s)).expect("write --json output");

@@ -2,7 +2,7 @@
 //! `fig08`–`fig12`) that regenerate the paper's figures, and for the
 //! in-repo micro-benchmarks ([`harness`]).
 
-use dyno_sim::TestbedConfig;
+use dyno_sim::{Experiment, Report, TestbedConfig};
 
 pub mod harness;
 
@@ -126,6 +126,15 @@ pub fn testbed_config() -> TestbedConfig {
 /// The cost model matched to [`testbed_config`]'s scale.
 pub fn cost_model() -> dyno_sim::CostModel {
     dyno_sim::CostModel::calibrated(testbed_config().tuples_per_relation as u64)
+}
+
+/// Runs one figure cell's experiment. A cell from a run that could not be set
+/// up, died or did not converge would be a wrong number, so all three panic
+/// naming the cell.
+pub fn run_converged(cell: &str, exp: Experiment) -> Report {
+    let report = dyno_sim::run(exp).unwrap_or_else(|e| panic!("{cell}: {e}"));
+    assert!(report.converged, "{cell} must converge (last error: {:?})", report.last_error);
+    report
 }
 
 /// Warns when running unoptimized (the experiment binaries are meant to run

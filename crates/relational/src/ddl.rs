@@ -12,7 +12,7 @@ use std::fmt;
 use crate::error::RelationalError;
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
-use crate::tuple::SignedBag;
+use crate::tuple::ZSet;
 use crate::value::Value;
 
 /// A single schema change committed by a source.
@@ -175,7 +175,7 @@ pub fn apply_to_relation(
         SchemaChange::AddAttribute { relation, attr, default } => {
             expect_touches(rel, relation)?;
             let schema = rel.schema().with_attr_added(attr.clone())?;
-            let mut rows = SignedBag::new();
+            let mut rows = ZSet::new();
             for (t, c) in rel.rows().iter() {
                 let mut vals = t.values().to_vec();
                 vals.push(default.clone());

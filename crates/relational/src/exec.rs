@@ -19,7 +19,7 @@ use crate::index::{key_hash, HashIndex};
 use crate::query::{CmpOp, Predicate, SpjQuery};
 use crate::relation::{Delta, Relation};
 use crate::schema::{ColRef, Schema};
-use crate::tuple::{SignedBag, Tuple};
+use crate::tuple::{Tuple, ZSet};
 use crate::value::Value;
 
 /// Cumulative per-thread execution statistics, for attributing work in
@@ -94,7 +94,7 @@ pub struct TableSlice<'a> {
     /// The table's schema.
     pub schema: &'a Schema,
     /// The table's signed rows.
-    pub rows: &'a SignedBag,
+    pub rows: &'a ZSet,
 }
 
 impl<'a> From<&'a Relation> for TableSlice<'a> {
@@ -178,13 +178,13 @@ pub struct QueryResult {
     /// Output column names, in SELECT-list order.
     pub cols: Vec<String>,
     /// Signed result rows.
-    pub rows: SignedBag,
+    pub rows: ZSet,
 }
 
 impl QueryResult {
     /// Empty result with the given columns.
     pub fn empty(cols: Vec<String>) -> Self {
-        QueryResult { cols, rows: SignedBag::new() }
+        QueryResult { cols, rows: ZSet::new() }
     }
 
     /// Converts into a [`Delta`] over `schema`, verifying column names align
@@ -210,7 +210,7 @@ impl QueryResult {
 /// holds, and the signed rows.
 struct Cursor {
     cols: Vec<ColRef>,
-    rows: SignedBag,
+    rows: ZSet,
 }
 
 impl Cursor {
@@ -425,8 +425,8 @@ fn load_rows<P: RelationProvider + ?Sized>(
     slice: TableSlice<'_>,
     filters: &Filters<'_>,
     provider: &P,
-) -> Result<SignedBag, RelationalError> {
-    let mut rows = SignedBag::new();
+) -> Result<ZSet, RelationalError> {
+    let mut rows = ZSet::new();
     let mut scanned = 0u64;
 
     if filters_well_typed(filters, slice.schema) {
@@ -517,7 +517,7 @@ fn hash_join<P: RelationProvider + ?Sized>(
     }
 
     let probe = probe_plan(provider, new_name, slice, &keys, &filters, cur.rows.distinct_len());
-    let mut rows = SignedBag::new();
+    let mut rows = ZSet::new();
     join_rows(&cur.rows, slice.rows, &keys, &filters, probe, |lt, rt, w| {
         rows.add(lt.concat(rt), w);
     })?;
@@ -624,8 +624,8 @@ impl<'a> BuildSide<'a> {
 /// directly instead); `right`'s filters are applied before any hash lookup,
 /// so non-qualifying rows never hash. NULL keys match nothing.
 fn join_rows(
-    left: &SignedBag,
-    right: &SignedBag,
+    left: &ZSet,
+    right: &ZSet,
     keys: &[(usize, usize)],
     filters: &Filters<'_>,
     probe: Option<(&HashIndex, Vec<usize>)>,
@@ -746,13 +746,13 @@ fn join_rows(
 /// error (raised for *every* row visited, exactly like the scan path —
 /// ill-typed workloads surface instead of silently returning empty).
 pub fn delta_select(
-    delta: &SignedBag,
+    delta: &ZSet,
     filters: &[(usize, CmpOp, Value)],
-) -> Result<SignedBag, RelationalError> {
+) -> Result<ZSet, RelationalError> {
     if filters.is_empty() {
         return Ok(delta.clone());
     }
-    let mut out = SignedBag::new();
+    let mut out = ZSet::new();
     let mut scanned = 0u64;
     'tuples: for (t, c) in delta.iter() {
         scanned += 1;
@@ -772,8 +772,8 @@ pub fn delta_select(
 /// [`ZSet::project`](crate::ZSet::project); exported under the operator
 /// vocabulary so delta pipelines read uniformly, and counting collisions
 /// that annihilate into [`ExecStats::weights_cancelled`].
-pub fn delta_project(delta: &SignedBag, indices: &[usize]) -> SignedBag {
-    let mut out = SignedBag::new();
+pub fn delta_project(delta: &ZSet, indices: &[usize]) -> ZSet {
+    let mut out = ZSet::new();
     let mut cancelled = 0u64;
     for (t, c) in delta.iter() {
         if out.add(t.project(indices), c) == 0 {
@@ -794,8 +794,8 @@ pub fn delta_project(delta: &SignedBag, indices: &[usize]) -> SignedBag {
 /// `index.attrs()` order**. Output rows are `d ⧺ b` with weight product.
 /// Rows with a NULL key match nothing (SQL equi-join semantics); bucket
 /// hits are collision-checked against the actual key values.
-pub fn delta_join_probe(delta: &SignedBag, probe_cols: &[usize], index: &HashIndex) -> SignedBag {
-    let mut out = SignedBag::new();
+pub fn delta_join_probe(delta: &ZSet, probe_cols: &[usize], index: &HashIndex) -> ZSet {
+    let mut out = ZSet::new();
     let mut probes = 0u64;
     let mut scanned = 0u64;
     let mut cancelled = 0u64;
@@ -852,8 +852,8 @@ pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
     join_keys: &'a [(usize, String)],
     t_filters: &'a [(String, CmpOp, Value)],
     t_proj: &'a [String],
-    delta: &SignedBag,
-) -> Result<SignedBag, RelationalError> {
+    delta: &ZSet,
+) -> Result<ZSet, RelationalError> {
     let slice = provider.table(target)?;
     let schema = slice.schema;
     // Resolve every referenced attribute; on a miss report the one a
@@ -877,7 +877,7 @@ pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
     if keys.is_empty() {
         bump(|s| s.cartesian_fallbacks += 1);
     }
-    let mut out = SignedBag::new();
+    let mut out = ZSet::new();
     let mut emit = |d: &Tuple, t: &Tuple, w: i64| {
         let mut row = Vec::with_capacity(d.arity() + proj.len());
         row.extend_from_slice(d.values());
@@ -906,12 +906,7 @@ pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
 /// the smaller side; output rows are `l ⧺ r` with weight product. An empty
 /// key set degenerates to the cartesian product, mirroring the executor's
 /// fallback for disconnected joins.
-pub fn delta_join(
-    left: &SignedBag,
-    left_keys: &[usize],
-    right: &SignedBag,
-    right_keys: &[usize],
-) -> SignedBag {
+pub fn delta_join(left: &ZSet, left_keys: &[usize], right: &ZSet, right_keys: &[usize]) -> ZSet {
     debug_assert_eq!(left_keys.len(), right_keys.len());
     let null_key = |t: &Tuple, idx: &[usize]| idx.iter().any(|&i| t.get(i).is_null());
     let hash_of = |t: &Tuple, idx: &[usize]| key_hash(idx.iter().map(|&i| t.get(i)));
@@ -919,7 +914,7 @@ pub fn delta_join(
         left_keys.iter().zip(right_keys).all(|(&li, &ri)| lt.get(li) == rt.get(ri))
     };
 
-    let mut out = SignedBag::new();
+    let mut out = ZSet::new();
     let mut scanned = 0u64;
     let mut cancelled = 0u64;
     if left.distinct_len() <= right.distinct_len() {
@@ -976,8 +971,8 @@ pub fn delta_join(
 /// enters the distinct image (+1) when its weight crosses from ≤ 0 to > 0
 /// and leaves it (−1) on the opposite crossing; all other weight changes
 /// are absorbed.
-pub fn distinct_delta(base: &SignedBag, delta: &SignedBag) -> SignedBag {
-    let mut out = SignedBag::new();
+pub fn distinct_delta(base: &ZSet, delta: &ZSet) -> ZSet {
+    let mut out = ZSet::new();
     for (t, dc) in delta.iter() {
         let before = base.count(t);
         let after = before + dc;
@@ -1306,7 +1301,7 @@ mod tests {
         let row = |k1: Option<i64>, k2: i64, v: i64| {
             Tuple::of([k1.map_or(Value::Null, Value::from), Value::from(k2), Value::from(v)])
         };
-        let bag = |n: usize, salt: i64| -> SignedBag {
+        let bag = |n: usize, salt: i64| -> ZSet {
             (0..n as i64)
                 .map(|i| {
                     let k1 = if (i + salt) % 5 == 4 { None } else { Some((i * 7 + salt) % 4) };
@@ -1322,7 +1317,7 @@ mod tests {
             let small = bag(n, 0);
             // Either side may be the small (build) one.
             for (left, right) in [(&small, &big), (&big, &small)] {
-                let mut expected = SignedBag::new();
+                let mut expected = ZSet::new();
                 for (lt, lc) in left.iter() {
                     for (rt, rc) in right.iter() {
                         let matches = keys
@@ -1333,7 +1328,7 @@ mod tests {
                         }
                     }
                 }
-                let mut got = SignedBag::new();
+                let mut got = ZSet::new();
                 let before = thread_stats();
                 join_rows(left, right, &keys, &filters, None, |lt, rt, w| {
                     got.add(lt.concat(rt), w);
@@ -1353,7 +1348,7 @@ mod tests {
 
     #[test]
     fn ill_typed_filter_errors_whatever_the_build_side() {
-        let rows = |n: i64| -> SignedBag { (0..n).map(|i| (Tuple::of([i % 3, i]), 1)).collect() };
+        let rows = |n: i64| -> ZSet { (0..n).map(|i| (Tuple::of([i % 3, i]), 1)).collect() };
         let text = Value::str("x");
         let filters = [(1usize, CmpOp::Eq, &text)];
         let keys = [(0usize, 0usize)];
@@ -1514,21 +1509,21 @@ mod tests {
 
     #[test]
     fn delta_join_equals_nested_loop_on_both_orders() {
-        let a: SignedBag = [
+        let a: ZSet = [
             (Tuple::of([1i64, 10]), 2),
             (Tuple::of([2i64, 20]), -1),
             (Tuple::of([Value::Null, Value::from(9)]), 5),
         ]
         .into_iter()
         .collect();
-        let b: SignedBag =
+        let b: ZSet =
             [(Tuple::of([1i64, 100]), 3), (Tuple::of([3i64, 300]), 1)].into_iter().collect();
-        let expected: SignedBag = [(Tuple::of([1i64, 10, 1, 100]), 6)].into_iter().collect();
+        let expected: ZSet = [(Tuple::of([1i64, 10, 1, 100]), 6)].into_iter().collect();
         assert_eq!(delta_join(&a, &[0], &b, &[0]), expected);
         // Swapping which side is smaller must not change the result layout.
-        let bigger: SignedBag = (0..10).map(|i| (Tuple::of([i as i64, i as i64]), 1)).collect();
+        let bigger: ZSet = (0..10).map(|i| (Tuple::of([i as i64, i as i64]), 1)).collect();
         let lhs = delta_join(&a, &[0], &bigger, &[0]);
-        let rhs: SignedBag = [(Tuple::of([1i64, 10, 1, 1]), 2), (Tuple::of([2i64, 20, 2, 2]), -1)]
+        let rhs: ZSet = [(Tuple::of([1i64, 10, 1, 1]), 2), (Tuple::of([2i64, 20, 2, 2]), -1)]
             .into_iter()
             .collect();
         assert_eq!(lhs, rhs);
@@ -1536,15 +1531,15 @@ mod tests {
 
     #[test]
     fn delta_join_empty_keys_is_cartesian() {
-        let a: SignedBag = [(Tuple::of([1i64]), 2)].into_iter().collect();
-        let b: SignedBag = [(Tuple::of([7i64]), -3)].into_iter().collect();
+        let a: ZSet = [(Tuple::of([1i64]), 2)].into_iter().collect();
+        let b: ZSet = [(Tuple::of([7i64]), -3)].into_iter().collect();
         let out = delta_join(&a, &[], &b, &[]);
         assert_eq!(out.count(&Tuple::of([1i64, 7])), -6);
     }
 
     #[test]
     fn delta_select_matches_scan_semantics() {
-        let z: SignedBag = [
+        let z: ZSet = [
             (Tuple::of([Value::from(1), Value::str("a")]), 1),
             (Tuple::of([Value::from(5), Value::str("b")]), -2),
             (Tuple::of([Value::Null, Value::str("c")]), 1),
@@ -1561,7 +1556,7 @@ mod tests {
 
     #[test]
     fn projection_cancellations_are_counted() {
-        let z: SignedBag =
+        let z: ZSet =
             [(Tuple::of([1i64, 10]), 2), (Tuple::of([1i64, 20]), -2), (Tuple::of([2i64, 5]), 1)]
                 .into_iter()
                 .collect();
@@ -1579,11 +1574,10 @@ mod tests {
 
     #[test]
     fn distinct_delta_tracks_support_crossings() {
-        let base: SignedBag =
-            [(Tuple::of([1i64]), 2), (Tuple::of([2i64]), 1), (Tuple::of([3i64]), -1)]
-                .into_iter()
-                .collect();
-        let delta: SignedBag = [
+        let base: ZSet = [(Tuple::of([1i64]), 2), (Tuple::of([2i64]), 1), (Tuple::of([3i64]), -1)]
+            .into_iter()
+            .collect();
+        let delta: ZSet = [
             (Tuple::of([1i64]), -1), // 2 → 1: stays in the image
             (Tuple::of([2i64]), -1), // 1 → 0: leaves
             (Tuple::of([3i64]), 2),  // -1 → 1: enters

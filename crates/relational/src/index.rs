@@ -18,7 +18,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::error::RelationalError;
 use crate::relation::Relation;
-use crate::tuple::{SignedBag, Tuple};
+use crate::tuple::{Tuple, ZSet};
 use crate::value::Value;
 
 /// Hashes a sequence of borrowed values into a bucket key. The same function
@@ -41,7 +41,7 @@ pub struct HashIndex {
     cols: Vec<usize>,
     /// Bucket-hash → signed rows whose key hashes there. Buckets hold whole
     /// rows (not projections), so probes return rows directly.
-    buckets: HashMap<u64, SignedBag>,
+    buckets: HashMap<u64, ZSet>,
 }
 
 impl HashIndex {
@@ -99,7 +99,7 @@ impl HashIndex {
     /// The bucket a key hashes to, if non-empty. Candidate rows still need
     /// [`HashIndex::key_matches`] — a bucket may mix hash-colliding keys.
     /// `key` values align with [`HashIndex::attrs`] order.
-    pub fn lookup(&self, key: &[&Value]) -> Option<&SignedBag> {
+    pub fn lookup(&self, key: &[&Value]) -> Option<&ZSet> {
         debug_assert_eq!(key.len(), self.cols.len());
         self.buckets.get(&key_hash(key.iter().copied()))
     }
@@ -131,7 +131,7 @@ impl HashIndex {
 
     /// Number of distinct rows indexed.
     pub fn len(&self) -> usize {
-        self.buckets.values().map(SignedBag::distinct_len).sum()
+        self.buckets.values().map(ZSet::distinct_len).sum()
     }
 
     /// True iff no rows are indexed.

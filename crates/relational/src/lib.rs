@@ -44,6 +44,6 @@ pub use parser::{parse_create_view, parse_query, ParseError};
 pub use query::{CmpOp, Predicate, ProjItem, SpjQuery, SpjQueryBuilder};
 pub use relation::{Delta, Relation};
 pub use schema::{AttrType, Attribute, ColRef, Schema};
-pub use tuple::{SignedBag, Tuple, ZSet};
+pub use tuple::{Tuple, ZSet};
 pub use update::{DataUpdate, SourceUpdate};
 pub use value::{Value, F64};

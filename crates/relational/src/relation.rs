@@ -4,20 +4,20 @@ use std::fmt;
 
 use crate::error::RelationalError;
 use crate::schema::Schema;
-use crate::tuple::{SignedBag, Tuple};
+use crate::tuple::{Tuple, ZSet};
 
 /// A stored relation: a schema plus a bag of tuples with positive
 /// multiplicities (SQL bag semantics; duplicates allowed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: Schema,
-    rows: SignedBag,
+    rows: ZSet,
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation { schema, rows: SignedBag::new() }
+        Relation { schema, rows: ZSet::new() }
     }
 
     /// Builds a relation from tuples, type-checking each against the schema.
@@ -38,7 +38,7 @@ impl Relation {
     }
 
     /// The underlying bag.
-    pub fn rows(&self) -> &SignedBag {
+    pub fn rows(&self) -> &ZSet {
         &self.rows
     }
 
@@ -98,7 +98,7 @@ impl Relation {
 
     /// Replaces this relation's schema (used by DDL); the caller must have
     /// already transformed the rows to match.
-    pub(crate) fn replace_parts(schema: Schema, rows: SignedBag) -> Relation {
+    pub(crate) fn replace_parts(schema: Schema, rows: ZSet) -> Relation {
         debug_assert!(rows.is_non_negative());
         Relation { schema, rows }
     }
@@ -140,13 +140,13 @@ impl fmt::Display for Relation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
     schema: Schema,
-    rows: SignedBag,
+    rows: ZSet,
 }
 
 impl Delta {
     /// An empty delta over `schema`.
     pub fn empty(schema: Schema) -> Self {
-        Delta { schema, rows: SignedBag::new() }
+        Delta { schema, rows: ZSet::new() }
     }
 
     /// Builds a delta from signed rows, type-checking each tuple.
@@ -183,7 +183,7 @@ impl Delta {
     }
 
     /// The signed rows.
-    pub fn rows(&self) -> &SignedBag {
+    pub fn rows(&self) -> &ZSet {
         &self.rows
     }
 

@@ -114,11 +114,6 @@ pub struct ZSet {
     weights: BTreeMap<Tuple, i64>,
 }
 
-/// The historical name of [`ZSet`]: relations and deltas were built on a
-/// "signed bag" before the weighted-delta core landed. The alias keeps the
-/// whole API surface source-compatible.
-pub type SignedBag = ZSet;
-
 /// Distinct rows from which [`ZSet::project`] bulk-builds its output.
 /// Measured: for the one- and two-row deltas SWEEP projects per view,
 /// row-by-row insertion is ≈ 13 ns cheaper (no vector); the two are level to

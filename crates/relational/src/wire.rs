@@ -12,7 +12,7 @@
 use crate::ddl::SchemaChange;
 use crate::relation::{Delta, Relation};
 use crate::schema::{AttrType, Attribute, Schema};
-use crate::tuple::{SignedBag, Tuple};
+use crate::tuple::{Tuple, ZSet};
 use crate::update::{DataUpdate, SourceUpdate};
 use crate::value::{Value, F64};
 use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
@@ -62,11 +62,11 @@ pub fn dec_tuple(d: &mut Dec<'_>) -> Result<Tuple, WireError> {
     Ok(Tuple::new(dec_seq(d, dec_value)?))
 }
 
-/// Encode a [`SignedBag`] deterministically (entries in sorted order, so
+/// Encode a [`ZSet`] deterministically (entries in sorted order, so
 /// two equal bags always produce identical bytes). The Z-set iterates
 /// sorted natively, so no copy of the entries is materialized — the byte
 /// layout is unchanged from the `sorted_entries`-based encoding.
-pub fn enc_bag(e: &mut Enc, bag: &SignedBag) {
+pub fn enc_bag(e: &mut Enc, bag: &ZSet) {
     e.u32(bag.distinct_len() as u32);
     for (t, n) in bag.iter() {
         enc_tuple(e, t);
@@ -74,8 +74,8 @@ pub fn enc_bag(e: &mut Enc, bag: &SignedBag) {
     }
 }
 
-/// Decode a [`SignedBag`].
-pub fn dec_bag(d: &mut Dec<'_>) -> Result<SignedBag, WireError> {
+/// Decode a [`ZSet`].
+pub fn dec_bag(d: &mut Dec<'_>) -> Result<ZSet, WireError> {
     let entries = dec_seq(d, |d| {
         let t = dec_tuple(d)?;
         let n = d.i64()?;
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn bag_round_trips_including_negative_counts() {
-        let mut bag = SignedBag::new();
+        let mut bag = ZSet::new();
         bag.add(Tuple::of([1i64, 2]), 3);
         bag.add(Tuple::of([9i64, 9]), -2);
         assert_eq!(round_trip(&bag, enc_bag, dec_bag), bag);

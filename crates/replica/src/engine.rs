@@ -38,7 +38,7 @@ use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
 use dyno_fault::Sequencer;
 use dyno_obs::trace::field;
 use dyno_obs::{stage, Collector, Counter, Gauge, Histogram};
-use dyno_relational::{SignedBag, Value};
+use dyno_relational::{Value, ZSet};
 use dyno_view::wal::ReplicaTailEvent;
 use dyno_view::{PendingPublish, ViewError, Warehouse};
 
@@ -92,7 +92,7 @@ pub struct RemoteApply {
     /// The replaced key.
     pub key: Value,
     /// The key's new rows (empty = the key vanished).
-    pub post: SignedBag,
+    pub post: ZSet,
 }
 
 /// The per-replica replication engine (one per [`Warehouse`] peer).
@@ -234,7 +234,7 @@ impl ReplicaEngine {
             let key_col = self.key_cols[view];
             let keys: BTreeSet<Value> = rows.iter().map(|(t, _)| t.get(key_col).clone()).collect();
             for key in keys {
-                let mut post = SignedBag::new();
+                let mut post = ZSet::new();
                 for (t, w) in wh.mv(view).extent().iter() {
                     if t.get(key_col) == &key {
                         post.add(t.clone(), w);

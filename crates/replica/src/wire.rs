@@ -10,7 +10,7 @@
 
 use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
 use dyno_relational::wire::{dec_bag, dec_value, enc_bag, enc_value};
-use dyno_relational::{SignedBag, Value};
+use dyno_relational::{Value, ZSet};
 
 /// The causal identity of a register's last winning write.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct PeerDelta {
     /// The key whose rows this message replaces.
     pub key: Value,
     /// The key's complete new rows (empty = the key vanished).
-    pub post: SignedBag,
+    pub post: ZSet,
     /// Publisher HLC at publish.
     pub hlc: u64,
     /// Publisher vector clock at publish.
@@ -198,7 +198,7 @@ mod tests {
     use dyno_relational::Tuple;
 
     fn sample_msg() -> PeerDelta {
-        let mut post = SignedBag::new();
+        let mut post = ZSet::new();
         post.add(Tuple::of([Value::from(7i64), Value::str("x")]), 1);
         PeerDelta {
             origin: 2,

@@ -10,12 +10,18 @@
 //!   ([`dyno_view::Warehouse::reflected`], per view
 //!   [`dyno_view::Warehouse::view_reflected`]); the auditor replays source
 //!   history to that vector and compares.
+//!
+//! [`audit`] is the one oracle every driver runs: [`crate::run`] after each
+//! commit and recovery, [`crate::run_replicated`] per replica after each
+//! quiescence.
 
 use std::collections::HashMap;
 
-use dyno_relational::{eval, RelationalError, SignedBag};
+use dyno_durable::{crc32, Enc};
+use dyno_relational::wire::enc_bag;
+use dyno_relational::{eval, RelationalError, ZSet};
 use dyno_source::{SourceId, SourceSpace};
-use dyno_view::{LocalProvider, MaterializedView, ViewDefinition};
+use dyno_view::{LocalProvider, MaterializedView, ViewDefinition, Warehouse};
 
 /// Evaluates `view` over the source space with each source rolled back to
 /// the version given in `versions` (sources absent from the map are taken
@@ -24,7 +30,7 @@ pub fn eval_view_at(
     space: &SourceSpace,
     view: &ViewDefinition,
     versions: &HashMap<SourceId, u64>,
-) -> Result<SignedBag, RelationalError> {
+) -> Result<ZSet, RelationalError> {
     let mut provider = LocalProvider::new();
     for table in &view.query.tables {
         let mut found = false;
@@ -50,8 +56,7 @@ pub fn check_convergence(
     view: &ViewDefinition,
     mv: &MaterializedView,
 ) -> Result<bool, RelationalError> {
-    let expected = eval_view_at(space, view, &space.versions())?;
-    Ok(&expected == mv.extent())
+    check_reflected(space, view, &space.versions(), mv)
 }
 
 /// Strong-consistency audit of a single point: `mv` equals the view over the
@@ -66,6 +71,31 @@ pub fn check_reflected(
     Ok(&expected == mv.extent())
 }
 
+/// Strong-consistency audit of a whole warehouse: every view is checked at
+/// the state vector *that view* claims to reflect (a deferring view audits
+/// at its own, older vector). Returns how many views failed; an `Err` means
+/// the oracle itself could not evaluate a view, which is not a verdict.
+pub fn audit(wh: &Warehouse, space: &SourceSpace) -> Result<u64, RelationalError> {
+    let mut failed = 0;
+    for i in 0..wh.view_count() {
+        let reflected: HashMap<SourceId, u64> =
+            wh.view_reflected(i).into_iter().map(|(s, v)| (SourceId(s), v)).collect();
+        if !check_reflected(space, wh.view(i), &reflected, wh.mv(i))? {
+            failed += 1;
+        }
+    }
+    Ok(failed)
+}
+
+/// Canonical fingerprint of an extent (sorted encoding → CRC-32): the
+/// bit-identity oracle across crashed/uncrashed, shared/unshared and
+/// replicated runs.
+pub fn extent_crc(mv: &MaterializedView) -> u32 {
+    let mut e = Enc::new();
+    enc_bag(&mut e, mv.extent());
+    crc32(&e.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,14 +104,20 @@ mod tests {
     use dyno_view::testkit::{bookinfo_space, bookinfo_view, insert_item};
     use dyno_view::{InProcessPort, Warehouse};
 
-    #[test]
-    fn convergence_and_reflection_after_runs() {
+    /// The paper's running example, materialized.
+    fn bookinfo_warehouse() -> (Warehouse, InProcessPort) {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let mut mgr = Warehouse::new(info, Strategy::Pessimistic);
-        mgr.add_view(bookinfo_view());
-        mgr.initialize(&mut port).unwrap();
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+        wh.add_view(bookinfo_view());
+        wh.initialize(&mut port).unwrap();
+        (wh, port)
+    }
+
+    #[test]
+    fn convergence_and_reflection_after_runs() {
+        let (mut mgr, mut port) = bookinfo_warehouse();
         assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
 
         port.commit(
@@ -97,6 +133,74 @@ mod tests {
         mgr.run_to_quiescence(&mut port, 100).unwrap();
         assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
         assert!(check_reflected(port.space(), mgr.view(0), mgr.reflected(), mgr.mv(0)).unwrap());
+    }
+
+    #[test]
+    fn audit_fails_exactly_the_views_reading_a_silently_rewritten_relation() {
+        use crate::testbed::{build_multiview, build_space, TestbedConfig};
+        use dyno_relational::{Delta, Tuple, Value};
+
+        // V_i = R0 ⋈ R1 ⋈ R{2+i}: R3 is read by V1 alone, R0 by all three.
+        let cfg = TestbedConfig { tuples_per_relation: 20, ..Default::default() };
+        let space = build_space(&cfg);
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+        for view in build_multiview(&cfg, 3) {
+            wh.add_view(view);
+        }
+        wh.initialize(&mut port).unwrap();
+        assert_eq!(audit(&wh, port.space()).unwrap(), 0);
+
+        // A row changes behind the warehouse's back: no version bump, no
+        // message, so no view can ever reflect it.
+        let rewrite = |port: &mut InProcessPort, idx: usize| {
+            let schema = cfg.schema(idx);
+            let sid = port.space().locate(&schema.relation).unwrap();
+            let row = Tuple::new(std::iter::once(7).chain([-1; 3]).map(Value::from).collect());
+            let delta = Delta::inserts(schema, [row]).unwrap();
+            port.space_mut().server_mut(sid).overwrite(&delta).unwrap();
+        };
+        rewrite(&mut port, 3);
+        assert_eq!(audit(&wh, port.space()).unwrap(), 1, "V1 alone reads R3");
+        rewrite(&mut port, 0);
+        assert_eq!(audit(&wh, port.space()).unwrap(), 3, "every view reads R0");
+    }
+
+    #[test]
+    fn an_oracle_that_cannot_evaluate_is_an_error_not_a_violation() {
+        use dyno_relational::SchemaChange;
+        let (wh, mut port) = bookinfo_warehouse();
+        // The relation is renamed at its source and the warehouse has not
+        // heard: at the vector the view reflects, history still has `Item`…
+        port.commit(
+            SourceId(0),
+            SourceUpdate::Schema(SchemaChange::RenameRelation {
+                from: "Item".into(),
+                to: "Tome".into(),
+            }),
+        )
+        .unwrap();
+        assert_eq!(audit(&wh, port.space()).unwrap(), 0, "the view lags consistently");
+        // …but a space that never had it cannot answer at all.
+        let err = audit(&wh, &SourceSpace::new()).unwrap_err();
+        assert!(matches!(err, RelationalError::UnknownRelation { .. }), "unexpected: {err}");
+    }
+
+    #[test]
+    fn extent_crc_fingerprints_content_not_history() {
+        let fingerprint = |prices: &[i64]| {
+            let (mut wh, mut port) = bookinfo_warehouse();
+            for &price in prices {
+                let du = insert_item(10, "Data Integration Guide", "Adams", price);
+                port.commit(SourceId(0), SourceUpdate::Data(du)).unwrap();
+                wh.run_to_quiescence(&mut port, 100).unwrap();
+            }
+            extent_crc(wh.mv(0))
+        };
+        assert_eq!(fingerprint(&[36, 40]), fingerprint(&[40, 36]), "arrival order is not content");
+        assert_ne!(fingerprint(&[36, 40]), fingerprint(&[36]));
+        assert_ne!(fingerprint(&[36, 36]), fingerprint(&[36]), "weights are content");
     }
 
     #[test]

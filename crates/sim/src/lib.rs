@@ -2,37 +2,43 @@
 //!
 //! Replaces the paper's four-PC/Oracle8i testbed with a deterministic
 //! virtual-clock simulation (see DESIGN.md §3 for the substitution
-//! rationale):
+//! rationale). One harness, one oracle:
 //!
-//! - [`cost`] — the calibrated cost model (DU ≈ 0.25 s, SC ≈ 25 s, matching
-//!   the paper's magnitudes);
+//! - [`experiment`] — **the** single-warehouse driver: an [`Experiment`]
+//!   (sources + view set + schedule + strategy/policy/adaptation/cost, and
+//!   optionally a fault profile, a kill plan, a telemetry [`Monitor`]) is
+//!   executed by [`run`] into a [`Report`]. The paper's figures, the chaos,
+//!   crash and multi-view grids and the live monitor are all this one loop
+//!   with different fields set;
+//! - [`consistency`] — the Section 4.4 correctness criteria as code:
+//!   [`audit`] (strong consistency per view at the vector it reflects),
+//!   convergence, and the [`extent_crc`] bit-identity fingerprint — shared by
+//!   [`run`] and [`run_replicated`];
+//! - [`replica`] — the replicated topology: N peer warehouses over a
+//!   partition-capable [`dyno_fault::PeerNet`], with its own round loop
+//!   ([`run_replicated`]);
 //! - [`port`] — the timed [`dyno_view::SourcePort`]: maintenance queries
 //!   advance the clock, and scheduled autonomous commits land mid-flight,
 //!   reproducing every concurrency anomaly;
+//! - [`cost`] — the calibrated cost model (DU ≈ 0.25 s, SC ≈ 25 s, matching
+//!   the paper's magnitudes);
+//! - [`metrics`] — the simulated-time series the paper's y-axes plot;
 //! - [`testbed`] — the Section 6.1 testbed (6 relations × 3 servers,
-//!   one-to-one 6-way join view with 24 output columns);
+//!   one-to-one 6-way join view with 24 output columns) and the overlapping
+//!   and tenant view sets built over it;
 //! - [`workload`] — schema-evolution-aware generators for the Section 6
-//!   workloads (DU floods, drop+rename SC trains);
-//! - [`runner`] — scenario execution with metrics collection;
-//! - [`chaos`] — the seeded fault-injection runner: the same testbed driven
-//!   through a [`dyno_fault::ChaosTransport`], with parked-entry wakeups
-//!   and quiescence flushing;
-//! - [`rng`] — the in-repo seeded PRNG behind all generated data;
-//! - [`consistency`] — convergence and strong-consistency auditors
-//!   (Section 4.4 correctness).
+//!   workloads (DU floods, drop+rename SC trains) and the open-loop arrival
+//!   process;
+//! - [`rng`] — the in-repo seeded PRNG behind all generated data.
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod consistency;
 pub mod cost;
-pub mod crash;
+pub mod experiment;
 pub mod metrics;
-pub mod multiview;
-pub mod openloop;
 pub mod port;
 pub mod replica;
-pub mod runner;
 
 /// The in-repo seeded PRNG (now hosted by `dyno-fault`, re-exported here so
 /// existing `dyno_sim::rng::Rng` paths keep working).
@@ -40,16 +46,14 @@ pub use dyno_fault::rng;
 pub mod testbed;
 pub mod workload;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
-pub use consistency::{check_convergence, check_reflected, eval_view_at};
+pub use consistency::{audit, check_convergence, check_reflected, eval_view_at, extent_crc};
 pub use cost::CostModel;
-pub use crash::{run_crash_chaos, CrashConfig, CrashReport};
+pub use experiment::{run, Experiment, Monitor, Report, Telemetry, ViewOutcome};
 pub use metrics::Metrics;
-pub use multiview::{build_multiview, run_multiview, MultiViewConfig, MultiViewReport};
-pub use openloop::{run_monitor, tenant_views, MonitorConfig, MonitorReport};
 pub use port::{ScheduledCommit, SimPort};
 pub use replica::{build_replica_views, run_replicated, ReplicaConfig, ReplicaReport};
 pub use rng::Rng;
-pub use runner::{run_scenario, RunReport, Scenario};
-pub use testbed::{build_space, build_testbed, build_view, TestbedConfig};
+pub use testbed::{
+    build_multiview, build_space, build_testbed, build_view, tenant_views, TestbedConfig,
+};
 pub use workload::{EventKind, OpenLoopConfig, WorkloadGen, Zipf};

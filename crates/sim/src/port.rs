@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use dyno_obs::{field, Collector, Counter, Histogram, Level, StalenessTracker, VirtualClock};
-use dyno_relational::{QueryResult, Relation, RelationalError, SignedBag, SourceUpdate, SpjQuery};
+use dyno_relational::{QueryResult, Relation, RelationalError, SourceUpdate, SpjQuery, ZSet};
 use dyno_source::{SourceId, SourceSpace, UpdateMessage};
 use dyno_view::{eval_with_bound, BoundTable, HopRequest, MaintEvent, SourcePort};
 
@@ -161,33 +161,15 @@ impl SimPort {
         }
     }
 
-    /// True iff scheduled commits remain.
-    pub fn has_future_commits(&self) -> bool {
-        !self.schedule.is_empty()
-    }
-
-    /// Jumps the clock to the next scheduled commit (used when the view
-    /// manager is idle). Returns false when nothing is scheduled.
-    pub fn advance_to_next_commit(&mut self) -> bool {
-        match self.schedule.front() {
-            Some(c) => {
-                let t = c.at_us.max(self.now_us);
-                self.set_now(t);
-                self.apply_due_commits();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The next scheduled commit's time, if any.
     pub fn next_commit_at_us(&self) -> Option<u64> {
         self.schedule.front().map(|c| c.at_us)
     }
 
     /// Jumps the clock forward to `t_us` (never backward) and applies newly
-    /// due commits — the chaos driver's way of waiting out a transport
-    /// event (delayed delivery, source restart) when the manager is parked.
+    /// due commits — how the driver lets an idle or parked warehouse wait
+    /// for the next scheduled commit or transport event (delayed delivery,
+    /// source restart).
     pub fn advance_to(&mut self, t_us: u64) {
         let t = t_us.max(self.now_us);
         self.set_now(t);
@@ -327,11 +309,11 @@ impl SourcePort for SimPort {
         )
     }
 
-    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         self.round_trip(
             std::iter::once(req.target),
             |space| req.answer(&space.provider()),
-            SignedBag::weight,
+            ZSet::weight,
         )
     }
 
@@ -468,11 +450,11 @@ mod tests {
         let q = dyno_relational::SpjQuery::over(["R"]).select("R", "a").build();
         port.execute(&q, &[]).unwrap();
         assert_eq!(port.now_ms(), 0, "unmetered execution is free");
-        assert!(port.has_future_commits());
+        assert!(port.next_commit_at_us().is_some());
         port.start_metering();
         port.execute(&q, &[]).unwrap();
         assert!(port.now_ms() >= 40);
-        assert!(!port.has_future_commits());
+        assert!(port.next_commit_at_us().is_none());
     }
 
     #[test]
@@ -505,10 +487,10 @@ mod tests {
             vec![ScheduledCommit { at_us: 2_000_000, source: SourceId(0), update: du(5) }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();
-        assert!(port.advance_to_next_commit());
+        port.advance_to(port.next_commit_at_us().unwrap());
         assert_eq!(port.now_ms(), 2000);
         assert_eq!(port.drain_arrivals().len(), 1);
-        assert!(!port.advance_to_next_commit());
+        assert!(port.next_commit_at_us().is_none());
     }
 
     #[test]
@@ -523,7 +505,8 @@ mod tests {
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();
         let mut seen = Vec::new();
-        while port.advance_to_next_commit() {
+        while let Some(t) = port.next_commit_at_us() {
+            port.advance_to(t);
             seen.extend(port.drain_arrivals());
         }
         assert_eq!(seen.len(), 5);
@@ -568,9 +551,12 @@ mod tests {
         port.start_metering();
 
         let before = dyno_relational::thread_stats();
-        while wh.step(&mut port).unwrap() != dyno_core::StepOutcome::Idle
-            || port.advance_to_next_commit()
-        {}
+        loop {
+            if wh.step(&mut port).unwrap() == dyno_core::StepOutcome::Idle {
+                let Some(t) = port.next_commit_at_us() else { break };
+                port.advance_to(t);
+            }
+        }
         let ran = dyno_relational::thread_stats().since(before);
         assert_eq!(wh.stats(0).du_committed, 20);
         assert!(ran.index_probes > 0, "the testbed maintains through index probes");
@@ -588,7 +574,7 @@ mod tests {
         }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();
-        port.advance_to_next_commit();
+        port.advance_to(1);
         assert_eq!(port.metrics().skipped_commits, 1);
     }
 }

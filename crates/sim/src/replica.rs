@@ -18,7 +18,8 @@
 //! * **Bit identity** — after the final heal and flush, every replica's
 //!   per-view extent CRC must be identical ([`ReplicaReport::extent_crcs`]).
 //! * **Source-deep convergence** — each replica's extent must equal its view
-//!   definition evaluated over its *own* (written-back) source tables.
+//!   definition evaluated over its *own* (written-back) source tables
+//!   ([`audit`]), after every local commit quiesces and once more at the end.
 //! * **Determinism** — the whole run derives from `(config, seed)`; two runs
 //!   of the same seed produce identical reports, lineage included.
 //!
@@ -31,18 +32,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dyno_core::Strategy;
-use dyno_durable::{crc32, Enc, MemStorage};
+use dyno_durable::MemStorage;
 use dyno_fault::{FaultProfile, PartitionWindow, PeerNet};
 use dyno_obs::{Collector, VirtualClock};
-use dyno_relational::wire::enc_bag;
-use dyno_relational::{DataUpdate, Delta, SourceUpdate, SpjQuery, Tuple, Value};
+use dyno_relational::{DataUpdate, Delta, SourceUpdate, Tuple, Value};
 use dyno_replica::{RemoteApply, ReplicaEngine};
 use dyno_view::wal::DurableLog;
 use dyno_view::{InProcessPort, ViewDefinition, Warehouse};
 
-use crate::consistency::check_convergence;
+use crate::consistency::{audit, extent_crc};
 use crate::rng::Rng;
-use crate::testbed::{build_space, TestbedConfig};
+use crate::testbed::{build_space, join_view, TestbedConfig};
 
 /// Virtual time between client-commit rounds.
 const ROUND_US: u64 = 20_000;
@@ -53,23 +53,8 @@ const ROUND_US: u64 = 20_000;
 /// sliced back into per-relation rows for source write-back). Both views
 /// key on output column 0 (`R0_K` / `R3_K`).
 pub fn build_replica_views(cfg: &TestbedConfig) -> Vec<ViewDefinition> {
-    let names = cfg.relation_names();
-    assert!(names.len() >= 6, "the replica testbed needs six relations");
-    (0..2)
-        .map(|v| {
-            let tables: Vec<String> = (0..3).map(|j| names[v * 3 + j].clone()).collect();
-            let mut b = SpjQuery::over(tables.clone());
-            for (j, name) in tables.iter().enumerate() {
-                for attr in cfg.schema(v * 3 + j).attrs() {
-                    b = b.select_as(name, &attr.name, &format!("{name}_{}", attr.name));
-                }
-            }
-            for w in tables.windows(2) {
-                b = b.join_eq((w[0].as_str(), "K"), (w[1].as_str(), "K"));
-            }
-            ViewDefinition::new(format!("V{v}"), b.build())
-        })
-        .collect()
+    assert!(cfg.relation_count() >= 6, "the replica testbed needs six relations");
+    (0..2).map(|v| join_view(cfg, format!("V{v}"), &[v * 3, v * 3 + 1, v * 3 + 2])).collect()
 }
 
 /// Key columns of [`build_replica_views`], in slot order.
@@ -158,7 +143,8 @@ pub struct ReplicaReport {
     pub converged: bool,
     /// Every replica's per-view extent CRCs matched.
     pub bit_identical: bool,
-    /// Every replica's extent equals its view over its own sources.
+    /// Every replica's extent equalled its view over its own sources, after
+    /// each of its commits quiesced and at the end ([`audit`]).
     pub source_consistent: bool,
     /// Per-replica, per-view extent CRCs (the convergence fingerprint).
     pub extent_crcs: Vec<Vec<u32>>,
@@ -203,15 +189,9 @@ enum Ev {
     Conflict { a: usize, b: usize, view: usize, key: i64 },
 }
 
-/// Canonical fingerprint of an extent (sorted encoding → CRC-32).
-fn extent_crc(mv: &dyno_view::MaterializedView) -> u32 {
-    let mut e = Enc::new();
-    enc_bag(&mut e, mv.extent());
-    crc32(&e.finish())
-}
-
 /// Commits `key ← fresh random attrs` to relation `R{view*3+rel}` at one
-/// replica and drives its warehouse quiescent.
+/// replica, drives its warehouse quiescent and audits it against its own
+/// sources; returns the number of views that failed.
 fn do_commit(
     p: &mut Peer,
     tb: &TestbedConfig,
@@ -220,7 +200,7 @@ fn do_commit(
     key: i64,
     rng: &mut Rng,
     max_steps: u64,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     let name = format!("R{}", view * 3 + rel);
     let sid = p.port.space().locate(&name).expect("testbed relation exists");
     let relation = p.port.space().server(sid).catalog().get(&name).map_err(|e| e.to_string())?;
@@ -240,7 +220,7 @@ fn do_commit(
         .map_err(|e| e.to_string())?;
     p.port.commit(sid, SourceUpdate::Data(DataUpdate::new(d))).map_err(|e| e.to_string())?;
     p.wh.run_to_quiescence(&mut p.port, max_steps).map_err(|e| e.to_string())?;
-    Ok(())
+    audit(&p.wh, p.port.space()).map_err(|e| e.to_string())
 }
 
 /// Mirrors applied remote post-images into the replica's own source tables
@@ -424,6 +404,7 @@ pub fn run_replicated(cfg: &ReplicaConfig) -> ReplicaReport {
     }
 
     let mut kills = 0u64;
+    let mut audit_failures = 0u64;
     let mut last_error: Option<String> = None;
     let mut killed = false;
 
@@ -438,11 +419,12 @@ pub fn run_replicated(cfg: &ReplicaConfig) -> ReplicaReport {
                 }
             };
             for (r, view, rel, key) in committers {
-                if let Err(e) =
-                    do_commit(&mut peers[r], &tb, view, rel, key, &mut rng, cfg.max_steps)
-                {
-                    last_error = Some(e);
-                    break 'drive;
+                match do_commit(&mut peers[r], &tb, view, rel, key, &mut rng, cfg.max_steps) {
+                    Ok(failed) => audit_failures += failed,
+                    Err(e) => {
+                        last_error = Some(e);
+                        break 'drive;
+                    }
                 }
                 let p = &mut peers[r];
                 let out = match p.eng.publish(&mut p.wh, now) {
@@ -546,10 +528,13 @@ pub fn run_replicated(cfg: &ReplicaConfig) -> ReplicaReport {
         .map(|p| (0..p.wh.view_count()).map(|i| extent_crc(p.wh.mv(i))).collect())
         .collect();
     let bit_identical = extent_crcs.windows(2).all(|w| w[0] == w[1]);
-    let source_consistent = peers.iter().all(|p| {
-        (0..p.wh.view_count())
-            .all(|i| check_convergence(p.port.space(), p.wh.view(i), p.wh.mv(i)).unwrap_or(false))
-    });
+    for p in &peers {
+        match audit(&p.wh, p.port.space()) {
+            Ok(failed) => audit_failures += failed,
+            Err(e) => last_error = last_error.or(Some(e.to_string())),
+        }
+    }
+    let source_consistent = audit_failures == 0;
     let sum = |name: &str| {
         peers.iter().map(|p| p.obs.registry().counter_value(name).unwrap_or(0)).sum::<u64>()
     };

@@ -1,7 +1,9 @@
 //! The paper's experimental testbed (Section 6.1): six relations evenly
 //! distributed over three source servers, four attributes each, a
 //! materialized view defined as a one-to-one join among all six relations
-//! projecting all twenty-four attributes.
+//! projecting all twenty-four attributes — plus the view sets later suites
+//! define over the same relations: overlapping three-way joins
+//! ([`build_multiview`]) and per-tenant views ([`tenant_views`]).
 
 use crate::rng::Rng;
 use dyno_relational::{AttrType, Catalog, Relation, Schema, SpjQuery, Tuple, Value};
@@ -95,21 +97,68 @@ pub fn build_space(cfg: &TestbedConfig) -> SourceSpace {
     space
 }
 
+/// The key-join view `name` over relations `rels` (testbed indices, in join
+/// order): every attribute of each relation projected as `Ri_attr`, adjacent
+/// relations joined on `K`. Every view set below is built from it, so equal
+/// relation lists yield equal SQL.
+pub(crate) fn join_view(cfg: &TestbedConfig, name: String, rels: &[usize]) -> ViewDefinition {
+    let tables: Vec<String> = rels.iter().map(|i| format!("R{i}")).collect();
+    let mut b = SpjQuery::over(tables.clone());
+    for (table, &i) in tables.iter().zip(rels) {
+        for attr in cfg.schema(i).attrs() {
+            b = b.select_as(table, &attr.name, &format!("{table}_{}", attr.name));
+        }
+    }
+    for w in tables.windows(2) {
+        b = b.join_eq((w[0].as_str(), "K"), (w[1].as_str(), "K"));
+    }
+    ViewDefinition::new(name, b.build())
+}
+
 /// The testbed view: `SELECT * FROM R0 ⋈ R1 ⋈ … ⋈ R{n-1}` joined pairwise
 /// on `K`, outputs named `Ri_attr` (24 columns at the paper's shape).
 pub fn build_view(cfg: &TestbedConfig) -> ViewDefinition {
+    let all: Vec<usize> = (0..cfg.relation_count()).collect();
+    join_view(cfg, "Testbed".into(), &all)
+}
+
+/// `views` overlapping definitions over the testbed space: view *i* is
+/// `R0 ⋈ R1 ⋈ R{2+i}`. All views share the `R0 ⋈ R1` join (same equi-join
+/// signature, so their ΔR0/ΔR1 first hops hit the shared-subplan cache) and
+/// each reads one distinct relation on a distinct source, giving per-view
+/// source sets that overlap without coinciding. Panics if the testbed has
+/// fewer than `views + 2` relations.
+pub fn build_multiview(cfg: &TestbedConfig, views: usize) -> Vec<ViewDefinition> {
+    assert!(
+        views + 2 <= cfg.relation_count(),
+        "need {} relations for {views} overlapping views, testbed has {}",
+        views + 2,
+        cfg.relation_count()
+    );
+    (0..views).map(|i| join_view(cfg, format!("V{i}"), &[0, 1, 2 + i])).collect()
+}
+
+/// The tenant views `T0..Tn`: even indices are single-relation
+/// passthroughs, odd indices two-way key joins, rotating over the testbed
+/// relations so different tenants watch different sources.
+pub fn tenant_views(cfg: &TestbedConfig, n: usize) -> Vec<ViewDefinition> {
     let names = cfg.relation_names();
-    let mut b = SpjQuery::over(names.clone());
-    for (i, name) in names.iter().enumerate() {
-        let schema = cfg.schema(i);
-        for attr in schema.attrs() {
-            b = b.select_as(name, &attr.name, &format!("{name}_{}", attr.name));
-        }
-    }
-    for w in names.windows(2) {
-        b = b.join_eq((w[0].as_str(), "K"), (w[1].as_str(), "K"));
-    }
-    ViewDefinition::new("Testbed", b.build())
+    (0..n)
+        .map(|t| {
+            let r = t % names.len();
+            if t % 2 == 0 {
+                return join_view(cfg, format!("T{t}"), &[r]);
+            }
+            let r2 = (r + 1) % names.len();
+            let mut b = SpjQuery::over([names[r].clone(), names[r2].clone()]);
+            b = b.select_as(&names[r], "K", "K");
+            for attr in cfg.schema(r2).attrs().iter().skip(1) {
+                b = b.select_as(&names[r2], &attr.name, &format!("{}_{}", names[r2], attr.name));
+            }
+            let q = b.join_eq((names[r].as_str(), "K"), (names[r2].as_str(), "K")).build();
+            ViewDefinition::new(format!("T{t}"), q)
+        })
+        .collect()
 }
 
 /// Convenience: a testbed space + view pair.
@@ -142,6 +191,63 @@ mod tests {
         let (space, view) = build_testbed(&cfg);
         let out = eval(&view.query, &space.provider()).unwrap();
         assert_eq!(out.weight(), 50, "one view tuple per key");
+    }
+
+    #[test]
+    fn view_sets_keep_their_sql() {
+        // The SQL is a determinism surface (crash and multi-view suites
+        // compare final definitions), so the shapes are pinned literally.
+        let cfg = TestbedConfig { tuples_per_relation: 1, extra_attrs: 1, ..Default::default() };
+        let sql = |views: Vec<ViewDefinition>| -> Vec<String> {
+            views.iter().map(ToString::to_string).collect()
+        };
+        assert_eq!(
+            sql(build_multiview(&cfg, 3))[1],
+            "CREATE VIEW V1 AS SELECT R0.K AS R0_K, R0.A1 AS R0_A1, R1.K AS R1_K, \
+             R1.A1 AS R1_A1, R3.K AS R3_K, R3.A1 AS R3_A1 FROM R0, R1, R3 \
+             WHERE R0.K = R1.K AND R1.K = R3.K"
+        );
+        assert_eq!(
+            sql(tenant_views(&cfg, 8))[..2],
+            [
+                "CREATE VIEW T0 AS SELECT R0.K AS R0_K, R0.A1 AS R0_A1 FROM R0",
+                "CREATE VIEW T1 AS SELECT R1.K, R2.A1 AS R2_A1 FROM R1, R2 WHERE R1.K = R2.K",
+            ]
+        );
+    }
+
+    #[test]
+    fn overlapping_views_share_one_join_and_fan_out_over_sources() {
+        let cfg = tiny();
+        let space = build_space(&cfg);
+        let views = build_multiview(&cfg, 4);
+        for (i, v) in views.iter().enumerate() {
+            assert_eq!(v.query.tables, ["R0".to_string(), "R1".into(), format!("R{}", 2 + i)]);
+            assert_eq!(v.output_cols().len(), 3 * (1 + cfg.extra_attrs));
+            let out = eval(&v.query, &space.provider()).unwrap();
+            assert_eq!(out.weight(), 50, "V{i} is a one-to-one key join");
+        }
+        let third_sources: Vec<_> =
+            views.iter().map(|v| space.locate(&v.query.tables[2]).unwrap()).collect();
+        assert!(third_sources.contains(&SourceId(1)) && third_sources.contains(&SourceId(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "need 7 relations")]
+    fn more_overlapping_views_than_relations_is_refused() {
+        build_multiview(&tiny(), 5);
+    }
+
+    #[test]
+    fn tenant_views_alternate_shapes_and_rotate_over_relations() {
+        let cfg = tiny();
+        let space = build_space(&cfg);
+        let tenants = tenant_views(&cfg, 8);
+        for (t, v) in tenants.iter().enumerate() {
+            assert_eq!(v.query.tables.len(), 1 + t % 2, "T{t}: passthrough, then two-way join");
+            assert_eq!(v.query.tables[0], format!("R{}", t % 6), "T{t} rotates over the testbed");
+            assert_eq!(eval(&v.query, &space.provider()).unwrap().weight(), 50);
+        }
     }
 
     #[test]

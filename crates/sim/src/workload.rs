@@ -514,7 +514,7 @@ mod tests {
 
     /// Same seed → byte-identical arrival schedule; a different seed moves
     /// the arrivals. Compared through a raw `Debug` of the whole schedule:
-    /// `SignedBag` is a `ZSet` over a `BTreeMap`, so its iteration (and
+    /// `ZSet` is a `ZSet` over a `BTreeMap`, so its iteration (and
     /// `Debug`) order is sorted and instance-independent — byte-stable even
     /// on upsert deltas (two rows), with no canonicalization step needed.
     #[test]

@@ -30,8 +30,8 @@ use std::collections::HashMap;
 
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    delta_project, ProjItem, QueryResult, RelationalError, Schema, SchemaChange, SignedBag,
-    SourceUpdate, SpjQuery,
+    delta_project, ProjItem, QueryResult, RelationalError, Schema, SchemaChange, SourceUpdate,
+    SpjQuery, ZSet,
 };
 use dyno_source::UpdateMessage;
 
@@ -51,7 +51,7 @@ pub enum Adapted {
         /// Output column names of the adapted view.
         cols: Vec<String>,
         /// The full replacement extent.
-        extent: SignedBag,
+        extent: ZSet,
     },
     /// The extent change was computed incrementally (paper Equation 6 over
     /// homogenized batch deltas); only `delta` needs writing to the view.
@@ -241,7 +241,7 @@ fn fetch_batch_point_state(
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-) -> Result<(Schema, SignedBag), BatchFailure> {
+) -> Result<(Schema, ZSet), BatchFailure> {
     let referenced = new_view.cols_of_relation(table);
     let q = SpjQuery {
         tables: vec![table.to_string()],
@@ -345,8 +345,8 @@ fn adapt_incremental(
 
     // Fetch batch-point states, then roll the batch's own deltas back out to
     // obtain the *old* states and the referenced-column-projected deltas.
-    let mut old_states: HashMap<String, (Schema, SignedBag)> = HashMap::new();
-    let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+    let mut old_states: HashMap<String, (Schema, ZSet)> = HashMap::new();
+    let mut deltas: HashMap<String, ZSet> = HashMap::new();
     for table in &new_view.query.tables {
         let (schema, mut rows) =
             fetch_batch_point_state(new_view, table, &batch_ids, pending, port, drained)?;
@@ -415,7 +415,7 @@ fn homogenize_through<C: Borrow<SchemaChange>>(
                 if *relation == name && !schema.has_attr(&attr.name) =>
             {
                 schema = schema.with_attr_added(attr.clone())?;
-                let mut widened = SignedBag::new();
+                let mut widened = ZSet::new();
                 for (t, c) in rows.iter() {
                     let mut vals = t.values().to_vec();
                     vals.push(default.clone());
@@ -442,7 +442,7 @@ fn classify_rollback_error(e: RelationalError) -> BatchFailure {
 /// Builds the schema of a fetched, projected state (the fetch projects to
 /// the view's referenced columns, so attribute names are the plain source
 /// names).
-fn narrow_schema(table: &str, cols: &[String], rows: &SignedBag) -> Schema {
+fn narrow_schema(table: &str, cols: &[String], rows: &ZSet) -> Schema {
     schema_from_bag(table, cols, rows)
 }
 
@@ -473,12 +473,12 @@ fn narrow_schema(table: &str, cols: &[String], rows: &SignedBag) -> Schema {
 ///
 /// ```
 /// use std::collections::HashMap;
-/// use dyno_relational::{AttrType, Schema, SignedBag, SpjQuery, Tuple};
+/// use dyno_relational::{AttrType, Schema, ZSet, SpjQuery, Tuple};
 /// use dyno_view::equation6_delta;
 ///
 /// let schema = |n: &str| Schema::of(n, &[("k", AttrType::Int)]);
 /// let row = |k: i64| Tuple::of([k]);
-/// let bag = |ks: &[i64]| ks.iter().map(|&k| (row(k), 1)).collect::<SignedBag>();
+/// let bag = |ks: &[i64]| ks.iter().map(|&k| (row(k), 1)).collect::<ZSet>();
 ///
 /// let query = SpjQuery::over(["R", "S"])
 ///     .select("R", "k")
@@ -497,8 +497,8 @@ fn narrow_schema(table: &str, cols: &[String], rows: &SignedBag) -> Schema {
 /// ```
 pub fn equation6_delta(
     query: &SpjQuery,
-    old: &HashMap<String, (Schema, SignedBag)>,
-    deltas: &HashMap<String, SignedBag>,
+    old: &HashMap<String, (Schema, ZSet)>,
+    deltas: &HashMap<String, ZSet>,
 ) -> Result<QueryResult, RelationalError> {
     equation6_delta_profiled(query, old, deltas, None)
 }
@@ -508,8 +508,8 @@ pub fn equation6_delta(
 /// (scope `"batch"`, phase `adapt`) keyed by the changed relation.
 pub(crate) fn equation6_delta_profiled(
     query: &SpjQuery,
-    old: &HashMap<String, (Schema, SignedBag)>,
-    deltas: &HashMap<String, SignedBag>,
+    old: &HashMap<String, (Schema, ZSet)>,
+    deltas: &HashMap<String, ZSet>,
     prof: Option<Prof<'_>>,
 ) -> Result<QueryResult, RelationalError> {
     let tables = &query.tables;
@@ -565,7 +565,7 @@ pub(crate) fn equation6_delta_profiled(
 
 /// The fetched old states as the provider Equation 6's hops run against
 /// (borrowed as they are; no indexes, so every hop is a scan join).
-struct OldStates<'a>(&'a HashMap<String, (Schema, SignedBag)>);
+struct OldStates<'a>(&'a HashMap<String, (Schema, ZSet)>);
 
 impl RelationProvider for OldStates<'_> {
     fn table(&self, name: &str) -> Result<TableSlice<'_>, RelationalError> {
@@ -579,8 +579,8 @@ impl RelationProvider for OldStates<'_> {
 /// Convenience: applies Equation 6 and wraps the result as a [`ViewDelta`].
 pub fn equation6_view_delta(
     view: &ViewDefinition,
-    old: &HashMap<String, (Schema, SignedBag)>,
-    deltas: &HashMap<String, SignedBag>,
+    old: &HashMap<String, (Schema, ZSet)>,
+    deltas: &HashMap<String, ZSet>,
 ) -> Result<ViewDelta, RelationalError> {
     let out = equation6_delta(&view.query, old, deltas)?;
     Ok(ViewDelta { cols: view.output_cols(), rows: out.rows })
@@ -597,7 +597,7 @@ mod tests {
     fn states_of(
         space: &dyno_source::SourceSpace,
         view: &ViewDefinition,
-    ) -> HashMap<String, (Schema, SignedBag)> {
+    ) -> HashMap<String, (Schema, ZSet)> {
         let mut out = HashMap::new();
         for t in &view.query.tables {
             let sid = space.locate(t).unwrap();
@@ -643,9 +643,9 @@ mod tests {
         let old = states_of(&space, &view);
         let mut deltas = HashMap::new();
         // Insert a store and an item that join with each other.
-        let mut store_d = SignedBag::new();
+        let mut store_d = ZSet::new();
         store_d.add(Tuple::of([Value::from(99), Value::str("Powell's")]), 1);
-        let mut item_d = SignedBag::new();
+        let mut item_d = ZSet::new();
         item_d.add(
             Tuple::of([
                 Value::from(99),

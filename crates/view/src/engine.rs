@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
     delta_hop, eval, AttrType, Attribute, CmpOp, ColRef, Predicate, ProjItem, QueryResult,
-    RelationalError, Schema, SignedBag, SpjQuery, Value,
+    RelationalError, Schema, SpjQuery, Value, ZSet,
 };
 use dyno_source::{SourceId, SourceSpace, UpdateMessage};
 
@@ -31,7 +31,7 @@ pub struct BoundTable {
     /// Column names, in tuple order.
     pub cols: Vec<String>,
     /// Signed rows.
-    pub rows: SignedBag,
+    pub rows: ZSet,
 }
 
 impl BoundTable {
@@ -45,7 +45,7 @@ impl BoundTable {
 }
 
 /// Infers a [`Schema`] for an intermediate result.
-pub fn schema_from_bag(name: &str, cols: &[String], rows: &SignedBag) -> Schema {
+pub fn schema_from_bag(name: &str, cols: &[String], rows: &ZSet) -> Schema {
     let mut types: Vec<Option<AttrType>> = vec![None; cols.len()];
     for (t, _) in rows.iter() {
         let mut all_known = true;
@@ -115,7 +115,7 @@ pub struct HopRequest<'a> {
     /// Names for Δ's columns, should the request be rendered as a query.
     pub d_cols: DeltaCols<'a>,
     /// The intermediate Δ.
-    pub delta: &'a SignedBag,
+    pub delta: &'a ZSet,
 }
 
 impl HopRequest<'_> {
@@ -123,7 +123,7 @@ impl HopRequest<'_> {
     pub fn answer<P: RelationProvider + ?Sized>(
         &self,
         provider: &P,
-    ) -> Result<SignedBag, RelationalError> {
+    ) -> Result<ZSet, RelationalError> {
         delta_hop(provider, self.target, self.join_keys, self.t_filters, self.t_proj, self.delta)
     }
 
@@ -205,7 +205,7 @@ pub trait SourcePort {
     /// so a port that only implements [`SourcePort::execute`] keeps working —
     /// but every in-repo port answers natively through [`delta_hop`], with
     /// the same results, errors, faults and metering.
-    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         let bound =
             BoundTable { name: D.to_string(), cols: req.d_cols.names(), rows: req.delta.clone() };
         self.execute(&req.query(), &[bound]).map(|r| r.rows)
@@ -273,7 +273,7 @@ pub fn eval_with_bound<P: RelationProvider + ?Sized>(
 /// entirely at the view manager (compensation, Equation-6 terms).
 #[derive(Debug, Clone, Default)]
 pub struct LocalProvider {
-    tables: HashMap<String, (Schema, SignedBag)>,
+    tables: HashMap<String, (Schema, ZSet)>,
 }
 
 impl LocalProvider {
@@ -283,7 +283,7 @@ impl LocalProvider {
     }
 
     /// Adds a table under its schema's relation name.
-    pub fn insert(&mut self, schema: Schema, rows: SignedBag) {
+    pub fn insert(&mut self, schema: Schema, rows: ZSet) {
         self.tables.insert(schema.relation.clone(), (schema, rows));
     }
 
@@ -368,7 +368,7 @@ impl<P: SourcePort + ?Sized> SourcePort for TracingPort<'_, P> {
         result
     }
 
-    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         let result = self.inner.hop(req);
         self.record_reads([req.target], result.is_err());
         result
@@ -473,7 +473,7 @@ impl SourcePort for InProcessPort {
         eval_with_bound(&self.space.provider(), query, bound)
     }
 
-    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         req.answer(&self.space.provider())
     }
 
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn schema_inference_from_data() {
-        let mut rows = SignedBag::new();
+        let mut rows = ZSet::new();
         rows.add(Tuple::of([Value::Null, Value::str("x")]), 1);
         rows.add(Tuple::of([Value::from(3), Value::str("y")]), 1);
         let s = schema_from_bag("T", &["a".into(), "b".into()], &rows);
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn schema_inference_empty_defaults() {
-        let s = schema_from_bag("T", &["a".into()], &SignedBag::new());
+        let s = schema_from_bag("T", &["a".into()], &ZSet::new());
         assert_eq!(s.attrs()[0].ty, AttrType::Int);
     }
 
@@ -570,7 +570,7 @@ mod tests {
     fn bound_table_shadows_source_relation() {
         let mut port = InProcessPort::new(small_space());
         let q = SpjQuery::over(["R"]).select("R", "v").build();
-        let mut rows = SignedBag::new();
+        let mut rows = ZSet::new();
         rows.add(Tuple::of([Value::from(9), Value::str("z")]), 1);
         let bound = BoundTable { name: "R".into(), cols: vec!["id".into(), "v".into()], rows };
         let out = port.execute(&q, &[bound]).unwrap();
@@ -657,7 +657,7 @@ mod tests {
     fn local_provider_roundtrip() {
         let mut lp = LocalProvider::new();
         let schema = Schema::of("X", &[("a", AttrType::Int)]);
-        let mut rows = SignedBag::new();
+        let mut rows = ZSet::new();
         rows.add(Tuple::of([Value::from(1)]), -2);
         lp.insert(schema, rows);
         let q = SpjQuery::over(["X"]).select("X", "a").build();

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use dyno_fault::rng::Rng;
 use dyno_fault::{QueryFault, Recovery, RetryPolicy, Transport};
 use dyno_obs::{Collector, Counter};
-use dyno_relational::{QueryResult, Relation, RelationalError, SignedBag, SpjQuery};
+use dyno_relational::{QueryResult, Relation, RelationalError, SpjQuery, ZSet};
 use dyno_source::{SourceId, UpdateMessage};
 
 use crate::engine::{BoundTable, HopRequest, MaintEvent, SourcePort};
@@ -342,7 +342,7 @@ impl<P: SourcePort, T: Transport> SourcePort for FaultedPort<P, T> {
         self.with_query_faults(&sources, |p| p.execute(query, bound))
     }
 
-    fn hop(&mut self, req: &HopRequest<'_>) -> Result<SignedBag, RelationalError> {
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         let sources = self.involved_sources(std::iter::once(req.target));
         self.with_query_faults(&sources, |p| p.hop(req))
     }

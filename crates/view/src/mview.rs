@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dyno_relational::{RelationalError, SignedBag, Tuple};
+use dyno_relational::{RelationalError, Tuple, ZSet};
 
 /// The stored extent of a view: named output columns over a bag of tuples.
 ///
@@ -13,13 +13,13 @@ use dyno_relational::{RelationalError, SignedBag, Tuple};
 pub struct MaterializedView {
     name: String,
     cols: Vec<String>,
-    extent: SignedBag,
+    extent: ZSet,
 }
 
 impl MaterializedView {
     /// An empty extent with the given columns.
     pub fn new(name: impl Into<String>, cols: Vec<String>) -> Self {
-        MaterializedView { name: name.into(), cols, extent: SignedBag::new() }
+        MaterializedView { name: name.into(), cols, extent: ZSet::new() }
     }
 
     /// The view name.
@@ -33,7 +33,7 @@ impl MaterializedView {
     }
 
     /// The extent.
-    pub fn extent(&self) -> &SignedBag {
+    pub fn extent(&self) -> &ZSet {
         &self.extent
     }
 
@@ -51,11 +51,7 @@ impl MaterializedView {
     /// The resulting extent must be non-negative (a view never holds
     /// "negative tuples"); violations indicate a maintenance bug and are
     /// reported as errors.
-    pub fn apply_delta(
-        &mut self,
-        cols: &[String],
-        delta: &SignedBag,
-    ) -> Result<(), RelationalError> {
+    pub fn apply_delta(&mut self, cols: &[String], delta: &ZSet) -> Result<(), RelationalError> {
         if cols != self.cols.as_slice() {
             return Err(RelationalError::InvalidQuery {
                 reason: format!(
@@ -91,7 +87,7 @@ impl MaterializedView {
     pub fn apply_delta_clamped(
         &mut self,
         cols: &[String],
-        delta: &SignedBag,
+        delta: &ZSet,
     ) -> Result<u64, RelationalError> {
         if cols != self.cols.as_slice() {
             return Err(RelationalError::InvalidQuery {
@@ -107,7 +103,7 @@ impl MaterializedView {
 
     /// Replaces columns and extent wholesale (view adaptation after a
     /// definition rewrite).
-    pub fn replace(&mut self, cols: Vec<String>, extent: SignedBag) -> Result<(), RelationalError> {
+    pub fn replace(&mut self, cols: Vec<String>, extent: ZSet) -> Result<(), RelationalError> {
         if !extent.is_non_negative() {
             return Err(RelationalError::InvalidQuery {
                 reason: format!(
@@ -157,11 +153,11 @@ mod tests {
     #[test]
     fn delta_application() {
         let mut mv = MaterializedView::new("V", cols());
-        let mut d = SignedBag::new();
+        let mut d = ZSet::new();
         d.add(t(1, "x"), 2);
         mv.apply_delta(&cols(), &d).unwrap();
         assert_eq!(mv.len(), 2);
-        let mut d2 = SignedBag::new();
+        let mut d2 = ZSet::new();
         d2.add(t(1, "x"), -1);
         mv.apply_delta(&cols(), &d2).unwrap();
         assert_eq!(mv.len(), 1);
@@ -170,7 +166,7 @@ mod tests {
     #[test]
     fn negative_extent_rejected_and_untouched() {
         let mut mv = MaterializedView::new("V", cols());
-        let mut d = SignedBag::new();
+        let mut d = ZSet::new();
         d.add(t(1, "x"), -1);
         assert!(mv.apply_delta(&cols(), &d).is_err());
         assert!(mv.is_empty());
@@ -179,14 +175,14 @@ mod tests {
     #[test]
     fn column_mismatch_rejected() {
         let mut mv = MaterializedView::new("V", cols());
-        let d = SignedBag::new();
+        let d = ZSet::new();
         assert!(mv.apply_delta(&["a".to_string()], &d).is_err());
     }
 
     #[test]
     fn replace_swaps_schema() {
         let mut mv = MaterializedView::new("V", cols());
-        let mut extent = SignedBag::new();
+        let mut extent = ZSet::new();
         extent.add(Tuple::of([Value::from(5)]), 1);
         mv.replace(vec!["only".to_string()], extent).unwrap();
         assert_eq!(mv.cols(), &["only".to_string()]);

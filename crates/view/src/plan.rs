@@ -18,9 +18,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dyno_obs::Collector;
-use dyno_relational::{
-    CmpOp, ColRef, Predicate, ProjItem, RelationalError, SignedBag, SpjQuery, Value,
-};
+use dyno_relational::{CmpOp, ColRef, Predicate, ProjItem, RelationalError, SpjQuery, Value, ZSet};
 
 use crate::engine::{DeltaCols, HopRequest};
 use crate::viewdef::ViewDefinition;
@@ -55,7 +53,7 @@ pub struct MaintStep {
 
 impl MaintStep {
     /// This step's hop over the intermediate `delta`.
-    pub fn request<'a>(&'a self, delta: &'a SignedBag) -> HopRequest<'a> {
+    pub fn request<'a>(&'a self, delta: &'a ZSet) -> HopRequest<'a> {
         HopRequest {
             target: &self.target,
             join_keys: &self.join_keys,
@@ -68,7 +66,7 @@ impl MaintStep {
 
     /// The step as the `__D ⋈ target` query a generic source would be sent.
     pub fn query(&self) -> SpjQuery {
-        self.request(&SignedBag::new()).query()
+        self.request(&ZSet::new()).query()
     }
 }
 

@@ -18,7 +18,7 @@
 //! is linear over Z-sets, so
 //! `π_V σ_V (ΔR ⋈ T) = π_V ((σ_R ΔR) ⋈ (σ_T T))` — the right-hand side is
 //! what the unshared per-view step computes. Both sides aggregate into a
-//! canonical [`SignedBag`] (sorted, zero-weights cancelled), so equal
+//! canonical [`ZSet`] (sorted, zero-weights cancelled), so equal
 //! multisets are equal bytes. SWEEP compensation distributes the same way:
 //! compensating the full-width hop then filtering equals filtering then
 //! compensating, because `__D ⋈ Δⱼ` is bilinear.
@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, SignedBag, Value};
+use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, Value, ZSet};
 use dyno_source::UpdateMessage;
 
 use dyno_obs::OpPhase;
@@ -47,7 +47,7 @@ use crate::vm::{compensate_pending, prof_op, prof_start, MaintFailure, Prof};
 struct Hop {
     /// Target attributes covered.
     t_attrs: Vec<String>,
-    rows: SignedBag,
+    rows: ZSet,
 }
 
 /// Per-batch cache of shared first hops, keyed by the plans' [`HopKey`]
@@ -91,7 +91,7 @@ impl SharedSubplans {
         port: &mut dyn SourcePort,
         drained: &mut Vec<UpdateMessage>,
         prof: Option<Prof<'_>>,
-    ) -> Result<SignedBag, MaintFailure> {
+    ) -> Result<ZSet, MaintFailure> {
         // Everything the view names in ΔR resolves against the delta's own
         // schema, as the unshared seed does — an attribute the delta no
         // longer carries is the same schema conflict there and here.
@@ -188,7 +188,7 @@ fn compute_hop(
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-) -> Result<SignedBag, MaintFailure> {
+) -> Result<ZSet, MaintFailure> {
     let join_keys: Vec<(usize, String)> =
         d_keys.iter().zip(&key.keys).map(|(&d, (_, t))| (d, t.clone())).collect();
     let hop = HopRequest {

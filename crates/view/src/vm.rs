@@ -16,7 +16,7 @@ use dyno_obs::{field, Collector, Level, NodeKey, OpPhase, OpSample};
 use dyno_relational::exec::TableSlice;
 use dyno_relational::{
     delta_join, delta_project, delta_select, thread_stats, ColRef, DataUpdate, ExecStats,
-    RelationalError, SignedBag, SpjQuery,
+    RelationalError, SpjQuery, ZSet,
 };
 use dyno_source::UpdateMessage;
 
@@ -31,7 +31,7 @@ pub struct ViewDelta {
     /// Output column names (the view's SELECT list).
     pub cols: Vec<String>,
     /// Signed rows to merge into the extent.
-    pub rows: SignedBag,
+    pub rows: ZSet,
 }
 
 /// Why a maintenance attempt failed.
@@ -206,7 +206,7 @@ fn sweep_inner(
     };
     if !view.references_relation(&du.relation) {
         // The update is irrelevant to this view: empty delta, no queries.
-        return Ok(ViewDelta { cols: view.output_cols(), rows: SignedBag::new() });
+        return Ok(ViewDelta { cols: view.output_cols(), rows: ZSet::new() });
     }
     let (plan, obs): (Rc<MaintPlan>, Option<&Collector>) = match plans {
         Some((cache, obs)) => {
@@ -265,7 +265,7 @@ fn execute_plan(
     for (i, step) in plan.steps.iter().enumerate().skip(start) {
         if d_rows.is_empty() {
             // Empty intermediate joins to empty: skip the remaining queries.
-            return Ok(ViewDelta { cols: plan.out_cols.clone(), rows: SignedBag::new() });
+            return Ok(ViewDelta { cols: plan.out_cols.clone(), rows: ZSet::new() });
         }
         let step_no = (i + 1) as u32;
         let hop = step.request(&d_rows);
@@ -322,7 +322,7 @@ pub(crate) fn seed_delta(
     plan: &MaintPlan,
     delta: TableSlice<'_>,
     prof: Option<Prof<'_>>,
-) -> Result<SignedBag, RelationalError> {
+) -> Result<ZSet, RelationalError> {
     let schema = delta.schema;
     let filters = plan
         .local_filters
@@ -364,7 +364,7 @@ pub(crate) fn seed_delta(
 /// a node of that plan step.
 pub(crate) fn compensate_pending(
     hop: &HopRequest<'_>,
-    rows: &mut SignedBag,
+    rows: &mut ZSet,
     msg: &UpdateMessage,
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
@@ -410,7 +410,7 @@ pub(crate) fn compensate_pending(
 pub(crate) fn compensate(
     hop: &HopRequest<'_>,
     t_delta: TableSlice<'_>,
-) -> Result<SignedBag, RelationalError> {
+) -> Result<ZSet, RelationalError> {
     let schema = t_delta.schema;
     let filters = hop
         .t_filters

@@ -44,7 +44,7 @@ use dyno_durable::storage::Storage;
 use dyno_durable::wal::{Wal, WalError};
 use dyno_obs::{field, Collector};
 use dyno_relational::wire as rel_wire;
-use dyno_relational::{SignedBag, Value};
+use dyno_relational::{Value, ZSet};
 use dyno_source::wire as src_wire;
 use dyno_source::UpdateMessage;
 
@@ -60,7 +60,7 @@ pub struct ViewState {
     /// Output column names of the materialized extent.
     pub cols: Vec<String>,
     /// The extent itself.
-    pub extent: SignedBag,
+    pub extent: ZSet,
     /// *This* view's reflected version vector, sorted by source. Views
     /// advance independently: a batch one view defers freezes its vector
     /// while its peers move on.
@@ -133,7 +133,7 @@ pub(crate) struct StateRef<'a> {
 pub(crate) struct ViewRef<'a> {
     pub sql: String,
     pub cols: &'a [String],
-    pub extent: &'a SignedBag,
+    pub extent: &'a ZSet,
     pub reflected: Vec<(u32, u64)>,
     pub deferred: Vec<&'a [UpdateMeta<UpdateMessage>]>,
     pub tier: u8,
@@ -179,7 +179,7 @@ pub enum ReplicaTailEvent {
         keys: Vec<u64>,
         /// Per-view changed rows, in slot order (a `Replace` contributes
         /// its whole new extent; `Skipped`/`Deferred` contribute nothing).
-        rows: Vec<SignedBag>,
+        rows: Vec<ZSet>,
     },
     /// The engine published the peer deltas for a commit; `bytes` is the
     /// engine-encoded publish event (assigned sequences, message bodies,
@@ -200,7 +200,7 @@ pub enum ReplicaTailEvent {
         /// The key whose post-image the delta replaced.
         key: Value,
         /// The winning post-image rows.
-        post: SignedBag,
+        post: ZSet,
         /// True iff the delta won resolution and was applied (a superseded
         /// loser is logged too, so registers survive the crash).
         applied: bool,
@@ -215,7 +215,7 @@ pub enum AppliedChange {
     /// SWEEP delta merged into the extent (definition and columns unchanged).
     Delta {
         /// Signed rows merged into the extent.
-        rows: SignedBag,
+        rows: ZSet,
     },
     /// Adaptation replaced the extent wholesale (and rewrote the definition).
     Replace {
@@ -224,7 +224,7 @@ pub enum AppliedChange {
         /// The adapted view's output columns.
         cols: Vec<String>,
         /// The full replacement extent.
-        extent: SignedBag,
+        extent: ZSet,
     },
     /// Adaptation rewrote the definition but patched the extent
     /// incrementally (Equation 6; output columns unchanged).
@@ -232,7 +232,7 @@ pub enum AppliedChange {
         /// The rewritten definition's SQL.
         sql: String,
         /// Signed rows merged into the extent.
-        rows: SignedBag,
+        rows: ZSet,
     },
     /// The batch did not touch this view's sources/relations: the view's
     /// extent is unchanged but its reflected vector still advances.
@@ -510,7 +510,7 @@ impl DurableLog {
         view: u32,
         key_col: u32,
         key: &Value,
-        post: &SignedBag,
+        post: &ZSet,
         applied: bool,
         bytes: &[u8],
     ) {
@@ -698,8 +698,8 @@ pub fn recover(
 /// Replaces `key`'s rows in a view extent with the winning post-image — the
 /// replay-side mirror of [`Warehouse::apply_remote`](crate::Warehouse::apply_remote),
 /// idempotent because the post-image is absolute.
-fn fold_remote(vs: &mut ViewState, key_col: usize, key: &Value, post: &SignedBag) {
-    let mut delta = SignedBag::new();
+fn fold_remote(vs: &mut ViewState, key_col: usize, key: &Value, post: &ZSet) {
+    let mut delta = ZSet::new();
     for (t, w) in vs.extent.iter() {
         if t.get(key_col) == key {
             delta.add(t.clone(), -w);
@@ -774,7 +774,7 @@ fn apply_record(st: &mut DurableState, rec: AppliedRecord) -> Result<ReplicaTail
                 view.extent.merge(&rows);
                 rows
             }
-            AppliedChange::Skipped => SignedBag::new(),
+            AppliedChange::Skipped => ZSet::new(),
             AppliedChange::Deferred => {
                 if deferred_batch.is_empty() {
                     return Err(WireError::Invalid(
@@ -782,7 +782,7 @@ fn apply_record(st: &mut DurableState, rec: AppliedRecord) -> Result<ReplicaTail
                     ));
                 }
                 view.deferred.push(deferred_batch.clone());
-                SignedBag::new()
+                ZSet::new()
             }
         });
     }
@@ -953,7 +953,7 @@ mod tests {
         UpdateMeta::new(key, source, UpdateKind::Data, msg(key, source, version))
     }
 
-    fn bag(vals: &[i64]) -> SignedBag {
+    fn bag(vals: &[i64]) -> ZSet {
         vals.iter().map(|&v| (Tuple::new(vec![Value::Int(v)]), 1)).collect()
     }
 

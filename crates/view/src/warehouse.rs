@@ -26,7 +26,7 @@ use dyno_core::{
 };
 use dyno_durable::storage::Storage;
 use dyno_obs::{field, Collector, Counter, Gauge, Level, OpPhase, StalenessTracker};
-use dyno_relational::{thread_stats, ExecStats, RelationalError, SignedBag, SourceUpdate, Value};
+use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, Value, ZSet};
 use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 
 use crate::batch::{adapt_batch_observed, AdaptationMode, Adapted, BatchFailure};
@@ -147,7 +147,7 @@ enum Staged {
 impl Staged {
     /// The rows a peer replica is told changed: the delta, or — for a full
     /// replace — the whole new extent.
-    fn publish_rows(&self) -> &SignedBag {
+    fn publish_rows(&self) -> &ZSet {
         match self {
             Staged::Delta(delta) | Staged::Adapted(Adapted::Incremental { delta, .. }) => {
                 &delta.rows
@@ -228,7 +228,7 @@ pub struct PendingPublish {
     /// Per-view changed rows, in slot order (a full replace contributes its
     /// whole new extent; untouched/deferring views contribute nothing) —
     /// the engine derives the changed `(view, key)` post-images from these.
-    pub rows: Vec<SignedBag>,
+    pub rows: Vec<ZSet>,
 }
 
 /// Pre-registered `exec.*` registry counters mirroring the delta executor's
@@ -659,13 +659,13 @@ impl Warehouse {
         view: usize,
         key_col: usize,
         key: &Value,
-        post: &SignedBag,
+        post: &ZSet,
         applied: bool,
         meta: &[u8],
-    ) -> Result<SignedBag, ViewError> {
+    ) -> Result<ZSet, ViewError> {
         let prof: Option<Prof<'_>> =
             if self.obs.profile_on() { Some((&self.obs, "warehouse")) } else { None };
-        let mut delta = SignedBag::new();
+        let mut delta = ZSet::new();
         if applied {
             let started = prof_start(prof);
             let slot = self.slots.get_mut(view).ok_or_else(|| {
@@ -1197,7 +1197,7 @@ impl Warehouse {
             });
         }
         if let Some(changed) = pub_rows {
-            let mut rows = vec![SignedBag::new(); self.slots.len()];
+            let mut rows = vec![ZSet::new(); self.slots.len()];
             rows[idx] = changed;
             self.publish.push(PendingPublish { keys, rows });
         }
@@ -1243,7 +1243,7 @@ struct WarehouseCtx<'a> {
 fn apply_signed(
     mv: &mut MaterializedView,
     cols: &[String],
-    rows: &SignedBag,
+    rows: &ZSet,
     clamp: Option<&Counter>,
 ) -> Result<(), RelationalError> {
     match clamp {
@@ -1438,8 +1438,7 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         let mut total_written: u64 = 0;
         let mut logged_changes: Vec<AppliedChange> =
             (0..self.slots.len()).map(|_| AppliedChange::Skipped).collect();
-        let mut pub_rows: Vec<SignedBag> =
-            (0..self.slots.len()).map(|_| SignedBag::new()).collect();
+        let mut pub_rows: Vec<ZSet> = (0..self.slots.len()).map(|_| ZSet::new()).collect();
         for &i in &order {
             let slot = &mut self.slots[i];
             match &dispo[i] {

@@ -31,12 +31,12 @@ fn main() {
         let (space, view) = dyno::sim::build_testbed(&cfg);
         let mut gen = WorkloadGen::new(cfg, 2026);
         let schedule = gen.mixed(150, 500_000, 5, 10_000_000, 20_000_000);
-        let report = run_scenario(
-            Scenario::new(space, view, schedule)
-                .with_strategy(strategy)
-                .with_cost(CostModel::calibrated(cfg.tuples_per_relation as u64))
-                .with_audit(),
-        )
+        let report = run(Experiment {
+            strategy,
+            cost: CostModel::calibrated(cfg.tuples_per_relation as u64),
+            audit: true,
+            ..Experiment::new(space, vec![view], schedule)
+        })
         .expect("grid run");
         println!(
             "{strategy:?}:\n  total maintenance cost {:>7.1} s (abort share {:>5.1} s, {} aborts)\n  \
@@ -45,8 +45,8 @@ fn main() {
             report.metrics.total_cost_s(),
             report.metrics.abort_s(),
             report.metrics.aborts,
-            report.view_stats.du_committed,
-            report.view_stats.batches_committed,
+            report.views[0].stats.du_committed,
+            report.views[0].stats.batches_committed,
             report.converged,
             report.audit_violations,
         );

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full offline verification gauntlet: formatting, lints, build, tests
-# (default and feature-gated randomized suites), and the figure binaries'
-# JSON/trace export smoke test. No network access is required at any step.
+# (unit, integration and seeded randomized suites alike), and the figure
+# binaries' JSON/trace export smoke test. No network access is required at
+# any step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,17 +15,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release (offline) =="
 cargo build --release --offline
 
-echo "== cargo test (default features) =="
+echo "== cargo test (every suite, seeded randomized ones included) =="
 cargo test -q --workspace --offline
-
-echo "== cargo test --features proptest (randomized suites) =="
-cargo test -q --workspace --offline --features proptest
 
 echo "== hop protocol differential suite, release codegen =="
 # tests/hop_props.rs: a port's native `hop` against the trait's default
 # `execute` path — rows, errors, ExecStats, simulated time, fault draws,
 # trace. Release too, because the probe path is what release builds inline.
-cargo test -q --release --offline --features proptest --test hop_props
+cargo test -q --release --offline --test hop_props
 
 echo "== source history + adaptation chain differential suites, release codegen =="
 # tests/source_history_props.rs: every version `state_at` rewinds to equals
@@ -139,6 +137,12 @@ injected_total="$(awk -F= '/^fault.injected_total=/ { n += $2 } END { print n+0 
 test "$injected_total" -gt 0
 echo "fault.injected_total = $injected_total (summed over $(wc -l < "$chaos_summary") runs)"
 
+echo "== recorded grid fingerprints (chaos/crash/multiview x profiles x seeds 0..8) =="
+# 192 runs of the one harness against tests/data/grids.txt, a capture the
+# pre-`Experiment` drivers wrote: counters, simulated series, extent CRCs,
+# final SQL and lineage must not move. `#[ignore]`d only for debug-build time.
+timeout 600 cargo test -q --release --offline --test chaos_props grids_match -- --ignored
+
 echo "== live monitor smoke (open-loop telemetry, DESIGN.md §14) =="
 # A short bursty run against a bounded UMQ: the admission bound must
 # actually shed, the load must still mostly flow, and the burn-rate SLO
@@ -176,8 +180,7 @@ echo "== profiler gates (conservation, bit-identity, disabled = 0 alloc) =="
 # the profiler on and off, and the disabled gate path performs zero heap
 # allocations (counting global allocator). Release mode so the zero-alloc
 # loop measures the real codegen, not debug-build temporaries.
-timeout 600 cargo test -q --release --offline --features proptest \
-    --test profile_props
+timeout 600 cargo test -q --release --offline --test profile_props
 
 echo "== multi-view smoke (shared maintenance DAG, per-view safety) =="
 # The differential multi-view suite (tests/multiview_props.rs): N

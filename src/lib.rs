@@ -15,7 +15,7 @@
 //! | [`view`] | the warehouse (view manager, one view or many): UMQ, SWEEP maintenance with compensation, view synchronization, view adaptation (paper Equation 6) |
 //! | [`fault`] | deterministic fault injection: the transport seam between warehouse and sources, chaos profiles, retry policies, delivery recovery |
 //! | [`durable`] | crash durability: CRC-framed write-ahead log, manual binary codec, in-memory and file storage backends |
-//! | [`sim`] | the discrete-event testbed replacing the paper's Oracle cluster: virtual clock, cost model, workloads, consistency auditors, chaos + crash runners |
+//! | [`sim`] | the discrete-event testbed replacing the paper's Oracle cluster: virtual clock, cost model, workloads, consistency auditors, and the one `Experiment`/`run` harness (fault-free, chaos, crash, multi-view, monitored) |
 //!
 //! ## Quickstart
 //!
@@ -63,8 +63,7 @@ pub mod prelude {
         Schema, SchemaChange, SourceUpdate, SpjQuery, Tuple, Value,
     };
     pub use dyno_sim::{
-        run_chaos, run_scenario, ChaosConfig, ChaosReport, CostModel, RunReport, Scenario,
-        ScheduledCommit, SimPort, TestbedConfig, WorkloadGen,
+        run, CostModel, Experiment, Report, ScheduledCommit, SimPort, TestbedConfig, WorkloadGen,
     };
     pub use dyno_source::{InfoSpace, SourceId, SourceServer, SourceSpace, UpdateMessage};
     pub use dyno_view::{

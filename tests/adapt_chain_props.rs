@@ -21,22 +21,18 @@ use std::collections::HashMap;
 
 use dyno::prelude::*;
 use dyno::relational::exec::{RelationProvider, TableSlice};
-use dyno::relational::{eval, SignedBag};
+use dyno::relational::{eval, ZSet};
 use dyno::sim::Rng;
 use dyno::view::{adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted};
 
 const CASES: u64 = 96;
 
-type States = HashMap<String, (Schema, SignedBag)>;
+type States = HashMap<String, (Schema, ZSet)>;
 
 /// Equation 6 as the parent commit computed it: for each changed relation
 /// `Rᵢ`, evaluate the whole query with `R₁…Rᵢ₋₁` at their new states, `Rᵢ`
 /// bound to its delta and `Rᵢ₊₁…Rₙ` at their old states; sum the terms.
-fn equation6_by_eval(
-    query: &SpjQuery,
-    old: &States,
-    deltas: &HashMap<String, SignedBag>,
-) -> SignedBag {
+fn equation6_by_eval(query: &SpjQuery, old: &States, deltas: &HashMap<String, ZSet>) -> ZSet {
     struct Slices<'a>(HashMap<&'a str, TableSlice<'a>>);
     impl RelationProvider for Slices<'_> {
         fn table(&self, name: &str) -> Result<TableSlice<'_>, RelationalError> {
@@ -46,7 +42,7 @@ fn equation6_by_eval(
                 .ok_or_else(|| RelationalError::UnknownRelation { relation: name.into() })
         }
     }
-    let new_states: HashMap<&str, SignedBag> = deltas
+    let new_states: HashMap<&str, ZSet> = deltas
         .iter()
         .map(|(t, d)| {
             let mut rows = old[t].1.clone();
@@ -54,7 +50,7 @@ fn equation6_by_eval(
             (t.as_str(), rows)
         })
         .collect();
-    let mut total = SignedBag::new();
+    let mut total = ZSet::new();
     for (i, table_i) in query.tables.iter().enumerate() {
         let Some(delta_i) = deltas.get(table_i) else { continue };
         let mut provider = Slices(HashMap::new());
@@ -186,7 +182,7 @@ fn commit_member(
     space.commit(tracked[t].source, update).expect("generated against the current schema")
 }
 
-fn extent_of(view: &ViewDefinition, space: &SourceSpace) -> SignedBag {
+fn extent_of(view: &ViewDefinition, space: &SourceSpace) -> ZSet {
     eval(&view.query, &space.provider()).expect("the view is defined").rows
 }
 
@@ -199,8 +195,8 @@ fn reconstruct(
     space: &SourceSpace,
     batch: &[UpdateMessage],
     pending: &[UpdateMessage],
-) -> (States, HashMap<String, SignedBag>) {
-    let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+) -> (States, HashMap<String, ZSet>) {
+    let mut deltas: HashMap<String, ZSet> = HashMap::new();
     for (i, m) in batch.iter().enumerate() {
         let SourceUpdate::Data(du) = &m.update else { continue };
         let later: Vec<SchemaChange> = batch[i + 1..]

@@ -2,9 +2,6 @@
 //! equivalent to wholesale recomputation: for any shape-preserving workload,
 //! both `AdaptationMode`s produce the same final view definition and extent;
 //! incremental is used exactly when applicable.
-//!
-//! The randomized sweep is gated behind the `proptest` feature; the plain
-//! smoke test below always runs.
 
 use dyno::core::Strategy;
 use dyno::prelude::*;
@@ -34,7 +31,6 @@ fn run_with_mode(
 
 /// Auto (incremental where applicable) and RecomputeOnly agree on the final
 /// definition and extent for arbitrary DU/rename/drop workloads.
-#[cfg(feature = "proptest")]
 #[test]
 fn modes_agree() {
     use dyno::sim::Rng;

@@ -1,10 +1,9 @@
 //! Randomized tests for the bag algebra underlying incremental maintenance:
 //! the identity `(R + Δ) ⋈ S = R ⋈ S + Δ ⋈ S` and its supporting laws are
 //! what make SWEEP compensation and Equation 6 correct.
-#![cfg(feature = "proptest")]
 
 use dyno::prelude::*;
-use dyno::relational::SignedBag;
+use dyno::relational::ZSet;
 use dyno::sim::Rng;
 use dyno::view::LocalProvider;
 
@@ -30,7 +29,7 @@ fn signed_rows(rng: &mut Rng, max_count: i64) -> Vec<(Tuple, i64)> {
         .collect()
 }
 
-fn bag_of(rows: &[(Tuple, i64)]) -> SignedBag {
+fn bag_of(rows: &[(Tuple, i64)]) -> ZSet {
     rows.iter().cloned().collect()
 }
 
@@ -47,7 +46,7 @@ fn join_query() -> SpjQuery {
         .build()
 }
 
-fn eval_rs(r: SignedBag, s: SignedBag) -> SignedBag {
+fn eval_rs(r: ZSet, s: ZSet) -> ZSet {
     let mut p = LocalProvider::new();
     p.insert(r_schema(), r);
     p.insert(s_schema(), s);
@@ -159,7 +158,7 @@ fn overlay_equals_substitution() {
         let direct = eval_rs(delta.clone(), s.clone());
         // Path 2: bound table overlaying a base provider that has R and S.
         let mut base = LocalProvider::new();
-        base.insert(r_schema(), SignedBag::new());
+        base.insert(r_schema(), ZSet::new());
         base.insert(s_schema(), s);
         let bound = dyno::view::BoundTable {
             name: "R".into(),

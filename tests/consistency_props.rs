@@ -10,11 +10,19 @@
 //!
 //! Cases are drawn from the in-repo seeded PRNG (`dyno::sim::Rng`), so
 //! every run replays the same case set and a failure is reproducible.
-#![cfg(feature = "proptest")]
 
 use dyno::core::Strategy as Detection;
 use dyno::prelude::*;
 use dyno::sim::{build_testbed, EventKind, Rng};
+
+/// The 60-tuple testbed under `timeline`, realized by a generator seeded
+/// with `seed`.
+fn experiment(timeline: &[(u64, EventKind)], seed: u64, strategy: Detection) -> Experiment {
+    let cfg = TestbedConfig { tuples_per_relation: 60, ..Default::default() };
+    let (space, view) = build_testbed(&cfg);
+    let schedule = WorkloadGen::new(cfg, seed).realize(timeline);
+    Experiment { strategy, ..Experiment::new(space, vec![view], schedule) }
+}
 
 const KINDS: [EventKind; 6] = [
     EventKind::DataUpdate,
@@ -43,14 +51,13 @@ fn any_interleaving_converges_with_strong_consistency() {
         let timeline = timeline(&mut rng);
         let seed = rng.gen_range(0..1000u64);
         for strategy in [Detection::Pessimistic, Detection::Optimistic] {
-            let cfg = TestbedConfig { tuples_per_relation: 60, ..Default::default() };
-            let (space, view) = build_testbed(&cfg);
-            let mut gen = WorkloadGen::new(cfg, seed);
-            let schedule = gen.realize(&timeline);
-            let report = run_scenario(
-                Scenario::new(space, view, schedule).with_strategy(strategy).with_audit(),
-            )
-            .expect("no hard failures on testbed workloads");
+            let report = run(Experiment { audit: true, ..experiment(&timeline, seed, strategy) })
+                .expect("testbed views initialize");
+            assert!(
+                report.last_error.is_none(),
+                "case {case} {strategy:?}: no hard failures on testbed workloads: {:?}",
+                report.last_error
+            );
             assert!(!report.exhausted, "case {case} {strategy:?}: step budget exhausted");
             assert_eq!(
                 report.metrics.skipped_commits, 0,
@@ -77,20 +84,14 @@ fn du_only_interleavings_use_fast_path() {
             .collect();
         timeline.sort_by_key(|e| e.0);
         let seed = rng.gen_range(0..1000u64);
-        let cfg = TestbedConfig { tuples_per_relation: 60, ..Default::default() };
-        let (space, view) = build_testbed(&cfg);
-        let mut gen = WorkloadGen::new(cfg, seed);
-        let schedule = gen.realize(&timeline);
-        let n = schedule.len() as u64;
-        let report = run_scenario(
-            Scenario::new(space, view, schedule).with_strategy(Detection::Pessimistic).with_audit(),
-        )
-        .expect("DU-only runs cannot fail");
-        assert!(report.converged, "case {case}");
+        let exp = Experiment { audit: true, ..experiment(&timeline, seed, Detection::Pessimistic) };
+        let n = exp.schedule.len() as u64;
+        let report = run(exp).expect("testbed views initialize");
+        assert!(report.converged, "case {case}: DU-only runs cannot fail: {:?}", report.last_error);
         assert_eq!(report.audit_violations, 0, "case {case}");
         assert_eq!(report.metrics.aborts, 0, "case {case}");
-        assert_eq!(report.dyno_stats.graph_builds, 0, "case {case}");
-        assert_eq!(report.view_stats.du_committed, n, "case {case}");
+        assert_eq!(report.counter("dyno.graph_builds"), 0, "case {case}");
+        assert_eq!(report.views[0].stats.du_committed, n, "case {case}");
     }
 }
 
@@ -108,16 +109,10 @@ fn registry_totals_project_sim_metrics() {
         } else {
             Detection::Optimistic
         };
-        let cfg = TestbedConfig { tuples_per_relation: 60, ..Default::default() };
-        let (space, view) = build_testbed(&cfg);
-        let mut gen = WorkloadGen::new(cfg, seed);
-        let schedule = gen.realize(&timeline);
-        let report = run_scenario(
-            Scenario::new(space, view, schedule).with_strategy(strategy).with_tracing(),
-        )
-        .expect("testbed workloads succeed");
-        let reg = report.obs.registry();
-        let counter = |name: &str| reg.counter_value(name).unwrap_or(0);
+        let report = run(Experiment { tracing: true, ..experiment(&timeline, seed, strategy) })
+            .expect("testbed views initialize");
+        assert!(report.last_error.is_none(), "case {case}: {:?}", report.last_error);
+        let counter = |name: &str| report.counter(name);
         assert_eq!(counter("sim.committed_us"), report.metrics.committed_us, "case {case}");
         assert_eq!(counter("sim.abort_us"), report.metrics.abort_us, "case {case}");
         assert_eq!(counter("sim.committed_sc_us"), report.metrics.committed_sc_us, "case {case}");

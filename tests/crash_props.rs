@@ -6,7 +6,7 @@
 //!
 //! * **termination** — the run quiesces within its step budget despite the
 //!   kills;
-//! * **strong consistency** — `check_reflected` passes after every commit
+//! * **strong consistency** — `sim::audit` passes after every commit
 //!   *and immediately after every recovery*;
 //! * **convergence** — the final extent equals the view over final source
 //!   states;
@@ -23,77 +23,74 @@
 //! `DYNO_CRASH_SUMMARY` names a file, each run appends its kill and torn
 //! counters so the harness can assert the suite actually crashed processes.
 
+mod common;
+
+use common::assert_healthy;
 use dyno::core::CorrectionPolicy;
 use dyno::durable::{MemStorage, Storage};
 use dyno::fault::FaultProfile;
 use dyno::obs::Collector;
-use dyno::sim::{run_crash_chaos, CrashConfig, CrashReport};
+use dyno::sim::{Experiment, Report};
 use dyno::view::wal::{CrashPlan, CrashPoint};
 
 const CLASSES: [CrashPoint; 3] =
     [CrashPoint::BetweenSteps, CrashPoint::AfterIntent, CrashPoint::MidBatch];
 
-/// Runs one kill configuration and enforces every invariant above,
-/// comparing against the same seed's no-kill baseline.
-fn assert_healthy(cfg: &CrashConfig, baseline: &CrashReport) -> CrashReport {
-    let report = run_crash_chaos(cfg);
-    let ctx = format!(
-        "profile={} seed={} policy={:?} kills={:?}",
-        cfg.profile.name, cfg.seed, cfg.policy, cfg.kills
-    );
-    assert!(!report.exhausted, "{ctx}: must terminate within the step budget");
-    assert!(report.last_error.is_none(), "{ctx}: hard error {:?}", report.last_error);
-    assert!(report.converged, "{ctx}: extent must converge to final source states");
-    assert_eq!(report.audit_violations, 0, "{ctx}: strong consistency at every commit");
-    assert_eq!(report.recovery_audit_failures, 0, "{ctx}: strong consistency after recovery");
-    assert_eq!(report.torn_records, 0, "{ctx}: whole-record cuts leave no torn tail");
-    assert_eq!(report.final_view_sql, baseline.final_view_sql, "{ctx}: same final view");
-    assert_eq!(
-        report.final_extent_crc, baseline.final_extent_crc,
-        "{ctx}: final extent bit-identical to the no-kill run"
-    );
-    write_summary(&report);
-    report
+/// The chaos testbed with a kill sequence armed.
+fn killed(profile: FaultProfile, seed: u64, kills: Vec<CrashPlan>) -> Experiment {
+    Experiment { kills, ..Experiment::chaos(profile, seed) }
 }
 
-/// Appends kill/torn counters to `$DYNO_CRASH_SUMMARY` when set.
-fn write_summary(report: &CrashReport) {
-    use std::io::Write;
-    if let Some(path) = std::env::var_os("DYNO_CRASH_SUMMARY") {
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(
-                f,
-                "wal.kills={} recover.torn_records={}",
-                report.kills, report.torn_records
-            );
-        }
-    }
+/// Final `(extent CRC, definition SQL)` of the run's one view.
+fn fingerprint(report: &Report) -> (u32, &str) {
+    (report.views[0].extent_crc, &report.views[0].sql)
+}
+
+/// Runs one kill configuration and enforces every invariant above,
+/// comparing against the same seed's no-kill baseline.
+fn assert_recovers(exp: Experiment, baseline: &Report) -> Report {
+    let ctx = format!("seed={} policy={:?} kills={:?}", exp.seed, exp.policy, exp.kills);
+    let report = assert_healthy(exp);
+    assert_eq!(
+        report.counter("recover.torn_records"),
+        0,
+        "{ctx}: whole-record cuts leave no torn tail"
+    );
+    assert_eq!(
+        fingerprint(&report),
+        fingerprint(baseline),
+        "{ctx}: final extent and view bit-identical to the no-kill run"
+    );
+    report
 }
 
 #[test]
 fn crash_quick_each_class_recovers() {
-    let baseline = run_crash_chaos(&CrashConfig::new(FaultProfile::quiet(), 7));
-    assert!(baseline.converged && baseline.kills == 0);
+    let baseline = assert_healthy(Experiment::chaos(FaultProfile::quiet(), 7));
+    assert_eq!(baseline.counter("wal.power_cuts"), 0);
     let mut kills = 0;
     for point in CLASSES {
-        let cfg = CrashConfig::new(FaultProfile::quiet(), 7)
-            .with_kills(vec![CrashPlan { point, skip: 1 }]);
-        kills += assert_healthy(&cfg, &baseline).kills;
+        let exp = killed(FaultProfile::quiet(), 7, vec![CrashPlan { point, skip: 1 }]);
+        kills += assert_recovers(exp, &baseline).counter("wal.power_cuts");
     }
     assert_eq!(kills, 3, "every crash class must actually fire");
 }
 
 #[test]
 fn crash_quick_survives_repeated_kills_in_one_run() {
-    let baseline = run_crash_chaos(&CrashConfig::new(FaultProfile::quiet(), 11));
-    let cfg = CrashConfig::new(FaultProfile::quiet(), 11).with_kills(vec![
-        CrashPlan { point: CrashPoint::BetweenSteps, skip: 0 },
-        CrashPlan { point: CrashPoint::AfterIntent, skip: 0 },
-        CrashPlan { point: CrashPoint::MidBatch, skip: 0 },
-    ]);
-    let report = assert_healthy(&cfg, &baseline);
-    assert_eq!(report.kills, 3, "all three kills fire in a single run");
-    assert!(report.replayed_records > 0, "recovery replays logged records");
+    let baseline = assert_healthy(Experiment::chaos(FaultProfile::quiet(), 11));
+    let exp = killed(
+        FaultProfile::quiet(),
+        11,
+        vec![
+            CrashPlan { point: CrashPoint::BetweenSteps, skip: 0 },
+            CrashPlan { point: CrashPoint::AfterIntent, skip: 0 },
+            CrashPlan { point: CrashPoint::MidBatch, skip: 0 },
+        ],
+    );
+    let report = assert_recovers(exp, &baseline);
+    assert_eq!(report.counter("wal.power_cuts"), 3, "all three kills fire in a single run");
+    assert!(report.counter("recover.replayed") > 0, "recovery replays logged records");
 }
 
 #[test]
@@ -101,12 +98,13 @@ fn crash_quick_survives_kills_under_transport_faults() {
     // Kills on top of drop/duplicate transport faults: both recovery layers
     // (delivery resequencing and WAL replay) active at once. Bit identity
     // is only asserted against the no-kill run of the SAME faulty profile.
-    let baseline = run_crash_chaos(&CrashConfig::new(FaultProfile::drop_dup(), 3));
-    assert!(baseline.converged, "faulty-transport baseline converges");
-    let cfg = CrashConfig::new(FaultProfile::drop_dup(), 3)
-        .with_kills(vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 1 }]);
-    let report = assert_healthy(&cfg, &baseline);
-    assert_eq!(report.kills, 1);
+    let baseline = assert_healthy(Experiment::chaos(FaultProfile::drop_dup(), 3));
+    let exp = killed(
+        FaultProfile::drop_dup(),
+        3,
+        vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 1 }],
+    );
+    assert_eq!(assert_recovers(exp, &baseline).counter("wal.power_cuts"), 1);
 }
 
 /// The view-level torn-write matrix: a real warehouse log truncated at every
@@ -183,32 +181,15 @@ fn crash_full_grid_recovers_on_every_class() {
     let mut kills = 0u64;
     for policy in [CorrectionPolicy::MergeCycles, CorrectionPolicy::MergeAll] {
         for seed in 0..8u64 {
+            let with_policy = |exp: Experiment| Experiment { policy, ..exp };
             let baseline =
-                run_crash_chaos(&CrashConfig::new(FaultProfile::quiet(), seed).with_policy(policy));
-            assert!(baseline.converged, "seed={seed} policy={policy:?}: baseline converges");
+                assert_healthy(with_policy(Experiment::chaos(FaultProfile::quiet(), seed)));
             for point in CLASSES {
-                let cfg = CrashConfig::new(FaultProfile::quiet(), seed)
-                    .with_policy(policy)
-                    .with_kills(vec![CrashPlan { point, skip: seed % 3 }]);
-                kills += assert_healthy(&cfg, &baseline).kills;
+                let plan = vec![CrashPlan { point, skip: seed % 3 }];
+                let exp = with_policy(killed(FaultProfile::quiet(), seed, plan));
+                kills += assert_recovers(exp, &baseline).counter("wal.power_cuts");
             }
         }
     }
     assert!(kills >= 40, "the grid must actually kill processes (got {kills})");
-}
-
-#[test]
-#[ignore = "full grid companion; run with --include-ignored (VERIFY_FULL=1 scripts/verify.sh)"]
-fn crash_full_grid_is_deterministic() {
-    for point in CLASSES {
-        let cfg = CrashConfig::new(FaultProfile::drop_dup(), 5)
-            .with_kills(vec![CrashPlan { point, skip: 0 }]);
-        let a = run_crash_chaos(&cfg);
-        let b = run_crash_chaos(&cfg);
-        assert_eq!(a.kills, b.kills);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.converged, b.converged);
-        assert_eq!(a.final_extent_crc, b.final_extent_crc, "bit-identical replays");
-        assert_eq!(a.replayed_records, b.replayed_records);
-    }
 }

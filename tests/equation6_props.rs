@@ -1,12 +1,11 @@
 //! Randomized test for paper Equation 6: the incremental n-way-join delta
 //! equals full recomputation over the new states diffed against the old
 //! extent, for arbitrary relation states and arbitrary signed deltas.
-#![cfg(feature = "proptest")]
 
 use std::collections::HashMap;
 
 use dyno::prelude::*;
-use dyno::relational::SignedBag;
+use dyno::relational::ZSet;
 use dyno::sim::Rng;
 use dyno::view::{equation6_delta, LocalProvider, ViewDefinition};
 
@@ -38,10 +37,10 @@ fn filtered_view(n: usize, filters: &[(usize, CmpOp, i64)]) -> ViewDefinition {
 /// `eval(V, old + deltas) − eval(V, old)`: what Equation 6 must equal.
 fn recompute_diff(
     view: &ViewDefinition,
-    old: &HashMap<String, (Schema, SignedBag)>,
-    deltas: &HashMap<String, SignedBag>,
-) -> SignedBag {
-    let eval_over = |pick_new: bool| -> SignedBag {
+    old: &HashMap<String, (Schema, ZSet)>,
+    deltas: &HashMap<String, ZSet>,
+) -> ZSet {
+    let eval_over = |pick_new: bool| -> ZSet {
         let mut p = LocalProvider::new();
         for (name, (schema, rows)) in old {
             let mut r = rows.clone();
@@ -94,14 +93,14 @@ fn equation6_equals_recompute_diff() {
         let changed_mask = rng.gen_range(0..8u32) as u8;
 
         let view = view(n);
-        let mut old: HashMap<String, (Schema, SignedBag)> = HashMap::new();
+        let mut old: HashMap<String, (Schema, ZSet)> = HashMap::new();
         for (i, rows) in states.iter().enumerate() {
             old.insert(format!("R{i}"), (schema(i), rows.iter().cloned().collect()));
         }
-        let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+        let mut deltas: HashMap<String, ZSet> = HashMap::new();
         for (i, rows) in inserts.iter().enumerate() {
             if changed_mask & (1 << i) != 0 {
-                let mut d: SignedBag = rows.iter().cloned().collect();
+                let mut d: ZSet = rows.iter().cloned().collect();
                 // Also delete half of the existing tuples of this relation,
                 // exercising negative multiplicities.
                 for (j, (t, c)) in states[i].iter().enumerate() {
@@ -135,12 +134,12 @@ fn equation6_with_filters_cancelled_deltas_and_a_single_relation() {
             }
         }
         let view = filtered_view(n, &filters);
-        let mut old: HashMap<String, (Schema, SignedBag)> = HashMap::new();
-        let mut deltas: HashMap<String, SignedBag> = HashMap::new();
+        let mut old: HashMap<String, (Schema, ZSet)> = HashMap::new();
+        let mut deltas: HashMap<String, ZSet> = HashMap::new();
         let cancelled = rng.gen_range(0..n);
         for i in 0..n {
             let rows = rel_rows(&mut rng);
-            let mut d: SignedBag = delta_rows(&mut rng).into_iter().collect();
+            let mut d: ZSet = delta_rows(&mut rng).into_iter().collect();
             if i == cancelled {
                 // Every insert is taken back within the same delta.
                 let inserts = d.clone();
@@ -167,7 +166,7 @@ fn equation6_no_change_is_empty() {
     let mut rng = Rng::new(0xE6_0517);
     for case in 0..32 {
         let view = view(3);
-        let mut old: HashMap<String, (Schema, SignedBag)> = HashMap::new();
+        let mut old: HashMap<String, (Schema, ZSet)> = HashMap::new();
         for i in 0..3 {
             let rows = rel_rows(&mut rng);
             old.insert(format!("R{i}"), (schema(i), rows.into_iter().collect()));

@@ -2,7 +2,6 @@
 //! and then a schema-change sequence to a relation equals applying the
 //! sequence first and then the *homogenized* delta —
 //! `changes(R ⊎ Δ) = changes(R) ⊎ homogenize(Δ, changes)`.
-#![cfg(feature = "proptest")]
 
 use dyno::prelude::*;
 use dyno::sim::Rng;

@@ -8,10 +8,9 @@
 //!
 //! Cases are drawn from the in-repo seeded PRNG (`dyno::sim::Rng`), so every
 //! run replays the same case set and a failure is reproducible.
-#![cfg(feature = "proptest")]
 
 use dyno::prelude::*;
-use dyno::relational::{thread_stats, ExecStats, QueryResult, SignedBag};
+use dyno::relational::{thread_stats, ExecStats, QueryResult, ZSet};
 use dyno::sim::{build_testbed, EventKind, Rng};
 use dyno::view::{
     BoundTable, DeltaCols, HopRequest, MaintEvent, MaintPlan, TracingPort, ViewDefinition,
@@ -69,7 +68,7 @@ impl<P: SourcePort> SourcePort for ExecuteOnly<P> {
 }
 
 /// One hop's outcome and the executor work it cost.
-type Outcome = (Result<SignedBag, RelationalError>, ExecStats);
+type Outcome = (Result<ZSet, RelationalError>, ExecStats);
 
 fn hop_on(port: &mut dyn SourcePort, req: &HopRequest<'_>) -> Outcome {
     let before = thread_stats();
@@ -124,8 +123,8 @@ fn space_with_target(rows: usize, rng: &mut Rng) -> SourceSpace {
 }
 
 /// A random intermediate: `arity` nullable integer columns, signed weights.
-fn random_delta(rows: usize, arity: usize, rng: &mut Rng) -> SignedBag {
-    let mut delta = SignedBag::new();
+fn random_delta(rows: usize, arity: usize, rng: &mut Rng) -> ZSet {
+    let mut delta = ZSet::new();
     for _ in 0..rows {
         let t = Tuple::new((0..arity).map(|_| int_or_null(rng, 4)).collect());
         let w = *rng.choose(&[-2i64, -1, 1, 1, 2, 3]);
@@ -144,7 +143,7 @@ struct HopParts {
 }
 
 impl HopParts {
-    fn request<'a>(&'a self, delta: &'a SignedBag) -> HopRequest<'a> {
+    fn request<'a>(&'a self, delta: &'a ZSet) -> HopRequest<'a> {
         HopRequest {
             target: &self.target,
             join_keys: &self.join_keys,
@@ -281,7 +280,7 @@ fn fan_out_boundary_flips_both_paths_at_the_same_size() {
             catalog.create_index("T", &["k"]).unwrap();
             let mut space = SourceSpace::new();
             space.add_server(SourceServer::new(SourceId(0), "s0", catalog));
-            let delta: SignedBag =
+            let delta: ZSet =
                 (0..d_rows as i64).map(|i| (Tuple::of([i % 3, 100 + i]), 1)).collect();
             let parts = HopParts {
                 target: "T".into(),

@@ -1,4 +1,4 @@
-//! Properties of the monitored open-loop runner (DESIGN.md §14): the
+//! Properties of monitored open-loop runs (DESIGN.md §14): the
 //! telemetry stack — registry time series (`obs::timeseries`), per-view
 //! staleness lanes and burn-rate SLO states (`obs::slo`) — observed against
 //! the open-loop workload generator:
@@ -16,32 +16,42 @@
 //! the full-size profiles live in `dyno-bench monitor`.
 
 use dyno::obs::{SloPolicy, SloState};
-use dyno::sim::{run_monitor, MonitorConfig, OpenLoopConfig, TestbedConfig};
+use dyno::sim::{run, Experiment, Monitor, OpenLoopConfig, Report, Telemetry, TestbedConfig};
 
-fn small_testbed() -> TestbedConfig {
-    TestbedConfig { tuples_per_relation: 60, ..Default::default() }
+/// Runs a monitored experiment that must neither die nor exhaust its budget.
+fn monitored(exp: Experiment) -> (Report, Telemetry) {
+    let mut report = run(exp).expect("testbed views initialize");
+    assert!(report.last_error.is_none(), "run died: {:?}", report.last_error);
+    assert!(!report.exhausted, "must finish within the step budget");
+    let telemetry = report.telemetry.take().expect("open-loop runs are monitored");
+    (report, telemetry)
 }
 
 /// The bursty bounded-UMQ scenario at test scale.
-fn burst_cfg() -> MonitorConfig {
-    MonitorConfig {
-        testbed: small_testbed(),
-        open_loop: OpenLoopConfig {
-            duration_us: 40_000_000,
-            du_per_sec: 6.0,
-            zipf_skew: 1.1,
-            diurnal_amplitude: 0.9,
-            diurnal_period_us: 10_000_000,
-            sc_storms: 2,
-            sc_storm_len: 2,
-            sc_storm_gap_us: 2_000_000,
-        },
-        workload_seed: 42,
-        tenant_views: 3,
+fn burst(seed: u64) -> Experiment {
+    let load = OpenLoopConfig {
+        duration_us: 40_000_000,
+        du_per_sec: 6.0,
+        zipf_skew: 1.1,
+        diurnal_amplitude: 0.9,
+        diurnal_period_us: 10_000_000,
+        sc_storms: 2,
+        sc_storm_len: 2,
+        sc_storm_gap_us: 2_000_000,
+    };
+    Experiment {
         umq_bound: Some(8),
-        slo: SloPolicy::target(15_000_000),
-        drain_windows: 16,
-        ..Default::default()
+        monitor: Some(Monitor {
+            slo: SloPolicy::target(15_000_000),
+            drain_windows: 16,
+            ..Default::default()
+        }),
+        ..Experiment::open_loop(
+            TestbedConfig { tuples_per_relation: 60, ..Default::default() },
+            &load,
+            seed,
+            3,
+        )
     }
 }
 
@@ -49,48 +59,49 @@ fn burst_cfg() -> MonitorConfig {
 /// drives the page state is the cost of re-adapting the views, which
 /// scales with the extent — at toy scale the train clears too fast to
 /// breach the SLO.
-fn slow_source_cfg() -> MonitorConfig {
-    MonitorConfig {
-        testbed: TestbedConfig { tuples_per_relation: 300, ..Default::default() },
-        open_loop: OpenLoopConfig {
-            duration_us: 40_000_000,
-            du_per_sec: 1.0,
-            sc_storms: 1,
-            sc_storm_len: 8,
-            sc_storm_gap_us: 2_000_000,
-            ..Default::default()
-        },
-        workload_seed: 42,
-        tenant_views: 3,
-        umq_bound: None,
-        slo: SloPolicy::target(3_000_000),
-        drain_windows: 24,
+fn slow_source() -> Experiment {
+    let load = OpenLoopConfig {
+        duration_us: 40_000_000,
+        du_per_sec: 1.0,
+        sc_storms: 1,
+        sc_storm_len: 8,
+        sc_storm_gap_us: 2_000_000,
         ..Default::default()
+    };
+    Experiment {
+        monitor: Some(Monitor {
+            slo: SloPolicy::target(3_000_000),
+            drain_windows: 24,
+            ..Default::default()
+        }),
+        ..Experiment::open_loop(
+            TestbedConfig { tuples_per_relation: 300, ..Default::default() },
+            &load,
+            42,
+            3,
+        )
     }
 }
 
 #[test]
 fn burst_profile_sheds_and_samples_densely() {
-    let report = run_monitor(&burst_cfg()).expect("burst run");
-    assert!(!report.exhausted, "must finish within the step budget");
-    assert!(report.shed > 0, "the admission bound must actually shed");
-    assert!(report.admitted > 0, "and still admit most of the load");
-    assert!(report.sampler.windows() >= 20, "a dense window series");
-    assert!(report.sampler.series_count() >= 3, "several registry series");
+    let (report, Telemetry { sampler, tracker }) = monitored(burst(42));
+    assert!(report.counter("umq.shed") > 0, "the admission bound must actually shed");
+    assert!(report.counter("umq.admitted") > 0, "and still admit most of the load");
+    assert!(sampler.windows() >= 20, "a dense window series");
+    assert!(sampler.series_count() >= 3, "several registry series");
     assert!(
-        report.sampler.counter_points("umq.shed").iter().any(|&(_, d)| d > 0),
+        sampler.counter_points("umq.shed").iter().any(|&(_, d)| d > 0),
         "sheds are visible as a per-window rate, not just a lifetime total"
     );
     // Shedding implies clamped deletes sooner or later; at minimum the
     // series must exist so a zero is a statement, not an omission.
     assert!(
-        report.sampler.counter_points("view.clamped_rows").len() >= 20,
+        sampler.counter_points("view.clamped_rows").len() >= 20,
         "the clamp counter is sampled every window"
     );
-    for (name, _) in report.tracker.states() {
-        let (count, _p50, _p95, p99) = report.tracker.lifetime(
-            report.tracker.view_names().iter().position(|n| *n == name).expect("lane exists"),
-        );
+    for (lane, name) in tracker.view_names().iter().enumerate() {
+        let (count, _p50, _p95, p99) = tracker.lifetime(lane);
         assert!(count > 0, "lane {name} measured refreshes");
         assert!(p99 > 0, "lane {name} has a lifetime p99");
     }
@@ -98,9 +109,8 @@ fn burst_profile_sheds_and_samples_densely() {
 
 #[test]
 fn slow_source_pages_then_recovers() {
-    let report = run_monitor(&slow_source_cfg()).expect("slow-source run");
-    assert!(!report.exhausted);
-    let transitions = report.tracker.transitions();
+    let (_, Telemetry { tracker, .. }) = monitored(slow_source());
+    let transitions = tracker.transitions();
     assert!(
         transitions.iter().any(|(_, _, _, to)| *to == SloState::Page),
         "the stall must page at least one lane: {transitions:?}"
@@ -118,8 +128,8 @@ fn slow_source_pages_then_recovers() {
             );
         }
     }
-    for (name, state) in &report.final_states {
-        assert_eq!(*state, SloState::Ok, "lane {name} must recover over the drain windows");
+    for (name, state) in tracker.states() {
+        assert_eq!(state, SloState::Ok, "lane {name} must recover over the drain windows");
     }
 }
 
@@ -179,10 +189,8 @@ fn dropped_lane_stops_contributing_to_burn_rate_evaluation() {
 
 #[test]
 fn monitor_report_is_a_pure_function_of_the_seed() {
-    let a = run_monitor(&burst_cfg()).expect("run a").to_json();
-    let b = run_monitor(&burst_cfg()).expect("run b").to_json();
-    assert_eq!(a, b, "same seed, byte-identical report");
-    let c =
-        run_monitor(&MonitorConfig { workload_seed: 7, ..burst_cfg() }).expect("run c").to_json();
-    assert_ne!(a, c, "a different seed moves the series");
+    let json = |seed| run(burst(seed)).expect("testbed views initialize").to_json();
+    let a = json(42);
+    assert_eq!(a, json(42), "same seed, byte-identical report");
+    assert_ne!(a, json(7), "a different seed moves the series");
 }

@@ -1,6 +1,6 @@
 //! The differential multi-view suite: a warehouse holding N overlapping
 //! views driven through the seeded fault-injection transport
-//! (`dyno::sim::run_multiview`), with the per-view differential oracle on at
+//! (`dyno::sim::Experiment::multiview`), with the per-view differential oracle on at
 //! every commit — each incrementally maintained extent must equal *that
 //! view's* definition recomputed from scratch at the state vector the view
 //! claims to reflect, so a deferred view audits at its own older vector
@@ -24,44 +24,29 @@
 //! assert the suite exercised ≥3 overlapping views, actually shared work,
 //! and saw per-view safety verdicts split at least once.
 
+mod common;
+
+use common::assert_healthy;
 use dyno::core::{CorrectionPolicy, Strategy};
 use dyno::fault::FaultProfile;
 use dyno::prelude::*;
-use dyno::sim::{run_multiview, MultiViewConfig, MultiViewReport};
+use dyno::sim::Report;
 use dyno::view::testkit::{bookinfo_space, bookinfo_view, insert_item};
 use dyno::view::{CrashPlan, CrashPoint, InProcessPort, Warehouse};
 
-/// Runs one configuration, enforces the invariants, appends the summary.
-fn assert_healthy(cfg: &MultiViewConfig) -> MultiViewReport {
-    let report = run_multiview(cfg);
-    let ctx = format!(
-        "profile={} seed={} views={} strategy={:?} share={} kills={}",
-        cfg.profile.name,
-        cfg.seed,
-        cfg.views,
-        cfg.strategy,
-        cfg.share_subplans,
-        cfg.kills.len()
-    );
-    assert!(!report.exhausted, "{ctx}: must quiesce within the step budget");
-    assert!(report.last_error.is_none(), "{ctx}: hard error {:?}", report.last_error);
-    assert!(report.converged, "{ctx}: per-view convergence {:?}", report.per_view_converged);
-    assert_eq!(report.audit_violations, 0, "{ctx}: differential audit at every commit");
-    assert_eq!(report.recovery_audit_failures, 0, "{ctx}: differential audit after recovery");
-    write_summary(cfg, &report);
-    report
+/// Per-view extent CRCs, in slot order — the bit-identity fingerprint.
+fn crcs(report: &Report) -> Vec<u32> {
+    report.views.iter().map(|v| v.extent_crc).collect()
 }
 
-/// Appends `views=` / `subplan.shared_hits=` / `safety.divergent_verdicts=`
-/// lines to `$DYNO_MULTIVIEW_SUMMARY` when set (the verify.sh hook).
-fn write_summary(cfg: &MultiViewConfig, report: &MultiViewReport) {
-    use std::io::Write;
-    if let Some(path) = std::env::var_os("DYNO_MULTIVIEW_SUMMARY") {
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(f, "views={}", cfg.views);
-            let _ = writeln!(f, "subplan.shared_hits={}", report.subplan_hits);
-            let _ = writeln!(f, "safety.divergent_verdicts={}", report.divergent_verdicts);
-        }
+fn unshared(profile: FaultProfile, seed: u64) -> Experiment {
+    Experiment { share_subplans: false, ..Experiment::multiview(profile, seed) }
+}
+
+fn killed(profile: FaultProfile, seed: u64, skip: u64) -> Experiment {
+    Experiment {
+        kills: vec![CrashPlan { point: CrashPoint::BetweenSteps, skip }],
+        ..Experiment::multiview(profile, seed)
     }
 }
 
@@ -69,41 +54,36 @@ fn write_summary(cfg: &MultiViewConfig, report: &MultiViewReport) {
 fn multiview_quick_each_profile_converges() {
     // One seed per fault profile (plus the fault-free baseline), three
     // overlapping views: the always-on smoke version of the full grid.
-    let quiet = assert_healthy(&MultiViewConfig::new(FaultProfile::quiet(), 11));
-    assert_eq!(quiet.fault_injected, 0, "the quiet profile injects nothing");
-    assert!(quiet.subplan_hits > 0, "overlapping views must share first hops");
+    let quiet = assert_healthy(Experiment::multiview(FaultProfile::quiet(), 11));
+    assert_eq!(quiet.counter("fault.injected_total"), 0, "the quiet profile injects nothing");
+    assert!(quiet.counter("subplan.shared_hits") > 0, "overlapping views must share first hops");
     let mut injected = 0;
     for profile in FaultProfile::all() {
-        injected += assert_healthy(&MultiViewConfig::new(profile, 11)).fault_injected;
+        injected +=
+            assert_healthy(Experiment::multiview(profile, 11)).counter("fault.injected_total");
     }
     assert!(injected > 0, "the quick sweep must inject at least one fault");
 }
 
 #[test]
 fn multiview_quick_shared_matches_unshared_bit_for_bit() {
-    let shared = assert_healthy(&MultiViewConfig::new(FaultProfile::drop_dup(), 5));
-    let unshared =
-        assert_healthy(&MultiViewConfig::new(FaultProfile::drop_dup(), 5).without_sharing());
-    assert!(shared.subplan_hits > 0);
-    assert_eq!(unshared.subplan_hits, 0, "sharing off never consults the cache");
+    let shared = assert_healthy(Experiment::multiview(FaultProfile::drop_dup(), 5));
+    let unshared = assert_healthy(unshared(FaultProfile::drop_dup(), 5));
+    assert!(shared.counter("subplan.shared_hits") > 0);
+    assert_eq!(unshared.counter("subplan.shared_hits"), 0, "sharing off never consults the cache");
     assert_eq!(
-        shared.final_extent_crcs, unshared.final_extent_crcs,
+        crcs(&shared),
+        crcs(&unshared),
         "sharing changes how much work runs, never what is computed"
     );
 }
 
 #[test]
 fn multiview_quick_kill_recovers_bit_identically() {
-    let baseline = assert_healthy(&MultiViewConfig::new(FaultProfile::quiet(), 31));
-    let crashed = assert_healthy(
-        &MultiViewConfig::new(FaultProfile::quiet(), 31)
-            .with_kills(vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 3 }]),
-    );
-    assert_eq!(crashed.kills, 1, "the armed kill fired");
-    assert_eq!(
-        crashed.final_extent_crcs, baseline.final_extent_crcs,
-        "WAL recovery restores every view bit-identically"
-    );
+    let baseline = assert_healthy(Experiment::multiview(FaultProfile::quiet(), 31));
+    let crashed = assert_healthy(killed(FaultProfile::quiet(), 31, 3));
+    assert_eq!(crashed.counter("wal.power_cuts"), 1, "the armed kill fired");
+    assert_eq!(crcs(&crashed), crcs(&baseline), "WAL recovery restores every view bit-identically");
 }
 
 /// The PriceList view (Retailer only — no `Catalog` dependency).
@@ -219,9 +199,11 @@ fn sc_safety_matrix_splits_verdicts_and_corrects_only_the_unsafe_view() {
 
     // The sim-level runner sees the same divergence under a seeded
     // workload; report it to the summary file for the verify.sh gate.
-    let cfg = MultiViewConfig::new(FaultProfile::quiet(), 2);
-    let report = assert_healthy(&cfg);
-    assert!(report.divergent_verdicts >= 1, "seeded SC train splits verdicts across views");
+    let report = assert_healthy(Experiment::multiview(FaultProfile::quiet(), 2));
+    assert!(
+        report.counter("safety.divergent_verdicts") >= 1,
+        "seeded SC train splits verdicts across views"
+    );
 }
 
 /// The full differential grid: seeds × profiles × strategies, each run
@@ -237,11 +219,11 @@ fn multiview_full_grid_converges_under_chaos() {
     for profile in FaultProfile::all() {
         for seed in 0..4u64 {
             for strategy in [Strategy::Pessimistic, Strategy::Optimistic] {
-                let cfg = MultiViewConfig::new(profile, seed).with_strategy(strategy);
-                let report = assert_healthy(&cfg);
-                injected += report.fault_injected;
-                hits += report.subplan_hits;
-                divergent += report.divergent_verdicts;
+                let report =
+                    assert_healthy(Experiment { strategy, ..Experiment::multiview(profile, seed) });
+                injected += report.counter("fault.injected_total");
+                hits += report.counter("subplan.shared_hits");
+                divergent += report.counter("safety.divergent_verdicts");
             }
         }
     }
@@ -257,13 +239,9 @@ fn multiview_full_grid_sharing_is_transparent() {
     // disagree on a single extent bit.
     for profile in FaultProfile::all() {
         for seed in 0..3u64 {
-            let shared = assert_healthy(&MultiViewConfig::new(profile, seed));
-            let unshared = assert_healthy(&MultiViewConfig::new(profile, seed).without_sharing());
-            assert_eq!(
-                shared.final_extent_crcs, unshared.final_extent_crcs,
-                "profile={} seed={seed}",
-                profile.name
-            );
+            let shared = assert_healthy(Experiment::multiview(profile, seed));
+            let unshared = assert_healthy(unshared(profile, seed));
+            assert_eq!(crcs(&shared), crcs(&unshared), "profile={} seed={seed}", profile.name);
         }
     }
 }
@@ -275,15 +253,17 @@ fn multiview_full_grid_recovers_from_kills() {
     // and demand bit-identity with the uncrashed run of the same seed.
     for profile in [FaultProfile::quiet(), FaultProfile::drop_dup()] {
         for seed in 0..3u64 {
-            let baseline = assert_healthy(&MultiViewConfig::new(profile, seed));
+            let baseline = assert_healthy(Experiment::multiview(profile, seed));
             for skip in [1u64, 4, 7] {
-                let crashed = assert_healthy(
-                    &MultiViewConfig::new(profile, seed)
-                        .with_kills(vec![CrashPlan { point: CrashPoint::BetweenSteps, skip }]),
+                let crashed = assert_healthy(killed(profile, seed, skip));
+                assert!(
+                    crashed.counter("wal.power_cuts") >= 1,
+                    "profile={} seed={seed} skip={skip}",
+                    profile.name
                 );
-                assert!(crashed.kills >= 1, "profile={} seed={seed} skip={skip}", profile.name);
                 assert_eq!(
-                    crashed.final_extent_crcs, baseline.final_extent_crcs,
+                    crcs(&crashed),
+                    crcs(&baseline),
                     "profile={} seed={seed} skip={skip}: recovery is bit-identical per view",
                     profile.name
                 );

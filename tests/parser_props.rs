@@ -1,6 +1,5 @@
 //! Round-trip randomized test for the SQL dialect: any query built through
 //! the typed API renders to SQL that parses back to the identical AST.
-#![cfg(feature = "proptest")]
 
 use dyno::prelude::*;
 use dyno::relational::{parse_query, Predicate, ProjItem};

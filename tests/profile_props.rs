@@ -11,16 +11,13 @@
 //! * **lineage discipline** — the disabled gate path (the exact sequence
 //!   instrumented callers execute when the profiler is off) performs zero
 //!   heap allocations, measured with a counting global allocator.
-#![cfg(feature = "proptest")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dyno::obs::json::{parse, Value};
 use dyno::obs::{Collector, NodeKey, OpPhase, OpSample};
-use dyno::sim::{
-    run_chaos, run_monitor, ChaosConfig, MonitorConfig, OpenLoopConfig, TestbedConfig,
-};
+use dyno::sim::{run, Experiment, Monitor, OpenLoopConfig, Report, TestbedConfig};
 
 /// Counts heap allocations made by *this thread* only, so the measurement
 /// is immune to other tests running concurrently in the same binary.
@@ -61,24 +58,29 @@ fn thread_allocations() -> u64 {
 /// A short profiled open-loop run that exercises every plan family: SWEEP
 /// seeds/hops/compensations, the warehouse pipeline, and (via the rename
 /// storm) the Equation-6 adaptation path.
-fn profiled_cfg(seed: u64) -> MonitorConfig {
-    MonitorConfig {
-        testbed: TestbedConfig { tuples_per_relation: 60, ..Default::default() },
-        open_loop: OpenLoopConfig {
-            duration_us: 10_000_000,
-            du_per_sec: 4.0,
-            sc_storms: 1,
-            sc_storm_len: 1,
-            sc_storm_gap_us: 1_000_000,
-            ..Default::default()
-        },
-        workload_seed: seed,
-        tenant_views: 2,
-        umq_bound: Some(12),
-        drain_windows: 4,
-        profile: true,
+fn open_loop_run(seed: u64, op_profile: bool) -> Report {
+    let load = OpenLoopConfig {
+        duration_us: 10_000_000,
+        du_per_sec: 4.0,
+        sc_storms: 1,
+        sc_storm_len: 1,
+        sc_storm_gap_us: 1_000_000,
         ..Default::default()
-    }
+    };
+    let report = run(Experiment {
+        umq_bound: Some(12),
+        monitor: Some(Monitor { drain_windows: 4, ..Default::default() }),
+        op_profile,
+        ..Experiment::open_loop(
+            TestbedConfig { tuples_per_relation: 60, ..Default::default() },
+            &load,
+            seed,
+            2,
+        )
+    })
+    .expect("testbed views initialize");
+    assert!(report.last_error.is_none(), "run died: {:?}", report.last_error);
+    report
 }
 
 fn num(v: &Value, key: &str) -> u64 {
@@ -89,10 +91,10 @@ fn num(v: &Value, key: &str) -> u64 {
 /// child nodes — for every plan and every column, including `ns`.
 #[test]
 fn phase_totals_are_conserved_sums_of_operator_nodes() {
-    let report = run_monitor(&profiled_cfg(7)).expect("profiled run");
-    assert!(report.profile.plan_count() > 0, "run captured no plans");
+    let profile = open_loop_run(7, true).obs.profile_snapshot();
+    assert!(profile.plan_count() > 0, "run captured no plans");
 
-    let doc = parse(&report.profile.render_json()).expect("profile JSON parses");
+    let doc = parse(&profile.render_json()).expect("profile JSON parses");
     let plans = doc.get("profile").and_then(|p| p.get("plans")).and_then(Value::as_arr).unwrap();
     assert!(!plans.is_empty());
     let mut checked_nodes = 0usize;
@@ -120,8 +122,8 @@ fn phase_totals_are_conserved_sums_of_operator_nodes() {
     assert!(checked_nodes > 0, "conservation held vacuously — no nodes captured");
 
     // Renders are byte-stable for a fixed set of samples.
-    assert_eq!(report.profile.render_json(), report.profile.render_json());
-    assert_eq!(report.profile.render_text(None), report.profile.render_text(None));
+    assert_eq!(profile.render_json(), profile.render_json());
+    assert_eq!(profile.render_text(None), profile.render_text(None));
 }
 
 /// The profiler cannot move a byte of any determinism surface: the
@@ -129,36 +131,41 @@ fn phase_totals_are_conserved_sums_of_operator_nodes() {
 /// staleness lanes) is identical with the profiler on and off.
 #[test]
 fn monitor_capture_is_bit_identical_with_profiler_on_and_off() {
-    let on = run_monitor(&profiled_cfg(42)).expect("profiled run");
-    let off =
-        run_monitor(&MonitorConfig { profile: false, ..profiled_cfg(42) }).expect("plain run");
+    let (on, off) = (open_loop_run(42, true), open_loop_run(42, false));
     assert_eq!(on.to_json(), off.to_json(), "profiler leaked into the JSON capture");
-    assert!(on.profile.plan_count() > 0);
-    assert!(off.profile.is_empty());
+    assert!(on.obs.profile_snapshot().plan_count() > 0);
+    assert!(off.obs.profile_snapshot().is_empty());
 }
 
-/// Same property against the fault-injection path: a chaos run's extents
-/// (via final extent size), convergence scalars, and entire metrics
-/// registry are unchanged by the profiler.
+/// Same property against the fault-injection path, without and with a
+/// mid-run kill: a chaos run's extent, convergence scalars, and entire
+/// metrics registry are unchanged by the profiler (which a recovered
+/// warehouse keeps feeding: it is the collector's switch, not its own).
 #[test]
 fn chaos_run_is_bit_identical_with_profiler_on_and_off() {
+    use dyno::view::wal::{CrashPlan, CrashPoint};
+    let kill = vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 2 }];
     for profile in dyno::fault::FaultProfile::all() {
-        let base = ChaosConfig::new(profile, 11);
-        let profiled = base.clone().with_profile();
-        let off = run_chaos(&base);
-        let on = run_chaos(&profiled);
-        assert!(off.converged && on.converged, "{}: runs must converge", profile.name);
-        assert_eq!(off.final_mv_len, on.final_mv_len, "{}: extent moved", profile.name);
-        assert_eq!(off.steps, on.steps, "{}: steps moved", profile.name);
-        assert_eq!(off.fault_injected, on.fault_injected, "{}", profile.name);
-        assert_eq!(
-            off.obs.metrics_text(),
-            on.obs.metrics_text(),
-            "{}: registry moved with the profiler on",
-            profile.name
-        );
-        assert!(on.obs.profile_snapshot().plan_count() > 0, "{}", profile.name);
-        assert!(off.obs.profile_snapshot().is_empty(), "{}", profile.name);
+        for kills in [vec![], kill.clone()] {
+            let ctx = format!("{} with {} kill(s)", profile.name, kills.len());
+            let chaos = |op_profile| {
+                let kills = kills.clone();
+                run(Experiment { op_profile, kills, ..Experiment::chaos(profile, 11) })
+                    .expect("testbed views initialize")
+            };
+            let (off, on) = (chaos(false), chaos(true));
+            assert!(off.converged && on.converged, "{ctx}: runs must converge");
+            assert_eq!(off.views[0].extent_crc, on.views[0].extent_crc, "{ctx}: extent moved");
+            assert_eq!(off.steps, on.steps, "{ctx}: steps moved");
+            assert_eq!(
+                off.obs.metrics_text(),
+                on.obs.metrics_text(),
+                "{ctx}: registry moved with the profiler on"
+            );
+            assert_eq!(on.counter("wal.power_cuts"), kills.len() as u64, "{ctx}");
+            assert!(on.obs.profile_snapshot().plan_count() > 0, "{ctx}");
+            assert!(off.obs.profile_snapshot().is_empty(), "{ctx}");
+        }
     }
 }
 

@@ -25,9 +25,7 @@ use std::collections::HashMap;
 
 use dyno::fault::FaultProfile;
 use dyno::obs::{stage, Collector, FieldValue, BATCH_BIT};
-use dyno::sim::{
-    run_chaos, run_crash_chaos, run_replicated, ChaosConfig, CrashConfig, ReplicaConfig,
-};
+use dyno::sim::{run, run_replicated, Experiment, ReplicaConfig, Report};
 use dyno::view::wal::{CrashPlan, CrashPoint};
 
 const CLASSES: [CrashPoint; 3] =
@@ -72,6 +70,12 @@ fn tally(obs: &Collector) -> Tally {
     t
 }
 
+/// The chaos testbed with lineage on and `kills` armed, run to the end.
+fn traced(profile: FaultProfile, seed: u64, kills: Vec<CrashPlan>) -> Report {
+    run(Experiment { lineage: true, kills, ..Experiment::chaos(profile, seed) })
+        .expect("testbed views initialize")
+}
+
 /// The conservation + exactly-once invariants over one run's capture.
 fn assert_conserved(obs: &Collector, ctx: &str) {
     assert_eq!(
@@ -104,9 +108,8 @@ fn assert_conserved(obs: &Collector, ctx: &str) {
 #[test]
 fn chaos_lineage_conserves_every_extent_delta() {
     for profile in FaultProfile::all() {
-        let cfg = ChaosConfig::new(profile, 7).with_lineage();
-        let report = run_chaos(&cfg);
-        let ctx = format!("profile={} seed=7", cfg.profile.name);
+        let report = traced(profile, 7, vec![]);
+        let ctx = format!("profile={} seed=7", profile.name);
         assert!(report.last_error.is_none(), "{ctx}: hard error {:?}", report.last_error);
         assert!(report.converged, "{ctx}: run must converge");
         assert_conserved(&report.obs, &ctx);
@@ -120,22 +123,34 @@ fn crash_lineage_terminals_survive_every_kill_class() {
     // on that very append — recovery does not re-execute) or dropped (the
     // cut came earlier — recovery re-executes and records them then).
     for point in CLASSES {
-        let cfg = CrashConfig::new(FaultProfile::quiet(), 7)
-            .with_lineage()
-            .with_kills(vec![CrashPlan { point, skip: 1 }]);
-        let report = run_crash_chaos(&cfg);
+        let report = traced(FaultProfile::quiet(), 7, vec![CrashPlan { point, skip: 1 }]);
         let ctx = format!("kill={point:?} seed=7");
-        assert_eq!(report.kills, 1, "{ctx}: the kill must fire");
+        assert_eq!(report.counter("wal.power_cuts"), 1, "{ctx}: the kill must fire");
         assert!(report.converged, "{ctx}: recovered run converges");
         assert_conserved(&report.obs, &ctx);
     }
 }
 
 #[test]
+fn multiview_lineage_conserves_every_extent_delta_across_a_kill() {
+    // Lineage over N overlapping views, with a kill in the middle: every
+    // view's extent deltas still trace to admitted updates, and terminals
+    // stay exactly-once per update — not once per view.
+    let report = run(Experiment {
+        lineage: true,
+        kills: vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 3 }],
+        ..Experiment::multiview(FaultProfile::drop_dup(), 7)
+    })
+    .expect("testbed views initialize");
+    assert_eq!(report.counter("wal.power_cuts"), 1, "the kill must fire");
+    assert!(report.converged, "recovered run converges: {:?}", report.last_error);
+    assert_conserved(&report.obs, "multiview drop_dup seed=7 kill=BetweenSteps");
+}
+
+#[test]
 fn lineage_is_bit_identical_across_same_seed_reruns() {
-    let cfg = ChaosConfig::new(FaultProfile::drop_dup(), 4).with_lineage();
-    let a = run_chaos(&cfg).obs.lineage_jsonl();
-    let b = run_chaos(&cfg).obs.lineage_jsonl();
+    let a = traced(FaultProfile::drop_dup(), 4, vec![]).obs.lineage_jsonl();
+    let b = traced(FaultProfile::drop_dup(), 4, vec![]).obs.lineage_jsonl();
     assert!(!a.is_empty(), "capture must not be empty");
     assert_eq!(a, b, "same seed, same faults, byte-identical lineage");
 }
@@ -202,9 +217,8 @@ fn replica_lineage_terminates_each_message_exactly_once() {
 fn chaos_full_grid_conserves_lineage() {
     for profile in FaultProfile::all() {
         for seed in 0..6u64 {
-            let cfg = ChaosConfig::new(profile, seed).with_lineage();
-            let report = run_chaos(&cfg);
-            let ctx = format!("profile={} seed={seed}", cfg.profile.name);
+            let report = traced(profile, seed, vec![]);
+            let ctx = format!("profile={} seed={seed}", profile.name);
             assert!(report.converged, "{ctx}: run must converge");
             assert_conserved(&report.obs, &ctx);
         }
@@ -220,16 +234,14 @@ fn crash_full_grid_conserves_lineage() {
     let mut kills = 0u64;
     for point in CLASSES {
         for seed in 0..6u64 {
-            let cfg = CrashConfig::new(FaultProfile::quiet(), seed)
-                .with_lineage()
-                .with_kills(vec![CrashPlan { point, skip: seed % 3 }]);
-            let report = run_crash_chaos(&cfg);
+            let plan = vec![CrashPlan { point, skip: seed % 3 }];
+            let report = traced(FaultProfile::quiet(), seed, plan.clone());
             let ctx = format!("kill={point:?} seed={seed}");
             assert!(report.converged, "{ctx}: recovered run converges");
             assert_conserved(&report.obs, &ctx);
-            kills += report.kills;
+            kills += report.counter("wal.power_cuts");
 
-            let again = run_crash_chaos(&cfg);
+            let again = traced(FaultProfile::quiet(), seed, plan);
             assert_eq!(
                 report.obs.lineage_jsonl(),
                 again.obs.lineage_jsonl(),

@@ -1,10 +1,10 @@
 //! Randomized tests for the scheduler core: Theorem 2 (a legal order always
-//! exists and the correction finds one), per-source commit order
-//! preservation, SCC correctness against a brute-force oracle, and
-//! schema-change composition equivalence.
-#![cfg(feature = "proptest")]
+//! exists and the correction finds one) against an independent Definition 7
+//! checker — with hand-built illegal orders it must reject — per-source
+//! commit order preservation, SCC correctness against a brute-force oracle,
+//! and schema-change composition equivalence.
 
-use dyno::core::{legal_schedule, DepGraph, UpdateKind, UpdateMeta};
+use dyno::core::{legal_schedule, merge_all_schedule, DepGraph, Schedule, UpdateKind, UpdateMeta};
 use dyno::prelude::*;
 use dyno::sim::Rng;
 
@@ -36,44 +36,111 @@ fn build(nodes: &[Vec<M>]) -> DepGraph {
     DepGraph::build(&views)
 }
 
-/// Theorem 2: the corrected schedule is always a legal order — rebuild the
-/// graph over the scheduled batches and verify no unsafe dependencies
-/// remain.
-#[test]
-fn corrected_schedule_is_legal() {
-    let mut rng = Rng::new(0x5C4_4517);
-    for case in 0..96 {
-        let nodes = singleton_nodes(&random_queue(&mut rng));
-        let schedule = legal_schedule(&build(&nodes));
-        assert_eq!(schedule.node_count(), nodes.len(), "case {case}");
-        let reordered: Vec<Vec<M>> = schedule
-            .batches
-            .iter()
-            .map(|b| b.iter().flat_map(|&i| nodes[i].clone()).collect())
-            .collect();
-        assert!(build(&reordered).order_is_legal(), "case {case}");
+/// `schedule`'s batches as queue nodes, in schedule order.
+fn reordered(nodes: &[Vec<M>], schedule: &Schedule) -> Vec<Vec<M>> {
+    schedule.batches.iter().map(|b| b.iter().flat_map(|&i| nodes[i].clone()).collect()).collect()
+}
+
+/// Definition 7, checked without the code under test: every node is
+/// scheduled exactly once, each source's updates keep ascending key
+/// (= commit) order across the flattened schedule, and the graph rebuilt
+/// over the scheduled batches has no unsafe dependency left.
+fn legality(nodes: &[Vec<M>], schedule: &Schedule) -> Result<(), String> {
+    let mut seen: Vec<usize> = schedule.batches.iter().flatten().copied().collect();
+    seen.sort_unstable();
+    if seen != (0..nodes.len()).collect::<Vec<_>>() {
+        return Err(format!("not a permutation of the queue: {:?}", schedule.batches));
+    }
+    let flat: Vec<M> = reordered(nodes, schedule).concat();
+    for (i, later) in flat.iter().enumerate() {
+        if let Some(earlier) =
+            flat[..i].iter().find(|m| m.source == later.source && m.key >= later.key)
+        {
+            return Err(format!(
+                "source {} out of commit order: key {} before key {}",
+                later.source.0, earlier.key.0, later.key.0
+            ));
+        }
+    }
+    match build(&reordered(nodes, schedule)).unsafe_dependencies().next() {
+        Some(d) => Err(format!("unsafe dependency survives: {d:?}")),
+        None => Ok(()),
     }
 }
 
-/// Per-source commit order survives correction: flattening the schedule
-/// must keep each source's updates in ascending key (= commit) order.
-#[test]
-fn per_source_order_preserved() {
-    let mut rng = Rng::new(0x5C4_0517);
-    for case in 0..96 {
-        let nodes = singleton_nodes(&random_queue(&mut rng));
-        let schedule = legal_schedule(&build(&nodes));
-        let flat: Vec<&M> =
-            schedule.batches.iter().flat_map(|b| b.iter().map(|&i| &nodes[i][0])).collect();
-        for source in 0..4u32 {
-            let keys: Vec<u64> =
-                flat.iter().filter(|m| m.source.0 == source).map(|m| m.key.0).collect();
-            assert!(
-                keys.windows(2).all(|w| w[0] < w[1]),
-                "case {case}: source {source} out of order: {keys:?}"
-            );
+/// The correction merges no more than it must: every batch is exactly one
+/// mutual-reachability class of the queue's prerequisite graph, by brute
+/// force ([`reachable`]) rather than Tarjan.
+fn minimality(nodes: &[Vec<M>], schedule: &Schedule) -> Result<(), String> {
+    let adj = build(nodes).prerequisite_adjacency();
+    let reach: Vec<Vec<bool>> = (0..nodes.len()).map(|v| reachable(&adj, v)).collect();
+    for batch in &schedule.batches {
+        let class: Vec<usize> =
+            (0..nodes.len()).filter(|&v| reach[batch[0]][v] && reach[v][batch[0]]).collect();
+        if *batch != class {
+            return Err(format!("batch {batch:?} is not the dependency cycle {class:?}"));
         }
     }
+    Ok(())
+}
+
+fn assert_legal(nodes: &[Vec<M>], schedule: &Schedule, ctx: &str) {
+    legality(nodes, schedule).unwrap_or_else(|e| panic!("{ctx}: illegal: {e}"));
+    minimality(nodes, schedule).unwrap_or_else(|e| panic!("{ctx}: over-merged: {e}"));
+}
+
+/// Theorem 2: over random queues the correction always finds a legal order
+/// that keeps per-source commit order and merges exactly the cycles; the
+/// blind merge-all ablation is legal too, just not minimal.
+#[test]
+fn corrected_schedule_is_legal_and_minimal() {
+    let mut over_merged = 0;
+    for seed in [0x5C4_4517, 0x5C4_0517] {
+        let mut rng = Rng::new(seed);
+        for case in 0..96 {
+            let nodes = singleton_nodes(&random_queue(&mut rng));
+            let graph = build(&nodes);
+            assert_legal(&nodes, &legal_schedule(&graph), &format!("seed {seed:#x} case {case}"));
+            let blind = merge_all_schedule(&graph);
+            legality(&nodes, &blind)
+                .unwrap_or_else(|e| panic!("seed {seed:#x} case {case}: merge-all illegal: {e}"));
+            over_merged += usize::from(minimality(&nodes, &blind).is_err());
+        }
+    }
+    assert!(over_merged > 0, "merge-all must over-merge somewhere, or minimality checks nothing");
+}
+
+/// The checker itself bites: hand-built orders that break each clause.
+#[test]
+fn illegal_and_over_merged_orders_are_rejected() {
+    let du = |key, source| vec![UpdateMeta::new(key, source, UpdateKind::Data, ())];
+    let sc = |key, source| {
+        vec![UpdateMeta::new(key, source, UpdateKind::Schema { invalidates_view: true }, ())]
+    };
+    let order =
+        |batches: &[&[usize]]| Schedule { batches: batches.iter().map(|b| b.to_vec()).collect() };
+
+    // Two updates of one source: commit order is a (safe) dependency, and
+    // swapping the singletons makes it unsafe.
+    let same_source = [du(0, 0), du(1, 0)];
+    assert_legal(&same_source, &order(&[&[0], &[1]]), "commit order");
+    let swapped = legality(&same_source, &order(&[&[1], &[0]]));
+    assert!(swapped.is_err(), "swapped unsafe-dependent singletons must be illegal");
+    assert!(legality(&same_source, &order(&[&[0]])).is_err(), "a dropped node is not a schedule");
+    assert!(legality(&same_source, &order(&[&[0], &[1], &[1]])).is_err(), "nor is a repeated one");
+
+    // A DU and an invalidating SC of one source pull in opposite directions:
+    // only the merged batch is legal, in either singleton order.
+    let cycle = [du(0, 7), sc(1, 7)];
+    assert_legal(&cycle, &order(&[&[0, 1]]), "merged cycle");
+    assert!(legality(&cycle, &order(&[&[0], &[1]])).is_err());
+    assert!(legality(&cycle, &order(&[&[1], &[0]])).is_err());
+
+    // Independent updates merged anyway: legal, but not minimal.
+    let independent = [du(0, 0), du(1, 1)];
+    let merged = order(&[&[0, 1]]);
+    assert!(legality(&independent, &merged).is_ok());
+    assert!(minimality(&independent, &merged).is_err());
 }
 
 /// Idempotence: correcting an already-legal schedule changes nothing.
@@ -83,12 +150,8 @@ fn correction_is_idempotent() {
     for case in 0..96 {
         let nodes = singleton_nodes(&random_queue(&mut rng));
         let first = legal_schedule(&build(&nodes));
-        let reordered: Vec<Vec<M>> = first
-            .batches
-            .iter()
-            .map(|b| b.iter().flat_map(|&i| nodes[i].clone()).collect())
-            .collect();
-        let second = legal_schedule(&build(&reordered));
+        assert_legal(&nodes, &first, &format!("case {case}"));
+        let second = legal_schedule(&build(&reordered(&nodes, &first)));
         assert!(
             second.is_identity(),
             "case {case}: second correction must be a no-op, got {:?}",
@@ -109,6 +172,7 @@ fn du_only_queues_untouched() {
             .collect();
         let nodes = singleton_nodes(&queue);
         let schedule = legal_schedule(&build(&nodes));
+        assert_legal(&nodes, &schedule, &format!("case {case}"));
         assert!(schedule.is_identity(), "case {case}");
     }
 }

@@ -24,7 +24,7 @@ use dyno::durable::{crc32, Crc32, Enc, MemStorage, Storage, Wal};
 use dyno::obs::Collector;
 use dyno::prelude::*;
 use dyno::relational::wire::enc_bag;
-use dyno::relational::SignedBag;
+use dyno::relational::ZSet;
 use dyno::sim::{build_space, build_view, EventKind, Rng};
 use dyno::source::UpdateId;
 use dyno::view::wal::{
@@ -372,7 +372,7 @@ fn fixture_state() -> (DurableState, UpdateMeta<UpdateMessage>, AppliedRecord) {
             },
         )
     };
-    let bag = |rows: &[(i64, &str)]| -> SignedBag {
+    let bag = |rows: &[(i64, &str)]| -> ZSet {
         rows.iter().map(|&(a, b)| (Tuple::new(vec![Value::from(a), Value::str(b)]), 1)).collect()
     };
     let state = DurableState {

@@ -2,7 +2,6 @@
 //! DU/SC interleavings, every view converges to its (current) definition
 //! evaluated over the final source states, and all views advance through
 //! the same per-source state vector.
-#![cfg(feature = "proptest")]
 
 use dyno::core::Strategy as Detection;
 use dyno::prelude::*;

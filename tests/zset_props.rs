@@ -8,7 +8,6 @@
 //!
 //! Cases are drawn from the in-repo seeded PRNG (`dyno::sim::Rng`), so every
 //! run replays the same case set and a failure is reproducible.
-#![cfg(feature = "proptest")]
 
 use dyno::prelude::*;
 use dyno::relational::{delta_join, distinct_delta, eval, ZSet};
@@ -47,7 +46,7 @@ fn merged(a: &ZSet, b: &ZSet) -> ZSet {
 /// derived operations, all checked for the cancellation invariant.
 #[test]
 fn zset_group_laws_hold_with_cancellation_invariant() {
-    let mut rng = Rng::new(0x25E7_A16);
+    let mut rng = Rng::new(0x025E_7A16);
     for case in 0..200 {
         let (a, b, c) = (random_zset(&mut rng), random_zset(&mut rng), random_zset(&mut rng));
 
@@ -81,7 +80,7 @@ fn zset_group_laws_hold_with_cancellation_invariant() {
 /// `distinct(base + δ) = distinct(base) + distinct_delta(base, δ)`.
 #[test]
 fn delta_operators_match_naive_references() {
-    let mut rng = Rng::new(0xD17A_0B5);
+    let mut rng = Rng::new(0x0D17_A0B5);
     for case in 0..120 {
         let (a, b) = (random_zset(&mut rng), random_zset(&mut rng));
 
@@ -142,14 +141,14 @@ fn random_testbed_du(
 /// scan execution paths.
 #[test]
 fn delta_maintenance_matches_full_recompute_through_du_trains() {
-    let mut rng = Rng::new(0x25E7_D1F);
+    let mut rng = Rng::new(0x025E_7D1F);
     for case in 0..8 {
         let cfg = TestbedConfig {
             tuples_per_relation: 30,
             seed: 0x5EED + case as u64,
             ..Default::default()
         };
-        let scan_cfg = TestbedConfig { indexes: false, ..cfg.clone() };
+        let scan_cfg = TestbedConfig { indexes: false, ..cfg };
         let (mut space, view) = build_testbed(&cfg);
         let (mut scan_space, _) = build_testbed(&scan_cfg);
         let cols = view.output_cols();
