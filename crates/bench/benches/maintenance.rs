@@ -17,7 +17,7 @@ use dyno_sim::{build_testbed, TestbedConfig};
 use dyno_source::{SourceId, UpdateId, UpdateMessage};
 use dyno_view::wal::{AppliedChange, AppliedRecord};
 use dyno_view::{
-    adapt_batch, equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_observed,
+    adapt_batch, equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_shared,
     AdaptationMode, BoundTable, DurableLog, InProcessPort, LocalProvider, MaintPlan, PlanCache,
     Warehouse,
 };
@@ -114,7 +114,7 @@ fn bench_indexed_sweep(h: &mut Harness) {
         let mut plans = PlanCache::new();
         let obs = dyno_obs::Collector::disabled();
         h.bench(&format!("sweep_du_planned/{tuples}"), || {
-            sweep_maintain_observed(&view, &msg, &[], &mut port, &mut plans, &obs)
+            sweep_maintain_shared(&view, &msg, &[], &mut port, &mut plans, &obs, None)
         });
     }
 }

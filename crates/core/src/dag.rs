@@ -6,15 +6,18 @@
 //! per-view deferral, staleness lanes) is keyed by the view's index in this
 //! DAG. The structure is deliberately simple — views depend only on base
 //! sources, never on each other, so the "topological order" collapses to a
-//! stable ordering by SLA tier — but it is the single place that answers
-//! the two scheduling questions the warehouse asks on every batch:
+//! stable ordering by SLA tier. It answers two scheduling questions:
 //!
-//! * **fan-out** — which views depend on the sources this batch touched
-//!   ([`ViewDag::dependents_of`])?
-//! * **refresh order** — in which order should dependent views be brought
-//!   up to date ([`ViewDag::refresh_order`]): ascending SLA tier (tier 0 =
-//!   tightest staleness SLO first), index order within a tier for
-//!   determinism.
+//! * **refresh order** — in which order are views brought up to date
+//!   ([`ViewDag::refresh_order`]): ascending SLA tier (tier 0 = tightest
+//!   staleness SLO first), index order within a tier for determinism. The
+//!   warehouse takes every Phase-2 commit and every deferred drain in this
+//!   order, so it is kept sorted as views register rather than sorted per
+//!   batch.
+//! * **fan-out** — which views depend on the sources a batch touched
+//!   ([`ViewDag::dependents_of`])? The warehouse keeps these edges in step
+//!   on add/initialize/drop/recover but does not dispatch by them yet: it
+//!   still classifies every slot per batch (ROADMAP item 2).
 //!
 //! The DAG is data-model independent (sources are opaque `u32` ids, views
 //! are opaque indices), so it lives here in `dyno-core` beside the
@@ -40,6 +43,9 @@ pub struct ViewDag {
     views: BTreeMap<usize, ViewNode>,
     /// source id → sorted view indices reading it (the fan-out edge list).
     dependents: BTreeMap<u32, Vec<usize>>,
+    /// Every registered view in refresh order, re-sorted on registration so
+    /// the per-batch reader pays nothing.
+    order: Vec<usize>,
 }
 
 impl ViewDag {
@@ -62,6 +68,10 @@ impl ViewDag {
             }
         }
         self.views.insert(idx, ViewNode { sources: srcs, tier });
+        let mut order = std::mem::take(&mut self.order);
+        order.push(idx);
+        self.sort_refresh(&mut order);
+        self.order = order;
     }
 
     /// Removes view `idx` and all its edges. Unknown indices are a no-op.
@@ -73,6 +83,7 @@ impl ViewDag {
             deps.retain(|&v| v != idx);
             !deps.is_empty()
         });
+        self.order.retain(|&v| v != idx);
     }
 
     /// Number of registered views.
@@ -119,10 +130,8 @@ impl ViewDag {
     /// (tier 0 first), ascending index within a tier. Views read only base
     /// sources — never other views — so this tier order *is* the
     /// topological refresh order of the maintenance DAG.
-    pub fn refresh_order(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.views.keys().copied().collect();
-        self.sort_refresh(&mut out);
-        out
+    pub fn refresh_order(&self) -> &[usize] {
+        &self.order
     }
 
     /// Views sharing at least one source with view `idx` (excluding

@@ -102,9 +102,11 @@ impl<M> Sequencer<M> {
     }
 
     /// Releases every contiguous prefix (per stream, ascending stream order)
-    /// into `out`, advancing the floors.
+    /// into `out`, advancing the floors. A drained reorder buffer is evicted:
+    /// memory stays O(streams + parked messages) however many streams have
+    /// ever been out of order.
     pub fn pop_ready(&mut self, out: &mut Vec<M>) {
-        for (s, buf) in self.buffer.iter_mut() {
+        self.buffer.retain(|s, buf| {
             let d = self.delivered.entry(*s).or_insert(0);
             while let Some(entry) = buf.first_entry() {
                 if *entry.key() == *d + 1 {
@@ -114,17 +116,14 @@ impl<M> Sequencer<M> {
                     break;
                 }
             }
-        }
+            !buf.is_empty()
+        });
     }
 
     /// Streams still holding parked messages, with their release floors —
     /// i.e. where the caller should refetch `(floor, first_buffered)` from.
     pub fn gaps(&self) -> Vec<(u32, u64)> {
-        self.buffer
-            .iter()
-            .filter(|(_, buf)| !buf.is_empty())
-            .map(|(&s, _)| (s, self.delivered(s)))
-            .collect()
+        self.buffer.keys().map(|&s| (s, self.delivered(s))).collect()
     }
 }
 

@@ -576,16 +576,6 @@ impl RelationProvider for OldStates<'_> {
     }
 }
 
-/// Convenience: applies Equation 6 and wraps the result as a [`ViewDelta`].
-pub fn equation6_view_delta(
-    view: &ViewDefinition,
-    old: &HashMap<String, (Schema, ZSet)>,
-    deltas: &HashMap<String, ZSet>,
-) -> Result<ViewDelta, RelationalError> {
-    let out = equation6_delta(&view.query, old, deltas)?;
-    Ok(ViewDelta { cols: view.output_cols(), rows: out.rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,19 +16,20 @@
 //! [`Recovery`](dyno_fault::Recovery) sequencer: even a port that bypasses
 //! the fault layer entirely cannot double-apply an update.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
+use dyno_fault::Sequencer;
 use dyno_obs::{stage, Collector, Counter};
-use dyno_source::{SourceId, UpdateMessage};
+use dyno_source::UpdateMessage;
 
-/// Admission state for one UMQ.
+/// Admission state for one UMQ: the workspace's one [`Sequencer`], keyed by
+/// source id and sequenced by source version, plus what only the gate knows
+/// — the reflected-version baseline, its counters and provenance stages,
+/// and the pass-through ablation.
 #[derive(Debug, Clone)]
 pub struct IngressGate {
-    /// Highest version admitted to the queue, per source.
-    admitted: HashMap<SourceId, u64>,
-    /// Early arrivals waiting for their predecessors (BTreeMaps keep the
-    /// release order deterministic).
-    buffer: BTreeMap<SourceId, BTreeMap<u64, UpdateMessage>>,
+    /// Per-source admitted high-water marks and reorder buffers.
+    seq: Sequencer<UpdateMessage>,
     /// False = pass-through (the broken-recovery ablation).
     dedupe: bool,
     duplicates_dropped: Counter,
@@ -46,8 +47,7 @@ impl IngressGate {
     /// A gate with detached counters (bind with [`IngressGate::bind_obs`]).
     pub fn new() -> Self {
         IngressGate {
-            admitted: HashMap::new(),
-            buffer: BTreeMap::new(),
+            seq: Sequencer::new(HashMap::new()),
             dedupe: true,
             duplicates_dropped: Counter::default(),
             resequenced: Counter::default(),
@@ -71,7 +71,7 @@ impl IngressGate {
 
     /// Messages parked in reorder buffers.
     pub fn pending(&self) -> usize {
-        self.buffer.values().map(BTreeMap::len).sum()
+        self.seq.buffered()
     }
 
     /// Whether dedupe+resequencing is enabled.
@@ -83,58 +83,42 @@ impl IngressGate {
     /// the warehouse WAL persists these so a restart resubscribes from
     /// exactly where admission stopped.
     pub fn marks(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self.admitted.iter().map(|(s, &ver)| (s.0, ver)).collect();
-        v.sort_unstable();
-        v
+        self.seq.streams().into_iter().map(|s| (s, self.seq.delivered(s))).collect()
     }
 
     /// Restores the high-water marks from recovered state, replacing any
     /// current admission state (reorder buffers start empty: anything that
     /// was parked pre-crash is redelivered by resubscription).
     pub fn restore_marks(&mut self, marks: &[(u32, u64)]) {
-        self.admitted = marks.iter().map(|&(s, v)| (SourceId(s), v)).collect();
-        self.buffer.clear();
+        self.seq = Sequencer::new(marks.iter().copied().collect());
     }
 
-    /// Memory footprint: retained map entries (per-source marks) plus parked
-    /// messages. The gate keeps **no** per-version state at or below the
-    /// high-water mark — dedupe there is a single integer compare — so under
-    /// any redelivery volume this stays O(sources + reorder window).
+    /// Memory footprint: retained map entries (per-source marks, live
+    /// reorder buffers) plus parked messages. The gate keeps **no**
+    /// per-version state at or below the high-water mark — dedupe there is a
+    /// single integer compare — so under any redelivery volume this stays
+    /// O(sources + reorder window).
     pub fn footprint(&self) -> usize {
-        self.admitted.len() + self.buffer.len() + self.pending()
+        self.seq.streams().len() + self.seq.gaps().len() + self.pending()
     }
 
     /// Offers one message; returns the messages now admissible, in order.
-    /// `floor` is the version the view already reflects for the source (the
-    /// admission baseline the first time a source is seen).
+    /// `floor` is the version the view already reflects for the source:
+    /// nothing at or below it is admitted. Reflected versions trail the
+    /// admitted mark, so it only bites as the baseline the first time a
+    /// source is seen.
     pub fn admit(&mut self, msg: UpdateMessage, floor: u64) -> Vec<UpdateMessage> {
         if !self.dedupe {
             return vec![msg];
         }
-        let source = msg.source;
-        let admitted = *self.admitted.entry(source).or_insert(floor);
-        if msg.source_version <= admitted {
+        let (source, id) = (msg.source.0, msg.id.0);
+        self.seq.set_floor(source, floor);
+        if self.seq.offer(source, msg.source_version, msg).duplicate {
             self.duplicates_dropped.inc();
-            self.obs.prov(msg.id.0, stage::INGRESS_DUP, &[]);
-            return Vec::new();
+            self.obs.prov(id, stage::INGRESS_DUP, &[]);
         }
-        let buf = self.buffer.entry(source).or_default();
-        let dup_id = msg.id.0;
-        if buf.insert(msg.source_version, msg).is_some() {
-            self.duplicates_dropped.inc();
-            self.obs.prov(dup_id, stage::INGRESS_DUP, &[]);
-        }
-        // Release the contiguous prefix.
         let mut out = Vec::new();
-        let admitted = self.admitted.get_mut(&source).expect("entry inserted above");
-        while let Some(entry) = buf.first_entry() {
-            if *entry.key() == *admitted + 1 {
-                out.push(entry.remove());
-                *admitted += 1;
-            } else {
-                break;
-            }
-        }
+        self.seq.pop_ready(&mut out);
         if out.len() > 1 {
             self.resequenced.add(out.len() as u64 - 1);
             // The gap-filling arrival releases first; everything after it
@@ -142,11 +126,6 @@ impl IngressGate {
             for m in &out[1..] {
                 self.obs.prov(m.id.0, stage::INGRESS_RESEQ, &[]);
             }
-        }
-        // Everything below the high-water mark is evicted: a drained reorder
-        // buffer must not leave a permanent per-source map entry behind.
-        if buf.is_empty() {
-            self.buffer.remove(&source);
         }
         out
     }
@@ -156,7 +135,7 @@ impl IngressGate {
 mod tests {
     use super::*;
     use dyno_relational::{AttrType, DataUpdate, Delta, Schema, SourceUpdate, Tuple};
-    use dyno_source::UpdateId;
+    use dyno_source::{SourceId, UpdateId};
 
     fn msg(id: u64, source: u32, version: u64) -> UpdateMessage {
         let schema = Schema::of("R", &[("a", AttrType::Int)]);

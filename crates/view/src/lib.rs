@@ -34,8 +34,8 @@ pub mod wal;
 pub mod warehouse;
 
 pub use batch::{
-    adapt_batch, adapt_batch_observed, equation6_delta, equation6_view_delta, homogenize_delta,
-    AdaptationMode, Adapted, BatchFailure,
+    adapt_batch, adapt_batch_observed, equation6_delta, homogenize_delta, AdaptationMode, Adapted,
+    BatchFailure,
 };
 pub use engine::{
     eval_with_bound, schema_from_bag, BoundTable, DeltaCols, HopRequest, InProcessPort,
@@ -47,9 +47,7 @@ pub use mview::MaterializedView;
 pub use plan::{MaintPlan, MaintStep, PlanCache};
 pub use subplan::SharedSubplans;
 pub use viewdef::ViewDefinition;
-pub use vm::{
-    sweep_maintain, sweep_maintain_observed, sweep_maintain_shared, MaintFailure, ViewDelta,
-};
+pub use vm::{sweep_maintain, sweep_maintain_shared, MaintFailure, ViewDelta};
 pub use vs::{synchronize, synchronize_all, VsError};
 pub use wal::{
     AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, DurableState, RecoverError,

@@ -139,30 +139,18 @@ pub fn sweep_maintain(
     (result, drained)
 }
 
-/// [`sweep_maintain`] under a `vm.sweep` span: reports the compensation-set
-/// size, surfaces a broken maintenance query — the in-exec detection of
-/// paper Figure 7's `Query_Engine` — as a `vm.broken_query` warning event,
-/// and plans through the view's [`PlanCache`] (hits/misses/invalidations
-/// land in the `plan.*` counters).
-pub fn sweep_maintain_observed(
-    view: &ViewDefinition,
-    msg: &UpdateMessage,
-    pending: &[UpdateMessage],
-    port: &mut dyn SourcePort,
-    plans: &mut PlanCache,
-    obs: &Collector,
-) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
-    let pending: Vec<&UpdateMessage> = pending.iter().collect();
-    sweep_maintain_shared(view, msg, &pending, port, plans, obs, None)
-}
-
-/// [`sweep_maintain_observed`] over a *borrowed* compensation set (the
-/// maintainers hand over their queues without cloning a message) and,
-/// optionally, a cross-view [`SharedSubplans`] cache: the first
-/// `__D ⋈ target` hop is then served from (or computed into) `shared`, so
-/// overlapping views maintaining the same batch pay for it once. The
-/// derived per-view result is bit-identical to the unshared path (see the
-/// [`crate::subplan`] module docs for the algebra).
+/// [`sweep_maintain`] as a warehouse runs it: under a `vm.sweep` span that
+/// reports the compensation-set size, surfacing a broken maintenance query
+/// — the in-exec detection of paper Figure 7's `Query_Engine` — as a
+/// `vm.broken_query` warning event, planning through the view's
+/// [`PlanCache`] (hits/misses/invalidations land in the `plan.*` counters),
+/// over a *borrowed* compensation set (the maintainer hands over its queues
+/// without cloning a message) and, optionally, a cross-view
+/// [`SharedSubplans`] cache: the first `__D ⋈ target` hop is then served
+/// from (or computed into) `shared`, so overlapping views maintaining the
+/// same batch pay for it once. The derived per-view result is bit-identical
+/// to the unshared path (see the [`crate::subplan`] module docs for the
+/// algebra).
 pub fn sweep_maintain_shared(
     view: &ViewDefinition,
     msg: &UpdateMessage,

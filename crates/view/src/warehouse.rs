@@ -17,6 +17,21 @@
 //!
 //! A warehouse with one registered view *is* the paper's single-view
 //! presentation: one slot, no sharing, no deferral.
+//!
+//! ## Layout
+//!
+//! [`Warehouse`] owns the scheduler, the shared queue, the admission gate,
+//! and one private `Views` struct: the slots and everything a commit to
+//! them touches. The commit protocol is four steps, each a method on
+//! `Views` and each existing once — **stage** one view's change for one
+//! batch, **commit** it to that slot (`w(MV)`), **record** the commit in
+//! the WAL and for peer replicas (`c(MV)`), and **fail**. Two callers loop
+//! over them: `Maintenance` (the `Maintainer` Dyno drives) over every slot
+//! for one shared-queue entry, and `Warehouse::drain_deferred` over one
+//! slot's queue of batches it deferred while its source was down. What
+//! differs between the two — whose vector advances, whose abort it is, who
+//! owns the batch's provenance — lives in the callers; nothing inside a
+//! step asks who called.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -279,36 +294,112 @@ fn shedding_wal_conflict() -> ViewError {
     })
 }
 
-/// A set of materialized views maintained together.
-#[derive(Debug, Clone)]
-pub struct Warehouse {
-    dyno: Dyno,
-    umq: Umq<UpdateMessage>,
-    slots: Vec<ViewSlot>,
-    info: InfoSpace,
-    reflected: ReflectedVersions,
-    adaptation: AdaptationMode,
-    last_error: Option<ViewError>,
-    obs: Collector,
-    ingress: IngressGate,
-    wal: Option<DurableLog>,
-    /// Admission bound on queued (unmaintained) updates; `None` = unbounded.
-    umq_bound: Option<usize>,
+/// Registry handles for every series the warehouse pre-registers, bound in
+/// one place so a fresh, a re-observed and a recovered warehouse expose the
+/// same names on an idle system (a name that only appears once traffic
+/// flows reads as a missing metric, not a zero).
+#[derive(Debug, Clone, Default)]
+struct Metrics {
     umq_depth: Gauge,
     umq_admitted: Counter,
     umq_shed: Counter,
     mv_clamped: Counter,
-    staleness: Option<StalenessTracker>,
-    /// Source → view dependency DAG (tiers + fan-out topology).
-    dag: ViewDag,
-    /// Whether overlapping views share first-hop join subplans per batch.
-    share_subplans: bool,
     divergent: Counter,
     shared_hits: Counter,
     shared_misses: Counter,
     drains: Counter,
     /// Per-step samples of the delta executor's thread-local stats.
     exec: ExecCounters,
+}
+
+impl Metrics {
+    fn bind(obs: &Collector) -> Self {
+        // Replica apply lag feeds this histogram live: pre-registering gives
+        // `monitor` a timeseries lane and `forensics --replica` live
+        // quantiles even before any remote delta lands.
+        obs.histogram("replica.lag_us");
+        Metrics {
+            umq_depth: obs.gauge("umq.depth"),
+            umq_admitted: obs.counter("umq.admitted"),
+            umq_shed: obs.counter("umq.shed"),
+            mv_clamped: obs.counter("view.clamped_rows"),
+            divergent: obs.counter("safety.divergent_verdicts"),
+            shared_hits: obs.counter("subplan.shared_hits"),
+            shared_misses: obs.counter("subplan.shared_misses"),
+            drains: obs.counter("view.deferred_drains"),
+            exec: ExecCounters::registered(obs),
+        }
+    }
+}
+
+/// The profiler context of the `(warehouse, pipeline)` plan: classification,
+/// apply and WAL-append costs (the per-operator query profiles are recorded
+/// deeper down, per view plan). `None` when profiling is off.
+fn pipeline_prof(obs: &Collector) -> Option<Prof<'_>> {
+    obs.profile_on().then_some((obs, "warehouse"))
+}
+
+fn keys_of(batch: &[UpdateMeta<UpdateMessage>]) -> Vec<u64> {
+    batch.iter().map(|m| m.key.0).collect()
+}
+
+fn schema_changes_in(batch: &[UpdateMeta<UpdateMessage>]) -> usize {
+    batch.iter().filter(|m| m.payload.is_schema_change()).count()
+}
+
+/// The batch's only message when it is one plain data update — Figure 6's
+/// VM case; anything else is a Section 5 batch.
+fn lone_du(batch: &[UpdateMeta<UpdateMessage>]) -> Option<&UpdateMessage> {
+    match batch {
+        [one] if !one.payload.is_schema_change() => Some(&one.payload),
+        _ => None,
+    }
+}
+
+fn advance(reflected: &mut ReflectedVersions, batch: &[UpdateMeta<UpdateMessage>]) {
+    for meta in batch {
+        let entry = reflected.entry(meta.payload.source).or_insert(0);
+        *entry = (*entry).max(meta.payload.source_version);
+    }
+}
+
+/// What one commit leaves for the log and for peer replicas, slot by slot.
+/// Each half exists only while something consumes it.
+struct Committed {
+    /// The WAL form of every slot's change (`Skipped` unless a step says
+    /// otherwise); `Some` with a WAL attached.
+    changes: Option<Vec<AppliedChange>>,
+    /// Every slot's changed rows; `Some` with a replication engine attached.
+    rows: Option<Vec<ZSet>>,
+    /// Tuples written across the slots.
+    written: u64,
+}
+
+/// The views and everything a commit to them touches; the four commit
+/// steps ([`Views::stage`], [`Views::commit`], [`Views::record`],
+/// [`Views::fail`]) are its methods.
+#[derive(Debug, Clone)]
+struct Views {
+    slots: Vec<ViewSlot>,
+    info: InfoSpace,
+    /// Per-source versions the warehouse as a whole has maintained.
+    reflected: ReflectedVersions,
+    adaptation: AdaptationMode,
+    last_error: Option<ViewError>,
+    obs: Collector,
+    metrics: Metrics,
+    wal: Option<DurableLog>,
+    /// Admission bound on queued (unmaintained) updates; `None` = unbounded.
+    /// A bounded warehouse sheds, so it also applies deltas clamped at zero
+    /// (the dropped magnitude counted in `view.clamped_rows`) instead of
+    /// failing maintenance.
+    umq_bound: Option<usize>,
+    staleness: Option<StalenessTracker>,
+    /// Source → view dependency DAG: the commit/drain order, and the
+    /// fan-out edges sparse dispatch will read.
+    dag: ViewDag,
+    /// Whether overlapping views share first-hop join subplans per batch.
+    share_subplans: bool,
     /// True once a replication engine is attached: commits queue
     /// [`PendingPublish`] entries and auto-checkpoints are held while the
     /// buffer is non-empty (a checkpoint must not outrun the durable
@@ -316,6 +407,222 @@ pub struct Warehouse {
     replicate: bool,
     /// Commits awaiting publication to peer replicas.
     publish: Vec<PendingPublish>,
+}
+
+impl Views {
+    /// Step 1 — **stage**: computes slot `i`'s change for `batch` without
+    /// committing anything — SWEEP for a lone data update, batch adaptation
+    /// otherwise. `pending` is the compensation set. Returns the staged
+    /// change and the messages that arrived while the queries ran.
+    fn stage(
+        &mut self,
+        i: usize,
+        batch: &[UpdateMeta<UpdateMessage>],
+        pending: &[&UpdateMessage],
+        port: &mut dyn SourcePort,
+        shared: Option<&mut SharedSubplans>,
+    ) -> (Result<Staged, BatchFailure>, Vec<UpdateMessage>) {
+        let slot = &mut self.slots[i];
+        if let Some(du) = lone_du(batch) {
+            let (result, arrivals) = sweep_maintain_shared(
+                &slot.view,
+                du,
+                pending,
+                port,
+                &mut slot.plans,
+                &self.obs,
+                shared,
+            );
+            (result.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
+        } else {
+            let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
+            let (result, arrivals) = adapt_batch_observed(
+                &slot.view,
+                &refs,
+                pending,
+                &self.info,
+                self.adaptation,
+                port,
+                &self.obs,
+            );
+            (result.map(Staged::Adapted), arrivals)
+        }
+    }
+
+    /// Commit protocol, write 1 of 2: the batch's intent is durable before
+    /// anything is applied. A crash from here until `Applied` lands leaves
+    /// the batch where the checkpoint has it, to be redone whole.
+    fn log_intent(&mut self, batch: &[UpdateMeta<UpdateMessage>], schema_changes: usize) {
+        let Some(log) = self.wal.as_mut() else { return };
+        let prof = pipeline_prof(&self.obs);
+        let keys = keys_of(batch);
+        let started = prof_start(prof);
+        log.log_intent(&keys, schema_changes > 0);
+        let n = batch.len() as u64;
+        prof_op(prof, started, "pipeline", 1, OpPhase::Wal, "log_intent", "batch", n, n);
+    }
+
+    /// An empty [`Committed`], sized for what is attached.
+    fn open_commit(&self) -> Committed {
+        let n = self.slots.len();
+        Committed {
+            changes: self.wal.is_some().then(|| vec![AppliedChange::Skipped; n]),
+            rows: self.replicate.then(|| vec![ZSet::new(); n]),
+            written: 0,
+        }
+    }
+
+    /// Step 2 — **commit**: Definition 1's `w(MV)` for slot `i`. Applies
+    /// `change` (`None`: the batch does not touch this view's extent),
+    /// charges the port for the tuples written, advances the slot's vector
+    /// past the batch and refreshes its staleness lane. The slot's WAL and
+    /// replication forms go into `done`.
+    fn commit(
+        &mut self,
+        i: usize,
+        change: Option<Staged>,
+        batch: &[UpdateMeta<UpdateMessage>],
+        schema_changes: usize,
+        done: &mut Committed,
+        port: &mut dyn SourcePort,
+    ) -> Result<(), RelationalError> {
+        let slot = &mut self.slots[i];
+        if let Some(change) = change {
+            if let Some(rows) = &mut done.rows {
+                rows[i] = change.publish_rows().clone();
+            }
+            if let Some(changes) = &mut done.changes {
+                changes[i] = change.applied_change();
+            }
+            let prof = pipeline_prof(&self.obs);
+            let apply_meta = prof.map(|_| {
+                let rows = change.publish_rows().distinct_len() as u64;
+                (change.apply_op(), rows, slot.view.name.clone())
+            });
+            let started = prof_start(prof);
+            let applied = change.apply(
+                slot,
+                batch.len(),
+                schema_changes,
+                self.umq_bound.is_some().then_some(&self.metrics.mv_clamped),
+                &self.obs,
+            );
+            if let Some((op, rows, view)) = apply_meta {
+                prof_op(prof, started, "pipeline", 2, OpPhase::Apply, op, &view, rows, rows);
+            }
+            let written = applied?;
+            port.charge_mv_write(written);
+            done.written += written;
+        }
+        advance(&mut slot.reflected, batch);
+        if let (Some(tracker), Some(lane)) = (&self.staleness, slot.lane) {
+            tracker.note_refresh_for(lane, &slot.sorted_reflected(), self.obs.now_us());
+        }
+        Ok(())
+    }
+
+    /// Step 3 — **record**: Definition 1's `c(MV)`. Commit protocol, write
+    /// 2 of 2 — one atomic `Applied` record across every view, making the
+    /// whole batch durable or (on a crash) none of it, the durable form of
+    /// Equation 6's all-or-nothing batch; deferring views are part of the
+    /// atom (replay moves their copy of the batch into their durable
+    /// deferred queue). Then the commit is queued for the replication
+    /// engine, counted, and reported to the port.
+    fn record(
+        &mut self,
+        batch: &[UpdateMeta<UpdateMessage>],
+        done: Committed,
+        port: &mut dyn SourcePort,
+    ) {
+        if let (Some(changes), Some(log)) = (done.changes, self.wal.as_mut()) {
+            let rec = AppliedRecord {
+                keys: keys_of(batch),
+                changes,
+                reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
+                view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
+            };
+            let prof = pipeline_prof(&self.obs);
+            let started = prof_start(prof);
+            log.log_applied(&rec);
+            let n = batch.len() as u64;
+            prof_op(
+                prof,
+                started,
+                "pipeline",
+                3,
+                OpPhase::Wal,
+                "log_applied",
+                "batch",
+                n,
+                done.written,
+            );
+        }
+        if let Some(rows) = done.rows {
+            self.publish.push(PendingPublish { keys: keys_of(batch), rows });
+        }
+        self.obs.counter("view.commits").inc();
+        port.on_maintenance_event(MaintEvent::Commit);
+    }
+
+    /// Step 4 — **fail**: counts and traces the failure, reports it to the
+    /// port, keeps a hard error inspectable, and names the scheduler
+    /// outcome. `attempted` are the slots whose staged work a broken query
+    /// discards.
+    fn fail(
+        &mut self,
+        failure: BatchFailure,
+        attempted: std::ops::Range<usize>,
+        port: &mut dyn SourcePort,
+    ) -> MaintainOutcome {
+        match failure {
+            BatchFailure::Broken(_) => {
+                for slot in &mut self.slots[attempted] {
+                    slot.stats.aborts += 1;
+                }
+                self.obs.counter("view.aborts").inc();
+                if self.obs.tracing_on() {
+                    self.obs.event(Level::Warn, "view.abort", &[]);
+                }
+                port.on_maintenance_event(MaintEvent::Abort);
+                MaintainOutcome::BrokenQuery
+            }
+            BatchFailure::Unavailable(e) => {
+                self.obs.counter("view.parked").inc();
+                if self.obs.tracing_on() {
+                    self.obs.event(Level::Warn, "view.park", &[field("error", e.to_string())]);
+                }
+                port.on_maintenance_event(MaintEvent::Park);
+                MaintainOutcome::Parked
+            }
+            BatchFailure::Undefinable(e) => {
+                self.last_error = Some(ViewError::Undefinable(e));
+                port.on_maintenance_event(MaintEvent::Abort);
+                MaintainOutcome::Failed
+            }
+            BatchFailure::Internal(e) => {
+                self.last_error = Some(ViewError::Internal(e));
+                port.on_maintenance_event(MaintEvent::Abort);
+                MaintainOutcome::Failed
+            }
+        }
+    }
+
+    /// The error behind a `Failed` outcome — kept in `last_error` so it
+    /// stays inspectable after being returned (the CLI `stats` view reads it).
+    fn failure(&self) -> ViewError {
+        self.last_error.clone().unwrap_or(ViewError::Internal(RelationalError::InvalidQuery {
+            reason: "warehouse maintenance failed without an error".into(),
+        }))
+    }
+}
+
+/// A set of materialized views maintained together.
+#[derive(Debug, Clone)]
+pub struct Warehouse {
+    dyno: Dyno,
+    umq: Umq<UpdateMessage>,
+    ingress: IngressGate,
+    views: Views,
     /// Engine-owned replication snapshot, carried in every checkpoint.
     replica_ext: Vec<u8>,
     /// Post-checkpoint replication events restored by [`Warehouse::recover`].
@@ -328,29 +635,23 @@ impl Warehouse {
         Warehouse {
             dyno: Dyno::new(strategy),
             umq: Umq::new(),
-            slots: Vec::new(),
-            info,
-            reflected: HashMap::new(),
-            adaptation: AdaptationMode::default(),
-            last_error: None,
-            obs: Collector::disabled(),
             ingress: IngressGate::new(),
-            wal: None,
-            umq_bound: None,
-            umq_depth: Gauge::default(),
-            umq_admitted: Counter::default(),
-            umq_shed: Counter::default(),
-            mv_clamped: Counter::default(),
-            staleness: None,
-            dag: ViewDag::new(),
-            share_subplans: true,
-            divergent: Counter::default(),
-            shared_hits: Counter::default(),
-            shared_misses: Counter::default(),
-            drains: Counter::default(),
-            exec: ExecCounters::default(),
-            replicate: false,
-            publish: Vec::new(),
+            views: Views {
+                slots: Vec::new(),
+                info,
+                reflected: HashMap::new(),
+                adaptation: AdaptationMode::default(),
+                last_error: None,
+                obs: Collector::disabled(),
+                metrics: Metrics::default(),
+                wal: None,
+                umq_bound: None,
+                staleness: None,
+                dag: ViewDag::new(),
+                share_subplans: true,
+                replicate: false,
+                publish: Vec::new(),
+            },
             replica_ext: Vec::new(),
             replica_tail: Vec::new(),
         }
@@ -361,7 +662,7 @@ impl Warehouse {
     /// Shared and unshared execution produce bit-identical view deltas; the
     /// toggle exists for benchmarking and bisection.
     pub fn with_subplan_sharing(mut self, enabled: bool) -> Self {
-        self.share_subplans = enabled;
+        self.views.share_subplans = enabled;
         self
     }
 
@@ -380,25 +681,8 @@ impl Warehouse {
     pub fn with_obs(mut self, obs: Collector) -> Self {
         self.dyno = self.dyno.clone().with_obs(obs.clone());
         self.ingress.bind_obs(&obs);
-        // Pre-register the admission metrics so `monitor`/`stats` see the
-        // series on an idle warehouse (same bug class as the PR 5 `wal.*`
-        // fix: a name that only appears once traffic flows reads as a
-        // missing metric, not a zero).
-        self.umq_depth = obs.gauge("umq.depth");
-        self.umq_admitted = obs.counter("umq.admitted");
-        self.umq_shed = obs.counter("umq.shed");
-        self.mv_clamped = obs.counter("view.clamped_rows");
-        self.divergent = obs.counter("safety.divergent_verdicts");
-        self.shared_hits = obs.counter("subplan.shared_hits");
-        self.shared_misses = obs.counter("subplan.shared_misses");
-        self.drains = obs.counter("view.deferred_drains");
-        self.exec = ExecCounters::registered(&obs);
-        // Replica apply lag feeds this histogram live (satellite of the
-        // profiler work): pre-registering gives `monitor` a timeseries lane
-        // and `forensics --replica` live quantiles even before any remote
-        // delta lands.
-        obs.histogram("replica.lag_us");
-        self.obs = obs;
+        self.views.metrics = Metrics::bind(&obs);
+        self.views.obs = obs;
         self
     }
 
@@ -417,10 +701,10 @@ impl Warehouse {
     /// recovery of a shedding warehouse would diverge from the live
     /// process.
     pub fn with_umq_bound(mut self, capacity: usize) -> Result<Self, ViewError> {
-        if self.wal.is_some() {
+        if self.views.wal.is_some() {
             return Err(shedding_wal_conflict());
         }
-        self.umq_bound = Some(capacity);
+        self.views.umq_bound = Some(capacity);
         Ok(self)
     }
 
@@ -429,7 +713,7 @@ impl Warehouse {
     /// maintenance notes refreshes, and admission-control sheds are
     /// reported so they stop aging the views.
     pub fn with_staleness(mut self, tracker: StalenessTracker) -> Self {
-        self.staleness = Some(tracker);
+        self.views.staleness = Some(tracker);
         self
     }
 
@@ -443,12 +727,12 @@ impl Warehouse {
 
     /// The warehouse's observability collector.
     pub fn obs(&self) -> &Collector {
-        &self.obs
+        &self.views.obs
     }
 
     /// Selects the view-adaptation mode.
     pub fn with_adaptation(mut self, mode: AdaptationMode) -> Self {
-        self.adaptation = mode;
+        self.views.adaptation = mode;
         self
     }
 
@@ -457,11 +741,11 @@ impl Warehouse {
     /// the populated extents. Rejected when an admission bound is set —
     /// see [`Warehouse::with_umq_bound`].
     pub fn with_wal(mut self, mut log: DurableLog) -> Result<Self, ViewError> {
-        if self.umq_bound.is_some() {
+        if self.views.umq_bound.is_some() {
             return Err(shedding_wal_conflict());
         }
-        log.bind_obs(&self.obs);
-        self.wal = Some(log);
+        log.bind_obs(&self.views.obs);
+        self.views.wal = Some(log);
         self.checkpoint_now();
         Ok(self)
     }
@@ -471,13 +755,14 @@ impl Warehouse {
     /// deferred batches: the only copy of an extent the checkpoint makes is
     /// the one that lands on storage.
     pub fn checkpoint_now(&mut self) {
-        let Some(log) = self.wal.as_mut() else { return };
+        let Some(log) = self.views.wal.as_mut() else { return };
         log.checkpoint_ref(&StateRef {
             strategy: self.dyno.strategy(),
             policy: self.dyno.policy(),
-            adaptation: self.adaptation,
+            adaptation: self.views.adaptation,
             dedupe: self.ingress.dedupe_enabled(),
             views: self
+                .views
                 .slots
                 .iter()
                 .map(|s| ViewRef {
@@ -489,7 +774,7 @@ impl Warehouse {
                     tier: s.tier,
                 })
                 .collect(),
-            reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
+            reflected: sorted_versions(self.views.reflected.iter().map(|(s, v)| (s.0, *v))),
             marks: self.ingress.marks(),
             batches: self.umq.nodes(),
             sc_flag: self.umq.schema_change_flag(),
@@ -504,26 +789,26 @@ impl Warehouse {
     /// its previous life with an explicit count re-applies it here. No-op
     /// without a WAL.
     pub fn set_checkpoint_every(&mut self, n: u64) {
-        if let Some(log) = self.wal.as_mut() {
+        if let Some(log) = self.views.wal.as_mut() {
             log.set_checkpoint_every(n);
         }
     }
 
     /// The attached log, for reading its size accounting.
     pub fn wal(&self) -> Option<&DurableLog> {
-        self.wal.as_ref()
+        self.views.wal.as_ref()
     }
 
     /// Arms a deterministic power cut on the attached WAL (chaos testing).
     pub fn arm_crash(&mut self, plan: CrashPlan) {
-        if let Some(log) = self.wal.as_mut() {
+        if let Some(log) = self.views.wal.as_mut() {
             log.arm(plan);
         }
     }
 
     /// True once the attached WAL's simulated power has been cut.
     pub fn wal_power_cut(&self) -> bool {
-        self.wal.as_ref().is_some_and(DurableLog::power_cut)
+        self.views.wal.as_ref().is_some_and(DurableLog::power_cut)
     }
 
     /// The ingress gate's admitted high-water marks (resubscription baseline).
@@ -538,18 +823,17 @@ impl Warehouse {
     /// fresh checkpoint. Plan caches restart cold — they are derived data.
     ///
     /// `info` is the information space (replacement metadata is config, not
-    /// warehouse state); `obs` receives `recover.*` counters and the reopened
-    /// log's `wal.*` counters.
+    /// warehouse state); `obs` receives `recover.*` counters, the reopened
+    /// log's `wal.*` counters, and every series a fresh warehouse
+    /// pre-registers.
     pub fn recover(
         storage: Box<dyn Storage>,
         info: InfoSpace,
         obs: Collector,
     ) -> Result<(Self, RecoverReport), RecoverError> {
         let (log, state, report) = crate::wal::recover(storage, &obs)?;
-        let mut dyno = Dyno::new(state.strategy).with_obs(obs.clone());
-        dyno.set_policy(state.policy);
-        let mut slots = Vec::with_capacity(state.views.len());
-        let mut dag = ViewDag::new();
+        let mut wh = Warehouse::new(info, state.strategy).with_obs(obs);
+        wh.dyno.set_policy(state.policy);
         for (idx, vs) in state.views.into_iter().enumerate() {
             let view = ViewDefinition::parse(&vs.sql, "view")
                 .map_err(|e| RecoverError::Corrupt(format!("checkpointed view sql: {e}")))?;
@@ -561,46 +845,18 @@ impl Warehouse {
             slot.deferred = vs.deferred.into();
             // The sources a view reads are exactly the ones it reflects.
             slot.sources = vs.reflected.iter().map(|&(s, _)| s).collect();
-            dag.add_view(idx, &slot.sources, slot.tier);
-            slots.push(slot);
+            wh.views.dag.add_view(idx, &slot.sources, slot.tier);
+            wh.views.slots.push(slot);
         }
-        let mut ingress = IngressGate::new();
-        ingress.bind_obs(&obs);
-        ingress.set_dedupe(state.dedupe);
-        ingress.restore_marks(&state.marks);
-        let umq = Umq::restore(state.batches, state.sc_flag);
-        let umq_depth = obs.gauge("umq.depth");
-        umq_depth.set(umq.update_count() as i64);
-        let obs2 = obs.clone();
-        let wh = Warehouse {
-            dyno,
-            umq,
-            slots,
-            info,
-            reflected: state.reflected.iter().map(|&(s, v)| (SourceId(s), v)).collect(),
-            adaptation: state.adaptation,
-            last_error: None,
-            umq_admitted: obs.counter("umq.admitted"),
-            umq_shed: obs.counter("umq.shed"),
-            mv_clamped: obs.counter("view.clamped_rows"),
-            umq_depth,
-            obs,
-            ingress,
-            wal: Some(log),
-            umq_bound: None,
-            staleness: None,
-            dag,
-            share_subplans: true,
-            divergent: obs2.counter("safety.divergent_verdicts"),
-            shared_hits: obs2.counter("subplan.shared_hits"),
-            shared_misses: obs2.counter("subplan.shared_misses"),
-            drains: obs2.counter("view.deferred_drains"),
-            exec: ExecCounters::registered(&obs2),
-            replicate: false,
-            publish: Vec::new(),
-            replica_ext: state.ext,
-            replica_tail: state.tail,
-        };
+        wh.ingress.set_dedupe(state.dedupe);
+        wh.ingress.restore_marks(&state.marks);
+        wh.umq = Umq::restore(state.batches, state.sc_flag);
+        wh.views.metrics.umq_depth.set(wh.umq.update_count() as i64);
+        wh.views.reflected = state.reflected.iter().map(|&(s, v)| (SourceId(s), v)).collect();
+        wh.views.adaptation = state.adaptation;
+        wh.views.wal = Some(log);
+        wh.replica_ext = state.ext;
+        wh.replica_tail = state.tail;
         Ok((wh, report))
     }
 
@@ -609,17 +865,12 @@ impl Warehouse {
     /// periodic checkpoints are held until the engine drains the buffer
     /// (via [`Warehouse::take_published`]) and logs the publish events.
     pub fn enable_replication(&mut self) {
-        self.replicate = true;
+        self.views.replicate = true;
     }
 
     /// Drains the commits awaiting publication, oldest first.
     pub fn take_published(&mut self) -> Vec<PendingPublish> {
-        std::mem::take(&mut self.publish)
-    }
-
-    /// True while commits are queued for publication.
-    pub fn publish_pending(&self) -> bool {
-        !self.publish.is_empty()
+        std::mem::take(&mut self.views.publish)
     }
 
     /// Stores the engine's encoded snapshot; carried in every later
@@ -643,7 +894,7 @@ impl Warehouse {
     /// Writes the durable `Published` record for a commit's peer deltas —
     /// call **before** handing the messages to the network.
     pub fn log_replica_published(&mut self, bytes: &[u8]) {
-        if let Some(log) = self.wal.as_mut() {
+        if let Some(log) = self.views.wal.as_mut() {
             log.log_replica_published(bytes);
         }
     }
@@ -663,12 +914,11 @@ impl Warehouse {
         applied: bool,
         meta: &[u8],
     ) -> Result<ZSet, ViewError> {
-        let prof: Option<Prof<'_>> =
-            if self.obs.profile_on() { Some((&self.obs, "warehouse")) } else { None };
+        let prof = pipeline_prof(&self.views.obs);
         let mut delta = ZSet::new();
         if applied {
             let started = prof_start(prof);
-            let slot = self.slots.get_mut(view).ok_or_else(|| {
+            let slot = self.views.slots.get_mut(view).ok_or_else(|| {
                 ViewError::Internal(RelationalError::InvalidQuery {
                     reason: format!("remote delta for unknown view {view}"),
                 })
@@ -695,7 +945,7 @@ impl Warehouse {
                 delta.distinct_len() as u64,
             );
         }
-        if let Some(log) = self.wal.as_mut() {
+        if let Some(log) = self.views.wal.as_mut() {
             let started = prof_start(prof);
             log.log_replica_remote(view as u32, key_col as u32, key, post, applied, meta);
             prof_op(
@@ -716,7 +966,9 @@ impl Warehouse {
     /// Checkpoints when the log's policy says so **and** no commit is
     /// awaiting publication (the engine calls this after draining).
     pub fn maybe_checkpoint(&mut self) {
-        if self.publish.is_empty() && self.wal.as_ref().is_some_and(DurableLog::should_checkpoint) {
+        if self.views.publish.is_empty()
+            && self.views.wal.as_ref().is_some_and(DurableLog::should_checkpoint)
+        {
             self.checkpoint_now();
         }
     }
@@ -730,23 +982,24 @@ impl Warehouse {
     /// several views need the same batch, and drained first after a
     /// deferral). Call before [`Warehouse::initialize`].
     pub fn add_view_tiered(&mut self, view: ViewDefinition, tier: u8) {
-        let idx = self.slots.len();
-        self.slots.push(ViewSlot::new(view, tier));
-        self.dag.add_view(idx, &[], tier);
+        let idx = self.views.slots.len();
+        self.views.slots.push(ViewSlot::new(view, tier));
+        self.views.dag.add_view(idx, &[], tier);
     }
 
     /// Populates every view's extent from the sources' current states and
     /// records the reflected versions — global and per view — plus the
     /// source→view dependency DAG and (when attached) the staleness lanes.
     pub fn initialize(&mut self, port: &mut dyn SourcePort) -> Result<(), ViewError> {
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
+        let views = &mut self.views;
+        for (idx, slot) in views.slots.iter_mut().enumerate() {
             let result = port.execute(&slot.view.query, &[]).map_err(ViewError::Internal)?;
             slot.mv.replace(result.cols, result.rows).map_err(ViewError::Internal)?;
             let mut sources: Vec<u32> = Vec::new();
             for table in &slot.view.query.tables {
                 if let Some(sid) = port.locate(table) {
                     let v = port.source_version(sid);
-                    self.reflected.insert(sid, v);
+                    views.reflected.insert(sid, v);
                     slot.reflected.insert(sid, v);
                     if !sources.contains(&sid.0) {
                         sources.push(sid.0);
@@ -754,10 +1007,10 @@ impl Warehouse {
                 }
             }
             sources.sort_unstable();
-            if let Some(tracker) = &self.staleness {
+            if let Some(tracker) = &views.staleness {
                 slot.lane = Some(tracker.register_view(&slot.view.name, &sources));
             }
-            self.dag.add_view(idx, &sources, slot.tier);
+            views.dag.add_view(idx, &sources, slot.tier);
             slot.sources = sources;
         }
         // Messages for updates already included in the initial evaluation
@@ -769,21 +1022,22 @@ impl Warehouse {
     /// Enqueues wrapper messages, classifying each schema change against
     /// *all* views.
     pub fn ingest<I: IntoIterator<Item = UpdateMessage>>(&mut self, messages: I) {
+        let views = &mut self.views;
         for msg in messages {
             // The admission gate dedupes by (source, version) — including
             // messages committed before initialization, via the reflected
             // floor — and resequences early arrivals so enqueue order always
             // equals version order per source.
-            let floor = self.reflected.get(&msg.source).copied().unwrap_or(0);
+            let floor = views.reflected.get(&msg.source).copied().unwrap_or(0);
             for msg in self.ingress.admit(msg, floor) {
                 // Admission control: at the bound, data updates are shed
                 // (freshness is sacrificed, visibly); schema changes always
                 // get through (correctness cannot be shed — a skipped SC
                 // would wedge every view definition behind its source).
                 let depth = self.umq.update_count();
-                if !msg.is_schema_change() && self.umq_bound.is_some_and(|cap| depth >= cap) {
-                    self.umq_shed.inc();
-                    self.obs.prov(
+                if !msg.is_schema_change() && views.umq_bound.is_some_and(|cap| depth >= cap) {
+                    views.metrics.umq_shed.inc();
+                    views.obs.prov(
                         msg.id.0,
                         dyno_obs::stage::SHED,
                         &[
@@ -792,19 +1046,19 @@ impl Warehouse {
                             field("depth", depth),
                         ],
                     );
-                    if self.obs.tracing_on() {
-                        self.obs.event(
+                    if views.obs.tracing_on() {
+                        views.obs.event(
                             Level::Warn,
                             "umq.shed",
                             &[field("source", msg.source.0), field("depth", depth)],
                         );
                     }
-                    if let Some(tracker) = &self.staleness {
+                    if let Some(tracker) = &views.staleness {
                         tracker.note_shed(msg.source.0, msg.source_version);
                     }
                     continue;
                 }
-                self.umq_admitted.inc();
+                views.metrics.umq_admitted.inc();
                 let kind = match &msg.update {
                     SourceUpdate::Data(_) => UpdateKind::Data,
                     SourceUpdate::Schema(sc) => {
@@ -813,12 +1067,12 @@ impl Warehouse {
                         // verdict (safe for A, unsafe for B) is the
                         // cross-view safety divergence the monitor tracks.
                         let verdicts: Vec<bool> =
-                            self.slots.iter().map(|s| s.view.is_invalidated_by(sc)).collect();
+                            views.slots.iter().map(|s| s.view.is_invalidated_by(sc)).collect();
                         let any = verdicts.iter().any(|&b| b);
                         if any && !verdicts.iter().all(|&b| b) {
-                            self.divergent.inc();
-                            if self.obs.tracing_on() {
-                                self.obs.event(
+                            views.metrics.divergent.inc();
+                            if views.obs.tracing_on() {
+                                views.obs.event(
                                     Level::Info,
                                     "safety.divergent_verdict",
                                     &[field("update", msg.id.0)],
@@ -828,7 +1082,7 @@ impl Warehouse {
                         UpdateKind::Schema { invalidates_view: any }
                     }
                 };
-                self.obs.prov(
+                views.obs.prov(
                     msg.id.0,
                     dyno_obs::stage::ADMIT,
                     &[
@@ -838,13 +1092,13 @@ impl Warehouse {
                     ],
                 );
                 let meta = UpdateMeta::new(msg.id.0, msg.source.0, kind, msg);
-                if let Some(log) = self.wal.as_mut() {
+                if let Some(log) = views.wal.as_mut() {
                     log.log_admitted(&meta);
                 }
                 self.umq.enqueue(meta);
             }
         }
-        self.umq_depth.set(self.umq.update_count() as i64);
+        views.metrics.umq_depth.set(self.umq.update_count() as i64);
     }
 
     /// Drains arrivals, replays any view's deferred batches that have
@@ -861,48 +1115,22 @@ impl Warehouse {
         let arrivals = port.drain_arrivals();
         self.ingest(arrivals);
         let drained_commits = self.drain_deferred(port)?;
-        let mut ctx = WarehouseCtx {
-            slots: &mut self.slots,
-            info: &self.info,
-            reflected: &mut self.reflected,
-            adaptation: self.adaptation,
-            last_error: &mut self.last_error,
-            obs: &self.obs,
-            port,
-            drained: Vec::new(),
-            wal: &mut self.wal,
-            clamp: self.umq_bound.is_some(),
-            clamped: self.mv_clamped.clone(),
-            staleness: self.staleness.as_ref(),
-            share: self.share_subplans,
-            shared_hits: self.shared_hits.clone(),
-            shared_misses: self.shared_misses.clone(),
-            divergent: self.divergent.clone(),
-            replicate: self.replicate,
-            publish: &mut self.publish,
-        };
-        let mut outcome = self.dyno.step(&mut self.umq, &mut ctx);
-        let drained = std::mem::take(&mut ctx.drained);
-        self.exec.add(&thread_stats().since(exec_pre));
-        self.ingest(drained);
-        self.umq_depth.set(self.umq.update_count() as i64);
+        let mut run = Maintenance { views: &mut self.views, port, arrivals: Vec::new() };
+        let mut outcome = self.dyno.step(&mut self.umq, &mut run);
+        let arrivals = run.arrivals;
+        self.views.metrics.exec.add(&thread_stats().since(exec_pre));
+        self.ingest(arrivals);
         if outcome == StepOutcome::Idle && drained_commits > 0 {
             outcome = StepOutcome::Committed;
         }
         if outcome == StepOutcome::Failed {
-            // Keep the error inspectable through `last_error()` even after
-            // it has been returned (the CLI `stats` view reads it).
-            return Err(self.last_error.clone().unwrap_or(ViewError::Internal(
-                RelationalError::InvalidQuery {
-                    reason: "warehouse maintenance failed without an error".into(),
-                },
-            )));
+            return Err(self.views.failure());
         }
         if outcome == StepOutcome::Committed {
             // A completed maintenance supersedes any earlier failure: the
             // error was acted on (or healed) — holding it would make every
             // later health check report a stale fault.
-            self.last_error = None;
+            self.views.last_error = None;
         }
         self.maybe_checkpoint();
         Ok(outcome)
@@ -912,7 +1140,7 @@ impl Warehouse {
     /// later step commits successfully — the warehouse is healthy again and
     /// health checks must not keep reporting the resolved fault.
     pub fn last_error(&self) -> Option<&ViewError> {
-        self.last_error.as_ref()
+        self.views.last_error.as_ref()
     }
 
     /// Steps until quiescent or `max_steps` exhausted.
@@ -937,38 +1165,38 @@ impl Warehouse {
 
     /// Number of registered views.
     pub fn view_count(&self) -> usize {
-        self.slots.len()
+        self.views.slots.len()
     }
 
     /// Updates admitted to the UMQ so far (mirrors the `umq.admitted`
     /// counter).
     pub fn admitted_count(&self) -> u64 {
-        self.umq_admitted.get()
+        self.views.metrics.umq_admitted.get()
     }
 
     /// Updates shed at the admission bound so far (mirrors `umq.shed`).
     pub fn shed_count(&self) -> u64 {
-        self.umq_shed.get()
+        self.views.metrics.umq_shed.get()
     }
 
     /// The admission bound, if one was set (see [`Warehouse::with_umq_bound`]).
     pub fn umq_bound(&self) -> Option<usize> {
-        self.umq_bound
+        self.views.umq_bound
     }
 
     /// The `i`-th view's current definition.
     pub fn view(&self, i: usize) -> &ViewDefinition {
-        &self.slots[i].view
+        &self.views.slots[i].view
     }
 
     /// The `i`-th view's extent.
     pub fn mv(&self, i: usize) -> &MaterializedView {
-        &self.slots[i].mv
+        &self.views.slots[i].mv
     }
 
     /// The `i`-th view's maintenance counters.
     pub fn stats(&self, i: usize) -> ViewStats {
-        self.slots[i].stats
+        self.views.slots[i].stats
     }
 
     /// Scheduler counters.
@@ -980,51 +1208,51 @@ impl Warehouse {
     /// admission floor). A deferring view's own vector may trail this —
     /// see [`Warehouse::view_reflected`].
     pub fn reflected(&self) -> &ReflectedVersions {
-        &self.reflected
+        &self.views.reflected
     }
 
     /// The `i`-th view's own reflected version vector, sorted by source.
     pub fn view_reflected(&self, i: usize) -> Vec<(u32, u64)> {
-        self.slots[i].sorted_reflected()
+        self.views.slots[i].sorted_reflected()
     }
 
     /// Batches currently deferred by the `i`-th view.
     pub fn deferred_len(&self, i: usize) -> usize {
-        self.slots[i].deferred.len()
+        self.views.slots[i].deferred.len()
     }
 
     /// Batches currently deferred across all views.
     pub fn deferred_total(&self) -> usize {
-        self.slots.iter().map(|s| s.deferred.len()).sum()
+        self.views.slots.iter().map(|s| s.deferred.len()).sum()
     }
 
     /// The source→view dependency DAG.
     pub fn dag(&self) -> &ViewDag {
-        &self.dag
+        &self.views.dag
     }
 
     /// Times per-view safety verdicts diverged — an SC safe for one view
     /// but unsafe for another, or a batch some views committed while others
     /// deferred (mirrors `safety.divergent_verdicts`).
     pub fn divergent_verdicts(&self) -> u64 {
-        self.divergent.get()
+        self.views.metrics.divergent.get()
     }
 
     /// First-hop subplans served from the cross-view cache (mirrors
     /// `subplan.shared_hits`).
     pub fn subplan_hits(&self) -> u64 {
-        self.shared_hits.get()
+        self.views.metrics.shared_hits.get()
     }
 
     /// First-hop subplans computed (mirrors `subplan.shared_misses`).
     pub fn subplan_misses(&self) -> u64 {
-        self.shared_misses.get()
+        self.views.metrics.shared_misses.get()
     }
 
     /// Deferred batches replayed to their view by the drain (mirrors
     /// `view.deferred_drains`).
     pub fn drained_commits(&self) -> u64 {
-        self.drains.get()
+        self.views.metrics.drains.get()
     }
 
     /// Unregisters the `i`-th view: its slot (extent, deferred queue) is
@@ -1032,100 +1260,94 @@ impl Warehouse {
     /// remaining views, and — when a WAL is attached — a fresh checkpoint
     /// written so subsequent `Applied` records match the new view count.
     pub fn drop_view(&mut self, i: usize) {
-        let slot = self.slots.remove(i);
-        if let (Some(tracker), Some(lane)) = (&self.staleness, slot.lane) {
+        let views = &mut self.views;
+        let slot = views.slots.remove(i);
+        if let (Some(tracker), Some(lane)) = (&views.staleness, slot.lane) {
             tracker.drop_view(lane);
         }
-        self.dag = ViewDag::new();
-        for (idx, s) in self.slots.iter().enumerate() {
-            self.dag.add_view(idx, &s.sources, s.tier);
+        views.dag = ViewDag::new();
+        for (idx, s) in views.slots.iter().enumerate() {
+            views.dag.add_view(idx, &s.sources, s.tier);
         }
         self.checkpoint_now();
     }
 
-    /// The commit/drain order: ascending SLA tier, slot index breaking ties
-    /// (the DAG's refresh order, restricted to registered slots).
-    fn commit_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.slots.len()).collect();
-        order.sort_by_key(|&i| (self.slots[i].tier, i));
-        order
-    }
-
-    /// Replays deferred batches, per view in tier order, until each view's
-    /// queue is empty or blocked again. Returns how many batches committed.
+    /// Replays deferred batches, per view in the DAG's refresh order, until
+    /// each view's queue is empty or blocked again. Returns how many
+    /// batches committed.
     ///
     /// A deferred batch is maintained against *one* view with the rest of
     /// that view's queue plus the shared UMQ as its SWEEP compensation set.
-    /// A broken query means the correcting SC is further down the view's
-    /// own queue: the drain merges batches forward up to and including the
-    /// next SC-bearing batch and retries as one atomic adaptation — the
-    /// per-view form of Dyno's cycle merge. If no SC is queued yet, the
-    /// batch stays deferred (the SC will arrive and defer behind it).
+    /// Only this slot's vector advances (the warehouse vector and the
+    /// batch's terminal provenance were recorded when it first committed),
+    /// its peers are logged `Skipped`, and every drained commit may
+    /// checkpoint. A broken query means the correcting SC is further down
+    /// the view's own queue: the drain merges batches forward up to and
+    /// including the next SC-bearing batch and retries as one atomic
+    /// adaptation — the per-view form of Dyno's cycle merge. If no SC is
+    /// queued yet, the batch stays deferred (the SC will arrive and defer
+    /// behind it).
     fn drain_deferred(&mut self, port: &mut dyn SourcePort) -> Result<u64, ViewError> {
         let mut commits = 0u64;
-        for idx in self.commit_order() {
-            while let Some(front) = self.slots[idx].deferred.front() {
-                let batch = front.clone();
-                let schema_changes = batch.iter().filter(|m| m.payload.is_schema_change()).count();
-                let ViewSlot { view, plans, deferred, .. } = &mut self.slots[idx];
-                let pending: Vec<&UpdateMessage> = deferred
+        for k in 0..self.views.slots.len() {
+            let idx = self.views.dag.refresh_order()[k];
+            while !self.views.slots[idx].deferred.is_empty() {
+                // The queue leaves its slot while the head is staged: its
+                // tail is read as the compensation set while the slot's
+                // plan cache is written.
+                let queue = std::mem::take(&mut self.views.slots[idx].deferred);
+                let schema_changes = schema_changes_in(&queue[0]);
+                let pending: Vec<&UpdateMessage> = queue
                     .iter()
                     .skip(1)
                     .flatten()
                     .chain(self.umq.nodes().into_iter().flatten())
                     .map(|m| &m.payload)
                     .collect();
-                let is_single_du = batch.len() == 1 && !batch[0].payload.is_schema_change();
                 port.on_maintenance_event(MaintEvent::Begin {
-                    updates: batch.len(),
+                    updates: queue[0].len(),
                     schema_changes,
                 });
-                let (staged, arrivals) = if is_single_du {
-                    let (r, arrivals) = sweep_maintain_shared(
-                        view,
-                        &batch[0].payload,
-                        &pending,
-                        port,
-                        plans,
-                        &self.obs,
-                        None,
-                    );
-                    (r.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
-                } else {
-                    let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
-                    let (r, arrivals) = adapt_batch_observed(
-                        view,
-                        &refs,
-                        &pending,
-                        &self.info,
-                        self.adaptation,
-                        port,
-                        &self.obs,
-                    );
-                    (r.map(Staged::Adapted), arrivals)
-                };
+                let (staged, arrivals) = self.views.stage(idx, &queue[0], &pending, port, None);
+                drop(pending);
+                self.views.slots[idx].deferred = queue;
                 self.ingest(arrivals);
-                match staged {
-                    Ok(st) => {
-                        self.commit_drained(idx, &batch, st, schema_changes, port)?;
-                        commits += 1;
+                let failure = match staged {
+                    Ok(change) => {
+                        let views = &mut self.views;
+                        let batch = views.slots[idx].deferred.pop_front().expect("staged head");
+                        views.log_intent(&batch, schema_changes);
+                        let mut done = views.open_commit();
+                        let applied = views.commit(
+                            idx,
+                            Some(change),
+                            &batch,
+                            schema_changes,
+                            &mut done,
+                            port,
+                        );
+                        if let Err(e) = applied {
+                            views.slots[idx].deferred.push_front(batch);
+                            BatchFailure::Internal(e)
+                        } else {
+                            views.record(&batch, done, port);
+                            views.metrics.drains.inc();
+                            self.maybe_checkpoint();
+                            commits += 1;
+                            continue;
+                        }
                     }
-                    Err(BatchFailure::Unavailable(_)) => {
-                        self.obs.counter("view.parked").inc();
-                        port.on_maintenance_event(MaintEvent::Park);
-                        break;
-                    }
-                    Err(BatchFailure::Broken(_)) => {
-                        self.slots[idx].stats.aborts += 1;
-                        self.obs.counter("view.aborts").inc();
-                        port.on_maintenance_event(MaintEvent::Abort);
-                        let next_sc = self.slots[idx]
-                            .deferred
+                    Err(failure) => failure,
+                };
+                match self.views.fail(failure, idx..idx + 1, port) {
+                    MaintainOutcome::Parked => break,
+                    MaintainOutcome::BrokenQuery => {
+                        let q = &mut self.views.slots[idx].deferred;
+                        let next_sc = q
                             .iter()
                             .skip(1)
                             .position(|b| b.iter().any(|m| m.payload.is_schema_change()));
                         let Some(ahead) = next_sc else { break };
-                        let q = &mut self.slots[idx].deferred;
                         let mut merged = q.pop_front().expect("front exists");
                         for _ in 0..=ahead {
                             merged.extend(q.pop_front().expect("position was in range"));
@@ -1133,106 +1355,21 @@ impl Warehouse {
                         q.push_front(merged);
                         // Retry the merged batch immediately.
                     }
-                    Err(BatchFailure::Undefinable(e)) => {
-                        self.last_error = Some(ViewError::Undefinable(e.clone()));
-                        port.on_maintenance_event(MaintEvent::Abort);
-                        return Err(ViewError::Undefinable(e));
-                    }
-                    Err(BatchFailure::Internal(e)) => {
-                        self.last_error = Some(ViewError::Internal(e.clone()));
-                        port.on_maintenance_event(MaintEvent::Abort);
-                        return Err(ViewError::Internal(e));
-                    }
+                    _ => return Err(self.views.failure()),
                 }
             }
         }
         Ok(commits)
     }
-
-    /// Commits one drained batch to one view: extent + definition update,
-    /// per-view vector advance, staleness refresh, and a WAL `Applied`
-    /// record whose peers are `Skipped` (they already handled these keys).
-    fn commit_drained(
-        &mut self,
-        idx: usize,
-        batch: &[UpdateMeta<UpdateMessage>],
-        staged: Staged,
-        schema_changes: usize,
-        port: &mut dyn SourcePort,
-    ) -> Result<(), ViewError> {
-        let keys: Vec<u64> = batch.iter().map(|m| m.key.0).collect();
-        if let Some(log) = self.wal.as_mut() {
-            log.log_intent(&keys, schema_changes > 0);
-        }
-        let pub_rows = self.replicate.then(|| staged.publish_rows().clone());
-        let log_change = self.wal.is_some().then(|| staged.applied_change());
-        {
-            let slot = &mut self.slots[idx];
-            let clamp = self.umq_bound.is_some().then_some(&self.mv_clamped);
-            match staged.apply(slot, batch.len(), schema_changes, clamp, &self.obs) {
-                Ok(written) => port.charge_mv_write(written),
-                Err(e) => {
-                    self.last_error = Some(ViewError::Internal(e.clone()));
-                    port.on_maintenance_event(MaintEvent::Abort);
-                    return Err(ViewError::Internal(e));
-                }
-            }
-            for meta in batch {
-                let entry = slot.reflected.entry(meta.payload.source).or_insert(0);
-                *entry = (*entry).max(meta.payload.source_version);
-            }
-            slot.deferred.pop_front();
-        }
-        if let (Some(tracker), Some(lane)) = (&self.staleness, self.slots[idx].lane) {
-            tracker.note_refresh_for(lane, &self.slots[idx].sorted_reflected(), self.obs.now_us());
-        }
-        if let (Some(change), Some(log)) = (log_change, self.wal.as_mut()) {
-            let mut changes = vec![AppliedChange::Skipped; self.slots.len()];
-            changes[idx] = change;
-            log.log_applied(&AppliedRecord {
-                keys: keys.clone(),
-                changes,
-                reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
-                view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
-            });
-        }
-        if let Some(changed) = pub_rows {
-            let mut rows = vec![ZSet::new(); self.slots.len()];
-            rows[idx] = changed;
-            self.publish.push(PendingPublish { keys, rows });
-        }
-        self.drains.inc();
-        self.obs.counter("view.commits").inc();
-        port.on_maintenance_event(MaintEvent::Commit);
-        self.maybe_checkpoint();
-        Ok(())
-    }
 }
 
-struct WarehouseCtx<'a> {
-    slots: &'a mut Vec<ViewSlot>,
-    info: &'a InfoSpace,
-    reflected: &'a mut ReflectedVersions,
-    adaptation: AdaptationMode,
-    last_error: &'a mut Option<ViewError>,
-    obs: &'a Collector,
+/// One scheduling step's maintainer: the views, the port their maintenance
+/// queries go to, and the messages that arrived while those queries ran
+/// (handed back to [`Warehouse::step`] to ingest).
+struct Maintenance<'a> {
+    views: &'a mut Views,
     port: &'a mut dyn SourcePort,
-    drained: Vec<UpdateMessage>,
-    wal: &'a mut Option<DurableLog>,
-    /// True when the warehouse runs admission shedding (bounded UMQ):
-    /// deltas are applied clamped at zero, with the dropped magnitude
-    /// counted in `clamped` instead of failing maintenance.
-    clamp: bool,
-    clamped: Counter,
-    staleness: Option<&'a StalenessTracker>,
-    /// Whether overlapping views share first-hop subplans this batch.
-    share: bool,
-    shared_hits: Counter,
-    shared_misses: Counter,
-    divergent: Counter,
-    /// Replication: committed changes queue a [`PendingPublish`].
-    replicate: bool,
-    publish: &'a mut Vec<PendingPublish>,
+    arrivals: Vec<UpdateMessage>,
 }
 
 /// Applies a signed delta to a view extent: strict when maintenance is
@@ -1258,60 +1395,40 @@ fn apply_signed(
     }
 }
 
-impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
+impl Maintainer<UpdateMessage> for Maintenance<'_> {
+    /// One shared-queue entry against every view, atomically: the four
+    /// steps orchestrated over all slots, plus what belongs to the entry
+    /// rather than to any one view — dispositions, shared subplans, the
+    /// warehouse vector and the batch's provenance.
     fn maintain(
         &mut self,
         batch: &[UpdateMeta<UpdateMessage>],
         rest: &[&[UpdateMeta<UpdateMessage>]],
     ) -> MaintainOutcome {
-        let schema_changes = batch.iter().filter(|m| m.payload.is_schema_change()).count();
-        self.port.on_maintenance_event(MaintEvent::Begin { updates: batch.len(), schema_changes });
+        let (views, port) = (&mut *self.views, &mut *self.port);
+        let n = views.slots.len();
+        let schema_changes = schema_changes_in(batch);
+        port.on_maintenance_event(MaintEvent::Begin { updates: batch.len(), schema_changes });
         let pending: Vec<&UpdateMessage> =
             rest.iter().flat_map(|n| n.iter().map(|m| &m.payload)).collect();
-        let is_plain_du =
-            batch.len() == 1 && matches!(batch[0].payload.update, SourceUpdate::Data(_));
+        let is_plain_du = lone_du(batch).is_some();
 
-        let _span = self.obs.span(
+        let _span = views.obs.span(
             "view.maintain",
             &[
                 field("updates", batch.len()),
                 field("schema_changes", schema_changes),
                 field("kind", if is_plain_du { "du" } else { "batch" }),
-                field("views", self.slots.len()),
+                field("views", n),
             ],
         );
-        self.obs.counter("view.attempts").inc();
+        views.obs.counter("view.attempts").inc();
+        views.obs.profile_invocation("warehouse", "pipeline");
 
-        // Pipeline-level profiling (the per-operator query profiles are
-        // recorded deeper down, per view plan): one `(warehouse, pipeline)`
-        // plan collecting classification, apply, and WAL-append costs.
-        let prof: Option<Prof<'_>> =
-            if self.obs.profile_on() { Some((self.obs, "warehouse")) } else { None };
-        if let Some((o, v)) = prof {
-            o.profile_invocation(v, "pipeline");
-        }
-
-        // Commit protocol, write 1 of 2: the intent is durable before any
-        // maintenance query runs. A crash from here until `Applied` lands
-        // leaves the batch in the checkpointed queue, to be redone whole.
-        if let Some(log) = self.wal.as_mut() {
-            let keys: Vec<u64> = batch.iter().map(|m| m.key.0).collect();
-            let started = prof_start(prof);
-            log.log_intent(&keys, schema_changes > 0);
-            prof_op(
-                prof,
-                started,
-                "pipeline",
-                1,
-                OpPhase::Wal,
-                "log_intent",
-                "batch",
-                batch.len() as u64,
-                batch.len() as u64,
-            );
-        }
+        // The intent is durable before any maintenance query runs.
+        views.log_intent(batch, schema_changes);
         for meta in batch {
-            self.obs.prov(meta.key.0, dyno_obs::stage::INTENT, &[]);
+            views.obs.prov(meta.key.0, dyno_obs::stage::INTENT, &[]);
         }
 
         // Classify the batch per view. A slot with a non-empty deferred
@@ -1322,8 +1439,9 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         // relation-irrelevance argument that justifies `Skip` only holds
         // for data updates.
         let has_sc = schema_changes > 0;
+        let prof = pipeline_prof(&views.obs);
         let classify_started = prof_start(prof);
-        let mut dispo: Vec<Disposition> = self
+        let mut dispo: Vec<Disposition> = views
             .slots
             .iter()
             .map(|slot| {
@@ -1354,7 +1472,7 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
             active_total as u64,
         );
 
-        // Phase 1: compute every active view's change without committing
+        // Phase 1: stage every active view's change without committing
         // anything, so a broken query in view k discards views 0..k's work
         // too. When two or more views take the batch they share first-hop
         // join subplans through one per-batch cache (a lone view has nobody
@@ -1362,189 +1480,74 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         // is per-view: that view defers while its peers proceed — unless
         // *every* active view is blocked, which parks the whole entry
         // (classic Dyno semantics).
-        let mut shared = (is_plain_du && self.share && active_total >= 2).then(SharedSubplans::new);
-        let mut staged: Vec<Option<Staged>> = (0..self.slots.len()).map(|_| None).collect();
+        let mut shared =
+            (is_plain_du && views.share_subplans && active_total >= 2).then(SharedSubplans::new);
+        let mut staged: Vec<Option<Staged>> = (0..n).map(|_| None).collect();
         let mut blocked = 0usize;
-        for i in 0..self.slots.len() {
+        for i in 0..n {
             if !matches!(dispo[i], Disposition::Active) {
                 continue;
             }
-            let slot = &mut self.slots[i];
-            let result = if is_plain_du {
-                let (result, drained) = sweep_maintain_shared(
-                    &slot.view,
-                    &batch[0].payload,
-                    &pending,
-                    self.port,
-                    &mut slot.plans,
-                    self.obs,
-                    shared.as_mut(),
-                );
-                self.drained.extend(drained);
-                result.map(Staged::Delta).map_err(BatchFailure::from)
-            } else {
-                let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
-                let (result, drained) = adapt_batch_observed(
-                    &slot.view,
-                    &refs,
-                    &pending,
-                    self.info,
-                    self.adaptation,
-                    self.port,
-                    self.obs,
-                );
-                self.drained.extend(drained);
-                result.map(Staged::Adapted)
-            };
+            let (result, arrivals) = views.stage(i, batch, &pending, port, shared.as_mut());
+            self.arrivals.extend(arrivals);
             match result {
                 Ok(s) => staged[i] = Some(s),
                 Err(BatchFailure::Unavailable(e)) => {
                     blocked += 1;
                     dispo[i] = Disposition::Defer;
-                    if self.obs.tracing_on() {
-                        self.obs.event(
+                    if views.obs.tracing_on() {
+                        views.obs.event(
                             Level::Warn,
                             "view.defer",
                             &[field("view", i), field("error", e.to_string())],
                         );
                     }
                 }
-                Err(f) => return self.fail(f),
+                Err(f) => return views.fail(f, 0..n, port),
             }
         }
         if let Some(sh) = &shared {
-            self.shared_hits.add(sh.hits());
-            self.shared_misses.add(sh.misses());
+            views.metrics.shared_hits.add(sh.hits());
+            views.metrics.shared_misses.add(sh.misses());
         }
         if active_total > 0 && blocked == active_total {
             // Every view that needs this batch is blocked: nothing to
             // commit, nothing to defer — park the entry and retry whole.
-            return self.fail(BatchFailure::Unavailable(RelationalError::Unavailable {
+            let all_blocked = BatchFailure::Unavailable(RelationalError::Unavailable {
                 source: "batch".into(),
                 reason: format!("all {active_total} dependent views blocked"),
-            }));
+            });
+            return views.fail(all_blocked, 0..n, port);
         }
         if blocked > 0 {
             // Split verdict: some views commit this batch, others defer.
-            self.divergent.inc();
+            views.metrics.divergent.inc();
         }
 
         // Phase 2: commit in the DAG's refresh order (ascending tier, then
         // slot index). Active slots apply their staged change; skipped
         // slots advance their vector for free; deferring slots enqueue the
         // batch and freeze.
-        let mut order: Vec<usize> = (0..self.slots.len()).collect();
-        order.sort_by_key(|&i| (self.slots[i].tier, i));
-        let mut total_written: u64 = 0;
-        let mut logged_changes: Vec<AppliedChange> =
-            (0..self.slots.len()).map(|_| AppliedChange::Skipped).collect();
-        let mut pub_rows: Vec<ZSet> = (0..self.slots.len()).map(|_| ZSet::new()).collect();
-        for &i in &order {
-            let slot = &mut self.slots[i];
-            match &dispo[i] {
-                Disposition::Defer => {
-                    logged_changes[i] = AppliedChange::Deferred;
-                    slot.deferred.push_back(batch.to_vec());
-                    continue;
+        let mut done = views.open_commit();
+        for k in 0..n {
+            let i = views.dag.refresh_order()[k];
+            if matches!(dispo[i], Disposition::Defer) {
+                if let Some(changes) = &mut done.changes {
+                    changes[i] = AppliedChange::Deferred;
                 }
-                Disposition::Skip => {
-                    // `logged_changes[i]` stays `Skipped`.
-                }
-                Disposition::Active => {
-                    let change = staged[i].take().expect("active slot staged a change");
-                    if self.replicate {
-                        pub_rows[i] = change.publish_rows().clone();
-                    }
-                    if self.wal.is_some() {
-                        logged_changes[i] = change.applied_change();
-                    }
-                    let apply_meta = prof.map(|_| {
-                        let rows = change.publish_rows().distinct_len() as u64;
-                        (change.apply_op(), rows, slot.view.name.clone())
-                    });
-                    let apply_started = prof_start(prof);
-                    let applied = change.apply(
-                        slot,
-                        batch.len(),
-                        schema_changes,
-                        self.clamp.then_some(&self.clamped),
-                        self.obs,
-                    );
-                    if let Some((op, rows, vname)) = apply_meta {
-                        prof_op(
-                            prof,
-                            apply_started,
-                            "pipeline",
-                            2,
-                            OpPhase::Apply,
-                            op,
-                            &vname,
-                            rows,
-                            rows,
-                        );
-                    }
-                    match applied {
-                        Ok(written) => {
-                            self.port.charge_mv_write(written);
-                            total_written += written;
-                        }
-                        Err(e) => {
-                            *self.last_error = Some(ViewError::Internal(e));
-                            self.port.on_maintenance_event(MaintEvent::Abort);
-                            return MaintainOutcome::Failed;
-                        }
-                    }
-                }
+                views.slots[i].deferred.push_back(batch.to_vec());
+                continue;
             }
-            // Committed and skipped slots advance their own vector;
-            // deferring slots froze above (they `continue`d).
-            for meta in batch {
-                let entry = slot.reflected.entry(meta.payload.source).or_insert(0);
-                *entry = (*entry).max(meta.payload.source_version);
-            }
-            if let (Some(tracker), Some(lane)) = (self.staleness, slot.lane) {
-                tracker.note_refresh_for(lane, &slot.sorted_reflected(), self.obs.now_us());
+            if let Err(e) =
+                views.commit(i, staged[i].take(), batch, schema_changes, &mut done, port)
+            {
+                return views.fail(BatchFailure::Internal(e), 0..n, port);
             }
         }
-        for meta in batch {
-            let entry = self.reflected.entry(meta.payload.source).or_insert(0);
-            *entry = (*entry).max(meta.payload.source_version);
-        }
-        // Commit protocol, write 2 of 2: one atomic record across every
-        // view, making the whole batch durable or (on a crash) none of it —
-        // the durable form of Equation 6's all-or-nothing batch. Deferring
-        // views are part of the atom: replay moves their copy of the batch
-        // into their durable deferred queue.
-        let was_cut = self.wal.as_ref().is_some_and(|w| w.power_cut());
-        if self.wal.is_some() {
-            let rec = AppliedRecord {
-                keys: batch.iter().map(|m| m.key.0).collect(),
-                changes: logged_changes,
-                reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
-                view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
-            };
-            let started = prof_start(prof);
-            if let Some(log) = self.wal.as_mut() {
-                log.log_applied(&rec);
-            }
-            prof_op(
-                prof,
-                started,
-                "pipeline",
-                3,
-                OpPhase::Wal,
-                "log_applied",
-                "batch",
-                batch.len() as u64,
-                total_written,
-            );
-        }
-        if self.replicate {
-            self.publish.push(PendingPublish {
-                keys: batch.iter().map(|m| m.key.0).collect(),
-                rows: pub_rows,
-            });
-        }
+        advance(&mut views.reflected, batch);
+        let written = done.written;
+        let was_cut = views.wal.as_ref().is_some_and(DurableLog::power_cut);
+        views.record(batch, done, port);
         // Terminal provenance, skipped when the power was already cut
         // before the Applied append (the append was dropped, so recovery
         // re-executes this batch and records the terminal stages exactly
@@ -1553,19 +1556,16 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         // recovery will not redo them.
         if !was_cut {
             for meta in batch {
-                self.obs.prov(meta.key.0, dyno_obs::stage::APPLIED, &[]);
+                views.obs.prov(meta.key.0, dyno_obs::stage::APPLIED, &[]);
             }
-            if self.obs.lineage_on() {
-                let keys: Vec<u64> = batch.iter().map(|m| m.key.0).collect();
-                self.obs.prov_batch(
-                    &keys,
+            if views.obs.lineage_on() {
+                views.obs.prov_batch(
+                    &keys_of(batch),
                     dyno_obs::stage::EXTENT,
-                    &[field("rows", total_written)],
+                    &[field("rows", written)],
                 );
             }
         }
-        self.obs.counter("view.commits").inc();
-        self.port.on_maintenance_event(MaintEvent::Commit);
         MaintainOutcome::Committed
     }
 
@@ -1574,16 +1574,16 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
         // relevant if it invalidates any shadow at its queue position. A
         // deferring view sees its own queued SCs *before* anything in the
         // shared queue, so its shadow starts from its deferred tail.
-        self.obs.counter("vs.relevance_refreshes").inc();
-        let mut shadows: Vec<ViewDefinition> = self
-            .slots
+        let Views { slots, info, obs, .. } = &*self.views;
+        obs.counter("vs.relevance_refreshes").inc();
+        let mut shadows: Vec<ViewDefinition> = slots
             .iter()
             .map(|s| {
                 let mut shadow = s.view.clone();
                 for meta in s.deferred.iter().flatten() {
                     if let SourceUpdate::Schema(sc) = &meta.payload.update {
                         if shadow.is_invalidated_by(sc) {
-                            if let Ok(next) = crate::vs::synchronize(&shadow, sc, self.info) {
+                            if let Ok(next) = crate::vs::synchronize(&shadow, sc, info) {
                                 shadow = next;
                             }
                         }
@@ -1598,9 +1598,9 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
                 for shadow in &mut shadows {
                     if shadow.is_invalidated_by(sc) {
                         invalidates = true;
-                        if let Ok(next) = crate::vs::synchronize(shadow, sc, self.info) {
+                        if let Ok(next) = crate::vs::synchronize(shadow, sc, info) {
                             *shadow = next;
-                            self.obs.counter("vs.shadow_rewrites").inc();
+                            obs.counter("vs.shadow_rewrites").inc();
                         }
                     }
                 }
@@ -1610,46 +1610,10 @@ impl Maintainer<UpdateMessage> for WarehouseCtx<'_> {
     }
 }
 
-impl WarehouseCtx<'_> {
-    fn fail(&mut self, failure: BatchFailure) -> MaintainOutcome {
-        match failure {
-            BatchFailure::Broken(_) => {
-                for slot in self.slots.iter_mut() {
-                    slot.stats.aborts += 1;
-                }
-                self.obs.counter("view.aborts").inc();
-                if self.obs.tracing_on() {
-                    self.obs.event(Level::Warn, "view.abort", &[]);
-                }
-                self.port.on_maintenance_event(MaintEvent::Abort);
-                MaintainOutcome::BrokenQuery
-            }
-            BatchFailure::Unavailable(e) => {
-                self.obs.counter("view.parked").inc();
-                if self.obs.tracing_on() {
-                    self.obs.event(Level::Warn, "view.park", &[field("error", e.to_string())]);
-                }
-                self.port.on_maintenance_event(MaintEvent::Park);
-                MaintainOutcome::Parked
-            }
-            BatchFailure::Undefinable(e) => {
-                *self.last_error = Some(ViewError::Undefinable(e));
-                self.port.on_maintenance_event(MaintEvent::Abort);
-                MaintainOutcome::Failed
-            }
-            BatchFailure::Internal(e) => {
-                *self.last_error = Some(ViewError::Internal(e));
-                self.port.on_maintenance_event(MaintEvent::Abort);
-                MaintainOutcome::Failed
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::InProcessPort;
+    use crate::engine::{InProcessPort, TracingPort};
     use crate::testkit::*;
     use dyno_relational::{DataUpdate, SchemaChange, SpjQuery};
     use dyno_source::SourceId;
@@ -2079,7 +2043,7 @@ mod tests {
         // Regression: last_error was sticky forever, so CLI `stats` kept
         // reporting a failure long after maintenance had committed fine.
         let (mut wh, mut port) = warehouse();
-        wh.last_error = Some(ViewError::Internal(RelationalError::InvalidQuery {
+        wh.views.last_error = Some(ViewError::Internal(RelationalError::InvalidQuery {
             reason: "earlier maintenance failure".into(),
         }));
         assert!(wh.last_error().is_some());
@@ -2115,6 +2079,26 @@ mod tests {
         assert_eq!(obs.registry().gauge_value("umq.depth"), Some(0));
         assert_eq!(obs.registry().counter_value("umq.admitted"), Some(0));
         assert_eq!(obs.registry().counter_value("umq.shed"), Some(0));
+
+        // A warehouse recovered into a fresh collector is the same idle
+        // warehouse: every series the fresh one registers is there (it once
+        // lacked the `replica.lag_us` lane until the first remote delta).
+        let names = |obs: &Collector| -> Vec<&'static str> {
+            let reg = obs.registry();
+            let counters = reg.counters().into_iter().map(|(n, _)| n);
+            let gauges = reg.gauges().into_iter().map(|(n, _)| n);
+            counters.chain(gauges).chain(reg.histograms().into_iter().map(|(n, _)| n)).collect()
+        };
+        let (wh, port, disk) = durable_warehouse();
+        drop(wh);
+        let recovered = Collector::wall();
+        let info = port.space().info().clone();
+        Warehouse::recover(Box::new(disk), info, recovered.clone()).unwrap();
+        let have = names(&recovered);
+        for name in names(&obs) {
+            assert!(have.contains(&name), "`{name}` is missing on a recovered idle warehouse");
+        }
+        assert!(have.contains(&"replica.lag_us"));
     }
 
     #[test]
@@ -2567,5 +2551,287 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(wh.run_to_quiescence(&mut port, 100), Err(ViewError::Undefinable(_))));
+    }
+
+    /// Inserts one `Catalog` row (in the Library's current schema) that
+    /// joins the seeded `Databases` item.
+    fn insert_catalog(port: &mut DownPort) {
+        let library = port.inner.space().server(SourceId(1)).catalog();
+        let schema = library.get("Catalog").unwrap().schema().clone();
+        let row = dyno_relational::Tuple::of(
+            ["Databases", "Ullman", "CS", "Addison", "reprint"].map(Value::str),
+        );
+        let du = DataUpdate::new(dyno_relational::Delta::inserts(schema, [row]).unwrap());
+        port.inner.commit(SourceId(1), SourceUpdate::Data(du)).unwrap();
+    }
+
+    fn commit_rename_publisher(port: &mut DownPort) {
+        let sc = SchemaChange::RenameAttribute {
+            relation: "Catalog".into(),
+            from: "Publisher".into(),
+            to: "House".into(),
+        };
+        port.inner.commit(SourceId(1), SourceUpdate::Schema(sc)).unwrap();
+    }
+
+    #[test]
+    fn drain_merges_forward_to_the_schema_change_its_head_trips_over() {
+        use crate::wal::CrashPoint;
+        // BookInfo defers an Item insert while the Library is down; the
+        // Library's `Publisher` rename then commits for its peers and
+        // defers behind the insert, and a Catalog insert behind that. Once
+        // the Library is back the Item insert's `Catalog` hop is a broken
+        // query: the drain aborts it, merges it with the rename and commits
+        // the pair as one adaptation, then drains the lone insert behind
+        // them.
+        // A kill armed before the Library returns strikes the drain's own
+        // records: the merged batch's intent, its applied, the lone DU's
+        // intent.
+        let run = |wal: bool, kill: Option<CrashPoint>| {
+            let space = bookinfo_space();
+            let info = space.info().clone();
+            let disk = dyno_durable::MemStorage::new();
+            let mut port = DownPort::new(InProcessPort::new(space));
+            let mut wh = Warehouse::new(info.clone(), Strategy::Pessimistic);
+            wh.add_view(bookinfo_view());
+            wh.add_view(pricelist_view());
+            wh.initialize(&mut port).unwrap();
+            if wal {
+                wh = wh.with_wal(DurableLog::create(Box::new(disk.clone())).unwrap()).unwrap();
+            }
+
+            port.down.insert("Catalog".into());
+            commit_guide(&mut port.inner);
+            wh.run_to_quiescence(&mut port, 100).unwrap();
+            commit_rename_publisher(&mut port);
+            wh.run_to_quiescence(&mut port, 100).unwrap();
+            insert_catalog(&mut port);
+            wh.run_to_quiescence(&mut port, 100).unwrap();
+            assert_eq!(wh.deferred_len(0), 3, "the rename deferred behind the insert");
+            assert!(wh.view_reflected(1).iter().any(|&(s, _)| s == 1), "PriceList moved on");
+            assert_eq!(wh.stats(0).aborts, 0, "a down source parks, it does not abort");
+
+            if let Some(point) = kill {
+                wh.arm_crash(CrashPlan { point, skip: 0 });
+            }
+            port.down.clear();
+            let mut kills = 0;
+            while wh.step(&mut port).unwrap() != StepOutcome::Idle {
+                if wh.wal_power_cut() {
+                    kills += 1;
+                    let (back, report) =
+                        Warehouse::recover(Box::new(disk.clone()), info.clone(), Collector::wall())
+                            .unwrap();
+                    assert_eq!(report.torn_records, 0, "a power cut drops whole records");
+                    wh = back;
+                }
+            }
+            assert_eq!(kills, u32::from(kill.is_some()), "{kill:?}: the planned cut fired");
+            assert_eq!(wh.deferred_total(), 0, "{kill:?}: the drain caught BookInfo up");
+            if kill.is_none() {
+                assert_eq!(wh.stats(0).aborts, 1, "only the drained slot paid the broken query");
+                assert_eq!(wh.stats(1).aborts, 0);
+                let merged = (wh.stats(0).batches_committed, wh.stats(0).batched_updates);
+                assert_eq!(merged, (1, 2), "insert + rename committed as one batch");
+                assert_eq!(wh.drained_commits(), 2, "the merged batch, then the lone DU");
+            }
+            for i in 0..wh.view_count() {
+                let expected =
+                    dyno_relational::eval(&wh.view(i).query, &port.inner.space().provider());
+                assert_eq!(wh.mv(i).extent(), &expected.unwrap().rows, "{kill:?}: view {i}");
+                for (s, v) in wh.view_reflected(i) {
+                    assert_eq!(Some(&v), wh.reflected().get(&SourceId(s)), "{kill:?}: view {i}");
+                }
+            }
+            let n = wh.view_count();
+            let extents: Vec<_> = (0..n).map(|i| wh.mv(i).sorted_tuples()).collect();
+            let sql: Vec<String> = (0..n).map(|i| wh.view(i).to_string()).collect();
+            let vectors: Vec<_> = (0..n).map(|i| wh.view_reflected(i)).collect();
+            (extents, sql, vectors, wh.reflected().clone())
+        };
+
+        let clean = run(true, None);
+        assert_eq!(run(false, None), clean, "the WAL changes nothing the views show");
+        for point in [CrashPoint::BetweenSteps, CrashPoint::AfterIntent, CrashPoint::MidBatch] {
+            assert_eq!(run(true, Some(point)), clean, "{point:?}: recovery finishes identically");
+        }
+    }
+
+    /// What the shared failure step leaves observable after one
+    /// [`Warehouse::step`]: registry counter deltas, the last lifecycle
+    /// event the port saw, and the kept error.
+    #[derive(Debug, PartialEq)]
+    struct FailureSeen {
+        aborts: u64,
+        parked: u64,
+        event: Option<String>,
+        last_error: Option<ViewError>,
+    }
+
+    struct Rig {
+        wh: Warehouse,
+        port: DownPort,
+        obs: Collector,
+    }
+
+    impl Rig {
+        /// BookInfo beside one peer, under the optimistic strategy (so a
+        /// queued DU is maintained before the SC that breaks it).
+        fn new(peer: ViewDefinition) -> Self {
+            let space = bookinfo_space();
+            let info = space.info().clone();
+            let mut port = DownPort::new(InProcessPort::new(space));
+            let obs = Collector::wall();
+            let mut wh = Warehouse::new(info, Strategy::Optimistic).with_obs(obs.clone());
+            wh.add_view(bookinfo_view());
+            wh.add_view(peer);
+            wh.initialize(&mut port).unwrap();
+            Rig { wh, port, obs }
+        }
+
+        fn down(mut self, relation: &str) -> Self {
+            self.port.down.insert(relation.into());
+            self
+        }
+
+        fn settle(&mut self) {
+            self.wh.run_to_quiescence(&mut self.port, 100).unwrap();
+        }
+
+        fn observe_step(&mut self) -> FailureSeen {
+            let counter = |name| self.obs.registry().counter_value(name).unwrap_or(0);
+            let before = (counter("view.aborts"), counter("view.parked"));
+            let mut traced = TracingPort::new(&mut self.port);
+            let _ = self.wh.step(&mut traced);
+            let event =
+                traced.trace().iter().rev().find(|e| *e == "ABORT" || *e == "PARK").cloned();
+            FailureSeen {
+                aborts: counter("view.aborts") - before.0,
+                parked: counter("view.parked") - before.1,
+                event,
+                last_error: self.wh.last_error().cloned(),
+            }
+        }
+
+        fn empty_bookinfo_extent(&mut self) {
+            let mv = &mut self.wh.views.slots[0].mv;
+            let cols = mv.cols().to_vec();
+            mv.replace(cols, ZSet::new()).unwrap();
+        }
+    }
+
+    fn delete_the_seeded_item(port: &mut DownPort) {
+        let row = dyno_relational::Tuple::of([
+            Value::from(1),
+            Value::str("Databases"),
+            Value::str("Ullman"),
+            Value::from(50),
+        ]);
+        let du = DataUpdate::new(dyno_relational::Delta::deletes(item_schema(), [row]).unwrap());
+        port.inner.commit(SourceId(0), SourceUpdate::Data(du)).unwrap();
+    }
+
+    fn commit_drop_title(port: &mut DownPort) {
+        let sc = SchemaChange::DropAttribute { relation: "Catalog".into(), attr: "Title".into() };
+        port.inner.commit(SourceId(1), SourceUpdate::Schema(sc)).unwrap();
+    }
+
+    /// A Library-only peer that does not read `Catalog.Title`.
+    fn publishers_view() -> ViewDefinition {
+        let q = SpjQuery::over(["Catalog"])
+            .select("Catalog", "Publisher")
+            .select("Catalog", "Category")
+            .build();
+        ViewDefinition::new("Publishers", q)
+    }
+
+    #[test]
+    fn every_failure_kind_looks_the_same_from_the_shared_queue_and_from_the_drain() {
+        type Scenario = fn(bool) -> FailureSeen;
+        // Each scenario reaches one `BatchFailure` kind through `maintain`
+        // (`false`) or through the deferred drain (`true`).
+        let broken: Scenario = |via_drain| {
+            let mut rig = Rig::new(pricelist_view());
+            if via_drain {
+                rig = rig.down("Catalog");
+                commit_guide(&mut rig.port.inner);
+                rig.settle();
+                assert_eq!(rig.wh.deferred_len(0), 1);
+            } else {
+                commit_guide(&mut rig.port.inner);
+            }
+            commit_storeitems(&mut rig.port.inner);
+            let seen = rig.observe_step();
+            // The one difference kept on purpose: a shared-queue abort
+            // discards every view's staged work, a drained one only its own.
+            let peer_aborts = u64::from(!via_drain);
+            assert_eq!((rig.wh.stats(0).aborts, rig.wh.stats(1).aborts), (1, peer_aborts));
+            seen
+        };
+        let unavailable: Scenario = |via_drain| {
+            let mut rig =
+                Rig::new(pricelist_view()).down(if via_drain { "Catalog" } else { "Store" });
+            commit_guide(&mut rig.port.inner);
+            if via_drain {
+                rig.settle();
+                assert_eq!(rig.wh.deferred_len(0), 1);
+            }
+            rig.observe_step()
+        };
+        let undefinable: Scenario = |via_drain| {
+            let mut rig = Rig::new(publishers_view());
+            if via_drain {
+                // A Catalog insert defers (its Store hop is down) and the
+                // SC behind it; once Store is back the insert drains and
+                // the SC is staged alone.
+                rig = rig.down("Store");
+                insert_catalog(&mut rig.port);
+                rig.settle();
+                commit_drop_title(&mut rig.port);
+                rig.settle();
+                assert_eq!(rig.wh.deferred_len(0), 2);
+                rig.port.down.clear();
+            } else {
+                commit_drop_title(&mut rig.port);
+            }
+            rig.observe_step()
+        };
+        let internal: Scenario = |via_drain| {
+            let mut rig = Rig::new(pricelist_view());
+            if via_drain {
+                rig = rig.down("Catalog");
+                delete_the_seeded_item(&mut rig.port);
+                rig.settle();
+                rig.port.down.clear();
+            } else {
+                delete_the_seeded_item(&mut rig.port);
+            }
+            // The delete's view delta now has nothing to cancel.
+            rig.empty_bookinfo_extent();
+            let seen = rig.observe_step();
+            if via_drain {
+                assert_eq!(rig.wh.deferred_len(0), 1, "the failed batch stays deferred");
+            }
+            seen
+        };
+
+        let table: [(&str, Scenario, u64, u64, &str); 4] = [
+            ("Broken", broken, 1, 0, "ABORT"),
+            ("Unavailable", unavailable, 0, 1, "PARK"),
+            ("Undefinable", undefinable, 0, 0, "ABORT"),
+            ("Internal", internal, 0, 0, "ABORT"),
+        ];
+        for (kind, scenario, aborts, parked, event) in table {
+            let (shared, drained) = (scenario(false), scenario(true));
+            assert_eq!(shared, drained, "{kind}: the two callers share one failure path");
+            assert_eq!((shared.aborts, shared.parked), (aborts, parked), "{kind}: counters");
+            assert_eq!(shared.event.as_deref(), Some(event), "{kind}: port event");
+            match (kind, &shared.last_error) {
+                ("Undefinable", Some(ViewError::Undefinable(_))) => {}
+                ("Internal", Some(ViewError::Internal(_))) => {}
+                ("Broken" | "Unavailable", None) => {}
+                (_, other) => panic!("{kind}: last_error {other:?}"),
+            }
+        }
     }
 }

@@ -164,15 +164,15 @@ echo "== saturation sweep (capacity knee curve, DESIGN.md §18) =="
 # per-operator profiler on. The bin itself asserts the offered-load ramp is
 # monotone; here we require a detected knee and hold the deterministic
 # capture (admitted/shed, staleness quantiles, profile row/probe totals —
-# no wall-ns) within 4x of the checked-in BENCH_pr10.json baseline. The
-# fields are virtual-clock driven, so in practice the rerun is
-# byte-identical; the loose tolerance only absorbs intentional retunes.
+# no wall-ns) to the checked-in BENCH_pr10.json baseline exactly. Every
+# field is virtual-clock driven, so the rerun is byte-identical on any
+# machine; an intended retune regenerates the baseline in the same change.
 cargo run -q --release --offline -p dyno-bench --bin saturate -- \
     --json "$out/saturate.jsonl" > "$out/saturate.txt"
 grep -q '"bench":"knee"' "$out/saturate.jsonl"
 grep -q '^knee: ' "$out/saturate.txt"
 cargo run -q --release --offline -p dyno-bench --bin benchdiff -- \
-    BENCH_pr10.json "$out/saturate.jsonl" --tol 4.0
+    BENCH_pr10.json "$out/saturate.jsonl" --tol 0
 
 echo "== profiler gates (conservation, bit-identity, disabled = 0 alloc) =="
 # tests/profile_props.rs: per-phase totals are sums of operator nodes on a

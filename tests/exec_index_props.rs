@@ -11,7 +11,7 @@
 use dyno::prelude::*;
 use dyno::relational::{eval, HashIndex};
 use dyno::sim::Rng;
-use dyno::view::{sweep_maintain, sweep_maintain_observed, InProcessPort, PlanCache};
+use dyno::view::{sweep_maintain, sweep_maintain_shared, InProcessPort, PlanCache};
 
 /// A relation with key `k` plus `extra` integer attributes, populated with
 /// random duplicate-bearing rows over a narrow key range so joins match.
@@ -250,7 +250,7 @@ fn plan_cached_sweep_matches_uncached_sweep() {
                 sweep_maintain(&view, &msg, &[], &mut port).0.expect("testbed DU maintains");
             let mut port = InProcessPort::new(space.clone());
             let (cached, _) =
-                sweep_maintain_observed(&view, &msg, &[], &mut port, &mut cache, &obs);
+                sweep_maintain_shared(&view, &msg, &[], &mut port, &mut cache, &obs, None);
             let cached = cached.expect("testbed DU maintains");
             assert_eq!(uncached.cols, cached.cols, "case {case} DU {n}: columns identical");
             assert_eq!(uncached.rows, cached.rows, "case {case} DU {n}: deltas identical");
