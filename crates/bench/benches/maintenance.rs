@@ -220,13 +220,17 @@ fn bench_compensation(h: &mut Harness) {
 /// nothing is pinned, so the two sizes must cost the same (`scripts/verify.sh`
 /// fails when the larger exceeds twice the smaller — the gate a per-commit
 /// copy of anything trips on any machine). `fetch_extent/2000x4` is one of
-/// the six whole-relation queries an adaptation ships (a single-table,
-/// predicate-free projection: one scan, bulk-built — the row behind
-/// `ZSet::project`'s bulk threshold). `adapt_batch_rename/6x2000` is the
-/// whole incremental adaptation of a merged batch (a data update and a
-/// rename) over the 6 × 2 000-row testbed: six such fetches plus Equation 6
-/// as a delta chain whose hops run against unindexed fetched states — the
-/// row behind `join_rows`' small-build-side threshold.
+/// the six whole-relation queries an adaptation ships through a port that
+/// answers its reads that way (a single-table, predicate-free projection:
+/// one scan, bulk-built — the row behind `ZSet::project`'s bulk threshold,
+/// and what the recompute path still pays per relation).
+/// `plan_build/testbed6` is one `MaintPlan` of the 24-column six-way view —
+/// what a warehouse rebuilds per relation after every schema-change batch.
+/// `adapt_batch_rename/6xN` is the whole incremental adaptation of a merged
+/// batch (a data update and a rename) over the 6 × N-row testbed through
+/// `InProcessPort`, which answers its reads live: six validations plus
+/// Equation 6 as a delta chain of index probes, so the two sizes must cost
+/// the same (`scripts/verify.sh` fails above 2×, like the rename rows).
 fn bench_schema_change(h: &mut Harness) {
     let rename = |from: &str, to: &str| {
         SourceUpdate::Schema(SchemaChange::RenameRelation { from: from.into(), to: to.into() })
@@ -248,27 +252,32 @@ fn bench_schema_change(h: &mut Harness) {
     drop(spaces);
 
     let tb = cfg(2_000);
-    let (mut space, view) = build_testbed(&tb);
+    let (space, view) = build_testbed(&tb);
     let fetch = tb
         .schema(0)
         .attrs()
         .iter()
         .fold(SpjQuery::over(["R0"]), |q, a| q.select("R0", &a.name))
         .build();
-    {
-        let provider = space.provider();
-        h.bench("fetch_extent/2000x4", || dyno_relational::eval(&fetch, &provider).expect("R0"));
-    }
+    let provider = space.provider();
+    h.bench("fetch_extent/2000x4", || dyno_relational::eval(&fetch, &provider).expect("R0"));
+    h.bench("plan_build/testbed6", || MaintPlan::build(&view, "R0").expect("testbed view plans"));
 
-    let du = space.commit(SourceId(0), SourceUpdate::Data(one_insert(&tb))).expect("valid");
-    let sc = space.commit(SourceId(0), rename("R1", "R1x")).expect("valid");
-    let info = space.info().clone();
-    let mut port = InProcessPort::new(space);
-    h.bench("adapt_batch_rename/6x2000", || {
-        adapt_batch(&view, &[&du, &sc], &[], &info, AdaptationMode::Auto, &mut port)
-            .0
-            .expect("a rename batch adapts")
+    // As above, both sizes are built before either row is timed.
+    let mut batches = sizes.map(|n| {
+        let tb = cfg(n);
+        let (mut space, view) = build_testbed(&tb);
+        let du = space.commit(SourceId(0), SourceUpdate::Data(one_insert(&tb))).expect("valid");
+        let sc = space.commit(SourceId(0), rename("R1", "R1x")).expect("valid");
+        (space.info().clone(), view, [du, sc], InProcessPort::new(space))
     });
+    for (tuples, (info, view, [du, sc], port)) in sizes.iter().zip(&mut batches) {
+        h.bench(&format!("adapt_batch_rename/6x{tuples}"), || {
+            adapt_batch(view, &[&*du, &*sc], &[], info, AdaptationMode::Auto, port)
+                .0
+                .expect("a rename batch adapts")
+        });
+    }
 }
 
 /// A disk that keeps nothing, so an append-only bench does not spend its

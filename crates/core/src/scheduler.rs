@@ -235,10 +235,7 @@ impl Dyno {
     ) -> StepOutcome {
         self.metrics.steps.inc();
         self.metrics.umq_depth.set(queue.len() as i64);
-        if self.obs.is_enabled() {
-            // update_count is O(queue); don't pay it when nobody is looking.
-            self.metrics.umq_updates.set(queue.update_count() as i64);
-        }
+        self.metrics.umq_updates.set(queue.update_count() as i64);
         let _step = self.obs.span(
             "dyno.step",
             &[field("strategy", self.strategy.name()), field("queue_depth", queue.len())],

@@ -13,13 +13,16 @@ use crate::meta::UpdateMeta;
 #[derive(Debug, Clone)]
 pub struct Umq<P> {
     entries: VecDeque<Vec<UpdateMeta<P>>>,
+    /// Updates across all entries, kept by every mutation so the admission
+    /// gate reads the depth in O(1).
+    updates: usize,
     new_schema_change: bool,
     enqueued: u64,
 }
 
 impl<P> Default for Umq<P> {
     fn default() -> Self {
-        Umq { entries: VecDeque::new(), new_schema_change: false, enqueued: 0 }
+        Umq { entries: VecDeque::new(), updates: 0, new_schema_change: false, enqueued: 0 }
     }
 }
 
@@ -34,11 +37,12 @@ impl<P> Umq<P> {
     /// checkpoint captured them. `total_enqueued` restarts from the restored
     /// update count — statistics are not part of the durability contract.
     pub fn restore(batches: Vec<Vec<UpdateMeta<P>>>, new_schema_change: bool) -> Self {
-        let enqueued = batches.iter().map(|b| b.len() as u64).sum();
+        let updates = batches.iter().map(Vec::len).sum();
         Umq {
             entries: batches.into_iter().filter(|b| !b.is_empty()).collect(),
+            updates,
             new_schema_change,
-            enqueued,
+            enqueued: updates as u64,
         }
     }
 
@@ -53,6 +57,7 @@ impl<P> Umq<P> {
             removed += before - batch.len();
         }
         self.entries.retain(|b| !b.is_empty());
+        self.updates -= removed;
         removed
     }
 
@@ -64,6 +69,7 @@ impl<P> Umq<P> {
             self.new_schema_change = true;
         }
         self.enqueued += 1;
+        self.updates += 1;
         self.entries.push_back(vec![meta]);
     }
 
@@ -86,7 +92,9 @@ impl<P> Umq<P> {
 
     /// Removes the head entry after successful maintenance.
     pub fn remove_head(&mut self) -> Option<Vec<UpdateMeta<P>>> {
-        self.entries.pop_front()
+        let head = self.entries.pop_front()?;
+        self.updates -= head.len();
+        Some(head)
     }
 
     /// Number of entries (batches).
@@ -99,9 +107,9 @@ impl<P> Umq<P> {
         self.entries.is_empty()
     }
 
-    /// Total updates across all entries.
+    /// Total updates across all entries (O(1)).
     pub fn update_count(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
+        self.updates
     }
 
     /// Updates ever enqueued (for statistics).
@@ -132,11 +140,13 @@ impl<P> Umq<P> {
             "schedule must cover the queue snapshot it was computed from"
         );
         let mut old: Vec<Option<Vec<UpdateMeta<P>>>> = self.entries.drain(..).map(Some).collect();
+        self.updates = 0;
         for batch in &schedule.batches {
             let mut merged: Vec<UpdateMeta<P>> = Vec::new();
             for &idx in batch {
                 merged.extend(old[idx].take().expect("schedule references each node exactly once"));
             }
+            self.updates += merged.len();
             self.entries.push_back(merged);
         }
     }
@@ -222,6 +232,32 @@ mod tests {
         assert_eq!(q.len(), 1, "the emptied SC batch disappears");
         assert_eq!(q.remove_by_keys(&[UpdateKey(0), UpdateKey(2), UpdateKey(9)]), 2);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn running_update_count_equals_the_sum_after_every_mutation() {
+        use crate::meta::UpdateKey;
+        fn check(q: &Umq<&'static str>) {
+            let sum: usize = q.nodes().iter().map(|b| b.len()).sum();
+            assert_eq!(q.update_count(), sum);
+        }
+        let mut q = Umq::restore(vec![vec![du(0), du(1)], vec![], vec![sc(2)]], false);
+        check(&q);
+        for k in 3..7 {
+            q.enqueue(if k % 2 == 0 { sc(k) } else { du(k) });
+            check(&q);
+        }
+        q.apply_schedule(&Schedule { batches: vec![vec![1, 3], vec![0], vec![2, 4, 5]] });
+        check(&q);
+        assert_eq!(q.update_count(), 7);
+        assert_eq!(q.remove_by_keys(&[UpdateKey(1), UpdateKey(4), UpdateKey(9)]), 2);
+        check(&q);
+        while q.remove_head().is_some() {
+            check(&q);
+        }
+        assert_eq!(q.update_count(), 0);
+        assert!(q.remove_head().is_none());
+        check(&q);
     }
 
     #[test]

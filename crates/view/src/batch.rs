@@ -20,22 +20,25 @@
 //!    and applies it — writing only `|ΔV|` tuples to the view. Otherwise
 //!    (relation replacements, attribute replacements pulling in new
 //!    relations, column pruning) the **recompute** path evaluates `V′` over
-//!    the batch-point source states wholesale. Both paths fetch through
-//!    real (breakable!) maintenance queries and roll back the effect of
-//!    *pending-but-unprocessed* concurrent data updates locally — the same
-//!    compensation idea SWEEP uses.
+//!    the batch-point source states wholesale. Both paths read through
+//!    real (breakable!) maintenance queries and take the effect of
+//!    *pending-but-unprocessed* concurrent data updates back out locally —
+//!    the same compensation idea SWEEP uses. The recompute path ships every
+//!    extent; the incremental path ships one only when the port answers its
+//!    read that way ([`SourcePort::read_for_adaptation`]), and otherwise
+//!    hops to the live relation and compensates each answer.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    delta_project, ProjItem, QueryResult, RelationalError, Schema, SchemaChange, SourceUpdate,
-    SpjQuery, ZSet,
+    delta_project, DataUpdate, Delta, ProjItem, QueryResult, RelationalError, Schema, SchemaChange,
+    SourceUpdate, SpjQuery, ZSet,
 };
-use dyno_source::UpdateMessage;
+use dyno_source::{UpdateId, UpdateMessage};
 
-use crate::engine::{schema_from_bag, LocalProvider, SourcePort};
+use crate::engine::{schema_from_bag, AdaptRead, HopRequest, LocalProvider, SourcePort};
 use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
 use crate::vm::{compensate, prof_op, prof_start, seed_delta, MaintFailure, Prof, ViewDelta};
@@ -230,44 +233,73 @@ fn adapt_recompute(
     Ok(Adapted::Replaced { view: new_view, cols: result.cols, extent: result.rows })
 }
 
+/// The adaptation read of one relation of `V′`: its single-table projection
+/// onto the columns the view references.
+fn adaptation_query(new_view: &ViewDefinition, table: &str) -> SpjQuery {
+    SpjQuery {
+        tables: vec![table.to_string()],
+        projection: new_view.cols_of_relation(table).into_iter().map(ProjItem::plain).collect(),
+        predicates: Vec::new(),
+    }
+}
+
+/// A failed adaptation read, classified as any maintenance query is.
+fn read_failure(q: &SpjQuery, e: RelationalError) -> BatchFailure {
+    BatchFailure::from(MaintFailure::from_query(|| q.clone(), e))
+}
+
 /// Fetches one relation's current extent projected to the view's referenced
-/// columns, rolled back to the batch point by subtracting pending non-batch
-/// data updates (anomaly-type-(2) compensation). The batch's own effects —
-/// its data updates and committed schema changes — remain included.
+/// columns, rolled back to the batch point.
 fn fetch_batch_point_state(
     new_view: &ViewDefinition,
     table: &str,
-    batch_ids: &[dyno_source::UpdateId],
+    batch_ids: &[UpdateId],
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
 ) -> Result<(Schema, ZSet), BatchFailure> {
-    let referenced = new_view.cols_of_relation(table);
-    let q = SpjQuery {
-        tables: vec![table.to_string()],
-        projection: referenced.iter().map(|c| ProjItem::plain(c.clone())).collect(),
-        predicates: Vec::new(),
-    };
-    let fetched = port
-        .execute(&q, &[])
-        .map_err(|e| BatchFailure::from(MaintFailure::from_query(|| q.clone(), e)))?;
+    let q = adaptation_query(new_view, table);
+    let fetched = port.execute(&q, &[]).map_err(|e| read_failure(&q, e))?;
     drained.extend(port.drain_arrivals());
+    roll_back_pending(table, fetched, batch_ids, pending, drained, port)
+}
 
+/// Rolls rows shipped at the sources' current state back to the batch point
+/// by subtracting pending non-batch data updates (anomaly-type-(2)
+/// compensation). The batch's own effects — its data updates and committed
+/// schema changes — remain included.
+fn roll_back_pending(
+    table: &str,
+    fetched: QueryResult,
+    batch_ids: &[UpdateId],
+    pending: &[&UpdateMessage],
+    drained: &[UpdateMessage],
+    port: &mut dyn SourcePort,
+) -> Result<(Schema, ZSet), BatchFailure> {
     let mut rows = fetched.rows;
-    let col_names: Vec<String> = fetched.cols.clone();
-    for m in pending.iter().copied().chain(drained.iter()) {
-        if batch_ids.contains(&m.id) {
-            continue;
-        }
-        if let SourceUpdate::Data(du) = &m.update {
-            if du.relation == *table {
-                let projected = du.delta.project_to(&col_names).map_err(classify_rollback_error)?;
-                port.charge_local(projected.weight());
-                rows.merge_negated(projected.rows());
-            }
-        }
+    for du in pending_of(table, batch_ids, pending, drained) {
+        let projected = du.delta.project_to(&fetched.cols).map_err(classify_rollback_error)?;
+        port.charge_local(projected.weight());
+        rows.merge_negated(projected.rows());
     }
-    Ok((narrow_schema(table, &col_names, &rows), rows))
+    Ok((narrow_schema(table, &fetched.cols, &rows), rows))
+}
+
+/// The data updates to `table` that are pending (queued, or drained during
+/// this adaptation) and not in the batch: what the sources' current state
+/// holds beyond the batch point.
+fn pending_of<'a>(
+    table: &'a str,
+    batch_ids: &'a [UpdateId],
+    pending: &'a [&'a UpdateMessage],
+    drained: &'a [UpdateMessage],
+) -> impl Iterator<Item = &'a DataUpdate> + 'a {
+    pending.iter().copied().chain(drained).filter(|m| !batch_ids.contains(&m.id)).filter_map(
+        move |m| match &m.update {
+            SourceUpdate::Data(du) if du.relation == table => Some(du),
+            _ => None,
+        },
+    )
 }
 
 /// The incremental path applies when the batch's composed schema changes
@@ -299,8 +331,9 @@ fn incremental_applicable(
 
 /// The incremental path (paper Section 5 + Equation 6): homogenize the
 /// batch's data updates into the final schema, derive per-relation deltas,
-/// reconstruct old states by rolling the fetched current states back past
-/// the batch's own deltas, and compute `ΔV` by Equation 6.
+/// read every relation of `V′` at the batch point, and compute `ΔV` by
+/// Equation 6 — over old states rolled back from shipped extents, or by
+/// compensated hops to relations the port answers live.
 fn adapt_incremental(
     new_view: &ViewDefinition,
     batch: &[&UpdateMessage],
@@ -343,27 +376,63 @@ fn adapt_incremental(
         }
     }
 
-    // Fetch batch-point states, then roll the batch's own deltas back out to
-    // obtain the *old* states and the referenced-column-projected deltas.
-    let mut old_states: HashMap<String, (Schema, ZSet)> = HashMap::new();
-    let mut deltas: HashMap<String, ZSet> = HashMap::new();
+    // Read every relation at the batch point, in FROM order, and project the
+    // batch's deltas to the referenced columns. A shipped read is rolled back
+    // past pending updates and then past the batch's own delta: the *old*
+    // state Equation 6 hops over. A live read ships nothing; its pending
+    // updates are only checked to project (the one way the rollback fails),
+    // so it breaks where a shipped read would, and `live_hop` compensates.
+    let mut shipped: HashMap<String, (Schema, ZSet)> = HashMap::new();
+    let mut deltas: HashMap<String, Delta> = HashMap::new();
     for table in &new_view.query.tables {
-        let (schema, mut rows) =
-            fetch_batch_point_state(new_view, table, &batch_ids, pending, port, drained)?;
+        let q = adaptation_query(new_view, table);
+        let read = port.read_for_adaptation(&q).map_err(|e| read_failure(&q, e))?;
+        drained.extend(port.drain_arrivals());
+        let cols: Vec<String> = q.projection.into_iter().map(|p| p.output).collect();
+        let mut old = match read {
+            AdaptRead::Shipped(fetched) => {
+                Some(roll_back_pending(table, fetched, &batch_ids, pending, drained, port)?)
+            }
+            AdaptRead::Live => {
+                for du in pending_of(table, &batch_ids, pending, drained) {
+                    for c in &cols {
+                        du.delta.schema().require(c).map_err(classify_rollback_error)?;
+                    }
+                }
+                None
+            }
+        };
         if let Some(delta) = batch_deltas.get(table) {
-            let cols: Vec<String> = schema.attrs().iter().map(|a| a.name.clone()).collect();
             let projected = delta.project_to(&cols).map_err(classify_rollback_error)?;
-            rows.merge_negated(projected.rows());
-            deltas.insert(table.clone(), projected.rows().clone());
+            if let Some((_, rows)) = &mut old {
+                rows.merge_negated(projected.rows());
+            }
+            deltas.insert(table.clone(), projected);
         }
-        old_states.insert(table.clone(), (schema, rows));
+        if let Some(state) = old {
+            shipped.insert(table.clone(), state);
+        }
     }
 
     if let Some((o, v)) = prof {
         o.profile_invocation(v, "batch");
     }
-    let dv = equation6_delta_profiled(&new_view.query, &old_states, &deltas, prof)
-        .map_err(BatchFailure::Internal)?;
+    let deltas: HashMap<&str, TableSlice<'_>> =
+        deltas.iter().map(|(t, d)| (t.as_str(), d.into())).collect();
+    let old_states = OldStates(&shipped);
+    let dv = equation6_chain(
+        &new_view.query,
+        &deltas,
+        |hop, delta_j, ahead| {
+            if shipped.contains_key(hop.target) {
+                shipped_hop(&old_states, hop, delta_j, ahead).map_err(BatchFailure::Internal)
+            } else {
+                live_hop(hop, delta_j, ahead, &batch_ids, pending, port, drained)
+            }
+        },
+        BatchFailure::Internal,
+        prof,
+    )?;
     port.charge_local(dv.weight());
     Ok(Adapted::Incremental {
         view: new_view.clone(),
@@ -500,50 +569,60 @@ pub fn equation6_delta(
     old: &HashMap<String, (Schema, ZSet)>,
     deltas: &HashMap<String, ZSet>,
 ) -> Result<QueryResult, RelationalError> {
-    equation6_delta_profiled(query, old, deltas, None)
-}
-
-/// [`equation6_delta`] with per-term cost profiling: when `prof` is set,
-/// each evaluated term lands in the plan profile as an `eq6_term` node
-/// (scope `"batch"`, phase `adapt`) keyed by the changed relation.
-pub(crate) fn equation6_delta_profiled(
-    query: &SpjQuery,
-    old: &HashMap<String, (Schema, ZSet)>,
-    deltas: &HashMap<String, ZSet>,
-    prof: Option<Prof<'_>>,
-) -> Result<QueryResult, RelationalError> {
-    let tables = &query.tables;
-    for t in tables {
+    for t in &query.tables {
         if !old.contains_key(t) {
             return Err(RelationalError::UnknownRelation { relation: t.clone() });
         }
     }
+    let deltas: HashMap<&str, TableSlice<'_>> = deltas
+        .iter()
+        .filter_map(|(t, rows)| {
+            old.get(t).map(|(schema, _)| (t.as_str(), TableSlice { schema, rows }))
+        })
+        .collect();
+    let old_states = OldStates(old);
+    equation6_chain(
+        query,
+        &deltas,
+        |hop, delta_j, ahead| shipped_hop(&old_states, hop, delta_j, ahead),
+        |e| e,
+        None,
+    )
+}
+
+/// Equation 6 as one SWEEP chain per changed relation `Rᵢ`: its
+/// [`MaintPlan`], `ΔRᵢ` seeded through the plan's local selection and
+/// projection, one hop per other relation, the final projection. `hop_rows`
+/// answers each hop with the target's rows term `i` needs, given `ΔRⱼ` when
+/// the target changed and whether it precedes `Rᵢ` in FROM order (then it
+/// joins at its new state, otherwise at its old). With `prof`, each term is
+/// an `eq6_term` node of the plan profile (scope `"batch"`, phase `adapt`)
+/// keyed by the changed relation; `internal` lifts the chain's own errors.
+fn equation6_chain<E>(
+    query: &SpjQuery,
+    deltas: &HashMap<&str, TableSlice<'_>>,
+    mut hop_rows: impl FnMut(&HopRequest<'_>, Option<TableSlice<'_>>, bool) -> Result<ZSet, E>,
+    internal: impl Fn(RelationalError) -> E,
+    prof: Option<Prof<'_>>,
+) -> Result<QueryResult, E> {
+    let tables = &query.tables;
     let cols: Vec<String> = query.projection.iter().map(|p| p.output.clone()).collect();
     let mut total = QueryResult::empty(cols);
-    let changed = |table: &String| deltas.get(table).filter(|d| !d.is_empty());
-    let old_states = OldStates(old);
+    let changed = |table: &str| deltas.get(table).copied().filter(|d| !d.rows.is_empty());
 
     for (i, table_i) in tables.iter().enumerate() {
         let Some(delta_i) = changed(table_i) else {
             continue; // unchanged relation contributes no term
         };
         let started = prof_start(prof);
-        let plan = MaintPlan::for_query(query, table_i)?;
-        let mut d_rows =
-            seed_delta(&plan, TableSlice { schema: &old[table_i].0, rows: delta_i }, None)?;
+        let plan = MaintPlan::for_query(query, table_i).map_err(&internal)?;
+        let mut d_rows = seed_delta(&plan, delta_i, None).map_err(&internal)?;
         for step in &plan.steps {
             if d_rows.is_empty() {
                 break; // an empty intermediate joins to empty
             }
-            let hop = step.request(&d_rows);
-            let mut rows = hop.answer(&old_states)?;
-            // Relations ahead of `Rᵢ` in FROM order join at their new state.
-            if tables[..i].contains(&step.target) {
-                if let Some(delta_j) = changed(&step.target) {
-                    let schema = &old[&step.target].0;
-                    rows.merge(&compensate(&hop, TableSlice { schema, rows: delta_j })?);
-                }
-            }
+            let ahead = tables[..i].contains(&step.target);
+            let rows = hop_rows(&step.request(&d_rows), changed(&step.target), ahead)?;
             d_rows = rows;
         }
         let term = delta_project(&d_rows, &plan.final_indices);
@@ -555,7 +634,7 @@ pub(crate) fn equation6_delta_profiled(
             dyno_obs::OpPhase::Adapt,
             "eq6_term",
             table_i,
-            delta_i.distinct_len() as u64,
+            delta_i.rows.distinct_len() as u64,
             term.distinct_len() as u64,
         );
         total.rows.merge(&term);
@@ -563,7 +642,53 @@ pub(crate) fn equation6_delta_profiled(
     Ok(total)
 }
 
-/// The fetched old states as the provider Equation 6's hops run against
+/// A hop to a shipped old state `Rⱼ`: answered over the old rows, plus —
+/// when `Rⱼ` precedes `Rᵢ` and so joins at `Rⱼⁿᵉʷ = Rⱼ + ΔRⱼ` — the
+/// compensation term `D ⋈ ΔRⱼ` (the join is bilinear).
+fn shipped_hop(
+    old: &OldStates<'_>,
+    hop: &HopRequest<'_>,
+    delta_j: Option<TableSlice<'_>>,
+    ahead: bool,
+) -> Result<ZSet, RelationalError> {
+    let mut rows = hop.answer(old)?;
+    if let (true, Some(delta_j)) = (ahead, delta_j) {
+        rows.merge(&compensate(hop, delta_j)?);
+    }
+    Ok(rows)
+}
+
+/// A hop to a relation the port answers live: a probe of its current state,
+/// which is the batch point plus every pending update (queued, or arrived
+/// meanwhile). Each pending data update is compensated out at hop width, as
+/// SWEEP does; and when `Rⱼ` follows `Rᵢ` and so joins at its old state, the
+/// batch's own `ΔRⱼ` too. By bilinearity this equals [`shipped_hop`] over
+/// the rolled-back extent.
+fn live_hop(
+    hop: &HopRequest<'_>,
+    delta_j: Option<TableSlice<'_>>,
+    ahead: bool,
+    batch_ids: &[UpdateId],
+    pending: &[&UpdateMessage],
+    port: &mut dyn SourcePort,
+    drained: &mut Vec<UpdateMessage>,
+) -> Result<ZSet, BatchFailure> {
+    let mut rows = port
+        .hop(hop)
+        .map_err(|e| BatchFailure::from(MaintFailure::from_query(|| hop.query(), e)))?;
+    drained.extend(port.drain_arrivals());
+    for du in pending_of(hop.target, batch_ids, pending, drained) {
+        let comp = compensate(hop, (&du.delta).into()).map_err(classify_rollback_error)?;
+        port.charge_local(comp.weight() + du.delta.weight());
+        rows.merge_negated(&comp);
+    }
+    if let (false, Some(delta_j)) = (ahead, delta_j) {
+        rows.merge_negated(&compensate(hop, delta_j).map_err(BatchFailure::Internal)?);
+    }
+    Ok(rows)
+}
+
+/// The shipped old states as the provider Equation 6's hops run against
 /// (borrowed as they are; no indexes, so every hop is a scan join).
 struct OldStates<'a>(&'a HashMap<String, (Schema, ZSet)>);
 
@@ -825,5 +950,43 @@ mod tests {
             Adapted::Replaced { extent, .. } => assert_eq!(extent.weight(), 1),
             other => panic!("attribute replacement adds a relation → recompute, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn incremental_adaptation_compensates_pending_updates() {
+        // A rename batch (new Item row + Store → Shop) adapts incrementally;
+        // a pending Catalog row joins the batch's Item row and must not leak
+        // into ΔV, whether the port ships its extents or answers live.
+        let mut space = bookinfo_space();
+        let view = bookinfo_view();
+        let before = dyno_relational::eval(&view.query, &space.provider()).unwrap().rows;
+        let du = insert_item(10, "Data Integration Guide", "Adams", 36);
+        let m1 = space.commit(SourceId(0), SourceUpdate::Data(du)).unwrap();
+        let rename = SchemaChange::RenameRelation { from: "Store".into(), to: "Shop".into() };
+        let m2 = space.commit(SourceId(0), SourceUpdate::Schema(rename)).unwrap();
+        let at_batch_point = space.clone();
+        let catalog = space.server(SourceId(1)).catalog().get("Catalog").unwrap().schema().clone();
+        let row = ["Data Integration Guide", "Adams", "Engineering", "MIT", "fine"];
+        let pending_du = dyno_relational::DataUpdate::new(
+            dyno_relational::Delta::inserts(catalog, [Tuple::of(row.map(Value::str))]).unwrap(),
+        );
+        let pending = space.commit(SourceId(1), SourceUpdate::Data(pending_du)).unwrap();
+
+        let info = space.info().clone();
+        let mut live = InProcessPort::new(space);
+        let mut shipped_base = live.clone();
+        let mut shipped = crate::engine::TracingPort::new(&mut shipped_base);
+        for port in [&mut live as &mut dyn SourcePort, &mut shipped] {
+            let pending = std::slice::from_ref(&pending);
+            let (res, _) =
+                adapt_batch(&view, &[&m1, &m2], pending, &info, AdaptationMode::Auto, port);
+            let Adapted::Incremental { view: v, delta } = res.unwrap() else {
+                panic!("a rename batch adapts incrementally");
+            };
+            let after = dyno_relational::eval(&v.query, &at_batch_point.provider()).unwrap().rows;
+            assert_eq!(delta.rows, after.diff(&before), "ΔV = batch-point extent − extent before");
+            assert_eq!(delta.rows.weight(), 1, "the pending Catalog row is rolled back");
+        }
+        assert!(shipped.trace().len() >= 3, "the traced port shipped the extents");
     }
 }

@@ -154,6 +154,19 @@ impl HopRequest<'_> {
     }
 }
 
+/// How a port answered the adaptation read of one relation of `V′`
+/// ([`SourcePort::read_for_adaptation`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AdaptRead {
+    /// The relation's rows, shipped: the view manager rolls pending updates
+    /// out of them and answers Equation 6's hops to this relation locally.
+    Shipped(QueryResult),
+    /// The query validated against the port's current state and no rows
+    /// were shipped: Equation 6's hops to this relation go to
+    /// [`SourcePort::hop`], and the view manager compensates their answers.
+    Live,
+}
+
 /// Maintenance lifecycle notifications, so a timed port can meter
 /// per-maintenance and abort ("wasted work") costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,16 +224,37 @@ pub trait SourcePort {
         self.execute(&req.query(), &[bound]).map(|r| r.rows)
     }
 
+    /// The adaptation read of one relation of a rewritten view `V′`: `query`
+    /// is its single-table projection onto the columns `V′` uses, issued by
+    /// Equation 6's incremental path once per relation, in FROM order,
+    /// before any hop. A schema conflict is the broken-query signal, exactly
+    /// as from [`SourcePort::execute`].
+    ///
+    /// The default ships the rows — `execute(query, [])` — so a port that
+    /// does not override it (every timed, faulted or tracing port) keeps
+    /// the paper's cost model of an adaptation: whole extents on the wire,
+    /// hops answered over them at the view manager. A port whose hops are
+    /// as cheap as a local probe may answer [`AdaptRead::Live`] instead,
+    /// after the same validation: the incremental path then hops to the
+    /// relation through [`SourcePort::hop`] and rolls pending updates and
+    /// the batch's own delta out of each answer, so the adaptation costs
+    /// |Δ| × hops probes instead of the extents. Both answers yield the
+    /// same `Adapted`.
+    fn read_for_adaptation(&mut self, query: &SpjQuery) -> Result<AdaptRead, RelationalError> {
+        self.execute(query, &[]).map(AdaptRead::Shipped)
+    }
+
     /// Fetches the named relation's extent *as of* a past source version —
     /// the intelligent wrapper's history capability
     /// (`SourceServer::state_at`: the current catalog rewound through the
     /// log). Pinned reads cannot be broken by concurrent schema changes.
     ///
-    /// Nothing in this crate calls it: view adaptation derives Equation 6's
-    /// pre-images locally, by rolling the batch's own deltas back out of the
-    /// states it fetched through [`SourcePort::execute`]. The method stays
-    /// on the trait because ports outside this crate implement and meter it
-    /// (`SimPort`, the wall-clock benchmark's `TimingPort`).
+    /// Nothing in this crate calls it: view adaptation reads the current
+    /// state ([`SourcePort::read_for_adaptation`]) and derives Equation 6's
+    /// pre-images itself, by compensating for pending updates and the
+    /// batch's own deltas. The method stays on the trait because ports
+    /// outside this crate implement and meter it (`SimPort`, the wall-clock
+    /// benchmark's `TimingPort`).
     fn fetch_relation_at(
         &mut self,
         source: SourceId,
@@ -475,6 +509,12 @@ impl SourcePort for InProcessPort {
 
     fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         req.answer(&self.space.provider())
+    }
+
+    /// Live: the sources are in process, so every hop is an index probe on
+    /// current state and shipping the extent would only copy it.
+    fn read_for_adaptation(&mut self, query: &SpjQuery) -> Result<AdaptRead, RelationalError> {
+        dyno_relational::validate(query, &self.space.provider()).map(|()| AdaptRead::Live)
     }
 
     fn fetch_relation_at(

@@ -38,7 +38,7 @@ pub use batch::{
     BatchFailure,
 };
 pub use engine::{
-    eval_with_bound, schema_from_bag, BoundTable, DeltaCols, HopRequest, InProcessPort,
+    eval_with_bound, schema_from_bag, AdaptRead, BoundTable, DeltaCols, HopRequest, InProcessPort,
     LocalProvider, MaintEvent, SourcePort, TracingPort,
 };
 pub use fport::FaultedPort;

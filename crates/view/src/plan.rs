@@ -112,13 +112,27 @@ impl MaintPlan {
     /// [`MaintPlan::build`] from the defining query alone — a plan depends
     /// on nothing else of the view.
     pub fn for_query(query: &SpjQuery, relation: &str) -> Result<MaintPlan, RelationalError> {
-        // Every column the view uses, in the name order the per-relation
-        // slices below (and the executor's validation) walk them in.
-        let all_refs = query.referenced_cols();
-        let cols_of = |r: &str| all_refs.iter().filter(|c| c.relation == r).collect::<Vec<_>>();
+        // Every column the view uses, borrowed and sorted: the name order the
+        // per-relation ranges below (and the executor's validation) walk
+        // them in. Columns are matched as `ColRef`s throughout; the
+        // flattened `R.a` spelling is formatted only where a step keeps it.
+        let mut all_refs: Vec<&ColRef> = query.projection.iter().map(|p| &p.col).collect();
+        for p in &query.predicates {
+            match p {
+                Predicate::JoinEq(a, b) => all_refs.extend([a, b]),
+                Predicate::Compare(c, ..) => all_refs.push(c),
+            }
+        }
+        all_refs.sort_unstable();
+        all_refs.dedup();
+        // The range of `all_refs` holding relation `r`'s columns.
+        let cols_of = |r: &str| {
+            let start = all_refs.partition_point(|c| c.relation.as_str() < r);
+            let len = all_refs[start..].partition_point(|c| c.relation == r);
+            start..start + len
+        };
 
         // Step 0: local projection/selection of the delta itself.
-        let referenced = cols_of(relation);
         let local_filters: Vec<(String, CmpOp, Value)> = query
             .predicates
             .iter()
@@ -129,14 +143,17 @@ impl MaintPlan {
                 _ => None,
             })
             .collect();
-        let local_proj: Vec<String> = referenced.iter().map(|c| c.attr.clone()).collect();
-        let mut d_cols: Vec<String> = referenced.iter().map(|c| flat(c)).collect();
-        let mut joined: Vec<String> = vec![relation.to_string()];
+        // The running intermediate's columns, and their flattened names —
+        // formatted once each, copied into every step that keeps them.
+        let mut d_cols: Vec<&ColRef> = all_refs[cols_of(relation)].to_vec();
+        let mut d_names: Vec<String> = d_cols.iter().map(|c| flat(c)).collect();
+        let local_proj: Vec<String> = d_cols.iter().map(|c| c.attr.clone()).collect();
+        let mut joined: Vec<&str> = vec![relation];
 
         // Join order: repeatedly pick a not-yet-joined view relation
         // connected to the current intermediate by an equi-join predicate.
-        let mut remaining: Vec<String> =
-            query.tables.iter().filter(|t| **t != relation).cloned().collect();
+        let mut remaining: Vec<&str> =
+            query.tables.iter().map(String::as_str).filter(|t| *t != relation).collect();
         let mut steps = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
             let next_pos = remaining
@@ -144,8 +161,8 @@ impl MaintPlan {
                 .position(|t| {
                     query.predicates.iter().any(|p| match p {
                         Predicate::JoinEq(a, b) => {
-                            (a.relation == *t && joined.contains(&b.relation))
-                                || (b.relation == *t && joined.contains(&a.relation))
+                            (a.relation == *t && joined.contains(&b.relation.as_str()))
+                                || (b.relation == *t && joined.contains(&a.relation.as_str()))
                         }
                         _ => false,
                     })
@@ -154,30 +171,26 @@ impl MaintPlan {
             let target = remaining.remove(next_pos);
 
             // The hop: __D ⋈ target through the view's join and filter
-            // predicates, emitting __D plus target's referenced columns
-            // (flattened).
-            let target_refs = cols_of(&target);
+            // predicates, emitting __D plus target's referenced columns.
             let mut join_keys: Vec<(usize, String)> = Vec::new();
             let mut t_filters: Vec<(String, CmpOp, Value)> = Vec::new();
             for p in &query.predicates {
                 match p {
                     Predicate::JoinEq(a, b) => {
-                        let (d_side, t_side) =
-                            if a.relation == target && joined.contains(&b.relation) {
-                                (b, a)
-                            } else if b.relation == target && joined.contains(&a.relation) {
-                                (a, b)
-                            } else {
-                                continue;
-                            };
-                        let d_pos =
-                            d_cols.iter().position(|c| *c == flat(d_side)).ok_or_else(|| {
-                                RelationalError::InvalidQuery {
-                                    reason: format!(
-                                        "join column {d_side} missing from intermediate"
-                                    ),
-                                }
-                            })?;
+                        let (d_side, t_side) = if a.relation == target
+                            && joined.contains(&b.relation.as_str())
+                        {
+                            (b, a)
+                        } else if b.relation == target && joined.contains(&a.relation.as_str()) {
+                            (a, b)
+                        } else {
+                            continue;
+                        };
+                        let d_pos = d_cols.iter().position(|c| *c == d_side).ok_or_else(|| {
+                            RelationalError::InvalidQuery {
+                                reason: format!("join column {d_side} missing from intermediate"),
+                            }
+                        })?;
                         join_keys.push((d_pos, t_side.attr.clone()));
                     }
                     Predicate::Compare(c, op, v) if c.relation == target => {
@@ -187,17 +200,17 @@ impl MaintPlan {
                 }
             }
 
-            let d_cols_out: Vec<String> =
-                d_cols.iter().cloned().chain(target_refs.iter().map(|c| flat(c))).collect();
-            let t_proj: Vec<String> = target_refs.iter().map(|c| c.attr.clone()).collect();
+            let width = d_cols.len();
+            d_cols.extend_from_slice(&all_refs[cols_of(target)]);
+            let d_cols_in = d_names.clone();
+            d_names.extend(d_cols[width..].iter().map(|c| flat(c)));
             steps.push(MaintStep {
-                target: target.clone(),
-                d_cols_in: d_cols,
+                target: target.to_string(),
+                d_cols_in,
                 join_keys,
                 t_filters,
-                t_proj,
+                t_proj: d_cols[width..].iter().map(|c| c.attr.clone()).collect(),
             });
-            d_cols = d_cols_out;
             joined.push(target);
         }
 
@@ -206,7 +219,7 @@ impl MaintPlan {
             .projection
             .iter()
             .map(|item| {
-                d_cols.iter().position(|c| *c == flat(&item.col)).ok_or_else(|| {
+                d_cols.iter().position(|c| **c == item.col).ok_or_else(|| {
                     RelationalError::InvalidQuery {
                         reason: format!("column {} missing from maintenance result", item.col),
                     }

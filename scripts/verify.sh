@@ -65,16 +65,29 @@ echo "== structural gate: a rename's commit cost does not follow the relation's 
 # relation, or of the catalog as a snapshot) makes the 10x larger source
 # ~10x slower at any machine speed — where the 4x tolerance above, against a
 # baseline from another machine, can let it through.
-rename_median() {
-    grep "\"bench\":\"source_commit_rename/$1\"" "$out/smoke.jsonl" \
+smoke_median() {
+    grep "\"bench\":\"$1\"" "$out/smoke.jsonl" \
         | grep -o '"median_ns":[0-9.]*' | grep -o '[0-9.]*$'
 }
-rename_small="$(rename_median 2000)"
-rename_large="$(rename_median 20000)"
-test -n "$rename_small"
-test -n "$rename_large"
-awk -v s="$rename_small" -v l="$rename_large" 'BEGIN { exit !(l <= 2 * s) }'
-echo "source_commit_rename: $rename_small ns at 2000 rows, $rename_large ns at 20000 (<= 2x)"
+# Fails unless bench row `$1/$3` costs at most twice `$1/$2`.
+size_gate() {
+    local small large
+    small="$(smoke_median "$1/$2")"
+    large="$(smoke_median "$1/$3")"
+    test -n "$small"
+    test -n "$large"
+    awk -v s="$small" -v l="$large" 'BEGIN { exit !(l <= 2 * s) }'
+    echo "$1: $small ns at $2, $large ns at $3 (<= 2x)"
+}
+size_gate source_commit_rename 2000 20000
+
+echo "== structural gate: a merged batch's adaptation cost follows |Δ|, not the relations =="
+# `adapt_batch_rename/6xN` adapts one data update + rename batch over the
+# six N-row testbed relations through `InProcessPort`, which answers its
+# adaptation reads live: Equation 6's hops are index probes, so the cost
+# follows the batch's delta. Shipping the six extents (the parent's path)
+# makes the 10x larger testbed ~10x slower.
+size_gate adapt_batch_rename 6x2000 6x20000
 
 echo "== fig10 --json/--trace smoke test =="
 DYNO_TUPLES=300 cargo run -q --release --offline -p dyno-bench --bin fig10 -- \

@@ -1,29 +1,42 @@
 //! Differential tests for batch adaptation's incremental path: Equation 6
-//! computed as compensated delta chains over one-pass fetched states.
+//! computed as compensated delta chains, with each relation's adaptation
+//! read answered both ways — *live* (`InProcessPort`: validated, no rows
+//! shipped, every hop a probe of current state compensated for pending
+//! updates) and *shipped* (the trait's default through `ExecuteOnly`: one
+//! extent per relation, rolled back, hops over the copies).
 //!
 //! For seeded random merged batches — data updates on several relations
 //! (deletes included) interleaved with relation renames, attribute renames,
 //! attribute additions and drops of attributes the view never referenced,
 //! with pending non-batch updates to roll back, against views with constant
-//! filters and a two-attribute join key — three independently computed
+//! filters and a two-attribute join key — four independently computed
 //! answers must agree:
 //!
-//! 1. `Adapted::Incremental`'s delta (the chains);
-//! 2. `RecomputeOnly`'s batch-point extent minus the extent before the batch;
-//! 3. Equation 6 term by term through the general executor — one full
+//! 1. `Adapted::Incremental` from the live answers (the chains);
+//! 2. the same from the shipped answers — equal as a whole `Adapted`;
+//! 3. `RecomputeOnly`'s batch-point extent minus the extent before the batch;
+//! 4. Equation 6 term by term through the general executor — one full
 //!    `eval` of the view per changed relation over materialized new states,
 //!    the formulation the chains replaced, kept here as the reference —
 //!    over full-width states this file reconstructs itself.
 //!
-//! Cases come from the in-repo seeded PRNG; a failure names its case.
+//! Cases come from the in-repo seeded PRNG; a failure names its case. Two
+//! fixed cases pin what the random ones reach only by chance: pending
+//! updates that join the batch's delta on both sides of the changed
+//! relation, and a pending rename the chain never hops to.
+
+mod common;
 
 use std::collections::HashMap;
 
+use common::ExecuteOnly;
 use dyno::prelude::*;
 use dyno::relational::exec::{RelationProvider, TableSlice};
 use dyno::relational::{eval, ZSet};
 use dyno::sim::Rng;
-use dyno::view::{adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted};
+use dyno::view::{
+    adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted, BatchFailure,
+};
 
 const CASES: u64 = 96;
 
@@ -113,9 +126,9 @@ fn build_space(rng: &mut Rng) -> (SourceSpace, Vec<Tracked>) {
     (space, tracked)
 }
 
-/// `A ⋈ B` on two attributes, `B ⋈ C` on one; filters on two relations in
-/// two cases of three. Outputs are aliased, so renames keep the columns.
-fn view(rng: &mut Rng) -> ViewDefinition {
+/// `A ⋈ B` on two attributes, `B ⋈ C` on one; `filtered` adds filters on
+/// two relations. Outputs are aliased, so renames keep the columns.
+fn view(filtered: bool) -> ViewDefinition {
     let mut b = SpjQuery::over(["A", "B", "C"])
         .select_as("A", "a", "a")
         .select_as("B", "b", "b")
@@ -124,7 +137,7 @@ fn view(rng: &mut Rng) -> ViewDefinition {
         .join_eq(("A", "k1"), ("B", "k1"))
         .join_eq(("A", "k2"), ("B", "k2"))
         .join_eq(("B", "k1"), ("C", "k1"));
-    if rng.gen_ratio(2, 3) {
+    if filtered {
         b = b.filter("A", "a", CmpOp::Ge, 1).filter("C", "c", CmpOp::Lt, 5);
     }
     ViewDefinition::new("V", b.build())
@@ -186,6 +199,44 @@ fn extent_of(view: &ViewDefinition, space: &SourceSpace) -> ZSet {
     eval(&view.query, &space.provider()).expect("the view is defined").rows
 }
 
+type Outcome = (Result<Adapted, BatchFailure>, Vec<UpdateMessage>);
+
+/// Adapts `batch` over a copy of `space`, with every adaptation read
+/// answered live (`InProcessPort`) or shipped (`ExecuteOnly`, the default).
+fn adapt_via(
+    space: &SourceSpace,
+    view: &ViewDefinition,
+    batch: &[UpdateMessage],
+    pending: &[UpdateMessage],
+    mode: AdaptationMode,
+    shipped: bool,
+) -> Outcome {
+    let info = space.info().clone();
+    let members: Vec<&UpdateMessage> = batch.iter().collect();
+    let mut port = InProcessPort::new(space.clone());
+    if shipped {
+        adapt_batch(view, &members, pending, &info, mode, &mut ExecuteOnly(port))
+    } else {
+        adapt_batch(view, &members, pending, &info, mode, &mut port)
+    }
+}
+
+/// [`adapt_via`] both ways, asserting the same `Adapted` (definition,
+/// columns, rows) or the same failure, and the same arrivals.
+fn adapt_both(
+    space: &SourceSpace,
+    view: &ViewDefinition,
+    batch: &[UpdateMessage],
+    pending: &[UpdateMessage],
+    ctx: &str,
+) -> Result<Adapted, BatchFailure> {
+    let live = adapt_via(space, view, batch, pending, AdaptationMode::Auto, false);
+    let shipped = adapt_via(space, view, batch, pending, AdaptationMode::Auto, true);
+    assert_eq!(live, shipped, "{ctx}: live vs shipped answers of the adaptation read");
+    assert!(live.1.is_empty(), "{ctx}: nothing commits during adaptation");
+    live.0
+}
+
 /// The old states and per-relation batch deltas at full width, rebuilt from
 /// the sources' current relations the way the adaptation does it from its
 /// narrow fetches: current rows minus pending updates minus the batch's own
@@ -235,7 +286,7 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
     for case in 0..CASES {
         let mut rng = Rng::new(0xADA9_7000 + case);
         let (mut space, mut tracked) = build_space(&mut rng);
-        let view = view(&mut rng);
+        let view = view(rng.gen_ratio(2, 3));
         let before = extent_of(&view, &space);
 
         let mut fresh = 0;
@@ -261,21 +312,16 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
         }
         with_pending += u32::from(!pending.is_empty());
 
-        let info = space.info().clone();
-        let members: Vec<&UpdateMessage> = batch.iter().collect();
-        let adapt = |mode| {
-            let mut port = InProcessPort::new(space.clone());
-            let (result, arrivals) = adapt_batch(&view, &members, &pending, &info, mode, &mut port);
-            assert!(arrivals.is_empty(), "case {case}: nothing commits during adaptation");
-            result.unwrap_or_else(|e| panic!("case {case}: {e:?}"))
+        let ctx = format!("case {case}");
+        let adapted = adapt_both(&space, &view, &batch, &pending, &ctx)
+            .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+        let Adapted::Incremental { view: new_view, delta } = adapted else {
+            panic!("{ctx}: a shape-preserving batch adapts incrementally");
         };
-        let Adapted::Incremental { view: new_view, delta } = adapt(AdaptationMode::Auto) else {
-            panic!("case {case}: a shape-preserving batch adapts incrementally");
-        };
-        let Adapted::Replaced { view: recomputed_view, extent, .. } =
-            adapt(AdaptationMode::RecomputeOnly)
-        else {
-            panic!("case {case}: RecomputeOnly recomputes");
+        let recomputed =
+            adapt_via(&space, &view, &batch, &pending, AdaptationMode::RecomputeOnly, false);
+        let Ok(Adapted::Replaced { view: recomputed_view, extent, .. }) = recomputed.0 else {
+            panic!("{ctx}: RecomputeOnly recomputes, got {recomputed:?}");
         };
         assert_eq!(new_view, recomputed_view, "case {case}");
         assert_eq!(delta.cols, view.output_cols(), "case {case}");
@@ -295,4 +341,92 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
     );
     assert!(with_pending >= 30, "pending rollbacks ran: {with_pending}");
     assert!(nonempty >= 30, "the deltas were not all trivially empty: {nonempty}");
+}
+
+/// The fixture's relations holding exactly `a`, `b` and `c`.
+fn space_with(a: &[[i64; 4]], b: &[[i64; 4]], c: &[[i64; 3]]) -> SourceSpace {
+    let int = AttrType::Int;
+    let rel = |name: &str, attrs: &[(&str, AttrType)], rows: Vec<Tuple>| {
+        Relation::from_tuples(Schema::of(name, attrs), rows).expect("typed rows")
+    };
+    let ab = |n: &'static str| [("k1", int), ("k2", int), (n, int), ("u", int)];
+    let mut s0 = Catalog::new();
+    s0.add_relation(rel("A", &ab("a"), a.iter().map(|r| Tuple::of(*r)).collect())).unwrap();
+    s0.add_relation(rel("B", &ab("b"), b.iter().map(|r| Tuple::of(*r)).collect())).unwrap();
+    let mut s1 = Catalog::new();
+    let c_attrs = [("k1", int), ("c", int), ("u", int)];
+    s1.add_relation(rel("C", &c_attrs, c.iter().map(|r| Tuple::of(*r)).collect())).unwrap();
+    let mut space = SourceSpace::new();
+    space.add_server(SourceServer::new(SourceId(0), "s0", s0));
+    space.add_server(SourceServer::new(SourceId(1), "s1", s1));
+    space
+}
+
+fn insert(space: &mut SourceSpace, source: u32, relation: &str, row: &[i64]) -> UpdateMessage {
+    let schema = space.server(SourceId(source)).catalog().get(relation).unwrap().schema().clone();
+    let delta = Delta::inserts(schema, [Tuple::of(row.iter().copied())]).expect("typed row");
+    space.commit(SourceId(source), SourceUpdate::Data(DataUpdate::new(delta))).expect("commits")
+}
+
+fn rename(space: &mut SourceSpace, source: u32, from: &str, to: &str) -> UpdateMessage {
+    let sc = SchemaChange::RenameRelation { from: from.into(), to: to.into() };
+    space.commit(SourceId(source), SourceUpdate::Schema(sc)).expect("commits")
+}
+
+#[test]
+fn pending_updates_on_both_sides_of_the_changed_relation_are_compensated() {
+    // FROM order A, B, C. The batch changes A and B and renames C; pending
+    // inserts into A (ahead of B) and C2 (behind B, and behind A) both join
+    // the batch's rows, so every term's chain meets a pending update on its
+    // way — on the live path as a probe answer it must compensate.
+    let mut space =
+        space_with(&[[1, 1, 1, 0], [2, 0, 1, 0]], &[[2, 0, 1, 0]], &[[1, 1, 0], [2, 2, 0]]);
+    let view = view(false);
+    let before = extent_of(&view, &space);
+    let batch = vec![
+        insert(&mut space, 0, "B", &[1, 1, 2, 0]),
+        insert(&mut space, 0, "A", &[2, 0, 5, 0]),
+        rename(&mut space, 1, "C", "C2"),
+    ];
+    let pending =
+        vec![insert(&mut space, 0, "A", &[1, 1, 3, 0]), insert(&mut space, 1, "C2", &[1, 4, 0])];
+
+    let Adapted::Incremental { view: new_view, delta } =
+        adapt_both(&space, &view, &batch, &pending, "both sides").expect("adapts")
+    else {
+        panic!("a rename batch adapts incrementally");
+    };
+    assert!(new_view.references_relation("C2"));
+    let recomputed =
+        adapt_via(&space, &view, &batch, &pending, AdaptationMode::RecomputeOnly, false);
+    let Ok(Adapted::Replaced { extent, .. }) = recomputed.0 else { panic!("{recomputed:?}") };
+    assert_eq!(delta.rows, extent.diff(&before), "chains vs recompute");
+    // ΔB joins the old A row and C's (1, 1); ΔA joins B (2, 0) and C's (2, 2).
+    assert_eq!((delta.rows.weight(), delta.rows.net()), (2, 2), "{:?}", delta.rows);
+
+    // The pending updates matter: withheld, both answers see them.
+    let Ok(Adapted::Incremental { delta: leaky, .. }) =
+        adapt_both(&space, &view, &batch, &[], "pending withheld")
+    else {
+        panic!("adapts");
+    };
+    assert_ne!(leaky.rows, delta.rows, "the pending inserts join the batch's rows");
+}
+
+#[test]
+fn a_pending_rename_the_chain_never_hops_to_breaks_the_up_front_read() {
+    // The batch's only data update fails the view's filter `A.a >= 1`, so
+    // every chain is empty before its first hop; a pending rename of C is
+    // still caught, by the read of C that precedes the chain — identically
+    // whether that read ships C or only validates against it.
+    let mut space = space_with(&[[1, 1, 1, 0]], &[[1, 1, 1, 0]], &[[1, 1, 0]]);
+    let view = view(true);
+    let batch = vec![insert(&mut space, 0, "A", &[1, 1, 0, 0]), rename(&mut space, 0, "B", "B2")];
+    let pending = vec![rename(&mut space, 1, "C", "C9")];
+    match adapt_both(&space, &view, &batch, &pending, "pending rename") {
+        Err(BatchFailure::Broken(broken)) => {
+            assert!(format!("{broken:?}").contains("\"C\""), "the read of C broke: {broken:?}")
+        }
+        other => panic!("expected the read of C to break, got {other:?}"),
+    }
 }

@@ -1,8 +1,15 @@
-//! The invariants every healthy [`run`] must satisfy, shared by the chaos,
-//! crash and multi-view suites, plus the summary lines `scripts/verify.sh`
-//! reads back to assert a suite was not a silent no-op.
+//! Shared by the integration suites, each of which uses a part: the
+//! invariants every healthy [`run`] must satisfy (chaos, crash and
+//! multi-view suites), the summary lines `scripts/verify.sh` reads back to
+//! assert a suite was not a silent no-op, and [`ExecuteOnly`], the
+//! reference port of the hop and adaptation differential suites.
 
+#![allow(dead_code)]
+
+use dyno::prelude::*;
+use dyno::relational::QueryResult;
 use dyno::sim::{run, Experiment, Report};
+use dyno::view::{BoundTable, MaintEvent};
 
 /// Runs `exp` and enforces termination, no hard error, per-view convergence
 /// and strong consistency at every commit and recovery; then appends the
@@ -54,5 +61,58 @@ fn summary(var: &str, lines: String) {
         if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
             let _ = writeln!(f, "{lines}");
         }
+    }
+}
+
+/// A port that forwards only the required methods of [`SourcePort`]: its
+/// hops and adaptation reads take the trait's defaults, the generic paths
+/// through `execute` (a hop as the `__D ⋈ target` step query, an adaptation
+/// read as shipped rows). The reference every native implementation is
+/// compared against, and the shape of every out-of-workspace `SourcePort`
+/// written before those methods existed.
+pub struct ExecuteOnly<P>(pub P);
+
+impl<P: SourcePort> SourcePort for ExecuteOnly<P> {
+    fn now_ms(&self) -> u64 {
+        self.0.now_ms()
+    }
+    fn now_us(&self) -> u64 {
+        self.0.now_us()
+    }
+    fn advance_wait(&mut self, us: u64) {
+        self.0.advance_wait(us);
+    }
+    fn execute(
+        &mut self,
+        query: &SpjQuery,
+        bound: &[BoundTable],
+    ) -> Result<QueryResult, RelationalError> {
+        self.0.execute(query, bound)
+    }
+    fn fetch_relation_at(
+        &mut self,
+        source: SourceId,
+        relation: &str,
+        version: u64,
+    ) -> Result<Relation, RelationalError> {
+        self.0.fetch_relation_at(source, relation, version)
+    }
+    fn locate(&mut self, relation: &str) -> Option<SourceId> {
+        self.0.locate(relation)
+    }
+    fn source_version(&mut self, source: SourceId) -> u64 {
+        self.0.source_version(source)
+    }
+    fn charge_local(&mut self, tuples: u64) {
+        self.0.charge_local(tuples);
+    }
+    fn charge_mv_write(&mut self, tuples: u64) {
+        self.0.charge_mv_write(tuples);
+    }
+    fn drain_arrivals(&mut self) -> Vec<UpdateMessage> {
+        self.0.drain_arrivals()
+    }
+    fn on_maintenance_event(&mut self, event: MaintEvent) {
+        self.0.on_maintenance_event(event);
     }
 }

@@ -9,63 +9,13 @@
 //! Cases are drawn from the in-repo seeded PRNG (`dyno::sim::Rng`), so every
 //! run replays the same case set and a failure is reproducible.
 
+mod common;
+
+use common::ExecuteOnly;
 use dyno::prelude::*;
-use dyno::relational::{thread_stats, ExecStats, QueryResult, ZSet};
+use dyno::relational::{thread_stats, ExecStats, ZSet};
 use dyno::sim::{build_testbed, EventKind, Rng};
-use dyno::view::{
-    BoundTable, DeltaCols, HopRequest, MaintEvent, MaintPlan, TracingPort, ViewDefinition,
-};
-
-/// A port that forwards everything *except* `hop`: its hops take the trait's
-/// default, generic path through `execute`. The reference every native
-/// implementation is compared against, and the shape of every
-/// out-of-workspace `SourcePort` written before the method existed.
-struct ExecuteOnly<P>(P);
-
-impl<P: SourcePort> SourcePort for ExecuteOnly<P> {
-    fn now_ms(&self) -> u64 {
-        self.0.now_ms()
-    }
-    fn now_us(&self) -> u64 {
-        self.0.now_us()
-    }
-    fn advance_wait(&mut self, us: u64) {
-        self.0.advance_wait(us);
-    }
-    fn execute(
-        &mut self,
-        query: &SpjQuery,
-        bound: &[BoundTable],
-    ) -> Result<QueryResult, RelationalError> {
-        self.0.execute(query, bound)
-    }
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<Relation, RelationalError> {
-        self.0.fetch_relation_at(source, relation, version)
-    }
-    fn locate(&mut self, relation: &str) -> Option<SourceId> {
-        self.0.locate(relation)
-    }
-    fn source_version(&mut self, source: SourceId) -> u64 {
-        self.0.source_version(source)
-    }
-    fn charge_local(&mut self, tuples: u64) {
-        self.0.charge_local(tuples);
-    }
-    fn charge_mv_write(&mut self, tuples: u64) {
-        self.0.charge_mv_write(tuples);
-    }
-    fn drain_arrivals(&mut self) -> Vec<UpdateMessage> {
-        self.0.drain_arrivals()
-    }
-    fn on_maintenance_event(&mut self, event: MaintEvent) {
-        self.0.on_maintenance_event(event);
-    }
-}
+use dyno::view::{DeltaCols, HopRequest, MaintPlan, TracingPort, ViewDefinition};
 
 /// One hop's outcome and the executor work it cost.
 type Outcome = (Result<ZSet, RelationalError>, ExecStats);
