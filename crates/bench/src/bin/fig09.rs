@@ -30,6 +30,7 @@ fn du_on_r0(cfg: &TestbedConfig, at_us: u64) -> ScheduledCommit {
         update: SourceUpdate::Data(DataUpdate::new(
             Delta::inserts(schema, [Tuple::new(vals)]).expect("testbed schema"),
         )),
+        peer: 0,
     }
 }
 
@@ -41,6 +42,7 @@ fn drop_attr_r3(at_us: u64) -> ScheduledCommit {
             relation: "R3".into(),
             attr: "A1".into(),
         }),
+        peer: 0,
     }
 }
 
@@ -52,6 +54,7 @@ fn rename_r5(at_us: u64) -> ScheduledCommit {
             from: "R5".into(),
             to: "R5_tuned".into(),
         }),
+        peer: 0,
     }
 }
 

@@ -13,7 +13,7 @@
 //! the reconstructed timeline of one causal id from the detailed run.
 //!
 //! `--replica` switches to the **replication lens**: a partitioned
-//! three-replica `run_replicated` experiment with lineage on, broken down
+//! three-replica `Experiment::replicated` run with lineage on, broken down
 //! per replica — messages resolved, applied, superseded, `rd` conflicts
 //! detected, and the replication lag distribution (publish HLC → apply, the
 //! `lag_us` field of each `repl.apply` record) against the local
@@ -29,8 +29,8 @@ fn usage(bin: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Counts JSONL lineage lines carrying this stage (replica runs export
-/// per-replica JSONL strings rather than sharing a collector).
+/// Counts JSONL lineage lines carrying this stage (each replica keeps its
+/// own collector, so the lens reads one exported capture per replica).
 fn count_stage(jsonl: &str, stage: &str) -> u64 {
     let needle = format!("\"stage\":\"{stage}\"");
     jsonl.lines().filter(|l| l.contains(&needle)).count() as u64
@@ -59,8 +59,8 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 /// The replication lens: per-replica message resolution and lag breakdown
 /// of one partitioned three-replica experiment.
 fn replica_lens(seed: u64) {
-    use dyno_sim::{run_replicated, ReplicaConfig};
-    let report = run_replicated(&ReplicaConfig::named("partition", 3, seed).with_lineage());
+    let exp = Experiment { lineage: true, ..Experiment::replicated("partition", 3, seed, None) };
+    let report = run(exp).expect("testbed views initialize");
     assert!(report.converged, "replica forensics run died: {:?}", report.last_error);
 
     println!("== replication forensics (partition profile, 3 replicas, seed {seed}) ==\n");
@@ -75,13 +75,15 @@ fn replica_lens(seed: u64) {
         "live p50/p95/p99",
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (r, jsonl) in report.lineage.iter().enumerate() {
+    for (r, obs) in report.peer_obs.iter().enumerate() {
+        let jsonl = &obs.lineage_jsonl();
         let mut lags = field_values(jsonl, dyno_obs::stage::REPL_APPLY, "lag_us");
         lags.sort_unstable();
         // Two lag sources, one truth: the post-hoc lineage replay above and
         // the live `replica.lag_us` histogram sampled by the engine. The
         // live column is what `monitor` sees without lineage capture on.
-        let (count, p50, p95, p99) = report.lag_quantiles[r];
+        let live = obs.registry().histogram("replica.lag_us");
+        let (p50, p95, p99) = live.percentiles();
         rows.push(vec![
             format!("r{r}"),
             count_stage(jsonl, dyno_obs::stage::REPL_RECV).to_string(),
@@ -94,13 +96,17 @@ fn replica_lens(seed: u64) {
                 .to_string(),
             format!("{}µs", percentile(&lags, 50)),
             format!("{}µs", percentile(&lags, 95)),
-            format!("{p50}/{p95}/{p99}µs (n={count})"),
+            format!("{p50}/{p95}/{p99}µs (n={})", live.count()),
         ]);
     }
     println!("{}", render_table(&header, &rows));
+    let crcs: Vec<Vec<u32>> =
+        report.peer_views.iter().map(|v| v.iter().map(|o| o.extent_crc).collect()).collect();
     println!(
         "partitions held traffic: {}   LWW losers discarded: {}   extents bit-identical: {}",
-        report.partitions_injected, report.superseded, report.bit_identical
+        report.counter("replica.partitions_injected"),
+        report.counter("replica.superseded"),
+        crcs.windows(2).all(|w| w[0] == w[1]),
     );
     println!(
         "\n(remote lag is publish-HLC → apply at the receiver; compare against the\n\

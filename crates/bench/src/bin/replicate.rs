@@ -1,40 +1,38 @@
 //! Replication sweep: replica count × fault profile, timing one seeded
-//! `run_replicated` experiment per cell — commit rounds under faults and
-//! partitions, heal, NACK flush, and the convergence audit — and emitting
-//! the scale-free conflict counters alongside the wall-clock medians.
+//! `Experiment::replicated` run per cell — client-write rounds under faults
+//! and partitions, heal, NACK flush, and the convergence audit — and
+//! reporting its replication counters beside the wall-clock medians.
 //!
 //! Every cell also cross-checks correctness: the run must converge to
 //! bit-identical extents at every replica, and partition cells must detect
-//! concurrent writes. The conflict/superseded counters are deterministic
-//! per seed, so their JSONL rows double as behavioural-drift detectors for
-//! `benchdiff` (a resolver change shows up as a counter jump long before it
-//! shows up as a timing regression).
+//! concurrent writes. The counters are deterministic per seed;
+//! `tests/data/replica_grid.txt` pins them exactly, so `--json` carries only
+//! the timings `benchdiff` compares.
 //!
 //! ```text
-//! replicate [--reps K] [--seed N] [--rounds R] [--json PATH]
+//! replicate [--reps K] [--seed N] [--json PATH]
 //! ```
 
 use std::io::Write as _;
 use std::time::Instant;
 
 use dyno_bench::render_table;
-use dyno_sim::{run_replicated, ReplicaConfig, ReplicaReport};
+use dyno_sim::{run, Experiment, Report};
 
 struct Args {
     reps: usize,
     seed: u64,
-    rounds: usize,
     json: Option<String>,
 }
 
 fn usage(bin: &str) -> ! {
-    eprintln!("usage: {bin} [--reps K] [--seed N] [--rounds R] [--json PATH]");
+    eprintln!("usage: {bin} [--reps K] [--seed N] [--json PATH]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let bin = std::env::args().next().unwrap_or_else(|| "replicate".into());
-    let mut out = Args { reps: 3, seed: 42, rounds: 24, json: None };
+    let mut out = Args { reps: 3, seed: 42, json: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut num = |a: &mut dyn FnMut(&str)| match args.next() {
@@ -44,7 +42,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--reps" => num(&mut |v| out.reps = v.parse().unwrap_or_else(|_| usage(&bin))),
             "--seed" => num(&mut |v| out.seed = v.parse().unwrap_or_else(|_| usage(&bin))),
-            "--rounds" => num(&mut |v| out.rounds = v.parse().unwrap_or_else(|_| usage(&bin))),
             "--json" => num(&mut |v| out.json = Some(v.to_string())),
             _ => usage(&bin),
         }
@@ -55,10 +52,7 @@ fn parse_args() -> Args {
 fn main() {
     dyno_bench::warn_if_debug();
     let args = parse_args();
-    println!(
-        "== replication sweep (seed {}, {} rounds, {} reps) ==\n",
-        args.seed, args.rounds, args.reps
-    );
+    println!("== replication sweep (seed {}, {} reps) ==\n", args.seed, args.reps);
 
     let header =
         ["cell", "median", "published", "applied", "conflicts", "superseded", "partitions"];
@@ -67,15 +61,12 @@ fn main() {
 
     for replicas in [2usize, 3, 5] {
         for profile in ["quiet", "drop_dup", "partition"] {
-            let cfg = ReplicaConfig {
-                rounds: args.rounds,
-                ..ReplicaConfig::named(profile, replicas, args.seed)
-            };
             let mut times: Vec<u64> = Vec::new();
-            let mut last: Option<ReplicaReport> = None;
+            let mut last: Option<Report> = None;
             for _ in 0..args.reps.max(1) {
                 let t0 = Instant::now();
-                let report = run_replicated(&cfg);
+                let report = run(Experiment::replicated(profile, replicas, args.seed, None))
+                    .expect("testbed views initialize");
                 times.push(t0.elapsed().as_nanos() as u64);
                 assert!(
                     report.converged,
@@ -84,7 +75,8 @@ fn main() {
                 );
                 if profile == "partition" {
                     assert!(
-                        report.conflicts > 0 && report.partitions_injected > 0,
+                        report.counter("replica.conflicts") > 0
+                            && report.counter("replica.partitions_injected") > 0,
                         "r{replicas}/partition: cell must partition and conflict"
                     );
                 }
@@ -96,30 +88,16 @@ fn main() {
             rows.push(vec![
                 format!("r{replicas}/{profile}"),
                 format!("{:.2}ms", median as f64 / 1e6),
-                report.published.to_string(),
-                report.remote_applied.to_string(),
-                report.conflicts.to_string(),
-                report.superseded.to_string(),
-                report.partitions_injected.to_string(),
+                report.counter("replica.published").to_string(),
+                report.counter("replica.remote_applied").to_string(),
+                report.counter("replica.conflicts").to_string(),
+                report.counter("replica.superseded").to_string(),
+                report.counter("replica.partitions_injected").to_string(),
             ]);
             json_lines.push(format!(
                 "{{\"group\":\"replicate\",\"bench\":\"converge/r{replicas}_{profile}\",\
                  \"median_ns\":{median}}}"
             ));
-            if profile == "partition" {
-                // Deterministic per seed: drift here means resolver-behaviour
-                // change, not machine noise.
-                json_lines.push(format!(
-                    "{{\"group\":\"replicate\",\"bench\":\"conflicts/r{replicas}_{profile}\",\
-                     \"median_ns\":{}}}",
-                    report.conflicts.max(1)
-                ));
-                json_lines.push(format!(
-                    "{{\"group\":\"replicate\",\"bench\":\"superseded/r{replicas}_{profile}\",\
-                     \"median_ns\":{}}}",
-                    report.superseded.max(1)
-                ));
-            }
         }
     }
 

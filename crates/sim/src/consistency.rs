@@ -11,9 +11,8 @@
 //!   [`dyno_view::Warehouse::view_reflected`]); the auditor replays source
 //!   history to that vector and compares.
 //!
-//! [`audit`] is the one oracle every driver runs: [`crate::run`] after each
-//! commit and recovery, [`crate::run_replicated`] per replica after each
-//! quiescence.
+//! [`audit`] is the one oracle: [`crate::run`] applies it to every warehouse
+//! of a run — one, or each peer — after each commit and recovery.
 
 use std::collections::HashMap;
 

@@ -1,5 +1,5 @@
 //! The one simulation harness: an [`Experiment`] says what to run, [`run`]
-//! steps one [`Warehouse`] against a [`SimPort`] until every scheduled source
+//! steps its warehouses against [`SimPort`]s until every scheduled source
 //! commit has been maintained, and a [`Report`] says what happened.
 //!
 //! Everything the paper's evaluation varies is a field of the experiment —
@@ -7,7 +7,9 @@
 //! model — and so is everything later PRs bolted on: a fault profile routes
 //! the warehouse/source conversation through a [`ChaosTransport`], a kill
 //! plan attaches a WAL and cuts its power at planned records, a [`Monitor`]
-//! samples the registry and the staleness lanes every window. The fields
+//! samples the registry and the staleness lanes every window, and a
+//! [`Peers`] topology runs N warehouses, each over its own copy of the
+//! sources, joined by a peer fabric ([`crate::replica`]). The fields
 //! compose: the loop is the same whichever are set, and so is the oracle
 //! ([`audit`] after every commit and recovery, convergence per view at the
 //! end).
@@ -18,20 +20,13 @@
 //!
 //! ## The loop
 //!
-//! * **Idle** means the queue is empty: simulated time jumps to the next
-//!   scheduled commit or transport event (delayed delivery falling due,
-//!   crashed source restarting). When nothing is left to fall due, a faulty
-//!   transport is force-flushed once — messages it dropped are withheld
-//!   until NACKed — before the run is declared over.
-//! * **Parked** entries (a source down past the retry budget) do not end the
-//!   run: time advances to the next event and the scheduler retries the head.
-//! * **A power cut** may trip anywhere inside a step. The warehouse is
-//!   dropped — taking its in-memory extents, queue, and the port's in-flight
-//!   delivery state with it — and rebuilt by [`Warehouse::recover`] from the
-//!   surviving storage. Sources and transport live on (they are the outside
-//!   world); the rebuilt port re-subscribes from the recovered high-water
-//!   marks, replaying the window between the last durable admission and the
-//!   crash.
+//! An idle run jumps to the next scheduled commit, transport event or fabric
+//! event, and flushes what a faulty transport or the fabric withheld once
+//! nothing is left to fall due. Parked entries wait for the next event. A
+//! power cut, inside a step or a publish, drops the warehouse and rebuilds
+//! it from its WAL; sources, transport and fabric are the outside world and
+//! live on, so the rebuilt port re-subscribes from the recovered marks and a
+//! peer re-sends its unacked outbox.
 
 use std::collections::HashMap;
 
@@ -39,7 +34,7 @@ use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
 use dyno_durable::MemStorage;
 use dyno_fault::{ChaosTransport, Direct, FaultProfile, RetryPolicy, Transport};
 use dyno_obs::{Collector, Sampler, SloPolicy, StalenessTracker};
-use dyno_source::{InfoSpace, SourceId, SourceSpace};
+use dyno_source::{SourceId, SourceSpace};
 use dyno_view::wal::{CrashPlan, DurableLog};
 use dyno_view::{
     AdaptationMode, FaultedPort, SourcePort, ViewDefinition, ViewError, ViewStats, Warehouse,
@@ -49,6 +44,7 @@ use crate::consistency::{audit, check_convergence, extent_crc};
 use crate::cost::CostModel;
 use crate::metrics::Metrics;
 use crate::port::{ScheduledCommit, SimPort};
+use crate::replica::{Fabric, Peers};
 use crate::testbed::{build_multiview, build_space, build_view, tenant_views, TestbedConfig};
 use crate::workload::{OpenLoopConfig, WorkloadGen};
 
@@ -135,6 +131,9 @@ pub struct Experiment {
     /// Turn the per-operator cost profiler on
     /// (`Report::obs.profile_snapshot()` then holds the plan trees).
     pub op_profile: bool,
+    /// `None` is one warehouse; `Some` runs one peer warehouse per
+    /// [`Peers::count`], each over its own copy of [`Experiment::space`].
+    pub peers: Option<Peers>,
 }
 
 impl Experiment {
@@ -165,6 +164,7 @@ impl Experiment {
             tracing: false,
             lineage: false,
             op_profile: false,
+            peers: None,
         }
     }
 
@@ -251,8 +251,9 @@ impl Telemetry {
 /// copied here.
 #[derive(Debug)]
 pub struct Report {
-    /// Every view converged, nothing stayed deferred, and the run neither
-    /// exhausted its budget nor died on a hard error.
+    /// Every view converged, nothing stayed deferred, every peer's extents
+    /// are bit-identical, and the run neither exhausted its budget nor died
+    /// on a hard error.
     pub converged: bool,
     /// Views that failed [`audit`], summed over every commit and recovery
     /// (0 when [`Experiment::audit`] was off).
@@ -265,19 +266,25 @@ pub struct Report {
     pub last_error: Option<String>,
     /// Simulated-time metrics (the paper's y-axes).
     pub metrics: Metrics,
-    /// Per-view outcomes, in slot order.
+    /// Per-view outcomes, in slot order (of peer 0 in a replicated run).
     pub views: Vec<ViewOutcome>,
+    /// Every warehouse's view outcomes, in peer order.
+    pub peer_views: Vec<Vec<ViewOutcome>>,
     /// The monitor's series, when [`Experiment::monitor`] was set.
     pub telemetry: Option<Telemetry>,
     /// The run's collector: the registry and — when switched on — the trace,
-    /// the lineage capture and the operator profile.
+    /// the lineage capture and the operator profile (peer 0's in a
+    /// replicated run, which also holds the fabric's counters).
     pub obs: Collector,
+    /// Every warehouse's collector, in peer order.
+    pub peer_obs: Vec<Collector>,
 }
 
 impl Report {
-    /// A registry counter of the run (0 when it was never registered).
+    /// A registry counter of the run, summed over its warehouses (0 when it
+    /// was never registered).
     pub fn counter(&self, name: &str) -> u64 {
-        self.obs.registry().counter_value(name).unwrap_or(0)
+        self.peer_obs.iter().map(|o| o.registry().counter_value(name).unwrap_or(0)).sum()
     }
 
     /// The JSON document `dyno-bench monitor --json` writes and `benchdiff`
@@ -329,30 +336,70 @@ impl Report {
     }
 }
 
-/// What [`drive`] needs besides the warehouse, its port and the transport.
+/// What [`drive`] needs besides the warehouses and the fabric.
 struct Run<'a> {
-    /// The experiment's knobs (its sources, views and schedule moved out).
+    /// The experiment's knobs (its sources and schedule moved out).
     exp: &'a Experiment,
-    /// Information space and collector a recovered warehouse is rebuilt with.
-    info: &'a InfoSpace,
-    obs: &'a Collector,
     /// Whether the transport can hold, drop or delay anything.
     faulty: bool,
     /// Maintenance-step budget (guards the theoretical infinite-abort loop
     /// of paper Section 4.4).
     max_steps: u64,
-    /// The disk behind the WAL; it outlives every warehouse life.
-    disk: &'a MemStorage,
+    /// Records between WAL snapshots.
+    checkpoint_every: u64,
 }
 
-/// What a run did, plus the warehouse and port it ended with.
+/// One warehouse of a run behind its port and transport, with what outlives
+/// each of its lives: its collector, the disk behind its WAL, and the
+/// source versions its first life started from.
+pub(crate) struct Node<T> {
+    pub(crate) wh: Warehouse,
+    pub(crate) port: FaultedPort<SimPort, T>,
+    pub(crate) obs: Collector,
+    disk: MemStorage,
+    versions: HashMap<SourceId, u64>,
+    /// Lives lost to power cuts so far.
+    kills: u64,
+}
+
+impl<T: Transport> Node<T> {
+    /// The next life after a power cut (see the module docs): this one is
+    /// dropped, the next is rebuilt from the disk and, as peer `peer`,
+    /// rejoins the fabric.
+    fn recover(self, peer: usize, fabric: Option<&mut Fabric>, run: &Run<'_>) -> Self {
+        let Node { wh, port, obs, disk, versions, kills } = self;
+        drop(wh);
+        let (port, transport) = port.into_parts();
+        let info = port.space().info().clone();
+        let mut wh = Warehouse::recover(Box::new(disk.clone()), info, obs.clone())
+            .expect("a cut log always holds its initial checkpoint")
+            .0
+            .with_subplan_sharing(run.exp.share_subplans);
+        wh.set_checkpoint_every(run.checkpoint_every);
+        if let Some(fabric) = fabric {
+            fabric.rejoin(peer, &mut wh, &obs, port.now_us());
+        }
+        // Resubscription baseline: pre-wrap versions overlaid with the
+        // recovered admission marks.
+        let mut baseline = versions.clone();
+        for (s, v) in wh.ingress_marks() {
+            baseline.entry(SourceId(s)).and_modify(|e| *e = v.max(*e)).or_insert(v);
+        }
+        let mut port = wrap(port, transport, baseline, run, &obs, kills + 1);
+        port.resubscribe();
+        Node { wh, port, obs, disk, versions, kills: kills + 1 }
+    }
+}
+
+/// What a step of the loop or a fabric hook ends with; `Err` ends the run.
+pub(crate) type Fallible = Result<(), Box<dyn std::error::Error>>;
+
+/// What a run did.
+#[derive(Default)]
 struct Driven {
-    wh: Warehouse,
-    port: SimPort,
     steps: u64,
     audit_violations: u64,
     exhausted: bool,
-    last_error: Option<String>,
 }
 
 /// Wraps `port` behind `transport` for warehouse life number `life` (0 for
@@ -370,6 +417,7 @@ fn wrap<T: Transport>(
     transport: T,
     baseline: HashMap<SourceId, u64>,
     run: &Run<'_>,
+    obs: &Collector,
     life: u64,
 ) -> FaultedPort<SimPort, T> {
     let fport = FaultedPort::new(port, transport, baseline);
@@ -379,51 +427,51 @@ fn wrap<T: Transport>(
     fport
         .with_retry(run.exp.retry)
         .with_seed(run.exp.seed ^ 0x9e37_79b9_7f4a_7c15 ^ life)
-        .with_obs(run.obs)
+        .with_obs(obs)
         .with_recovery(!run.exp.break_dedupe)
 }
 
-/// Steps `wh` against `port` behind `transport` to quiescence (or budget /
-/// hard error), killing and recovering it from its WAL at each planned
-/// power cut and ticking `telemetry` once per iteration.
+/// The earliest moment a port changes on its own: a scheduled source
+/// commit, or a transport event (delayed delivery falling due, crashed
+/// source restarting).
+fn port_event<T: Transport>(nodes: &[Node<T>]) -> Option<u64> {
+    let next = |n: &Node<T>| [n.port.inner().next_commit_at_us(), n.port.next_wakeup_us()];
+    nodes.iter().flat_map(next).flatten().min()
+}
+
+/// Lets simulated time pass to `t` at every port.
+fn advance<T: Transport>(nodes: &mut [Node<T>], t: u64) {
+    nodes.iter_mut().for_each(|n| n.port.inner_mut().advance_to(t));
+}
+
+/// Steps every warehouse to quiescence (or budget), recovering a warehouse
+/// from its WAL at each planned power cut and ticking `telemetry` once per
+/// iteration; `Err` is the hard maintenance or oracle error that ended the
+/// run. A fabric acts at the loop's four points: as an event source, when
+/// due, after each commit, and at quiescence.
 fn drive<T: Transport>(
-    mut wh: Warehouse,
-    port: SimPort,
-    transport: T,
+    nodes: &mut Vec<Node<T>>,
+    fabric: &mut Option<Fabric>,
     telemetry: &mut Option<Telemetry>,
     run: &Run<'_>,
-) -> Driven {
-    let init_versions = port.space().versions();
-    let mut fport = wrap(port, transport, init_versions.clone(), run, 0);
+    d: &mut Driven,
+) -> Fallible {
+    let victim = run.exp.peers.as_ref().map_or(0, |p| p.victim);
     let mut plans = run.exp.kills.iter();
-    if let Some(&plan) = plans.next() {
-        wh.arm_crash(plan);
-    }
-    let check = |wh: &Warehouse, space: &SourceSpace| -> Result<u64, String> {
-        if !run.exp.audit {
-            return Ok(0);
-        }
-        audit(wh, space).map_err(|e| format!("audit oracle: {e}"))
-    };
-    // The earliest moment anything changes on its own: a scheduled source
-    // commit, or a transport event (delayed delivery falling due, crashed
-    // source restarting).
-    let next_event = |f: &FaultedPort<SimPort, T>| -> Option<u64> {
-        match (f.inner().next_commit_at_us(), f.next_wakeup_us()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    let mut arm = |nodes: &mut [Node<T>]| plans.next().map(|&p| nodes[victim].wh.arm_crash(p));
+    arm(nodes);
+    let check = |n: &Node<T>| {
+        let verdict = run.exp.audit.then(|| audit(&n.wh, n.port.inner().space()));
+        verdict.unwrap_or(Ok(0)).map_err(|e| format!("audit oracle: {e}"))
     };
     // Under a faulty transport an idle or parked warehouse always lets at
     // least 1 µs pass, so the next fault rolls differ and a wakeup that is
     // already due cannot spin; a reliable one jumps exactly to the commit.
     let slack = u64::from(run.faulty);
-
-    let mut kills = 0u64;
-    let mut steps = 0u64;
-    let mut audit_violations = 0u64;
-    let mut exhausted = false;
-    let mut last_error: Option<String> = None;
+    // What only a quiescence flush recovers: messages a faulty transport
+    // dropped, and peer deltas the fabric dropped or a gap withholds. A
+    // second flush in a row finds nothing and ends the run.
+    let withheld = run.faulty || fabric.is_some();
     let mut flushed = false;
     // Idle iterations do not count as steps, so bound raw iterations
     // separately against driver bugs.
@@ -431,127 +479,95 @@ fn drive<T: Transport>(
     let iter_budget = run.max_steps.saturating_mul(20).max(100_000);
 
     loop {
-        iters += 1;
-        if steps >= run.max_steps || iters >= iter_budget {
-            exhausted = true;
-            break;
-        }
-        let outcome = wh.step(&mut fport);
-
-        // The power cut may have tripped anywhere inside that step. The
-        // doomed process may even have "committed" in memory — none of it
-        // is durable past the cut, and the kill discards it.
-        if wh.wal_power_cut() {
-            kills += 1;
-            drop(wh);
-            let (port, transport) = fport.into_parts();
-            wh = Warehouse::recover(Box::new(run.disk.clone()), run.info.clone(), run.obs.clone())
-                .expect("a cut log always holds its initial checkpoint")
-                .0
-                .with_subplan_sharing(run.exp.share_subplans);
-            wh.set_checkpoint_every(CHECKPOINT_EVERY);
-            // Resubscription baseline: pre-wrap versions overlaid with the
-            // recovered admission marks.
-            let mut baseline = init_versions.clone();
-            for (s, v) in wh.ingress_marks() {
-                let e = baseline.entry(SourceId(s)).or_insert(0);
-                *e = (*e).max(v);
-            }
-            fport = wrap(port, transport, baseline, run, kills);
-            fport.resubscribe();
-            match check(&wh, fport.inner().space()) {
-                Ok(failed) => audit_violations += failed,
-                Err(e) => {
-                    last_error = Some(e);
-                    break;
-                }
-            }
-            if let Some(&plan) = plans.next() {
-                wh.arm_crash(plan);
-            }
-            flushed = false;
+        let just_flushed = std::mem::take(&mut flushed);
+        // The power cut may have tripped anywhere inside a step or a
+        // publish. The doomed process may even have "committed" in memory —
+        // none of it is durable past the cut, and the kill discards it.
+        if let Some(p) = nodes.iter().position(|n| n.wh.wal_power_cut()) {
+            let node = nodes.remove(p).recover(p, fabric.as_mut(), run);
+            nodes.insert(p, node);
+            d.audit_violations += check(&nodes[p])?;
+            arm(nodes);
             continue;
         }
-
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                last_error = Some(e.to_string());
+        iters += 1;
+        if d.steps >= run.max_steps || iters >= iter_budget {
+            d.exhausted = true;
+            break;
+        }
+        // Step the first warehouse with work; the run is idle when none has.
+        let (mut p, mut outcome) = (0, Ok(StepOutcome::Idle));
+        for (i, n) in nodes.iter_mut().enumerate() {
+            (p, outcome) = (i, n.wh.step(&mut n.port));
+            if n.wh.wal_power_cut() || !matches!(outcome, Ok(StepOutcome::Idle)) {
                 break;
             }
-        };
-        if outcome != StepOutcome::Idle {
-            steps += 1;
-            flushed = false;
         }
-        let now = fport.now_us();
+        if nodes[p].wh.wal_power_cut() {
+            continue;
+        }
+        let outcome = outcome?;
+        d.steps += u64::from(outcome != StepOutcome::Idle);
+        let now = nodes.iter().map(|n| n.port.now_us()).max().unwrap_or(0);
         match outcome {
-            StepOutcome::Idle => match next_event(&fport) {
-                Some(t) => {
-                    fport.inner_mut().advance_to(t.max(now + slack));
-                    flushed = false;
+            StepOutcome::Idle => {
+                let fabric_at = fabric.as_ref().and_then(|f| f.next_event_us(now));
+                match (port_event(nodes), fabric_at) {
+                    // A client write or a delivery, at its own instant.
+                    (port_at, Some(t)) if port_at.unwrap_or(u64::MAX) >= t => {
+                        advance(nodes, t);
+                        fabric.as_mut().expect("a fabric event has a fabric").fire(t, nodes)?;
+                    }
+                    (Some(t), _) => advance(nodes, t.max(now + slack)),
+                    // Nothing will ever fall due on its own; whatever is
+                    // still withheld is only recoverable by a flush.
+                    (None, None) if withheld && !just_flushed => {
+                        if run.faulty {
+                            nodes.iter_mut().for_each(|n| n.port.flush_all());
+                        }
+                        fabric.as_mut().map_or(Ok(()), |f| f.flush(nodes, now))?;
+                        flushed = true;
+                    }
+                    _ => break,
                 }
-                None if run.faulty && !flushed => {
-                    // Nothing will ever fall due on its own; whatever the
-                    // transport still withholds (drops) is only recoverable
-                    // by a quiescence flush.
-                    fport.flush_all();
-                    flushed = true;
-                }
-                None => break,
-            },
+            }
             StepOutcome::Committed => {
-                match check(&wh, fport.inner().space()) {
-                    Ok(failed) => audit_violations += failed,
-                    Err(e) => {
-                        last_error = Some(e);
-                        break;
-                    }
-                }
+                d.audit_violations += check(&nodes[p])?;
+                let n = &mut nodes[p];
                 if !run.exp.kills.is_empty() {
-                    // Everything admitted is durable (logged before enqueue),
-                    // so the transport may prune its replay log up to the
-                    // marks.
-                    for (s, v) in wh.ingress_marks() {
-                        fport.ack_durable(SourceId(s), v);
+                    // Everything admitted is durable (logged before
+                    // enqueue), so the transport may prune up to the marks.
+                    for (s, v) in n.wh.ingress_marks() {
+                        n.port.ack_durable(SourceId(s), v);
                     }
                 }
+                fabric.as_mut().map_or(Ok(()), |f| f.publish(n, p, now))?;
             }
             StepOutcome::Aborted => {}
             StepOutcome::Parked => {
                 // Let simulated time pass before the retry: to the next
                 // transport event if one is pending, otherwise a fixed
                 // 1-second think so the next fault rolls differ.
-                let t = next_event(&fport).unwrap_or(now + 1_000_000);
-                fport.inner_mut().advance_to(t.max(now + slack));
+                let t = port_event(nodes).unwrap_or(now + 1_000_000);
+                advance(nodes, t.max(now + slack));
             }
             StepOutcome::Failed => unreachable!("warehouse.step surfaces failures as Err"),
         }
-        if let Some(t) = telemetry.as_mut() {
-            t.tick(fport.now_us());
-        }
+        telemetry.iter_mut().for_each(|t| t.tick(nodes[0].port.now_us()));
     }
 
     // Recovery ticks: with the schedule drained and the UMQ empty, clean
     // windows accumulate and the burn-rate states walk back toward ok.
-    if let (Some(t), Some(m), true) = (telemetry.as_mut(), run.exp.monitor, last_error.is_none()) {
+    if let (Some(t), Some(m)) = (telemetry.as_mut(), run.exp.monitor) {
+        let n = &mut nodes[0];
         for _ in 0..m.drain_windows {
-            let next = fport.now_us() + m.window_us;
-            fport.inner_mut().advance_to(next);
-            if let Err(e) = wh.step(&mut fport) {
-                last_error = Some(e.to_string());
-                break;
-            }
-            t.tick(fport.now_us());
+            let next = n.port.now_us() + m.window_us;
+            n.port.inner_mut().advance_to(next);
+            n.wh.step(&mut n.port)?;
+            t.tick(n.port.now_us());
         }
     }
-
-    // Close the log cleanly (a no-op without one): the final checkpoint
-    // truncates the WAL so a later `recover` replays exactly one record and
-    // reports no torn tail.
-    wh.checkpoint_now();
-
-    Driven { wh, port: fport.into_parts().0, steps, audit_violations, exhausted, last_error }
+    Ok(())
 }
 
 /// Runs one experiment to quiescence (or step budget / hard error). `Err`
@@ -560,93 +576,133 @@ fn drive<T: Transport>(
 /// ends a started run is reported, with everything up to it, in
 /// [`Report::last_error`].
 pub fn run(mut exp: Experiment) -> Result<Report, ViewError> {
-    let max_steps = (50 * exp.schedule.len() as u64 + 1_000).max(5_000);
-    let info = exp.space.info().clone();
-    let space = std::mem::replace(&mut exp.space, SourceSpace::new());
-    let mut port = SimPort::new(space, std::mem::take(&mut exp.schedule), exp.cost);
-    let obs = port.obs().clone();
-    obs.set_tracing(exp.tracing);
-    let obs = if exp.lineage { obs.with_lineage(LINEAGE_RING) } else { obs };
-    obs.set_profile(exp.op_profile);
-    let mut telemetry = exp.monitor.map(|m| {
-        let tracker = StalenessTracker::new(WINDOW_CAPACITY);
-        tracker.bind_obs(&obs);
-        tracker.set_cadence(m.window_us, 0);
-        tracker.set_slo(m.slo);
-        port.set_staleness(tracker.clone());
-        Telemetry {
-            sampler: Sampler::new(obs.registry(), m.window_us, WINDOW_CAPACITY, 0),
-            tracker,
-        }
-    });
-
-    let mut wh = Warehouse::new(info.clone(), exp.strategy)
-        .with_obs(obs.clone())
-        .with_correction(exp.policy)
-        .with_adaptation(exp.adaptation)
-        .with_subplan_sharing(exp.share_subplans)
-        .with_ingest_dedupe(!exp.break_dedupe);
-    if let Some(bound) = exp.umq_bound {
-        wh = wh.with_umq_bound(bound)?;
-    }
-    if let Some(t) = &telemetry {
-        wh = wh.with_staleness(t.tracker.clone());
-    }
-    for view in std::mem::take(&mut exp.views) {
-        wh.add_view(view);
-    }
-    wh.initialize(&mut port)?;
-    port.start_metering();
-
-    let disk = MemStorage::new();
-    let mut fault = exp.fault;
+    // A killed warehouse loses its undrained deliveries and must be able to
+    // ask for them again, which `Direct` cannot answer.
     if !exp.kills.is_empty() {
-        let log = DurableLog::create(Box::new(disk.clone()))
-            .expect("MemStorage never fails")
-            .with_checkpoint_every(CHECKPOINT_EVERY);
-        wh = wh.with_wal(log)?;
-        fault.get_or_insert_with(FaultProfile::quiet);
+        exp.fault.get_or_insert_with(FaultProfile::quiet);
     }
-
-    let run =
-        Run { exp: &exp, info: &info, obs: &obs, faulty: fault.is_some(), max_steps, disk: &disk };
-    let Driven { wh, port, steps, audit_violations, exhausted, mut last_error } = match fault {
-        None => drive(wh, port, Direct, &mut telemetry, &run),
+    match exp.fault {
+        None => simulate(exp, |_| Direct),
         Some(profile) => {
-            let transport = ChaosTransport::new(profile, exp.seed).with_obs(&obs);
-            drive(wh, port, transport, &mut telemetry, &run)
+            let seed = exp.seed;
+            simulate(exp, move |obs| ChaosTransport::new(profile, seed).with_obs(obs))
         }
-    };
+    }
+}
 
-    let views: Vec<ViewOutcome> = (0..wh.view_count())
-        .map(|i| ViewOutcome {
-            converged: check_convergence(port.space(), wh.view(i), wh.mv(i)).unwrap_or_else(|e| {
-                last_error.get_or_insert(format!("convergence oracle: {e}"));
-                false
-            }),
-            stats: wh.stats(i),
-            extent_crc: extent_crc(wh.mv(i)),
-            sql: wh.view(i).to_string(),
+/// [`run`] over the transport `transport` builds for each warehouse's
+/// collector.
+fn simulate<T: Transport>(
+    mut exp: Experiment,
+    transport: impl Fn(&Collector) -> T,
+) -> Result<Report, ViewError> {
+    let max_steps = (50 * exp.schedule.len() as u64 + 1_000).max(5_000);
+    let spaces = vec![std::mem::take(&mut exp.space); exp.peers.as_ref().map_or(1, |p| p.count)];
+    // A replicated run's schedule is its client writes, which the fabric
+    // releases one at a time; a lone warehouse's port holds its own.
+    let mut schedule = std::mem::take(&mut exp.schedule);
+    let writes = if exp.peers.is_some() { std::mem::take(&mut schedule) } else { Vec::new() };
+    // A peer also logs its publishes and remote deltas: it snapshots twice as often.
+    let checkpoint_every = CHECKPOINT_EVERY >> u32::from(exp.peers.is_some());
+    let run = Run { exp: &exp, faulty: exp.fault.is_some(), max_steps, checkpoint_every };
+
+    let mut telemetry = None;
+    let mut nodes = Vec::new();
+    for space in spaces {
+        let mut port = SimPort::new(space, std::mem::take(&mut schedule), exp.cost);
+        let obs = port.obs().clone();
+        obs.set_tracing(exp.tracing);
+        let obs = if exp.lineage { obs.with_lineage(LINEAGE_RING) } else { obs };
+        obs.set_profile(exp.op_profile);
+        // The monitor, like the single-warehouse summary, reads the first.
+        if nodes.is_empty() {
+            telemetry = exp.monitor.map(|m| {
+                let tracker = StalenessTracker::new(WINDOW_CAPACITY);
+                tracker.bind_obs(&obs);
+                tracker.set_cadence(m.window_us, 0);
+                tracker.set_slo(m.slo);
+                port.set_staleness(tracker.clone());
+                Telemetry {
+                    sampler: Sampler::new(obs.registry(), m.window_us, WINDOW_CAPACITY, 0),
+                    tracker,
+                }
+            });
+        }
+
+        let mut wh = Warehouse::new(port.space().info().clone(), exp.strategy)
+            .with_obs(obs.clone())
+            .with_correction(exp.policy)
+            .with_adaptation(exp.adaptation)
+            .with_subplan_sharing(exp.share_subplans)
+            .with_ingest_dedupe(!exp.break_dedupe);
+        if let Some(bound) = exp.umq_bound {
+            wh = wh.with_umq_bound(bound)?;
+        }
+        if let Some(t) = telemetry.as_ref().filter(|_| nodes.is_empty()) {
+            wh = wh.with_staleness(t.tracker.clone());
+        }
+        exp.views.iter().for_each(|view| wh.add_view(view.clone()));
+        wh.initialize(&mut port)?;
+        port.start_metering();
+
+        // A kill needs a log to recover from, and a peer logs its publishes
+        // and remote deltas.
+        let disk = MemStorage::new();
+        if !exp.kills.is_empty() || exp.peers.is_some() {
+            let log = DurableLog::create(Box::new(disk.clone()))
+                .expect("MemStorage never fails")
+                .with_checkpoint_every(run.checkpoint_every);
+            wh = wh.with_wal(log)?;
+        }
+        let versions = port.space().versions();
+        let port = wrap(port, transport(&obs), versions.clone(), &run, &obs, 0);
+        nodes.push(Node { wh, port, obs, disk, versions, kills: 0 });
+    }
+    let mut fabric = exp.peers.as_ref().map(|p| Fabric::new(p, exp.seed, writes, &mut nodes));
+
+    let mut driven = Driven::default();
+    let driven_to = drive(&mut nodes, &mut fabric, &mut telemetry, &run, &mut driven);
+    let mut last_error = driven_to.err().map(|e| e.to_string());
+    // Close the logs cleanly (a no-op without one): the final checkpoint
+    // truncates the WAL so a later `recover` replays exactly one record and
+    // reports no torn tail.
+    nodes.iter_mut().for_each(|n| n.wh.checkpoint_now());
+
+    let peer_views: Vec<Vec<ViewOutcome>> = nodes
+        .iter()
+        .map(|Node { wh, port, .. }| {
+            let space = port.inner().space();
+            let skipped = port.inner().metrics().skipped_commits;
+            assert_eq!(skipped, 0, "a source rejected a scheduled commit — generator bug");
+            let outcome = |i| ViewOutcome {
+                converged: check_convergence(space, wh.view(i), wh.mv(i)).unwrap_or_else(|e| {
+                    last_error.get_or_insert(format!("convergence oracle: {e}"));
+                    false
+                }),
+                stats: wh.stats(i),
+                extent_crc: extent_crc(wh.mv(i)),
+                sql: wh.view(i).to_string(),
+            };
+            (0..wh.view_count()).map(outcome).collect()
         })
         .collect();
-    let metrics = port.metrics();
-    assert_eq!(
-        metrics.skipped_commits, 0,
-        "workload scheduled a commit its source rejected — generator bug",
-    );
+    let crcs = |views: &[ViewOutcome]| views.iter().map(|v| v.extent_crc).collect::<Vec<_>>();
     Ok(Report {
         converged: last_error.is_none()
-            && !exhausted
-            && wh.deferred_total() == 0
-            && views.iter().all(|v| v.converged),
-        audit_violations,
-        steps,
-        exhausted,
+            && !driven.exhausted
+            && nodes.iter().all(|n| n.wh.deferred_total() == 0)
+            && peer_views.iter().flatten().all(|v| v.converged)
+            && peer_views.windows(2).all(|w| crcs(&w[0]) == crcs(&w[1])),
+        audit_violations: driven.audit_violations,
+        steps: driven.steps,
+        exhausted: driven.exhausted,
         last_error,
-        metrics,
-        views,
+        metrics: nodes[0].port.inner().metrics(),
+        views: peer_views[0].clone(),
+        peer_views,
         telemetry,
-        obs,
+        obs: nodes[0].obs.clone(),
+        peer_obs: nodes.iter().map(|n| n.obs.clone()).collect(),
     })
 }
 

@@ -27,6 +27,8 @@ pub struct ScheduledCommit {
     pub source: SourceId,
     /// The update.
     pub update: SourceUpdate,
+    /// The peer whose sources commit it (0 in a single-warehouse run).
+    pub peer: usize,
 }
 
 /// The port's run counters, bound once to `sim.*` registry entries so hot
@@ -137,6 +139,11 @@ impl SimPort {
         &self.space
     }
 
+    /// The sources, for silent overwrites (no version bump, no message).
+    pub fn space_mut(&mut self) -> &mut SourceSpace {
+        &mut self.space
+    }
+
     /// The port's collector. Clones share the pipeline, so this is the
     /// handle to thread into `Warehouse::with_obs` and to flip tracing on
     /// (`set_tracing`) for a run.
@@ -202,33 +209,36 @@ impl SimPort {
     }
 
     fn apply_due_commits(&mut self) {
-        while let Some(c) = self.schedule.front() {
-            if c.at_us > self.now_us {
-                break;
-            }
+        while self.schedule.front().is_some_and(|c| c.at_us <= self.now_us) {
             let c = self.schedule.pop_front().expect("peeked");
-            match self.space.commit(c.source, c.update) {
-                Ok(msg) => {
-                    // The causal id is born here: every later provenance
-                    // record for this update keys on msg.id.
-                    self.obs.prov(
-                        msg.id.0,
-                        dyno_obs::stage::COMMIT,
-                        &[field("source", msg.source.0), field("version", msg.source_version)],
-                    );
-                    if let Some(tracker) = &self.staleness {
-                        tracker.note_commit(msg.source.0, msg.source_version, c.at_us);
-                    }
-                    self.arrivals.push(msg);
+            self.commit(c);
+        }
+    }
+
+    /// Applies one commit now, as if it had been scheduled: its message
+    /// joins the arrivals, or a rejected commit is counted as skipped.
+    pub fn commit(&mut self, c: ScheduledCommit) {
+        match self.space.commit(c.source, c.update) {
+            Ok(msg) => {
+                // The causal id is born here: every later provenance record
+                // for this update keys on msg.id.
+                self.obs.prov(
+                    msg.id.0,
+                    dyno_obs::stage::COMMIT,
+                    &[field("source", msg.source.0), field("version", msg.source_version)],
+                );
+                if let Some(tracker) = &self.staleness {
+                    tracker.note_commit(msg.source.0, msg.source_version, c.at_us);
                 }
-                Err(_) => {
-                    self.sim.skipped_commits.inc();
-                    self.obs.event(
-                        Level::Warn,
-                        "sim.skipped_commit",
-                        &[field("source", c.source.0), field("at_us", c.at_us)],
-                    );
-                }
+                self.arrivals.push(msg);
+            }
+            Err(_) => {
+                self.sim.skipped_commits.inc();
+                self.obs.event(
+                    Level::Warn,
+                    "sim.skipped_commit",
+                    &[field("source", c.source.0), field("at_us", c.at_us)],
+                );
             }
         }
     }
@@ -430,7 +440,8 @@ mod tests {
 
     #[test]
     fn commits_become_visible_when_clock_passes_them() {
-        let schedule = vec![ScheduledCommit { at_us: 50_000, source: SourceId(0), update: du(2) }];
+        let schedule =
+            vec![ScheduledCommit { at_us: 50_000, source: SourceId(0), update: du(2), peer: 0 }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();
         let q = dyno_relational::SpjQuery::over(["R"]).select("R", "a").build();
@@ -445,7 +456,8 @@ mod tests {
 
     #[test]
     fn metering_toggle() {
-        let schedule = vec![ScheduledCommit { at_us: 1, source: SourceId(0), update: du(2) }];
+        let schedule =
+            vec![ScheduledCommit { at_us: 1, source: SourceId(0), update: du(2), peer: 0 }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         let q = dyno_relational::SpjQuery::over(["R"]).select("R", "a").build();
         port.execute(&q, &[]).unwrap();
@@ -484,7 +496,7 @@ mod tests {
     #[test]
     fn idle_jump_applies_commits() {
         let schedule =
-            vec![ScheduledCommit { at_us: 2_000_000, source: SourceId(0), update: du(5) }];
+            vec![ScheduledCommit { at_us: 2_000_000, source: SourceId(0), update: du(5), peer: 0 }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();
         port.advance_to(port.next_commit_at_us().unwrap());
@@ -500,6 +512,7 @@ mod tests {
                 at_us: (k as u64 + 1) * 10_000,
                 source: SourceId(0),
                 update: du(100 + k as i64),
+                peer: 0,
             })
             .collect();
         let mut port = SimPort::new(space(), schedule, CostModel::default());
@@ -521,7 +534,8 @@ mod tests {
     fn quiet_advance_defers_commit_visibility() {
         // A commit falling due during a post-eval charge must not be
         // streamed before the next pre-eval point.
-        let schedule = vec![ScheduledCommit { at_us: 1_000, source: SourceId(0), update: du(2) }];
+        let schedule =
+            vec![ScheduledCommit { at_us: 1_000, source: SourceId(0), update: du(2), peer: 0 }];
         let mut port = SimPort::new(space(), vec![], CostModel::default());
         port.start_metering();
         port.schedule = schedule.into();
@@ -571,6 +585,7 @@ mod tests {
             at_us: 1,
             source: SourceId(0),
             update: SourceUpdate::Schema(SchemaChange::DropRelation { relation: "Ghost".into() }),
+            peer: 0,
         }];
         let mut port = SimPort::new(space(), schedule, CostModel::default());
         port.start_metering();

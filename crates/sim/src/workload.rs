@@ -147,13 +147,23 @@ impl WorkloadGen {
         SourceId(i as u32 / self.cfg.relations_per_source)
     }
 
+    /// A single-warehouse commit of `update` against relation `i`'s source.
+    fn commit(&self, at_us: u64, i: usize, update: SourceUpdate) -> ScheduledCommit {
+        ScheduledCommit { at_us, source: self.source_of(i), update, peer: 0 }
+    }
+
     /// Current schema of relation `i` (key + surviving attributes).
     fn current_schema(&self, i: usize) -> Schema {
-        let mut attrs = vec![dyno_relational::Attribute::new("K", dyno_relational::AttrType::Int)];
-        for a in &self.attrs[i] {
-            attrs.push(dyno_relational::Attribute::new(a.clone(), dyno_relational::AttrType::Int));
-        }
-        Schema::new(self.names[i].clone(), attrs).expect("tracked attributes are unique")
+        let names = std::iter::once("K").chain(self.attrs[i].iter().map(String::as_str));
+        let attrs =
+            names.map(|a| dyno_relational::Attribute::new(a, dyno_relational::AttrType::Int));
+        Schema::new(self.names[i].clone(), attrs.collect()).expect("tracked attributes are unique")
+    }
+
+    /// A fresh `arity`-wide row for `key`, every other attribute random.
+    fn row(&mut self, arity: usize, key: i64) -> Tuple {
+        let rest = (1..arity).map(|_| self.rng.gen_range(0..1_000_000i64));
+        Tuple::new(std::iter::once(key).chain(rest).map(Value::from).collect())
     }
 
     /// Materializes one event at `at_us`.
@@ -177,20 +187,12 @@ impl WorkloadGen {
     fn data_update(&mut self, at_us: u64) -> ScheduledCommit {
         let i = self.rng.gen_range(0..self.cfg.relation_count());
         let schema = self.current_schema(i);
-        let mut vals =
-            vec![Value::from(self.rng.gen_range(0..self.cfg.tuples_per_relation as i64))];
-        for _ in 0..schema.arity() - 1 {
-            vals.push(Value::from(self.rng.gen_range(0..1_000_000i64)));
-        }
-        let tuple = Tuple::new(vals);
+        let key = self.rng.gen_range(0..self.cfg.tuples_per_relation as i64);
+        let tuple = self.row(schema.arity(), key);
         self.live[i].push(tuple.clone());
         let delta =
             Delta::inserts(schema, [tuple]).expect("generated tuple matches tracked schema");
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Data(DataUpdate::new(delta)),
-        }
+        self.commit(at_us, i, SourceUpdate::Data(DataUpdate::new(delta)))
     }
 
     fn data_delete(&mut self, at_us: u64) -> ScheduledCommit {
@@ -208,11 +210,7 @@ impl WorkloadGen {
         let tuple = self.live[i].pop().expect("candidate has a live tuple");
         let delta = Delta::deletes(self.current_schema(i), [tuple])
             .expect("tuple arity checked against current schema");
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Data(DataUpdate::new(delta)),
-        }
+        self.commit(at_us, i, SourceUpdate::Data(DataUpdate::new(delta)))
     }
 
     fn add_attribute(&mut self, at_us: u64) -> ScheduledCommit {
@@ -224,28 +222,15 @@ impl WorkloadGen {
         // schema; forget them rather than fabricate defaults.
         self.live[i].clear();
         self.keyed[i].clear();
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Schema(SchemaChange::AddAttribute {
-                relation: self.names[i].clone(),
-                attr: dyno_relational::Attribute::new(attr, dyno_relational::AttrType::Int),
-                default: Value::from(0),
-            }),
-        }
+        let attr = dyno_relational::Attribute::new(attr, dyno_relational::AttrType::Int);
+        let relation = self.names[i].clone();
+        let change = SchemaChange::AddAttribute { relation, attr, default: Value::from(0) };
+        self.commit(at_us, i, SourceUpdate::Schema(change))
     }
 
     fn rename_relation(&mut self, at_us: u64) -> ScheduledCommit {
         let i = self.rng.gen_range(0..self.cfg.relation_count());
-        self.rename_serial += 1;
-        let from = self.names[i].clone();
-        let to = format!("R{i}_v{}", self.rename_serial);
-        self.names[i] = to.clone();
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Schema(SchemaChange::RenameRelation { from, to }),
-        }
+        self.rename_of(at_us, i)
     }
 
     fn drop_attribute(&mut self, at_us: u64) -> ScheduledCommit {
@@ -257,26 +242,13 @@ impl WorkloadGen {
         let attr = self.attrs[i].remove(pos);
         self.live[i].clear();
         self.keyed[i].clear();
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Schema(SchemaChange::DropAttribute {
-                relation: self.names[i].clone(),
-                attr,
-            }),
-        }
+        let relation = self.names[i].clone();
+        self.commit(at_us, i, SourceUpdate::Schema(SchemaChange::DropAttribute { relation, attr }))
     }
 
     /// The Figure-8 workload: `n` data updates, all buffered at time zero.
     pub fn du_flood(&mut self, n: usize) -> Vec<ScheduledCommit> {
         (0..n).map(|_| self.data_update(0)).collect()
-    }
-
-    /// A stream of `n` data updates spaced `gap_us` apart starting at
-    /// `start_us` (the mixed-workload experiments of Figures 10–12 trickle
-    /// DUs throughout the run).
-    pub fn du_stream(&mut self, n: usize, start_us: u64, gap_us: u64) -> Vec<ScheduledCommit> {
-        (0..n).map(|k| self.data_update(start_us + k as u64 * gap_us)).collect()
     }
 
     /// The full mixed workload of Figures 10–12: a DU stream plus an SC
@@ -294,10 +266,7 @@ impl WorkloadGen {
     ) -> Vec<ScheduledCommit> {
         let mut timeline: Vec<(u64, EventKind)> =
             (0..du_count).map(|k| (k as u64 * du_gap_us, EventKind::DataUpdate)).collect();
-        for k in 0..sc_count {
-            let kind = if k == 0 { EventKind::DropAttribute } else { EventKind::RenameRelation };
-            timeline.push((sc_start_us + k as u64 * sc_interval_us, kind));
-        }
+        timeline.extend(sc_timeline(sc_count, sc_start_us, sc_interval_us));
         timeline.sort_by_key(|e| e.0);
         self.realize(&timeline)
     }
@@ -312,11 +281,7 @@ impl WorkloadGen {
     fn data_update_keyed(&mut self, at_us: u64, key: i64) -> ScheduledCommit {
         let i = self.rng.gen_range(0..self.cfg.relation_count());
         let schema = self.current_schema(i);
-        let mut vals = vec![Value::from(key)];
-        for _ in 0..schema.arity() - 1 {
-            vals.push(Value::from(self.rng.gen_range(0..1_000_000i64)));
-        }
-        let tuple = Tuple::new(vals);
+        let tuple = self.row(schema.arity(), key);
         let mut rows = vec![(tuple.clone(), 1i64)];
         if let Some(prev) = self.keyed[i].insert(key, tuple) {
             // A schema change since the previous write invalidates the
@@ -326,11 +291,7 @@ impl WorkloadGen {
             }
         }
         let delta = Delta::from_rows(schema, rows).expect("generated tuples match tracked schema");
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Data(DataUpdate::new(delta)),
-        }
+        self.commit(at_us, i, SourceUpdate::Data(DataUpdate::new(delta)))
     }
 
     /// A rename of a **specific** relation index (the open-loop generator's
@@ -340,11 +301,7 @@ impl WorkloadGen {
         let from = self.names[i].clone();
         let to = format!("R{i}_v{}", self.rename_serial);
         self.names[i] = to.clone();
-        ScheduledCommit {
-            at_us,
-            source: self.source_of(i),
-            update: SourceUpdate::Schema(SchemaChange::RenameRelation { from, to }),
-        }
+        self.commit(at_us, i, SourceUpdate::Schema(SchemaChange::RenameRelation { from, to }))
     }
 
     /// The open-loop monitor workload (DESIGN.md §14): Poisson DU arrivals
@@ -405,17 +362,18 @@ impl WorkloadGen {
     /// `n - 1` rename-relation changes, spaced `interval_us` apart starting
     /// at `start_us` (paper Section 6.4).
     pub fn sc_train(&mut self, n: usize, start_us: u64, interval_us: u64) -> Vec<ScheduledCommit> {
-        (0..n)
-            .map(|k| {
-                let at = start_us + k as u64 * interval_us;
-                if k == 0 {
-                    self.drop_attribute(at)
-                } else {
-                    self.rename_relation(at)
-                }
-            })
-            .collect()
+        self.realize(&sc_timeline(n, start_us, interval_us).collect::<Vec<_>>())
     }
+}
+
+/// The timeline of [`WorkloadGen::sc_train`].
+fn sc_timeline(
+    n: usize,
+    start_us: u64,
+    interval_us: u64,
+) -> impl Iterator<Item = (u64, EventKind)> {
+    let kind = |k| if k == 0 { EventKind::DropAttribute } else { EventKind::RenameRelation };
+    (0..n).map(move |k| (start_us + k as u64 * interval_us, kind(k)))
 }
 
 #[cfg(test)]

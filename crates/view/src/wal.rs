@@ -270,6 +270,11 @@ pub enum CrashPoint {
     /// its `Applied` — the half-done adaptation Equation 6 must never
     /// expose.
     MidBatch,
+    /// After a replica's `Published` record (and the checkpoint it made
+    /// due, which the publish takes before returning), before any of its
+    /// peer deltas reach the network — recovery must re-send them from the
+    /// outbox.
+    AfterPublish,
 }
 
 /// A deterministic kill: power is cut right after the `(skip+1)`-th record
@@ -363,6 +368,10 @@ pub struct DurableLog {
     appends_since_ckpt: u64,
     plan: Option<CrashPlan>,
     cut: bool,
+    /// An [`CrashPoint::AfterPublish`] cut struck while a checkpoint was
+    /// due: the publish takes that checkpoint right after its record, so it
+    /// still lands.
+    publish_checkpoint: bool,
     obs: Collector,
 }
 
@@ -370,7 +379,8 @@ enum RecordKind {
     Admitted,
     Intent { batch_len: usize, has_sc: bool },
     Applied,
-    Replica,
+    Published,
+    Remote,
 }
 
 impl DurableLog {
@@ -381,6 +391,7 @@ impl DurableLog {
             appends_since_ckpt: 0,
             plan: None,
             cut: false,
+            publish_checkpoint: false,
             obs: Collector::disabled(),
         }
     }
@@ -451,10 +462,13 @@ impl DurableLog {
                 (CrashPoint::MidBatch, RecordKind::Intent { batch_len, has_sc }) => {
                     *batch_len > 1 || *has_sc
                 }
+                (CrashPoint::AfterPublish, RecordKind::Published) => true,
                 _ => false,
             };
             if matches {
                 if plan.skip == 0 {
+                    self.publish_checkpoint =
+                        plan.point == CrashPoint::AfterPublish && self.should_checkpoint();
                     self.cut = true;
                     self.obs.counter("wal.power_cuts").inc();
                 } else {
@@ -495,7 +509,7 @@ impl DurableLog {
     /// record re-sends (receivers dedupe by sequence) rather than assigning
     /// the same sequences to different bodies.
     pub fn log_replica_published(&mut self, bytes: &[u8]) {
-        self.append(RecordKind::Replica, |e| {
+        self.append(RecordKind::Published, |e| {
             e.u8(TAG_REPLICA);
             e.u8(REPL_PUBLISHED);
             e.bytes(bytes);
@@ -514,7 +528,7 @@ impl DurableLog {
         applied: bool,
         bytes: &[u8],
     ) {
-        self.append(RecordKind::Replica, |e| {
+        self.append(RecordKind::Remote, |e| {
             e.u8(TAG_REPLICA);
             e.u8(REPL_REMOTE);
             e.u32(view);
@@ -538,7 +552,7 @@ impl DurableLog {
     /// snapshot it follows. A log built
     /// [`DurableLog::with_checkpoint_every`] counts records instead.
     pub fn should_checkpoint(&self) -> bool {
-        if self.cut {
+        if self.cut && !self.publish_checkpoint {
             return false;
         }
         match self.policy {
@@ -559,7 +573,7 @@ impl DurableLog {
     /// [`DurableLog::checkpoint`] straight from borrowed live state: the
     /// image is encoded once, into the WAL's frame buffer.
     pub(crate) fn checkpoint_ref(&mut self, state: &StateRef<'_>) {
-        if self.cut {
+        if self.cut && !std::mem::take(&mut self.publish_checkpoint) {
             return;
         }
         let written = self.wal.rewrite_with(|e| {
@@ -1310,5 +1324,53 @@ mod tests {
         log.checkpoint(&sample_state());
         assert_eq!(disk.snapshot(), after_cut, "nothing lands after the cut");
         assert!(after_cut.len() > frozen.len(), "the tripping record itself did land");
+    }
+
+    /// The `Published` records a recovery hands the replication engine.
+    fn published(disk: MemStorage) -> Vec<Vec<u8>> {
+        let (_, state, _) = recover(Box::new(disk), &Collector::wall()).unwrap();
+        let bytes = |e: ReplicaTailEvent| match e {
+            ReplicaTailEvent::Published { bytes } => Some(bytes),
+            _ => None,
+        };
+        state.tail.into_iter().filter_map(bytes).collect()
+    }
+
+    #[test]
+    fn after_publish_cut_keeps_the_published_record_and_drops_every_later_append() {
+        let disk = MemStorage::new();
+        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
+        log.checkpoint(&sample_state());
+        log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 1 });
+        log.log_replica_remote(0, 0, &Value::from(1), &ZSet::new(), false, b"m"); // no match
+        log.log_replica_published(b"first"); // first match, skipped
+        assert!(!log.power_cut());
+        log.log_replica_published(b"second");
+        assert!(log.power_cut(), "the second publish trips the cut");
+        assert!(!log.should_checkpoint(), "no checkpoint was due");
+        let after_cut = disk.snapshot();
+        log.log_admitted(&meta(9, 0, 9));
+        log.log_replica_published(b"third");
+        log.checkpoint(&sample_state());
+        assert_eq!(disk.snapshot(), after_cut, "nothing lands after the cut");
+        assert_eq!(published(disk), [b"first".to_vec(), b"second".to_vec()]);
+    }
+
+    #[test]
+    fn after_publish_cut_lands_the_checkpoint_its_publish_made_due() {
+        let disk = MemStorage::new();
+        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap().with_checkpoint_every(2);
+        log.checkpoint(&sample_state());
+        log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 0 });
+        log.log_admitted(&meta(9, 0, 9));
+        log.log_replica_published(b"p");
+        assert!(log.power_cut() && log.should_checkpoint(), "cut, with its checkpoint due");
+        log.checkpoint(&sample_state());
+        assert!(!log.should_checkpoint(), "that checkpoint was the last write");
+        let after = disk.snapshot();
+        log.log_admitted(&meta(10, 0, 10));
+        log.checkpoint(&sample_state());
+        assert_eq!(disk.snapshot(), after, "nothing lands after it");
+        assert!(published(disk).is_empty(), "the publish is folded into the checkpoint");
     }
 }

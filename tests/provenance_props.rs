@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use dyno::fault::FaultProfile;
 use dyno::obs::{stage, Collector, FieldValue, BATCH_BIT};
-use dyno::sim::{run, run_replicated, Experiment, ReplicaConfig, Report};
+use dyno::sim::{run, Experiment, Report};
 use dyno::view::wal::{CrashPlan, CrashPoint};
 
 const CLASSES: [CrashPoint; 3] =
@@ -180,12 +180,13 @@ fn stage_ids(jsonl: &str, stage: &str) -> HashMap<u64, u64> {
 /// concurrent-write conflicts, and a mid-run kill/recovery.
 #[test]
 fn replica_lineage_terminates_each_message_exactly_once() {
-    let cfg = ReplicaConfig::named("partition", 3, 9).with_kill(6).with_lineage();
-    let report = run_replicated(&cfg);
+    let exp = Experiment { lineage: true, ..Experiment::replicated("partition", 3, 9, Some(6)) };
+    let report = run(exp).expect("testbed views initialize");
     assert!(report.converged, "run must converge: {:?}", report.last_error);
-    assert!(report.superseded > 0, "partition conflicts must supersede at least once");
-    assert_eq!(report.kills, 1, "the armed kill fired");
-    for (r, jsonl) in report.lineage.iter().enumerate() {
+    assert!(report.counter("replica.superseded") > 0, "partition conflicts must supersede");
+    assert_eq!(report.counter("wal.power_cuts"), 1, "the armed kill fired");
+    for (r, obs) in report.peer_obs.iter().enumerate() {
+        let jsonl = &obs.lineage_jsonl();
         let recv = stage_ids(jsonl, stage::REPL_RECV);
         let apply = stage_ids(jsonl, stage::REPL_APPLY);
         let superseded = stage_ids(jsonl, stage::SUPERSEDED);
