@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dyno_bench::harness::Harness;
 use dyno_bench::run_converged;
-use dyno_obs::{field, stage, Collector, VirtualClock};
+use dyno_obs::{field, stage, Capture, Collector, VirtualClock};
 use dyno_sim::{build_testbed, Experiment, TestbedConfig, WorkloadGen};
 
 /// Counts every heap allocation (alloc + realloc + alloc_zeroed).
@@ -75,7 +75,8 @@ fn sweep_scenario(lineage: bool) -> Experiment {
     let mut gen = WorkloadGen::new(cfg, 42);
     let mut schedule = gen.du_flood(12);
     schedule.extend(gen.sc_train(3, 1_000_000, 20_000_000));
-    Experiment { lineage, ..Experiment::new(space, vec![view], schedule) }
+    let capture = if lineage { Capture::PROV } else { Capture::NONE };
+    Experiment { capture, ..Experiment::new(space, vec![view], schedule) }
 }
 
 fn main() {
@@ -95,7 +96,8 @@ fn main() {
     h.bench("prov/enabled_off", || {
         off.prov(black_box(7), stage::ADMIT, &[field("source", 1u64)]);
     });
-    let on = Collector::with_virtual_clock(VirtualClock::new()).with_lineage(64 * 1024);
+    let on =
+        Collector::with_virtual_clock(VirtualClock::new()).with_capture(Capture::PROV, 64 * 1024);
     h.bench("prov/on", || {
         on.prov(black_box(7), stage::ADMIT, &[field("source", 1u64)]);
     });
@@ -112,7 +114,7 @@ fn main() {
         || sweep_scenario(true),
         |s| {
             let r = run_converged("lineage on", s);
-            assert!(!r.obs.lineage_records().is_empty(), "lineage actually captured");
+            assert!(!r.obs.records().is_empty(), "lineage actually captured");
             r.steps
         },
     );

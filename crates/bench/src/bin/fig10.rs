@@ -18,6 +18,7 @@ use dyno_bench::{
     BenchArgs,
 };
 use dyno_core::Strategy;
+use dyno_obs::{Capture, RecordKind};
 use dyno_sim::{build_testbed, Experiment, TestbedConfig, WorkloadGen};
 
 const SEEDS: u64 = 3;
@@ -89,7 +90,7 @@ fn representative(cfg: &TestbedConfig) -> Experiment {
     Experiment {
         strategy: Strategy::Optimistic,
         cost: cost_model(),
-        tracing: true,
+        capture: Capture::TRACE,
         ..Experiment::new(space, vec![view], schedule)
     }
 }
@@ -108,18 +109,17 @@ fn traced_run(path: &str, cfg: &TestbedConfig) {
     assert_eq!(reg.counter_value("sim.committed_us"), Some(report.metrics.committed_us));
     assert_eq!(reg.counter_value("sim.abort_us"), Some(report.metrics.abort_us));
     assert_eq!(reg.counter_value("sim.aborts"), Some(report.metrics.aborts));
-    let spans = report
-        .obs
-        .trace_records()
+    let records = report.obs.records();
+    let spans = records
         .iter()
-        .filter(|r| r.kind == dyno_obs::RecordKind::SpanStart && r.name == "view.maintain")
+        .filter(|r| r.kind == RecordKind::SpanStart && r.name == "view.maintain")
         .count() as u64;
     assert_eq!(spans, report.metrics.attempts, "one span per maintenance attempt");
     println!(
         "\ntraced run (interval 17 s, optimistic): {} records ({} maintenance spans, \
          {} aborts) -> {path}\nmetrics snapshot (consistent with sim::Metrics) -> \
          {metrics_path}",
-        report.obs.trace_records().len(),
+        records.len(),
         spans,
         report.metrics.aborts,
     );
@@ -130,17 +130,16 @@ fn traced_run(path: &str, cfg: &TestbedConfig) {
 /// flow arrows following each causal id from source commit to extent delta.
 /// Load the file at <https://ui.perfetto.dev>.
 fn chrome_run(path: &str, cfg: &TestbedConfig) {
-    let report =
-        run_converged("chrome-traced run", Experiment { lineage: true, ..representative(cfg) });
-    let records = report.obs.trace_records();
-    let lineage = report.obs.lineage_records();
-    let doc = dyno_obs::export_chrome(&records, &lineage);
+    let capture = Capture::TRACE | Capture::PROV;
+    let report = run_converged("chrome-traced run", Experiment { capture, ..representative(cfg) });
+    let records = report.obs.records();
+    let doc = dyno_obs::export_chrome(&records);
     std::fs::write(path, &doc).expect("write chrome trace");
+    let lineage = records.iter().filter(|r| r.kind == RecordKind::Prov).count();
     println!(
-        "\nchrome trace (interval 17 s, optimistic): {} trace records + {} lineage \
+        "\nchrome trace (interval 17 s, optimistic): {} trace records + {lineage} lineage \
          records ({} dropped) -> {path}\nopen it at https://ui.perfetto.dev",
-        records.len(),
-        lineage.len(),
-        report.obs.lineage_dropped(),
+        records.len() - lineage,
+        report.obs.dropped(),
     );
 }

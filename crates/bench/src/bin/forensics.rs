@@ -21,32 +21,12 @@
 
 use dyno_bench::render_table;
 use dyno_fault::FaultProfile;
-use dyno_obs::forensics;
+use dyno_obs::{forensics, stage, Capture};
 use dyno_sim::{run, Experiment, Report};
 
 fn usage(bin: &str) -> ! {
     eprintln!("usage: {bin} [--json <path>] [--explain <id>] [--seed <n>] [--replica]");
     std::process::exit(2);
-}
-
-/// Counts JSONL lineage lines carrying this stage (each replica keeps its
-/// own collector, so the lens reads one exported capture per replica).
-fn count_stage(jsonl: &str, stage: &str) -> u64 {
-    let needle = format!("\"stage\":\"{stage}\"");
-    jsonl.lines().filter(|l| l.contains(&needle)).count() as u64
-}
-
-/// Extracts a numeric field from every line carrying `stage`.
-fn field_values(jsonl: &str, stage: &str, field: &str) -> Vec<u64> {
-    let needle = format!("\"stage\":\"{stage}\"");
-    let key = format!("\"{field}\":");
-    jsonl
-        .lines()
-        .filter(|l| l.contains(&needle))
-        .filter_map(|l| {
-            l.split(&key).nth(1)?.split(|c: char| !c.is_ascii_digit()).next()?.parse::<u64>().ok()
-        })
-        .collect()
 }
 
 fn percentile(sorted: &[u64], p: usize) -> u64 {
@@ -59,7 +39,8 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 /// The replication lens: per-replica message resolution and lag breakdown
 /// of one partitioned three-replica experiment.
 fn replica_lens(seed: u64) {
-    let exp = Experiment { lineage: true, ..Experiment::replicated("partition", 3, seed, None) };
+    let exp =
+        Experiment { capture: Capture::PROV, ..Experiment::replicated("partition", 3, seed, None) };
     let report = run(exp).expect("testbed views initialize");
     assert!(report.converged, "replica forensics run died: {:?}", report.last_error);
 
@@ -76,8 +57,11 @@ fn replica_lens(seed: u64) {
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
     for (r, obs) in report.peer_obs.iter().enumerate() {
-        let jsonl = &obs.lineage_jsonl();
-        let mut lags = field_values(jsonl, dyno_obs::stage::REPL_APPLY, "lag_us");
+        // Each replica keeps its own collector, capturing provenance only.
+        let records = obs.records();
+        let at = |stage: &'static str| records.iter().filter(move |r| r.name == stage);
+        let mut lags: Vec<u64> =
+            at(stage::REPL_APPLY).filter_map(|r| r.u64_field("lag_us")).collect();
         lags.sort_unstable();
         // Two lag sources, one truth: the post-hoc lineage replay above and
         // the live `replica.lag_us` histogram sampled by the engine. The
@@ -86,14 +70,10 @@ fn replica_lens(seed: u64) {
         let (p50, p95, p99) = live.percentiles();
         rows.push(vec![
             format!("r{r}"),
-            count_stage(jsonl, dyno_obs::stage::REPL_RECV).to_string(),
-            count_stage(jsonl, dyno_obs::stage::REPL_APPLY).to_string(),
-            count_stage(jsonl, dyno_obs::stage::SUPERSEDED).to_string(),
-            field_values(jsonl, dyno_obs::stage::CONFLICT, "class")
-                .iter()
-                .filter(|&&c| c == 5)
-                .count()
-                .to_string(),
+            at(stage::REPL_RECV).count().to_string(),
+            at(stage::REPL_APPLY).count().to_string(),
+            at(stage::SUPERSEDED).count().to_string(),
+            at(stage::CONFLICT).filter(|r| r.u64_field("class") == Some(5)).count().to_string(),
             format!("{}µs", percentile(&lags, 50)),
             format!("{}µs", percentile(&lags, 95)),
             format!("{p50}/{p95}/{p99}µs (n={})", live.count()),
@@ -148,11 +128,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut detailed: Option<(FaultProfile, Report)> = None;
     for profile in FaultProfile::all() {
-        let report =
-            run(Experiment { lineage: true, op_profile: true, ..Experiment::chaos(profile, seed) })
-                .expect("testbed views initialize");
+        let capture = Capture::PROV | Capture::PROFILE;
+        let report = run(Experiment { capture, ..Experiment::chaos(profile, seed) })
+            .expect("testbed views initialize");
         assert!(report.last_error.is_none(), "chaos run died: {:?}", report.last_error);
-        let records = report.obs.lineage_records();
+        let records = report.obs.records();
         let f = forensics::analyze(&records);
         let (p50, p95, _) = f.end_to_end_us.percentiles();
         rows.push(vec![
@@ -160,7 +140,7 @@ fn main() {
             f.applied_updates.to_string(),
             f.conflicted_updates.to_string(),
             records.len().to_string(),
-            report.obs.lineage_dropped().to_string(),
+            report.obs.dropped().to_string(),
             format!("{p50}µs"),
             format!("{p95}µs"),
         ]);
@@ -171,7 +151,7 @@ fn main() {
     // Full per-phase / per-class breakdown for the heaviest profile (the
     // last in FaultProfile::all(): crash_restart).
     let (profile, report) = detailed.expect("at least one profile");
-    let records = report.obs.lineage_records();
+    let records = report.obs.records();
     let f = forensics::analyze(&records);
     println!("-- detailed report: profile {} --\n", profile.name);
     println!("{}", f.render_text_with_profile(&report.obs.profile_snapshot()));
@@ -179,7 +159,7 @@ fn main() {
     if let Some(id) = explain {
         println!("-- explain {id} (profile {}) --\n", profile.name);
         println!("{}", forensics::explain_text(id, &report.obs.explain(id)));
-    } else if let Some(first) = records.iter().find(|r| r.stage == dyno_obs::stage::COMMIT) {
+    } else if let Some(first) = records.iter().find(|r| r.name == stage::COMMIT) {
         // No id requested: demonstrate on the first committed update.
         println!("-- explain {} (first commit; pass --explain <id> to pick) --\n", first.id);
         println!("{}", forensics::explain_text(first.id, &report.obs.explain(first.id)));

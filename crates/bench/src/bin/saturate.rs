@@ -17,7 +17,7 @@
 //! Wall-nanosecond timings stay in the text render, never the capture.
 
 use dyno_bench::render_table;
-use dyno_obs::{Profile, SloPolicy};
+use dyno_obs::{Capture, Profile, SloPolicy};
 use dyno_sim::{run, Experiment, Monitor, OpenLoopConfig, TestbedConfig};
 
 fn usage(bin: &str) -> ! {
@@ -84,7 +84,7 @@ fn sweep_experiment(
             drain_windows: 8,
             ..Default::default()
         }),
-        op_profile: true,
+        capture: Capture::PROFILE,
         ..Experiment::open_loop(
             TestbedConfig { tuples_per_relation: tuples, ..Default::default() },
             &load,

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use dyno_core::Strategy;
 use dyno_durable::FileStorage;
-use dyno_obs::{Collector, Sampler, SloPolicy, StalenessTracker};
+use dyno_obs::{Capture, Collector, Sampler, SloPolicy, StalenessTracker};
 use dyno_relational::{
     parse_query, AttrType, Catalog, DataUpdate, Delta, Schema, SchemaChange, SourceUpdate, Tuple,
     Value,
@@ -67,9 +67,10 @@ const EXEC_COUNTERS: [&str; 8] = [
 impl Repl {
     /// A fresh shell: no sources, no views, pessimistic scheduling.
     /// Lineage capture is on from the start so `explain <id>` works for
-    /// every update committed in the session.
+    /// every update committed in the session; the ring holds 16 k records
+    /// for it plus 64 k for a trace switched on later.
     pub fn new() -> Self {
-        let obs = Collector::wall().with_lineage(16 * 1024);
+        let obs = Collector::wall().with_capture(Capture::PROV, (16 + 64) * 1024);
         for name in DURABILITY_COUNTERS.iter().chain(EXEC_COUNTERS.iter()) {
             let _ = obs.registry().counter(name);
         }
@@ -416,18 +417,18 @@ impl Repl {
         match rest.trim() {
             "" => Ok(format!(
                 "profiler is {} ({} plan(s) captured)",
-                if obs.profile_on() { "on" } else { "off" },
+                if obs.capturing(Capture::PROFILE) { "on" } else { "off" },
                 obs.profile_snapshot().plan_count()
             )),
             "on" => {
-                obs.set_profile(true);
+                obs.set_capture(obs.capture().with(Capture::PROFILE, true));
                 Ok("profiler on — maintenance work now records per-operator costs".into())
             }
             "off" => {
-                obs.set_profile(false);
+                obs.set_capture(obs.capture().with(Capture::PROFILE, false));
                 Ok("profiler off (captured plans kept; `profile show` still renders them)".into())
             }
-            "show" => Ok(obs.profile_text(None).trim_end().to_string()),
+            "show" => Ok(obs.profile_snapshot().render_text(None).trim_end().to_string()),
             other => Err(format!("unknown profile subcommand `{other}` — on, off or show")),
         }
     }
@@ -450,7 +451,7 @@ impl Repl {
                     .collect::<String>()
             ));
         }
-        Ok(self.warehouse.obs().profile_text(Some(name)).trim_end().to_string())
+        Ok(self.warehouse.obs().profile_snapshot().render_text(Some(name)).trim_end().to_string())
     }
 
     fn cmd_checkpoint(&mut self, rest: &str) -> Result<String, String> {
@@ -501,15 +502,15 @@ impl Repl {
         match sub {
             "" => Ok(format!(
                 "tracing is {} ({} record(s) buffered)",
-                if obs.tracing_on() { "on" } else { "off" },
-                obs.trace_records().len()
+                if obs.capturing(Capture::TRACE) { "on" } else { "off" },
+                obs.trace_jsonl().lines().count()
             )),
             "on" => {
-                obs.set_tracing(true);
+                obs.set_capture(obs.capture().with(Capture::TRACE, true));
                 Ok("tracing on".into())
             }
             "off" => {
-                obs.set_tracing(false);
+                obs.set_capture(obs.capture().with(Capture::TRACE, false));
                 Ok("tracing off".into())
             }
             "dump" => {
@@ -517,10 +518,9 @@ impl Repl {
                 if path.is_empty() {
                     return Err("usage: trace dump <path>".into());
                 }
-                let records = obs.trace_records().len();
-                std::fs::write(path, obs.trace_jsonl())
-                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                Ok(format!("{records} trace record(s) written to {path}"))
+                let trace = obs.trace_jsonl();
+                std::fs::write(path, &trace).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                Ok(format!("{} trace record(s) written to {path}", trace.lines().count()))
             }
             other => Err(format!("unknown trace subcommand `{other}` — on, off or dump <path>")),
         }

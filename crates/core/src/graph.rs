@@ -106,7 +106,7 @@ impl DepGraph {
                 field("order_is_legal", graph.order_is_legal()),
             ],
         );
-        if obs.lineage_on() {
+        if obs.capturing(dyno_obs::Capture::PROV) {
             graph.record_conflicts(nodes, obs);
         }
         graph

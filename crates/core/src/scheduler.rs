@@ -275,8 +275,11 @@ impl Dyno {
         };
         // Captured only when provenance is on: the `Parked` arm below needs
         // the head's causal ids after the queue borrow ends.
-        let head_keys: Vec<u64> =
-            if self.obs.lineage_on() { head.iter().map(|u| u.key.0).collect() } else { Vec::new() };
+        let head_keys: Vec<u64> = if self.obs.capturing(dyno_obs::Capture::PROV) {
+            head.iter().map(|u| u.key.0).collect()
+        } else {
+            Vec::new()
+        };
         let outcome = {
             let _maintain = self.obs.span("dyno.maintain", &[field("batch", head.len())]);
             maintainer.maintain(head, rest)
@@ -339,7 +342,7 @@ impl Dyno {
                 "dyno.reordered",
                 &[field("batches", schedule.batches.len()), field("merged_batches", merged)],
             );
-            if self.obs.lineage_on() {
+            if self.obs.capturing(dyno_obs::Capture::PROV) {
                 let nodes = queue.nodes();
                 let mut flat_pos = 0usize;
                 for (pos, batch) in schedule.batches.iter().enumerate() {
@@ -509,7 +512,7 @@ mod tests {
 
     #[test]
     fn observed_run_mirrors_stats_in_registry() {
-        let obs = dyno_obs::Collector::wall().with_tracing(256);
+        let obs = dyno_obs::Collector::wall().with_capture(dyno_obs::Capture::TRACE, 256);
         let mut q = Umq::new();
         q.enqueue(du(0, 0));
         q.enqueue(sc(1, 1));
@@ -527,7 +530,7 @@ mod tests {
         assert_eq!(reg.counter_value("graph.builds"), Some(stats.graph_builds));
         assert_eq!(reg.gauge_value("umq.depth"), Some(0), "drained");
         // Phase spans made it into the trace.
-        let names: Vec<&str> = obs.trace_records().iter().map(|r| r.name).collect();
+        let names: Vec<&str> = obs.records().iter().map(|r| r.name).collect();
         assert!(names.contains(&"dyno.step"));
         assert!(names.contains(&"dyno.correct"));
         assert!(names.contains(&"graph.build"));
@@ -547,7 +550,7 @@ mod tests {
             dyno.step(&mut q, &mut m);
         }
         assert!(!dyno.obs().is_enabled());
-        assert!(dyno.obs().trace_records().is_empty());
+        assert!(dyno.obs().records().is_empty());
         assert_eq!(dyno.obs().registry().counter_value("dyno.steps"), None);
         assert_eq!(dyno.stats().committed, 2, "scheduling itself is unaffected");
     }

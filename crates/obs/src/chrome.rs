@@ -1,8 +1,8 @@
 //! Chrome `trace_event` JSON export — load the result in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
-//! The exporter combines the two capture streams of a [`Collector`]
-//! (crate::Collector):
+//! The exporter renders the one record ring of a
+//! [`Collector`](crate::Collector):
 //!
 //! * **spans** become duration (`"B"`/`"E"`) events. Only *matched*
 //!   start/end pairs are emitted, so the output always balances even when
@@ -18,12 +18,12 @@
 //! the scheduler (Dyno core), and the warehouse. Lanes are named via
 //! `thread_name` metadata events.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::json;
-use crate::lineage::{stage, ProvRecord, BATCH_BIT};
-use crate::trace::{FieldValue, Record, RecordKind};
+use crate::lineage::stage;
+use crate::trace::{push_json_fields, Field, Record, RecordKind};
 
 /// The single process id used by the export.
 const PID: u32 = 1;
@@ -49,56 +49,24 @@ fn lane_of_name(name: &str) -> u32 {
 /// The lane a provenance record belongs to: commits land on their source's
 /// lane, transport stages on the transport lane, scheduling stages on the
 /// scheduler lane, everything else on the warehouse lane.
-fn lane_of_prov(rec: &ProvRecord) -> u32 {
-    match rec.stage {
-        stage::COMMIT => {
-            let source = rec.fields.iter().find_map(|(k, v)| match (k, v) {
-                (&"source", FieldValue::U64(n)) => Some(*n as u32),
-                _ => None,
-            });
-            SOURCE_BASE + source.unwrap_or(0)
-        }
+fn lane_of_prov(rec: &Record) -> u32 {
+    match rec.name {
+        stage::COMMIT => SOURCE_BASE + rec.u64_field("source").unwrap_or(0) as u32,
         s if s.starts_with("xport.") => LANE_TRANSPORT,
         stage::CONFLICT | stage::MERGE | stage::REORDER => LANE_SCHEDULER,
         _ => LANE_WAREHOUSE,
     }
 }
 
-fn push_field_value(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::Str(s) => json::push_str(out, s),
-        FieldValue::Text(s) => json::push_str(out, s),
-        FieldValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::F64(x) => json::push_f64(out, *x),
-        FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-fn push_args(out: &mut String, extra: &[(&str, u64)], fields: &[(&'static str, FieldValue)]) {
+fn push_args(out: &mut String, causal_id: Option<u64>, fields: &[Field]) {
     out.push_str(",\"args\":{");
-    let mut first = true;
-    for (k, v) in extra {
-        if !first {
+    if let Some(id) = causal_id {
+        let _ = write!(out, "\"causal_id\":{id}");
+        if !fields.is_empty() {
             out.push(',');
         }
-        first = false;
-        json::push_str(out, k);
-        let _ = write!(out, ":{v}");
     }
-    for (k, v) in fields {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        json::push_str(out, k);
-        out.push(':');
-        push_field_value(out, v);
-    }
+    push_json_fields(out, fields);
     out.push('}');
 }
 
@@ -108,26 +76,20 @@ fn push_event_head(out: &mut String, name: &str, ph: char, ts: u64, tid: u32) {
     let _ = write!(out, ",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{PID},\"tid\":{tid}");
 }
 
-/// Exports trace + lineage as one Chrome `trace_event` JSON document
-/// (`{"traceEvents":[...]}`).
-pub fn export_chrome(records: &[Record], lineage: &[ProvRecord]) -> String {
+/// Exports a ring snapshot (spans, events and provenance in capture order)
+/// as one Chrome `trace_event` JSON document (`{"traceEvents":[...]}`):
+/// spans and events first, then provenance slices, then flows.
+pub fn export_chrome(records: &[Record]) -> String {
     let mut events: Vec<String> = Vec::new();
 
-    // Which span starts have a matching end (same span_id) in the capture.
-    let mut start_of: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut matched: BTreeMap<u64, ()> = BTreeMap::new();
-    for (i, r) in records.iter().enumerate() {
+    // Which spans have both halves in the capture, start first.
+    let (mut started, mut matched) = (BTreeSet::new(), BTreeSet::new());
+    for r in records {
         match r.kind {
-            RecordKind::SpanStart => {
-                start_of.insert(r.span_id, i);
-            }
-            RecordKind::SpanEnd => {
-                if start_of.contains_key(&r.span_id) {
-                    matched.insert(r.span_id, ());
-                }
-            }
-            RecordKind::Event => {}
-        }
+            RecordKind::SpanStart => started.insert(r.id),
+            RecordKind::SpanEnd if started.contains(&r.id) => matched.insert(r.id),
+            _ => false,
+        };
     }
 
     let mut lanes: BTreeMap<u32, String> = BTreeMap::new();
@@ -144,24 +106,26 @@ pub fn export_chrome(records: &[Record], lineage: &[ProvRecord]) -> String {
     // Spans and point events, in capture order (the tracer is
     // single-threaded, so capture order is timestamp order and B/E nesting
     // per lane is inherited from the span stack).
-    for r in records {
+    let (prov, trace): (Vec<&Record>, Vec<&Record>) =
+        records.iter().partition(|r| r.kind == RecordKind::Prov);
+    for r in trace {
         let tid = lane(lane_of_name(r.name), &mut lanes);
         let mut e = String::new();
         match r.kind {
-            RecordKind::SpanStart if matched.contains_key(&r.span_id) => {
+            RecordKind::SpanStart if matched.contains(&r.id) => {
                 push_event_head(&mut e, r.name, 'B', r.ts_us, tid);
                 if !r.fields.is_empty() {
-                    push_args(&mut e, &[], &r.fields);
+                    push_args(&mut e, None, &r.fields);
                 }
             }
-            RecordKind::SpanEnd if matched.contains_key(&r.span_id) => {
+            RecordKind::SpanEnd if matched.contains(&r.id) => {
                 push_event_head(&mut e, r.name, 'E', r.ts_us, tid);
             }
             RecordKind::Event => {
                 push_event_head(&mut e, r.name, 'i', r.ts_us, tid);
                 e.push_str(",\"s\":\"t\"");
                 if !r.fields.is_empty() {
-                    push_args(&mut e, &[], &r.fields);
+                    push_args(&mut e, None, &r.fields);
                 }
             }
             _ => continue, // unmatched half of a pair
@@ -174,27 +138,18 @@ pub fn export_chrome(records: &[Record], lineage: &[ProvRecord]) -> String {
     // collected for the flow pass. A batch record is an appearance of every
     // member id.
     let mut trajectories: BTreeMap<u64, Vec<(u64, u32, &'static str)>> = BTreeMap::new();
-    for r in lineage {
+    for r in prov {
         let tid = lane(lane_of_prov(r), &mut lanes);
         let mut e = String::new();
-        let name = format!("prov.{}", r.stage);
+        let name = format!("prov.{}", r.name);
         e.push_str("{\"name\":");
         json::push_str(&mut e, &name);
         let _ = write!(e, ",\"ph\":\"X\",\"ts\":{},\"dur\":1,\"pid\":{PID},\"tid\":{tid}", r.ts_us);
-        push_args(&mut e, &[("causal_id", r.id)], &r.fields);
+        push_args(&mut e, Some(r.id), &r.fields);
         e.push('}');
         events.push(e);
-
-        if r.id & BATCH_BIT != 0 {
-            for (k, v) in &r.fields {
-                if *k == "member" {
-                    if let FieldValue::U64(m) = v {
-                        trajectories.entry(*m).or_default().push((r.ts_us, tid, r.stage));
-                    }
-                }
-            }
-        } else {
-            trajectories.entry(r.id).or_default().push((r.ts_us, tid, r.stage));
+        for id in r.causal_ids() {
+            trajectories.entry(id).or_default().push((r.ts_us, tid, r.name));
         }
     }
 
@@ -206,12 +161,10 @@ pub fn export_chrome(records: &[Record], lineage: &[ProvRecord]) -> String {
         }
         let last = hops.len() - 1;
         for (i, (ts, tid, stg)) in hops.iter().enumerate() {
-            let ph = if i == 0 {
-                's'
-            } else if i == last {
-                'f'
-            } else {
-                't'
+            let ph = match i {
+                0 => 's',
+                i if i == last => 'f',
+                _ => 't',
             };
             let mut e = String::new();
             e.push_str("{\"name\":\"causal\",\"cat\":\"provenance\",");
@@ -227,46 +180,35 @@ pub fn export_chrome(records: &[Record], lineage: &[ProvRecord]) -> String {
     }
 
     // Lane names (metadata events, conventionally first).
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (tid, name) in &lanes {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
+    let lane_names = lanes.iter().map(|(tid, name)| {
+        format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
              \"args\":{{\"name\":{}}}}}",
             json::escape(name)
-        );
-    }
-    for e in &events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(e);
-    }
-    out.push_str("]}\n");
-    out
+        )
+    });
+    let all: Vec<String> = lane_names.chain(events).collect();
+    format!("{{\"traceEvents\":[{}]}}\n", all.join(","))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
-    use crate::lineage::Lineage;
-    use crate::trace::{field, Level, Tracer};
+    use crate::trace::{field, Level, Ring};
 
     fn events_of(doc: &str) -> Vec<Value> {
         let v = parse(doc).expect("valid JSON");
         v.get("traceEvents").and_then(Value::as_arr).expect("traceEvents array").to_vec()
     }
 
+    fn snapshot(ring: &Ring) -> Vec<Record> {
+        ring.records().cloned().collect()
+    }
+
     #[test]
     fn spans_export_as_balanced_be_pairs() {
-        let mut t = Tracer::new(64);
+        let mut t = Ring::new(64);
         let a = t.begin_span("dyno.step", 10, vec![field("depth", 2u64)]);
         let b = t.begin_span("vm.sweep", 20, vec![]);
         t.end_span("vm.sweep", b, 20, 30);
@@ -274,8 +216,7 @@ mod tests {
         let open = t.begin_span("view.maintain", 50, vec![]); // never closed
         let _ = open;
 
-        let recs: Vec<Record> = t.records().cloned().collect();
-        let doc = export_chrome(&recs, &[]);
+        let doc = export_chrome(&snapshot(&t));
         let evs = events_of(&doc);
         let mut b_count = 0;
         let mut e_count = 0;
@@ -292,18 +233,14 @@ mod tests {
 
     #[test]
     fn lanes_split_by_subsystem_and_are_named() {
-        let mut t = Tracer::new(64);
+        let mut t = Ring::new(64);
+        t.prov(0, 7, stage::COMMIT, vec![field("source", 2u64)]);
         let a = t.begin_span("dyno.step", 1, vec![]);
         t.end_span("dyno.step", a, 1, 2);
         let b = t.begin_span("view.maintain", 3, vec![]);
         t.end_span("view.maintain", b, 3, 4);
-        let recs: Vec<Record> = t.records().cloned().collect();
 
-        let mut l = Lineage::new(8);
-        l.record(0, 7, stage::COMMIT, vec![field("source", 2u64)]);
-        let prov: Vec<ProvRecord> = l.records().cloned().collect();
-
-        let doc = export_chrome(&recs, &prov);
+        let doc = export_chrome(&snapshot(&t));
         let evs = events_of(&doc);
         let names: Vec<&str> = evs
             .iter()
@@ -313,16 +250,23 @@ mod tests {
         assert!(names.contains(&"scheduler"));
         assert!(names.contains(&"warehouse"));
         assert!(names.contains(&"source.DS2"));
+        // Spans and events come first, provenance slices after, whatever
+        // the capture order.
+        let order: Vec<&str> = evs
+            .iter()
+            .filter(|e| e.get("ph").and_then(Value::as_str) != Some("M"))
+            .filter_map(|e| e.get("name").and_then(Value::as_str))
+            .collect();
+        assert_eq!(order.last(), Some(&"prov.commit"), "{order:?}");
     }
 
     #[test]
     fn flows_connect_a_causal_id_across_lanes() {
-        let mut l = Lineage::new(16);
-        l.record(10, 7, stage::COMMIT, vec![field("source", 0u64)]);
-        l.record(20, 7, stage::ADMIT, vec![]);
-        l.record(30, 7, stage::APPLIED, vec![]);
-        let prov: Vec<ProvRecord> = l.records().cloned().collect();
-        let doc = export_chrome(&[], &prov);
+        let mut l = Ring::new(16);
+        l.prov(10, 7, stage::COMMIT, vec![field("source", 0u64)]);
+        l.prov(20, 7, stage::ADMIT, vec![]);
+        l.prov(30, 7, stage::APPLIED, vec![]);
+        let doc = export_chrome(&snapshot(&l));
         let evs = events_of(&doc);
         let phases: Vec<&str> = evs
             .iter()
@@ -334,15 +278,14 @@ mod tests {
 
     #[test]
     fn batch_records_step_every_member_flow() {
-        let mut l = Lineage::new(16);
-        l.record(1, 5, stage::COMMIT, vec![field("source", 0u64)]);
-        l.record(2, 6, stage::COMMIT, vec![field("source", 1u64)]);
-        let b = l.new_batch(&[5, 6]);
-        l.record(3, b, stage::MERGE, vec![field("member", 5u64), field("member", 6u64)]);
-        l.record(4, 5, stage::APPLIED, vec![]);
-        l.record(4, 6, stage::APPLIED, vec![]);
-        let prov: Vec<ProvRecord> = l.records().cloned().collect();
-        let doc = export_chrome(&[], &prov);
+        let mut l = Ring::new(16);
+        l.prov(1, 5, stage::COMMIT, vec![field("source", 0u64)]);
+        l.prov(2, 6, stage::COMMIT, vec![field("source", 1u64)]);
+        let b = l.batch_id();
+        l.prov(3, b, stage::MERGE, vec![field("member", 5u64), field("member", 6u64)]);
+        l.prov(4, 5, stage::APPLIED, vec![]);
+        l.prov(4, 6, stage::APPLIED, vec![]);
+        let doc = export_chrome(&snapshot(&l));
         let evs = events_of(&doc);
         let flow_ids: Vec<u64> = evs
             .iter()
@@ -357,10 +300,9 @@ mod tests {
 
     #[test]
     fn export_is_valid_json_with_escaped_payloads() {
-        let mut t = Tracer::new(8);
+        let mut t = Ring::new(8);
         t.event(Level::Warn, "vm.broken_query", 5, vec![field("query", String::from("a\"b"))]);
-        let recs: Vec<Record> = t.records().cloned().collect();
-        let doc = export_chrome(&recs, &[]);
+        let doc = export_chrome(&snapshot(&t));
         assert!(parse(&doc).is_ok(), "must parse: {doc}");
     }
 }

@@ -1,6 +1,6 @@
-//! The forensics analyzer: replays a [`Lineage`](crate::lineage::Lineage)
-//! capture into per-update phase latencies and per-anomaly-class
-//! distributions.
+//! The forensics analyzer: replays the provenance records of a capture
+//! (see [`crate::lineage`]) into per-update phase latencies and
+//! per-anomaly-class distributions.
 //!
 //! For every causal id with a terminal `applied` record the analyzer
 //! reconstructs:
@@ -23,9 +23,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::lineage::{stage, ProvRecord, BATCH_BIT};
+use crate::lineage::{stage, BATCH_BIT};
 use crate::metrics::Histogram;
-use crate::trace::FieldValue;
+use crate::trace::{Record, RecordKind};
 
 /// Aggregated phase latencies and anomaly-class distributions.
 #[derive(Debug, Default)]
@@ -48,37 +48,22 @@ pub struct Forensics {
     pub by_class_us: BTreeMap<u8, Histogram>,
 }
 
-fn u64_field(rec: &ProvRecord, key: &str) -> Option<u64> {
-    rec.fields.iter().find_map(|(k, v)| match v {
-        FieldValue::U64(n) if *k == key => Some(*n),
-        _ => None,
-    })
-}
-
 /// The per-id event list, batch records expanded to every member they name
 /// (`member` fields), ordered as captured.
-fn timelines(records: &[ProvRecord]) -> BTreeMap<u64, Vec<(u64, &'static str, u8)>> {
+fn timelines(records: &[Record]) -> BTreeMap<u64, Vec<(u64, &'static str, u8)>> {
     let mut by_id: BTreeMap<u64, Vec<(u64, &'static str, u8)>> = BTreeMap::new();
-    for r in records {
-        let class = u64_field(r, "class").unwrap_or(0) as u8;
-        if r.id & BATCH_BIT != 0 {
-            for (k, v) in &r.fields {
-                if *k == "member" {
-                    if let FieldValue::U64(m) = v {
-                        by_id.entry(*m).or_default().push((r.ts_us, r.stage, class));
-                    }
-                }
-            }
-        } else {
-            by_id.entry(r.id).or_default().push((r.ts_us, r.stage, class));
+    for r in records.iter().filter(|r| r.kind == RecordKind::Prov) {
+        let class = r.u64_field("class").unwrap_or(0) as u8;
+        for id in r.causal_ids() {
+            by_id.entry(id).or_default().push((r.ts_us, r.name, class));
         }
     }
     by_id
 }
 
-/// Analyzes a lineage capture (see the module docs for the phase
-/// definitions).
-pub fn analyze(records: &[ProvRecord]) -> Forensics {
+/// Analyzes the provenance records of a capture (see the module docs for
+/// the phase definitions); other records are ignored.
+pub fn analyze(records: &[Record]) -> Forensics {
     let mut f = Forensics::default();
     for events in timelines(records).values() {
         let applied = events.iter().rev().find(|(_, s, _)| *s == stage::APPLIED);
@@ -203,9 +188,7 @@ impl Forensics {
         out.push_str("}}\n");
         out
     }
-}
 
-impl Forensics {
     /// [`Forensics::render_text`] followed by the per-operator drill-down
     /// from a [`Profile`](crate::profile::Profile) capture, so the
     /// phase-level attribution above is explained operator-by-operator
@@ -221,38 +204,19 @@ impl Forensics {
 /// Renders one id's lineage as a human-readable timeline (the CLI
 /// `explain <id>` output). `records` should come from
 /// [`Collector::explain`](crate::Collector::explain).
-pub fn explain_text(id: u64, records: &[ProvRecord]) -> String {
+pub fn explain_text(id: u64, records: &[Record]) -> String {
     if records.is_empty() {
         return format!("no lineage for id {id} (is lineage capture on?)\n");
     }
     let mut out = format!("lineage of {id}\n");
     let t0 = records.first().map(|r| r.ts_us).unwrap_or(0);
     for r in records {
-        let _ = write!(out, "  +{:>8} µs  {:<14}", r.ts_us.saturating_sub(t0), r.stage);
+        let _ = write!(out, "  +{:>8} µs  {:<14}", r.ts_us.saturating_sub(t0), r.name);
         if r.id != id {
             let _ = write!(out, " [batch {}]", r.id & !BATCH_BIT);
         }
         for (k, v) in &r.fields {
-            match v {
-                FieldValue::Str(s) => {
-                    let _ = write!(out, " {k}={s}");
-                }
-                FieldValue::Text(s) => {
-                    let _ = write!(out, " {k}={s}");
-                }
-                FieldValue::U64(n) => {
-                    let _ = write!(out, " {k}={n}");
-                }
-                FieldValue::I64(n) => {
-                    let _ = write!(out, " {k}={n}");
-                }
-                FieldValue::F64(x) => {
-                    let _ = write!(out, " {k}={x}");
-                }
-                FieldValue::Bool(b) => {
-                    let _ = write!(out, " {k}={b}");
-                }
-            }
+            let _ = write!(out, " {k}={v}");
         }
         out.push('\n');
     }
@@ -262,28 +226,29 @@ pub fn explain_text(id: u64, records: &[ProvRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lineage::Lineage;
-    use crate::trace::field;
+    use crate::trace::{field, Ring};
 
-    fn capture() -> Vec<ProvRecord> {
-        let mut l = Lineage::new(64);
+    fn capture() -> Vec<Record> {
+        let mut l = Ring::new(64);
         // id 1: clean DU — commit 0, admit 10, intent 30, applied 50.
-        l.record(0, 1, stage::COMMIT, vec![field("source", 0u64)]);
-        l.record(10, 1, stage::ADMIT, vec![]);
-        l.record(30, 1, stage::INTENT, vec![]);
-        l.record(50, 1, stage::APPLIED, vec![]);
+        l.prov(0, 1, stage::COMMIT, vec![field("source", 0u64)]);
+        l.prov(10, 1, stage::ADMIT, vec![]);
+        l.prov(30, 1, stage::INTENT, vec![]);
+        l.prov(50, 1, stage::APPLIED, vec![]);
         // id 2: conflicted (class 3), parked once, merged.
-        l.record(0, 2, stage::COMMIT, vec![field("source", 1u64)]);
-        l.record(5, 2, stage::ADMIT, vec![]);
-        l.record(8, 2, stage::CONFLICT, vec![field("with", 1u64), field("class", 3u64)]);
-        let b = l.new_batch(&[2]);
-        l.record(12, b, stage::MERGE, vec![field("member", 2u64)]);
-        l.record(20, 2, stage::INTENT, vec![]);
-        l.record(25, 2, stage::PARK, vec![]);
-        l.record(100, 2, stage::INTENT, vec![]);
-        l.record(140, 2, stage::APPLIED, vec![]);
+        l.prov(0, 2, stage::COMMIT, vec![field("source", 1u64)]);
+        l.prov(5, 2, stage::ADMIT, vec![]);
+        l.prov(8, 2, stage::CONFLICT, vec![field("with", 1u64), field("class", 3u64)]);
+        let b = l.batch_id();
+        l.prov(12, b, stage::MERGE, vec![field("member", 2u64)]);
+        l.prov(20, 2, stage::INTENT, vec![]);
+        l.prov(25, 2, stage::PARK, vec![]);
+        l.prov(100, 2, stage::INTENT, vec![]);
+        l.prov(140, 2, stage::APPLIED, vec![]);
         // id 3: admitted, never applied (still queued) — not counted.
-        l.record(7, 3, stage::ADMIT, vec![]);
+        l.prov(7, 3, stage::ADMIT, vec![]);
+        // Spans and events in the same ring are not provenance.
+        l.event(crate::trace::Level::Info, "dyno.step", 8, vec![field("class", 4u64)]);
         l.records().cloned().collect()
     }
 
@@ -329,14 +294,9 @@ mod tests {
     #[test]
     fn explain_renders_a_timeline() {
         let recs = capture();
-        let two: Vec<ProvRecord> = recs
+        let two: Vec<Record> = recs
             .iter()
-            .filter(|r| {
-                r.id == 2
-                    || r.fields
-                        .iter()
-                        .any(|(k, v)| *k == "member" && matches!(v, FieldValue::U64(2)))
-            })
+            .filter(|r| r.kind == RecordKind::Prov && r.causal_ids().any(|m| m == 2))
             .cloned()
             .collect();
         let text = explain_text(2, &two);

@@ -1,36 +1,37 @@
-//! Per-update provenance: the [`Lineage`] store.
+//! Per-update provenance: causal ids, batch ids, the stage vocabulary, and
+//! [`explain`].
 //!
 //! Every source update (DU or SC) is assigned a **causal id** at source
 //! commit — the `UpdateId` the wrapper stamps on its message, globally
 //! unique and stable across every layer (transport, ingress, UMQ, WAL).
-//! Instrumented code appends [`ProvRecord`]s against that id as the update
+//! Instrumented code records provenance against that id as the update
 //! moves through the stack: committed, dropped/duplicated/replayed by the
 //! transport, admitted to the UMQ, found in an unsafe dependency, merged
 //! into a cyclic batch, named in an Intent record, parked, applied, and
 //! finally reflected in a view-extent delta.
 //!
-//! The store follows the same contract as the span [`Tracer`](crate::trace::Tracer):
-//! a bounded ring that drops (and counts) the oldest records when full, and
-//! a **true no-op** when the collector is disabled or lineage is off — no
-//! allocation, no field copy, no clock read (see
+//! A provenance record is a [`Record`] of kind [`RecordKind::Prov`] — its
+//! `name` is the [`stage`], its `id` the causal id — kept in the
+//! collector's one ring beside spans and events ([`crate::trace`]). It is
+//! captured only while the collector captures
+//! [`Capture::PROV`](crate::Capture::PROV), and is a **true no-op**
+//! otherwise — no allocation, no field copy, no clock read (see
 //! [`Collector::prov`](crate::Collector::prov)).
 //!
 //! ## Batch ids
 //!
 //! Cyclic-group merges and atomic Applied records concern a *set* of causal
 //! ids. Those get a synthetic id in a disjoint namespace — the high bit set
-//! ([`BATCH_BIT`]) plus a sequence number — and the member list is kept in a
-//! bounded side map so [`Lineage::explain`] can traverse from a member id
-//! through every batch it joined, and from a batch id to its members.
+//! ([`BATCH_BIT`]) plus a sequence number. The only producer of batch ids,
+//! [`Collector::prov_batch`](crate::Collector::prov_batch), writes exactly
+//! one record per batch and lists every member in it as a `member` field,
+//! so a batch's membership is read from the batch's own record
+//! ([`Record::causal_ids`]) and nothing else remembers it.
 
-use std::collections::{BTreeMap, VecDeque};
+use crate::trace::{Record, RecordKind};
 
-use crate::json;
-use crate::trace::{Field, FieldValue};
-
-/// High bit marking a synthetic batch id (member lists live in the side
-/// map); real causal ids come from source-commit sequence numbers and never
-/// reach this range.
+/// High bit marking a synthetic batch id; real causal ids come from
+/// source-commit sequence numbers and never reach this range.
 pub const BATCH_BIT: u64 = 1 << 63;
 
 /// Canonical stage names, so producers and the forensics analyzer agree.
@@ -92,159 +93,49 @@ pub mod stage {
     pub const SUPERSEDED: &str = "superseded";
 }
 
-/// One provenance record: *update `id` reached `stage` at `ts_us`*.
-#[derive(Debug, Clone)]
-pub struct ProvRecord {
-    /// Timestamp (collector clock, microseconds).
-    pub ts_us: u64,
-    /// The causal id (or a [`BATCH_BIT`]-tagged batch id).
-    pub id: u64,
-    /// Which propagation point recorded it (see [`stage`]).
-    pub stage: &'static str,
-    /// Structured context.
-    pub fields: Vec<Field>,
-}
-
-impl ProvRecord {
-    /// Appends the record as one JSON line.
-    pub fn push_jsonl(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(out, "{{\"ts_us\":{},\"id\":{},\"stage\":", self.ts_us, self.id);
-        json::push_str(out, self.stage);
-        for (k, v) in &self.fields {
-            out.push(',');
-            json::push_str(out, k);
-            out.push(':');
-            match v {
-                FieldValue::Str(s) => json::push_str(out, s),
-                FieldValue::Text(s) => json::push_str(out, s),
-                FieldValue::U64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                FieldValue::I64(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                FieldValue::F64(x) => json::push_f64(out, *x),
-                FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            }
-        }
-        out.push_str("}\n");
+/// The lineage of `id` among the provenance records of `records`, oldest
+/// first. For a causal id: its own records plus the record of every batch
+/// that lists it as a member. For a batch id: the batch's record plus every
+/// record of every member that record lists.
+///
+/// The answer depends only on records still in the ring. A batch record
+/// survives exactly as long as its batch can be explained: once it is
+/// evicted, a member's lineage simply no longer shows that batch, and a
+/// query for the batch id itself finds nothing — no other record names the
+/// batch's members.
+pub fn explain<'a>(records: impl Iterator<Item = &'a Record> + Clone, id: u64) -> Vec<Record> {
+    let prov = records.filter(|r| r.kind == RecordKind::Prov);
+    if id & BATCH_BIT == 0 {
+        return prov.filter(|r| r.causal_ids().any(|m| m == id)).cloned().collect();
     }
-}
-
-/// The bounded provenance store.
-#[derive(Debug)]
-pub struct Lineage {
-    capacity: usize,
-    ring: VecDeque<ProvRecord>,
-    dropped: u64,
-    next_batch: u64,
-    /// Batch id → member causal ids; bounded to the ring capacity (oldest
-    /// batches evicted first — ids are monotonic, so the first key is the
-    /// oldest).
-    batches: BTreeMap<u64, Vec<u64>>,
-}
-
-impl Lineage {
-    /// A store holding at most `capacity` records (and member lists for at
-    /// most `capacity` batches).
-    pub fn new(capacity: usize) -> Self {
-        Lineage {
-            capacity,
-            ring: VecDeque::new(),
-            dropped: 0,
-            next_batch: 0,
-            batches: BTreeMap::new(),
-        }
-    }
-
-    /// Appends one record, evicting the oldest when full.
-    pub fn record(&mut self, ts_us: u64, id: u64, stage: &'static str, fields: Vec<Field>) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(ProvRecord { ts_us, id, stage, fields });
-    }
-
-    /// Registers a batch over `members` and returns its synthetic id.
-    pub fn new_batch(&mut self, members: &[u64]) -> u64 {
-        self.next_batch += 1;
-        let id = BATCH_BIT | self.next_batch;
-        if self.batches.len() >= self.capacity.max(1) {
-            let oldest = *self.batches.keys().next().expect("non-empty map");
-            self.batches.remove(&oldest);
-        }
-        self.batches.insert(id, members.to_vec());
-        id
-    }
-
-    /// Member causal ids of a batch, if still retained.
-    pub fn members(&self, batch_id: u64) -> Option<&[u64]> {
-        self.batches.get(&batch_id).map(Vec::as_slice)
-    }
-
-    /// Every retained record, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &ProvRecord> {
-        self.ring.iter()
-    }
-
-    /// Records evicted so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The lineage of `id`: every record carrying the id itself, plus every
-    /// record of a batch the id is a member of. For a batch id, the batch's
-    /// own records plus every member's records. Ordered oldest first.
-    pub fn explain(&self, id: u64) -> Vec<ProvRecord> {
-        let wanted = |rid: u64| -> bool {
-            if rid == id {
-                return true;
-            }
-            if id & BATCH_BIT != 0 {
-                // Query is a batch: include its members' records.
-                self.members(id).is_some_and(|m| m.contains(&rid))
-            } else {
-                // Query is a causal id: include batches it belongs to.
-                rid & BATCH_BIT != 0 && self.members(rid).is_some_and(|m| m.contains(&id))
-            }
-        };
-        self.ring.iter().filter(|r| wanted(r.id)).cloned().collect()
-    }
-
-    /// The whole store as JSONL, oldest first.
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.ring {
-            r.push_jsonl(&mut out);
-        }
-        out
-    }
-
-    /// Empties the store (batch member lists included).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.batches.clear();
-        self.dropped = 0;
-    }
+    let members: Vec<u64> =
+        prov.clone().find(|r| r.id == id).map_or_else(Vec::new, |r| r.causal_ids().collect());
+    prov.filter(|r| r.id == id || members.contains(&r.id)).cloned().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::field;
+    use crate::trace::{field, Field, Ring};
+
+    /// Records a batch over `members` the way `Collector::prov_batch` does.
+    fn batch(l: &mut Ring, ts: u64, members: &[u64], stage: &'static str) -> u64 {
+        let id = l.batch_id();
+        let fields: Vec<Field> = members.iter().map(|&m| field("member", m)).collect();
+        l.prov(ts, id, stage, fields);
+        id
+    }
+
+    fn stages(recs: &[Record]) -> Vec<&'static str> {
+        recs.iter().map(|r| r.name).collect()
+    }
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let mut l = Lineage::new(2);
-        l.record(1, 10, stage::COMMIT, vec![]);
-        l.record(2, 11, stage::COMMIT, vec![]);
-        l.record(3, 12, stage::COMMIT, vec![]);
+        let mut l = Ring::new(2);
+        l.prov(1, 10, stage::COMMIT, vec![]);
+        l.prov(2, 11, stage::COMMIT, vec![]);
+        l.prov(3, 12, stage::COMMIT, vec![]);
         assert_eq!(l.records().count(), 2);
         assert_eq!(l.dropped(), 1);
         assert_eq!(l.records().next().unwrap().id, 11, "oldest evicted first");
@@ -252,46 +143,75 @@ mod tests {
 
     #[test]
     fn explain_traverses_batches_both_ways() {
-        let mut l = Lineage::new(16);
-        l.record(1, 7, stage::COMMIT, vec![]);
-        l.record(2, 8, stage::COMMIT, vec![]);
-        let b = l.new_batch(&[7, 8]);
-        l.record(3, b, stage::MERGE, vec![field("members", 2u64)]);
-        l.record(4, 7, stage::APPLIED, vec![]);
+        let mut l = Ring::new(16);
+        l.prov(1, 7, stage::COMMIT, vec![]);
+        l.prov(2, 8, stage::COMMIT, vec![]);
+        let b = batch(&mut l, 3, &[7, 8], stage::MERGE);
+        l.prov(4, 7, stage::APPLIED, vec![]);
 
-        let seven = l.explain(7);
-        let stages: Vec<&str> = seven.iter().map(|r| r.stage).collect();
-        assert_eq!(stages, vec![stage::COMMIT, stage::MERGE, stage::APPLIED]);
+        let seven = explain(l.records(), 7);
+        assert_eq!(stages(&seven), vec![stage::COMMIT, stage::MERGE, stage::APPLIED]);
 
-        let batch = l.explain(b);
-        assert_eq!(batch.len(), 4, "batch explain covers both members and itself");
-        assert_eq!(l.members(b), Some(&[7u64, 8][..]));
+        let whole = explain(l.records(), b);
+        assert_eq!(whole.len(), 4, "batch explain covers both members and itself");
+        let members: Vec<u64> = whole[2].causal_ids().collect();
+        assert_eq!(members, vec![7, 8], "the batch record names its members");
+    }
+
+    #[test]
+    fn explain_over_an_evicting_ring_reads_only_surviving_records() {
+        // A member whose own records were evicted while its batch record
+        // survives: its lineage is that batch record.
+        let mut l = Ring::new(3);
+        l.prov(1, 7, stage::COMMIT, vec![]);
+        l.prov(2, 8, stage::COMMIT, vec![]);
+        let b = batch(&mut l, 3, &[7, 8], stage::MERGE);
+        l.prov(4, 8, stage::APPLIED, vec![]);
+        assert_eq!(l.dropped(), 1, "u7's commit was evicted");
+        assert_eq!(stages(&explain(l.records(), 7)), vec![stage::MERGE]);
+        assert_eq!(
+            stages(&explain(l.records(), 8)),
+            vec![stage::COMMIT, stage::MERGE, stage::APPLIED]
+        );
+        // A batch id queried directly: its record plus every member's.
+        assert_eq!(
+            stages(&explain(l.records(), b)),
+            vec![stage::COMMIT, stage::MERGE, stage::APPLIED]
+        );
+
+        // A batch whose record was evicted: its members' lineages no longer
+        // show it, and nothing else names its members.
+        l.prov(5, 7, stage::APPLIED, vec![]);
+        l.prov(6, 7, stage::EXTENT, vec![]);
+        assert_eq!(l.dropped(), 3);
+        assert_eq!(stages(&explain(l.records(), 7)), vec![stage::APPLIED, stage::EXTENT]);
+        assert_eq!(stages(&explain(l.records(), 8)), vec![stage::APPLIED]);
+        assert!(explain(l.records(), b).is_empty());
     }
 
     #[test]
     fn batch_ids_live_in_a_disjoint_namespace() {
-        let mut l = Lineage::new(4);
-        let a = l.new_batch(&[1]);
-        let b = l.new_batch(&[2]);
+        let mut l = Ring::new(4);
+        let a = l.batch_id();
+        let b = l.batch_id();
         assert_ne!(a, b);
         assert!(a & BATCH_BIT != 0 && b & BATCH_BIT != 0);
     }
 
     #[test]
     fn jsonl_escapes_and_renders_fields() {
-        let mut l = Lineage::new(4);
-        l.record(5, 1, stage::CONFLICT, vec![field("with", 2u64), field("kind", "SD")]);
-        let out = l.export_jsonl();
+        let mut l = Ring::new(4);
+        l.prov(5, 1, stage::CONFLICT, vec![field("with", 2u64), field("kind", "SD")]);
         assert_eq!(
-            out,
+            l.jsonl(true),
             "{\"ts_us\":5,\"id\":1,\"stage\":\"conflict\",\"with\":2,\"kind\":\"SD\"}\n"
         );
     }
 
     #[test]
     fn zero_capacity_store_retains_nothing() {
-        let mut l = Lineage::new(0);
-        l.record(1, 1, stage::COMMIT, vec![]);
+        let mut l = Ring::new(0);
+        l.prov(1, 1, stage::COMMIT, vec![]);
         assert_eq!(l.records().count(), 0);
         assert_eq!(l.dropped(), 1);
     }

@@ -101,70 +101,76 @@ pub struct HistWindow {
     pub p99: u64,
 }
 
-/// Rank-based quantile over a log₂ bucket array: the quantile's bucket is
-/// found by rank, then the value is linearly interpolated across the
-/// bucket's range, clamped to the observed `min`/`max`. Shared by the
-/// cumulative and windowed views of a histogram so both report identically
-/// for identical sample sets.
-fn quantile_in(count: u64, min: u64, max: u64, buckets: &[u64; HISTOGRAM_BUCKETS], q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-    let mut cum = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        if cum + n >= rank {
-            let bucket_hi = match i {
-                0 => 0,
-                64 => u64::MAX,
-                k => (1u64 << k) - 1,
-            };
-            let lo = bucket_lo(i).max(min).min(max);
-            let hi = bucket_hi.min(max).max(lo);
-            let within = rank - cum; // 1 ..= n
-            let frac = if n <= 1 { 0.5 } else { (within - 1) as f64 / (n - 1) as f64 };
-            return lo + ((hi - lo) as f64 * frac).round() as u64;
-        }
-        cum += n;
-    }
-    max
-}
-
-#[derive(Debug)]
-struct HistData {
+/// Count, sum, extremes and log₂ bucket occupancy of a set of samples.
+#[derive(Debug, Clone, Copy)]
+struct Bins {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
     buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Window-scoped mirror of the fields above: reset by
-    /// `snapshot_and_reset_window`, never consulted by the cumulative
-    /// accessors, so lifetime quantiles are unaffected by windowing.
-    wcount: u64,
-    wsum: u64,
-    wmin: u64,
-    wmax: u64,
-    wbuckets: [u64; HISTOGRAM_BUCKETS],
 }
 
-impl Default for HistData {
+impl Default for Bins {
     fn default() -> Self {
-        HistData {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-            wcount: 0,
-            wsum: 0,
-            wmin: 0,
-            wmax: 0,
-            wbuckets: [0; HISTOGRAM_BUCKETS],
-        }
+        Bins { count: 0, sum: 0, min: 0, max: 0, buckets: [0; HISTOGRAM_BUCKETS] }
     }
+}
+
+impl Bins {
+    fn record(&mut self, v: u64) {
+        if self.count == 0 || v < self.min {
+            self.min = v;
+        }
+        if v > self.max {
+            self.max = v;
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.buckets[bucket_index(v)] += 1;
+    }
+
+    /// Rank-based quantile: the quantile's bucket is found by rank, then the
+    /// value is linearly interpolated across the bucket's range, clamped to
+    /// the observed `min`/`max`. Shared by the cumulative and windowed views
+    /// of a histogram so both report identically for identical sample sets.
+    fn quantile(&self, q: f64) -> u64 {
+        let Bins { count, min, max, .. } = *self;
+        if count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+        let mut cum = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            if cum + n >= rank {
+                let bucket_hi = match i {
+                    0 => 0,
+                    64 => u64::MAX,
+                    k => (1u64 << k) - 1,
+                };
+                let lo = bucket_lo(i).max(min).min(max);
+                let hi = bucket_hi.min(max).max(lo);
+                let within = rank - cum; // 1 ..= n
+                let frac = if n <= 1 { 0.5 } else { (within - 1) as f64 / (n - 1) as f64 };
+                return lo + ((hi - lo) as f64 * frac).round() as u64;
+            }
+            cum += n;
+        }
+        max
+    }
+}
+
+#[derive(Debug, Default)]
+struct HistData {
+    /// Every sample since creation.
+    total: Bins,
+    /// The samples since the last window snapshot: reset by
+    /// `snapshot_and_reset_window`, never consulted by the cumulative
+    /// accessors, so lifetime quantiles are unaffected by windowing.
+    window: Bins,
 }
 
 /// A log₂-bucketed histogram of `u64` samples (typically microseconds).
@@ -175,24 +181,8 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, v: u64) {
         let mut h = self.0.borrow_mut();
-        if h.count == 0 || v < h.min {
-            h.min = v;
-        }
-        if v > h.max {
-            h.max = v;
-        }
-        h.count += 1;
-        h.sum = h.sum.wrapping_add(v);
-        h.buckets[bucket_index(v)] += 1;
-        if h.wcount == 0 || v < h.wmin {
-            h.wmin = v;
-        }
-        if v > h.wmax {
-            h.wmax = v;
-        }
-        h.wcount += 1;
-        h.wsum = h.wsum.wrapping_add(v);
-        h.wbuckets[bucket_index(v)] += 1;
+        h.total.record(v);
+        h.window.record(v);
     }
 
     /// Summarizes the samples recorded since the last call (or since
@@ -202,60 +192,54 @@ impl Histogram {
     /// percentiles while the time-series sampler reads per-window ones off
     /// the same histogram.
     pub fn snapshot_and_reset_window(&self) -> HistWindow {
-        let mut h = self.0.borrow_mut();
-        let w = HistWindow {
-            count: h.wcount,
-            sum: h.wsum,
-            min: h.wmin,
-            max: h.wmax,
-            p50: quantile_in(h.wcount, h.wmin, h.wmax, &h.wbuckets, 0.50),
-            p95: quantile_in(h.wcount, h.wmin, h.wmax, &h.wbuckets, 0.95),
-            p99: quantile_in(h.wcount, h.wmin, h.wmax, &h.wbuckets, 0.99),
-        };
-        h.wcount = 0;
-        h.wsum = 0;
-        h.wmin = 0;
-        h.wmax = 0;
-        h.wbuckets = [0; HISTOGRAM_BUCKETS];
-        w
+        let w = std::mem::take(&mut self.0.borrow_mut().window);
+        HistWindow {
+            count: w.count,
+            sum: w.sum,
+            min: w.min,
+            max: w.max,
+            p50: w.quantile(0.50),
+            p95: w.quantile(0.95),
+            p99: w.quantile(0.99),
+        }
     }
 
     /// Samples recorded in the current (un-snapshotted) window.
     pub fn window_count(&self) -> u64 {
-        self.0.borrow().wcount
+        self.0.borrow().window.count
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.0.borrow().count
+        self.0.borrow().total.count
     }
 
     /// Sum of samples.
     pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
+        self.0.borrow().total.sum
     }
 
     /// Smallest sample (0 if empty).
     pub fn min(&self) -> u64 {
-        self.0.borrow().min
+        self.0.borrow().total.min
     }
 
     /// Largest sample (0 if empty).
     pub fn max(&self) -> u64 {
-        self.0.borrow().max
+        self.0.borrow().total.max
     }
 
     /// Occupancy of bucket `i`.
     pub fn bucket(&self, i: usize) -> u64 {
-        self.0.borrow().buckets[i]
+        self.0.borrow().total.buckets[i]
     }
 
     /// `(bucket lower bound, count)` for every non-empty bucket, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        let h = self.0.borrow();
+        let buckets = self.0.borrow().total.buckets;
         (0..HISTOGRAM_BUCKETS)
-            .filter(|&i| h.buckets[i] != 0)
-            .map(|i| (bucket_lo(i), h.buckets[i]))
+            .filter(|&i| buckets[i] != 0)
+            .map(|i| (bucket_lo(i), buckets[i]))
             .collect()
     }
 
@@ -266,8 +250,7 @@ impl Histogram {
     /// bucket's range (clamped to the observed `min`/`max`, so single-bucket
     /// distributions report exact values). Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        let h = self.0.borrow();
-        quantile_in(h.count, h.min, h.max, &h.buckets, q)
+        self.0.borrow().total.quantile(q)
     }
 
     /// The `(p50, p95, p99)` estimates (see [`Histogram::quantile`]).

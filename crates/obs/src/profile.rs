@@ -10,14 +10,16 @@
 //! bounded per-plan aggregate keyed by `(view, scope)` — the same shape as
 //! the view layer's compiled `MaintPlan`s.
 //!
-//! The store follows the lineage discipline: it lives behind a
-//! `Cell<bool>` gate on the [`Collector`](crate::Collector), instrumented
-//! callers check the gate *before* taking timestamps or building a
-//! [`NodeKey`], and the disabled path costs one `Option` deref plus one
-//! `Cell` read — no allocation, no clock access. Timing samples are wall
-//! nanoseconds and appear **only** in profile renders, never in extents or
-//! metric series, so turning the profiler on cannot move a byte of any
-//! same-seed determinism surface.
+//! The store sits behind the collector's one gate word
+//! ([`Capture::PROFILE`]), and instrumented callers reach it through one
+//! helper, [`Profiler`], which checks the gate once per plan and otherwise
+//! takes no timestamp, counts no row and builds no [`NodeKey`]: the disabled
+//! path costs one `Option` deref plus one `Cell` read — no allocation, no
+//! clock access. Samples fold into the aggregate as they are recorded; it
+//! is not derived from the record ring, so its totals stay exact however
+//! long the run. Timing samples are wall nanoseconds and appear **only** in
+//! profile renders, never in extents or metric series, so turning the
+//! profiler on cannot move a byte of any same-seed determinism surface.
 //!
 //! Renders are byte-stable for a given set of samples: plans and nodes
 //! live in `BTreeMap`s, and the per-phase totals in both renders are
@@ -26,7 +28,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
+use crate::collector::{Capture, Collector};
 use crate::json;
 
 /// The pipeline phase an operator sample belongs to. Variant order is
@@ -391,6 +395,81 @@ impl Profile {
         }
         let _ = write!(out, "],\"dropped_plans\":{}}}}}", self.dropped_plans);
         out
+    }
+}
+
+/// One plan's operator timer, the one helper instrumented callers use: the
+/// collector, the plan's `(view, scope)`, and where the thread's cumulative
+/// `(weights_cancelled, index_probes)` counters are read (the relational
+/// executor's thread-locals; this crate depends on nothing). Live only when
+/// built while the collector captures [`Capture::PROFILE`]; otherwise every
+/// method returns at once, without reading a clock, counting rows or
+/// building a key.
+#[derive(Clone, Copy, Default)]
+pub struct Profiler<'a>(Option<Plan<'a>>);
+
+/// What a live [`Profiler`] records into.
+#[derive(Clone, Copy)]
+struct Plan<'a> {
+    obs: &'a Collector,
+    view: &'a str,
+    scope: &'a str,
+    counters: fn() -> (u64, u64),
+}
+
+/// An operator's open measurement window (inert under an inert profiler).
+pub struct OpWindow(Option<(Instant, u64, (u64, u64))>);
+
+impl<'a> Profiler<'a> {
+    /// The profiler of plan `(view, scope)` on `obs`, reading probe and
+    /// cancellation totals from `counters`.
+    pub fn new(
+        obs: &'a Collector,
+        view: &'a str,
+        scope: &'a str,
+        counters: fn() -> (u64, u64),
+    ) -> Self {
+        Profiler(obs.capturing(Capture::PROFILE).then_some(Plan { obs, view, scope, counters }))
+    }
+
+    /// Counts one invocation of the plan.
+    pub fn invocation(self) {
+        if let Some(p) = self.0 {
+            p.obs.profile_invocation(p.view, p.scope);
+        }
+    }
+
+    /// Opens a window over an operator that consumes `rows_in()` distinct
+    /// rows.
+    pub fn start(self, rows_in: impl FnOnce() -> usize) -> OpWindow {
+        OpWindow(self.0.map(|p| (Instant::now(), rows_in() as u64, (p.counters)())))
+    }
+
+    /// Closes `window`, recording it as node `(step, phase, op, detail)`
+    /// of the plan, having produced `rows_out()` distinct rows.
+    pub fn finish(
+        self,
+        window: OpWindow,
+        step: u32,
+        phase: OpPhase,
+        op: &'static str,
+        detail: &str,
+        rows_out: impl FnOnce() -> usize,
+    ) {
+        let (Some(p), OpWindow(Some((t0, rows_in, before)))) = (self.0, window) else { return };
+        let (cancelled, probes) = (p.counters)();
+        p.obs.profile_op(
+            p.view,
+            p.scope,
+            NodeKey { step, phase, op, detail: detail.to_string() },
+            OpSample {
+                rows_in,
+                rows_out: rows_out() as u64,
+                weights_cancelled: cancelled.wrapping_sub(before.0),
+                index_probes: probes.wrapping_sub(before.1),
+                ns: t0.elapsed().as_nanos() as u64,
+            },
+        );
     }
 }
 

@@ -44,6 +44,7 @@ use std::rc::Rc;
 use crate::collector::Collector;
 use crate::json;
 use crate::metrics::{Counter, HistWindow, Histogram};
+use crate::timeseries::Cadence;
 use crate::trace::field;
 
 /// Alert state of one view's staleness SLO.
@@ -222,12 +223,29 @@ struct Lane {
     retired: bool,
 }
 
+impl Lane {
+    /// Age of the oldest pending commit at `now_us` (0 when nothing is
+    /// pending or every pending commit is in the future).
+    fn staleness_us(&self, now_us: u64) -> u64 {
+        self.pending
+            .iter()
+            .map(|&(_, _, committed)| now_us.saturating_sub(committed))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Current alert state (`ok` when no SLO is set).
+    fn state(&self) -> SloState {
+        self.evaluator.as_ref().map_or(SloState::Ok, SloEvaluator::state)
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     lanes: Vec<Lane>,
     capacity: usize,
-    window_us: u64,
-    next_window_end: u64,
+    /// `None` until [`StalenessTracker::set_cadence`]: sampling is inert.
+    cadence: Option<Cadence>,
     windows: u64,
     policy: Option<SloPolicy>,
     transitions: Vec<(u64, String, SloState, SloState)>,
@@ -256,8 +274,7 @@ impl StalenessTracker {
             inner: Rc::new(RefCell::new(Inner {
                 lanes: Vec::new(),
                 capacity: window_capacity,
-                window_us: 0,
-                next_window_end: 0,
+                cadence: None,
                 windows: 0,
                 policy: None,
                 transitions: Vec::new(),
@@ -284,10 +301,7 @@ impl StalenessTracker {
     /// Sets the sampling cadence: one window per `window_us`, the first
     /// ending at `start_us + window_us`.
     pub fn set_cadence(&self, window_us: u64, start_us: u64) {
-        assert!(window_us > 0);
-        let mut t = self.inner.borrow_mut();
-        t.window_us = window_us;
-        t.next_window_end = start_us + window_us;
+        self.inner.borrow_mut().cadence = Some(Cadence::new(window_us, start_us));
     }
 
     /// Applies an SLO policy to every registered view (and to views
@@ -405,13 +419,7 @@ impl StalenessTracker {
     /// Age of view `lane`'s oldest pending commit at `now_us` (0 when
     /// nothing is pending or every pending commit is in the future).
     pub fn current_staleness_us(&self, lane: usize, now_us: u64) -> u64 {
-        let t = self.inner.borrow();
-        t.lanes[lane]
-            .pending
-            .iter()
-            .map(|&(_, _, committed)| now_us.saturating_sub(committed))
-            .max()
-            .unwrap_or(0)
+        self.inner.borrow().lanes[lane].staleness_us(now_us)
     }
 
     /// Emits a staleness window for every boundary `now_us` has passed
@@ -421,17 +429,9 @@ impl StalenessTracker {
     /// a correct per-boundary stall series.
     pub fn maybe_sample(&self, now_us: u64) -> u64 {
         let mut emitted = 0;
-        loop {
-            let end = {
-                let t = self.inner.borrow();
-                if t.window_us == 0 || now_us < t.next_window_end {
-                    break;
-                }
-                t.next_window_end
-            };
+        let due = || self.inner.borrow_mut().cadence.as_mut()?.next_due(now_us);
+        while let Some(end) = due() {
             self.sample_window(end);
-            let mut t = self.inner.borrow_mut();
-            t.next_window_end += t.window_us;
             emitted += 1;
         }
         emitted
@@ -441,9 +441,8 @@ impl StalenessTracker {
     /// cadence from there (interactive use).
     pub fn sample_now(&self, now_us: u64) {
         self.sample_window(now_us);
-        let mut t = self.inner.borrow_mut();
-        if t.window_us > 0 {
-            t.next_window_end = now_us + t.window_us;
+        if let Some(c) = self.inner.borrow_mut().cadence.as_mut() {
+            c.restart(now_us);
         }
     }
 
@@ -459,13 +458,7 @@ impl StalenessTracker {
                 continue;
             }
             let window = lane.hist.snapshot_and_reset_window();
-            let pending_age = lane
-                .pending
-                .iter()
-                .map(|&(_, _, committed)| end_us.saturating_sub(committed))
-                .max()
-                .unwrap_or(0);
-            let observed_p99_us = window.p99.max(pending_age);
+            let observed_p99_us = window.p99.max(lane.staleness_us(end_us));
             let mut state = SloState::Ok;
             if let Some(eval) = &mut lane.evaluator {
                 evals += 1;
@@ -505,18 +498,12 @@ impl StalenessTracker {
 
     /// Current alert state of view `lane` (`ok` when no SLO is set).
     pub fn state(&self, lane: usize) -> SloState {
-        self.inner.borrow().lanes[lane].evaluator.as_ref().map_or(SloState::Ok, SloEvaluator::state)
+        self.inner.borrow().lanes[lane].state()
     }
 
     /// `(name, state)` for every view, lane order.
     pub fn states(&self) -> Vec<(String, SloState)> {
-        let t = self.inner.borrow();
-        t.lanes
-            .iter()
-            .map(|l| {
-                (l.name.clone(), l.evaluator.as_ref().map_or(SloState::Ok, SloEvaluator::state))
-            })
-            .collect()
+        self.inner.borrow().lanes.iter().map(|l| (l.name.clone(), l.state())).collect()
     }
 
     /// Lifetime staleness of view `lane`: `(samples, p50, p95, p99)` µs.
@@ -549,7 +536,8 @@ impl StalenessTracker {
     pub fn to_json(&self) -> String {
         let t = self.inner.borrow();
         let mut out = String::new();
-        let _ = write!(out, "{{\"window_us\":{},\"windows\":{},", t.window_us, t.windows);
+        let window_us = t.cadence.map_or(0, |c| c.window_us());
+        let _ = write!(out, "{{\"window_us\":{window_us},\"windows\":{},", t.windows);
         if let Some(p) = &t.policy {
             let _ = write!(
                 out,
@@ -570,7 +558,6 @@ impl StalenessTracker {
             }
             json::push_str(&mut out, &lane.name);
             let (p50, p95, p99) = lane.hist.percentiles();
-            let state = lane.evaluator.as_ref().map_or(SloState::Ok, SloEvaluator::state);
             let _ = write!(
                 out,
                 ":{{{}\"sources\":{:?},\"state\":\"{}\",\"refreshed\":{},\"pending\":{},\
@@ -579,7 +566,7 @@ impl StalenessTracker {
                  \"p99\":{p99}}},\"points\":[",
                 if lane.retired { "\"retired\":true," } else { "" },
                 lane.sources,
-                state.as_str(),
+                lane.state().as_str(),
                 lane.refreshed,
                 lane.pending.len(),
                 lane.dropped,
@@ -627,23 +614,19 @@ impl StalenessTracker {
             "{:<width$}  {:<5}  {:>8}  {:>9}  lifetime p50/p95/p99 (ms)\n",
             "view", "state", "pending", "stale(ms)"
         );
-        for (i, lane) in t.lanes.iter().enumerate() {
-            let state = lane.evaluator.as_ref().map_or(SloState::Ok, SloEvaluator::state);
-            let stale =
-                lane.pending.iter().map(|&(_, _, c)| now_us.saturating_sub(c)).max().unwrap_or(0);
+        for lane in &t.lanes {
             let (p50, p95, p99) = lane.hist.percentiles();
             let _ = writeln!(
                 out,
                 "{:<width$}  {:<5}  {:>8}  {:>9}  {}/{}/{}",
                 lane.name,
-                state.as_str(),
+                lane.state().as_str(),
                 lane.pending.len(),
-                stale / 1000,
+                lane.staleness_us(now_us) / 1000,
                 p50 / 1000,
                 p95 / 1000,
                 p99 / 1000
             );
-            let _ = i;
         }
         out
     }

@@ -56,34 +56,68 @@ impl SeriesKind {
     }
 }
 
-#[derive(Debug)]
-enum Points {
-    Counter(VecDeque<(u64, u64)>),
-    Gauge(VecDeque<(u64, i64)>),
-    Histogram(VecDeque<(u64, HistWindow)>),
+/// One window's point of a series.
+#[derive(Debug, Clone, Copy)]
+enum Point {
+    Counter(u64),
+    Gauge(i64),
+    Histogram(HistWindow),
 }
 
+impl Point {
+    fn kind(&self) -> SeriesKind {
+        match self {
+            Point::Counter(_) => SeriesKind::Counter,
+            Point::Gauge(_) => SeriesKind::Gauge,
+            Point::Histogram(_) => SeriesKind::Histogram,
+        }
+    }
+}
+
+/// A bounded ring of `(window_end_us, point)`, all of one kind.
 #[derive(Debug)]
 struct Series {
-    points: Points,
+    kind: SeriesKind,
+    points: VecDeque<(u64, Point)>,
     dropped: u64,
 }
 
-impl Series {
-    fn kind(&self) -> SeriesKind {
-        match self.points {
-            Points::Counter(_) => SeriesKind::Counter,
-            Points::Gauge(_) => SeriesKind::Gauge,
-            Points::Histogram(_) => SeriesKind::Histogram,
-        }
+/// A fixed window cadence on a clock: where the next window ends. The one
+/// window clock of every sampling loop ([`Sampler`] and the staleness
+/// tracker each keep their own, since their windows are set
+/// independently).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cadence {
+    window_us: u64,
+    next_end: u64,
+}
+
+impl Cadence {
+    /// One window per `window_us`, the first ending at `start_us +
+    /// window_us`.
+    pub(crate) fn new(window_us: u64, start_us: u64) -> Self {
+        assert!(window_us > 0, "window must be positive");
+        Cadence { window_us, next_end: start_us + window_us }
     }
 
-    fn len(&self) -> usize {
-        match &self.points {
-            Points::Counter(p) => p.len(),
-            Points::Gauge(p) => p.len(),
-            Points::Histogram(p) => p.len(),
-        }
+    pub(crate) fn window_us(&self) -> u64 {
+        self.window_us
+    }
+
+    /// The next window boundary `now_us` has passed, stepping the cadence
+    /// past it; `None` once `now_us` is inside the current window.
+    pub(crate) fn next_due(&mut self, now_us: u64) -> Option<u64> {
+        let end = self.next_end;
+        (now_us >= end).then(|| {
+            self.next_end += self.window_us;
+            end
+        })
+    }
+
+    /// Restarts the cadence at `now_us`, where a forced sample just closed
+    /// a partial window.
+    pub(crate) fn restart(&mut self, now_us: u64) {
+        self.next_end = now_us + self.window_us;
     }
 }
 
@@ -92,9 +126,8 @@ impl Series {
 #[derive(Debug)]
 pub struct Sampler {
     registry: Registry,
-    window_us: u64,
+    cadence: Cadence,
     capacity: usize,
-    next_window_end: u64,
     windows: u64,
     last_counters: BTreeMap<&'static str, u64>,
     series: BTreeMap<&'static str, Series>,
@@ -107,14 +140,12 @@ impl Sampler {
     /// are baselined at their current values, so the first window reports
     /// only activity after the sampler existed.
     pub fn new(registry: Registry, window_us: u64, capacity: usize, start_us: u64) -> Self {
-        assert!(window_us > 0, "window must be positive");
         assert!(capacity > 0, "capacity must be positive");
         let last_counters = registry.counters().into_iter().collect();
         Sampler {
             registry,
-            window_us,
+            cadence: Cadence::new(window_us, start_us),
             capacity,
-            next_window_end: start_us + window_us,
             windows: 0,
             last_counters,
             series: BTreeMap::new(),
@@ -123,7 +154,7 @@ impl Sampler {
 
     /// The window length, in clock microseconds.
     pub fn window_us(&self) -> u64 {
-        self.window_us
+        self.cadence.window_us()
     }
 
     /// Windows emitted so far.
@@ -141,10 +172,8 @@ impl Sampler {
     /// clock has not yet crossed the next boundary).
     pub fn maybe_sample(&mut self, now_us: u64) -> u64 {
         let mut emitted = 0;
-        while now_us >= self.next_window_end {
-            let end = self.next_window_end;
+        while let Some(end) = self.cadence.next_due(now_us) {
             self.sample_window(end);
-            self.next_window_end += self.window_us;
             emitted += 1;
         }
         emitted
@@ -156,79 +185,67 @@ impl Sampler {
     /// the command feel broken.
     pub fn sample_now(&mut self, now_us: u64) {
         self.sample_window(now_us);
-        self.next_window_end = now_us + self.window_us;
+        self.cadence.restart(now_us);
     }
 
     fn sample_window(&mut self, end_us: u64) {
         self.windows += 1;
-        let cap = self.capacity;
+        let (capacity, series) = (self.capacity, &mut self.series);
+        let mut push = |name, point: Point| {
+            let kind = point.kind();
+            let s =
+                series.entry(name).or_insert(Series { kind, points: VecDeque::new(), dropped: 0 });
+            if s.kind != kind {
+                return; // the name was first sampled as another kind
+            }
+            if s.points.len() == capacity {
+                s.points.pop_front();
+                s.dropped += 1;
+            }
+            s.points.push_back((end_us, point));
+        };
         for (name, v) in self.registry.counters() {
             let last = self.last_counters.insert(name, v).unwrap_or(0);
-            let delta = v.wrapping_sub(last);
-            let s = self
-                .series
-                .entry(name)
-                .or_insert(Series { points: Points::Counter(VecDeque::new()), dropped: 0 });
-            if let Points::Counter(p) = &mut s.points {
-                if p.len() == cap {
-                    p.pop_front();
-                    s.dropped += 1;
-                }
-                p.push_back((end_us, delta));
-            }
+            push(name, Point::Counter(v.wrapping_sub(last)));
         }
         for (name, v) in self.registry.gauges() {
-            let s = self
-                .series
-                .entry(name)
-                .or_insert(Series { points: Points::Gauge(VecDeque::new()), dropped: 0 });
-            if let Points::Gauge(p) = &mut s.points {
-                if p.len() == cap {
-                    p.pop_front();
-                    s.dropped += 1;
-                }
-                p.push_back((end_us, v));
-            }
+            push(name, Point::Gauge(v));
         }
         for (name, h) in self.registry.histograms() {
-            let w = h.snapshot_and_reset_window();
-            let s = self
-                .series
-                .entry(name)
-                .or_insert(Series { points: Points::Histogram(VecDeque::new()), dropped: 0 });
-            if let Points::Histogram(p) = &mut s.points {
-                if p.len() == cap {
-                    p.pop_front();
-                    s.dropped += 1;
-                }
-                p.push_back((end_us, w));
-            }
+            push(name, Point::Histogram(h.snapshot_and_reset_window()));
         }
+    }
+
+    fn points(&self, name: &str) -> impl Iterator<Item = &(u64, Point)> {
+        self.series.get(name).into_iter().flat_map(|s| &s.points)
     }
 
     /// The counter series `name` as `(window_end_us, delta)` points (empty
     /// when absent or of another kind).
     pub fn counter_points(&self, name: &str) -> Vec<(u64, u64)> {
-        match self.series.get(name).map(|s| &s.points) {
-            Some(Points::Counter(p)) => p.iter().copied().collect(),
-            _ => Vec::new(),
-        }
+        let counter = |&(t, p): &(u64, Point)| match p {
+            Point::Counter(v) => Some((t, v)),
+            _ => None,
+        };
+        self.points(name).filter_map(counter).collect()
     }
 
     /// The gauge series `name` as `(window_end_us, value)` points.
     pub fn gauge_points(&self, name: &str) -> Vec<(u64, i64)> {
-        match self.series.get(name).map(|s| &s.points) {
-            Some(Points::Gauge(p)) => p.iter().copied().collect(),
-            _ => Vec::new(),
-        }
+        let gauge = |&(t, p): &(u64, Point)| match p {
+            Point::Gauge(v) => Some((t, v)),
+            _ => None,
+        };
+        self.points(name).filter_map(gauge).collect()
     }
 
     /// The histogram series `name` as `(window_end_us, window)` points.
     pub fn histogram_points(&self, name: &str) -> Vec<(u64, HistWindow)> {
-        match self.series.get(name).map(|s| &s.points) {
-            Some(Points::Histogram(p)) => p.iter().copied().collect(),
-            _ => Vec::new(),
-        }
+        let histogram = |&(t, p): &(u64, Point)| match p {
+            Point::Histogram(w) => Some((t, w)),
+            _ => None,
+        };
+        self.points(name).filter_map(histogram).collect()
     }
 
     /// Points evicted from series `name`'s ring so far.
@@ -242,44 +259,26 @@ impl Sampler {
     /// `[t,count,p50,p95,p99,max]` rows. Byte-stable for identical runs.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{{\"window_us\":{},\"windows\":{},", self.window_us, self.windows);
+        let _ = write!(out, "{{\"window_us\":{},\"windows\":{},", self.window_us(), self.windows);
         out.push_str("\"series\":{");
         for (i, (name, s)) in self.series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             json::push_str(&mut out, name);
-            let _ = write!(out, ":{{\"kind\":\"{}\",\"dropped\":{},", s.kind().as_str(), s.dropped);
+            let _ = write!(out, ":{{\"kind\":\"{}\",\"dropped\":{},", s.kind.as_str(), s.dropped);
             out.push_str("\"points\":[");
-            match &s.points {
-                Points::Counter(p) => {
-                    for (j, (t, v)) in p.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{t},{v}]");
-                    }
+            for (j, (t, p)) in s.points.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
                 }
-                Points::Gauge(p) => {
-                    for (j, (t, v)) in p.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{t},{v}]");
+                let _ = match p {
+                    Point::Counter(v) => write!(out, "[{t},{v}]"),
+                    Point::Gauge(v) => write!(out, "[{t},{v}]"),
+                    Point::Histogram(w) => {
+                        write!(out, "[{t},{},{},{},{},{}]", w.count, w.p50, w.p95, w.p99, w.max)
                     }
-                }
-                Points::Histogram(p) => {
-                    for (j, (t, w)) in p.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(
-                            out,
-                            "[{t},{},{},{},{},{}]",
-                            w.count, w.p50, w.p95, w.p99, w.max
-                        );
-                    }
-                }
+                };
             }
             out.push_str("]}");
         }
@@ -293,19 +292,16 @@ impl Sampler {
         let width = self.series.keys().map(|n| n.len()).max().unwrap_or(6).max(6);
         let mut out = format!("{:<width$}  {:<9}  {:>7}  last\n", "series", "kind", "points");
         for (name, s) in &self.series {
-            let last = match &s.points {
-                Points::Counter(p) => {
-                    p.back().map_or("-".to_string(), |(t, v)| format!("Δ{v}/win @{}ms", t / 1000))
-                }
-                Points::Gauge(p) => {
-                    p.back().map_or("-".to_string(), |(t, v)| format!("{v} @{}ms", t / 1000))
-                }
-                Points::Histogram(p) => p.back().map_or("-".to_string(), |(t, w)| {
+            let last = match s.points.back() {
+                None => "-".to_string(),
+                Some((t, Point::Counter(v))) => format!("Δ{v}/win @{}ms", t / 1000),
+                Some((t, Point::Gauge(v))) => format!("{v} @{}ms", t / 1000),
+                Some((t, Point::Histogram(w))) => {
                     format!("n={} p50={} p99={} @{}ms", w.count, w.p50, w.p99, t / 1000)
-                }),
+                }
             };
-            let _ =
-                writeln!(out, "{name:<width$}  {:<9}  {:>7}  {last}", s.kind().as_str(), s.len());
+            let (kind, len) = (s.kind.as_str(), s.points.len());
+            let _ = writeln!(out, "{name:<width$}  {kind:<9}  {len:>7}  {last}");
         }
         out
     }

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use dyno_core::{CorrectionPolicy, StepOutcome, Strategy};
 use dyno_durable::MemStorage;
 use dyno_fault::{ChaosTransport, Direct, FaultProfile, RetryPolicy, Transport};
-use dyno_obs::{Collector, Sampler, SloPolicy, StalenessTracker};
+use dyno_obs::{Capture, Collector, Sampler, SloPolicy, StalenessTracker};
 use dyno_source::{SourceId, SourceSpace};
 use dyno_view::wal::{CrashPlan, DurableLog};
 use dyno_view::{
@@ -48,8 +48,10 @@ use crate::replica::{Fabric, Peers};
 use crate::testbed::{build_multiview, build_space, build_view, tenant_views, TestbedConfig};
 use crate::workload::{OpenLoopConfig, WorkloadGen};
 
-/// Lineage ring capacity of a run with [`Experiment::lineage`] on.
-const LINEAGE_RING: usize = 64 * 1024;
+/// Ring capacity per captured stream — spans and events, provenance — of a
+/// run's collector: capturing both gets the sum, so neither evicts sooner
+/// than it would alone.
+const RING_PER_STREAM: usize = 64 * 1024;
 /// Records between WAL snapshots of a run with a kill plan.
 const CHECKPOINT_EVERY: u64 = 16;
 /// Ring capacity per monitored series, in windows.
@@ -122,15 +124,13 @@ pub struct Experiment {
     /// Audit strong consistency ([`audit`]) after every commit and recovery
     /// (expensive; for correctness tests, not cost experiments).
     pub audit: bool,
-    /// Record a structured trace (spans per maintenance attempt, scheduler
-    /// decisions, abort events) stamped in simulated µs.
-    pub tracing: bool,
-    /// Capture per-update lineage; [`Report::obs`] then answers
-    /// `explain(id)` — across kills and recoveries — and exports it.
-    pub lineage: bool,
-    /// Turn the per-operator cost profiler on
-    /// (`Report::obs.profile_snapshot()` then holds the plan trees).
-    pub op_profile: bool,
+    /// What the run's collector captures, stamped in simulated µs:
+    /// [`Capture::TRACE`] records spans per maintenance attempt, scheduler
+    /// decisions and abort events; [`Capture::PROV`] per-update lineage, so
+    /// [`Report::obs`] answers `explain(id)` — across kills and recoveries
+    /// — and exports it; [`Capture::PROFILE`] turns the per-operator cost
+    /// profiler on (`Report::obs.profile_snapshot()` holds the plan trees).
+    pub capture: Capture,
     /// `None` is one warehouse; `Some` runs one peer warehouse per
     /// [`Peers::count`], each over its own copy of [`Experiment::space`].
     pub peers: Option<Peers>,
@@ -161,9 +161,7 @@ impl Experiment {
             umq_bound: None,
             monitor: None,
             audit: false,
-            tracing: false,
-            lineage: false,
-            op_profile: false,
+            capture: Capture::NONE,
             peers: None,
         }
     }
@@ -610,10 +608,11 @@ fn simulate<T: Transport>(
     let mut nodes = Vec::new();
     for space in spaces {
         let mut port = SimPort::new(space, std::mem::take(&mut schedule), exp.cost);
-        let obs = port.obs().clone();
-        obs.set_tracing(exp.tracing);
-        let obs = if exp.lineage { obs.with_lineage(LINEAGE_RING) } else { obs };
-        obs.set_profile(exp.op_profile);
+        let streams = [Capture::TRACE, Capture::PROV]
+            .into_iter()
+            .filter(|&k| exp.capture.contains(k))
+            .count();
+        let obs = port.obs().clone().with_capture(exp.capture, RING_PER_STREAM * streams.max(1));
         // The monitor, like the single-warehouse summary, reads the first.
         if nodes.is_empty() {
             telemetry = exp.monitor.map(|m| {
@@ -742,14 +741,14 @@ mod tests {
     fn traced_run_has_one_span_per_maintenance_attempt() {
         let report = run(Experiment {
             strategy: Strategy::Optimistic,
-            tracing: true,
+            capture: Capture::TRACE,
             ..tiny(tiny_cfg(), 13, 10, 2, 1_000_000, 10_000_000)
         })
         .unwrap();
         // One span per maintenance attempt, stamped in simulated µs.
         let spans: Vec<_> = report
             .obs
-            .trace_records()
+            .records()
             .iter()
             .filter(|r| r.kind == dyno_obs::RecordKind::SpanStart && r.name == "view.maintain")
             .map(|r| r.ts_us)
@@ -999,7 +998,7 @@ mod tests {
         let a = run(quick(42)).unwrap();
         assert_eq!(a.to_json(), run(quick(42)).unwrap().to_json(), "same experiment, same bytes");
         assert_ne!(a.to_json(), run(quick(43)).unwrap().to_json(), "the seed moves the series");
-        let on = run(Experiment { op_profile: true, ..quick(42) }).unwrap();
+        let on = run(Experiment { capture: Capture::PROFILE, ..quick(42) }).unwrap();
         assert_eq!(a.to_json(), on.to_json(), "the profiler must not perturb the report");
         assert!(a.obs.profile_snapshot().is_empty(), "profiler off captures nothing");
         assert!(on.obs.profile_snapshot().plan_count() > 0, "profiled run captured plan trees");

@@ -145,8 +145,8 @@ impl SimPort {
     }
 
     /// The port's collector. Clones share the pipeline, so this is the
-    /// handle to thread into `Warehouse::with_obs` and to flip tracing on
-    /// (`set_tracing`) for a run.
+    /// handle to thread into `Warehouse::with_obs` and to switch capture on
+    /// (`with_capture`) for a run.
     pub fn obs(&self) -> &Collector {
         &self.obs
     }

@@ -31,6 +31,7 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
+use dyno_obs::{OpPhase, Profiler};
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
     delta_project, DataUpdate, Delta, ProjItem, QueryResult, RelationalError, Schema, SchemaChange,
@@ -41,7 +42,7 @@ use dyno_source::{UpdateId, UpdateMessage};
 use crate::engine::{schema_from_bag, AdaptRead, HopRequest, LocalProvider, SourcePort};
 use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
-use crate::vm::{compensate, prof_op, prof_start, seed_delta, MaintFailure, Prof, ViewDelta};
+use crate::vm::{compensate, profiler, seed_delta, MaintFailure, ViewDelta};
 use crate::vs::{synchronize_all, VsError};
 
 /// The result of adapting the view for one (possibly merged) batch.
@@ -124,7 +125,8 @@ pub fn adapt_batch(
 ) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
     let pending: Vec<&UpdateMessage> = pending.iter().collect();
     let mut drained = Vec::new();
-    let result = adapt_inner(view, batch, &pending, info, mode, port, &mut drained, None);
+    let result =
+        adapt_inner(view, batch, &pending, info, mode, port, &mut drained, Profiler::default());
     (result, drained)
 }
 
@@ -142,11 +144,10 @@ pub fn adapt_batch_observed(
     port: &mut dyn SourcePort,
     obs: &dyno_obs::Collector,
 ) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
-    use dyno_obs::{field, Level};
+    use dyno_obs::{field, Capture, Level};
     let _span =
         obs.span("va.adapt", &[field("updates", batch.len()), field("pending", pending.len())]);
-    let prof: Option<Prof<'_>> =
-        if obs.profile_on() { Some((obs, view.name.as_str())) } else { None };
+    let prof = profiler(obs, &view.name, "batch");
     let mut drained = Vec::new();
     let result = adapt_inner(view, batch, pending, info, mode, port, &mut drained, prof);
     let out = (result, drained);
@@ -161,7 +162,7 @@ pub fn adapt_batch_observed(
         }
         Err(BatchFailure::Broken(MaintFailure::Broken { query, .. })) => {
             obs.counter("engine.break_detections").inc();
-            if obs.tracing_on() {
+            if obs.capturing(Capture::TRACE) {
                 obs.event(Level::Warn, "va.broken_query", &[field("query", query.clone())]);
             }
         }
@@ -179,7 +180,7 @@ fn adapt_inner(
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-    prof: Option<Prof<'_>>,
+    prof: Profiler<'_>,
 ) -> Result<Adapted, BatchFailure> {
     // Step 1: compose the batch's schema changes (in commit order — the
     // batch preserves queue order, which preserves per-source commit order).
@@ -341,7 +342,7 @@ fn adapt_incremental(
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-    prof: Option<Prof<'_>>,
+    prof: Profiler<'_>,
 ) -> Result<Adapted, BatchFailure> {
     let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
 
@@ -414,9 +415,7 @@ fn adapt_incremental(
         }
     }
 
-    if let Some((o, v)) = prof {
-        o.profile_invocation(v, "batch");
-    }
+    prof.invocation();
     let deltas: HashMap<&str, TableSlice<'_>> =
         deltas.iter().map(|(t, d)| (t.as_str(), d.into())).collect();
     let old_states = OldStates(&shipped);
@@ -586,7 +585,7 @@ pub fn equation6_delta(
         &deltas,
         |hop, delta_j, ahead| shipped_hop(&old_states, hop, delta_j, ahead),
         |e| e,
-        None,
+        Profiler::default(),
     )
 }
 
@@ -595,15 +594,15 @@ pub fn equation6_delta(
 /// projection, one hop per other relation, the final projection. `hop_rows`
 /// answers each hop with the target's rows term `i` needs, given `ΔRⱼ` when
 /// the target changed and whether it precedes `Rᵢ` in FROM order (then it
-/// joins at its new state, otherwise at its old). With `prof`, each term is
-/// an `eq6_term` node of the plan profile (scope `"batch"`, phase `adapt`)
-/// keyed by the changed relation; `internal` lifts the chain's own errors.
+/// joins at its new state, otherwise at its old). Each term is an
+/// `eq6_term` node of `prof`'s plan (scope `"batch"`, phase `adapt`) keyed
+/// by the changed relation; `internal` lifts the chain's own errors.
 fn equation6_chain<E>(
     query: &SpjQuery,
     deltas: &HashMap<&str, TableSlice<'_>>,
     mut hop_rows: impl FnMut(&HopRequest<'_>, Option<TableSlice<'_>>, bool) -> Result<ZSet, E>,
     internal: impl Fn(RelationalError) -> E,
-    prof: Option<Prof<'_>>,
+    prof: Profiler<'_>,
 ) -> Result<QueryResult, E> {
     let tables = &query.tables;
     let cols: Vec<String> = query.projection.iter().map(|p| p.output.clone()).collect();
@@ -614,9 +613,9 @@ fn equation6_chain<E>(
         let Some(delta_i) = changed(table_i) else {
             continue; // unchanged relation contributes no term
         };
-        let started = prof_start(prof);
+        let window = prof.start(|| delta_i.rows.distinct_len());
         let plan = MaintPlan::for_query(query, table_i).map_err(&internal)?;
-        let mut d_rows = seed_delta(&plan, delta_i, None).map_err(&internal)?;
+        let mut d_rows = seed_delta(&plan, delta_i, Profiler::default()).map_err(&internal)?;
         for step in &plan.steps {
             if d_rows.is_empty() {
                 break; // an empty intermediate joins to empty
@@ -626,17 +625,8 @@ fn equation6_chain<E>(
             d_rows = rows;
         }
         let term = delta_project(&d_rows, &plan.final_indices);
-        prof_op(
-            prof,
-            started,
-            "batch",
-            (i + 1) as u32,
-            dyno_obs::OpPhase::Adapt,
-            "eq6_term",
-            table_i,
-            delta_i.rows.distinct_len() as u64,
-            term.distinct_len() as u64,
-        );
+        let step = (i + 1) as u32;
+        prof.finish(window, step, OpPhase::Adapt, "eq6_term", table_i, || term.distinct_len());
         total.rows.merge(&term);
     }
     Ok(total)

@@ -34,11 +34,11 @@ use std::rc::Rc;
 use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, Value, ZSet};
 use dyno_source::UpdateMessage;
 
-use dyno_obs::OpPhase;
+use dyno_obs::{OpPhase, Profiler};
 
 use crate::engine::{DeltaCols, HopRequest, SourcePort};
 use crate::plan::{HopKey, MaintPlan, MaintStep};
-use crate::vm::{compensate_pending, prof_op, prof_start, MaintFailure, Prof};
+use crate::vm::{compensate_pending, MaintFailure};
 
 /// One computed full-width hop: `ΔR ⋈ target` (compensated), no per-view
 /// filters, no per-view projection. Rows are all of ΔR in its schema's
@@ -90,7 +90,7 @@ impl SharedSubplans {
         pending: &[&UpdateMessage],
         port: &mut dyn SourcePort,
         drained: &mut Vec<UpdateMessage>,
-        prof: Option<Prof<'_>>,
+        prof: Profiler<'_>,
     ) -> Result<ZSet, MaintFailure> {
         // Everything the view names in ΔR resolves against the delta's own
         // schema, as the unshared seed does — an attribute the delta no
@@ -129,19 +129,10 @@ impl SharedSubplans {
                     t_attrs.push(a.clone());
                 }
             }
-            let started = prof_start(prof);
+            let window = prof.start(|| du.delta.rows().distinct_len());
             let rows = compute_hop(key, &d_keys, &t_attrs, du, msg, pending, port, drained)?;
-            prof_op(
-                prof,
-                started,
-                &du.relation,
-                1,
-                OpPhase::Hop,
-                "first_hop_compute",
-                &step.target,
-                du.delta.rows().distinct_len() as u64,
-                rows.distinct_len() as u64,
-            );
+            let out_rows = || rows.distinct_len();
+            prof.finish(window, 1, OpPhase::Hop, "first_hop_compute", &step.target, out_rows);
             self.entries.insert(Rc::clone(key), Hop { t_attrs, rows });
         }
         let hop = &self.entries[key];
@@ -154,21 +145,12 @@ impl SharedSubplans {
         };
         filters.extend(step.t_filters.iter().map(|(a, op, v)| (t_pos(a), *op, v.clone())));
         out.extend(step.t_proj.iter().map(t_pos));
-        let started = prof_start(prof);
+        let window = prof.start(|| hop.rows.distinct_len());
         let derived = delta_select(&hop.rows, &filters)
             .map_err(|e| MaintFailure::from_query(|| step.query(), e))?
             .project(&out);
-        prof_op(
-            prof,
-            started,
-            &du.relation,
-            1,
-            OpPhase::Hop,
-            "first_hop_derive",
-            &step.target,
-            hop.rows.distinct_len() as u64,
-            derived.distinct_len() as u64,
-        );
+        let out_rows = || derived.distinct_len();
+        prof.finish(window, 1, OpPhase::Hop, "first_hop_derive", &step.target, out_rows);
         port.charge_local(derived.weight());
         Ok(derived)
     }
@@ -200,6 +182,6 @@ fn compute_hop(
         delta: du.delta.rows(),
     };
     let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
-    compensate_pending(&hop, &mut rows, msg, pending, port, drained, None)?;
+    compensate_pending(&hop, &mut rows, msg, pending, port, drained, (Profiler::default(), 1))?;
     Ok(rows)
 }

@@ -12,11 +12,11 @@
 
 use std::rc::Rc;
 
-use dyno_obs::{field, Collector, Level, NodeKey, OpPhase, OpSample};
+use dyno_obs::{field, Capture, Collector, Level, OpPhase, Profiler};
 use dyno_relational::exec::TableSlice;
 use dyno_relational::{
-    delta_join, delta_project, delta_select, thread_stats, ColRef, DataUpdate, ExecStats,
-    RelationalError, SpjQuery, ZSet,
+    delta_join, delta_project, delta_select, thread_stats, ColRef, DataUpdate, RelationalError,
+    SpjQuery, ZSet,
 };
 use dyno_source::UpdateMessage;
 
@@ -76,47 +76,15 @@ pub(crate) fn flat(c: &ColRef) -> String {
 /// Name of the shipped intermediate table in maintenance queries.
 pub(crate) const D: &str = "__D";
 
-/// Profiling context threaded through plan execution: the collector plus
-/// the owning view's name. Built (and therefore `Some`) only when
-/// [`Collector::profile_on`] held at plan entry, so the disabled path never
-/// reads a clock, sizes a bag, or allocates a key.
-pub(crate) type Prof<'a> = (&'a Collector, &'a str);
-
-/// Opens a timing window for one operator: a wall-clock start plus an
-/// [`ExecStats`] snapshot. `None` when profiling is off.
-pub(crate) fn prof_start(prof: Option<Prof<'_>>) -> Option<(std::time::Instant, ExecStats)> {
-    prof.map(|_| (std::time::Instant::now(), thread_stats()))
-}
-
-/// Closes a timing window and records the operator sample. Index probes and
-/// weight cancellations come from the thread's [`ExecStats`] delta across
-/// the window; rows are supplied by the call site.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prof_op(
-    prof: Option<Prof<'_>>,
-    started: Option<(std::time::Instant, ExecStats)>,
-    scope: &str,
-    step: u32,
-    phase: OpPhase,
-    op: &'static str,
-    detail: &str,
-    rows_in: u64,
-    rows_out: u64,
-) {
-    let (Some((obs, view)), Some((t0, pre))) = (prof, started) else { return };
-    let d = thread_stats().since(pre);
-    obs.profile_op(
-        view,
-        scope,
-        NodeKey { step, phase, op, detail: detail.to_string() },
-        OpSample {
-            rows_in,
-            rows_out,
-            weights_cancelled: d.weights_cancelled,
-            index_probes: d.index_probes,
-            ns: t0.elapsed().as_nanos() as u64,
-        },
-    );
+/// The operator profiler of plan `(view, scope)`, reading index probes and
+/// cancelled weights from the executor's thread-local [`ExecStats`]
+/// counters. Inert unless the collector captures operator samples, so the
+/// disabled path never reads a clock, sizes a bag, or allocates a key.
+pub(crate) fn profiler<'a>(obs: &'a Collector, view: &'a str, scope: &'a str) -> Profiler<'a> {
+    Profiler::new(obs, view, scope, || {
+        let s = thread_stats();
+        (s.weights_cancelled, s.index_probes)
+    })
 }
 
 /// Maintains one data update against the view.
@@ -168,7 +136,7 @@ pub fn sweep_maintain_shared(
     let result = sweep_inner(view, msg, pending, port, &mut drained, Some((plans, obs)), shared);
     if let Err(MaintFailure::Broken { query, .. }) = &result {
         obs.counter("engine.break_detections").inc();
-        if obs.tracing_on() {
+        if obs.capturing(Capture::TRACE) {
             obs.event(Level::Warn, "vm.broken_query", &[field("query", query.clone())]);
         }
     }
@@ -204,10 +172,8 @@ fn sweep_inner(
             (Rc::new(MaintPlan::build(view, &du.relation).map_err(MaintFailure::Internal)?), None)
         }
     };
-    let prof: Option<Prof<'_>> = obs.filter(|o| o.profile_on()).map(|o| (o, view.name.as_str()));
-    if let Some((o, v)) = prof {
-        o.profile_invocation(v, &du.relation);
-    }
+    let prof = obs.map_or_else(Profiler::default, |o| profiler(o, &view.name, &du.relation));
+    prof.invocation();
     execute_plan(&plan, du, msg, pending, port, drained, shared, prof)
 }
 
@@ -224,10 +190,8 @@ fn execute_plan(
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
     shared: Option<&mut SharedSubplans>,
-    prof: Option<Prof<'_>>,
+    prof: Profiler<'_>,
 ) -> Result<ViewDelta, MaintFailure> {
-    let scope = du.relation.as_str();
-
     // With a shared-subplan cache and at least one join step, the seed plus
     // the first `__D ⋈ target` hop come out of the cross-view cache; the
     // chain then resumes at the second step. Otherwise: step 0 is the local
@@ -257,47 +221,18 @@ fn execute_plan(
         }
         let step_no = (i + 1) as u32;
         let hop = step.request(&d_rows);
-        let rows_in = if prof.is_some() { d_rows.distinct_len() as u64 } else { 0 };
-        let t = prof_start(prof);
+        let window = prof.start(|| d_rows.distinct_len());
         let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
-        prof_op(
-            prof,
-            t,
-            scope,
-            step_no,
-            OpPhase::Hop,
-            "join",
-            &step.target,
-            rows_in,
-            if prof.is_some() { rows.distinct_len() as u64 } else { 0 },
-        );
-        compensate_pending(
-            &hop,
-            &mut rows,
-            msg,
-            pending,
-            port,
-            drained,
-            prof.map(|p| (p, scope, step_no)),
-        )?;
+        prof.finish(window, step_no, OpPhase::Hop, "join", &step.target, || rows.distinct_len());
+        compensate_pending(&hop, &mut rows, msg, pending, port, drained, (prof, step_no))?;
         d_rows = rows;
     }
 
     port.charge_local(d_rows.weight());
-    let rows_in = if prof.is_some() { d_rows.distinct_len() as u64 } else { 0 };
-    let t = prof_start(prof);
+    let window = prof.start(|| d_rows.distinct_len());
     let projected = delta_project(&d_rows, &plan.final_indices);
-    prof_op(
-        prof,
-        t,
-        scope,
-        (plan.steps.len() + 1) as u32,
-        OpPhase::Final,
-        "delta_project",
-        "",
-        rows_in,
-        if prof.is_some() { projected.distinct_len() as u64 } else { 0 },
-    );
+    let step_no = (plan.steps.len() + 1) as u32;
+    prof.finish(window, step_no, OpPhase::Final, "delta_project", "", || projected.distinct_len());
     Ok(ViewDelta { cols: plan.out_cols.clone(), rows: projected })
 }
 
@@ -309,7 +244,7 @@ fn execute_plan(
 pub(crate) fn seed_delta(
     plan: &MaintPlan,
     delta: TableSlice<'_>,
-    prof: Option<Prof<'_>>,
+    prof: Profiler<'_>,
 ) -> Result<ZSet, RelationalError> {
     let schema = delta.schema;
     let filters = plan
@@ -322,34 +257,21 @@ pub(crate) fn seed_delta(
         .iter()
         .map(|a| schema.require(a))
         .collect::<Result<Vec<_>, RelationalError>>()?;
-    let scope = plan.relation.as_str();
-    let rows_in = if prof.is_some() { delta.rows.distinct_len() as u64 } else { 0 };
-    let t = prof_start(prof);
+    let relation = plan.relation.as_str();
+    let window = prof.start(|| delta.rows.distinct_len());
     let selected = delta_select(delta.rows, &filters)?;
-    let sel_out = if prof.is_some() { selected.distinct_len() as u64 } else { 0 };
-    prof_op(prof, t, scope, 0, OpPhase::Seed, "delta_select", scope, rows_in, sel_out);
-    let t = prof_start(prof);
+    prof.finish(window, 0, OpPhase::Seed, "delta_select", relation, || selected.distinct_len());
+    let window = prof.start(|| selected.distinct_len());
     let out = delta_project(&selected, &proj);
-    prof_op(
-        prof,
-        t,
-        scope,
-        0,
-        OpPhase::Seed,
-        "delta_project",
-        scope,
-        sel_out,
-        if prof.is_some() { out.distinct_len() as u64 } else { 0 },
-    );
+    prof.finish(window, 0, OpPhase::Seed, "delta_project", relation, || out.distinct_len());
     Ok(out)
 }
 
 /// After a hop came back: streams in the updates that committed while it
 /// ran, then subtracts from its `rows` the effect of every pending data
 /// update to the hop's target that the source may already have shown it
-/// (SWEEP compensation — view-manager-local, no further round trip). With
-/// `prof` (profiler, plan scope, step) each compensation join is recorded as
-/// a node of that plan step.
+/// (SWEEP compensation — view-manager-local, no further round trip). Each
+/// compensation join is recorded as a node of `prof`'s `(profiler, step)`.
 pub(crate) fn compensate_pending(
     hop: &HopRequest<'_>,
     rows: &mut ZSet,
@@ -357,7 +279,7 @@ pub(crate) fn compensate_pending(
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-    prof: Option<(Prof<'_>, &str, u32)>,
+    (prof, step_no): (Profiler<'_>, u32),
 ) -> Result<(), MaintFailure> {
     drained.extend(port.drain_arrivals());
     for m in pending.iter().copied().chain(drained.iter()) {
@@ -365,24 +287,13 @@ pub(crate) fn compensate_pending(
         if m.id == msg.id || pdu.relation != hop.target {
             continue;
         }
-        let t = prof_start(prof.map(|(p, ..)| p));
+        let window = prof.start(|| pdu.delta.rows().distinct_len());
         let comp = compensate(hop, (&pdu.delta).into())
             .map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
         port.charge_local(comp.weight() + pdu.delta.weight());
         rows.merge_negated(&comp);
-        if let Some((p, scope, step_no)) = prof {
-            prof_op(
-                Some(p),
-                t,
-                scope,
-                step_no,
-                OpPhase::Compensate,
-                "compensate",
-                hop.target,
-                pdu.delta.rows().distinct_len() as u64,
-                comp.distinct_len() as u64,
-            );
-        }
+        let out_rows = || comp.distinct_len();
+        prof.finish(window, step_no, OpPhase::Compensate, "compensate", hop.target, out_rows);
     }
     Ok(())
 }

@@ -40,7 +40,7 @@ use dyno_core::{
     UpdateKind, UpdateMeta, ViewDag,
 };
 use dyno_durable::storage::Storage;
-use dyno_obs::{field, Collector, Counter, Gauge, Level, OpPhase, StalenessTracker};
+use dyno_obs::{field, Capture, Collector, Counter, Gauge, Level, OpPhase, StalenessTracker};
 use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, Value, ZSet};
 use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 
@@ -51,7 +51,7 @@ use crate::mview::MaterializedView;
 use crate::plan::PlanCache;
 use crate::subplan::SharedSubplans;
 use crate::viewdef::ViewDefinition;
-use crate::vm::{prof_op, prof_start, sweep_maintain_shared, Prof};
+use crate::vm::{profiler, sweep_maintain_shared};
 use crate::vs::VsError;
 use crate::wal::{
     sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, RecoverError,
@@ -332,13 +332,6 @@ impl Metrics {
     }
 }
 
-/// The profiler context of the `(warehouse, pipeline)` plan: classification,
-/// apply and WAL-append costs (the per-operator query profiles are recorded
-/// deeper down, per view plan). `None` when profiling is off.
-fn pipeline_prof(obs: &Collector) -> Option<Prof<'_>> {
-    obs.profile_on().then_some((obs, "warehouse"))
-}
-
 fn keys_of(batch: &[UpdateMeta<UpdateMessage>]) -> Vec<u64> {
     batch.iter().map(|m| m.key.0).collect()
 }
@@ -454,12 +447,11 @@ impl Views {
     /// the batch where the checkpoint has it, to be redone whole.
     fn log_intent(&mut self, batch: &[UpdateMeta<UpdateMessage>], schema_changes: usize) {
         let Some(log) = self.wal.as_mut() else { return };
-        let prof = pipeline_prof(&self.obs);
+        let prof = profiler(&self.obs, "warehouse", "pipeline");
         let keys = keys_of(batch);
-        let started = prof_start(prof);
+        let window = prof.start(|| batch.len());
         log.log_intent(&keys, schema_changes > 0);
-        let n = batch.len() as u64;
-        prof_op(prof, started, "pipeline", 1, OpPhase::Wal, "log_intent", "batch", n, n);
+        prof.finish(window, 1, OpPhase::Wal, "log_intent", "batch", || batch.len());
     }
 
     /// An empty [`Committed`], sized for what is attached.
@@ -494,12 +486,15 @@ impl Views {
             if let Some(changes) = &mut done.changes {
                 changes[i] = change.applied_change();
             }
-            let prof = pipeline_prof(&self.obs);
-            let apply_meta = prof.map(|_| {
-                let rows = change.publish_rows().distinct_len() as u64;
-                (change.apply_op(), rows, slot.view.name.clone())
+            // An apply writes the rows it takes in; `apply` consumes the
+            // change, so the count is kept for the node's rows out.
+            let prof = profiler(&self.obs, "warehouse", "pipeline");
+            let op = change.apply_op();
+            let mut rows = 0;
+            let window = prof.start(|| {
+                rows = change.publish_rows().distinct_len();
+                rows
             });
-            let started = prof_start(prof);
             let applied = change.apply(
                 slot,
                 batch.len(),
@@ -507,9 +502,7 @@ impl Views {
                 self.umq_bound.is_some().then_some(&self.metrics.mv_clamped),
                 &self.obs,
             );
-            if let Some((op, rows, view)) = apply_meta {
-                prof_op(prof, started, "pipeline", 2, OpPhase::Apply, op, &view, rows, rows);
-            }
+            prof.finish(window, 2, OpPhase::Apply, op, &slot.view.name, || rows);
             let written = applied?;
             port.charge_mv_write(written);
             done.written += written;
@@ -541,21 +534,10 @@ impl Views {
                 reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
                 view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
             };
-            let prof = pipeline_prof(&self.obs);
-            let started = prof_start(prof);
+            let prof = profiler(&self.obs, "warehouse", "pipeline");
+            let window = prof.start(|| batch.len());
             log.log_applied(&rec);
-            let n = batch.len() as u64;
-            prof_op(
-                prof,
-                started,
-                "pipeline",
-                3,
-                OpPhase::Wal,
-                "log_applied",
-                "batch",
-                n,
-                done.written,
-            );
+            prof.finish(window, 3, OpPhase::Wal, "log_applied", "batch", || done.written as usize);
         }
         if let Some(rows) = done.rows {
             self.publish.push(PendingPublish { keys: keys_of(batch), rows });
@@ -580,7 +562,7 @@ impl Views {
                     slot.stats.aborts += 1;
                 }
                 self.obs.counter("view.aborts").inc();
-                if self.obs.tracing_on() {
+                if self.obs.capturing(Capture::TRACE) {
                     self.obs.event(Level::Warn, "view.abort", &[]);
                 }
                 port.on_maintenance_event(MaintEvent::Abort);
@@ -588,7 +570,7 @@ impl Views {
             }
             BatchFailure::Unavailable(e) => {
                 self.obs.counter("view.parked").inc();
-                if self.obs.tracing_on() {
+                if self.obs.capturing(Capture::TRACE) {
                     self.obs.event(Level::Warn, "view.park", &[field("error", e.to_string())]);
                 }
                 port.on_maintenance_event(MaintEvent::Park);
@@ -914,10 +896,10 @@ impl Warehouse {
         applied: bool,
         meta: &[u8],
     ) -> Result<ZSet, ViewError> {
-        let prof = pipeline_prof(&self.views.obs);
+        let prof = profiler(&self.views.obs, "warehouse", "pipeline");
         let mut delta = ZSet::new();
         if applied {
-            let started = prof_start(prof);
+            let window = prof.start(|| post.distinct_len());
             let slot = self.views.slots.get_mut(view).ok_or_else(|| {
                 ViewError::Internal(RelationalError::InvalidQuery {
                     reason: format!("remote delta for unknown view {view}"),
@@ -933,32 +915,14 @@ impl Warehouse {
             }
             let cols = slot.mv.cols().to_vec();
             slot.mv.apply_delta(&cols, &delta).map_err(ViewError::Internal)?;
-            prof_op(
-                prof,
-                started,
-                "pipeline",
-                2,
-                OpPhase::Apply,
-                "apply_remote",
-                &slot.view.name,
-                post.distinct_len() as u64,
-                delta.distinct_len() as u64,
-            );
+            let out_rows = || delta.distinct_len();
+            prof.finish(window, 2, OpPhase::Apply, "apply_remote", &slot.view.name, out_rows);
         }
         if let Some(log) = self.views.wal.as_mut() {
-            let started = prof_start(prof);
+            let window = prof.start(|| post.distinct_len());
             log.log_replica_remote(view as u32, key_col as u32, key, post, applied, meta);
-            prof_op(
-                prof,
-                started,
-                "pipeline",
-                3,
-                OpPhase::Wal,
-                "log_replica_remote",
-                "remote",
-                post.distinct_len() as u64,
-                delta.distinct_len() as u64,
-            );
+            let out_rows = || delta.distinct_len();
+            prof.finish(window, 3, OpPhase::Wal, "log_replica_remote", "remote", out_rows);
         }
         Ok(delta)
     }
@@ -1046,7 +1010,7 @@ impl Warehouse {
                             field("depth", depth),
                         ],
                     );
-                    if views.obs.tracing_on() {
+                    if views.obs.capturing(Capture::TRACE) {
                         views.obs.event(
                             Level::Warn,
                             "umq.shed",
@@ -1071,7 +1035,7 @@ impl Warehouse {
                         let any = verdicts.iter().any(|&b| b);
                         if any && !verdicts.iter().all(|&b| b) {
                             views.metrics.divergent.inc();
-                            if views.obs.tracing_on() {
+                            if views.obs.capturing(Capture::TRACE) {
                                 views.obs.event(
                                     Level::Info,
                                     "safety.divergent_verdict",
@@ -1423,7 +1387,7 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
             ],
         );
         views.obs.counter("view.attempts").inc();
-        views.obs.profile_invocation("warehouse", "pipeline");
+        profiler(&views.obs, "warehouse", "pipeline").invocation();
 
         // The intent is durable before any maintenance query runs.
         views.log_intent(batch, schema_changes);
@@ -1439,8 +1403,8 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
         // relation-irrelevance argument that justifies `Skip` only holds
         // for data updates.
         let has_sc = schema_changes > 0;
-        let prof = pipeline_prof(&views.obs);
-        let classify_started = prof_start(prof);
+        let prof = profiler(&views.obs, "warehouse", "pipeline");
+        let window = prof.start(|| batch.len());
         let mut dispo: Vec<Disposition> = views
             .slots
             .iter()
@@ -1460,17 +1424,7 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
             })
             .collect();
         let active_total = dispo.iter().filter(|d| matches!(d, Disposition::Active)).count();
-        prof_op(
-            prof,
-            classify_started,
-            "pipeline",
-            0,
-            OpPhase::Detect,
-            "classify",
-            "batch",
-            batch.len() as u64,
-            active_total as u64,
-        );
+        prof.finish(window, 0, OpPhase::Detect, "classify", "batch", || active_total);
 
         // Phase 1: stage every active view's change without committing
         // anything, so a broken query in view k discards views 0..k's work
@@ -1495,7 +1449,7 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
                 Err(BatchFailure::Unavailable(e)) => {
                     blocked += 1;
                     dispo[i] = Disposition::Defer;
-                    if views.obs.tracing_on() {
+                    if views.obs.capturing(Capture::TRACE) {
                         views.obs.event(
                             Level::Warn,
                             "view.defer",
@@ -1558,7 +1512,7 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
             for meta in batch {
                 views.obs.prov(meta.key.0, dyno_obs::stage::APPLIED, &[]);
             }
-            if views.obs.lineage_on() {
+            if views.obs.capturing(Capture::PROV) {
                 views.obs.prov_batch(
                     &keys_of(batch),
                     dyno_obs::stage::EXTENT,
@@ -1773,7 +1727,7 @@ mod tests {
         let space = bookinfo_space();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let obs = Collector::wall().with_tracing(1024);
+        let obs = Collector::wall().with_capture(Capture::TRACE, 1024);
         let mut wh = Warehouse::new(info, Strategy::Optimistic).with_obs(obs.clone());
         wh.add_view(bookinfo_view());
         wh.initialize(&mut port).unwrap();
@@ -1788,7 +1742,7 @@ mod tests {
         assert_eq!(counter("view.commits"), stats.du_committed + stats.batches_committed);
         assert_eq!(counter("view.attempts"), counter("view.commits") + counter("view.aborts"));
         assert!(counter("va.recompute") + counter("va.incremental") >= 1);
-        let names: Vec<&str> = obs.trace_records().iter().map(|r| r.name).collect();
+        let names: Vec<&str> = obs.records().iter().map(|r| r.name).collect();
         assert!(names.contains(&"view.maintain"));
         assert!(names.contains(&"va.adapt"));
     }

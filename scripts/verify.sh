@@ -99,10 +99,13 @@ test -s "$out/fig10.jsonl.metrics.json"
 echo "== chrome trace export + tracecheck (Perfetto document validity) =="
 # A lineage-traced chaos run exported as a Chrome trace_event document,
 # then structurally validated: every B/E span balanced per lane, every
-# flow arrow (s/t/f per causal id) resolved, no unknown phases.
+# flow arrow (s/t/f per causal id) resolved, no unknown phases. Spans and
+# provenance share one ring here, so the run must evict nothing: then the
+# export is exactly what two separate rings would have rendered.
 DYNO_TUPLES=300 cargo run -q --release --offline -p dyno-bench --bin fig10 -- \
-    --chrome "$out/fig10.chrome.json" >/dev/null
+    --chrome "$out/fig10.chrome.json" > "$out/fig10_chrome.txt"
 test -s "$out/fig10.chrome.json"
+grep -q "records (0 dropped)" "$out/fig10_chrome.txt"
 cargo run -q --release --offline -p dyno-bench --bin tracecheck -- \
     "$out/fig10.chrome.json"
 
@@ -155,6 +158,15 @@ echo "== recorded grid fingerprints (chaos/crash/multiview x profiles x seeds 0.
 # pre-`Experiment` drivers wrote: counters, simulated series, extent CRCs,
 # final SQL and lineage must not move. `#[ignore]`d only for debug-build time.
 timeout 600 cargo test -q --release --offline --test chaos_props grids_match -- --ignored
+
+echo "== recorded capture pins (every capture surface of a fixed run set) =="
+# Chaos runs over every fault profile x seeds {0, 3} (one killed) with
+# tracing, lineage and the profiler on, plus a partitioned three-peer run,
+# against tests/data/capture_pins.txt: CRC32s of trace_jsonl,
+# lineage_jsonl, export_chrome, the forensics report and explain, the
+# profile's call/row/probe totals, and the ring's drop count (0). Recorded
+# while spans and provenance still had separate stores; must not move.
+timeout 600 cargo test -q --release --offline --test provenance_props capture_matches
 
 echo "== live monitor smoke (open-loop telemetry, DESIGN.md §14) =="
 # A short bursty run against a bounded UMQ: the admission bound must

@@ -24,6 +24,7 @@ mod common;
 use common::assert_healthy;
 use dyno::core::{CorrectionPolicy, Strategy};
 use dyno::fault::FaultProfile;
+use dyno::obs::Capture;
 use dyno::sim::{run, Experiment};
 
 #[test]
@@ -144,7 +145,11 @@ fn grids_match_the_recorded_fingerprints() {
             let mut plans = vec![vec![]];
             plans.extend(classes.map(|point| vec![CrashPlan { point, skip: seed % 3 }]));
             for kills in plans {
-                let exp = Experiment { lineage: true, kills, ..Experiment::chaos(profile, seed) };
+                let exp = Experiment {
+                    capture: Capture::PROV,
+                    kills,
+                    ..Experiment::chaos(profile, seed)
+                };
                 row("chaos", profile, seed, exp);
             }
             for kills in [vec![], vec![CrashPlan { point: CrashPoint::BetweenSteps, skip: 3 }]] {

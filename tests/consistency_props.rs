@@ -12,6 +12,7 @@
 //! every run replays the same case set and a failure is reproducible.
 
 use dyno::core::Strategy as Detection;
+use dyno::obs::Capture;
 use dyno::prelude::*;
 use dyno::sim::{build_testbed, EventKind, Rng};
 
@@ -109,8 +110,9 @@ fn registry_totals_project_sim_metrics() {
         } else {
             Detection::Optimistic
         };
-        let report = run(Experiment { tracing: true, ..experiment(&timeline, seed, strategy) })
-            .expect("testbed views initialize");
+        let report =
+            run(Experiment { capture: Capture::TRACE, ..experiment(&timeline, seed, strategy) })
+                .expect("testbed views initialize");
         assert!(report.last_error.is_none(), "case {case}: {:?}", report.last_error);
         let counter = |name: &str| report.counter(name);
         assert_eq!(counter("sim.committed_us"), report.metrics.committed_us, "case {case}");

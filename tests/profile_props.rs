@@ -8,15 +8,16 @@
 //!   surface: a monitored run's full JSON capture and a chaos run's
 //!   convergence scalars and metrics registry are byte-identical with the
 //!   profiler on and off;
-//! * **lineage discipline** — the disabled gate path (the exact sequence
-//!   instrumented callers execute when the profiler is off) performs zero
-//!   heap allocations, measured with a counting global allocator.
+//! * **one zero-cost gate** — the disabled gate path (the exact sequence
+//!   instrumented callers execute when capture is off: spans, events,
+//!   provenance records and batches, operator samples) performs zero heap
+//!   allocations, measured with a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dyno::obs::json::{parse, Value};
-use dyno::obs::{Collector, NodeKey, OpPhase, OpSample};
+use dyno::obs::{field, stage, Capture, Collector, Level, NodeKey, OpPhase, OpSample, Profiler};
 use dyno::sim::{run, Experiment, Monitor, OpenLoopConfig, Report, TestbedConfig};
 
 /// Counts heap allocations made by *this thread* only, so the measurement
@@ -70,7 +71,7 @@ fn open_loop_run(seed: u64, op_profile: bool) -> Report {
     let report = run(Experiment {
         umq_bound: Some(12),
         monitor: Some(Monitor { drain_windows: 4, ..Default::default() }),
-        op_profile,
+        capture: if op_profile { Capture::PROFILE } else { Capture::NONE },
         ..Experiment::open_loop(
             TestbedConfig { tuples_per_relation: 60, ..Default::default() },
             &load,
@@ -150,7 +151,8 @@ fn chaos_run_is_bit_identical_with_profiler_on_and_off() {
             let ctx = format!("{} with {} kill(s)", profile.name, kills.len());
             let chaos = |op_profile| {
                 let kills = kills.clone();
-                run(Experiment { op_profile, kills, ..Experiment::chaos(profile, 11) })
+                let capture = if op_profile { Capture::PROFILE } else { Capture::NONE };
+                run(Experiment { capture, kills, ..Experiment::chaos(profile, 11) })
                     .expect("testbed views initialize")
             };
             let (off, on) = (chaos(false), chaos(true));
@@ -170,11 +172,15 @@ fn chaos_run_is_bit_identical_with_profiler_on_and_off() {
 }
 
 /// The disabled path instrumented callers actually execute — one gate
-/// check, or an early-returning record call — performs zero allocations.
+/// check, or an early-returning record call — performs zero allocations,
+/// for every kind behind the gate word: spans, events, provenance records
+/// and batches, and operator samples, on an enabled-but-off collector and
+/// on a disabled one.
 #[test]
 fn disabled_profiler_path_does_not_allocate() {
     let obs = Collector::wall();
-    assert!(!obs.profile_on());
+    let disabled = Collector::disabled();
+    assert!(!obs.capturing(Capture::PROFILE));
     // Warm up lazily-initialized state (TLS, collector internals) so the
     // measured loop sees steady state.
     obs.profile_invocation("V", "warm");
@@ -188,7 +194,7 @@ fn disabled_profiler_path_does_not_allocate() {
     let before = thread_allocations();
     for i in 0..10_000u64 {
         // The caller-side gate: cheap check, no timestamp, no key built.
-        if obs.profile_on() {
+        if obs.capturing(Capture::PROFILE) {
             unreachable!("profiler is off");
         }
         // The store-side gates: both must bail before touching the map.
@@ -201,6 +207,19 @@ fn disabled_profiler_path_does_not_allocate() {
             NodeKey { step: i as u32, phase: OpPhase::Seed, op: "noop", detail: String::new() },
             OpSample::default(),
         );
+        for o in [&obs, &disabled] {
+            // The callers' one profiler helper: no clock, no rows, no key.
+            let prof = Profiler::new(o, "V", "scope", || (0, 0));
+            prof.invocation();
+            let window = prof.start(|| unreachable!("rows counted while off"));
+            prof.finish(window, 1, OpPhase::Hop, "join", "R", || unreachable!("rows counted"));
+            // Spans, events and provenance share the same gate word.
+            let _span = o.span("dyno.step", &[field("depth", i)]);
+            o.event(Level::Info, "dyno.fast_path", &[field("depth", i)]);
+            o.prov(i, stage::ADMIT, &[field("source", i % 6), field("version", i)]);
+            assert_eq!(o.prov_batch(&[i, i + 1], stage::MERGE, &[field("position", i)]), 0);
+            o.profile_invocation("V", "scope");
+        }
     }
     let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "disabled profiler path allocated {delta} times in 10k iterations");

@@ -20,6 +20,7 @@
 //! `scripts/verify.sh` under `VERIFY_FULL=1` via `--include-ignored`, and
 //! `tests/data/replica_grid.txt` pins every run's counters exactly.
 
+use dyno::obs::Capture;
 use dyno::sim::{run, Experiment, Report};
 
 /// Per-replica, per-view extent CRCs (the convergence fingerprint).
@@ -77,8 +78,11 @@ fn replica_smoke_crash_before_send_recovers() {
 #[test]
 fn replica_same_seed_is_bit_reproducible() {
     let run = || {
-        run(Experiment { lineage: true, ..Experiment::replicated("partition", 3, 23, None) })
-            .expect("testbed views initialize")
+        run(Experiment {
+            capture: Capture::PROV,
+            ..Experiment::replicated("partition", 3, 23, None)
+        })
+        .expect("testbed views initialize")
     };
     let (a, b) = (run(), run());
     let lineage = |r: &Report| r.peer_obs.iter().map(|o| o.lineage_jsonl()).collect::<Vec<_>>();
