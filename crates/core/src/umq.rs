@@ -32,10 +32,12 @@ impl<P> Umq<P> {
         Umq::default()
     }
 
-    /// Rebuilds a queue from recovered state: the batch structure (including
-    /// merged SC batches) and the schema-change flag exactly as a WAL
-    /// checkpoint captured them. `total_enqueued` restarts from the restored
-    /// update count — statistics are not part of the durability contract.
+    /// Rebuilds a queue from a WAL checkpoint: the batch structure
+    /// (including merged SC batches) and the schema-change flag exactly as
+    /// the checkpoint captured them. Recovery then replays the log's tail
+    /// through [`Umq::enqueue`] and [`Umq::remove_by_keys`]. `total_enqueued`
+    /// restarts from the restored update count — statistics are not part of
+    /// the durability contract.
     pub fn restore(batches: Vec<Vec<UpdateMeta<P>>>, new_schema_change: bool) -> Self {
         let updates = batches.iter().map(Vec::len).sum();
         Umq {
@@ -46,9 +48,10 @@ impl<P> Umq<P> {
         }
     }
 
-    /// Removes every buffered update whose key is in `keys` (recovery uses
-    /// this to drop updates a logged `Applied` record proves were committed).
-    /// Entries left empty disappear. Returns how many updates were removed.
+    /// Removes every buffered update whose key is in `keys`: the replay of a
+    /// logged `Applied` record, which proves they were committed (a live
+    /// commit removes the head entry instead). Entries left empty disappear.
+    /// Returns how many updates were removed.
     pub fn remove_by_keys(&mut self, keys: &[crate::meta::UpdateKey]) -> usize {
         let mut removed = 0;
         for batch in &mut self.entries {

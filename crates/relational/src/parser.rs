@@ -137,7 +137,9 @@ impl<'a> Lexer<'a> {
             }
             Token::Str(out)
         } else {
-            let two = &self.rest()[..self.rest().len().min(2)];
+            // `get`, not slicing: a multi-byte character is not a char
+            // boundary at byte 2, and is no symbol either.
+            let two = self.rest().get(..2).unwrap_or("");
             let sym: &'static str = match two {
                 "<>" => "<>",
                 "!=" => "!=",
@@ -499,6 +501,14 @@ mod tests {
         // The dialect requires Relation.Attr — matching how maintenance
         // queries must know which source each column belongs to.
         assert!(parse_query("SELECT a FROM R").is_err());
+    }
+
+    #[test]
+    fn a_multi_byte_character_is_an_error_not_a_panic() {
+        for sql in ["SELECT 荊ame FROM R", "SELECT R.a FROM R WHERE R.a é 1", "é"] {
+            let err = parse_query(sql).unwrap_err();
+            assert!(err.message.contains("unexpected character"), "{sql}: {err}");
+        }
     }
 
     // Re-exported builder is exercised too (compile-time shape check).

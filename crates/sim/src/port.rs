@@ -327,20 +327,6 @@ impl SourcePort for SimPort {
         )
     }
 
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<Relation, RelationalError> {
-        let catalog = self.space.server(source).state_at(version)?;
-        let rel = catalog.get(relation).cloned()?;
-        if self.metering {
-            self.advance_quiet(self.cost.query_cost_us(rel.len(), rel.len()));
-        }
-        Ok(rel)
-    }
-
     fn locate(&mut self, relation: &str) -> Option<SourceId> {
         self.space.locate(relation)
     }

@@ -8,8 +8,8 @@
 //!
 //! **The log is the history.** Any past state can be reconstructed (the
 //! paper attributes this capability to the "intelligent wrapper"; here the
-//! consistency oracle and `SourcePort::fetch_relation_at` use it), and
-//! reconstructing one costs what changed since, not what the source holds:
+//! consistency oracle uses it), and reconstructing one costs what changed
+//! since, not what the source holds:
 //! [`SourceServer::state_at`] clones the current catalog and walks the log
 //! backwards, applying the inverse of each later entry — derived from the
 //! entry itself at that moment, so a commit stores nothing beyond its log

@@ -244,23 +244,22 @@ pub trait SourcePort {
         self.execute(query, &[]).map(AdaptRead::Shipped)
     }
 
-    /// Fetches the named relation's extent *as of* a past source version —
-    /// the intelligent wrapper's history capability
-    /// (`SourceServer::state_at`: the current catalog rewound through the
-    /// log). Pinned reads cannot be broken by concurrent schema changes.
-    ///
-    /// Nothing in this crate calls it: view adaptation reads the current
-    /// state ([`SourcePort::read_for_adaptation`]) and derives Equation 6's
-    /// pre-images itself, by compensating for pending updates and the
-    /// batch's own deltas. The method stays on the trait because ports
-    /// outside this crate implement and meter it (`SimPort`, the wall-clock
-    /// benchmark's `TimingPort`).
+    /// A pinned read of a relation as of a past source version. Nothing
+    /// calls it and no port in this workspace implements it: view
+    /// adaptation reads current state ([`SourcePort::read_for_adaptation`])
+    /// and derives Equation 6's pre-images by compensation. The method stays
+    /// on the trait only because the wall-clock benchmark's `TimingPort`,
+    /// which is frozen, overrides it.
     fn fetch_relation_at(
         &mut self,
         source: SourceId,
         relation: &str,
         version: u64,
-    ) -> Result<dyno_relational::Relation, RelationalError>;
+    ) -> Result<dyno_relational::Relation, RelationalError> {
+        Err(RelationalError::InvalidQuery {
+            reason: format!("no pinned read of `{relation}` at {source}@{version}"),
+        })
+    }
 
     /// The source currently hosting `relation`, if any.
     fn locate(&mut self, relation: &str) -> Option<SourceId>;
@@ -408,16 +407,6 @@ impl<P: SourcePort + ?Sized> SourcePort for TracingPort<'_, P> {
         result
     }
 
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<dyno_relational::Relation, RelationalError> {
-        self.trace.push(format!("r({source}:{relation}@{version})"));
-        self.inner.fetch_relation_at(source, relation, version)
-    }
-
     fn locate(&mut self, relation: &str) -> Option<SourceId> {
         self.inner.locate(relation)
     }
@@ -517,16 +506,6 @@ impl SourcePort for InProcessPort {
         dyno_relational::validate(query, &self.space.provider()).map(|()| AdaptRead::Live)
     }
 
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<dyno_relational::Relation, RelationalError> {
-        let catalog = self.space.server(source).state_at(version)?;
-        catalog.get(relation).cloned()
-    }
-
     fn locate(&mut self, relation: &str) -> Option<SourceId> {
         self.space.locate(relation)
     }
@@ -616,24 +595,6 @@ mod tests {
         let out = port.execute(&q, &[bound]).unwrap();
         assert_eq!(out.weight(), 1);
         assert_eq!(out.rows.count(&Tuple::of([Value::str("z")])), 1);
-    }
-
-    #[test]
-    fn historical_fetch_is_pinned() {
-        let mut port = InProcessPort::new(small_space());
-        port.commit(
-            SourceId(0),
-            dyno_relational::SourceUpdate::Schema(dyno_relational::SchemaChange::DropRelation {
-                relation: "R".into(),
-            }),
-        )
-        .unwrap();
-        // Current query breaks…
-        let q = SpjQuery::over(["R"]).select("R", "v").build();
-        assert!(port.execute(&q, &[]).unwrap_err().is_schema_conflict());
-        // …but the version-0 read still works.
-        let r = port.fetch_relation_at(SourceId(0), "R", 0).unwrap();
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use dyno_fault::rng::Rng;
 use dyno_fault::{QueryFault, Recovery, RetryPolicy, Transport};
 use dyno_obs::{Collector, Counter};
-use dyno_relational::{QueryResult, Relation, RelationalError, SpjQuery, ZSet};
+use dyno_relational::{QueryResult, RelationalError, SpjQuery, ZSet};
 use dyno_source::{SourceId, UpdateMessage};
 
 use crate::engine::{BoundTable, HopRequest, MaintEvent, SourcePort};
@@ -345,15 +345,6 @@ impl<P: SourcePort, T: Transport> SourcePort for FaultedPort<P, T> {
     fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
         let sources = self.involved_sources(std::iter::once(req.target));
         self.with_query_faults(&sources, |p| p.hop(req))
-    }
-
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<Relation, RelationalError> {
-        self.with_query_faults(&[source], |p| p.fetch_relation_at(source, relation, version))
     }
 
     fn locate(&mut self, relation: &str) -> Option<SourceId> {

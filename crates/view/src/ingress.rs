@@ -86,11 +86,12 @@ impl IngressGate {
         self.seq.streams().into_iter().map(|s| (s, self.seq.delivered(s))).collect()
     }
 
-    /// Restores the high-water marks from recovered state, replacing any
-    /// current admission state (reorder buffers start empty: anything that
-    /// was parked pre-crash is redelivered by resubscription).
-    pub fn restore_marks(&mut self, marks: &[(u32, u64)]) {
-        self.seq = Sequencer::new(marks.iter().copied().collect());
+    /// Raises `source`'s mark to at least `version`, whatever the dedupe
+    /// switch says: how recovery restores a checkpoint's marks and replays
+    /// a logged admission. Reorder buffers stay empty: anything parked
+    /// before a crash is redelivered by resubscription.
+    pub(crate) fn raise_mark(&mut self, source: u32, version: u64) {
+        self.seq.set_floor(source, version);
     }
 
     /// Memory footprint: retained map entries (per-source marks, live
@@ -208,7 +209,9 @@ mod tests {
         assert_eq!(g.marks(), vec![(0, 2), (1, 1)]);
 
         let mut fresh = IngressGate::new();
-        fresh.restore_marks(&g.marks());
+        for (source, mark) in g.marks() {
+            fresh.raise_mark(source, mark);
+        }
         assert!(fresh.admit(msg(4, 0, 2), 0).is_empty(), "below restored mark: duplicate");
         assert_eq!(released(&fresh.admit(msg(5, 0, 3), 0)), vec![3]);
     }

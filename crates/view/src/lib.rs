@@ -50,7 +50,7 @@ pub use viewdef::ViewDefinition;
 pub use vm::{sweep_maintain, sweep_maintain_shared, MaintFailure, ViewDelta};
 pub use vs::{synchronize, synchronize_all, VsError};
 pub use wal::{
-    AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, DurableState, RecoverError,
-    RecoverReport, ReplicaTailEvent, ViewState,
+    AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, RecoverError, RecoverReport,
+    ReplicaTailEvent,
 };
 pub use warehouse::{PendingPublish, ReflectedVersions, ViewError, ViewStats, Warehouse};

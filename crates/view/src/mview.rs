@@ -52,14 +52,13 @@ impl MaterializedView {
     /// "negative tuples"); violations indicate a maintenance bug and are
     /// reported as errors.
     pub fn apply_delta(&mut self, cols: &[String], delta: &ZSet) -> Result<(), RelationalError> {
-        if cols != self.cols.as_slice() {
-            return Err(RelationalError::InvalidQuery {
-                reason: format!(
-                    "view delta columns {:?} do not match view columns {:?}",
-                    cols, self.cols
-                ),
-            });
-        }
+        self.check_cols(cols)?;
+        self.merge(delta)
+    }
+
+    /// [`MaterializedView::apply_delta`] of a delta known to be in this
+    /// view's columns (recovery replays the view's own logged deltas).
+    pub(crate) fn merge(&mut self, delta: &ZSet) -> Result<(), RelationalError> {
         // A negative multiplicity can only appear at a tuple the delta
         // touches, so merge in place and check just those keys — O(|Δ| log n)
         // instead of cloning and re-walking the whole extent. On violation
@@ -89,16 +88,21 @@ impl MaterializedView {
         cols: &[String],
         delta: &ZSet,
     ) -> Result<u64, RelationalError> {
-        if cols != self.cols.as_slice() {
-            return Err(RelationalError::InvalidQuery {
-                reason: format!(
-                    "view delta columns {:?} do not match view columns {:?}",
-                    cols, self.cols
-                ),
-            });
-        }
+        self.check_cols(cols)?;
         self.extent.merge(delta);
         Ok(self.extent.clamp_non_negative())
+    }
+
+    fn check_cols(&self, cols: &[String]) -> Result<(), RelationalError> {
+        if cols == self.cols.as_slice() {
+            return Ok(());
+        }
+        Err(RelationalError::InvalidQuery {
+            reason: format!(
+                "view delta columns {:?} do not match view columns {:?}",
+                cols, self.cols
+            ),
+        })
     }
 
     /// Replaces columns and extent wholesale (view adaptation after a

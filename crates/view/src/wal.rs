@@ -4,11 +4,14 @@
 //!
 //! | tag | record | written |
 //! |---|---|---|
-//! | 1 | `Checkpoint(DurableState)` | at attach, whenever the tail has grown as large as the last checkpoint (see [`DurableLog::should_checkpoint`]), and at the end of every recovery (as a [`Wal::rewrite`], truncating the log) |
+//! | 1 | `Checkpoint` — the warehouse's whole image, encoded straight from the live warehouse | at attach, whenever the tail has grown as large as the last checkpoint (see [`DurableLog::should_checkpoint`]), and at the end of every recovery (as a [`Wal::rewrite`], truncating the log) |
 //! | 2 | `Admitted(UpdateMeta)` | when the ingress gate admits a message to the UMQ |
 //! | 3 | `Intent{keys, has_sc}` | immediately **before** a batch's maintenance executes |
 //! | 4 | `Applied{keys, changes, reflected}` | immediately **after** the in-memory commit of a batch, as **one** record covering every view |
 //! | 5 | `Replica` (`Published{bytes}` / `Remote{view, key, post, applied, bytes}`) | when the replication engine publishes a commit's peer deltas (before they reach the network) and when a received peer delta is resolved (applied or superseded) |
+//!
+//! The checkpoint image and the replay that folds records back into a
+//! warehouse belong to [`Warehouse`] itself ([`Warehouse::recover`]).
 //!
 //! ## The recovery invariants
 //!
@@ -18,7 +21,8 @@
 //!   the batch (it is still in the restored UMQ) and the restarted scheduler
 //!   redoes it. This is the paper's Equation 6 atomicity made durable: a
 //!   batch node is either fully applied (one `Applied` record covering every
-//!   view and every batched update) or not at all.
+//!   view and every batched update) or not at all — and replay keeps it so:
+//!   an `Applied` record is checked whole before any view changes.
 //! * **Torn tail ⇒ never sent.** [`dyno_durable::Wal::open`] stops at the
 //!   first corrupt byte; everything before it is a complete record,
 //!   everything after was never acknowledged to anyone (the warehouse acks
@@ -38,137 +42,20 @@
 //! [`DurableLog::power_cut`] and kills/recovers the warehouse when it trips.
 
 use dyno_core::wire as core_wire;
-use dyno_core::{CorrectionPolicy, Strategy, UpdateMeta};
+use dyno_core::UpdateMeta;
 use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
 use dyno_durable::storage::Storage;
 use dyno_durable::wal::{Wal, WalError};
-use dyno_obs::{field, Collector};
+use dyno_obs::Collector;
 use dyno_relational::wire as rel_wire;
 use dyno_relational::{Value, ZSet};
 use dyno_source::wire as src_wire;
 use dyno_source::UpdateMessage;
 
-use crate::batch::AdaptationMode;
-
-/// One view's recoverable state: its definition (as round-trippable SQL),
-/// output columns, extent, and — in a multi-view warehouse — the per-view
-/// progress a deferring view may hold back from its peers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewState {
-    /// `CREATE VIEW name AS SELECT …` — the Display form of the definition.
-    pub sql: String,
-    /// Output column names of the materialized extent.
-    pub cols: Vec<String>,
-    /// The extent itself.
-    pub extent: ZSet,
-    /// *This* view's reflected version vector, sorted by source. Views
-    /// advance independently: a batch one view defers freezes its vector
-    /// while its peers move on.
-    pub reflected: Vec<(u32, u64)>,
-    /// Batches committed warehouse-wide but deferred by this view (its
-    /// source was unavailable), in arrival order — replayed by the
-    /// per-view drain after recovery.
-    pub deferred: Vec<Vec<UpdateMeta<UpdateMessage>>>,
-    /// SLA tier (lower = refreshed earlier).
-    pub tier: u8,
-}
-
-/// Everything a warehouse needs to resume after a kill: scheduler
-/// configuration, every view, the version vector, the ingress gate's
-/// high-water marks, and the UMQ including merged-batch boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableState {
-    /// Detection strategy the scheduler ran with.
-    pub strategy: Strategy,
-    /// Correction policy the scheduler ran with.
-    pub policy: CorrectionPolicy,
-    /// View-adaptation mode.
-    pub adaptation: AdaptationMode,
-    /// Whether the ingress gate's dedupe/resequencing was enabled.
-    pub dedupe: bool,
-    /// Every registered view, in slot order.
-    pub views: Vec<ViewState>,
-    /// Per-source versions the views reflect, sorted by source.
-    pub reflected: Vec<(u32, u64)>,
-    /// The ingress gate's admitted high-water marks, sorted by source —
-    /// the resubscription baseline after a restart.
-    pub marks: Vec<(u32, u64)>,
-    /// The UMQ's entries in order, each a batch of one or more updates
-    /// (SC-batch boundaries survive the crash).
-    pub batches: Vec<Vec<UpdateMeta<UpdateMessage>>>,
-    /// The `NewSchemaChangeFlag`.
-    pub sc_flag: bool,
-    /// Opaque replication-engine snapshot (vector clock, HLC, conflict
-    /// registers, outbox, sequence floors) — owned and encoded by the
-    /// engine, carried in every checkpoint. Empty when the warehouse is
-    /// not replicated.
-    pub ext: Vec<u8>,
-    /// Post-checkpoint replication events, rebuilt by replay and **never
-    /// encoded**: the engine pairs `Applied` with `Published` to re-publish
-    /// commits the crash cut off before their peer deltas went out, and
-    /// replays `Remote` write-backs/registers. Recovery truncates these
-    /// records with its closing checkpoint, so the engine must fold the
-    /// tail and re-checkpoint before normal operation resumes.
-    pub tail: Vec<ReplicaTailEvent>,
-}
-
-/// A checkpoint's content borrowed from wherever it lives — the running
-/// warehouse's slots and queue, or a decoded [`DurableState`]. The one
-/// checkpoint encoder takes this form, so the extents and queued messages
-/// are never copied on their way into the log.
-pub(crate) struct StateRef<'a> {
-    pub strategy: Strategy,
-    pub policy: CorrectionPolicy,
-    pub adaptation: AdaptationMode,
-    pub dedupe: bool,
-    pub views: Vec<ViewRef<'a>>,
-    pub reflected: Vec<(u32, u64)>,
-    pub marks: Vec<(u32, u64)>,
-    pub batches: Vec<&'a [UpdateMeta<UpdateMessage>]>,
-    pub sc_flag: bool,
-    pub ext: &'a [u8],
-}
-
-/// One view of a [`StateRef`]; field for field a borrowed [`ViewState`].
-pub(crate) struct ViewRef<'a> {
-    pub sql: String,
-    pub cols: &'a [String],
-    pub extent: &'a ZSet,
-    pub reflected: Vec<(u32, u64)>,
-    pub deferred: Vec<&'a [UpdateMeta<UpdateMessage>]>,
-    pub tier: u8,
-}
-
-impl DurableState {
-    fn as_ref(&self) -> StateRef<'_> {
-        StateRef {
-            strategy: self.strategy,
-            policy: self.policy,
-            adaptation: self.adaptation,
-            dedupe: self.dedupe,
-            views: self
-                .views
-                .iter()
-                .map(|v| ViewRef {
-                    sql: v.sql.clone(),
-                    cols: &v.cols,
-                    extent: &v.extent,
-                    reflected: v.reflected.clone(),
-                    deferred: v.deferred.iter().map(Vec::as_slice).collect(),
-                    tier: v.tier,
-                })
-                .collect(),
-            reflected: self.reflected.clone(),
-            marks: self.marks.clone(),
-            batches: self.batches.iter().map(Vec::as_slice).collect(),
-            sc_flag: self.sc_flag,
-            ext: &self.ext,
-        }
-    }
-}
+use crate::Warehouse;
 
 /// One post-checkpoint replication event surfaced to the engine by replay
-/// (see [`DurableState::tail`]).
+/// (see [`Warehouse::take_replica_tail`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicaTailEvent {
     /// A local commit landed (its `Applied` record was durable). `rows` are
@@ -384,7 +271,7 @@ enum RecordKind {
 }
 
 impl DurableLog {
-    fn over(wal: Wal) -> Self {
+    pub(crate) fn over(wal: Wal) -> Self {
         DurableLog {
             wal,
             policy: CheckpointPolicy::TailOutgrowsSnapshot,
@@ -564,21 +451,16 @@ impl DurableLog {
         }
     }
 
-    /// Writes a checkpoint, atomically truncating the log to that single
-    /// record (sequence numbers keep counting).
-    pub fn checkpoint(&mut self, state: &DurableState) {
-        self.checkpoint_ref(&state.as_ref());
-    }
-
-    /// [`DurableLog::checkpoint`] straight from borrowed live state: the
-    /// image is encoded once, into the WAL's frame buffer.
-    pub(crate) fn checkpoint_ref(&mut self, state: &StateRef<'_>) {
+    /// Writes a checkpoint of `wh`, atomically truncating the log to that
+    /// single record (sequence numbers keep counting). The image is encoded
+    /// straight from the live warehouse into the WAL's frame buffer.
+    pub(crate) fn checkpoint(&mut self, wh: &Warehouse) {
         if self.cut && !std::mem::take(&mut self.publish_checkpoint) {
             return;
         }
         let written = self.wal.rewrite_with(|e| {
             e.u8(TAG_CHECKPOINT);
-            enc_state(e, state);
+            wh.encode_checkpoint(e);
         });
         if written.is_err() {
             self.cut = true;
@@ -588,305 +470,78 @@ impl DurableLog {
     }
 }
 
-/// Replays a log: checkpoint + tail, folding every intact record into the
-/// state, discarding the torn tail, and counting intents the crash left
-/// open. Ends by writing a fresh checkpoint (which truncates the torn bytes
-/// and makes recovery idempotent). Returns the reopened log, the state to
-/// rebuild a warehouse from, and the replay accounting.
-pub fn recover(
-    storage: Box<dyn Storage>,
-    obs: &Collector,
-) -> Result<(DurableLog, DurableState, RecoverReport), RecoverError> {
-    let (wal, replay) = Wal::open(storage)?;
-    let _span = obs.span(
-        "recover.replay",
-        &[field("records", replay.payloads().len()), field("torn_bytes", replay.torn_bytes)],
-    );
-    let mut report = RecoverReport {
-        torn_records: replay.torn_records,
-        torn_bytes: replay.torn_bytes,
-        ..RecoverReport::default()
-    };
-    let mut state: Option<DurableState> = None;
-    let mut open_intents: Vec<Vec<u64>> = Vec::new();
+/// One decoded log record, as [`Warehouse::recover`] replays it.
+pub(crate) enum Record<'a> {
+    /// A checkpoint, its image still encoded: the warehouse decodes itself.
+    Checkpoint(Dec<'a>),
+    /// One gate-admitted message.
+    Admitted(UpdateMeta<UpdateMessage>),
+    /// The intent to maintain a batch.
+    Intent,
+    /// One atomic commit.
+    Applied(AppliedRecord),
+    /// A replication event (`Published` or `Remote`).
+    Replica(ReplicaTailEvent),
+}
 
-    'replay: for payload in replay.payloads() {
+impl<'a> Record<'a> {
+    /// Decodes one payload. Every record but the checkpoint must be
+    /// consumed exactly: trailing bytes are corruption, not padding.
+    pub(crate) fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut d = Dec::new(payload);
-        let parsed: Result<(), WireError> = (|| {
-            match d.u8()? {
-                TAG_CHECKPOINT => {
-                    state = Some(dec_state(&mut d)?);
-                    open_intents.clear();
-                }
-                TAG_ADMITTED => {
-                    let meta = core_wire::dec_meta(&mut d, src_wire::dec_message)?;
-                    let st = state
-                        .as_mut()
-                        .ok_or_else(|| WireError::Invalid("record before checkpoint".into()))?;
-                    bump_mark(&mut st.marks, meta.source.0, meta.payload.source_version);
-                    if meta.kind.is_schema_change() {
-                        st.sc_flag = true;
-                    }
-                    st.batches.push(vec![meta]);
-                }
-                TAG_INTENT => {
-                    let keys = dec_seq(&mut d, |d| d.u64())?;
-                    let _has_sc = d.bool()?;
-                    open_intents.push(keys);
-                }
-                TAG_APPLIED => {
-                    let rec = dec_applied(&mut d)?;
-                    let st = state
-                        .as_mut()
-                        .ok_or_else(|| WireError::Invalid("record before checkpoint".into()))?;
-                    let event = apply_record(st, rec)?;
-                    st.tail.push(event);
-                    open_intents.clear();
-                }
-                TAG_REPLICA => {
-                    let st = state
-                        .as_mut()
-                        .ok_or_else(|| WireError::Invalid("record before checkpoint".into()))?;
-                    match d.u8()? {
-                        REPL_PUBLISHED => {
-                            st.tail
-                                .push(ReplicaTailEvent::Published { bytes: d.bytes()?.to_vec() });
-                        }
-                        REPL_REMOTE => {
-                            let view = d.u32()?;
-                            let key_col = d.u32()?;
-                            let key = rel_wire::dec_value(&mut d)?;
-                            let post = rel_wire::dec_bag(&mut d)?;
-                            let applied = d.bool()?;
-                            let bytes = d.bytes()?.to_vec();
-                            if applied {
-                                let vs = st.views.get_mut(view as usize).ok_or_else(|| {
-                                    WireError::Invalid(format!("remote delta for view {view}"))
-                                })?;
-                                fold_remote(vs, key_col as usize, &key, &post);
-                            }
-                            st.tail.push(ReplicaTailEvent::Remote {
-                                view,
-                                key_col,
-                                key,
-                                post,
-                                applied,
-                                bytes,
-                            });
-                        }
-                        t => return Err(WireError::Invalid(format!("replica subtag {t}"))),
-                    }
-                }
-                t => return Err(WireError::Invalid(format!("record tag {t}"))),
+        let record = match d.u8()? {
+            TAG_CHECKPOINT => return Ok(Record::Checkpoint(d)),
+            TAG_ADMITTED => Record::Admitted(core_wire::dec_meta(&mut d, src_wire::dec_message)?),
+            TAG_INTENT => {
+                dec_seq(&mut d, |d| d.u64())?;
+                d.bool()?;
+                Record::Intent
             }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => report.replayed_records += 1,
-            Err(_) => {
-                // A CRC-valid record that fails to decode can only come
-                // from a format bug or hand-corruption; treat it like a
-                // torn tail — keep the intact prefix, drop from here on.
-                report.torn_records += 1;
-                break 'replay;
-            }
-        }
-    }
-
-    let state = state.ok_or(RecoverError::NoCheckpoint)?;
-    report.reparked_intents = open_intents.len() as u64;
-
-    obs.counter("recover.replayed").add(report.replayed_records);
-    obs.counter("recover.torn_records").add(report.torn_records);
-    obs.counter("recover.reparked_intents").add(report.reparked_intents);
-
-    let mut log = DurableLog::over(wal);
-    log.bind_obs(obs);
-    // Recovery commits its result durably: the torn tail is truncated away
-    // and a second recovery from the same storage replays exactly this
-    // checkpoint.
-    log.checkpoint(&state);
-    Ok((log, state, report))
-}
-
-/// Replaces `key`'s rows in a view extent with the winning post-image — the
-/// replay-side mirror of [`Warehouse::apply_remote`](crate::Warehouse::apply_remote),
-/// idempotent because the post-image is absolute.
-fn fold_remote(vs: &mut ViewState, key_col: usize, key: &Value, post: &ZSet) {
-    let mut delta = ZSet::new();
-    for (t, w) in vs.extent.iter() {
-        if t.get(key_col) == key {
-            delta.add(t.clone(), -w);
-        }
-    }
-    for (t, w) in post.iter() {
-        delta.add(t.clone(), w);
-    }
-    vs.extent.merge(&delta);
-}
-
-fn bump_mark(marks: &mut Vec<(u32, u64)>, source: u32, version: u64) {
-    match marks.iter_mut().find(|(s, _)| *s == source) {
-        Some((_, v)) => *v = (*v).max(version),
-        None => {
-            marks.push((source, version));
-            marks.sort_unstable();
-        }
-    }
-}
-
-/// Folds one `Applied` record into the replayed state — the replay-side
-/// mirror of the in-memory commit it describes — and hands its rows on as
-/// the tail event the replication engine pairs with `Published`.
-fn apply_record(st: &mut DurableState, rec: AppliedRecord) -> Result<ReplicaTailEvent, WireError> {
-    if rec.changes.len() != st.views.len() {
-        return Err(WireError::Invalid(format!(
-            "applied record covers {} views, state has {}",
-            rec.changes.len(),
-            st.views.len()
-        )));
-    }
-    if !rec.view_reflected.is_empty() && rec.view_reflected.len() != st.views.len() {
-        return Err(WireError::Invalid(format!(
-            "applied record carries {} view vectors, state has {} views",
-            rec.view_reflected.len(),
-            st.views.len()
-        )));
-    }
-    // A deferring view takes its copy of the batch from the queue *before*
-    // the committed keys are removed from it.
-    let deferred_batch: Vec<UpdateMeta<UpdateMessage>> =
-        if rec.changes.iter().any(|c| matches!(c, AppliedChange::Deferred)) {
-            st.batches.iter().flatten().filter(|m| rec.keys.contains(&m.key.0)).cloned().collect()
-        } else {
-            Vec::new()
+            TAG_APPLIED => Record::Applied(dec_applied(&mut d)?),
+            TAG_REPLICA => Record::Replica(match d.u8()? {
+                REPL_PUBLISHED => ReplicaTailEvent::Published { bytes: d.bytes()?.to_vec() },
+                REPL_REMOTE => ReplicaTailEvent::Remote {
+                    view: d.u32()?,
+                    key_col: d.u32()?,
+                    key: rel_wire::dec_value(&mut d)?,
+                    post: rel_wire::dec_bag(&mut d)?,
+                    applied: d.bool()?,
+                    bytes: d.bytes()?.to_vec(),
+                },
+                t => return Err(WireError::Invalid(format!("replica subtag {t}"))),
+            }),
+            t => return Err(WireError::Invalid(format!("record tag {t}"))),
         };
-    let mut rows = Vec::with_capacity(rec.changes.len());
-    for (view, change) in st.views.iter_mut().zip(rec.changes) {
-        // A materializing change resolves the keys from this view's own
-        // deferred queue too (the per-view drain commits deferred batches
-        // through the same record shape, the peers marked `Skipped`).
-        if !matches!(change, AppliedChange::Skipped | AppliedChange::Deferred) {
-            for batch in &mut view.deferred {
-                batch.retain(|m| !rec.keys.contains(&m.key.0));
-            }
-            view.deferred.retain(|b| !b.is_empty());
+        if !d.is_done() {
+            return Err(WireError::Invalid("trailing bytes after a record".into()));
         }
-        rows.push(match change {
-            AppliedChange::Delta { rows } => {
-                view.extent.merge(&rows);
-                rows
-            }
-            AppliedChange::Replace { sql, cols, extent } => {
-                view.sql = sql;
-                view.cols = cols;
-                view.extent = extent.clone();
-                extent
-            }
-            AppliedChange::Incremental { sql, rows } => {
-                view.sql = sql;
-                view.extent.merge(&rows);
-                rows
-            }
-            AppliedChange::Skipped => ZSet::new(),
-            AppliedChange::Deferred => {
-                if deferred_batch.is_empty() {
-                    return Err(WireError::Invalid(
-                        "deferred change with no queued batch to defer".into(),
-                    ));
-                }
-                view.deferred.push(deferred_batch.clone());
-                ZSet::new()
-            }
-        });
+        Ok(record)
     }
-    for (view, vr) in st.views.iter_mut().zip(rec.view_reflected) {
-        view.reflected = vr;
-    }
-    st.reflected = rec.reflected;
-    // The committed batch leaves the queue.
-    for batch in &mut st.batches {
-        batch.retain(|m| !rec.keys.contains(&m.key.0));
-    }
-    st.batches.retain(|b| !b.is_empty());
-    Ok(ReplicaTailEvent::Applied { keys: rec.keys, rows })
 }
 
-fn enc_versions(e: &mut Enc, versions: &[(u32, u64)]) {
+pub(crate) fn enc_versions(e: &mut Enc, versions: &[(u32, u64)]) {
     enc_seq(e, versions, |e, (s, v)| {
         e.u32(*s);
         e.u64(*v);
     });
 }
 
-fn enc_batches(e: &mut Enc, batches: &[&[UpdateMeta<UpdateMessage>]]) {
+pub(crate) fn dec_versions(d: &mut Dec<'_>) -> Result<Vec<(u32, u64)>, WireError> {
+    dec_seq(d, |d| Ok((d.u32()?, d.u64()?)))
+}
+
+/// Encodes a queue of batches (the UMQ's nodes, or a view's deferred
+/// queue) with its `u32` count prefix.
+pub(crate) fn enc_batches(e: &mut Enc, batches: &[&[UpdateMeta<UpdateMessage>]]) {
     enc_seq(e, batches, |e, batch| {
         enc_seq(e, batch, |e, m| core_wire::enc_meta(e, m, src_wire::enc_message));
     });
 }
 
-fn enc_state(e: &mut Enc, st: &StateRef<'_>) {
-    core_wire::enc_strategy(e, st.strategy);
-    core_wire::enc_policy(e, st.policy);
-    e.u8(match st.adaptation {
-        AdaptationMode::Auto => 0,
-        AdaptationMode::RecomputeOnly => 1,
-    });
-    e.bool(st.dedupe);
-    enc_seq(e, &st.views, |e, v| {
-        e.str(&v.sql);
-        enc_seq(e, v.cols, |e, c| e.str(c));
-        rel_wire::enc_bag(e, v.extent);
-        enc_versions(e, &v.reflected);
-        enc_batches(e, &v.deferred);
-        e.u8(v.tier);
-    });
-    enc_versions(e, &st.reflected);
-    enc_versions(e, &st.marks);
-    enc_batches(e, &st.batches);
-    e.bool(st.sc_flag);
-    e.bytes(st.ext);
-}
-
-fn dec_state(d: &mut Dec<'_>) -> Result<DurableState, WireError> {
-    let strategy = core_wire::dec_strategy(d)?;
-    let policy = core_wire::dec_policy(d)?;
-    let adaptation = match d.u8()? {
-        0 => AdaptationMode::Auto,
-        1 => AdaptationMode::RecomputeOnly,
-        t => return Err(WireError::Invalid(format!("adaptation tag {t}"))),
-    };
-    let dedupe = d.bool()?;
-    let views = dec_seq(d, |d| {
-        Ok(ViewState {
-            sql: d.str()?,
-            cols: dec_seq(d, |d| d.str())?,
-            extent: rel_wire::dec_bag(d)?,
-            reflected: dec_seq(d, |d| Ok((d.u32()?, d.u64()?)))?,
-            deferred: dec_seq(d, |d| {
-                dec_seq(d, |d| core_wire::dec_meta(d, src_wire::dec_message))
-            })?,
-            tier: d.u8()?,
-        })
-    })?;
-    let reflected = dec_seq(d, |d| Ok((d.u32()?, d.u64()?)))?;
-    let marks = dec_seq(d, |d| Ok((d.u32()?, d.u64()?)))?;
-    let batches = dec_seq(d, |d| dec_seq(d, |d| core_wire::dec_meta(d, src_wire::dec_message)))?;
-    let sc_flag = d.bool()?;
-    let ext = d.bytes()?.to_vec();
-    Ok(DurableState {
-        strategy,
-        policy,
-        adaptation,
-        dedupe,
-        views,
-        reflected,
-        marks,
-        batches,
-        sc_flag,
-        ext,
-        tail: Vec::new(),
-    })
+pub(crate) fn dec_batches(
+    d: &mut Dec<'_>,
+) -> Result<Vec<Vec<UpdateMeta<UpdateMessage>>>, WireError> {
+    dec_seq(d, |d| dec_seq(d, |d| core_wire::dec_meta(d, src_wire::dec_message)))
 }
 
 fn enc_applied(e: &mut Enc, rec: &AppliedRecord) {
@@ -930,29 +585,23 @@ fn dec_applied(d: &mut Dec<'_>) -> Result<AppliedRecord, WireError> {
             t => return Err(WireError::Invalid(format!("applied change tag {t}"))),
         })
     })?;
-    let reflected = dec_seq(d, |d| Ok((d.u32()?, d.u64()?)))?;
-    let view_reflected = dec_seq(d, |d| dec_seq(d, |d| Ok((d.u32()?, d.u64()?))))?;
+    let reflected = dec_versions(d)?;
+    let view_reflected = dec_seq(d, dec_versions)?;
     Ok(AppliedRecord { keys, changes, reflected, view_reflected })
-}
-
-/// Helper for warehouse/manager: sorted `(source, version)` pairs from any
-/// iterator of pairs (the canonical on-disk form of a version vector).
-pub fn sorted_versions(it: impl IntoIterator<Item = (u32, u64)>) -> Vec<(u32, u64)> {
-    let mut v: Vec<(u32, u64)> = it.into_iter().collect();
-    v.sort_unstable();
-    v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyno_core::UpdateKind;
+    use crate::{InProcessPort, ViewDefinition};
+    use dyno_core::{CorrectionPolicy, Strategy, UpdateKind};
     use dyno_durable::storage::MemStorage;
-    use dyno_relational::{Tuple, Value};
-    use dyno_source::{SourceId, UpdateId};
+    use dyno_obs::Capture;
+    use dyno_relational::{AttrType, Catalog, Relation, Schema, Tuple, Value};
+    use dyno_source::{InfoSpace, SourceId, SourceServer, SourceSpace, UpdateId};
 
     fn msg(key: u64, source: u32, version: u64) -> UpdateMessage {
-        let schema = dyno_relational::Schema::of("R", &[("a", dyno_relational::AttrType::Int)]);
+        let schema = Schema::of("R", &[("a", AttrType::Int)]);
         UpdateMessage {
             id: UpdateId(key),
             source: SourceId(source),
@@ -971,39 +620,69 @@ mod tests {
         vals.iter().map(|&v| (Tuple::new(vec![Value::Int(v)]), 1)).collect()
     }
 
-    fn sample_state() -> DurableState {
-        DurableState {
-            strategy: Strategy::Pessimistic,
-            policy: CorrectionPolicy::MergeCycles,
-            adaptation: AdaptationMode::Auto,
-            dedupe: true,
-            views: vec![ViewState {
-                sql: "CREATE VIEW V AS SELECT R.a FROM R".into(),
-                cols: vec!["a".into()],
-                extent: bag(&[1, 2]),
-                reflected: vec![(0, 3), (1, 1)],
-                deferred: vec![],
-                tier: 0,
-            }],
-            reflected: vec![(0, 3), (1, 1)],
-            marks: vec![(0, 3), (1, 1)],
-            batches: vec![vec![meta(7, 0, 4)]],
-            sc_flag: false,
-            ext: vec![0xAB, 0xCD],
-            tail: Vec::new(),
+    /// Source 0 holds `R(a) = {1, 2}`, source 1 holds `S(a) = {9}`.
+    fn space() -> SourceSpace {
+        let mut space = SourceSpace::new();
+        for (id, relation, rows) in [(0, "R", &[1, 2][..]), (1, "S", &[9][..])] {
+            let schema = Schema::of(relation, &[("a", AttrType::Int)]);
+            let mut catalog = Catalog::new();
+            let tuples = rows.iter().map(|&v| Tuple::of([v]));
+            catalog.add_relation(Relation::from_tuples(schema, tuples).unwrap()).unwrap();
+            space.add_server(SourceServer::new(SourceId(id), format!("s{id}"), catalog));
         }
+        space
+    }
+
+    /// View V over R — plus W over S, at tier 1, when `two` — initialized,
+    /// with update 7 (source 0, version 1) admitted but not maintained and a
+    /// replication snapshot set.
+    fn warehouse(two: bool) -> (Warehouse, InfoSpace) {
+        let space = space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let mut wh = Warehouse::new(info.clone(), Strategy::Pessimistic)
+            .with_correction(CorrectionPolicy::MergeCycles);
+        let view = |sql| ViewDefinition::parse(sql, "view").unwrap();
+        wh.add_view(view("CREATE VIEW V AS SELECT R.a FROM R"));
+        if two {
+            wh.add_view_tiered(view("CREATE VIEW W AS SELECT S.a FROM S"), 1);
+        }
+        wh.initialize(&mut port).unwrap();
+        wh.ingest([msg(7, 0, 1)]);
+        wh.set_replica_ext(vec![0xAB, 0xCD]);
+        (wh, info)
+    }
+
+    /// A fresh log on a fresh disk, starting with `wh`'s checkpoint.
+    fn logged(wh: &Warehouse) -> (MemStorage, DurableLog) {
+        let disk = MemStorage::new();
+        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
+        log.checkpoint(wh);
+        (disk, log)
+    }
+
+    /// `wh`'s checkpoint payload: two warehouses with equal images are
+    /// equal in everything a recovery restores.
+    fn image(wh: &Warehouse) -> Vec<u8> {
+        let (disk, _) = logged(wh);
+        let (_, replay) = Wal::open(Box::new(disk)).unwrap();
+        let image = replay.payloads().next().unwrap().to_vec();
+        image
+    }
+
+    fn recover(disk: &MemStorage, info: &InfoSpace, obs: &Collector) -> (Warehouse, RecoverReport) {
+        Warehouse::recover(Box::new(disk.clone()), info.clone(), obs.clone()).unwrap()
     }
 
     #[test]
     fn state_round_trips_through_a_checkpoint() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        let st = sample_state();
-        log.checkpoint(&st);
-
-        let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk), &obs).unwrap();
-        assert_eq!(recovered, st);
+        let (wh, info) = warehouse(true);
+        let (disk, _) = logged(&wh);
+        let (back, report) = recover(&disk, &info, &Collector::wall());
+        assert_eq!(image(&back), image(&wh));
+        assert_eq!(back.queued_keys(), vec![vec![7]]);
+        assert_eq!(back.ingress_marks(), vec![(0, 1)]);
+        assert_eq!(back.replica_ext(), [0xAB, 0xCD]);
         assert_eq!(report.replayed_records, 1);
         assert_eq!(report.torn_records, 0);
         assert_eq!(report.reparked_intents, 0);
@@ -1011,10 +690,8 @@ mod tests {
 
     #[test]
     fn admitted_and_applied_fold_into_the_state() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        let st = sample_state();
-        log.checkpoint(&st);
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         // A new message is admitted…
         log.log_admitted(&meta(8, 1, 2));
         // …then the older queued batch commits.
@@ -1022,121 +699,141 @@ mod tests {
         log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)]],
+            reflected: vec![(0, 1), (1, 1)],
+            view_reflected: vec![vec![(0, 1)]],
         });
 
-        let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk), &obs).unwrap();
+        let obs = Collector::wall().with_capture(Capture::TRACE | Capture::PROV, 64);
+        let (back, report) = recover(&disk, &info, &obs);
         assert_eq!(report.replayed_records, 4);
         assert_eq!(report.reparked_intents, 0, "the intent has its applied");
-        assert_eq!(recovered.views[0].extent, bag(&[1, 2, 4]));
-        assert_eq!(recovered.reflected, vec![(0, 4), (1, 1)]);
-        assert_eq!(recovered.marks, vec![(0, 3), (1, 2)], "admitted bumped source 1");
-        assert_eq!(recovered.batches.len(), 1, "batch 7 gone, admitted 8 queued");
-        assert_eq!(recovered.batches[0][0].key.0, 8);
-    }
-
-    /// Two-view state: V0 as in `sample_state`, V1 a peer over source 1.
-    fn two_view_state() -> DurableState {
-        let mut st = sample_state();
-        st.views.push(ViewState {
-            sql: "CREATE VIEW W AS SELECT R.a FROM R".into(),
-            cols: vec!["a".into()],
-            extent: bag(&[9]),
-            reflected: vec![(0, 3), (1, 1)],
-            deferred: vec![],
-            tier: 1,
-        });
-        st
+        // Replay is silent: its span is all it records, and it moves no
+        // queue or stats counter.
+        let names: Vec<&str> = obs.records().iter().map(|r| r.name).collect();
+        assert_eq!(names, ["recover.replay", "recover.replay"], "span start and end");
+        assert_eq!(obs.registry().counter_value("umq.admitted"), Some(0));
+        assert_eq!(back.stats(0), crate::ViewStats::default());
+        assert_eq!(back.mv(0).extent(), &bag(&[1, 2, 4]));
+        assert_eq!(back.view_reflected(0), vec![(0, 1)]);
+        let reflected = [(SourceId(0), 1), (SourceId(1), 1)].into_iter().collect();
+        assert_eq!(back.reflected(), &reflected);
+        assert_eq!(back.ingress_marks(), vec![(0, 1), (1, 2)], "admitted raised source 1");
+        assert_eq!(back.queued_keys(), vec![vec![8]], "batch 7 gone, admitted 8 queued");
     }
 
     #[test]
     fn deferred_change_moves_the_batch_to_the_views_queue() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        let st = two_view_state();
-        log.checkpoint(&st);
-        // V0 commits batch 7, V1 defers it (its source was down): V1's
-        // vector freezes while V0's advances.
+        let (wh, info) = warehouse(true);
+        let (disk, mut log) = logged(&wh);
+        // V commits batch 7, W defers it (its source was down): W's vector
+        // freezes while V's advances.
         log.log_intent(&[7], false);
         log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }, AppliedChange::Deferred],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)], vec![(0, 3), (1, 1)]],
+            reflected: vec![(0, 1), (1, 0)],
+            view_reflected: vec![vec![(0, 1)], vec![(1, 0)]],
         });
 
         let obs = Collector::wall();
-        let (_, recovered, _) = recover(Box::new(disk.clone()), &obs).unwrap();
-        assert_eq!(recovered.views[0].extent, bag(&[1, 2, 4]));
-        assert_eq!(recovered.views[0].reflected, vec![(0, 4), (1, 1)]);
-        assert_eq!(recovered.views[1].extent, bag(&[9]), "deferring view untouched");
-        assert_eq!(recovered.views[1].reflected, vec![(0, 3), (1, 1)], "frozen vector");
-        assert_eq!(recovered.views[1].deferred.len(), 1, "batch parked per-view");
-        assert_eq!(recovered.views[1].deferred[0][0].key.0, 7);
-        assert!(recovered.batches.is_empty(), "the shared queue is drained");
+        let (back, _) = recover(&disk, &info, &obs);
+        assert_eq!(back.mv(0).extent(), &bag(&[1, 2, 4]));
+        assert_eq!(back.view_reflected(0), vec![(0, 1)]);
+        assert_eq!(back.mv(1).extent(), &bag(&[9]), "deferring view untouched");
+        assert_eq!(back.view_reflected(1), vec![(1, 0)], "frozen vector");
+        assert_eq!(back.deferred_keys(1), vec![vec![7]], "batch parked per-view");
+        assert!(back.queued_keys().is_empty(), "the shared queue is drained");
 
-        // The per-view drain later commits the deferred batch for V1 alone
-        // (V0 marked Skipped) — replay must resolve V1's deferred copy.
-        let mut log2 = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log2.checkpoint(&recovered);
-        log2.log_intent(&[7], false);
-        log2.log_applied(&AppliedRecord {
+        // The per-view drain later commits the deferred batch for W alone
+        // (V marked Skipped) — replay must resolve W's deferred copy.
+        let (disk, mut log) = logged(&back);
+        log.log_intent(&[7], false);
+        log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Skipped, AppliedChange::Delta { rows: bag(&[4]) }],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)], vec![(0, 4), (1, 1)]],
+            reflected: vec![(0, 1), (1, 0)],
+            view_reflected: vec![vec![(0, 1)], vec![(0, 1), (1, 0)]],
         });
-        let (_, drained, _) = recover(Box::new(disk), &obs).unwrap();
-        assert_eq!(drained.views[0].extent, bag(&[1, 2, 4]), "skipped peer untouched");
-        assert_eq!(drained.views[1].extent, bag(&[9, 4]));
-        assert!(drained.views[1].deferred.is_empty(), "deferred copy resolved");
-        assert_eq!(drained.views[1].reflected, vec![(0, 4), (1, 1)], "vector caught up");
+        let (drained, _) = recover(&disk, &info, &obs);
+        assert_eq!(drained.mv(0).extent(), &bag(&[1, 2, 4]), "skipped peer untouched");
+        assert_eq!(drained.mv(1).extent(), &bag(&[9, 4]));
+        assert_eq!(drained.deferred_len(1), 0, "deferred copy resolved");
+        assert_eq!(drained.view_reflected(1), vec![(0, 1), (1, 0)], "vector caught up");
     }
 
     #[test]
     fn skipped_peer_keeps_its_own_deferred_copy() {
-        // Both views deferred batch 7; V0 drains it first. V1's copy must
+        // Both views deferred batch 7; V drains it first. W's copy must
         // survive the drain record (its change is `Skipped`, not applied).
-        let mut st = two_view_state();
-        st.views[0].deferred = vec![vec![meta(7, 0, 4)]];
-        st.views[1].deferred = vec![vec![meta(7, 0, 4)]];
-        st.batches.clear();
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&st);
+        let (wh, info) = warehouse(true);
+        let (disk, mut log) = logged(&wh);
+        log.log_applied(&AppliedRecord {
+            keys: vec![7],
+            changes: vec![AppliedChange::Deferred, AppliedChange::Deferred],
+            reflected: vec![(0, 1), (1, 0)],
+            view_reflected: vec![vec![(0, 0)], vec![(1, 0)]],
+        });
         log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }, AppliedChange::Skipped],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)], vec![(0, 3), (1, 1)]],
+            reflected: vec![(0, 1), (1, 0)],
+            view_reflected: vec![vec![(0, 1)], vec![(1, 0)]],
         });
-        let obs = Collector::wall();
-        let (_, recovered, _) = recover(Box::new(disk), &obs).unwrap();
-        assert!(recovered.views[0].deferred.is_empty(), "drained view's copy resolved");
-        assert_eq!(recovered.views[1].deferred.len(), 1, "peer's copy survives");
+        let (back, _) = recover(&disk, &info, &Collector::wall());
+        assert_eq!(back.deferred_len(0), 0, "drained view's copy resolved");
+        assert_eq!(back.deferred_keys(1), vec![vec![7]], "peer's copy survives");
+    }
+
+    #[test]
+    fn applied_record_replays_all_or_nothing() {
+        // A CRC-valid `Applied` whose second change cannot replay is torn
+        // as a whole: V, whose own change was fine, keeps the checkpoint's
+        // extent and vector too.
+        let bad_second_changes = [
+            // W defers a batch that is not queued.
+            (vec![8], AppliedChange::Deferred),
+            // W's delta deletes a row it does not hold.
+            (vec![7], AppliedChange::Delta { rows: [(Tuple::of([9]), -2)].into_iter().collect() }),
+            // W's rewritten definition does not parse.
+            (
+                vec![7],
+                AppliedChange::Incremental { sql: "CREATE VIEW W AS".into(), rows: bag(&[]) },
+            ),
+        ];
+        for (keys, second) in bad_second_changes {
+            let (wh, info) = warehouse(true);
+            let (disk, mut log) = logged(&wh);
+            log.log_applied(&AppliedRecord {
+                keys,
+                changes: vec![AppliedChange::Delta { rows: bag(&[4]) }, second.clone()],
+                reflected: vec![(0, 1), (1, 0)],
+                view_reflected: vec![vec![(0, 1)], vec![(1, 0)]],
+            });
+            let (back, report) = recover(&disk, &info, &Collector::wall());
+            assert_eq!((report.replayed_records, report.torn_records), (1, 1), "{second:?}");
+            assert_eq!(back.mv(0).extent(), &bag(&[1, 2]), "{second:?}: V's extent");
+            assert_eq!(back.view_reflected(0), vec![(0, 0)], "{second:?}: V's vector");
+            assert_eq!(image(&back), image(&wh), "{second:?}: the checkpoint, unchanged");
+        }
     }
 
     #[test]
     fn intent_without_applied_is_reparked() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         log.log_intent(&[7], false);
         // crash here — no Applied.
         let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk), &obs).unwrap();
+        let (back, report) = recover(&disk, &info, &obs);
         assert_eq!(report.reparked_intents, 1);
-        assert_eq!(recovered.batches.len(), 1, "the batch is still queued");
+        assert_eq!(back.queued_keys(), vec![vec![7]], "the batch is still queued");
         assert_eq!(obs.registry().counter_value("recover.reparked_intents"), Some(1));
     }
 
     #[test]
     fn armed_after_intent_cut_drops_the_applied() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         log.arm(CrashPlan { point: CrashPoint::AfterIntent, skip: 0 });
         log.log_intent(&[7], false);
         assert!(log.power_cut(), "single-DU intent trips AfterIntent");
@@ -1144,14 +841,13 @@ mod tests {
         log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)]],
+            reflected: vec![(0, 1)],
+            view_reflected: vec![vec![(0, 1)]],
         });
         // …but was never durable.
-        let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk), &obs).unwrap();
+        let (back, report) = recover(&disk, &info, &Collector::wall());
         assert_eq!(report.reparked_intents, 1);
-        assert_eq!(recovered.views[0].extent, bag(&[1, 2]), "the applied never landed");
+        assert_eq!(back.mv(0).extent(), &bag(&[1, 2]), "the applied never landed");
     }
 
     #[test]
@@ -1185,32 +881,30 @@ mod tests {
 
     #[test]
     fn torn_tail_is_reported_and_truncated_by_recovery() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         let intact = disk.snapshot().len();
         log.log_admitted(&meta(8, 1, 2));
         // Tear the admitted record.
         disk.truncate(intact + 5);
 
         let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk.clone()), &obs).unwrap();
+        let (back, report) = recover(&disk, &info, &obs);
         assert_eq!(report.torn_records, 1);
         assert!(report.torn_bytes > 0);
-        assert_eq!(recovered, sample_state(), "checkpointed prefix survives intact");
+        assert_eq!(image(&back), image(&wh), "checkpointed prefix survives intact");
         assert_eq!(obs.registry().counter_value("recover.torn_records"), Some(1));
 
         // Recovery re-checkpointed: a second pass replays cleanly.
-        let (_, again, report2) = recover(Box::new(disk), &obs).unwrap();
-        assert_eq!(again, recovered);
+        let (again, report2) = recover(&disk, &info, &obs);
+        assert_eq!(image(&again), image(&back));
         assert_eq!(report2.torn_records, 0, "the torn tail was truncated away");
     }
 
     #[test]
     fn replica_records_fold_and_surface_in_the_tail() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         log.log_replica_published(&[1, 2, 3]);
         // A winning remote post-image replaces key 1's rows…
         log.log_replica_remote(0, 0, &Value::Int(1), &bag(&[5]), true, &[9]);
@@ -1218,51 +912,49 @@ mod tests {
         log.log_replica_remote(0, 0, &Value::Int(2), &bag(&[7]), false, &[8]);
 
         let obs = Collector::wall();
-        let (_, recovered, report) = recover(Box::new(disk.clone()), &obs).unwrap();
+        let (mut back, report) = recover(&disk, &info, &obs);
         assert_eq!(report.replayed_records, 4);
-        assert_eq!(recovered.views[0].extent, bag(&[2, 5]), "applied folded exactly once");
-        assert_eq!(recovered.tail.len(), 3);
-        assert_eq!(recovered.tail[0], ReplicaTailEvent::Published { bytes: vec![1, 2, 3] });
+        assert_eq!(back.mv(0).extent(), &bag(&[2, 5]), "applied folded exactly once");
+        let tail = back.take_replica_tail();
+        assert_eq!(tail.len(), 3);
+        assert_eq!(tail[0], ReplicaTailEvent::Published { bytes: vec![1, 2, 3] });
         assert!(matches!(
-            &recovered.tail[1],
+            &tail[1],
             ReplicaTailEvent::Remote { applied: true, bytes, .. } if bytes == &vec![9]
         ));
-        assert!(matches!(&recovered.tail[2], ReplicaTailEvent::Remote { applied: false, .. }));
+        assert!(matches!(&tail[2], ReplicaTailEvent::Remote { applied: false, .. }));
 
         // Recovery's closing checkpoint truncated the tail records: a
         // second pass starts from the folded extent with an empty tail.
-        let (_, again, _) = recover(Box::new(disk), &obs).unwrap();
-        assert_eq!(again.views[0].extent, bag(&[2, 5]));
-        assert!(again.tail.is_empty());
+        let (mut again, _) = recover(&disk, &info, &obs);
+        assert_eq!(again.mv(0).extent(), &bag(&[2, 5]));
+        assert!(again.take_replica_tail().is_empty());
     }
 
     #[test]
     fn applied_records_surface_their_rows_in_the_tail() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         log.log_intent(&[7], false);
         log.log_applied(&AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
-            reflected: vec![(0, 4), (1, 1)],
-            view_reflected: vec![vec![(0, 4), (1, 1)]],
+            reflected: vec![(0, 1)],
+            view_reflected: vec![vec![(0, 1)]],
         });
-        let obs = Collector::wall();
-        let (_, recovered, _) = recover(Box::new(disk), &obs).unwrap();
+        let (mut back, _) = recover(&disk, &info, &Collector::wall());
         assert_eq!(
-            recovered.tail,
+            back.take_replica_tail(),
             vec![ReplicaTailEvent::Applied { keys: vec![7], rows: vec![bag(&[4])] }]
         );
     }
 
     #[test]
     fn compaction_follows_the_tail_to_snapshot_ratio_unless_a_count_is_pinned() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        let mut st = sample_state();
-        st.ext = vec![7; 3 * COMPACT_FLOOR_BYTES as usize];
-        log.checkpoint(&st);
+        let (small, info) = warehouse(false);
+        let mut large = small.clone();
+        large.set_replica_ext(vec![7; 3 * COMPACT_FLOOR_BYTES as usize]);
+        let (disk, mut log) = logged(&large);
         let snapshot = log.snapshot_bytes();
         assert_eq!((log.len_bytes(), snapshot), (disk.snapshot().len() as u64, snapshot));
         assert!(snapshot > 3 * COMPACT_FLOOR_BYTES);
@@ -1273,7 +965,7 @@ mod tests {
         assert!(log.should_checkpoint(), "the tail has reached the snapshot's size");
 
         // A near-empty snapshot waits for the floor instead.
-        log.checkpoint(&sample_state());
+        log.checkpoint(&small);
         assert!(log.snapshot_bytes() < 1024);
         log.log_replica_published(&[0; 4096]);
         assert!(!log.should_checkpoint(), "4 KiB of tail over a sub-KiB snapshot");
@@ -1285,32 +977,36 @@ mod tests {
         assert!(!log.should_checkpoint(), "two records, whatever their size");
         log.log_intent(&[3], false);
         assert!(log.should_checkpoint());
-        log.checkpoint(&st);
+        log.checkpoint(&large);
 
         // …and is configuration, not state: the recovered log is back on
         // the size rule, its sizes re-seeded by the closing checkpoint.
-        let (mut back, _, _) = recover(Box::new(disk.clone()), &Collector::disabled()).unwrap();
-        assert_eq!((back.len_bytes(), back.snapshot_bytes()), (snapshot, snapshot));
-        for key in 0..3 {
-            back.log_intent(&[key], false);
+        let (mut back, _) = recover(&disk, &info, &Collector::disabled());
+        let sizes = |wh: &Warehouse| {
+            let log = wh.wal().unwrap();
+            (log.len_bytes(), log.snapshot_bytes())
+        };
+        assert_eq!(sizes(&back), (snapshot, snapshot));
+        for _ in 0..3 {
+            back.log_replica_published(&[]);
         }
-        assert!(!back.should_checkpoint());
+        assert!(!back.wal().unwrap().should_checkpoint());
         back.set_checkpoint_every(3);
-        assert!(back.should_checkpoint());
+        assert!(back.wal().unwrap().should_checkpoint());
     }
 
     #[test]
     fn empty_log_has_no_checkpoint() {
         let disk = MemStorage::new();
-        let obs = Collector::wall();
-        assert!(matches!(recover(Box::new(disk), &obs), Err(RecoverError::NoCheckpoint)));
+        let info = space().info().clone();
+        let recovered = Warehouse::recover(Box::new(disk), info, Collector::wall());
+        assert!(matches!(recovered, Err(RecoverError::NoCheckpoint)));
     }
 
     #[test]
     fn power_cut_makes_the_log_read_only() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, _) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         let frozen = disk.snapshot();
         log.arm(CrashPlan { point: CrashPoint::BetweenSteps, skip: 0 });
         log.log_applied(&AppliedRecord {
@@ -1321,26 +1017,25 @@ mod tests {
         });
         let after_cut = disk.snapshot();
         log.log_admitted(&meta(9, 0, 9));
-        log.checkpoint(&sample_state());
+        log.checkpoint(&wh);
         assert_eq!(disk.snapshot(), after_cut, "nothing lands after the cut");
         assert!(after_cut.len() > frozen.len(), "the tripping record itself did land");
     }
 
     /// The `Published` records a recovery hands the replication engine.
-    fn published(disk: MemStorage) -> Vec<Vec<u8>> {
-        let (_, state, _) = recover(Box::new(disk), &Collector::wall()).unwrap();
+    fn published(disk: &MemStorage) -> Vec<Vec<u8>> {
+        let (mut wh, _) = recover(disk, space().info(), &Collector::wall());
         let bytes = |e: ReplicaTailEvent| match e {
             ReplicaTailEvent::Published { bytes } => Some(bytes),
             _ => None,
         };
-        state.tail.into_iter().filter_map(bytes).collect()
+        wh.take_replica_tail().into_iter().filter_map(bytes).collect()
     }
 
     #[test]
     fn after_publish_cut_keeps_the_published_record_and_drops_every_later_append() {
-        let disk = MemStorage::new();
-        let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-        log.checkpoint(&sample_state());
+        let (wh, _) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
         log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 1 });
         log.log_replica_remote(0, 0, &Value::from(1), &ZSet::new(), false, b"m"); // no match
         log.log_replica_published(b"first"); // first match, skipped
@@ -1351,26 +1046,27 @@ mod tests {
         let after_cut = disk.snapshot();
         log.log_admitted(&meta(9, 0, 9));
         log.log_replica_published(b"third");
-        log.checkpoint(&sample_state());
+        log.checkpoint(&wh);
         assert_eq!(disk.snapshot(), after_cut, "nothing lands after the cut");
-        assert_eq!(published(disk), [b"first".to_vec(), b"second".to_vec()]);
+        assert_eq!(published(&disk), [b"first".to_vec(), b"second".to_vec()]);
     }
 
     #[test]
     fn after_publish_cut_lands_the_checkpoint_its_publish_made_due() {
+        let (wh, _) = warehouse(false);
         let disk = MemStorage::new();
         let mut log = DurableLog::create(Box::new(disk.clone())).unwrap().with_checkpoint_every(2);
-        log.checkpoint(&sample_state());
+        log.checkpoint(&wh);
         log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 0 });
         log.log_admitted(&meta(9, 0, 9));
         log.log_replica_published(b"p");
         assert!(log.power_cut() && log.should_checkpoint(), "cut, with its checkpoint due");
-        log.checkpoint(&sample_state());
+        log.checkpoint(&wh);
         assert!(!log.should_checkpoint(), "that checkpoint was the last write");
         let after = disk.snapshot();
         log.log_admitted(&meta(10, 0, 10));
-        log.checkpoint(&sample_state());
+        log.checkpoint(&wh);
         assert_eq!(disk.snapshot(), after, "nothing lands after it");
-        assert!(published(disk).is_empty(), "the publish is folded into the checkpoint");
+        assert!(published(&disk).is_empty(), "the publish is folded into the checkpoint");
     }
 }

@@ -35,12 +35,16 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use dyno_core::wire as core_wire;
 use dyno_core::{
     CorrectionPolicy, Dyno, DynoStats, MaintainOutcome, Maintainer, StepOutcome, Strategy, Umq,
-    UpdateKind, UpdateMeta, ViewDag,
+    UpdateKey, UpdateKind, UpdateMeta, ViewDag,
 };
+use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
 use dyno_durable::storage::Storage;
+use dyno_durable::wal::Wal;
 use dyno_obs::{field, Capture, Collector, Counter, Gauge, Level, OpPhase, StalenessTracker};
+use dyno_relational::wire as rel_wire;
 use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, Value, ZSet};
 use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 
@@ -54,8 +58,8 @@ use crate::viewdef::ViewDefinition;
 use crate::vm::{profiler, sweep_maintain_shared};
 use crate::vs::VsError;
 use crate::wal::{
-    sorted_versions, AppliedChange, AppliedRecord, CrashPlan, DurableLog, RecoverError,
-    RecoverReport, ReplicaTailEvent, StateRef, ViewRef,
+    dec_batches, dec_versions, enc_batches, enc_versions, AppliedChange, AppliedRecord, CrashPlan,
+    DurableLog, Record, RecoverError, RecoverReport, ReplicaTailEvent,
 };
 
 /// Hard (non-retryable) view-management failures.
@@ -133,10 +137,6 @@ impl ViewSlot {
             lane: None,
             sources: Vec::new(),
         }
-    }
-
-    fn sorted_reflected(&self) -> Vec<(u32, u64)> {
-        sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v)))
     }
 }
 
@@ -509,7 +509,7 @@ impl Views {
         }
         advance(&mut slot.reflected, batch);
         if let (Some(tracker), Some(lane)) = (&self.staleness, slot.lane) {
-            tracker.note_refresh_for(lane, &slot.sorted_reflected(), self.obs.now_us());
+            tracker.note_refresh_for(lane, &sorted(&slot.reflected), self.obs.now_us());
         }
         Ok(())
     }
@@ -531,8 +531,8 @@ impl Views {
             let rec = AppliedRecord {
                 keys: keys_of(batch),
                 changes,
-                reflected: sorted_versions(self.reflected.iter().map(|(s, v)| (s.0, *v))),
-                view_reflected: self.slots.iter().map(ViewSlot::sorted_reflected).collect(),
+                reflected: sorted(&self.reflected),
+                view_reflected: self.slots.iter().map(|s| sorted(&s.reflected)).collect(),
             };
             let prof = profiler(&self.obs, "warehouse", "pipeline");
             let window = prof.start(|| batch.len());
@@ -734,34 +734,11 @@ impl Warehouse {
 
     /// Forces a checkpoint now (no-op without a WAL or after a power cut).
     /// The image is encoded straight from the live slots, queue and
-    /// deferred batches: the only copy of an extent the checkpoint makes is
-    /// the one that lands on storage.
+    /// deferred batches into the log's frame buffer.
     pub fn checkpoint_now(&mut self) {
-        let Some(log) = self.views.wal.as_mut() else { return };
-        log.checkpoint_ref(&StateRef {
-            strategy: self.dyno.strategy(),
-            policy: self.dyno.policy(),
-            adaptation: self.views.adaptation,
-            dedupe: self.ingress.dedupe_enabled(),
-            views: self
-                .views
-                .slots
-                .iter()
-                .map(|s| ViewRef {
-                    sql: s.view.to_string(),
-                    cols: s.mv.cols(),
-                    extent: s.mv.extent(),
-                    reflected: s.sorted_reflected(),
-                    deferred: s.deferred.iter().map(Vec::as_slice).collect(),
-                    tier: s.tier,
-                })
-                .collect(),
-            reflected: sorted_versions(self.views.reflected.iter().map(|(s, v)| (s.0, *v))),
-            marks: self.ingress.marks(),
-            batches: self.umq.nodes(),
-            sc_flag: self.umq.schema_change_flag(),
-            ext: &self.replica_ext,
-        });
+        let Some(mut log) = self.views.wal.take() else { return };
+        log.checkpoint(self);
+        self.views.wal = Some(log);
     }
 
     /// Pins the attached log to checkpointing every `n` appended records
@@ -798,11 +775,13 @@ impl Warehouse {
         self.ingress.marks()
     }
 
-    /// Rebuilds a warehouse from a WAL: replays checkpoint + tail, restores
-    /// every view's definition and extent, the version vector, the ingress
-    /// marks, and the UMQ (with merged-batch boundaries); re-parks batches
-    /// whose `Intent` has no `Applied`; truncates any torn tail by writing a
-    /// fresh checkpoint. Plan caches restart cold — they are derived data.
+    /// Rebuilds a warehouse from a WAL: the checkpoint decodes into a
+    /// warehouse and the tail replays into it through its own queue, gate
+    /// and extent code — silently, with no provenance, trace event or queue
+    /// counter. A batch whose `Intent` has no `Applied` stays queued for the
+    /// scheduler. A record that fails to decode or to apply ends replay like
+    /// a torn tail. A fresh closing checkpoint truncates the torn bytes and
+    /// makes recovery idempotent. Plan caches restart cold, stats at zero.
     ///
     /// `info` is the information space (replacement metadata is config, not
     /// warehouse state); `obs` receives `recover.*` counters, the reopened
@@ -813,32 +792,55 @@ impl Warehouse {
         info: InfoSpace,
         obs: Collector,
     ) -> Result<(Self, RecoverReport), RecoverError> {
-        let (log, state, report) = crate::wal::recover(storage, &obs)?;
-        let mut wh = Warehouse::new(info, state.strategy).with_obs(obs);
-        wh.dyno.set_policy(state.policy);
-        for (idx, vs) in state.views.into_iter().enumerate() {
-            let view = ViewDefinition::parse(&vs.sql, "view")
-                .map_err(|e| RecoverError::Corrupt(format!("checkpointed view sql: {e}")))?;
-            let mut slot = ViewSlot::new(view, vs.tier);
-            slot.mv
-                .replace(vs.cols, vs.extent)
-                .map_err(|e| RecoverError::Corrupt(format!("checkpointed extent: {e}")))?;
-            slot.reflected = vs.reflected.iter().map(|&(s, v)| (SourceId(s), v)).collect();
-            slot.deferred = vs.deferred.into();
-            // The sources a view reads are exactly the ones it reflects.
-            slot.sources = vs.reflected.iter().map(|&(s, _)| s).collect();
-            wh.views.dag.add_view(idx, &slot.sources, slot.tier);
-            wh.views.slots.push(slot);
+        let (wal, replay) = Wal::open(storage)?;
+        let _span = obs.span(
+            "recover.replay",
+            &[field("records", replay.payloads().len()), field("torn_bytes", replay.torn_bytes)],
+        );
+        let mut report = RecoverReport {
+            torn_records: replay.torn_records,
+            torn_bytes: replay.torn_bytes,
+            ..RecoverReport::default()
+        };
+        let (mut restored, mut failure) = (None::<Warehouse>, None);
+        for payload in replay.payloads() {
+            let replayed = Record::decode(payload).and_then(|record| match record {
+                Record::Checkpoint(mut d) => {
+                    restored = Some(Warehouse::decode_checkpoint(&mut d, &info, &obs)?);
+                    report.reparked_intents = 0;
+                    Ok(())
+                }
+                record => restored
+                    .as_mut()
+                    .ok_or_else(|| invalid("record before checkpoint"))?
+                    .replay(record, &mut report.reparked_intents),
+            });
+            if let Err(e) = replayed {
+                report.torn_records += 1;
+                failure = Some(e);
+                break;
+            }
+            report.replayed_records += 1;
         }
-        wh.ingress.set_dedupe(state.dedupe);
-        wh.ingress.restore_marks(&state.marks);
-        wh.umq = Umq::restore(state.batches, state.sc_flag);
+        let Some(mut wh) = restored else {
+            return Err(failure
+                .map_or(RecoverError::NoCheckpoint, |e| RecoverError::Corrupt(e.to_string())));
+        };
+        // The sources a view reads are exactly the ones it reflects.
+        for (idx, slot) in wh.views.slots.iter_mut().enumerate() {
+            slot.sources = sorted(&slot.reflected).into_iter().map(|(s, _)| s).collect();
+            wh.views.dag.add_view(idx, &slot.sources, slot.tier);
+        }
         wh.views.metrics.umq_depth.set(wh.umq.update_count() as i64);
-        wh.views.reflected = state.reflected.iter().map(|&(s, v)| (SourceId(s), v)).collect();
-        wh.views.adaptation = state.adaptation;
+        obs.counter("recover.replayed").add(report.replayed_records);
+        obs.counter("recover.torn_records").add(report.torn_records);
+        obs.counter("recover.reparked_intents").add(report.reparked_intents);
+        let mut log = DurableLog::over(wal);
+        log.bind_obs(&obs);
         wh.views.wal = Some(log);
-        wh.replica_ext = state.ext;
-        wh.replica_tail = state.tail;
+        // The closing checkpoint truncates the torn tail: a second recovery
+        // from the same storage replays exactly this one record.
+        wh.checkpoint_now();
         Ok((wh, report))
     }
 
@@ -855,8 +857,8 @@ impl Warehouse {
         std::mem::take(&mut self.views.publish)
     }
 
-    /// Stores the engine's encoded snapshot; carried in every later
-    /// checkpoint (see [`DurableState::ext`](crate::wal::DurableState::ext)).
+    /// Stores the engine's encoded snapshot, carried opaquely in every later
+    /// checkpoint.
     pub fn set_replica_ext(&mut self, ext: Vec<u8>) {
         self.replica_ext = ext;
     }
@@ -868,7 +870,8 @@ impl Warehouse {
     }
 
     /// Drains the post-checkpoint replication events [`Warehouse::recover`]
-    /// replayed from the WAL (the engine folds these exactly once).
+    /// replayed from the WAL. Recovery's closing checkpoint truncated their
+    /// records, so the engine folds them exactly once and re-checkpoints.
     pub fn take_replica_tail(&mut self) -> Vec<ReplicaTailEvent> {
         std::mem::take(&mut self.replica_tail)
     }
@@ -905,16 +908,7 @@ impl Warehouse {
                     reason: format!("remote delta for unknown view {view}"),
                 })
             })?;
-            for (t, w) in slot.mv.extent().iter() {
-                if t.get(key_col) == key {
-                    delta.add(t.clone(), -w);
-                }
-            }
-            for (t, w) in post.iter() {
-                delta.add(t.clone(), w);
-            }
-            let cols = slot.mv.cols().to_vec();
-            slot.mv.apply_delta(&cols, &delta).map_err(ViewError::Internal)?;
+            delta = replace_key(&mut slot.mv, key_col, key, post).map_err(ViewError::Internal)?;
             let out_rows = || delta.distinct_len();
             prof.finish(window, 2, OpPhase::Apply, "apply_remote", &slot.view.name, out_rows);
         }
@@ -1177,7 +1171,7 @@ impl Warehouse {
 
     /// The `i`-th view's own reflected version vector, sorted by source.
     pub fn view_reflected(&self, i: usize) -> Vec<(u32, u64)> {
-        self.views.slots[i].sorted_reflected()
+        sorted(&self.views.slots[i].reflected)
     }
 
     /// Batches currently deferred by the `i`-th view.
@@ -1325,6 +1319,237 @@ impl Warehouse {
         }
         Ok(commits)
     }
+}
+
+/// The checkpoint image and the replay of the log's tail: the warehouse
+/// reads and writes itself, so durability has no second model of the state.
+impl Warehouse {
+    /// Encodes the checkpoint image straight from the live slots, queue
+    /// nodes and deferred batches: the only copy of an extent a checkpoint
+    /// makes is the one that lands on storage.
+    pub(crate) fn encode_checkpoint(&self, e: &mut Enc) {
+        core_wire::enc_strategy(e, self.dyno.strategy());
+        core_wire::enc_policy(e, self.dyno.policy());
+        e.u8(match self.views.adaptation {
+            AdaptationMode::Auto => 0,
+            AdaptationMode::RecomputeOnly => 1,
+        });
+        e.bool(self.ingress.dedupe_enabled());
+        enc_seq(e, &self.views.slots, |e, s| {
+            e.str(&s.view.to_string());
+            enc_seq(e, s.mv.cols(), |e, c| e.str(c));
+            rel_wire::enc_bag(e, s.mv.extent());
+            enc_versions(e, &sorted(&s.reflected));
+            enc_batches(e, &s.deferred.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            e.u8(s.tier);
+        });
+        enc_versions(e, &sorted(&self.views.reflected));
+        enc_versions(e, &self.ingress.marks());
+        enc_batches(e, &self.umq.nodes());
+        e.bool(self.umq.schema_change_flag());
+        e.bytes(&self.replica_ext);
+    }
+
+    /// The inverse of [`Warehouse::encode_checkpoint`]. Each slot's sources
+    /// and the DAG are left for [`Warehouse::recover`] to derive once the
+    /// tail has replayed.
+    fn decode_checkpoint(
+        d: &mut Dec<'_>,
+        info: &InfoSpace,
+        obs: &Collector,
+    ) -> Result<Self, WireError> {
+        let mut wh =
+            Warehouse::new(info.clone(), core_wire::dec_strategy(d)?).with_obs(obs.clone());
+        wh.dyno.set_policy(core_wire::dec_policy(d)?);
+        wh.views.adaptation = match d.u8()? {
+            0 => AdaptationMode::Auto,
+            1 => AdaptationMode::RecomputeOnly,
+            t => return Err(invalid(format!("adaptation tag {t}"))),
+        };
+        wh.ingress.set_dedupe(d.bool()?);
+        wh.views.slots = dec_seq(d, |d| {
+            let mut slot = ViewSlot::new(parse_view(&d.str()?)?, 0);
+            let cols = dec_seq(d, |d| d.str())?;
+            slot.mv.replace(cols, rel_wire::dec_bag(d)?).map_err(invalid)?;
+            set_reflected(&mut slot.reflected, &dec_versions(d)?);
+            slot.deferred = dec_batches(d)?.into();
+            slot.tier = d.u8()?;
+            Ok(slot)
+        })?;
+        set_reflected(&mut wh.views.reflected, &dec_versions(d)?);
+        for (source, mark) in dec_versions(d)? {
+            wh.ingress.raise_mark(source, mark);
+        }
+        let batches = dec_batches(d)?;
+        wh.umq = Umq::restore(batches, d.bool()?);
+        wh.replica_ext = d.bytes()?.to_vec();
+        if !d.is_done() {
+            return Err(invalid("trailing bytes after the checkpoint"));
+        }
+        Ok(wh)
+    }
+
+    /// Folds one tail record into the warehouse through its live queue,
+    /// gate and extent code, counting the intents no `Applied` has closed.
+    fn replay(&mut self, record: Record<'_>, open_intents: &mut u64) -> Result<(), WireError> {
+        match record {
+            Record::Admitted(meta) => {
+                self.ingress.raise_mark(meta.source.0, meta.payload.source_version);
+                self.umq.enqueue(meta);
+            }
+            Record::Intent => *open_intents += 1,
+            Record::Applied(rec) => {
+                self.replay_applied(rec)?;
+                *open_intents = 0;
+            }
+            Record::Replica(event) => {
+                if let ReplicaTailEvent::Remote {
+                    view, key_col, key, post, applied: true, ..
+                } = &event
+                {
+                    let slot = self.views.slots.get_mut(*view as usize);
+                    let slot =
+                        slot.ok_or_else(|| invalid(format!("remote delta for view {view}")))?;
+                    replace_key(&mut slot.mv, *key_col as usize, key, post).map_err(invalid)?;
+                }
+                self.replica_tail.push(event);
+            }
+            Record::Checkpoint(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Replays one `Applied` record all or nothing. The whole record is
+    /// checked first — view and vector counts, a queued batch for every
+    /// `Deferred`, SQL that parses, deltas that keep every extent
+    /// non-negative — and only then does any slot change.
+    fn replay_applied(&mut self, rec: AppliedRecord) -> Result<(), WireError> {
+        let slots = &mut self.views.slots;
+        let n = slots.len();
+        if rec.changes.len() != n || ![0, n].contains(&rec.view_reflected.len()) {
+            return Err(invalid(format!("applied record does not cover the {n} views")));
+        }
+        let keys: Vec<UpdateKey> = rec.keys.iter().map(|&k| UpdateKey(k)).collect();
+        // A deferring view takes its copy of the batch from the queue
+        // *before* the committed keys leave it.
+        let defers = rec.changes.iter().any(|c| matches!(c, AppliedChange::Deferred));
+        let mut batch = Vec::new();
+        if defers {
+            let queued = self.umq.nodes().into_iter().flatten();
+            batch.extend(queued.filter(|m| keys.contains(&m.key)).cloned());
+        }
+        if defers && batch.is_empty() {
+            return Err(invalid("deferred change with no queued batch to defer"));
+        }
+        let mut rewritten = Vec::new();
+        for (i, (slot, change)) in slots.iter().zip(&rec.changes).enumerate() {
+            let fits = |rows| fits(slot.mv.extent(), rows);
+            let sql = match change {
+                AppliedChange::Delta { rows } if fits(rows) => None,
+                AppliedChange::Incremental { sql, rows } if fits(rows) => Some(sql),
+                AppliedChange::Replace { sql, extent, .. } if extent.is_non_negative() => Some(sql),
+                AppliedChange::Skipped | AppliedChange::Deferred => None,
+                _ => {
+                    return Err(invalid(format!(
+                        "applied change drives `{}` negative",
+                        slot.view.name
+                    )))
+                }
+            };
+            if let Some(sql) = sql {
+                rewritten.push((i, parse_view(sql)?));
+            }
+        }
+        let mut rows = Vec::with_capacity(n);
+        for (slot, change) in slots.iter_mut().zip(rec.changes) {
+            // A materializing change resolves the keys from this view's own
+            // deferred queue too (the per-view drain commits a deferred
+            // batch through the same record shape, its peers `Skipped`).
+            if !matches!(change, AppliedChange::Skipped | AppliedChange::Deferred) {
+                for deferred in &mut slot.deferred {
+                    deferred.retain(|m| !keys.contains(&m.key));
+                }
+                slot.deferred.retain(|b| !b.is_empty());
+            }
+            rows.push(match change {
+                AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => {
+                    slot.mv.merge(&rows).map_err(invalid)?;
+                    rows
+                }
+                AppliedChange::Replace { cols, extent, .. } => {
+                    slot.mv.replace(cols, extent.clone()).map_err(invalid)?;
+                    extent
+                }
+                AppliedChange::Skipped => ZSet::new(),
+                AppliedChange::Deferred => {
+                    slot.deferred.push_back(batch.clone());
+                    ZSet::new()
+                }
+            });
+        }
+        for (i, view) in rewritten {
+            slots[i].view = view;
+        }
+        for (slot, vr) in slots.iter_mut().zip(&rec.view_reflected) {
+            set_reflected(&mut slot.reflected, vr);
+        }
+        set_reflected(&mut self.views.reflected, &rec.reflected);
+        self.umq.remove_by_keys(&keys);
+        self.replica_tail.push(ReplicaTailEvent::Applied { keys: rec.keys, rows });
+        Ok(())
+    }
+}
+
+/// Replaces `key`'s rows in `mv` with the winning post-image `post` and
+/// returns the signed delta merged: [`Warehouse::apply_remote`] and the
+/// replay of its `Remote` record share it, and it is idempotent because the
+/// post-image is absolute.
+fn replace_key(
+    mv: &mut MaterializedView,
+    key_col: usize,
+    key: &Value,
+    post: &ZSet,
+) -> Result<ZSet, RelationalError> {
+    if !post.is_non_negative() {
+        return Err(RelationalError::InvalidQuery {
+            reason: format!("post-image for `{}` has negative multiplicities", mv.name()),
+        });
+    }
+    let mut delta = post.clone();
+    for (t, w) in mv.extent().iter() {
+        if t.values().get(key_col) == Some(key) {
+            delta.add(t.clone(), -w);
+        }
+    }
+    mv.merge(&delta)?;
+    Ok(delta)
+}
+
+/// True iff merging `delta` into `extent` leaves every multiplicity
+/// non-negative (and in range).
+fn fits(extent: &ZSet, delta: &ZSet) -> bool {
+    delta.iter().all(|(t, w)| extent.count(t).checked_add(w).is_some_and(|c| c >= 0))
+}
+
+fn parse_view(sql: &str) -> Result<ViewDefinition, WireError> {
+    ViewDefinition::parse(sql, "view").map_err(|e| invalid(format!("view sql: {e}")))
+}
+
+/// A version vector in its canonical on-disk form: pairs sorted by source.
+fn sorted(reflected: &ReflectedVersions) -> Vec<(u32, u64)> {
+    let mut v: Vec<(u32, u64)> = reflected.iter().map(|(s, v)| (s.0, *v)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Overwrites a version vector in place, keeping its allocation.
+fn set_reflected(reflected: &mut ReflectedVersions, versions: &[(u32, u64)]) {
+    reflected.clear();
+    reflected.extend(versions.iter().map(|&(s, v)| (SourceId(s), v)));
+}
+
+fn invalid(why: impl std::fmt::Display) -> WireError {
+    WireError::Invalid(why.to_string())
 }
 
 /// One scheduling step's maintainer: the views, the port their maintenance
@@ -1590,6 +1815,18 @@ mod tests {
             .select("Catalog", "Publisher")
             .build();
         ViewDefinition::new("Titles", q)
+    }
+
+    impl Warehouse {
+        /// The keys of every queued batch, in queue order.
+        pub(crate) fn queued_keys(&self) -> Vec<Vec<u64>> {
+            self.umq.nodes().into_iter().map(keys_of).collect()
+        }
+
+        /// The keys of every batch the `i`-th view deferred, oldest first.
+        pub(crate) fn deferred_keys(&self, i: usize) -> Vec<Vec<u64>> {
+            self.views.slots[i].deferred.iter().map(|b| keys_of(b)).collect()
+        }
     }
 
     fn warehouse() -> (Warehouse, InProcessPort) {
@@ -2214,18 +2451,6 @@ mod tests {
             self.inner.execute(query, bound)
         }
 
-        fn fetch_relation_at(
-            &mut self,
-            source: SourceId,
-            relation: &str,
-            version: u64,
-        ) -> Result<dyno_relational::Relation, RelationalError> {
-            if self.down.contains(relation) {
-                return Err(Self::err(relation));
-            }
-            self.inner.fetch_relation_at(source, relation, version)
-        }
-
         fn locate(&mut self, relation: &str) -> Option<SourceId> {
             self.inner.locate(relation)
         }
@@ -2405,13 +2630,11 @@ mod tests {
         assert_eq!(back.mv(0).len(), 2, "post-drop maintenance survived recovery");
     }
 
-    #[test]
-    fn checkpoint_from_live_state_equals_the_one_rewritten_from_its_decoded_form() {
-        // The live checkpoint is encoded from borrowed slots, queue nodes
-        // and deferred batches; recovery's closing checkpoint is encoded
-        // from the owned `DurableState` it decoded. Same bytes, with every
-        // optional part of the image present: a deferred batch, a merged
-        // UMQ node behind a plain one, and a replication snapshot.
+    /// A durable two-view warehouse whose checkpoint has every optional
+    /// part of the image: a deferred batch, a merged UMQ node behind a plain
+    /// one, and a replication snapshot. The Library (`Catalog`) and the
+    /// Retailer's relations are down when it returns.
+    fn deferred_and_merged() -> (Warehouse, DownPort, dyno_durable::MemStorage, InfoSpace) {
         let space = bookinfo_space();
         let info = space.info().clone();
         let disk = dyno_durable::MemStorage::new();
@@ -2441,20 +2664,94 @@ mod tests {
         wh.step(&mut port).unwrap();
         let nodes: Vec<usize> = wh.umq.nodes().iter().map(|n| n.len()).collect();
         assert!(nodes.iter().any(|&n| n > 1), "a merged node is queued: {nodes:?}");
-
-        let payload = |disk: &dyno_durable::MemStorage| -> Vec<u8> {
-            let (_, replay) = dyno_durable::Wal::open(Box::new(disk.clone())).unwrap();
-            let payloads: Vec<&[u8]> = replay.payloads().collect();
-            assert_eq!(payloads.len(), 1, "a checkpoint truncates the log");
-            payloads[0].to_vec()
-        };
         wh.checkpoint_now();
-        let live = payload(&disk);
+        (wh, port, disk, info)
+    }
+
+    /// The payload of every intact record on `disk`.
+    fn payloads(disk: &dyno_durable::MemStorage) -> Vec<Vec<u8>> {
+        let (_, replay) = dyno_durable::Wal::open(Box::new(disk.clone())).unwrap();
+        replay.payloads().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn checkpoint_from_live_state_equals_the_one_rewritten_from_its_decoded_form() {
+        // The live checkpoint is encoded from the running warehouse;
+        // recovery's closing checkpoint is encoded from the warehouse it
+        // decoded. Same bytes, with every optional part of the image present.
+        let (_, _, disk, info) = deferred_and_merged();
+        let live = payloads(&disk);
+        assert_eq!(live.len(), 1, "a checkpoint truncates the log");
         let (back, _) =
             Warehouse::recover(Box::new(disk.clone()), info, Collector::wall()).unwrap();
-        assert_eq!(payload(&disk), live);
+        assert_eq!(payloads(&disk), live);
         assert_eq!(back.replica_ext(), [0xDE, 0xAD, 0xBE, 0xEF]);
         assert_eq!(back.deferred_len(0), 1);
+    }
+
+    #[test]
+    fn hostile_bytes_at_the_recovery_boundary_never_panic_and_recover_idempotently() {
+        // A real log holding every record kind after that checkpoint: the
+        // merged node commits for PriceList while BookInfo defers it, then
+        // a publish, an applied and a superseded peer delta, an admission.
+        let (mut wh, mut port, disk, info) = deferred_and_merged();
+        for rel in ["Store", "Item", "StoreItems"] {
+            port.down.remove(rel);
+        }
+        wh.step(&mut port).unwrap();
+        assert_eq!(wh.deferred_len(0), 2, "BookInfo deferred the merged node too");
+        wh.log_replica_published(b"published");
+        let row = wh.mv(1).extent().iter().next().expect("PriceList holds rows").0.clone();
+        let post: ZSet = [(row.clone(), 2)].into_iter().collect();
+        for applied in [true, false] {
+            wh.apply_remote(1, 0, row.get(0), &post, applied, b"stamp").unwrap();
+        }
+        insert_catalog(&mut port);
+        wh.ingest(port.drain_arrivals());
+        let log = payloads(&disk);
+        let mut tags: Vec<u8> = log.iter().map(|p| p[0]).collect();
+        tags.dedup();
+        assert_eq!(tags, [1, 3, 4, 5, 2], "checkpoint, intent, applied, replica, admitted");
+
+        // Each case damages one payload — a bit flip, a truncation, an
+        // extension, or a 4-byte length-like overwrite — and re-frames the
+        // log, so every CRC passes and only the decoders see the damage.
+        let mut rng = dyno_fault::rng::Rng::new(0x0BAD_B17E);
+        let (mut oks, mut torn) = (0, 0);
+        for case in 0..300 {
+            let mut damaged = log.clone();
+            let p = &mut damaged[rng.gen_range(0..log.len())];
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    let at = rng.gen_range(0..p.len());
+                    p[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+                1 => p.truncate(rng.gen_range(0..p.len())),
+                2 => p.extend((0..rng.gen_range(1..9usize)).map(|_| rng.next_u64() as u8)),
+                _ => {
+                    let at = rng.gen_range(0..p.len().saturating_sub(3).max(1));
+                    let len = [0, 1, 7, p.len() as u32, u32::MAX, rng.next_u64() as u32];
+                    let bytes = rng.choose(&len).to_le_bytes();
+                    let end = (at + 4).min(p.len());
+                    p[at..end].copy_from_slice(&bytes[..end - at]);
+                }
+            }
+            let hostile = dyno_durable::MemStorage::new();
+            let mut wal = dyno_durable::Wal::create(Box::new(hostile.clone())).unwrap();
+            for payload in &damaged {
+                wal.append_with(|e| e.raw(payload)).unwrap();
+            }
+            let recover = || {
+                Warehouse::recover(Box::new(hostile.clone()), info.clone(), Collector::disabled())
+            };
+            let Ok((_, report)) = recover() else { continue };
+            oks += 1;
+            torn += report.torn_records;
+            let first = payloads(&hostile);
+            recover().unwrap_or_else(|e| panic!("case {case}: a recovered log fails again: {e}"));
+            assert_eq!(payloads(&hostile), first, "case {case}: a second recovery moved the image");
+        }
+        assert!(oks >= 100 && torn >= 50, "{oks} recoveries, {torn} torn records");
     }
 
     #[test]

@@ -299,6 +299,28 @@ done < <(grep 'ckpt=auto' "$out/recover.jsonl")
 test "$auto_rows" -gt 0
 echo "recover: $auto_rows default-policy rows within 2 x snapshot + $compact_floor B"
 
+echo "== recovery sweep: on-disk bytes unchanged, replay independent of history =="
+# The sweep's logs are deterministic, so every row's log and snapshot sizes
+# must equal BENCH_pr4.json's: a difference is a record or checkpoint
+# format change. And a log checkpointed every 16 records replays the same
+# bounded tail however long its history: n=1024/ckpt=16 must replay within
+# 2x n=64/ckpt=16, at any machine speed.
+byte_columns() {
+    grep -o '"bench":"[^"]*","log_bytes":[0-9]*,"snapshot_bytes":[0-9]*' "$1"
+}
+diff <(byte_columns BENCH_pr4.json) <(byte_columns "$out/recover.jsonl")
+recover_median() {
+    grep "\"bench\":\"$1\"" "$out/recover.jsonl" \
+        | grep -o '"median_ns":[0-9.]*' | grep -o '[0-9.]*$'
+}
+short_history="$(recover_median n=64/ckpt=16)"
+long_history="$(recover_median n=1024/ckpt=16)"
+test -n "$short_history"
+test -n "$long_history"
+awk -v s="$short_history" -v l="$long_history" 'BEGIN { exit !(l <= 2 * s) }'
+echo "recover: $(byte_columns BENCH_pr4.json | wc -l) rows byte-identical to BENCH_pr4.json;" \
+     "n=1024/ckpt=16 $long_history ns vs n=64/ckpt=16 $short_history ns (<= 2x)"
+
 echo "== replication smoke (partitioned peer replicas, causal conflicts) =="
 # The replicated-warehouse suite (tests/replica_props.rs): N peer replicas
 # exchanging committed post-images across a partition-capable fabric, run by

@@ -89,14 +89,6 @@ impl<P: SourcePort> SourcePort for ExecuteOnly<P> {
     ) -> Result<QueryResult, RelationalError> {
         self.0.execute(query, bound)
     }
-    fn fetch_relation_at(
-        &mut self,
-        source: SourceId,
-        relation: &str,
-        version: u64,
-    ) -> Result<Relation, RelationalError> {
-        self.0.fetch_relation_at(source, relation, version)
-    }
     fn locate(&mut self, relation: &str) -> Option<SourceId> {
         self.0.locate(relation)
     }

@@ -27,10 +27,8 @@ use dyno::relational::wire::enc_bag;
 use dyno::relational::ZSet;
 use dyno::sim::{build_space, build_view, EventKind, Rng};
 use dyno::source::UpdateId;
-use dyno::view::wal::{
-    recover, AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableState, ViewState,
-};
-use dyno::view::{AdaptationMode, DurableLog};
+use dyno::view::wal::{AppliedChange, AppliedRecord, CrashPlan, CrashPoint, ReplicaTailEvent};
+use dyno::view::DurableLog;
 
 /// `COMPACT_FLOOR_BYTES` in `crates/view/src/wal.rs` (private there: it is
 /// not a knob). The bounds below are stated in terms of it.
@@ -352,65 +350,58 @@ fn torn_write_matrix_through_the_in_place_framing_path() {
     }
 }
 
-/// The commit-protocol records behind [`PARENT_IMAGE`]: a checkpoint, then
-/// one admitted / intent / applied triple.
-fn fixture_state() -> (DurableState, UpdateMeta<UpdateMessage>, AppliedRecord) {
+/// The tail records behind [`PARENT_IMAGE`], after its checkpoint: one
+/// admitted / intent / applied triple.
+fn fixture_tail() -> (UpdateMeta<UpdateMessage>, AppliedRecord) {
     let schema = Schema::of("R", &[("a", AttrType::Int), ("b", AttrType::Str)]);
-    let msg = |key: u64, version: u64, a: i64, b: &str| {
-        let row = Tuple::new(vec![Value::from(a), Value::str(b)]);
-        UpdateMeta::new(
-            key,
-            0,
-            UpdateKind::Data,
-            UpdateMessage {
-                id: UpdateId(key),
-                source: SourceId(0),
-                source_version: version,
-                update: SourceUpdate::Data(DataUpdate::new(
-                    Delta::inserts(schema.clone(), [row]).unwrap(),
-                )),
-            },
-        )
-    };
-    let bag = |rows: &[(i64, &str)]| -> ZSet {
-        rows.iter().map(|&(a, b)| (Tuple::new(vec![Value::from(a), Value::str(b)]), 1)).collect()
-    };
-    let state = DurableState {
-        strategy: Detection::Pessimistic,
-        policy: CorrectionPolicy::MergeCycles,
-        adaptation: AdaptationMode::Auto,
-        dedupe: true,
-        views: vec![ViewState {
-            sql: "CREATE VIEW V AS SELECT R.a, R.b FROM R".into(),
-            cols: vec!["a".into(), "b".into()],
-            extent: bag(&[(1, "one"), (2, "two")]),
-            reflected: vec![(0, 3)],
-            deferred: vec![vec![msg(5, 2, 5, "deferred")]],
-            tier: 1,
-        }],
-        reflected: vec![(0, 3)],
-        marks: vec![(0, 4)],
-        batches: vec![vec![msg(7, 4, 7, "queued")]],
-        sc_flag: false,
-        ext: vec![0xAB, 0xCD, 0xEF],
-        tail: Vec::new(),
-    };
+    let row = Tuple::new(vec![Value::from(8), Value::str("admitted")]);
+    let admitted = UpdateMeta::new(
+        8,
+        0,
+        UpdateKind::Data,
+        UpdateMessage {
+            id: UpdateId(8),
+            source: SourceId(0),
+            source_version: 5,
+            update: SourceUpdate::Data(DataUpdate::new(Delta::inserts(schema, [row]).unwrap())),
+        },
+    );
     let applied = AppliedRecord {
         keys: vec![7],
         changes: vec![AppliedChange::Delta { rows: bag(&[(7, "queued")]) }],
         reflected: vec![(0, 4)],
         view_reflected: vec![vec![(0, 4)]],
     };
-    (state, msg(8, 5, 8, "admitted"), applied)
+    (admitted, applied)
 }
 
+fn bag(rows: &[(i64, &str)]) -> ZSet {
+    rows.iter().map(|&(a, b)| (Tuple::new(vec![Value::from(a), Value::str(b)]), 1)).collect()
+}
+
+/// Frames `payloads` as a fresh log on `disk`.
+fn frame(disk: &MemStorage, payloads: &[Vec<u8>]) {
+    let mut wal = Wal::create(Box::new(disk.clone())).expect("MemStorage never fails");
+    for payload in payloads {
+        wal.append_with(|e| e.raw(payload)).expect("MemStorage never fails");
+    }
+}
+
+/// Writes [`PARENT_IMAGE`] from values: its checkpoint is restored into a
+/// warehouse, which encodes itself again, and the tail records are logged
+/// from [`fixture_tail`].
 fn write_fixture(disk: &MemStorage) {
-    let (state, admitted, applied) = fixture_state();
-    let mut log = DurableLog::create(Box::new(disk.clone())).unwrap();
-    log.checkpoint(&state);
+    let restored = MemStorage::new();
+    frame(&restored, &wal_payloads(&unhex(PARENT_IMAGE))[..1]);
+    Warehouse::recover(Box::new(restored.clone()), InfoSpace::new(), Collector::disabled())
+        .expect("the parent's checkpoint restores");
+    let tail = MemStorage::new();
+    let (admitted, applied) = fixture_tail();
+    let mut log = DurableLog::create(Box::new(tail.clone())).expect("MemStorage never fails");
     log.log_admitted(&admitted);
     log.log_intent(&[7], false);
     log.log_applied(&applied);
+    frame(disk, &[wal_payloads(&restored.snapshot()), wal_payloads(&tail.snapshot())].concat());
 }
 
 /// `write_fixture`'s image as written by the parent commit (36ea866), whose
@@ -445,23 +436,34 @@ fn unhex(s: &str) -> Vec<u8> {
 
 #[test]
 fn a_log_written_by_the_parent_commit_replays_and_is_reproduced() {
-    // Same bytes out: framing, CRC and every encoder are format-identical.
+    // Same bytes out: framing, CRC, the checkpoint image and every record
+    // encoder are format-identical.
     let disk = MemStorage::new();
     write_fixture(&disk);
     assert_eq!(hex(&disk.snapshot()), PARENT_IMAGE);
 
-    // Same state in.
+    // Same state in: the checkpoint's view, deferred batch and snapshot,
+    // with the admitted update queued and the applied one committed.
     let parent = MemStorage::new();
     parent.set(unhex(PARENT_IMAGE));
-    let (_, recovered, report) = recover(Box::new(parent), &Collector::disabled()).unwrap();
+    let obs = Collector::wall();
+    let (mut wh, report) =
+        Warehouse::recover(Box::new(parent), InfoSpace::new(), obs.clone()).unwrap();
     assert_eq!((report.replayed_records, report.torn_records), (4, 0));
     assert_eq!(report.reparked_intents, 0);
-    let (mut want, admitted, applied) = fixture_state();
+    assert_eq!(wh.view(0).to_string(), "CREATE VIEW V AS SELECT R.a, R.b FROM R");
+    assert_eq!(wh.mv(0).cols(), ["a", "b"]);
+    assert_eq!(wh.mv(0).extent(), &bag(&[(1, "one"), (2, "two"), (7, "queued")]));
+    assert_eq!(wh.view_reflected(0), [(0, 4)]);
+    assert_eq!(wh.reflected(), &[(SourceId(0), 4)].into_iter().collect());
+    assert_eq!(wh.ingress_marks(), [(0, 5)]);
+    assert_eq!(wh.deferred_len(0), 1);
+    assert_eq!(obs.registry().gauge_value("umq.depth"), Some(1), "update 8 is queued");
+    assert_eq!(wh.replica_ext(), [0xAB, 0xCD, 0xEF]);
+    let (_, applied) = fixture_tail();
     let AppliedChange::Delta { rows } = &applied.changes[0] else { unreachable!() };
-    want.views[0].extent.merge(rows);
-    want.views[0].reflected = vec![(0, 4)];
-    want.reflected = vec![(0, 4)];
-    want.marks = vec![(0, 5)];
-    want.batches = vec![vec![admitted]];
-    assert_eq!(DurableState { tail: Vec::new(), ..recovered }, want);
+    assert_eq!(
+        wh.take_replica_tail(),
+        [ReplicaTailEvent::Applied { keys: vec![7], rows: vec![rows.clone()] }]
+    );
 }
