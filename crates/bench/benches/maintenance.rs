@@ -14,12 +14,12 @@ use dyno_relational::{
     delta_join_probe, DataUpdate, Delta, SchemaChange, SourceUpdate, SpjQuery, Tuple, Value, ZSet,
 };
 use dyno_sim::{build_testbed, TestbedConfig};
-use dyno_source::{SourceId, UpdateId, UpdateMessage};
+use dyno_source::{SourceId, SourceSpace, UpdateId, UpdateMessage};
 use dyno_view::wal::{AppliedChange, AppliedRecord};
 use dyno_view::{
     adapt_batch, equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_shared,
-    AdaptationMode, BoundTable, DurableLog, InProcessPort, LocalProvider, MaintPlan, PlanCache,
-    Warehouse,
+    AdaptationMode, BoundTable, DurableLog, InProcessPort, LocalProvider, MaintPlan,
+    MaterializedView, PlanCache, ViewDefinition, Warehouse,
 };
 
 fn cfg(tuples: usize) -> TestbedConfig {
@@ -231,6 +231,11 @@ fn bench_compensation(h: &mut Harness) {
 /// `InProcessPort`, which answers its reads live: six validations plus
 /// Equation 6 as a delta chain of index probes, so the two sizes must cost
 /// the same (`scripts/verify.sh` fails above 2×, like the rename rows).
+/// `adapt_batch_drop/6x2000` swaps the rename for a drop of a column the view
+/// selects: `V′` is a projection of `V`, so it comes from the held extent
+/// plus Equation 6 over the insert. `adapt_batch_drop_recompute/6x2000` is
+/// the same batch under `RecomputeOnly`, shipping and re-joining the six
+/// relations (`scripts/verify.sh` fails unless the first is 4× faster).
 fn bench_schema_change(h: &mut Harness) {
     let rename = |from: &str, to: &str| {
         SourceUpdate::Schema(SchemaChange::RenameRelation { from: from.into(), to: to.into() })
@@ -267,17 +272,48 @@ fn bench_schema_change(h: &mut Harness) {
     let mut batches = sizes.map(|n| {
         let tb = cfg(n);
         let (mut space, view) = build_testbed(&tb);
+        let mv = materialized(&view, &space);
         let du = space.commit(SourceId(0), SourceUpdate::Data(one_insert(&tb))).expect("valid");
         let sc = space.commit(SourceId(0), rename("R1", "R1x")).expect("valid");
-        (space.info().clone(), view, [du, sc], InProcessPort::new(space))
+        (space.info().clone(), view, mv, [du, sc], InProcessPort::new(space))
     });
-    for (tuples, (info, view, [du, sc], port)) in sizes.iter().zip(&mut batches) {
+    for (tuples, (info, view, mv, [du, sc], port)) in sizes.iter().zip(&mut batches) {
         h.bench(&format!("adapt_batch_rename/6x{tuples}"), || {
-            adapt_batch(view, &[&*du, &*sc], &[], info, AdaptationMode::Auto, port)
+            adapt_batch(view, mv, &[&*du, &*sc], &[], info, AdaptationMode::Auto, port)
                 .0
                 .expect("a rename batch adapts")
         });
     }
+    drop(batches);
+
+    let tb = cfg(2_000);
+    let (mut space, view) = build_testbed(&tb);
+    let mv = materialized(&view, &space);
+    let du = space.commit(SourceId(0), SourceUpdate::Data(one_insert(&tb))).expect("valid");
+    let drop_column = SchemaChange::DropAttribute { relation: "R2".into(), attr: "A3".into() };
+    let r2 = space.locate("R2").expect("testbed relation");
+    let sc = space.commit(r2, SourceUpdate::Schema(drop_column)).expect("valid");
+    let info = space.info().clone();
+    let mut port = InProcessPort::new(space);
+    for (row, mode) in [
+        ("adapt_batch_drop", AdaptationMode::Auto),
+        ("adapt_batch_drop_recompute", AdaptationMode::RecomputeOnly),
+    ] {
+        h.bench(&format!("{row}/6x2000"), || {
+            adapt_batch(&view, &mv, &[&du, &sc], &[], &info, mode, &mut port)
+                .0
+                .expect("a drop batch adapts")
+        });
+    }
+}
+
+/// The view's extent over `space`, as a warehouse holds it after
+/// initialization.
+fn materialized(view: &ViewDefinition, space: &SourceSpace) -> MaterializedView {
+    let result = dyno_relational::eval(&view.query, &space.provider()).expect("testbed view");
+    let mut mv = MaterializedView::new(view.name.clone(), view.output_cols());
+    mv.replace(result.cols, result.rows).expect("a view extent is non-negative");
+    mv
 }
 
 /// A disk that keeps nothing, so an append-only bench does not spend its

@@ -15,6 +15,10 @@
 //! virtual-clock-deterministic fields land in the JSON — admitted/shed
 //! counts, step counts, staleness quantiles, and profile row/probe totals.
 //! Wall-nanosecond timings stay in the text render, never the capture.
+//!
+//! Staleness and the knee are *simulated* time (the `sim::cost` model), not
+//! hardware time, and the text render labels them so; only the operator
+//! profile's ns columns are wall-clock.
 
 use dyno_bench::render_table;
 use dyno_obs::{Capture, Profile, SloPolicy};
@@ -220,8 +224,18 @@ fn main() {
     }
 
     let knee = find_knee(&steps);
-    let header =
-        ["rate DU/s", "admitted", "shed", "steps", "p50", "p95", "p99", "rows_out", "probes", ""];
+    let header = [
+        "rate DU/s",
+        "admitted",
+        "shed",
+        "steps",
+        "p50 simulated",
+        "p95 simulated",
+        "p99 simulated",
+        "rows_out",
+        "probes",
+        "",
+    ];
     let rows: Vec<Vec<String>> = steps
         .iter()
         .enumerate()
@@ -242,7 +256,7 @@ fn main() {
         .collect();
     println!("{}", render_table(&header, &rows));
     println!(
-        "knee: {} DU/s (baseline p99 {}µs → {}µs, shed {})\n",
+        "knee: {} DU/s in simulated time (baseline p99 {}µs → {}µs simulated, shed {})\n",
         steps[knee].rate, steps[0].p99_us, steps[knee].p99_us, steps[knee].shed
     );
 

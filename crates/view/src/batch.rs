@@ -14,19 +14,29 @@
 //!    `drop first attribute`, `insert (5)` — homogenized to
 //!    `insert (4),(5)`); [`homogenize_delta`] maps each delta through the
 //!    composed changes into the final schema;
-//! 4. *adapt*: compute the new extent. When the batch's schema changes are
-//!    renames/additions (the view's shape is preserved), the **incremental**
-//!    path computes `ΔV` by paper Equation 6 over the homogenized deltas
-//!    and applies it — writing only `|ΔV|` tuples to the view. Otherwise
-//!    (relation replacements, attribute replacements pulling in new
-//!    relations, column pruning) the **recompute** path evaluates `V′` over
-//!    the batch-point source states wholesale. Both paths read through
-//!    real (breakable!) maintenance queries and take the effect of
-//!    *pending-but-unprocessed* concurrent data updates back out locally —
-//!    the same compensation idea SWEEP uses. The recompute path ships every
-//!    extent; the incremental path ships one only when the port answers its
-//!    read that way ([`SourcePort::read_for_adaptation`]), and otherwise
-//!    hops to the live relation and compensates each answer.
+//! 4. *adapt*: compute the new extent. One shape test (`classify`) holds
+//!    `V′` against `V` synchronized through the batch's renames alone and
+//!    picks one of three answers:
+//!    - **incremental** — the same FROM list, WHERE clause and SELECT list
+//!      (renames, additive changes, drops of attributes the view never
+//!      used): `ΔV` by paper Equation 6 over the homogenized deltas,
+//!      writing only `|ΔV|` tuples to the view;
+//!    - **projected** — the same FROM list and WHERE clause, `V′`'s SELECT
+//!      list a sub-sequence of `V`'s (a pruned column): `V′` is determined
+//!      by `V`, so `V′ = π(V) + ΔV′`, the held extent projected plus
+//!      Equation 6 over `V′`. Taken only when the port answers every read
+//!      live; a port that ships its reads keeps the recompute, call for
+//!      call;
+//!    - **recompute** — anything else (relation drops or replacements,
+//!      re-sourced attributes): `V′` evaluated over the batch-point source
+//!      states wholesale.
+//!
+//!    Every answer reads through real (breakable!) maintenance queries and
+//!    takes the effect of *pending-but-unprocessed* concurrent data updates
+//!    back out locally — the same compensation idea SWEEP uses. The
+//!    recompute ships every extent; the other two ship one only when the
+//!    port answers its read that way ([`SourcePort::read_for_adaptation`]),
+//!    and otherwise hop to the live relation and compensate each answer.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -34,16 +44,17 @@ use std::collections::HashMap;
 use dyno_obs::{OpPhase, Profiler};
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    delta_project, DataUpdate, Delta, ProjItem, QueryResult, RelationalError, Schema, SchemaChange,
-    SourceUpdate, SpjQuery, ZSet,
+    delta_project, ColRef, DataUpdate, Delta, Predicate, ProjItem, QueryResult, RelationalError,
+    Schema, SchemaChange, SourceUpdate, SpjQuery, ZSet,
 };
 use dyno_source::{UpdateId, UpdateMessage};
 
 use crate::engine::{schema_from_bag, AdaptRead, HopRequest, LocalProvider, SourcePort};
+use crate::mview::MaterializedView;
 use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
 use crate::vm::{compensate, profiler, seed_delta, MaintFailure, ViewDelta};
-use crate::vs::{synchronize_all, VsError};
+use crate::vs::{renamed_col, renamed_relation, synchronize_all, VsError};
 
 /// The result of adapting the view for one (possibly merged) batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,10 +91,11 @@ impl Adapted {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdaptationMode {
     /// Incremental (Equation 6) when the batch preserves the view's shape,
-    /// recompute otherwise.
+    /// projected from the held extent when it prunes columns and the port
+    /// answers live, recompute otherwise.
     #[default]
     Auto,
-    /// Always recompute — the ablation baseline for the incremental path.
+    /// Always recompute — the ablation baseline for the other two answers.
     RecomputeOnly,
 }
 
@@ -112,11 +124,15 @@ impl From<MaintFailure> for BatchFailure {
 
 /// Adapts the view through a batch of updates.
 ///
+/// * `mv` — the view's extent as it stands before the batch (`V` at the
+///   state the view reflects); borrowed, and read only when `V′` is a
+///   projection of `V` and the port answers every read live.
 /// * `pending` — received-but-unprocessed messages *excluding* this batch.
 /// * Returns the adaptation plus any messages that arrived during the
 ///   maintenance queries (to be enqueued by the caller).
 pub fn adapt_batch(
     view: &ViewDefinition,
+    mv: &MaterializedView,
     batch: &[&UpdateMessage],
     pending: &[UpdateMessage],
     info: &dyno_source::InfoSpace,
@@ -125,18 +141,19 @@ pub fn adapt_batch(
 ) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
     let pending: Vec<&UpdateMessage> = pending.iter().collect();
     let mut drained = Vec::new();
-    let result =
-        adapt_inner(view, batch, &pending, info, mode, port, &mut drained, Profiler::default());
-    (result, drained)
+    let prof = Profiler::default();
+    let result = adapt_inner(view, mv, batch, &pending, info, mode, port, &mut drained, prof);
+    (result.map(|(adapted, _)| adapted), drained)
 }
 
 /// [`adapt_batch`] over a borrowed `pending` set and under a `va.adapt` span:
-/// reports which adaptation path
-/// was taken per batch (`va.mode` event, `va.incremental`/`va.recompute`
-/// counters) and surfaces broken maintenance queries as `va.broken_query`
-/// warning events.
+/// reports which adaptation answer was taken per batch (`va.mode` event,
+/// `va.incremental`/`va.projected`/`va.recompute` counters) and surfaces
+/// broken maintenance queries as `va.broken_query` warning events.
+#[allow(clippy::too_many_arguments)]
 pub fn adapt_batch_observed(
     view: &ViewDefinition,
+    mv: &MaterializedView,
     batch: &[&UpdateMessage],
     pending: &[&UpdateMessage],
     info: &dyno_source::InfoSpace,
@@ -149,16 +166,16 @@ pub fn adapt_batch_observed(
         obs.span("va.adapt", &[field("updates", batch.len()), field("pending", pending.len())]);
     let prof = profiler(obs, &view.name, "batch");
     let mut drained = Vec::new();
-    let result = adapt_inner(view, batch, pending, info, mode, port, &mut drained, prof);
-    let out = (result, drained);
-    match &out.0 {
-        Ok(Adapted::Incremental { .. }) => {
-            obs.counter("va.incremental").inc();
-            obs.event(Level::Info, "va.mode", &[field("mode", "incremental")]);
-        }
-        Ok(Adapted::Replaced { .. }) => {
-            obs.counter("va.recompute").inc();
-            obs.event(Level::Info, "va.mode", &[field("mode", "recompute")]);
+    let result = adapt_inner(view, mv, batch, pending, info, mode, port, &mut drained, prof);
+    match &result {
+        Ok((_, answer)) => {
+            let (counter, mode) = match answer {
+                Answer::Incremental => ("va.incremental", "incremental"),
+                Answer::Projected => ("va.projected", "projected"),
+                Answer::Recompute => ("va.recompute", "recompute"),
+            };
+            obs.counter(counter).inc();
+            obs.event(Level::Info, "va.mode", &[field("mode", mode)]);
         }
         Err(BatchFailure::Broken(MaintFailure::Broken { query, .. })) => {
             obs.counter("engine.break_detections").inc();
@@ -168,12 +185,98 @@ pub fn adapt_batch_observed(
         }
         Err(_) => {}
     }
-    out
+    (result.map(|(adapted, _)| adapted), drained)
+}
+
+/// Which of the three adaptation answers produced an [`Adapted`].
+enum Answer {
+    /// Equation 6 over the batch's deltas; `V′` keeps `V`'s shape.
+    Incremental,
+    /// `V′ = π(V) + ΔV′`, from the extent the warehouse holds.
+    Projected,
+    /// `V′` evaluated over shipped batch-point states.
+    Recompute,
+}
+
+/// What the batch did to the view's shape, judged by holding `V′` against
+/// `V` synchronized through the batch's renames alone (`renamed`).
+enum Shape {
+    /// Same FROM list, WHERE clause and SELECT list.
+    Same,
+    /// Same FROM list and WHERE clause; `V′`'s SELECT list is a
+    /// sub-sequence of `V`'s, at these positions.
+    Projected(Vec<usize>),
+    /// Anything else: a relation dropped or replaced, a column re-sourced.
+    Other,
+}
+
+/// Classifies the batch's effect on the view. `renamed` is never built:
+/// each element of `V′` is held against the image of `V`'s under the
+/// batch's renames ([`renamed_relation`], [`renamed_col`]), since a rename
+/// rewrites a definition element by element. A relation drop or
+/// replacement is always [`Shape::Other`]: a replacement may reuse the
+/// dropped relation's name, keeping the text of `V′` while replacing its
+/// rows. So is an extent whose columns are not `V`'s.
+fn classify(
+    view: &ViewDefinition,
+    mv: &MaterializedView,
+    new_view: &ViewDefinition,
+    composed: &[SchemaChange],
+) -> Shape {
+    let replaces = composed.iter().any(|c| {
+        matches!(c, SchemaChange::DropRelation { .. } | SchemaChange::ReplaceRelations { .. })
+    });
+    if replaces {
+        return Shape::Other;
+    }
+    let (old, new) = (&view.query, &new_view.query);
+    let col = |new: &ColRef, old: &ColRef| {
+        let (relation, attr) = renamed_col(old, composed);
+        new.relation == relation && new.attr == attr
+    };
+    let predicate = |new: &Predicate, old: &Predicate| match (new, old) {
+        (Predicate::JoinEq(a, b), Predicate::JoinEq(c, d)) => col(a, c) && col(b, d),
+        (Predicate::Compare(a, op, v), Predicate::Compare(c, op2, v2)) => {
+            col(a, c) && op == op2 && v == v2
+        }
+        _ => false,
+    };
+    let item = |new: &ProjItem, old: &ProjItem| new.output == old.output && col(&new.col, &old.col);
+    let table = |new: &String, old: &String| new == renamed_relation(old, composed);
+    if !pairwise(&new.tables, &old.tables, table)
+        || !pairwise(&new.predicates, &old.predicates, predicate)
+    {
+        return Shape::Other;
+    }
+    if pairwise(&new.projection, &old.projection, item) {
+        return Shape::Same;
+    }
+    if mv.cols() != view.output_cols() {
+        return Shape::Other;
+    }
+    let mut indices = Vec::with_capacity(new.projection.len());
+    let mut next = 0;
+    for n in &new.projection {
+        match old.projection[next..].iter().position(|o| item(n, o)) {
+            Some(k) => {
+                indices.push(next + k);
+                next += k + 1;
+            }
+            None => return Shape::Other,
+        }
+    }
+    Shape::Projected(indices)
+}
+
+/// Whether `new` and `old` are equally long and `eq` element by element.
+fn pairwise<T>(new: &[T], old: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
+    new.len() == old.len() && new.iter().zip(old).all(|(n, o)| eq(n, o))
 }
 
 #[allow(clippy::too_many_arguments)]
 fn adapt_inner(
     view: &ViewDefinition,
+    mv: &MaterializedView,
     batch: &[&UpdateMessage],
     pending: &[&UpdateMessage],
     info: &dyno_source::InfoSpace,
@@ -181,7 +284,7 @@ fn adapt_inner(
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
     prof: Profiler<'_>,
-) -> Result<Adapted, BatchFailure> {
+) -> Result<(Adapted, Answer), BatchFailure> {
     // Step 1: compose the batch's schema changes (in commit order — the
     // batch preserves queue order, which preserves per-source commit order).
     // Borrowed: a `ReplaceRelations` carries its whole replacement extent.
@@ -198,28 +301,76 @@ fn adapt_inner(
     let new_view = synchronize_all(view, &composed, info).map_err(BatchFailure::Undefinable)?;
     port.charge_local(composed.len() as u64);
 
-    if mode == AdaptationMode::Auto && incremental_applicable(view, &new_view, &composed) {
-        adapt_incremental(&new_view, batch, &schema_changes, pending, port, drained, prof)
-    } else {
-        adapt_recompute(new_view, batch, pending, port, drained)
-    }
+    let shape = match mode {
+        AdaptationMode::Auto => classify(view, mv, &new_view, &composed),
+        AdaptationMode::RecomputeOnly => Shape::Other,
+    };
+    let indices = match shape {
+        Shape::Same => {
+            let adapted =
+                adapt_incremental(&new_view, batch, &schema_changes, pending, port, drained, prof)?;
+            return Ok((adapted, Answer::Incremental));
+        }
+        Shape::Projected(indices) => Some(indices),
+        Shape::Other => None,
+    };
+    let projected = indices.as_deref().map(|indices| (mv.extent(), indices));
+    adapt_recompute(new_view, projected, batch, &schema_changes, pending, port, drained, prof)
 }
 
-/// The recompute path: fetch batch-point states for every relation of `V′`
-/// and evaluate it wholesale. Each fetch is a real maintenance query and
-/// may break.
+/// The recompute path: read every relation of `V′` at the batch point, in
+/// FROM order, and evaluate `V′` wholesale over the shipped states. Each
+/// read is a real maintenance query and may break. A relation the port
+/// answers live is shipped with `execute` afterwards; a port that ships
+/// its reads pays exactly the recompute's queries.
+///
+/// `projected` is the extent and the positions `V′` keeps of it when `V′`
+/// is a projection of `V`. If the port answered every read live, `V′` then
+/// comes from that extent ([`adapt_from_extent`]) and nothing ships.
+#[allow(clippy::too_many_arguments)]
 fn adapt_recompute(
     new_view: ViewDefinition,
+    projected: Option<(&ZSet, &[usize])>,
     batch: &[&UpdateMessage],
+    schema_changes: &[&SchemaChange],
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-) -> Result<Adapted, BatchFailure> {
+    prof: Profiler<'_>,
+) -> Result<(Adapted, Answer), BatchFailure> {
     let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
+    let tables = &new_view.query.tables;
+    let mut reads = Vec::with_capacity(tables.len());
+    for table in tables {
+        let q = adaptation_query(&new_view, table);
+        let read = read_batch_point(&q, table, &batch_ids, pending, port, drained)?;
+        reads.push((q, read));
+    }
+    if let Some((extent, indices)) = projected.filter(|_| reads.iter().all(|r| r.1.is_none())) {
+        let adapted = adapt_from_extent(
+            new_view,
+            extent,
+            indices,
+            batch,
+            schema_changes,
+            pending,
+            port,
+            drained,
+            prof,
+        )?;
+        return Ok((adapted, Answer::Projected));
+    }
+
     let mut states = LocalProvider::new();
-    for table in &new_view.query.tables {
-        let (schema, rows) =
-            fetch_batch_point_state(&new_view, table, &batch_ids, pending, port, drained)?;
+    for (table, (q, read)) in tables.iter().zip(reads) {
+        let (schema, rows) = match read {
+            Some(state) => state,
+            None => {
+                let fetched = port.execute(&q, &[]).map_err(|e| read_failure(&q, e))?;
+                drained.extend(port.drain_arrivals());
+                roll_back_pending(table, fetched, &batch_ids, pending, drained, port)?
+            }
+        };
         states.insert(schema, rows);
     }
 
@@ -231,7 +382,56 @@ fn adapt_recompute(
             reason: "recomputed view extent has negative multiplicities".into(),
         }));
     }
-    Ok(Adapted::Replaced { view: new_view, cols: result.cols, extent: result.rows })
+    let adapted = Adapted::Replaced { view: new_view, cols: result.cols, extent: result.rows };
+    Ok((adapted, Answer::Recompute))
+}
+
+/// The projected answer, `V′ = π(V) + ΔV′`, once every relation of `V′`
+/// has answered its read live. `V′` keeps `V`'s FROM list and WHERE clause
+/// and selects a sub-sequence of its columns, so at the state the extent
+/// reflects, `V′` *is* the extent projected onto `indices`; `ΔV′` is
+/// Equation 6 over `V′` and the batch's homogenized deltas, every hop live.
+/// The result is a whole extent, as a recompute's is, so the commit, the
+/// log and peer replicas see a `Replaced`.
+#[allow(clippy::too_many_arguments)]
+fn adapt_from_extent(
+    new_view: ViewDefinition,
+    extent: &ZSet,
+    indices: &[usize],
+    batch: &[&UpdateMessage],
+    schema_changes: &[&SchemaChange],
+    pending: &[&UpdateMessage],
+    port: &mut dyn SourcePort,
+    drained: &mut Vec<UpdateMessage>,
+    prof: Profiler<'_>,
+) -> Result<Adapted, BatchFailure> {
+    let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
+    let mut deltas = batch_deltas(&new_view, batch, schema_changes, port)?;
+    for table in &new_view.query.tables {
+        if let Some(delta) = deltas.get_mut(table) {
+            let cols = read_cols(&adaptation_query(&new_view, table));
+            *delta = delta.project_to(&cols).map_err(classify_rollback_error)?;
+        }
+    }
+    let nothing_shipped = HashMap::new();
+    let dv = batch_equation6(
+        &new_view.query,
+        &deltas,
+        &nothing_shipped,
+        &batch_ids,
+        pending,
+        port,
+        drained,
+        prof,
+    )?;
+    let mut rows = extent.project(indices);
+    rows.merge(&dv.rows);
+    if !rows.is_non_negative() {
+        return Err(BatchFailure::Internal(RelationalError::InvalidQuery {
+            reason: "projected view extent has negative multiplicities".into(),
+        }));
+    }
+    Ok(Adapted::Replaced { cols: new_view.output_cols(), view: new_view, extent: rows })
 }
 
 /// The adaptation read of one relation of `V′`: its single-table projection
@@ -249,20 +449,40 @@ fn read_failure(q: &SpjQuery, e: RelationalError) -> BatchFailure {
     BatchFailure::from(MaintFailure::from_query(|| q.clone(), e))
 }
 
-/// Fetches one relation's current extent projected to the view's referenced
-/// columns, rolled back to the batch point.
-fn fetch_batch_point_state(
-    new_view: &ViewDefinition,
+/// The output columns of an adaptation read: the relation's plain names.
+fn read_cols(q: &SpjQuery) -> Vec<String> {
+    q.projection.iter().map(|p| p.output.clone()).collect()
+}
+
+/// Issues the adaptation read `q` of `table`
+/// ([`SourcePort::read_for_adaptation`]). A shipped answer comes back
+/// rolled back past pending updates to the batch point. A live answer ships
+/// nothing and comes back `None`; its pending updates are only checked to
+/// project onto the read's columns (the one way the rollback fails), so it
+/// breaks where a shipped read would.
+fn read_batch_point(
+    q: &SpjQuery,
     table: &str,
     batch_ids: &[UpdateId],
     pending: &[&UpdateMessage],
     port: &mut dyn SourcePort,
     drained: &mut Vec<UpdateMessage>,
-) -> Result<(Schema, ZSet), BatchFailure> {
-    let q = adaptation_query(new_view, table);
-    let fetched = port.execute(&q, &[]).map_err(|e| read_failure(&q, e))?;
+) -> Result<Option<(Schema, ZSet)>, BatchFailure> {
+    let read = port.read_for_adaptation(q).map_err(|e| read_failure(q, e))?;
     drained.extend(port.drain_arrivals());
-    roll_back_pending(table, fetched, batch_ids, pending, drained, port)
+    match read {
+        AdaptRead::Shipped(fetched) => {
+            roll_back_pending(table, fetched, batch_ids, pending, drained, port).map(Some)
+        }
+        AdaptRead::Live => {
+            for du in pending_of(table, batch_ids, pending, drained) {
+                for p in &q.projection {
+                    du.delta.schema().require(&p.output).map_err(classify_rollback_error)?;
+                }
+            }
+            Ok(None)
+        }
+    }
 }
 
 /// Rolls rows shipped at the sources' current state back to the batch point
@@ -303,33 +523,6 @@ fn pending_of<'a>(
     )
 }
 
-/// The incremental path applies when the batch's composed schema changes
-/// preserve the view's *shape*: same relation count (after renames), same
-/// output columns, and no relation drops/replacements. Renames, additive
-/// changes, and drops of attributes the view never referenced all qualify.
-fn incremental_applicable(
-    old: &ViewDefinition,
-    new: &ViewDefinition,
-    composed: &[SchemaChange],
-) -> bool {
-    if old.query.tables.len() != new.query.tables.len() {
-        return false;
-    }
-    if old.output_cols() != new.output_cols() {
-        return false;
-    }
-    composed.iter().all(|c| {
-        matches!(
-            c,
-            SchemaChange::RenameRelation { .. }
-                | SchemaChange::RenameAttribute { .. }
-                | SchemaChange::AddAttribute { .. }
-                | SchemaChange::CreateRelation { .. }
-                | SchemaChange::DropAttribute { .. }
-        )
-    })
-}
-
 /// The incremental path (paper Section 5 + Equation 6): homogenize the
 /// batch's data updates into the final schema, derive per-relation deltas,
 /// read every relation of `V′` at the batch point, and compute `ΔV` by
@@ -345,14 +538,61 @@ fn adapt_incremental(
     prof: Profiler<'_>,
 ) -> Result<Adapted, BatchFailure> {
     let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
+    let batch_deltas = batch_deltas(new_view, batch, schema_changes, port)?;
 
-    // Homogenize and group the batch's data updates by final relation name.
-    // Each delta must be mapped through the *raw* schema changes that follow
-    // it in the batch (batch order preserves per-source commit order): the
-    // composed sequence has collapsed away intermediate relation names that
-    // deltas committed mid-chain still carry. `schema_changes` holds the
-    // batch's changes in order, so "those that follow" is a suffix of it.
-    let mut batch_deltas: HashMap<String, dyno_relational::Delta> = HashMap::new();
+    // Read every relation at the batch point, in FROM order, and project the
+    // batch's deltas to the referenced columns. A shipped read is rolled back
+    // past pending updates and then past the batch's own delta: the *old*
+    // state Equation 6 hops over. Hops to a live read go to the port, and
+    // `live_hop` compensates their answers.
+    let mut shipped: HashMap<String, (Schema, ZSet)> = HashMap::new();
+    let mut deltas: HashMap<String, Delta> = HashMap::new();
+    for table in &new_view.query.tables {
+        let q = adaptation_query(new_view, table);
+        let mut old = read_batch_point(&q, table, &batch_ids, pending, port, drained)?;
+        if let Some(delta) = batch_deltas.get(table) {
+            let projected = delta.project_to(&read_cols(&q)).map_err(classify_rollback_error)?;
+            if let Some((_, rows)) = &mut old {
+                rows.merge_negated(projected.rows());
+            }
+            deltas.insert(table.clone(), projected);
+        }
+        if let Some(state) = old {
+            shipped.insert(table.clone(), state);
+        }
+    }
+
+    let dv = batch_equation6(
+        &new_view.query,
+        &deltas,
+        &shipped,
+        &batch_ids,
+        pending,
+        port,
+        drained,
+        prof,
+    )?;
+    Ok(Adapted::Incremental {
+        view: new_view.clone(),
+        delta: ViewDelta { cols: new_view.output_cols(), rows: dv.rows },
+    })
+}
+
+/// The batch's data updates, homogenized and grouped by final relation
+/// name; relations `V′` does not reference are left out.
+///
+/// Each delta must be mapped through the *raw* schema changes that follow it
+/// in the batch (batch order preserves per-source commit order): the
+/// composed sequence has collapsed away intermediate relation names that
+/// deltas committed mid-chain still carry. `schema_changes` holds the
+/// batch's changes in order, so "those that follow" is a suffix of it.
+fn batch_deltas(
+    new_view: &ViewDefinition,
+    batch: &[&UpdateMessage],
+    schema_changes: &[&SchemaChange],
+    port: &mut dyn SourcePort,
+) -> Result<HashMap<String, Delta>, BatchFailure> {
+    let mut batch_deltas: HashMap<String, Delta> = HashMap::new();
     let mut scs_before = 0;
     for m in batch {
         match &m.update {
@@ -376,67 +616,42 @@ fn adapt_incremental(
             }
         }
     }
+    Ok(batch_deltas)
+}
 
-    // Read every relation at the batch point, in FROM order, and project the
-    // batch's deltas to the referenced columns. A shipped read is rolled back
-    // past pending updates and then past the batch's own delta: the *old*
-    // state Equation 6 hops over. A live read ships nothing; its pending
-    // updates are only checked to project (the one way the rollback fails),
-    // so it breaks where a shipped read would, and `live_hop` compensates.
-    let mut shipped: HashMap<String, (Schema, ZSet)> = HashMap::new();
-    let mut deltas: HashMap<String, Delta> = HashMap::new();
-    for table in &new_view.query.tables {
-        let q = adaptation_query(new_view, table);
-        let read = port.read_for_adaptation(&q).map_err(|e| read_failure(&q, e))?;
-        drained.extend(port.drain_arrivals());
-        let cols: Vec<String> = q.projection.into_iter().map(|p| p.output).collect();
-        let mut old = match read {
-            AdaptRead::Shipped(fetched) => {
-                Some(roll_back_pending(table, fetched, &batch_ids, pending, drained, port)?)
-            }
-            AdaptRead::Live => {
-                for du in pending_of(table, &batch_ids, pending, drained) {
-                    for c in &cols {
-                        du.delta.schema().require(c).map_err(classify_rollback_error)?;
-                    }
-                }
-                None
-            }
-        };
-        if let Some(delta) = batch_deltas.get(table) {
-            let projected = delta.project_to(&cols).map_err(classify_rollback_error)?;
-            if let Some((_, rows)) = &mut old {
-                rows.merge_negated(projected.rows());
-            }
-            deltas.insert(table.clone(), projected);
-        }
-        if let Some(state) = old {
-            shipped.insert(table.clone(), state);
-        }
-    }
-
+/// `ΔV′` by Equation 6 over the batch's projected `deltas`: a hop to a
+/// relation in `shipped` runs over its old state there, every other hop goes
+/// live to the port and is compensated.
+#[allow(clippy::too_many_arguments)]
+fn batch_equation6(
+    query: &SpjQuery,
+    deltas: &HashMap<String, Delta>,
+    shipped: &HashMap<String, (Schema, ZSet)>,
+    batch_ids: &[UpdateId],
+    pending: &[&UpdateMessage],
+    port: &mut dyn SourcePort,
+    drained: &mut Vec<UpdateMessage>,
+    prof: Profiler<'_>,
+) -> Result<QueryResult, BatchFailure> {
     prof.invocation();
     let deltas: HashMap<&str, TableSlice<'_>> =
         deltas.iter().map(|(t, d)| (t.as_str(), d.into())).collect();
-    let old_states = OldStates(&shipped);
+    let old_states = OldStates(shipped);
     let dv = equation6_chain(
-        &new_view.query,
+        query,
         &deltas,
         |hop, delta_j, ahead| {
             if shipped.contains_key(hop.target) {
                 shipped_hop(&old_states, hop, delta_j, ahead).map_err(BatchFailure::Internal)
             } else {
-                live_hop(hop, delta_j, ahead, &batch_ids, pending, port, drained)
+                live_hop(hop, delta_j, ahead, batch_ids, pending, port, drained)
             }
         },
         BatchFailure::Internal,
         prof,
     )?;
     port.charge_local(dv.weight());
-    Ok(Adapted::Incremental {
-        view: new_view.clone(),
-        delta: ViewDelta { cols: new_view.output_cols(), rows: dv.rows },
-    })
+    Ok(dv)
 }
 
 /// Homogenizes a data update's delta through a composed schema-change
@@ -712,6 +927,14 @@ mod tests {
         out
     }
 
+    /// The view's extent over `space`, as a warehouse holds it.
+    fn materialized(view: &ViewDefinition, space: &dyno_source::SourceSpace) -> MaterializedView {
+        let result = dyno_relational::eval(&view.query, &space.provider()).unwrap();
+        let mut mv = MaterializedView::new(view.name.clone(), view.output_cols());
+        mv.replace(result.cols, result.rows).unwrap();
+        mv
+    }
+
     #[test]
     fn equation6_matches_recompute_for_inserts() {
         let space = bookinfo_space();
@@ -823,6 +1046,7 @@ mod tests {
         // changes preserve the view's shape → Equation-6 incremental path.
         let mut space = bookinfo_space();
         let view = bookinfo_view();
+        let mv = materialized(&view, &space);
         let du = insert_item(10, "Data Integration Guide", "Adams", 36);
         let m1 = space.commit(SourceId(0), SourceUpdate::Data(du)).unwrap();
         let m2 = space
@@ -836,7 +1060,8 @@ mod tests {
             .unwrap();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let (res, _) = adapt_batch(&view, &[&m1, &m2], &[], &info, AdaptationMode::Auto, &mut port);
+        let batch = [&m1, &m2];
+        let (res, _) = adapt_batch(&view, &mv, &batch, &[], &info, AdaptationMode::Auto, &mut port);
         match res.unwrap() {
             Adapted::Incremental { view: v, delta } => {
                 assert!(v.references_relation("Item2"));
@@ -846,8 +1071,8 @@ mod tests {
         }
         // Forcing recompute yields the same definition and a full extent
         // whose content equals old extent + delta.
-        let (res2, _) =
-            adapt_batch(&view, &[&m1, &m2], &[], &info, AdaptationMode::RecomputeOnly, &mut port);
+        let recompute = AdaptationMode::RecomputeOnly;
+        let (res2, _) = adapt_batch(&view, &mv, &batch, &[], &info, recompute, &mut port);
         match res2.unwrap() {
             Adapted::Replaced { extent, .. } => assert_eq!(extent.weight(), 2),
             other => panic!("RecomputeOnly must recompute, got {other:?}"),
@@ -861,6 +1086,7 @@ mod tests {
         // extent reflects all three updates.
         let mut space = bookinfo_space();
         let view = bookinfo_view();
+        let mv = materialized(&view, &space);
         let du1 = insert_item(10, "Data Integration Guide", "Adams", 36);
         let m1 = space.commit(SourceId(0), SourceUpdate::Data(du1)).unwrap();
         let store = space.server(SourceId(0)).catalog().get("Store").unwrap().clone();
@@ -874,7 +1100,7 @@ mod tests {
         let mut port = InProcessPort::new(space);
         let batch = [&m1, &m2, &m3];
         let (res, drained) =
-            adapt_batch(&view, &batch, &[], &info, AdaptationMode::Auto, &mut port);
+            adapt_batch(&view, &mv, &batch, &[], &info, AdaptationMode::Auto, &mut port);
         assert!(drained.is_empty());
         let adapted = res.unwrap();
         assert!(adapted.view().references_relation("StoreItems"));
@@ -894,6 +1120,7 @@ mod tests {
         // adaptation queries run → broken query.
         let mut space = bookinfo_space();
         let view = bookinfo_view();
+        let mv = materialized(&view, &space);
         let sc2 = SchemaChange::DropAttribute { relation: "Catalog".into(), attr: "Review".into() };
         let m = space.commit(SourceId(1), SourceUpdate::Schema(sc2)).unwrap();
         // Concurrent, unbuffered rename commits at the source.
@@ -908,7 +1135,7 @@ mod tests {
             .unwrap();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let (res, _) = adapt_batch(&view, &[&m], &[], &info, AdaptationMode::Auto, &mut port);
+        let (res, _) = adapt_batch(&view, &mv, &[&m], &[], &info, AdaptationMode::Auto, &mut port);
         assert!(matches!(res.unwrap_err(), BatchFailure::Broken(_)));
     }
 
@@ -918,6 +1145,7 @@ mod tests {
         // batch-point extent.
         let mut space = bookinfo_space();
         let view = bookinfo_view();
+        let mv = materialized(&view, &space);
         let sc = SchemaChange::DropAttribute { relation: "Catalog".into(), attr: "Review".into() };
         let m_sc = space.commit(SourceId(1), SourceUpdate::Schema(sc)).unwrap();
         // Pending DU committed after the SC.
@@ -928,6 +1156,7 @@ mod tests {
         let mut port = InProcessPort::new(space);
         let (res, _) = adapt_batch(
             &view,
+            &mv,
             &[&m_sc],
             std::slice::from_ref(&m_du),
             &info,
@@ -949,7 +1178,8 @@ mod tests {
         // into ΔV, whether the port ships its extents or answers live.
         let mut space = bookinfo_space();
         let view = bookinfo_view();
-        let before = dyno_relational::eval(&view.query, &space.provider()).unwrap().rows;
+        let mv = materialized(&view, &space);
+        let before = mv.extent().clone();
         let du = insert_item(10, "Data Integration Guide", "Adams", 36);
         let m1 = space.commit(SourceId(0), SourceUpdate::Data(du)).unwrap();
         let rename = SchemaChange::RenameRelation { from: "Store".into(), to: "Shop".into() };
@@ -969,7 +1199,7 @@ mod tests {
         for port in [&mut live as &mut dyn SourcePort, &mut shipped] {
             let pending = std::slice::from_ref(&pending);
             let (res, _) =
-                adapt_batch(&view, &[&m1, &m2], pending, &info, AdaptationMode::Auto, port);
+                adapt_batch(&view, &mv, &[&m1, &m2], pending, &info, AdaptationMode::Auto, port);
             let Adapted::Incremental { view: v, delta } = res.unwrap() else {
                 panic!("a rename batch adapts incrementally");
             };

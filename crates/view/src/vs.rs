@@ -106,6 +106,34 @@ pub fn synchronize_all(
     Ok(v)
 }
 
+/// The name a relation of a view carries once the view is synchronized
+/// through the renames among `changes` alone (every other change leaves
+/// the name as it is). With [`renamed_col`] this is the view as a batch
+/// would leave it if it dropped and replaced nothing, which batch
+/// adaptation holds `V′` against, element by element and without building
+/// it, to tell whether `V′` keeps the view's shape or is a projection of it.
+pub(crate) fn renamed_relation<'a>(relation: &'a str, changes: &'a [SchemaChange]) -> &'a str {
+    changes.iter().fold(relation, |relation, sc| match sc {
+        SchemaChange::RenameRelation { from, to } if from == relation => to.as_str(),
+        _ => relation,
+    })
+}
+
+/// The column `col` of a view is rewritten to by synchronization through
+/// the renames among `changes` alone, as `(relation, attribute)`.
+pub(crate) fn renamed_col<'a>(col: &'a ColRef, changes: &'a [SchemaChange]) -> (&'a str, &'a str) {
+    let start = (col.relation.as_str(), col.attr.as_str());
+    changes.iter().fold(start, |(relation, attr), sc| match sc {
+        SchemaChange::RenameRelation { from, to } if from == relation => (to.as_str(), attr),
+        SchemaChange::RenameAttribute { relation: r, from, to }
+            if r == relation && from == attr =>
+        {
+            (relation, to.as_str())
+        }
+        _ => (relation, attr),
+    })
+}
+
 fn rename_relation(view: &ViewDefinition, from: &str, to: &str) -> ViewDefinition {
     let mut q = view.query.clone();
     for t in &mut q.tables {

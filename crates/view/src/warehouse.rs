@@ -405,8 +405,9 @@ struct Views {
 impl Views {
     /// Step 1 — **stage**: computes slot `i`'s change for `batch` without
     /// committing anything — SWEEP for a lone data update, batch adaptation
-    /// otherwise. `pending` is the compensation set. Returns the staged
-    /// change and the messages that arrived while the queries ran.
+    /// otherwise (lent the slot's extent, which a pruned column is projected
+    /// from). `pending` is the compensation set. Returns the staged change
+    /// and the messages that arrived while the queries ran.
     fn stage(
         &mut self,
         i: usize,
@@ -431,6 +432,7 @@ impl Views {
             let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
             let (result, arrivals) = adapt_batch_observed(
                 &slot.view,
+                &slot.mv,
                 &refs,
                 pending,
                 &self.info,
@@ -1794,7 +1796,7 @@ mod tests {
     use super::*;
     use crate::engine::{InProcessPort, TracingPort};
     use crate::testkit::*;
-    use dyno_relational::{DataUpdate, SchemaChange, SpjQuery};
+    use dyno_relational::{DataUpdate, SchemaChange, SpjQuery, Tuple};
     use dyno_source::SourceId;
 
     /// A second view over the Retailer only: store price list.
@@ -1940,6 +1942,35 @@ mod tests {
         assert_eq!(wh.stats(0).batches_committed, 1);
         assert_eq!(wh.stats(0).batched_updates, 2);
         assert_eq!(wh.mv(0).len(), 1);
+    }
+
+    #[test]
+    fn a_dropped_column_re_sourced_from_a_joined_relation_takes_its_new_values() {
+        // `Catalog.Review`'s registered replacement is `ReaderDigest.Comments`,
+        // and this view already joins ReaderDigest: the rewrite re-sources
+        // the column and adds no relation. The view keeps its output names
+        // but not its values (`classic`/`good` become `thorough`/
+        // `insightful`), so the batch must not adapt as if it kept its shape.
+        let space = bookinfo_space();
+        let info = space.info().clone();
+        let mut port = InProcessPort::new(space);
+        let q = SpjQuery::over(["Catalog", "ReaderDigest"])
+            .select("Catalog", "Title")
+            .select("Catalog", "Review")
+            .join_eq(("Catalog", "Title"), ("ReaderDigest", "Article"))
+            .build();
+        let mut wh = Warehouse::new(info, Strategy::Pessimistic);
+        wh.add_view(ViewDefinition::new("Reviews", q));
+        wh.initialize(&mut port).unwrap();
+        commit_drop_review(&mut port);
+        wh.run_to_quiescence(&mut port, 100).unwrap();
+
+        assert!(wh.view(0).query.to_string().contains("ReaderDigest.Comments AS Review"));
+        let eval = dyno_relational::eval(&wh.view(0).query, &port.space().provider()).unwrap();
+        assert_eq!(wh.mv(0).extent(), &eval.rows, "the extent is eval(V′)");
+        let row = |title, review| Tuple::of([Value::str(title), Value::str(review)]);
+        assert_eq!(wh.mv(0).extent().count(&row("Databases", "thorough")), 1);
+        assert_eq!(wh.mv(0).extent().count(&row("Data Integration Guide", "insightful")), 1);
     }
 
     #[test]

@@ -24,13 +24,17 @@ echo "== hop protocol differential suite, release codegen =="
 # trace. Release too, because the probe path is what release builds inline.
 cargo test -q --release --offline --test hop_props
 
-echo "== source history + adaptation chain differential suites, release codegen =="
+echo "== source history + adaptation differential suites, release codegen =="
 # tests/source_history_props.rs: every version `state_at` rewinds to equals
 # the forward replay, over all seven schema-change kinds. tests/
-# adapt_chain_props.rs: Equation 6 as delta chains against RecomputeOnly and
-# the term-by-term `eval` reference. Release too: the bulk projection and
-# the list-built join they lean on are what release builds inline.
-cargo test -q --release --offline --test source_history_props --test adapt_chain_props
+# adapt_chain_props.rs: Equation 6 as delta chains, and pruned columns
+# projected from the held extent, against RecomputeOnly and the batch-point
+# `eval` reference. tests/adaptation_modes.rs: both modes agree, and a live
+# port ships no rows through schema-change rounds. Release too: the bulk
+# projection and the list-built join they lean on are what release builds
+# inline.
+cargo test -q --release --offline --test source_history_props --test adapt_chain_props \
+    --test adaptation_modes
 
 echo "== benchmark/ package suite (out-of-workspace SourcePort/Storage implementors) =="
 # `benchmark/` is its own workspace, so nothing above compiles it: a trait
@@ -88,6 +92,19 @@ echo "== structural gate: a merged batch's adaptation cost follows |Δ|, not the
 # follows the batch's delta. Shipping the six extents (the parent's path)
 # makes the 10x larger testbed ~10x slower.
 size_gate adapt_batch_rename 6x2000 6x20000
+
+echo "== structural gate: a pruned column adapts from the held extent, not a recompute =="
+# `adapt_batch_drop/6x2000` adapts one data update + a drop of a column the
+# view selects, on `InProcessPort`: V′ is the held extent projected plus
+# Equation 6 over the insert. `adapt_batch_drop_recompute/6x2000` is the same
+# batch under RecomputeOnly, shipping and re-joining all six relations (the
+# parent's path for this batch). The first must be at least 4x faster.
+projected="$(smoke_median adapt_batch_drop/6x2000)"
+recomputed="$(smoke_median adapt_batch_drop_recompute/6x2000)"
+test -n "$projected"
+test -n "$recomputed"
+awk -v p="$projected" -v r="$recomputed" 'BEGIN { exit !(4 * p <= r) }'
+echo "adapt_batch_drop: $projected ns projected vs $recomputed ns recomputed (>= 4x)"
 
 echo "== fig10 --json/--trace smoke test =="
 DYNO_TUPLES=300 cargo run -q --release --offline -p dyno-bench --bin fig10 -- \

@@ -20,16 +20,24 @@
 //!    the formulation the chains replaced, kept here as the reference —
 //!    over full-width states this file reconstructs itself.
 //!
-//! Cases come from the in-repo seeded PRNG; a failure names its case. Two
-//! fixed cases pin what the random ones reach only by chance: pending
-//! updates that join the batch's delta on both sides of the changed
-//! relation, and a pending rename the chain never hops to.
+//! A second train drops an attribute the view *outputs* (`a`, `b` or `c`)
+//! among such members: `V′` is then a projection of `V`, which the live
+//! port takes from the held extent without shipping a row, while the
+//! shipping port and `RecomputeOnly` recompute it; all three must equal
+//! `eval(V′)` at the batch point.
+//!
+//! Cases come from the in-repo seeded PRNG; a failure names its case. Fixed
+//! cases pin what the random ones reach only by chance: pending updates that
+//! join the batch's delta on both sides of the changed relation, a pending
+//! rename the chain never hops to, a dropped predicate column (undefinable
+//! on both ports) and a dropped column the information space re-sources
+//! from a relation the view already joins (recomputed on both).
 
 mod common;
 
 use std::collections::HashMap;
 
-use common::ExecuteOnly;
+use common::{ExecuteOnly, ShipCounter};
 use dyno::prelude::*;
 use dyno::relational::exec::{RelationProvider, TableSlice};
 use dyno::relational::{eval, ZSet};
@@ -82,12 +90,14 @@ fn equation6_by_eval(query: &SpjQuery, old: &States, deltas: &HashMap<String, ZS
 }
 
 /// One relation of the fixture as the test tracks it across renames: where
-/// it lives, what it is called now, and how many leading attributes the view
-/// references (later ones are fair game for `DropAttribute`).
+/// it lives, what it is called now, how many leading attributes the view
+/// references (later ones are fair game for `DropAttribute`), and whether
+/// the last of those — its output attribute `a`, `b` or `c` — survives.
 struct Tracked {
     source: SourceId,
     name: String,
     referenced: usize,
+    output: bool,
 }
 
 fn row(rng: &mut Rng, schema: &Schema) -> Tuple {
@@ -117,7 +127,8 @@ fn build_space(rng: &mut Rng) -> (SourceSpace, Vec<Tracked>) {
         let rows: Vec<Tuple> = (0..rng.gen_range(3..9usize)).map(|_| row(rng, &schema)).collect();
         let rel = Relation::from_tuples(schema, rows).expect("typed rows");
         catalogs[source as usize].add_relation(rel).expect("distinct relations");
-        tracked.push(Tracked { source: SourceId(source), name: name.into(), referenced });
+        let source = SourceId(source);
+        tracked.push(Tracked { source, name: name.into(), referenced, output: true });
     }
     let mut space = SourceSpace::new();
     for (i, catalog) in catalogs.into_iter().enumerate() {
@@ -195,46 +206,81 @@ fn commit_member(
     space.commit(tracked[t].source, update).expect("generated against the current schema")
 }
 
+/// Commits a drop of one surviving output attribute (`a`, `b` or `c`), when
+/// one is left.
+fn commit_output_drop(
+    rng: &mut Rng,
+    space: &mut SourceSpace,
+    tracked: &mut [Tracked],
+) -> Option<UpdateMessage> {
+    let candidates: Vec<usize> = (0..tracked.len()).filter(|&t| tracked[t].output).collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let t = &mut tracked[*rng.choose(&candidates)];
+    let rel = space.server(t.source).catalog().get(&t.name).expect("tracked");
+    let attr = rel.schema().attrs()[t.referenced - 1].name.clone();
+    t.output = false;
+    t.referenced -= 1;
+    let sc = SchemaChange::DropAttribute { relation: t.name.clone(), attr };
+    Some(space.commit(t.source, SourceUpdate::Schema(sc)).expect("drops a current attribute"))
+}
+
 fn extent_of(view: &ViewDefinition, space: &SourceSpace) -> ZSet {
     eval(&view.query, &space.provider()).expect("the view is defined").rows
 }
 
+/// The view's extent over `space`, as a warehouse holds it.
+fn materialized(view: &ViewDefinition, space: &SourceSpace) -> MaterializedView {
+    let mut mv = MaterializedView::new(view.name.clone(), view.output_cols());
+    mv.replace(view.output_cols(), extent_of(view, space)).expect("non-negative");
+    mv
+}
+
 type Outcome = (Result<Adapted, BatchFailure>, Vec<UpdateMessage>);
 
-/// Adapts `batch` over a copy of `space`, with every adaptation read
-/// answered live (`InProcessPort`) or shipped (`ExecuteOnly`, the default).
+/// Adapts `batch` over a copy of `space` from the extent `mv`, with every
+/// adaptation read answered live (`InProcessPort`, through a
+/// [`ShipCounter`]) or shipped (`ExecuteOnly`, the default). Returns the
+/// outcome and the rows the live port shipped (0 when shipped).
 fn adapt_via(
     space: &SourceSpace,
     view: &ViewDefinition,
+    mv: &MaterializedView,
     batch: &[UpdateMessage],
     pending: &[UpdateMessage],
     mode: AdaptationMode,
     shipped: bool,
-) -> Outcome {
+) -> (Outcome, u64) {
     let info = space.info().clone();
     let members: Vec<&UpdateMessage> = batch.iter().collect();
-    let mut port = InProcessPort::new(space.clone());
+    let port = InProcessPort::new(space.clone());
     if shipped {
-        adapt_batch(view, &members, pending, &info, mode, &mut ExecuteOnly(port))
+        (adapt_batch(view, mv, &members, pending, &info, mode, &mut ExecuteOnly(port)), 0)
     } else {
-        adapt_batch(view, &members, pending, &info, mode, &mut port)
+        let mut port = ShipCounter::new(port);
+        let outcome = adapt_batch(view, mv, &members, pending, &info, mode, &mut port);
+        (outcome, port.shipped)
     }
 }
 
-/// [`adapt_via`] both ways, asserting the same `Adapted` (definition,
-/// columns, rows) or the same failure, and the same arrivals.
+/// [`adapt_via`] both ways under `Auto`, asserting the same `Adapted`
+/// (definition, columns, rows) or the same failure, and the same arrivals.
+/// Returns the outcome and the rows the live port shipped.
 fn adapt_both(
     space: &SourceSpace,
     view: &ViewDefinition,
+    mv: &MaterializedView,
     batch: &[UpdateMessage],
     pending: &[UpdateMessage],
     ctx: &str,
-) -> Result<Adapted, BatchFailure> {
-    let live = adapt_via(space, view, batch, pending, AdaptationMode::Auto, false);
-    let shipped = adapt_via(space, view, batch, pending, AdaptationMode::Auto, true);
+) -> (Result<Adapted, BatchFailure>, u64) {
+    let (live, shipped_rows) =
+        adapt_via(space, view, mv, batch, pending, AdaptationMode::Auto, false);
+    let (shipped, _) = adapt_via(space, view, mv, batch, pending, AdaptationMode::Auto, true);
     assert_eq!(live, shipped, "{ctx}: live vs shipped answers of the adaptation read");
     assert!(live.1.is_empty(), "{ctx}: nothing commits during adaptation");
-    live.0
+    (live.0, shipped_rows)
 }
 
 /// The old states and per-relation batch deltas at full width, rebuilt from
@@ -287,22 +333,14 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
         let mut rng = Rng::new(0xADA9_7000 + case);
         let (mut space, mut tracked) = build_space(&mut rng);
         let view = view(rng.gen_ratio(2, 3));
-        let before = extent_of(&view, &space);
+        let mv = materialized(&view, &space);
+        let before = mv.extent();
 
         let mut fresh = 0;
         let batch: Vec<UpdateMessage> = (0..rng.gen_range(3..11usize))
             .map(|_| commit_member(&mut rng, &mut space, &mut tracked, &mut fresh))
             .collect();
-        // Pending updates commit after the batch, against the final schema,
-        // and must be rolled back out of every fetched state.
-        let pending: Vec<UpdateMessage> = (0..rng.gen_range(0..4usize))
-            .map(|_| {
-                let t = rng.choose(&tracked);
-                let rel = space.server(t.source).catalog().get(&t.name).expect("tracked");
-                let update = data_update(&mut rng, rel);
-                space.commit(t.source, update).expect("current schema")
-            })
-            .collect();
+        let pending = commit_pending(&mut rng, &mut space, &tracked);
         for m in &batch {
             match &m.update {
                 SourceUpdate::Schema(SchemaChange::DropAttribute { .. }) => drops += 1,
@@ -313,19 +351,20 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
         with_pending += u32::from(!pending.is_empty());
 
         let ctx = format!("case {case}");
-        let adapted = adapt_both(&space, &view, &batch, &pending, &ctx)
-            .unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+        let (adapted, live_rows) = adapt_both(&space, &view, &mv, &batch, &pending, &ctx);
+        let adapted = adapted.unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
         let Adapted::Incremental { view: new_view, delta } = adapted else {
             panic!("{ctx}: a shape-preserving batch adapts incrementally");
         };
-        let recomputed =
-            adapt_via(&space, &view, &batch, &pending, AdaptationMode::RecomputeOnly, false);
+        assert_eq!(live_rows, 0, "{ctx}: the live port shipped rows");
+        let (recomputed, _) =
+            adapt_via(&space, &view, &mv, &batch, &pending, AdaptationMode::RecomputeOnly, false);
         let Ok(Adapted::Replaced { view: recomputed_view, extent, .. }) = recomputed.0 else {
             panic!("{ctx}: RecomputeOnly recomputes, got {recomputed:?}");
         };
         assert_eq!(new_view, recomputed_view, "case {case}");
         assert_eq!(delta.cols, view.output_cols(), "case {case}");
-        assert_eq!(delta.rows, extent.diff(&before), "case {case}: chains vs recompute");
+        assert_eq!(delta.rows, extent.diff(before), "case {case}: chains vs recompute");
 
         let (old, deltas) = reconstruct(&new_view, &space, &batch, &pending);
         let reference = equation6_by_eval(&new_view.query, &old, &deltas);
@@ -341,6 +380,80 @@ fn chains_equal_recompute_diff_and_the_term_by_term_reference() {
     );
     assert!(with_pending >= 30, "pending rollbacks ran: {with_pending}");
     assert!(nonempty >= 30, "the deltas were not all trivially empty: {nonempty}");
+}
+
+/// Pending updates: data updates that commit after the batch, against the
+/// final schema, on random relations (ahead of and behind the batch's
+/// changed ones in FROM order), to be rolled back out of every read.
+fn commit_pending(
+    rng: &mut Rng,
+    space: &mut SourceSpace,
+    tracked: &[Tracked],
+) -> Vec<UpdateMessage> {
+    (0..rng.gen_range(0..4usize))
+        .map(|_| {
+            let t = rng.choose(tracked);
+            let rel = space.server(t.source).catalog().get(&t.name).expect("tracked");
+            let update = data_update(rng, rel);
+            space.commit(t.source, update).expect("current schema")
+        })
+        .collect()
+}
+
+#[test]
+fn pruned_output_columns_adapt_from_the_extent_and_equal_the_recompute() {
+    // Each batch drops one output attribute (`a`, `b` or `c`) among random
+    // members on both sides of it. Unless the dropped column sits in a
+    // filter (then `V′` is undefinable on both ports), `V′` is a projection
+    // of `V`: the live port takes it from the held extent and ships no row,
+    // the shipping port and `RecomputeOnly` recompute it, and all three
+    // equal `eval(V′)` at the batch point.
+    let (mut projected, mut undefinable, mut dus_around, mut with_pending) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xD809_0000 + case);
+        let (mut space, mut tracked) = build_space(&mut rng);
+        let view = view(rng.gen_ratio(1, 3));
+        let mv = materialized(&view, &space);
+
+        let mut fresh = 0;
+        let mut members = |rng: &mut Rng, space: &mut SourceSpace, tracked: &mut [Tracked]| {
+            (0..rng.gen_range(1..6usize))
+                .map(|_| commit_member(rng, space, tracked, &mut fresh))
+                .collect::<Vec<_>>()
+        };
+        let before_drop = members(&mut rng, &mut space, &mut tracked);
+        let drop = commit_output_drop(&mut rng, &mut space, &mut tracked).expect("all outputs");
+        let after_drop = members(&mut rng, &mut space, &mut tracked);
+        let is_du = |m: &UpdateMessage| matches!(m.update, SourceUpdate::Data(_));
+        dus_around += u32::from(before_drop.iter().any(is_du) && after_drop.iter().any(is_du));
+        let batch: Vec<UpdateMessage> =
+            before_drop.into_iter().chain([drop]).chain(after_drop).collect();
+        let at_batch_point = space.clone();
+        let pending = commit_pending(&mut rng, &mut space, &tracked);
+        with_pending += u32::from(!pending.is_empty());
+
+        let ctx = format!("case {case}");
+        let (adapted, live_rows) = adapt_both(&space, &view, &mv, &batch, &pending, &ctx);
+        let (recomputed, _) =
+            adapt_via(&space, &view, &mv, &batch, &pending, AdaptationMode::RecomputeOnly, false);
+        assert_eq!(adapted, recomputed.0, "{ctx}: Auto vs RecomputeOnly");
+        match adapted {
+            Ok(Adapted::Replaced { view: new_view, cols, extent }) => {
+                assert_eq!(live_rows, 0, "{ctx}: the live port shipped rows");
+                assert_eq!(cols, new_view.output_cols(), "{ctx}");
+                assert_eq!(cols.len(), 3, "{ctx}: one column pruned");
+                let expected = extent_of(&new_view, &at_batch_point);
+                assert_eq!(extent, expected, "{ctx}: eval(V′) at the batch point");
+                projected += 1;
+            }
+            Err(BatchFailure::Undefinable(_)) => undefinable += 1,
+            other => panic!("{ctx}: a pruned column replaces the extent, got {other:?}"),
+        }
+    }
+    assert!(projected >= 20, "projected from the extent: {projected}");
+    assert!(undefinable >= 5, "filter columns dropped: {undefinable}");
+    assert!(dus_around >= 20, "data updates on both sides of the drop: {dus_around}");
+    assert!(with_pending >= 30, "pending rollbacks ran: {with_pending}");
 }
 
 /// The fixture's relations holding exactly `a`, `b` and `c`.
@@ -382,7 +495,7 @@ fn pending_updates_on_both_sides_of_the_changed_relation_are_compensated() {
     let mut space =
         space_with(&[[1, 1, 1, 0], [2, 0, 1, 0]], &[[2, 0, 1, 0]], &[[1, 1, 0], [2, 2, 0]]);
     let view = view(false);
-    let before = extent_of(&view, &space);
+    let mv = materialized(&view, &space);
     let batch = vec![
         insert(&mut space, 0, "B", &[1, 1, 2, 0]),
         insert(&mut space, 0, "A", &[2, 0, 5, 0]),
@@ -392,21 +505,21 @@ fn pending_updates_on_both_sides_of_the_changed_relation_are_compensated() {
         vec![insert(&mut space, 0, "A", &[1, 1, 3, 0]), insert(&mut space, 1, "C2", &[1, 4, 0])];
 
     let Adapted::Incremental { view: new_view, delta } =
-        adapt_both(&space, &view, &batch, &pending, "both sides").expect("adapts")
+        adapt_both(&space, &view, &mv, &batch, &pending, "both sides").0.expect("adapts")
     else {
         panic!("a rename batch adapts incrementally");
     };
     assert!(new_view.references_relation("C2"));
-    let recomputed =
-        adapt_via(&space, &view, &batch, &pending, AdaptationMode::RecomputeOnly, false);
+    let (recomputed, _) =
+        adapt_via(&space, &view, &mv, &batch, &pending, AdaptationMode::RecomputeOnly, false);
     let Ok(Adapted::Replaced { extent, .. }) = recomputed.0 else { panic!("{recomputed:?}") };
-    assert_eq!(delta.rows, extent.diff(&before), "chains vs recompute");
+    assert_eq!(delta.rows, extent.diff(mv.extent()), "chains vs recompute");
     // ΔB joins the old A row and C's (1, 1); ΔA joins B (2, 0) and C's (2, 2).
     assert_eq!((delta.rows.weight(), delta.rows.net()), (2, 2), "{:?}", delta.rows);
 
     // The pending updates matter: withheld, both answers see them.
     let Ok(Adapted::Incremental { delta: leaky, .. }) =
-        adapt_both(&space, &view, &batch, &[], "pending withheld")
+        adapt_both(&space, &view, &mv, &batch, &[], "pending withheld").0
     else {
         panic!("adapts");
     };
@@ -421,12 +534,67 @@ fn a_pending_rename_the_chain_never_hops_to_breaks_the_up_front_read() {
     // whether that read ships C or only validates against it.
     let mut space = space_with(&[[1, 1, 1, 0]], &[[1, 1, 1, 0]], &[[1, 1, 0]]);
     let view = view(true);
+    let mv = materialized(&view, &space);
     let batch = vec![insert(&mut space, 0, "A", &[1, 1, 0, 0]), rename(&mut space, 0, "B", "B2")];
     let pending = vec![rename(&mut space, 1, "C", "C9")];
-    match adapt_both(&space, &view, &batch, &pending, "pending rename") {
+    match adapt_both(&space, &view, &mv, &batch, &pending, "pending rename").0 {
         Err(BatchFailure::Broken(broken)) => {
             assert!(format!("{broken:?}").contains("\"C\""), "the read of C broke: {broken:?}")
         }
         other => panic!("expected the read of C to break, got {other:?}"),
     }
+}
+
+fn drop_attr(space: &mut SourceSpace, source: u32, relation: &str, attr: &str) -> UpdateMessage {
+    let sc = SchemaChange::DropAttribute { relation: relation.into(), attr: attr.into() };
+    space.commit(SourceId(source), SourceUpdate::Schema(sc)).expect("commits")
+}
+
+#[test]
+fn dropping_a_predicate_column_is_undefinable_on_both_ports() {
+    // `B.k2` is a join column and `C.c` a filter column; neither has a
+    // replacement, so no rewrite of the view exists, whatever the port.
+    for (source, relation, attr) in [(0, "B", "k2"), (1, "C", "c")] {
+        let mut space = space_with(&[[1, 1, 1, 0]], &[[1, 1, 1, 0]], &[[1, 1, 0]]);
+        let view = view(true);
+        let mv = materialized(&view, &space);
+        let batch = vec![
+            insert(&mut space, 0, "A", &[1, 1, 2, 0]),
+            drop_attr(&mut space, source, relation, attr),
+        ];
+        let ctx = format!("drop {relation}.{attr}");
+        match adapt_both(&space, &view, &mv, &batch, &[], &ctx) {
+            (Err(BatchFailure::Undefinable(e)), 0) => {
+                assert!(e.to_string().contains(&format!("{relation}.{attr}")), "{ctx}: {e}")
+            }
+            other => panic!("{ctx}: expected an undefinable view, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_re_sourced_column_is_recomputed_identically_on_both_ports() {
+    // The view joins `ReaderDigest` already, and the information space
+    // re-sources a dropped `Catalog.Review` from `ReaderDigest.Comments`:
+    // the output names survive but the values do not, so `V′` is no
+    // projection of `V` and both ports recompute it, the live one by
+    // shipping its relations.
+    use dyno::view::testkit::bookinfo_space;
+    let mut space = bookinfo_space();
+    let q = SpjQuery::over(["Catalog", "ReaderDigest"])
+        .select("Catalog", "Title")
+        .select("Catalog", "Review")
+        .join_eq(("Catalog", "Title"), ("ReaderDigest", "Article"))
+        .build();
+    let view = ViewDefinition::new("Reviews", q);
+    let mv = materialized(&view, &space);
+    let batch = vec![drop_attr(&mut space, 1, "Catalog", "Review")];
+    let (adapted, live_rows) = adapt_both(&space, &view, &mv, &batch, &[], "re-sourced");
+    let Ok(Adapted::Replaced { view: new_view, extent, .. }) = adapted else {
+        panic!("a re-sourced column recomputes, got {adapted:?}");
+    };
+    assert!(new_view.query.to_string().contains("ReaderDigest.Comments AS Review"));
+    assert_eq!(extent, extent_of(&new_view, &space), "eval(V′)");
+    assert_ne!(&extent, mv.extent(), "the column's values changed");
+    assert!(live_rows > 0, "the live port shipped its relations for the recompute");
 }

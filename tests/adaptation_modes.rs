@@ -1,9 +1,15 @@
-//! The incremental (Equation 6) adaptation path must be observationally
-//! equivalent to wholesale recomputation: for any shape-preserving workload,
+//! The incremental (Equation 6) and projected (from the held extent)
+//! adaptation answers must be observationally equivalent to wholesale
+//! recomputation: for any workload of data updates, renames and drops,
 //! both `AdaptationMode`s produce the same final view definition and extent;
-//! incremental is used exactly when applicable.
+//! incremental is used exactly when applicable; and on a port that answers
+//! its reads live, schema-change rounds ship no rows at all.
 
+mod common;
+
+use common::ShipCounter;
 use dyno::core::Strategy;
+use dyno::obs::Collector;
 use dyno::prelude::*;
 use dyno::sim::{build_testbed, check_convergence, EventKind};
 use dyno::view::AdaptationMode;
@@ -70,4 +76,45 @@ fn auto_uses_incremental_for_renames() {
     let (mgr, port) = run_with_mode(&timeline, 7, AdaptationMode::Auto);
     assert!(mgr.stats(0).incremental_batches >= 1, "stats: {:?}", mgr.stats(0));
     assert!(check_convergence(port.space(), mgr.view(0), mgr.mv(0)).unwrap());
+}
+
+/// Rounds shaped like the `sc_storm` benchmark's — 16 data updates with a
+/// drop of a view column after the 5th and a relation rename after the
+/// 10th — against a port that answers its adaptation reads live. Once the
+/// view is initialized, no row leaves the sources: data updates are SWEEP's
+/// probes, renames Equation 6's, and each pruned column comes from the
+/// extent the warehouse already holds.
+#[test]
+fn a_live_port_ships_no_rows_through_schema_change_rounds() {
+    let cfg = TestbedConfig { tuples_per_relation: 40, ..Default::default() };
+    let (space, view) = build_testbed(&cfg);
+    let info = space.info().clone();
+    let mut gen = WorkloadGen::new(cfg, 11);
+    let obs = Collector::wall();
+    let mut port = ShipCounter::new(InProcessPort::new(space));
+    let mut wh = Warehouse::new(info, Strategy::Pessimistic).with_obs(obs.clone());
+    wh.add_view(view);
+    wh.initialize(&mut port).expect("testbed initializes");
+    port.shipped = 0;
+    for round in 0..12 {
+        for d in 0..16 {
+            let mut kinds = vec![EventKind::DataUpdate];
+            match d {
+                4 => kinds.push(EventKind::DropAttribute),
+                9 => kinds.push(EventKind::RenameRelation),
+                _ => {}
+            }
+            for kind in kinds {
+                let c = gen.event(0, kind);
+                port.port.commit(c.source, c.update).expect("workload is schema-consistent");
+            }
+        }
+        wh.run_to_quiescence(&mut port, 2_000).expect("quiesces");
+        let converged = check_convergence(port.port.space(), wh.view(0), wh.mv(0)).unwrap();
+        assert!(converged, "round {round}: the extent is eval(V′)");
+    }
+    assert_eq!(wh.view(0).output_cols().len(), 24 - 12, "every round pruned a column");
+    assert_eq!(port.shipped, 0, "rows shipped after initialize");
+    let projected = obs.registry().counter_value("va.projected").unwrap_or(0);
+    assert!(projected >= 1, "va.projected = {projected}");
 }

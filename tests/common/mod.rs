@@ -1,15 +1,16 @@
 //! Shared by the integration suites, each of which uses a part: the
 //! invariants every healthy [`run`] must satisfy (chaos, crash and
 //! multi-view suites), the summary lines `scripts/verify.sh` reads back to
-//! assert a suite was not a silent no-op, and [`ExecuteOnly`], the
-//! reference port of the hop and adaptation differential suites.
+//! assert a suite was not a silent no-op, [`ExecuteOnly`], the reference
+//! port of the hop and adaptation differential suites, and [`ShipCounter`],
+//! which counts the rows a live port ships.
 
 #![allow(dead_code)]
 
 use dyno::prelude::*;
-use dyno::relational::QueryResult;
+use dyno::relational::{QueryResult, ZSet};
 use dyno::sim::{run, Experiment, Report};
-use dyno::view::{BoundTable, MaintEvent};
+use dyno::view::{AdaptRead, BoundTable, HopRequest, MaintEvent};
 
 /// Runs `exp` and enforces termination, no hard error, per-view convergence
 /// and strong consistency at every commit and recovery; then appends the
@@ -106,5 +107,52 @@ impl<P: SourcePort> SourcePort for ExecuteOnly<P> {
     }
     fn on_maintenance_event(&mut self, event: MaintEvent) {
         self.0.on_maintenance_event(event);
+    }
+}
+
+/// An [`InProcessPort`] that counts the rows its `execute` returns: hops and
+/// adaptation reads are forwarded, so they answer live exactly as the
+/// wrapped port does, and `shipped` is what left the sources as whole rows.
+pub struct ShipCounter {
+    pub port: InProcessPort,
+    pub shipped: u64,
+}
+
+impl ShipCounter {
+    pub fn new(port: InProcessPort) -> Self {
+        ShipCounter { port, shipped: 0 }
+    }
+}
+
+impl SourcePort for ShipCounter {
+    fn now_ms(&self) -> u64 {
+        self.port.now_ms()
+    }
+    fn execute(
+        &mut self,
+        query: &SpjQuery,
+        bound: &[BoundTable],
+    ) -> Result<QueryResult, RelationalError> {
+        let result = self.port.execute(query, bound)?;
+        self.shipped += result.weight();
+        Ok(result)
+    }
+    fn hop(&mut self, req: &HopRequest<'_>) -> Result<ZSet, RelationalError> {
+        self.port.hop(req)
+    }
+    fn read_for_adaptation(&mut self, query: &SpjQuery) -> Result<AdaptRead, RelationalError> {
+        self.port.read_for_adaptation(query)
+    }
+    fn locate(&mut self, relation: &str) -> Option<SourceId> {
+        self.port.locate(relation)
+    }
+    fn source_version(&mut self, source: SourceId) -> u64 {
+        self.port.source_version(source)
+    }
+    fn charge_local(&mut self, tuples: u64) {
+        self.port.charge_local(tuples);
+    }
+    fn drain_arrivals(&mut self) -> Vec<UpdateMessage> {
+        self.port.drain_arrivals()
     }
 }
