@@ -279,9 +279,18 @@ fn bench_schema_change(h: &mut Harness) {
     });
     for (tuples, (info, view, mv, [du, sc], port)) in sizes.iter().zip(&mut batches) {
         h.bench(&format!("adapt_batch_rename/6x{tuples}"), || {
-            adapt_batch(view, mv, &[&*du, &*sc], &[], info, AdaptationMode::Auto, port)
-                .0
-                .expect("a rename batch adapts")
+            let auto = AdaptationMode::Auto;
+            adapt_batch(
+                (view, mv),
+                &[&*du, &*sc],
+                &[],
+                info,
+                auto,
+                port,
+                &dyno_obs::Collector::disabled(),
+            )
+            .0
+            .expect("a rename batch adapts")
         });
     }
     drop(batches);
@@ -300,9 +309,17 @@ fn bench_schema_change(h: &mut Harness) {
         ("adapt_batch_drop_recompute", AdaptationMode::RecomputeOnly),
     ] {
         h.bench(&format!("{row}/6x2000"), || {
-            adapt_batch(&view, &mv, &[&du, &sc], &[], &info, mode, &mut port)
-                .0
-                .expect("a drop batch adapts")
+            adapt_batch(
+                (&view, &mv),
+                &[&du, &sc],
+                &[],
+                &info,
+                mode,
+                &mut port,
+                &dyno_obs::Collector::disabled(),
+            )
+            .0
+            .expect("a drop batch adapts")
         });
     }
 }

@@ -89,13 +89,6 @@ impl SchemaChange {
         }
     }
 
-    /// True iff the change only *adds* capability (cannot invalidate any
-    /// existing view definition). Pre-exec detection can ignore such changes
-    /// when drawing concurrent-dependency edges.
-    pub fn is_purely_additive(&self) -> bool {
-        matches!(self, SchemaChange::AddAttribute { .. } | SchemaChange::CreateRelation { .. })
-    }
-
     /// True iff applying this change invalidates a reference to
     /// `relation.attr` (used to decide whether a view definition that uses
     /// that column is affected).

@@ -187,19 +187,6 @@ impl QueryResult {
         QueryResult { cols, rows: ZSet::new() }
     }
 
-    /// Converts into a [`Delta`] over `schema`, verifying column names align
-    /// positionally.
-    pub fn into_delta(self, schema: Schema) -> Result<Delta, RelationalError> {
-        if schema.arity() != self.cols.len() {
-            return Err(RelationalError::ArityMismatch {
-                relation: schema.relation.clone(),
-                expected: schema.arity(),
-                got: self.cols.len(),
-            });
-        }
-        Delta::from_rows(schema, self.rows.iter().map(|(t, c)| (t.clone(), c)))
-    }
-
     /// Total row weight.
     pub fn weight(&self) -> u64 {
         self.rows.weight()

@@ -161,11 +161,6 @@ impl ReplicaEngine {
         self.n
     }
 
-    /// The conflict-register count (distinct `(view, key)` pairs written).
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
-    }
-
     /// The delivery floor for messages from `origin` (contiguously resolved).
     pub fn delivered(&self, origin: u16) -> u64 {
         self.inbox.delivered(origin as u32)

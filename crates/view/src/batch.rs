@@ -13,7 +13,7 @@
 //!    schema changes interleave them (the paper's example: `insert (3,4)`,
 //!    `drop first attribute`, `insert (5)` — homogenized to
 //!    `insert (4),(5)`); [`homogenize_delta`] maps each delta through the
-//!    composed changes into the final schema;
+//!    changes that follow it in the batch into the final schema;
 //! 4. *adapt*: compute the new extent. One shape test (`classify`) holds
 //!    `V′` against `V` synchronized through the batch's renames alone and
 //!    picks one of three answers:
@@ -31,29 +31,32 @@
 //!      re-sourced attributes): `V′` evaluated over the batch-point source
 //!      states wholesale.
 //!
-//!    Every answer reads through real (breakable!) maintenance queries and
-//!    takes the effect of *pending-but-unprocessed* concurrent data updates
-//!    back out locally — the same compensation idea SWEEP uses. The
-//!    recompute ships every extent; the other two ship one only when the
-//!    port answers its read that way ([`SourcePort::read_for_adaptation`]),
-//!    and otherwise hop to the live relation and compensate each answer.
+//!    Every answer finishes from one batch-point read: each relation of
+//!    `V′`, in FROM order, through a real (breakable!) maintenance query
+//!    ([`SourcePort::read_for_adaptation`]). A shipped read is rolled back
+//!    past the *pending-but-unprocessed* concurrent data updates; a relation
+//!    read live is reached by Equation 6 hops instead, which walk SWEEP's
+//!    hop chain and take the pending updates back out through SWEEP's
+//!    compensation set — one step for both algorithms, by bilinearity. The
+//!    recompute ships whatever the read did not.
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use dyno_obs::{OpPhase, Profiler};
+use dyno_obs::{field, Capture, Collector, Level, OpPhase, Profiler};
 use dyno_relational::exec::{RelationProvider, TableSlice};
 use dyno_relational::{
-    delta_project, ColRef, DataUpdate, Delta, Predicate, ProjItem, QueryResult, RelationalError,
-    Schema, SchemaChange, SourceUpdate, SpjQuery, ZSet,
+    delta_project, ColRef, Delta, Predicate, ProjItem, QueryResult, RelationalError, Schema,
+    SchemaChange, SourceUpdate, SpjQuery, ZSet,
 };
-use dyno_source::{UpdateId, UpdateMessage};
+use dyno_source::{InfoSpace, UpdateId, UpdateMessage};
 
 use crate::engine::{schema_from_bag, AdaptRead, HopRequest, LocalProvider, SourcePort};
 use crate::mview::MaterializedView;
 use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
-use crate::vm::{compensate, profiler, seed_delta, MaintFailure, ViewDelta};
+use crate::vm::{
+    compensate, hop_chain, profiler, seed_delta, Compensation, MaintFailure, ViewDelta,
+};
 use crate::vs::{renamed_col, renamed_relation, synchronize_all, VsError};
 
 /// The result of adapting the view for one (possibly merged) batch.
@@ -122,51 +125,48 @@ impl From<MaintFailure> for BatchFailure {
     }
 }
 
-/// Adapts the view through a batch of updates.
+/// Adapts the view through a batch of updates, under a `va.adapt` span that
+/// reports which adaptation answer was taken (`va.mode` event,
+/// `va.incremental`/`va.projected`/`va.recompute` counters) and surfaces
+/// broken maintenance queries as `va.broken_query` warning events.
 ///
-/// * `mv` — the view's extent as it stands before the batch (`V` at the
-///   state the view reflects); borrowed, and read only when `V′` is a
-///   projection of `V` and the port answers every read live.
-/// * `pending` — received-but-unprocessed messages *excluding* this batch.
+/// * `(view, mv)` — the view's definition and its extent as it stands
+///   before the batch (`V` at the state the view reflects); the extent is
+///   read only when `V′` is a projection of `V` and the port answers every
+///   read live.
+/// * `pending` — received-but-unprocessed messages *excluding* this batch:
+///   the compensation set, borrowed.
 /// * Returns the adaptation plus any messages that arrived during the
 ///   maintenance queries (to be enqueued by the caller).
 pub fn adapt_batch(
-    view: &ViewDefinition,
-    mv: &MaterializedView,
-    batch: &[&UpdateMessage],
-    pending: &[UpdateMessage],
-    info: &dyno_source::InfoSpace,
-    mode: AdaptationMode,
-    port: &mut dyn SourcePort,
-) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
-    let pending: Vec<&UpdateMessage> = pending.iter().collect();
-    let mut drained = Vec::new();
-    let prof = Profiler::default();
-    let result = adapt_inner(view, mv, batch, &pending, info, mode, port, &mut drained, prof);
-    (result.map(|(adapted, _)| adapted), drained)
-}
-
-/// [`adapt_batch`] over a borrowed `pending` set and under a `va.adapt` span:
-/// reports which adaptation answer was taken per batch (`va.mode` event,
-/// `va.incremental`/`va.projected`/`va.recompute` counters) and surfaces
-/// broken maintenance queries as `va.broken_query` warning events.
-#[allow(clippy::too_many_arguments)]
-pub fn adapt_batch_observed(
-    view: &ViewDefinition,
-    mv: &MaterializedView,
+    (view, mv): (&ViewDefinition, &MaterializedView),
     batch: &[&UpdateMessage],
     pending: &[&UpdateMessage],
-    info: &dyno_source::InfoSpace,
+    info: &InfoSpace,
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
-    obs: &dyno_obs::Collector,
+    obs: &Collector,
 ) -> (Result<Adapted, BatchFailure>, Vec<UpdateMessage>) {
-    use dyno_obs::{field, Capture, Level};
     let _span =
         obs.span("va.adapt", &[field("updates", batch.len()), field("pending", pending.len())]);
     let prof = profiler(obs, &view.name, "batch");
-    let mut drained = Vec::new();
-    let result = adapt_inner(view, mv, batch, pending, info, mode, port, &mut drained, prof);
+    let batch_ids: Vec<UpdateId> = batch.iter().map(|m| m.id).collect();
+    let mut comp = Compensation::new(pending, &batch_ids);
+    // Steps 1 and 2: compose the batch's schema changes (in commit order —
+    // the batch preserves queue order, which preserves per-source commit
+    // order) and rewrite the view definition through them.
+    let composed = dyno_relational::compose(schema_changes(batch));
+    let result = match synchronize_all(view, &composed, info) {
+        Err(e) => Err(BatchFailure::Undefinable(e)),
+        Ok(new_view) => {
+            port.charge_local(composed.len() as u64);
+            let shape = match mode {
+                AdaptationMode::Auto => classify(view, mv, &new_view, &composed),
+                AdaptationMode::RecomputeOnly => Shape::Other,
+            };
+            answer(new_view, shape, batch, &mut comp, port, prof)
+        }
+    };
     match &result {
         Ok((_, answer)) => {
             let (counter, mode) = match answer {
@@ -185,7 +185,7 @@ pub fn adapt_batch_observed(
         }
         Err(_) => {}
     }
-    (result.map(|(adapted, _)| adapted), drained)
+    (result.map(|(adapted, _)| adapted), comp.into_drained())
 }
 
 /// Which of the three adaptation answers produced an [`Adapted`].
@@ -200,12 +200,12 @@ enum Answer {
 
 /// What the batch did to the view's shape, judged by holding `V′` against
 /// `V` synchronized through the batch's renames alone (`renamed`).
-enum Shape {
+enum Shape<'m> {
     /// Same FROM list, WHERE clause and SELECT list.
     Same,
     /// Same FROM list and WHERE clause; `V′`'s SELECT list is a
-    /// sub-sequence of `V`'s, at these positions.
-    Projected(Vec<usize>),
+    /// sub-sequence of `V`'s, at these positions of the held extent.
+    Projected(&'m ZSet, Vec<usize>),
     /// Anything else: a relation dropped or replaced, a column re-sourced.
     Other,
 }
@@ -217,12 +217,12 @@ enum Shape {
 /// replacement is always [`Shape::Other`]: a replacement may reuse the
 /// dropped relation's name, keeping the text of `V′` while replacing its
 /// rows. So is an extent whose columns are not `V`'s.
-fn classify(
+fn classify<'m>(
     view: &ViewDefinition,
-    mv: &MaterializedView,
+    mv: &'m MaterializedView,
     new_view: &ViewDefinition,
     composed: &[SchemaChange],
-) -> Shape {
+) -> Shape<'m> {
     let replaces = composed.iter().any(|c| {
         matches!(c, SchemaChange::DropRelation { .. } | SchemaChange::ReplaceRelations { .. })
     });
@@ -265,7 +265,7 @@ fn classify(
             None => return Shape::Other,
         }
     }
-    Shape::Projected(indices)
+    Shape::Projected(mv.extent(), indices)
 }
 
 /// Whether `new` and `old` are equally long and `eq` element by element.
@@ -273,108 +273,116 @@ fn pairwise<T>(new: &[T], old: &[T], eq: impl Fn(&T, &T) -> bool) -> bool {
     new.len() == old.len() && new.iter().zip(old).all(|(n, o)| eq(n, o))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn adapt_inner(
-    view: &ViewDefinition,
-    mv: &MaterializedView,
-    batch: &[&UpdateMessage],
-    pending: &[&UpdateMessage],
-    info: &dyno_source::InfoSpace,
-    mode: AdaptationMode,
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    prof: Profiler<'_>,
-) -> Result<(Adapted, Answer), BatchFailure> {
-    // Step 1: compose the batch's schema changes (in commit order — the
-    // batch preserves queue order, which preserves per-source commit order).
-    // Borrowed: a `ReplaceRelations` carries its whole replacement extent.
-    let schema_changes: Vec<&SchemaChange> = batch
-        .iter()
-        .filter_map(|m| match &m.update {
-            SourceUpdate::Schema(sc) => Some(sc),
-            SourceUpdate::Data(_) => None,
-        })
-        .collect();
-    let composed = dyno_relational::compose(schema_changes.iter().copied());
-
-    // Step 2: rewrite the view definition.
-    let new_view = synchronize_all(view, &composed, info).map_err(BatchFailure::Undefinable)?;
-    port.charge_local(composed.len() as u64);
-
-    let shape = match mode {
-        AdaptationMode::Auto => classify(view, mv, &new_view, &composed),
-        AdaptationMode::RecomputeOnly => Shape::Other,
-    };
-    let indices = match shape {
-        Shape::Same => {
-            let adapted =
-                adapt_incremental(&new_view, batch, &schema_changes, pending, port, drained, prof)?;
-            return Ok((adapted, Answer::Incremental));
-        }
-        Shape::Projected(indices) => Some(indices),
-        Shape::Other => None,
-    };
-    let projected = indices.as_deref().map(|indices| (mv.extent(), indices));
-    adapt_recompute(new_view, projected, batch, &schema_changes, pending, port, drained, prof)
+/// The batch's schema changes, in batch order. Borrowed: a
+/// `ReplaceRelations` carries its whole replacement extent.
+fn schema_changes<'a>(batch: &'a [&'a UpdateMessage]) -> impl Iterator<Item = &'a SchemaChange> {
+    batch.iter().filter_map(|m| match &m.update {
+        SourceUpdate::Schema(sc) => Some(sc),
+        SourceUpdate::Data(_) => None,
+    })
 }
 
-/// The recompute path: read every relation of `V′` at the batch point, in
-/// FROM order, and evaluate `V′` wholesale over the shipped states. Each
-/// read is a real maintenance query and may break. A relation the port
-/// answers live is shipped with `execute` afterwards; a port that ships
-/// its reads pays exactly the recompute's queries.
-///
-/// `projected` is the extent and the positions `V′` keeps of it when `V′`
-/// is a projection of `V`. If the port answered every read live, `V′` then
-/// comes from that extent ([`adapt_from_extent`]) and nothing ships.
-#[allow(clippy::too_many_arguments)]
-fn adapt_recompute(
+/// Step 4: reads the batch point once and finishes the answer `shape` picks
+/// from that read. The incremental answer homogenizes the batch's deltas
+/// before the read; the projected one after it, and only once every read
+/// answered live — a port that ships its reads recomputes instead, paying
+/// exactly the recompute's queries and charges.
+fn answer(
     new_view: ViewDefinition,
-    projected: Option<(&ZSet, &[usize])>,
+    shape: Shape<'_>,
     batch: &[&UpdateMessage],
-    schema_changes: &[&SchemaChange],
-    pending: &[&UpdateMessage],
+    comp: &mut Compensation<'_>,
     port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
     prof: Profiler<'_>,
 ) -> Result<(Adapted, Answer), BatchFailure> {
-    let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
-    let tables = &new_view.query.tables;
-    let mut reads = Vec::with_capacity(tables.len());
-    for table in tables {
-        let q = adaptation_query(&new_view, table);
-        let read = read_batch_point(&q, table, &batch_ids, pending, port, drained)?;
-        reads.push((q, read));
+    if let Shape::Same = shape {
+        let deltas = batch_deltas(&new_view, batch, port)?;
+        let reads = read_batch_point(&new_view, comp, port)?;
+        let rows = equation6_from(&new_view.query, deltas, reads, comp, port, prof)?;
+        let delta = ViewDelta { cols: new_view.output_cols(), rows };
+        return Ok((Adapted::Incremental { view: new_view, delta }, Answer::Incremental));
     }
-    if let Some((extent, indices)) = projected.filter(|_| reads.iter().all(|r| r.1.is_none())) {
-        let adapted = adapt_from_extent(
-            new_view,
-            extent,
-            indices,
-            batch,
-            schema_changes,
-            pending,
-            port,
-            drained,
-            prof,
-        )?;
-        return Ok((adapted, Answer::Projected));
+    let reads = read_batch_point(&new_view, comp, port)?;
+    match shape {
+        Shape::Projected(extent, indices) if reads.iter().all(|(_, state)| state.is_none()) => {
+            // `V′` keeps `V`'s FROM list and WHERE clause and selects a
+            // sub-sequence of its columns, so at the state the extent
+            // reflects, `V′` *is* the extent projected; `ΔV′` is Equation 6
+            // over `V′`, every hop live. The result is a whole extent, as a
+            // recompute's is, so the commit, the log and peer replicas see a
+            // `Replaced`.
+            let deltas = batch_deltas(&new_view, batch, port)?;
+            let dv = equation6_from(&new_view.query, deltas, reads, comp, port, prof)?;
+            let mut rows = extent.project(&indices);
+            rows.merge(&dv);
+            if !rows.is_non_negative() {
+                return Err(BatchFailure::Internal(RelationalError::InvalidQuery {
+                    reason: "projected view extent has negative multiplicities".into(),
+                }));
+            }
+            let cols = new_view.output_cols();
+            Ok((Adapted::Replaced { view: new_view, cols, extent: rows }, Answer::Projected))
+        }
+        _ => recompute(new_view, reads, comp, port).map(|adapted| (adapted, Answer::Recompute)),
     }
+}
 
+/// One relation of `V′` read at the batch point: its adaptation query, and
+/// the shipped state rolled back to the batch point (`None` when the port
+/// answered live).
+type Read = (SpjQuery, Option<(Schema, ZSet)>);
+
+/// The batch-point read every answer finishes from: each relation of `V′`,
+/// in FROM order, through [`SourcePort::read_for_adaptation`] — a real
+/// maintenance query, which may break. A shipped answer comes back rolled
+/// back past pending updates to the batch point. A live answer ships
+/// nothing; its pending updates are only checked to project onto the read's
+/// columns (the one way the rollback fails), so it breaks where a shipped
+/// read would.
+fn read_batch_point(
+    new_view: &ViewDefinition,
+    comp: &mut Compensation<'_>,
+    port: &mut dyn SourcePort,
+) -> Result<Vec<Read>, BatchFailure> {
+    let mut reads = Vec::with_capacity(new_view.query.tables.len());
+    for table in &new_view.query.tables {
+        let q = adaptation_query(new_view, table);
+        let state = match port.read_for_adaptation(&q).map_err(|e| read_failure(&q, e))? {
+            AdaptRead::Shipped(fetched) => Some(roll_back_pending(table, fetched, comp, port)?),
+            AdaptRead::Live => {
+                for du in comp.of(port, table) {
+                    for p in &q.projection {
+                        du.delta.schema().require(&p.output).map_err(classify_rollback_error)?;
+                    }
+                }
+                None
+            }
+        };
+        reads.push((q, state));
+    }
+    Ok(reads)
+}
+
+/// The recompute answer: `V′` evaluated wholesale over the batch-point
+/// states. A relation the port answered live is shipped now, with `execute`,
+/// and rolled back as a shipped read is.
+fn recompute(
+    new_view: ViewDefinition,
+    reads: Vec<Read>,
+    comp: &mut Compensation<'_>,
+    port: &mut dyn SourcePort,
+) -> Result<Adapted, BatchFailure> {
     let mut states = LocalProvider::new();
-    for (table, (q, read)) in tables.iter().zip(reads) {
-        let (schema, rows) = match read {
+    for (table, (q, state)) in new_view.query.tables.iter().zip(reads) {
+        let (schema, rows) = match state {
             Some(state) => state,
             None => {
                 let fetched = port.execute(&q, &[]).map_err(|e| read_failure(&q, e))?;
-                drained.extend(port.drain_arrivals());
-                roll_back_pending(table, fetched, &batch_ids, pending, drained, port)?
+                roll_back_pending(table, fetched, comp, port)?
             }
         };
         states.insert(schema, rows);
     }
-
-    // Evaluate V′ over the batch-point states.
     let result = dyno_relational::eval(&new_view.query, &states).map_err(BatchFailure::Internal)?;
     port.charge_local(result.weight());
     if !result.rows.is_non_negative() {
@@ -382,56 +390,7 @@ fn adapt_recompute(
             reason: "recomputed view extent has negative multiplicities".into(),
         }));
     }
-    let adapted = Adapted::Replaced { view: new_view, cols: result.cols, extent: result.rows };
-    Ok((adapted, Answer::Recompute))
-}
-
-/// The projected answer, `V′ = π(V) + ΔV′`, once every relation of `V′`
-/// has answered its read live. `V′` keeps `V`'s FROM list and WHERE clause
-/// and selects a sub-sequence of its columns, so at the state the extent
-/// reflects, `V′` *is* the extent projected onto `indices`; `ΔV′` is
-/// Equation 6 over `V′` and the batch's homogenized deltas, every hop live.
-/// The result is a whole extent, as a recompute's is, so the commit, the
-/// log and peer replicas see a `Replaced`.
-#[allow(clippy::too_many_arguments)]
-fn adapt_from_extent(
-    new_view: ViewDefinition,
-    extent: &ZSet,
-    indices: &[usize],
-    batch: &[&UpdateMessage],
-    schema_changes: &[&SchemaChange],
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    prof: Profiler<'_>,
-) -> Result<Adapted, BatchFailure> {
-    let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
-    let mut deltas = batch_deltas(&new_view, batch, schema_changes, port)?;
-    for table in &new_view.query.tables {
-        if let Some(delta) = deltas.get_mut(table) {
-            let cols = read_cols(&adaptation_query(&new_view, table));
-            *delta = delta.project_to(&cols).map_err(classify_rollback_error)?;
-        }
-    }
-    let nothing_shipped = HashMap::new();
-    let dv = batch_equation6(
-        &new_view.query,
-        &deltas,
-        &nothing_shipped,
-        &batch_ids,
-        pending,
-        port,
-        drained,
-        prof,
-    )?;
-    let mut rows = extent.project(indices);
-    rows.merge(&dv.rows);
-    if !rows.is_non_negative() {
-        return Err(BatchFailure::Internal(RelationalError::InvalidQuery {
-            reason: "projected view extent has negative multiplicities".into(),
-        }));
-    }
-    Ok(Adapted::Replaced { cols: new_view.output_cols(), view: new_view, extent: rows })
+    Ok(Adapted::Replaced { view: new_view, cols: result.cols, extent: result.rows })
 }
 
 /// The adaptation read of one relation of `V′`: its single-table projection
@@ -449,133 +408,25 @@ fn read_failure(q: &SpjQuery, e: RelationalError) -> BatchFailure {
     BatchFailure::from(MaintFailure::from_query(|| q.clone(), e))
 }
 
-/// The output columns of an adaptation read: the relation's plain names.
-fn read_cols(q: &SpjQuery) -> Vec<String> {
-    q.projection.iter().map(|p| p.output.clone()).collect()
-}
-
-/// Issues the adaptation read `q` of `table`
-/// ([`SourcePort::read_for_adaptation`]). A shipped answer comes back
-/// rolled back past pending updates to the batch point. A live answer ships
-/// nothing and comes back `None`; its pending updates are only checked to
-/// project onto the read's columns (the one way the rollback fails), so it
-/// breaks where a shipped read would.
-fn read_batch_point(
-    q: &SpjQuery,
-    table: &str,
-    batch_ids: &[UpdateId],
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-) -> Result<Option<(Schema, ZSet)>, BatchFailure> {
-    let read = port.read_for_adaptation(q).map_err(|e| read_failure(q, e))?;
-    drained.extend(port.drain_arrivals());
-    match read {
-        AdaptRead::Shipped(fetched) => {
-            roll_back_pending(table, fetched, batch_ids, pending, drained, port).map(Some)
-        }
-        AdaptRead::Live => {
-            for du in pending_of(table, batch_ids, pending, drained) {
-                for p in &q.projection {
-                    du.delta.schema().require(&p.output).map_err(classify_rollback_error)?;
-                }
-            }
-            Ok(None)
-        }
-    }
-}
-
 /// Rolls rows shipped at the sources' current state back to the batch point
 /// by subtracting pending non-batch data updates (anomaly-type-(2)
 /// compensation). The batch's own effects — its data updates and committed
-/// schema changes — remain included.
+/// schema changes — remain included. The fetch projects to the view's
+/// referenced columns, so the state's attribute names are the plain source
+/// names.
 fn roll_back_pending(
     table: &str,
     fetched: QueryResult,
-    batch_ids: &[UpdateId],
-    pending: &[&UpdateMessage],
-    drained: &[UpdateMessage],
+    comp: &mut Compensation<'_>,
     port: &mut dyn SourcePort,
 ) -> Result<(Schema, ZSet), BatchFailure> {
     let mut rows = fetched.rows;
-    for du in pending_of(table, batch_ids, pending, drained) {
+    for du in comp.of(port, table) {
         let projected = du.delta.project_to(&fetched.cols).map_err(classify_rollback_error)?;
         port.charge_local(projected.weight());
         rows.merge_negated(projected.rows());
     }
-    Ok((narrow_schema(table, &fetched.cols, &rows), rows))
-}
-
-/// The data updates to `table` that are pending (queued, or drained during
-/// this adaptation) and not in the batch: what the sources' current state
-/// holds beyond the batch point.
-fn pending_of<'a>(
-    table: &'a str,
-    batch_ids: &'a [UpdateId],
-    pending: &'a [&'a UpdateMessage],
-    drained: &'a [UpdateMessage],
-) -> impl Iterator<Item = &'a DataUpdate> + 'a {
-    pending.iter().copied().chain(drained).filter(|m| !batch_ids.contains(&m.id)).filter_map(
-        move |m| match &m.update {
-            SourceUpdate::Data(du) if du.relation == table => Some(du),
-            _ => None,
-        },
-    )
-}
-
-/// The incremental path (paper Section 5 + Equation 6): homogenize the
-/// batch's data updates into the final schema, derive per-relation deltas,
-/// read every relation of `V′` at the batch point, and compute `ΔV` by
-/// Equation 6 — over old states rolled back from shipped extents, or by
-/// compensated hops to relations the port answers live.
-fn adapt_incremental(
-    new_view: &ViewDefinition,
-    batch: &[&UpdateMessage],
-    schema_changes: &[&SchemaChange],
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    prof: Profiler<'_>,
-) -> Result<Adapted, BatchFailure> {
-    let batch_ids: Vec<_> = batch.iter().map(|m| m.id).collect();
-    let batch_deltas = batch_deltas(new_view, batch, schema_changes, port)?;
-
-    // Read every relation at the batch point, in FROM order, and project the
-    // batch's deltas to the referenced columns. A shipped read is rolled back
-    // past pending updates and then past the batch's own delta: the *old*
-    // state Equation 6 hops over. Hops to a live read go to the port, and
-    // `live_hop` compensates their answers.
-    let mut shipped: HashMap<String, (Schema, ZSet)> = HashMap::new();
-    let mut deltas: HashMap<String, Delta> = HashMap::new();
-    for table in &new_view.query.tables {
-        let q = adaptation_query(new_view, table);
-        let mut old = read_batch_point(&q, table, &batch_ids, pending, port, drained)?;
-        if let Some(delta) = batch_deltas.get(table) {
-            let projected = delta.project_to(&read_cols(&q)).map_err(classify_rollback_error)?;
-            if let Some((_, rows)) = &mut old {
-                rows.merge_negated(projected.rows());
-            }
-            deltas.insert(table.clone(), projected);
-        }
-        if let Some(state) = old {
-            shipped.insert(table.clone(), state);
-        }
-    }
-
-    let dv = batch_equation6(
-        &new_view.query,
-        &deltas,
-        &shipped,
-        &batch_ids,
-        pending,
-        port,
-        drained,
-        prof,
-    )?;
-    Ok(Adapted::Incremental {
-        view: new_view.clone(),
-        delta: ViewDelta { cols: new_view.output_cols(), rows: dv.rows },
-    })
+    Ok((schema_from_bag(table, &fetched.cols, &rows), rows))
 }
 
 /// The batch's data updates, homogenized and grouped by final relation
@@ -584,99 +435,97 @@ fn adapt_incremental(
 /// Each delta must be mapped through the *raw* schema changes that follow it
 /// in the batch (batch order preserves per-source commit order): the
 /// composed sequence has collapsed away intermediate relation names that
-/// deltas committed mid-chain still carry. `schema_changes` holds the
-/// batch's changes in order, so "those that follow" is a suffix of it.
+/// deltas committed mid-chain still carry.
 fn batch_deltas(
     new_view: &ViewDefinition,
     batch: &[&UpdateMessage],
-    schema_changes: &[&SchemaChange],
     port: &mut dyn SourcePort,
 ) -> Result<HashMap<String, Delta>, BatchFailure> {
     let mut batch_deltas: HashMap<String, Delta> = HashMap::new();
-    let mut scs_before = 0;
-    for m in batch {
-        match &m.update {
-            SourceUpdate::Schema(_) => scs_before += 1,
-            SourceUpdate::Data(du) => {
-                let homogenized = homogenize_through(&du.delta, &schema_changes[scs_before..])
-                    .map_err(BatchFailure::Internal)?;
-                port.charge_local(homogenized.weight());
-                let name = homogenized.schema().relation.clone();
-                if !new_view.references_relation(&name) {
-                    continue; // irrelevant to this view
-                }
-                match batch_deltas.entry(name) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(&homogenized).map_err(BatchFailure::Internal)?;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(homogenized);
-                    }
-                }
+    for (i, m) in batch.iter().enumerate() {
+        let SourceUpdate::Data(du) = &m.update else { continue };
+        let homogenized = homogenize_delta(&du.delta, schema_changes(&batch[i + 1..]))
+            .map_err(BatchFailure::Internal)?;
+        port.charge_local(homogenized.weight());
+        let name = homogenized.schema().relation.clone();
+        if !new_view.references_relation(&name) {
+            continue; // irrelevant to this view
+        }
+        match batch_deltas.entry(name) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                e.get_mut().merge(&homogenized).map_err(BatchFailure::Internal)?;
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(homogenized);
             }
         }
     }
     Ok(batch_deltas)
 }
 
-/// `ΔV′` by Equation 6 over the batch's projected `deltas`: a hop to a
-/// relation in `shipped` runs over its old state there, every other hop goes
-/// live to the port and is compensated.
-#[allow(clippy::too_many_arguments)]
-fn batch_equation6(
+/// `ΔV′` by Equation 6 from the batch-point `reads`, each of the batch's
+/// `deltas` projected onto its read's columns. A shipped read, rolled back
+/// past its delta too, is the *old* state that relation's hops run over;
+/// every other hop goes live to the port and is compensated.
+fn equation6_from(
     query: &SpjQuery,
-    deltas: &HashMap<String, Delta>,
-    shipped: &HashMap<String, (Schema, ZSet)>,
-    batch_ids: &[UpdateId],
-    pending: &[&UpdateMessage],
+    mut deltas: HashMap<String, Delta>,
+    reads: Vec<Read>,
+    comp: &mut Compensation<'_>,
     port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
     prof: Profiler<'_>,
-) -> Result<QueryResult, BatchFailure> {
-    prof.invocation();
-    let deltas: HashMap<&str, TableSlice<'_>> =
-        deltas.iter().map(|(t, d)| (t.as_str(), d.into())).collect();
-    let old_states = OldStates(shipped);
-    let dv = equation6_chain(
-        query,
-        &deltas,
-        |hop, delta_j, ahead| {
-            if shipped.contains_key(hop.target) {
-                shipped_hop(&old_states, hop, delta_j, ahead).map_err(BatchFailure::Internal)
-            } else {
-                live_hop(hop, delta_j, ahead, batch_ids, pending, port, drained)
+) -> Result<ZSet, BatchFailure> {
+    let mut shipped: HashMap<String, (Schema, ZSet)> = HashMap::new();
+    for (table, (q, mut state)) in query.tables.iter().zip(reads) {
+        if let Some(delta) = deltas.get_mut(table) {
+            let cols: Vec<String> = q.projection.iter().map(|p| p.output.clone()).collect();
+            *delta = delta.project_to(&cols).map_err(classify_rollback_error)?;
+            if let Some((_, rows)) = &mut state {
+                rows.merge_negated(delta.rows());
             }
-        },
-        BatchFailure::Internal,
-        prof,
-    )?;
+        }
+        if let Some(state) = state {
+            shipped.insert(table.clone(), state);
+        }
+    }
+    prof.invocation();
+    let slices: HashMap<&str, TableSlice<'_>> =
+        deltas.iter().map(|(t, d)| (t.as_str(), d.into())).collect();
+    let old_states = OldStates(&shipped);
+    let hop_rows = |hop: &HopRequest<'_>, delta_j: Option<TableSlice<'_>>, ahead| {
+        if shipped.contains_key(hop.target) {
+            return shipped_hop(&old_states, hop, delta_j, ahead).map_err(BatchFailure::Internal);
+        }
+        // A live hop probes the batch point plus every pending update: `comp`
+        // takes those back out, and when `Rⱼ` follows `Rᵢ` and so joins at
+        // its old state, the batch's own `ΔRⱼ` goes too. By bilinearity this
+        // equals `shipped_hop` over the rolled-back extent.
+        let mut rows = comp.hop(port, hop, Profiler::default(), 0)?;
+        if let (false, Some(delta_j)) = (ahead, delta_j) {
+            rows.merge_negated(&compensate(hop, delta_j).map_err(BatchFailure::Internal)?);
+        }
+        Ok(rows)
+    };
+    let dv = equation6_chain(query, &slices, hop_rows, BatchFailure::Internal, prof)?;
     port.charge_local(dv.weight());
-    Ok(dv)
+    Ok(dv.rows)
 }
 
-/// Homogenizes a data update's delta through a composed schema-change
-/// sequence (paper Section 5): relation and attribute renames are followed,
-/// dropped attributes are projected out, and attributes added later are
-/// filled with their declared defaults — so deltas committed under different
-/// schema versions become union-compatible in the final schema.
-pub fn homogenize_delta(
-    delta: &dyno_relational::Delta,
-    composed: &[SchemaChange],
-) -> Result<dyno_relational::Delta, RelationalError> {
-    homogenize_through(delta, composed)
-}
-
-/// [`homogenize_delta`] over changes owned or borrowed (`&[SchemaChange]`,
-/// or the `&[&SchemaChange]` suffix the batch path hands each data update).
-fn homogenize_through<C: Borrow<SchemaChange>>(
-    delta: &dyno_relational::Delta,
-    changes: &[C],
-) -> Result<dyno_relational::Delta, RelationalError> {
+/// Homogenizes a data update's delta through a schema-change sequence —
+/// composed, or the raw changes that follow it in its batch (paper
+/// Section 5): relation and attribute renames are followed, dropped
+/// attributes are projected out, and attributes added later are filled with
+/// their declared defaults — so deltas committed under different schema
+/// versions become union-compatible in the final schema.
+pub fn homogenize_delta<'c>(
+    delta: &Delta,
+    changes: impl IntoIterator<Item = &'c SchemaChange>,
+) -> Result<Delta, RelationalError> {
     let mut name = delta.schema().relation.clone();
     let mut schema = delta.schema().clone();
     let mut rows = delta.rows().clone();
     for change in changes {
-        match change.borrow() {
+        match change {
             SchemaChange::RenameRelation { from, to } if *from == name => {
                 name = to.clone();
                 schema = schema.renamed(to.clone());
@@ -709,7 +558,7 @@ fn homogenize_through<C: Borrow<SchemaChange>>(
             _ => {}
         }
     }
-    dyno_relational::Delta::from_rows(schema, rows.iter().map(|(t, c)| (t.clone(), c)))
+    Delta::from_rows(schema, rows.iter().map(|(t, c)| (t.clone(), c)))
 }
 
 /// Rollback projection failures: a missing attribute means a concurrent
@@ -720,13 +569,6 @@ fn classify_rollback_error(e: RelationalError) -> BatchFailure {
     } else {
         BatchFailure::Internal(e)
     }
-}
-
-/// Builds the schema of a fetched, projected state (the fetch projects to
-/// the view's referenced columns, so attribute names are the plain source
-/// names).
-fn narrow_schema(table: &str, cols: &[String], rows: &ZSet) -> Schema {
-    schema_from_bag(table, cols, rows)
 }
 
 /// Paper Equation 6: the incremental delta of an n-way join view given, for
@@ -806,7 +648,7 @@ pub fn equation6_delta(
 
 /// Equation 6 as one SWEEP chain per changed relation `Rᵢ`: its
 /// [`MaintPlan`], `ΔRᵢ` seeded through the plan's local selection and
-/// projection, one hop per other relation, the final projection. `hop_rows`
+/// projection, the plan's hop chain, the final projection. `hop_rows`
 /// answers each hop with the target's rows term `i` needs, given `ΔRⱼ` when
 /// the target changed and whether it precedes `Rᵢ` in FROM order (then it
 /// joins at its new state, otherwise at its old). Each term is an
@@ -830,16 +672,12 @@ fn equation6_chain<E>(
         };
         let window = prof.start(|| delta_i.rows.distinct_len());
         let plan = MaintPlan::for_query(query, table_i).map_err(&internal)?;
-        let mut d_rows = seed_delta(&plan, delta_i, Profiler::default()).map_err(&internal)?;
-        for step in &plan.steps {
-            if d_rows.is_empty() {
-                break; // an empty intermediate joins to empty
-            }
-            let ahead = tables[..i].contains(&step.target);
-            let rows = hop_rows(&step.request(&d_rows), changed(&step.target), ahead)?;
-            d_rows = rows;
-        }
-        let term = delta_project(&d_rows, &plan.final_indices);
+        let seed = seed_delta(&plan, delta_i, Profiler::default()).map_err(&internal)?;
+        let ahead = |target: &str| tables[..i].iter().any(|t| t == target);
+        let d_rows = hop_chain(&plan, 0, seed, |hop, _| {
+            hop_rows(hop, changed(hop.target), ahead(hop.target))
+        })?;
+        let term = delta_project(&d_rows.unwrap_or_default(), &plan.final_indices);
         let step = (i + 1) as u32;
         prof.finish(window, step, OpPhase::Adapt, "eq6_term", table_i, || term.distinct_len());
         total.rows.merge(&term);
@@ -859,36 +697,6 @@ fn shipped_hop(
     let mut rows = hop.answer(old)?;
     if let (true, Some(delta_j)) = (ahead, delta_j) {
         rows.merge(&compensate(hop, delta_j)?);
-    }
-    Ok(rows)
-}
-
-/// A hop to a relation the port answers live: a probe of its current state,
-/// which is the batch point plus every pending update (queued, or arrived
-/// meanwhile). Each pending data update is compensated out at hop width, as
-/// SWEEP does; and when `Rⱼ` follows `Rᵢ` and so joins at its old state, the
-/// batch's own `ΔRⱼ` too. By bilinearity this equals [`shipped_hop`] over
-/// the rolled-back extent.
-fn live_hop(
-    hop: &HopRequest<'_>,
-    delta_j: Option<TableSlice<'_>>,
-    ahead: bool,
-    batch_ids: &[UpdateId],
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-) -> Result<ZSet, BatchFailure> {
-    let mut rows = port
-        .hop(hop)
-        .map_err(|e| BatchFailure::from(MaintFailure::from_query(|| hop.query(), e)))?;
-    drained.extend(port.drain_arrivals());
-    for du in pending_of(hop.target, batch_ids, pending, drained) {
-        let comp = compensate(hop, (&du.delta).into()).map_err(classify_rollback_error)?;
-        port.charge_local(comp.weight() + du.delta.weight());
-        rows.merge_negated(&comp);
-    }
-    if let (false, Some(delta_j)) = (ahead, delta_j) {
-        rows.merge_negated(&compensate(hop, delta_j).map_err(BatchFailure::Internal)?);
     }
     Ok(rows)
 }
@@ -913,6 +721,10 @@ mod tests {
     use crate::testkit::*;
     use dyno_relational::{Tuple, Value};
     use dyno_source::SourceId;
+
+    fn off() -> Collector {
+        Collector::disabled()
+    }
 
     fn states_of(
         space: &dyno_source::SourceSpace,
@@ -1061,7 +873,8 @@ mod tests {
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
         let batch = [&m1, &m2];
-        let (res, _) = adapt_batch(&view, &mv, &batch, &[], &info, AdaptationMode::Auto, &mut port);
+        let (res, _) =
+            adapt_batch((&view, &mv), &batch, &[], &info, AdaptationMode::Auto, &mut port, &off());
         match res.unwrap() {
             Adapted::Incremental { view: v, delta } => {
                 assert!(v.references_relation("Item2"));
@@ -1072,7 +885,7 @@ mod tests {
         // Forcing recompute yields the same definition and a full extent
         // whose content equals old extent + delta.
         let recompute = AdaptationMode::RecomputeOnly;
-        let (res2, _) = adapt_batch(&view, &mv, &batch, &[], &info, recompute, &mut port);
+        let (res2, _) = adapt_batch((&view, &mv), &batch, &[], &info, recompute, &mut port, &off());
         match res2.unwrap() {
             Adapted::Replaced { extent, .. } => assert_eq!(extent.weight(), 2),
             other => panic!("RecomputeOnly must recompute, got {other:?}"),
@@ -1100,7 +913,7 @@ mod tests {
         let mut port = InProcessPort::new(space);
         let batch = [&m1, &m2, &m3];
         let (res, drained) =
-            adapt_batch(&view, &mv, &batch, &[], &info, AdaptationMode::Auto, &mut port);
+            adapt_batch((&view, &mv), &batch, &[], &info, AdaptationMode::Auto, &mut port, &off());
         assert!(drained.is_empty());
         let adapted = res.unwrap();
         assert!(adapted.view().references_relation("StoreItems"));
@@ -1135,7 +948,8 @@ mod tests {
             .unwrap();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let (res, _) = adapt_batch(&view, &mv, &[&m], &[], &info, AdaptationMode::Auto, &mut port);
+        let (res, _) =
+            adapt_batch((&view, &mv), &[&m], &[], &info, AdaptationMode::Auto, &mut port, &off());
         assert!(matches!(res.unwrap_err(), BatchFailure::Broken(_)));
     }
 
@@ -1154,15 +968,9 @@ mod tests {
 
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let (res, _) = adapt_batch(
-            &view,
-            &mv,
-            &[&m_sc],
-            std::slice::from_ref(&m_du),
-            &info,
-            AdaptationMode::Auto,
-            &mut port,
-        );
+        let auto = AdaptationMode::Auto;
+        let (res, _) =
+            adapt_batch((&view, &mv), &[&m_sc], &[&m_du], &info, auto, &mut port, &off());
         // Only the original 'Databases' row — the pending insert is rolled
         // back (it will be maintained by its own SWEEP pass later).
         match res.unwrap() {
@@ -1197,9 +1005,9 @@ mod tests {
         let mut shipped_base = live.clone();
         let mut shipped = crate::engine::TracingPort::new(&mut shipped_base);
         for port in [&mut live as &mut dyn SourcePort, &mut shipped] {
-            let pending = std::slice::from_ref(&pending);
+            let (batch, auto) = ([&m1, &m2], AdaptationMode::Auto);
             let (res, _) =
-                adapt_batch(&view, &mv, &[&m1, &m2], pending, &info, AdaptationMode::Auto, port);
+                adapt_batch((&view, &mv), &batch, &[&pending], &info, auto, port, &off());
             let Adapted::Incremental { view: v, delta } = res.unwrap() else {
                 panic!("a rename batch adapts incrementally");
             };

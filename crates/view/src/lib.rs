@@ -34,8 +34,7 @@ pub mod wal;
 pub mod warehouse;
 
 pub use batch::{
-    adapt_batch, adapt_batch_observed, equation6_delta, homogenize_delta, AdaptationMode, Adapted,
-    BatchFailure,
+    adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted, BatchFailure,
 };
 pub use engine::{
     eval_with_bound, schema_from_bag, AdaptRead, BoundTable, DeltaCols, HopRequest, InProcessPort,

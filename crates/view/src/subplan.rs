@@ -32,13 +32,12 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, Value, ZSet};
-use dyno_source::UpdateMessage;
 
 use dyno_obs::{OpPhase, Profiler};
 
 use crate::engine::{DeltaCols, HopRequest, SourcePort};
-use crate::plan::{HopKey, MaintPlan, MaintStep};
-use crate::vm::{compensate_pending, MaintFailure};
+use crate::plan::{HopKey, MaintPlan};
+use crate::vm::{Compensation, MaintFailure};
 
 /// One computed full-width hop: `ΔR ⋈ target` (compensated), no per-view
 /// filters, no per-view projection. Rows are all of ΔR in its schema's
@@ -75,23 +74,20 @@ impl SharedSubplans {
         self.misses
     }
 
-    /// Executes (or reuses) the shared first hop for `step` — `plan`'s
-    /// first, with signature `key` — and derives this view's step-1
-    /// intermediate, in the exact layout the unshared step would produce
-    /// (`step.d_cols_in` then the flattened `step.t_proj`).
-    #[allow(clippy::too_many_arguments)]
+    /// Executes (or reuses) the shared first hop of `plan` — its first
+    /// step, with signature `plan.first_hop` — and derives this view's
+    /// step-1 intermediate, in the exact layout the unshared step would
+    /// produce (`step.d_cols_in` then the flattened `step.t_proj`).
     pub(crate) fn first_hop(
         &mut self,
         plan: &MaintPlan,
-        step: &MaintStep,
-        key: &Rc<HopKey>,
         du: &DataUpdate,
-        msg: &UpdateMessage,
-        pending: &[&UpdateMessage],
+        comp: &mut Compensation<'_>,
         port: &mut dyn SourcePort,
-        drained: &mut Vec<UpdateMessage>,
         prof: Profiler<'_>,
     ) -> Result<ZSet, MaintFailure> {
+        let step = &plan.steps[0];
+        let key = plan.first_hop.as_ref().expect("a plan with a first step has its signature");
         // Everything the view names in ΔR resolves against the delta's own
         // schema, as the unshared seed does — an attribute the delta no
         // longer carries is the same schema conflict there and here.
@@ -130,7 +126,7 @@ impl SharedSubplans {
                 }
             }
             let window = prof.start(|| du.delta.rows().distinct_len());
-            let rows = compute_hop(key, &d_keys, &t_attrs, du, msg, pending, port, drained)?;
+            let rows = compute_hop(key, &d_keys, &t_attrs, du, comp, port)?;
             let out_rows = || rows.distinct_len();
             prof.finish(window, 1, OpPhase::Hop, "first_hop_compute", &step.target, out_rows);
             self.entries.insert(Rc::clone(key), Hop { t_attrs, rows });
@@ -160,16 +156,13 @@ impl SharedSubplans {
 /// positions in `d_keys`), projecting `t_attrs`; no target filters, they
 /// are per-view and applied in the derivation — and applies SWEEP
 /// compensation at hop width.
-#[allow(clippy::too_many_arguments)]
 fn compute_hop(
     key: &HopKey,
     d_keys: &[usize],
     t_attrs: &[String],
     du: &DataUpdate,
-    msg: &UpdateMessage,
-    pending: &[&UpdateMessage],
+    comp: &mut Compensation<'_>,
     port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
 ) -> Result<ZSet, MaintFailure> {
     let join_keys: Vec<(usize, String)> =
         d_keys.iter().zip(&key.keys).map(|(&d, (_, t))| (d, t.clone())).collect();
@@ -181,7 +174,5 @@ fn compute_hop(
         d_cols: DeltaCols::Delta(du.delta.schema()),
         delta: du.delta.rows(),
     };
-    let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
-    compensate_pending(&hop, &mut rows, msg, pending, port, drained, (Profiler::default(), 1))?;
-    Ok(rows)
+    comp.hop(port, &hop, Profiler::default(), 1)
 }

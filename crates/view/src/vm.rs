@@ -9,6 +9,10 @@
 //! subtracting `D ⋈ Δⱼ` for every pending (received-but-unmaintained) data
 //! update `Δⱼ` of the queried relation — a pure view-manager-side
 //! computation, no extra source round trip.
+//!
+//! The chain ([`hop_chain`]) and the compensation set ([`Compensation`])
+//! are the ones batch adaptation's Equation 6 walks too: SWEEP is
+//! Equation 6 with exactly one changed relation (see [`crate::batch`]).
 
 use std::rc::Rc;
 
@@ -16,9 +20,9 @@ use dyno_obs::{field, Capture, Collector, Level, OpPhase, Profiler};
 use dyno_relational::exec::TableSlice;
 use dyno_relational::{
     delta_join, delta_project, delta_select, thread_stats, ColRef, DataUpdate, RelationalError,
-    SpjQuery, ZSet,
+    SourceUpdate, SpjQuery, ZSet,
 };
-use dyno_source::UpdateMessage;
+use dyno_source::{UpdateId, UpdateMessage};
 
 use crate::engine::{HopRequest, SourcePort};
 use crate::plan::{MaintPlan, PlanCache};
@@ -95,6 +99,9 @@ pub(crate) fn profiler<'a>(obs: &'a Collector, view: &'a str, scope: &'a str) ->
 /// * Returns the view delta plus any messages that arrived (were committed
 ///   and streamed) while the maintenance queries ran; the caller must
 ///   enqueue those into the UMQ.
+///
+/// The maintenance [`sweep_maintain_shared`] runs, unobserved and unshared,
+/// planning from scratch.
 pub fn sweep_maintain(
     view: &ViewDefinition,
     msg: &UpdateMessage,
@@ -102,9 +109,9 @@ pub fn sweep_maintain(
     port: &mut dyn SourcePort,
 ) -> (Result<ViewDelta, MaintFailure>, Vec<UpdateMessage>) {
     let pending: Vec<&UpdateMessage> = pending.iter().collect();
-    let mut drained: Vec<UpdateMessage> = Vec::new();
-    let result = sweep_inner(view, msg, &pending, port, &mut drained, None, None);
-    (result, drained)
+    let mut comp = Compensation::new(&pending, std::slice::from_ref(&msg.id));
+    let result = sweep(view, msg, &mut comp, port, None, &Collector::disabled(), None);
+    (result, comp.into_drained())
 }
 
 /// [`sweep_maintain`] as a warehouse runs it: under a `vm.sweep` span that
@@ -132,101 +139,71 @@ pub fn sweep_maintain_shared(
     obs.counter("vm.sweeps").inc();
     obs.counter("vm.compensations").add(pending.len() as u64);
     obs.prov(msg.id.0, dyno_obs::stage::SWEEP, &[field("pending", pending.len())]);
-    let mut drained: Vec<UpdateMessage> = Vec::new();
-    let result = sweep_inner(view, msg, pending, port, &mut drained, Some((plans, obs)), shared);
+    let mut comp = Compensation::new(pending, std::slice::from_ref(&msg.id));
+    let result = sweep(view, msg, &mut comp, port, Some(plans), obs, shared);
     if let Err(MaintFailure::Broken { query, .. }) = &result {
         obs.counter("engine.break_detections").inc();
         if obs.capturing(Capture::TRACE) {
             obs.event(Level::Warn, "vm.broken_query", &[field("query", query.clone())]);
         }
     }
-    (result, drained)
+    (result, comp.into_drained())
 }
 
-fn sweep_inner(
+/// Runs the view's maintenance plan for `msg`: seed the intermediate from
+/// the delta, walk the `__D ⋈ target` chain with SWEEP compensation,
+/// project to the view's SELECT list. The plan comes from `plans`, or is
+/// built afresh without one. With a `shared` cache the first hop (seed +
+/// join to `steps[0].target`) is derived from the cross-view shared hop
+/// instead.
+fn sweep(
     view: &ViewDefinition,
     msg: &UpdateMessage,
-    pending: &[&UpdateMessage],
+    comp: &mut Compensation<'_>,
     port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    plans: Option<(&mut PlanCache, &Collector)>,
+    plans: Option<&mut PlanCache>,
+    obs: &Collector,
     shared: Option<&mut SharedSubplans>,
 ) -> Result<ViewDelta, MaintFailure> {
-    let du = match &msg.update {
-        dyno_relational::SourceUpdate::Data(du) => du,
-        dyno_relational::SourceUpdate::Schema(_) => {
-            return Err(MaintFailure::Internal(RelationalError::InvalidQuery {
-                reason: "sweep_maintain called with a schema change".into(),
-            }))
-        }
+    let SourceUpdate::Data(du) = &msg.update else {
+        return Err(MaintFailure::Internal(RelationalError::InvalidQuery {
+            reason: "sweep_maintain called with a schema change".into(),
+        }));
     };
     if !view.references_relation(&du.relation) {
         // The update is irrelevant to this view: empty delta, no queries.
         return Ok(ViewDelta { cols: view.output_cols(), rows: ZSet::new() });
     }
-    let (plan, obs): (Rc<MaintPlan>, Option<&Collector>) = match plans {
-        Some((cache, obs)) => {
-            (cache.plan_for(view, &du.relation, obs).map_err(MaintFailure::Internal)?, Some(obs))
-        }
-        None => {
-            (Rc::new(MaintPlan::build(view, &du.relation).map_err(MaintFailure::Internal)?), None)
-        }
-    };
-    let prof = obs.map_or_else(Profiler::default, |o| profiler(o, &view.name, &du.relation));
+    let plan = match plans {
+        Some(cache) => cache.plan_for(view, &du.relation, obs),
+        None => MaintPlan::build(view, &du.relation).map(Rc::new),
+    }
+    .map_err(MaintFailure::Internal)?;
+    let prof = profiler(obs, &view.name, &du.relation);
     prof.invocation();
-    execute_plan(&plan, du, msg, pending, port, drained, shared, prof)
-}
 
-/// Runs a maintenance plan: seed the intermediate from the delta, walk the
-/// `__D ⋈ target` chain with SWEEP compensation, project to the view's
-/// SELECT list. With a `shared` cache the first hop (seed + join to
-/// `steps[0].target`) is derived from the cross-view shared hop instead.
-#[allow(clippy::too_many_arguments)]
-fn execute_plan(
-    plan: &MaintPlan,
-    du: &DataUpdate,
-    msg: &UpdateMessage,
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    shared: Option<&mut SharedSubplans>,
-    prof: Profiler<'_>,
-) -> Result<ViewDelta, MaintFailure> {
     // With a shared-subplan cache and at least one join step, the seed plus
     // the first `__D ⋈ target` hop come out of the cross-view cache; the
     // chain then resumes at the second step. Otherwise: step 0 is the local
     // projection/selection of the delta itself — a direct Z-set pipeline
     // (δσ then δπ) over the update's rows; no provider, no clone of the
     // delta, no executor round.
-    let start;
-    let mut d_rows = match (shared, plan.steps.first().zip(plan.first_hop.as_ref())) {
-        (Some(sh), Some((step, key))) => {
+    let (start, seed) = match shared.filter(|_| plan.first_hop.is_some()) {
+        Some(sh) => {
             port.charge_local(du.delta.weight());
-            start = 1;
-            sh.first_hop(plan, step, key, du, msg, pending, port, drained, prof)?
+            (1, sh.first_hop(&plan, du, comp, port, prof)?)
         }
-        _ => {
-            let seed = seed_delta(plan, (&du.delta).into(), prof)
+        None => {
+            let seed = seed_delta(&plan, (&du.delta).into(), prof)
                 .map_err(|e| MaintFailure::from_query(|| plan.local_query(), e))?;
             port.charge_local(du.delta.weight());
-            start = 0;
-            seed
+            (0, seed)
         }
     };
-
-    for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        if d_rows.is_empty() {
-            // Empty intermediate joins to empty: skip the remaining queries.
-            return Ok(ViewDelta { cols: plan.out_cols.clone(), rows: ZSet::new() });
-        }
-        let step_no = (i + 1) as u32;
-        let hop = step.request(&d_rows);
-        let window = prof.start(|| d_rows.distinct_len());
-        let mut rows = port.hop(&hop).map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
-        prof.finish(window, step_no, OpPhase::Hop, "join", &step.target, || rows.distinct_len());
-        compensate_pending(&hop, &mut rows, msg, pending, port, drained, (prof, step_no))?;
-        d_rows = rows;
-    }
+    let Some(d_rows) = hop_chain(&plan, start, seed, |hop, step| comp.hop(port, hop, prof, step))?
+    else {
+        return Ok(ViewDelta { cols: plan.out_cols.clone(), rows: ZSet::new() });
+    };
 
     port.charge_local(d_rows.weight());
     let window = prof.start(|| d_rows.distinct_len());
@@ -234,6 +211,27 @@ fn execute_plan(
     let step_no = (plan.steps.len() + 1) as u32;
     prof.finish(window, step_no, OpPhase::Final, "delta_project", "", || projected.distinct_len());
     Ok(ViewDelta { cols: plan.out_cols.clone(), rows: projected })
+}
+
+/// The one hop chain SWEEP and every Equation 6 term walk: `plan`'s
+/// `__D ⋈ target` steps from `start` on, each answered by
+/// `hop(request, step number)` over the intermediate `d_rows`. `None` when
+/// an intermediate empties before a hop: it joins to empty, so the remaining
+/// hops are skipped.
+pub(crate) fn hop_chain<E>(
+    plan: &MaintPlan,
+    start: usize,
+    mut d_rows: ZSet,
+    mut hop: impl FnMut(&HopRequest<'_>, u32) -> Result<ZSet, E>,
+) -> Result<Option<ZSet>, E> {
+    for (i, step) in plan.steps.iter().enumerate().skip(start) {
+        if d_rows.is_empty() {
+            return Ok(None);
+        }
+        let rows = hop(&step.request(&d_rows), (i + 1) as u32)?;
+        d_rows = rows;
+    }
+    Ok(Some(d_rows))
 }
 
 /// Step 0 as Z-set algebra: a delta of the plan's relation through the
@@ -267,35 +265,70 @@ pub(crate) fn seed_delta(
     Ok(out)
 }
 
-/// After a hop came back: streams in the updates that committed while it
-/// ran, then subtracts from its `rows` the effect of every pending data
-/// update to the hop's target that the source may already have shown it
-/// (SWEEP compensation — view-manager-local, no further round trip). Each
-/// compensation join is recorded as a node of `prof`'s `(profiler, step)`.
-pub(crate) fn compensate_pending(
-    hop: &HopRequest<'_>,
-    rows: &mut ZSet,
-    msg: &UpdateMessage,
-    pending: &[&UpdateMessage],
-    port: &mut dyn SourcePort,
-    drained: &mut Vec<UpdateMessage>,
-    (prof, step_no): (Profiler<'_>, u32),
-) -> Result<(), MaintFailure> {
-    drained.extend(port.drain_arrivals());
-    for m in pending.iter().copied().chain(drained.iter()) {
-        let dyno_relational::SourceUpdate::Data(pdu) = &m.update else { continue };
-        if m.id == msg.id || pdu.relation != hop.target {
-            continue;
-        }
-        let window = prof.start(|| pdu.delta.rows().distinct_len());
-        let comp = compensate(hop, (&pdu.delta).into())
-            .map_err(|e| MaintFailure::from_query(|| hop.query(), e))?;
-        port.charge_local(comp.weight() + pdu.delta.weight());
-        rows.merge_negated(&comp);
-        let out_rows = || comp.distinct_len();
-        prof.finish(window, step_no, OpPhase::Compensate, "compensate", hop.target, out_rows);
+/// The compensation set of one maintenance run: the pending messages it
+/// borrows, the messages that arrive while its queries run, and the update
+/// ids it excludes — the data update SWEEP maintains, or the members of an
+/// Equation 6 batch.
+pub(crate) struct Compensation<'a> {
+    pending: &'a [&'a UpdateMessage],
+    excluded: &'a [UpdateId],
+    drained: Vec<UpdateMessage>,
+}
+
+impl<'a> Compensation<'a> {
+    pub(crate) fn new(pending: &'a [&'a UpdateMessage], excluded: &'a [UpdateId]) -> Self {
+        Compensation { pending, excluded, drained: Vec::new() }
     }
-    Ok(())
+
+    /// The messages that arrived during the run, for the caller to enqueue.
+    pub(crate) fn into_drained(self) -> Vec<UpdateMessage> {
+        self.drained
+    }
+
+    /// Streams in the updates that committed since the port last answered,
+    /// then yields the pending data updates of `relation`: what its current
+    /// state holds beyond the point being maintained.
+    pub(crate) fn of<'s>(
+        &'s mut self,
+        port: &mut dyn SourcePort,
+        relation: &'s str,
+    ) -> impl Iterator<Item = &'s DataUpdate> + 's {
+        self.drained.extend(port.drain_arrivals());
+        let excluded = self.excluded;
+        self.pending.iter().copied().chain(&self.drained).filter_map(move |m| match &m.update {
+            SourceUpdate::Data(du) if du.relation == relation && !excluded.contains(&m.id) => {
+                Some(du)
+            }
+            _ => None,
+        })
+    }
+
+    /// Answers `req` at the port, then subtracts from its rows the effect of
+    /// every pending data update to the hop's target that the source may
+    /// already have shown it (SWEEP compensation — view-manager-local, no
+    /// further round trip). The probe is a `join` node of `prof`'s `step`,
+    /// each compensation join a `compensate` node.
+    pub(crate) fn hop(
+        &mut self,
+        port: &mut dyn SourcePort,
+        req: &HopRequest<'_>,
+        prof: Profiler<'_>,
+        step: u32,
+    ) -> Result<ZSet, MaintFailure> {
+        let broken = |e| MaintFailure::from_query(|| req.query(), e);
+        let window = prof.start(|| req.delta.distinct_len());
+        let mut rows = port.hop(req).map_err(broken)?;
+        prof.finish(window, step, OpPhase::Hop, "join", req.target, || rows.distinct_len());
+        for du in self.of(port, req.target) {
+            let window = prof.start(|| du.delta.rows().distinct_len());
+            let comp = compensate(req, (&du.delta).into()).map_err(broken)?;
+            port.charge_local(comp.weight() + du.delta.weight());
+            rows.merge_negated(&comp);
+            let out_rows = || comp.distinct_len();
+            prof.finish(window, step, OpPhase::Compensate, "compensate", req.target, out_rows);
+        }
+        Ok(rows)
+    }
 }
 
 /// The SWEEP compensation term `Δ ⋈ Δⱼ` for one delta `Δⱼ` of the hop's

@@ -48,7 +48,7 @@ use dyno_relational::wire as rel_wire;
 use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, Value, ZSet};
 use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 
-use crate::batch::{adapt_batch_observed, AdaptationMode, Adapted, BatchFailure};
+use crate::batch::{adapt_batch, AdaptationMode, Adapted, BatchFailure};
 use crate::engine::{MaintEvent, SourcePort};
 use crate::ingress::IngressGate;
 use crate::mview::MaterializedView;
@@ -430,9 +430,8 @@ impl Views {
             (result.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
         } else {
             let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
-            let (result, arrivals) = adapt_batch_observed(
-                &slot.view,
-                &slot.mv,
+            let (result, arrivals) = adapt_batch(
+                (&slot.view, &slot.mv),
                 &refs,
                 pending,
                 &self.info,

@@ -132,6 +132,22 @@ cargo run -q --release --offline -p dyno-bench --bin forensics -- \
 test -s "$out/forensics.json"
 grep -q '"by_class_us"' "$out/forensics.json"
 
+echo "== chaos robustness sweep (every fault profile converges) =="
+# The README's chaos bin at its default seeds: each row is one fault
+# profile x seed run to quiescence. Every row's `converged` column must be
+# true and the sweep must end with no `last_error` — a run that parks for
+# good or surfaces an error is a recovery bug, whatever the fault counts.
+cargo run -q --release --offline -p dyno-bench --bin chaos -- \
+    --json "$out/chaos.json" >/dev/null
+chaos_rows="$(grep -o '\["[a-z_]*",[0-9]*,"[a-z]*"' "$out/chaos.json")"
+test -n "$chaos_rows"
+if grep -v ',"true"$' <<<"$chaos_rows"; then
+    echo "chaos: the runs above did not converge" >&2
+    exit 1
+fi
+grep -q '"last_error":null' "$out/chaos.json"
+echo "chaos: $(wc -l <<<"$chaos_rows") runs converged, last_error none"
+
 echo "== plan cache invalidates on every committed schema change =="
 # The traced fig10 run commits a train of 10 SCs; each must have cleared
 # the maintenance-plan cache.

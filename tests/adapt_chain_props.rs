@@ -26,6 +26,13 @@
 //! shipping port and `RecomputeOnly` recompute it; all three must equal
 //! `eval(V′)` at the batch point.
 //!
+//! A third train holds the invariant SWEEP and Equation 6 share one hop
+//! chain on: SWEEP is Equation 6 with exactly one changed relation. For
+//! batches of one data update, with pending updates on the hop targets
+//! ahead of and behind the changed relation, `sweep_maintain` must equal
+//! `adapt_batch`'s incremental delta and `RecomputeOnly`'s batch-point
+//! extent minus the extent before, on both ports.
+//!
 //! Cases come from the in-repo seeded PRNG; a failure names its case. Fixed
 //! cases pin what the random ones reach only by chance: pending updates that
 //! join the batch's delta on both sides of the changed relation, a pending
@@ -38,12 +45,14 @@ mod common;
 use std::collections::HashMap;
 
 use common::{ExecuteOnly, ShipCounter};
+use dyno::obs::Collector;
 use dyno::prelude::*;
 use dyno::relational::exec::{RelationProvider, TableSlice};
 use dyno::relational::{eval, ZSet};
 use dyno::sim::Rng;
 use dyno::view::{
-    adapt_batch, equation6_delta, homogenize_delta, AdaptationMode, Adapted, BatchFailure,
+    adapt_batch, equation6_delta, homogenize_delta, sweep_maintain, AdaptationMode, Adapted,
+    BatchFailure,
 };
 
 const CASES: u64 = 96;
@@ -254,12 +263,16 @@ fn adapt_via(
 ) -> (Outcome, u64) {
     let info = space.info().clone();
     let members: Vec<&UpdateMessage> = batch.iter().collect();
-    let port = InProcessPort::new(space.clone());
+    let pending: Vec<&UpdateMessage> = pending.iter().collect();
+    let (port, obs) = (InProcessPort::new(space.clone()), Collector::disabled());
+    let adapt = |port: &mut dyn SourcePort| {
+        adapt_batch((view, mv), &members, &pending, &info, mode, port, &obs)
+    };
     if shipped {
-        (adapt_batch(view, mv, &members, pending, &info, mode, &mut ExecuteOnly(port)), 0)
+        (adapt(&mut ExecuteOnly(port)), 0)
     } else {
         let mut port = ShipCounter::new(port);
-        let outcome = adapt_batch(view, mv, &members, pending, &info, mode, &mut port);
+        let outcome = adapt(&mut port);
         (outcome, port.shipped)
     }
 }
@@ -454,6 +467,59 @@ fn pruned_output_columns_adapt_from_the_extent_and_equal_the_recompute() {
     assert!(undefinable >= 5, "filter columns dropped: {undefinable}");
     assert!(dus_around >= 20, "data updates on both sides of the drop: {dus_around}");
     assert!(with_pending >= 30, "pending rollbacks ran: {with_pending}");
+}
+
+#[test]
+fn sweep_is_equation6_with_one_changed_relation() {
+    // The changed relation is B in half the cases, so its pending updates
+    // sit both ahead of it (A) and behind it (C) in FROM order; A and C take
+    // the other half. Every other relation gets one or two pending updates.
+    let (mut both_sides, mut nonempty) = (0, 0);
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0x5EE9_6000 + case);
+        let (mut space, tracked) = build_space(&mut rng);
+        let view = view(rng.gen_ratio(1, 2));
+        let mv = materialized(&view, &space);
+        let changed = [1, 0, 1, 2][case as usize % 4];
+        let commit_du = |rng: &mut Rng, space: &mut SourceSpace, t: &Tracked| {
+            let rel = space.server(t.source).catalog().get(&t.name).expect("tracked");
+            let update = data_update(rng, rel);
+            space.commit(t.source, update).expect("current schema")
+        };
+        let du = commit_du(&mut rng, &mut space, &tracked[changed]);
+        let mut pending = Vec::new();
+        for (_, t) in tracked.iter().enumerate().filter(|&(i, _)| i != changed) {
+            for _ in 0..rng.gen_range(1..3u32) {
+                pending.push(commit_du(&mut rng, &mut space, t));
+            }
+        }
+        both_sides += u32::from(changed == 1);
+
+        let ctx = format!("case {case}");
+        let sweep = |port: &mut dyn SourcePort| sweep_maintain(&view, &du, &pending, port);
+        let (live, arrived) = sweep(&mut InProcessPort::new(space.clone()));
+        let (shipped, _) = sweep(&mut ExecuteOnly(InProcessPort::new(space.clone())));
+        assert_eq!(live, shipped, "{ctx}: SWEEP live vs shipped");
+        assert!(arrived.is_empty(), "{ctx}: nothing commits during maintenance");
+        let swept = live.unwrap_or_else(|e| panic!("{ctx}: {e:?}"));
+
+        let batch = std::slice::from_ref(&du);
+        let Ok(Adapted::Incremental { delta, .. }) =
+            adapt_both(&space, &view, &mv, batch, &pending, &ctx).0
+        else {
+            panic!("{ctx}: a lone data update adapts incrementally");
+        };
+        assert_eq!(swept, delta, "{ctx}: SWEEP vs Equation 6");
+        let (recomputed, _) =
+            adapt_via(&space, &view, &mv, batch, &pending, AdaptationMode::RecomputeOnly, false);
+        let Ok(Adapted::Replaced { extent, .. }) = recomputed.0 else {
+            panic!("{ctx}: RecomputeOnly recomputes, got {recomputed:?}");
+        };
+        assert_eq!(delta.rows, extent.diff(mv.extent()), "{ctx}: Equation 6 vs recompute");
+        nonempty += u32::from(!delta.rows.is_empty());
+    }
+    assert!(both_sides >= 24, "pending on both sides of the changed relation: {both_sides}");
+    assert!(nonempty >= 20, "the deltas were not all trivially empty: {nonempty}");
 }
 
 /// The fixture's relations holding exactly `a`, `b` and `c`.
