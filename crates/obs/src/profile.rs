@@ -95,7 +95,7 @@ pub struct NodeKey {
     /// Pipeline phase.
     pub phase: OpPhase,
     /// Operator name (`delta_select`, `delta_join_probe`, `eq6_term`,
-    /// `apply_signed`, …).
+    /// `apply_delta`, …).
     pub op: &'static str,
     /// Free-form discriminator — usually the target relation or term name.
     pub detail: String,

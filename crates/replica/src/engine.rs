@@ -27,6 +27,11 @@
 //! extent exactly once. [`ReplicaEngine::recover`] folds the checkpoint
 //! snapshot plus the WAL tail, re-publishes commits whose `Applied` record
 //! has no paired `Published`, and re-queues every unacked outbox message.
+//!
+//! A commit is published from its [`AppliedRecord`] — the value the
+//! warehouse logged — whether the warehouse queued it live
+//! ([`Warehouse::take_published`]) or replay handed it back after a kill
+//! ([`ReplicaTailEvent::Applied`]).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -39,8 +44,8 @@ use dyno_fault::Sequencer;
 use dyno_obs::trace::field;
 use dyno_obs::{stage, Collector, Counter, Gauge, Histogram};
 use dyno_relational::{Value, ZSet};
-use dyno_view::wal::ReplicaTailEvent;
-use dyno_view::{PendingPublish, ViewError, Warehouse};
+use dyno_view::wal::{AppliedRecord, RemoteRecord, ReplicaTailEvent};
+use dyno_view::{ViewError, Warehouse};
 
 use crate::wire::{
     dec_msg, dec_published, dec_remote_meta, dec_stamp, enc_msg, enc_published, enc_remote_meta,
@@ -200,8 +205,8 @@ impl ReplicaEngine {
     /// the order; a crash after it re-sends from the outbox).
     pub fn publish(&mut self, wh: &mut Warehouse, now_us: u64) -> Result<Vec<Outgoing>, ViewError> {
         let mut out = Vec::new();
-        for batch in wh.take_published() {
-            out.extend(self.publish_batch(wh, &batch, now_us));
+        for rec in wh.take_published() {
+            out.extend(self.publish_batch(wh, &rec, now_us));
         }
         wh.set_replica_ext(self.encode_ext());
         wh.maybe_checkpoint();
@@ -211,7 +216,7 @@ impl ReplicaEngine {
     fn publish_batch(
         &mut self,
         wh: &mut Warehouse,
-        batch: &PendingPublish,
+        batch: &AppliedRecord,
         now_us: u64,
     ) -> Vec<Outgoing> {
         // One causal event per commit: every key post-image in the batch
@@ -222,10 +227,8 @@ impl ReplicaEngine {
         let vc = self.vc.counters().to_vec();
 
         let mut bodies = Vec::new();
-        for (view, rows) in batch.rows.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
+        for (view, change) in batch.changes.iter().enumerate() {
+            let Some(rows) = change.rows().filter(|rows| !rows.is_empty()) else { continue };
             let key_col = self.key_cols[view];
             let keys: BTreeSet<Value> = rows.iter().map(|(t, _)| t.get(key_col).clone()).collect();
             for key in keys {
@@ -361,10 +364,11 @@ impl ReplicaEngine {
             },
         };
 
-        let meta =
+        let bytes =
             enc_remote_meta(&RemoteMeta { origin: msg.origin, seq: msg.seq, stamp: stamp.clone() });
-        let key_col = msg.key_col as usize;
-        wh.apply_remote(msg.view as usize, key_col, &msg.key, &msg.post, apply, &meta)?;
+        let (view, key_col, key, post) = (msg.view, msg.key_col, msg.key, msg.post);
+        let remote = RemoteRecord { view, key_col, key, post, applied: apply, bytes };
+        wh.apply_remote(&remote)?;
         self.vc.merge(&msg.vc);
         self.hlc.observe(msg.hlc, now_us);
 
@@ -376,7 +380,8 @@ impl ReplicaEngine {
                 stage::REPL_APPLY,
                 &[field("origin", msg.origin as u64), field("lag_us", lag_us)],
             );
-            Ok(Some(RemoteApply { view: msg.view as usize, key_col, key: msg.key, post: msg.post }))
+            let RemoteRecord { view, key_col, key, post, .. } = remote;
+            Ok(Some(RemoteApply { view: view as usize, key_col: key_col as usize, key, post }))
         } else {
             self.superseded.inc();
             self.obs.prov(
@@ -443,26 +448,25 @@ impl ReplicaEngine {
         Ok(())
     }
 
-    /// Rebuilds an engine after a kill: folds the checkpoint snapshot
-    /// (`ext`) and the WAL tail the warehouse replayed, **re-publishes**
-    /// any commit whose `Applied` record has no paired `Published` (the
-    /// crash hit between commit and publish; fresh stamps, fresh seqs),
-    /// and refreshes the engine snapshot so the recovery checkpoint is
-    /// complete. The caller must then re-send [`ReplicaEngine::unacked`].
-    #[allow(clippy::too_many_arguments)]
+    /// Rebuilds an engine after a kill from the warehouse just recovered:
+    /// folds the checkpoint snapshot ([`Warehouse::replica_ext`]) and the
+    /// WAL tail replay left ([`Warehouse::take_replica_tail`]),
+    /// **re-publishes** any commit whose `Applied` record has no paired
+    /// `Published` (the crash hit between commit and publish; fresh stamps,
+    /// fresh seqs), and refreshes the engine snapshot so the recovery
+    /// checkpoint is complete. The caller must then re-send
+    /// [`ReplicaEngine::unacked`].
     pub fn recover(
         id: u16,
         n: usize,
         key_cols: Vec<usize>,
         obs: Collector,
-        ext: &[u8],
-        tail: Vec<ReplicaTailEvent>,
         wh: &mut Warehouse,
         now_us: u64,
     ) -> Result<Self, ViewError> {
         let mut eng = ReplicaEngine::new(id, n, key_cols, obs);
-        if !ext.is_empty() {
-            eng.decode_ext(ext).map_err(|e| {
+        if !wh.replica_ext().is_empty() {
+            eng.decode_ext(wh.replica_ext()).map_err(|e| {
                 ViewError::Internal(dyno_relational::RelationalError::InvalidQuery {
                     reason: format!("corrupt replica snapshot: {e}"),
                 })
@@ -474,16 +478,14 @@ impl ReplicaEngine {
             })
         };
         // Commits whose publish may not have made the log yet, in order.
-        let mut pending: Vec<PendingPublish> = Vec::new();
-        for ev in tail {
+        let mut pending: Vec<AppliedRecord> = Vec::new();
+        for ev in wh.take_replica_tail() {
             match ev {
-                ReplicaTailEvent::Applied { keys, rows } => {
-                    pending.push(PendingPublish { keys, rows });
-                }
+                ReplicaTailEvent::Applied(rec) => pending.push(rec),
                 ReplicaTailEvent::Published { bytes } => {
-                    let rec = dec_published(&bytes).map_err(|e| corrupt("publish record", e))?;
-                    pending.retain(|p| p.keys != rec.keys);
-                    for (peer, m) in rec.msgs {
+                    let sent = dec_published(&bytes).map_err(|e| corrupt("publish record", e))?;
+                    pending.retain(|p| p.keys != sent.keys);
+                    for (peer, m) in sent.msgs {
                         eng.next_seq[peer as usize] = eng.next_seq[peer as usize].max(m.seq + 1);
                         eng.registers.insert((m.view, m.key.clone()), m.stamp());
                         eng.vc.merge(&m.vc);
@@ -491,21 +493,22 @@ impl ReplicaEngine {
                         eng.outbox[peer as usize].insert(m.seq, m);
                     }
                 }
-                ReplicaTailEvent::Remote { view, key, bytes, applied, .. } => {
-                    let meta = dec_remote_meta(&bytes).map_err(|e| corrupt("remote meta", e))?;
+                ReplicaTailEvent::Remote(remote) => {
+                    let meta =
+                        dec_remote_meta(&remote.bytes).map_err(|e| corrupt("remote meta", e))?;
                     eng.inbox.set_floor(meta.origin as u32, meta.seq);
-                    if applied {
+                    if remote.applied {
                         eng.vc.merge(&meta.stamp.vc);
                         eng.hlc.observe(meta.stamp.hlc, now_us);
-                        eng.registers.insert((view, key), meta.stamp);
+                        eng.registers.insert((remote.view, remote.key), meta.stamp);
                     }
                 }
             }
         }
-        for batch in pending {
+        for rec in pending {
             // Returned copies are already queued in the outbox; the caller's
             // unacked() re-send covers them.
-            let _ = eng.publish_batch(wh, &batch, now_us);
+            let _ = eng.publish_batch(wh, &rec, now_us);
         }
         wh.set_replica_ext(eng.encode_ext());
         Ok(eng)
@@ -657,9 +660,7 @@ mod tests {
         drop(wa);
         let (mut back, _report) =
             Warehouse::recover(Box::new(da.clone()), info, oa.clone()).unwrap();
-        let ext = back.replica_ext().to_vec();
-        let tail = back.take_replica_tail();
-        let eng = ReplicaEngine::recover(0, 2, vec![0], oa, &ext, tail, &mut back, 9_000).unwrap();
+        let eng = ReplicaEngine::recover(0, 2, vec![0], oa, &mut back, 9_000).unwrap();
         let resend = eng.unacked();
         assert_eq!(resend.len(), 1, "the lost publish is regenerated");
         let m = dec_msg(&resend[0].bytes).unwrap();
@@ -679,9 +680,7 @@ mod tests {
         drop(wa);
         let (mut back, _report) =
             Warehouse::recover(Box::new(da.clone()), info, oa.clone()).unwrap();
-        let ext = back.replica_ext().to_vec();
-        let tail = back.take_replica_tail();
-        let eng = ReplicaEngine::recover(0, 2, vec![0], oa, &ext, tail, &mut back, 9_000).unwrap();
+        let eng = ReplicaEngine::recover(0, 2, vec![0], oa, &mut back, 9_000).unwrap();
         let resend = eng.unacked();
         assert_eq!(resend.len(), 1);
         let m = dec_msg(&resend[0].bytes).unwrap();
@@ -706,10 +705,7 @@ mod tests {
         let (mut back, _report) =
             Warehouse::recover(Box::new(db.clone()), info, ob.clone()).unwrap();
         assert_eq!(back.mv(0).extent(), &frozen, "remote apply survived via the WAL");
-        let ext = back.replica_ext().to_vec();
-        let tail = back.take_replica_tail();
-        let mut eng =
-            ReplicaEngine::recover(1, 2, vec![0], ob, &ext, tail, &mut back, 9_000).unwrap();
+        let mut eng = ReplicaEngine::recover(1, 2, vec![0], ob, &mut back, 9_000).unwrap();
         assert_eq!(eng.delivered(0), 1, "delivery floor recovered");
         // A re-sent duplicate of seq 1 is dropped, not re-applied.
         let again = eng.on_delivery(&mut back, &out[0].bytes, 9_500).unwrap();

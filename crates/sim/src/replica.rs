@@ -218,11 +218,9 @@ impl Fabric {
     /// the WAL, and re-sends every unacked outbox message.
     pub fn rejoin(&mut self, p: usize, wh: &mut Warehouse, obs: &Collector, t: u64) {
         wh.enable_replication();
-        let (ext, tail) = (wh.replica_ext().to_vec(), wh.take_replica_tail());
         let (n, key_cols) = (self.engines.len(), vec![0; wh.view_count()]);
-        self.engines[p] =
-            ReplicaEngine::recover(p as u16, n, key_cols, obs.clone(), &ext, tail, wh, t)
-                .expect("a cut log holds a decodable replica snapshot");
+        self.engines[p] = ReplicaEngine::recover(p as u16, n, key_cols, obs.clone(), wh, t)
+            .expect("a cut log holds a decodable replica snapshot");
         for o in self.engines[p].unacked() {
             self.net.send(p as u16, o.to, o.seq, o.bytes, t);
         }

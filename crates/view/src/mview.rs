@@ -76,21 +76,16 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Like [`MaterializedView::apply_delta`], but **clamps** instead of
+    /// Like [`MaterializedView::merge`], but **clamps** instead of
     /// erroring: entries that would go negative are dropped and their
     /// magnitude returned. This is the apply path for warehouses running
     /// admission shedding (DESIGN.md §14) — a shed insert's later delete
     /// legitimately misses the extent, and the divergence is the priced-in
     /// cost of bounding the queue, surfaced through the returned count
     /// rather than a maintenance failure.
-    pub fn apply_delta_clamped(
-        &mut self,
-        cols: &[String],
-        delta: &ZSet,
-    ) -> Result<u64, RelationalError> {
-        self.check_cols(cols)?;
+    pub(crate) fn merge_clamped(&mut self, delta: &ZSet) -> u64 {
         self.extent.merge(delta);
-        Ok(self.extent.clamp_non_negative())
+        self.extent.clamp_non_negative()
     }
 
     fn check_cols(&self, cols: &[String]) -> Result<(), RelationalError> {

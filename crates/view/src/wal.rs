@@ -7,8 +7,17 @@
 //! | 1 | `Checkpoint` — the warehouse's whole image, encoded straight from the live warehouse | at attach, whenever the tail has grown as large as the last checkpoint (see [`DurableLog::should_checkpoint`]), and at the end of every recovery (as a [`Wal::rewrite`], truncating the log) |
 //! | 2 | `Admitted(UpdateMeta)` | when the ingress gate admits a message to the UMQ |
 //! | 3 | `Intent{keys, has_sc}` | immediately **before** a batch's maintenance executes |
-//! | 4 | `Applied{keys, changes, reflected}` | immediately **after** the in-memory commit of a batch, as **one** record covering every view |
-//! | 5 | `Replica` (`Published{bytes}` / `Remote{view, key, post, applied, bytes}`) | when the replication engine publishes a commit's peer deltas (before they reach the network) and when a received peer delta is resolved (applied or superseded) |
+//! | 4 | `Applied(AppliedRecord)` — `{keys, changes, reflected, view_reflected}` | immediately **after** the in-memory commit of a batch, as **one** record covering every view |
+//! | 5 | `Replica` (`Published{bytes}` / `Remote(RemoteRecord)`) | when the replication engine publishes a commit's peer deltas (before they reach the network) and when a received peer delta is resolved (applied or superseded) |
+//!
+//! A commit has one form: the [`AppliedRecord`], one [`AppliedChange`] per
+//! view slot. Staging yields the changes, the warehouse applies them through
+//! one function (live and on replay), this log appends the record by
+//! reference, and the replication engine publishes from the same record —
+//! queued live ([`Warehouse::take_published`]) or handed back by replay
+//! ([`ReplicaTailEvent::Applied`]). In memory a change carries its parsed
+//! [`ViewDefinition`]; the codec renders it as SQL and parses it back, and
+//! SQL that does not parse makes the record corrupt.
 //!
 //! The checkpoint image and the replay that folds records back into a
 //! warehouse belong to [`Warehouse`] itself ([`Warehouse::recover`]).
@@ -52,22 +61,16 @@ use dyno_relational::{Value, ZSet};
 use dyno_source::wire as src_wire;
 use dyno_source::UpdateMessage;
 
-use crate::Warehouse;
+use crate::{ViewDefinition, Warehouse};
 
 /// One post-checkpoint replication event surfaced to the engine by replay
 /// (see [`Warehouse::take_replica_tail`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicaTailEvent {
-    /// A local commit landed (its `Applied` record was durable). `rows` are
-    /// the per-view extent changes — enough for the engine to recompute
-    /// which `(view, key)` post-images the commit should have published.
-    Applied {
-        /// Update keys of the committed batch.
-        keys: Vec<u64>,
-        /// Per-view changed rows, in slot order (a `Replace` contributes
-        /// its whole new extent; `Skipped`/`Deferred` contribute nothing).
-        rows: Vec<ZSet>,
-    },
+    /// A local commit landed (its `Applied` record was durable): the record
+    /// itself, the same value a live commit queues for the engine
+    /// ([`Warehouse::take_published`]).
+    Applied(AppliedRecord),
     /// The engine published the peer deltas for a commit; `bytes` is the
     /// engine-encoded publish event (assigned sequences, message bodies,
     /// stamps).
@@ -76,27 +79,31 @@ pub enum ReplicaTailEvent {
         bytes: Vec<u8>,
     },
     /// A peer delta was received and resolved. Replay has already folded an
-    /// `applied` event's post-image into the view extent (exactly once);
-    /// `bytes` is the engine-encoded stamp metadata for register/floor
-    /// restoration.
-    Remote {
-        /// View slot the delta targeted.
-        view: u32,
-        /// Join-key column in the view's output row.
-        key_col: u32,
-        /// The key whose post-image the delta replaced.
-        key: Value,
-        /// The winning post-image rows.
-        post: ZSet,
-        /// True iff the delta won resolution and was applied (a superseded
-        /// loser is logged too, so registers survive the crash).
-        applied: bool,
-        /// Engine-opaque stamp metadata.
-        bytes: Vec<u8>,
-    },
+    /// `applied` record's post-image into the view extent (exactly once).
+    Remote(RemoteRecord),
 }
 
-/// The change one `Applied` record carries for one view slot.
+/// One received peer delta and its resolution: what
+/// [`Warehouse::apply_remote`] applies and logs, and what replay folds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RemoteRecord {
+    /// View slot the delta targeted.
+    pub view: u32,
+    /// Join-key column in the view's output row.
+    pub key_col: u32,
+    /// The key whose post-image the delta replaces.
+    pub key: Value,
+    /// The winning post-image rows.
+    pub post: ZSet,
+    /// True iff the delta won resolution and is applied (a superseded
+    /// loser is logged too, so registers survive the crash).
+    pub applied: bool,
+    /// Engine-opaque stamp metadata, for register/floor restoration.
+    pub bytes: Vec<u8>,
+}
+
+/// What one commit does to one view slot. Staging yields it, the warehouse
+/// applies it, the WAL logs it and peers are published from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppliedChange {
     /// SWEEP delta merged into the extent (definition and columns unchanged).
@@ -106,8 +113,8 @@ pub enum AppliedChange {
     },
     /// Adaptation replaced the extent wholesale (and rewrote the definition).
     Replace {
-        /// The rewritten definition's SQL.
-        sql: String,
+        /// The rewritten definition (logged as its SQL).
+        view: ViewDefinition,
         /// The adapted view's output columns.
         cols: Vec<String>,
         /// The full replacement extent.
@@ -116,8 +123,8 @@ pub enum AppliedChange {
     /// Adaptation rewrote the definition but patched the extent
     /// incrementally (Equation 6; output columns unchanged).
     Incremental {
-        /// The rewritten definition's SQL.
-        sql: String,
+        /// The rewritten definition (logged as its SQL).
+        view: ViewDefinition,
         /// Signed rows merged into the extent.
         rows: ZSet,
     },
@@ -130,8 +137,20 @@ pub enum AppliedChange {
     Deferred,
 }
 
+impl AppliedChange {
+    /// The rows a peer replica is told changed: the delta, or a replace's
+    /// whole new extent; `None` when the extent is left alone.
+    pub fn rows(&self) -> Option<&ZSet> {
+        match self {
+            AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => Some(rows),
+            AppliedChange::Replace { extent, .. } => Some(extent),
+            AppliedChange::Skipped | AppliedChange::Deferred => None,
+        }
+    }
+}
+
 /// One atomic commit: which queue entries it consumed, what it did to every
-/// view, and the version vector after it.
+/// view, and the version vectors after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppliedRecord {
     /// Update keys of the committed batch.
@@ -406,24 +425,16 @@ impl DurableLog {
     /// Logs one received peer delta and its resolution. Replay folds an
     /// `applied` record's post-image into the view extent exactly once;
     /// `bytes` carries the engine's stamp metadata either way.
-    pub fn log_replica_remote(
-        &mut self,
-        view: u32,
-        key_col: u32,
-        key: &Value,
-        post: &ZSet,
-        applied: bool,
-        bytes: &[u8],
-    ) {
+    pub fn log_replica_remote(&mut self, remote: &RemoteRecord) {
         self.append(RecordKind::Remote, |e| {
             e.u8(TAG_REPLICA);
             e.u8(REPL_REMOTE);
-            e.u32(view);
-            e.u32(key_col);
-            rel_wire::enc_value(e, key);
-            rel_wire::enc_bag(e, post);
-            e.bool(applied);
-            e.bytes(bytes);
+            e.u32(remote.view);
+            e.u32(remote.key_col);
+            rel_wire::enc_value(e, &remote.key);
+            rel_wire::enc_bag(e, &remote.post);
+            e.bool(remote.applied);
+            e.bytes(&remote.bytes);
         });
     }
 
@@ -500,14 +511,14 @@ impl<'a> Record<'a> {
             TAG_APPLIED => Record::Applied(dec_applied(&mut d)?),
             TAG_REPLICA => Record::Replica(match d.u8()? {
                 REPL_PUBLISHED => ReplicaTailEvent::Published { bytes: d.bytes()?.to_vec() },
-                REPL_REMOTE => ReplicaTailEvent::Remote {
+                REPL_REMOTE => ReplicaTailEvent::Remote(RemoteRecord {
                     view: d.u32()?,
                     key_col: d.u32()?,
                     key: rel_wire::dec_value(&mut d)?,
                     post: rel_wire::dec_bag(&mut d)?,
                     applied: d.bool()?,
                     bytes: d.bytes()?.to_vec(),
-                },
+                }),
                 t => return Err(WireError::Invalid(format!("replica subtag {t}"))),
             }),
             t => return Err(WireError::Invalid(format!("record tag {t}"))),
@@ -544,6 +555,11 @@ pub(crate) fn dec_batches(
     dec_seq(d, |d| dec_seq(d, |d| core_wire::dec_meta(d, src_wire::dec_message)))
 }
 
+/// Parses a logged definition; SQL that does not parse is a corrupt record.
+pub(crate) fn parse_view(sql: &str) -> Result<ViewDefinition, WireError> {
+    ViewDefinition::parse(sql, "view").map_err(|e| WireError::Invalid(format!("view sql: {e}")))
+}
+
 fn enc_applied(e: &mut Enc, rec: &AppliedRecord) {
     enc_seq(e, &rec.keys, |e, k| e.u64(*k));
     enc_seq(e, &rec.changes, |e, c| match c {
@@ -551,15 +567,15 @@ fn enc_applied(e: &mut Enc, rec: &AppliedRecord) {
             e.u8(0);
             rel_wire::enc_bag(e, rows);
         }
-        AppliedChange::Replace { sql, cols, extent } => {
+        AppliedChange::Replace { view, cols, extent } => {
             e.u8(1);
-            e.str(sql);
+            e.str(&view.to_string());
             enc_seq(e, cols, |e, c| e.str(c));
             rel_wire::enc_bag(e, extent);
         }
-        AppliedChange::Incremental { sql, rows } => {
+        AppliedChange::Incremental { view, rows } => {
             e.u8(2);
-            e.str(sql);
+            e.str(&view.to_string());
             rel_wire::enc_bag(e, rows);
         }
         AppliedChange::Skipped => e.u8(3),
@@ -575,11 +591,14 @@ fn dec_applied(d: &mut Dec<'_>) -> Result<AppliedRecord, WireError> {
         Ok(match d.u8()? {
             0 => AppliedChange::Delta { rows: rel_wire::dec_bag(d)? },
             1 => AppliedChange::Replace {
-                sql: d.str()?,
+                view: parse_view(&d.str()?)?,
                 cols: dec_seq(d, |d| d.str())?,
                 extent: rel_wire::dec_bag(d)?,
             },
-            2 => AppliedChange::Incremental { sql: d.str()?, rows: rel_wire::dec_bag(d)? },
+            2 => AppliedChange::Incremental {
+                view: parse_view(&d.str()?)?,
+                rows: rel_wire::dec_bag(d)?,
+            },
             3 => AppliedChange::Skipped,
             4 => AppliedChange::Deferred,
             t => return Err(WireError::Invalid(format!("applied change tag {t}"))),
@@ -784,6 +803,21 @@ mod tests {
         assert_eq!(back.deferred_keys(1), vec![vec![7]], "peer's copy survives");
     }
 
+    /// A definition whose rendered SQL (`CREATE VIEW W W AS …`) no parser
+    /// accepts: the record carrying it is corrupt on the log.
+    fn unparsable_view() -> ViewDefinition {
+        let w = ViewDefinition::parse("CREATE VIEW W AS SELECT S.a FROM S", "view").unwrap();
+        let view = ViewDefinition::new("W W", w.query);
+        assert!(ViewDefinition::parse(&view.to_string(), "view").is_err());
+        view
+    }
+
+    /// A resolved peer delta for key `key` of view 0 (key column 0).
+    fn remote(key: i64, post: &[i64], applied: bool, bytes: &[u8]) -> RemoteRecord {
+        let (key, post, bytes) = (Value::Int(key), bag(post), bytes.to_vec());
+        RemoteRecord { view: 0, key_col: 0, key, post, applied, bytes }
+    }
+
     #[test]
     fn applied_record_replays_all_or_nothing() {
         // A CRC-valid `Applied` whose second change cannot replay is torn
@@ -794,11 +828,8 @@ mod tests {
             (vec![8], AppliedChange::Deferred),
             // W's delta deletes a row it does not hold.
             (vec![7], AppliedChange::Delta { rows: [(Tuple::of([9]), -2)].into_iter().collect() }),
-            // W's rewritten definition does not parse.
-            (
-                vec![7],
-                AppliedChange::Incremental { sql: "CREATE VIEW W AS".into(), rows: bag(&[]) },
-            ),
+            // W's rewritten definition renders SQL that does not parse.
+            (vec![7], AppliedChange::Incremental { view: unparsable_view(), rows: bag(&[]) }),
         ];
         for (keys, second) in bad_second_changes {
             let (wh, info) = warehouse(true);
@@ -815,6 +846,25 @@ mod tests {
             assert_eq!(back.view_reflected(0), vec![(0, 0)], "{second:?}: V's vector");
             assert_eq!(image(&back), image(&wh), "{second:?}: the checkpoint, unchanged");
         }
+    }
+
+    #[test]
+    fn applied_record_without_a_vector_per_view_is_torn() {
+        // No writer leaves the per-view vectors out; replayed, such a record
+        // would move the extent and leave the view's vector behind it.
+        let (wh, info) = warehouse(false);
+        let (disk, mut log) = logged(&wh);
+        log.log_applied(&AppliedRecord {
+            keys: vec![7],
+            changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
+            reflected: vec![(0, 1)],
+            view_reflected: vec![],
+        });
+        let (back, report) = recover(&disk, &info, &Collector::wall());
+        assert_eq!((report.replayed_records, report.torn_records), (1, 1));
+        assert_eq!(back.mv(0).extent(), &bag(&[1, 2]), "the checkpoint's extent");
+        assert_eq!(back.view_reflected(0), vec![(0, 0)], "the checkpoint's vector");
+        assert_eq!(image(&back), image(&wh));
     }
 
     #[test]
@@ -907,9 +957,9 @@ mod tests {
         let (disk, mut log) = logged(&wh);
         log.log_replica_published(&[1, 2, 3]);
         // A winning remote post-image replaces key 1's rows…
-        log.log_replica_remote(0, 0, &Value::Int(1), &bag(&[5]), true, &[9]);
+        log.log_replica_remote(&remote(1, &[5], true, &[9]));
         // …a superseded loser is logged but never applied.
-        log.log_replica_remote(0, 0, &Value::Int(2), &bag(&[7]), false, &[8]);
+        log.log_replica_remote(&remote(2, &[7], false, &[8]));
 
         let obs = Collector::wall();
         let (mut back, report) = recover(&disk, &info, &obs);
@@ -918,11 +968,8 @@ mod tests {
         let tail = back.take_replica_tail();
         assert_eq!(tail.len(), 3);
         assert_eq!(tail[0], ReplicaTailEvent::Published { bytes: vec![1, 2, 3] });
-        assert!(matches!(
-            &tail[1],
-            ReplicaTailEvent::Remote { applied: true, bytes, .. } if bytes == &vec![9]
-        ));
-        assert!(matches!(&tail[2], ReplicaTailEvent::Remote { applied: false, .. }));
+        assert_eq!(tail[1], ReplicaTailEvent::Remote(remote(1, &[5], true, &[9])));
+        assert_eq!(tail[2], ReplicaTailEvent::Remote(remote(2, &[7], false, &[8])));
 
         // Recovery's closing checkpoint truncated the tail records: a
         // second pass starts from the folded extent with an empty tail.
@@ -935,18 +982,16 @@ mod tests {
     fn applied_records_surface_their_rows_in_the_tail() {
         let (wh, info) = warehouse(false);
         let (disk, mut log) = logged(&wh);
-        log.log_intent(&[7], false);
-        log.log_applied(&AppliedRecord {
+        let applied = AppliedRecord {
             keys: vec![7],
             changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
             reflected: vec![(0, 1)],
             view_reflected: vec![vec![(0, 1)]],
-        });
+        };
+        log.log_intent(&[7], false);
+        log.log_applied(&applied);
         let (mut back, _) = recover(&disk, &info, &Collector::wall());
-        assert_eq!(
-            back.take_replica_tail(),
-            vec![ReplicaTailEvent::Applied { keys: vec![7], rows: vec![bag(&[4])] }]
-        );
+        assert_eq!(back.take_replica_tail(), vec![ReplicaTailEvent::Applied(applied)]);
     }
 
     #[test]
@@ -1037,7 +1082,7 @@ mod tests {
         let (wh, _) = warehouse(false);
         let (disk, mut log) = logged(&wh);
         log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 1 });
-        log.log_replica_remote(0, 0, &Value::from(1), &ZSet::new(), false, b"m"); // no match
+        log.log_replica_remote(&remote(1, &[], false, b"m")); // no match
         log.log_replica_published(b"first"); // first match, skipped
         assert!(!log.power_cut());
         log.log_replica_published(b"second");

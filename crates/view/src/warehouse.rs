@@ -22,16 +22,26 @@
 //!
 //! [`Warehouse`] owns the scheduler, the shared queue, the admission gate,
 //! and one private `Views` struct: the slots and everything a commit to
-//! them touches. The commit protocol is four steps, each a method on
-//! `Views` and each existing once — **stage** one view's change for one
-//! batch, **commit** it to that slot (`w(MV)`), **record** the commit in
-//! the WAL and for peer replicas (`c(MV)`), and **fail**. Two callers loop
-//! over them: `Maintenance` (the `Maintainer` Dyno drives) over every slot
-//! for one shared-queue entry, and `Warehouse::drain_deferred` over one
-//! slot's queue of batches it deferred while its source was down. What
-//! differs between the two — whose vector advances, whose abort it is, who
-//! owns the batch's provenance — lives in the callers; nothing inside a
+//! them touches. A commit has one form, the WAL's [`AppliedRecord`]: one
+//! [`AppliedChange`] per slot. The commit protocol is four steps, each a
+//! method on `Views` and each existing once — **stage** one view's change
+//! for one batch, **commit** it to that slot (`w(MV)`), **record** the
+//! commit in the WAL and for peer replicas (`c(MV)`), and **fail**. Two
+//! callers loop over them: `Maintenance` (the `Maintainer` Dyno drives) over
+//! every slot for one shared-queue entry, and `Warehouse::drain_deferred`
+//! over one slot's queue of batches it deferred while its source was down.
+//! What differs between the two — whose vector advances, whose abort it is,
+//! who owns the batch's provenance — lives in the callers; nothing inside a
 //! step asks who called.
+//!
+//! One function, `apply_change`, changes a slot from its `AppliedChange` —
+//! extent, definition, deferred queue. Both callers' commits and the replay
+//! of an `Applied` record go through it; what only a live commit does (view
+//! stats, plan-cache invalidation, the port's write charge, staleness lanes,
+//! profiler nodes) stays in the commit step. The record is built only when
+//! something consumes it — the WAL appends it by reference and the
+//! replication engine takes the same value — so a warehouse with neither
+//! clones nothing for it.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -45,7 +55,7 @@ use dyno_durable::storage::Storage;
 use dyno_durable::wal::Wal;
 use dyno_obs::{field, Capture, Collector, Counter, Gauge, Level, OpPhase, StalenessTracker};
 use dyno_relational::wire as rel_wire;
-use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, Value, ZSet};
+use dyno_relational::{thread_stats, ExecStats, RelationalError, SourceUpdate, ZSet};
 use dyno_source::{InfoSpace, SourceId, UpdateMessage};
 
 use crate::batch::{adapt_batch, AdaptationMode, Adapted, BatchFailure};
@@ -58,8 +68,8 @@ use crate::viewdef::ViewDefinition;
 use crate::vm::{profiler, sweep_maintain_shared};
 use crate::vs::VsError;
 use crate::wal::{
-    dec_batches, dec_versions, enc_batches, enc_versions, AppliedChange, AppliedRecord, CrashPlan,
-    DurableLog, Record, RecoverError, RecoverReport, ReplicaTailEvent,
+    dec_batches, dec_versions, enc_batches, enc_versions, parse_view, AppliedChange, AppliedRecord,
+    CrashPlan, DurableLog, Record, RecoverError, RecoverReport, RemoteRecord, ReplicaTailEvent,
 };
 
 /// Hard (non-retryable) view-management failures.
@@ -138,112 +148,6 @@ impl ViewSlot {
             sources: Vec::new(),
         }
     }
-}
-
-/// What one batch does to one view slot.
-enum Disposition {
-    /// The batch touches this view: maintenance runs against it.
-    Active,
-    /// No updated relation is referenced: the extent is untouched, the
-    /// view's vector still advances (irrelevant-by-relation updates cannot
-    /// change its evaluation).
-    Skip,
-    /// The slot already holds deferred batches (or its source turned out to
-    /// be unavailable): the batch joins its FIFO queue, the vector freezes.
-    Defer,
-}
-
-/// A staged (computed but uncommitted) change for one view.
-enum Staged {
-    Delta(crate::vm::ViewDelta),
-    Adapted(Adapted),
-}
-
-impl Staged {
-    /// The rows a peer replica is told changed: the delta, or — for a full
-    /// replace — the whole new extent.
-    fn publish_rows(&self) -> &ZSet {
-        match self {
-            Staged::Delta(delta) | Staged::Adapted(Adapted::Incremental { delta, .. }) => {
-                &delta.rows
-            }
-            Staged::Adapted(Adapted::Replaced { extent, .. }) => extent,
-        }
-    }
-
-    /// The WAL form of this change.
-    fn applied_change(&self) -> AppliedChange {
-        match self {
-            Staged::Delta(delta) => AppliedChange::Delta { rows: delta.rows.clone() },
-            Staged::Adapted(Adapted::Replaced { view, cols, extent }) => AppliedChange::Replace {
-                sql: view.to_string(),
-                cols: cols.clone(),
-                extent: extent.clone(),
-            },
-            Staged::Adapted(Adapted::Incremental { view, delta }) => {
-                AppliedChange::Incremental { sql: view.to_string(), rows: delta.rows.clone() }
-            }
-        }
-    }
-
-    /// The profiler's name for the apply operator.
-    fn apply_op(&self) -> &'static str {
-        match self {
-            Staged::Delta(_) => "apply_delta",
-            Staged::Adapted(Adapted::Replaced { .. }) => "replace",
-            Staged::Adapted(Adapted::Incremental { .. }) => "apply_incremental",
-        }
-    }
-
-    /// Commits the change to `slot`: extent, and for an adaptation the
-    /// rewritten definition, plan-cache invalidation and batch counters.
-    /// Returns the tuples written (the caller charges the port for them).
-    fn apply(
-        self,
-        slot: &mut ViewSlot,
-        batch_len: usize,
-        schema_changes: usize,
-        clamp: Option<&Counter>,
-        obs: &Collector,
-    ) -> Result<u64, RelationalError> {
-        let adapted = match self {
-            Staged::Delta(delta) => {
-                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp)?;
-                slot.stats.du_committed += 1;
-                return Ok(delta.rows.weight());
-            }
-            Staged::Adapted(adapted) => adapted,
-        };
-        let (view, written) = match adapted {
-            Adapted::Replaced { view, cols, extent } => {
-                let written = extent.weight();
-                slot.mv.replace(cols, extent)?;
-                (view, written)
-            }
-            Adapted::Incremental { view, delta } => {
-                apply_signed(&mut slot.mv, &delta.cols, &delta.rows, clamp)?;
-                slot.stats.incremental_batches += 1;
-                (view, delta.rows.weight())
-            }
-        };
-        slot.view = view;
-        slot.plans.invalidate(schema_changes as u64, obs);
-        slot.stats.batches_committed += 1;
-        slot.stats.batched_updates += batch_len as u64;
-        Ok(written)
-    }
-}
-
-/// One committed batch waiting for the replication engine to publish it to
-/// peer warehouses (see [`Warehouse::take_published`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingPublish {
-    /// Update keys of the committed batch.
-    pub keys: Vec<u64>,
-    /// Per-view changed rows, in slot order (a full replace contributes its
-    /// whole new extent; untouched/deferring views contribute nothing) —
-    /// the engine derives the changed `(view, key)` post-images from these.
-    pub rows: Vec<ZSet>,
 }
 
 /// Pre-registered `exec.*` registry counters mirroring the delta executor's
@@ -356,18 +260,6 @@ fn advance(reflected: &mut ReflectedVersions, batch: &[UpdateMeta<UpdateMessage>
     }
 }
 
-/// What one commit leaves for the log and for peer replicas, slot by slot.
-/// Each half exists only while something consumes it.
-struct Committed {
-    /// The WAL form of every slot's change (`Skipped` unless a step says
-    /// otherwise); `Some` with a WAL attached.
-    changes: Option<Vec<AppliedChange>>,
-    /// Every slot's changed rows; `Some` with a replication engine attached.
-    rows: Option<Vec<ZSet>>,
-    /// Tuples written across the slots.
-    written: u64,
-}
-
 /// The views and everything a commit to them touches; the four commit
 /// steps ([`Views::stage`], [`Views::commit`], [`Views::record`],
 /// [`Views::fail`]) are its methods.
@@ -393,20 +285,20 @@ struct Views {
     dag: ViewDag,
     /// Whether overlapping views share first-hop join subplans per batch.
     share_subplans: bool,
-    /// True once a replication engine is attached: commits queue
-    /// [`PendingPublish`] entries and auto-checkpoints are held while the
-    /// buffer is non-empty (a checkpoint must not outrun the durable
+    /// True once a replication engine is attached: commits queue their
+    /// [`AppliedRecord`] for it and auto-checkpoints are held while the
+    /// queue is non-empty (a checkpoint must not outrun the durable
     /// `Published` record for a commit it covers).
     replicate: bool,
     /// Commits awaiting publication to peer replicas.
-    publish: Vec<PendingPublish>,
+    publish: Vec<AppliedRecord>,
 }
 
 impl Views {
     /// Step 1 — **stage**: computes slot `i`'s change for `batch` without
     /// committing anything — SWEEP for a lone data update, batch adaptation
     /// otherwise (lent the slot's extent, which a pruned column is projected
-    /// from). `pending` is the compensation set. Returns the staged change
+    /// from). `pending` is the compensation set. Returns the slot's change
     /// and the messages that arrived while the queries ran.
     fn stage(
         &mut self,
@@ -415,7 +307,7 @@ impl Views {
         pending: &[&UpdateMessage],
         port: &mut dyn SourcePort,
         shared: Option<&mut SharedSubplans>,
-    ) -> (Result<Staged, BatchFailure>, Vec<UpdateMessage>) {
+    ) -> (Result<AppliedChange, BatchFailure>, Vec<UpdateMessage>) {
         let slot = &mut self.slots[i];
         if let Some(du) = lone_du(batch) {
             let (result, arrivals) = sweep_maintain_shared(
@@ -427,7 +319,8 @@ impl Views {
                 &self.obs,
                 shared,
             );
-            (result.map(Staged::Delta).map_err(BatchFailure::from), arrivals)
+            let change = result.map(|delta| AppliedChange::Delta { rows: delta.rows });
+            (change.map_err(BatchFailure::from), arrivals)
         } else {
             let refs: Vec<&UpdateMessage> = batch.iter().map(|m| &m.payload).collect();
             let (result, arrivals) = adapt_batch(
@@ -439,7 +332,15 @@ impl Views {
                 port,
                 &self.obs,
             );
-            (result.map(Staged::Adapted), arrivals)
+            let change = result.map(|adapted| match adapted {
+                Adapted::Replaced { view, cols, extent } => {
+                    AppliedChange::Replace { view, cols, extent }
+                }
+                Adapted::Incremental { view, delta } => {
+                    AppliedChange::Incremental { view, rows: delta.rows }
+                }
+            });
+            (change, arrivals)
         }
     }
 
@@ -455,93 +356,93 @@ impl Views {
         prof.finish(window, 1, OpPhase::Wal, "log_intent", "batch", || batch.len());
     }
 
-    /// An empty [`Committed`], sized for what is attached.
-    fn open_commit(&self) -> Committed {
-        let n = self.slots.len();
-        Committed {
-            changes: self.wal.is_some().then(|| vec![AppliedChange::Skipped; n]),
-            rows: self.replicate.then(|| vec![ZSet::new(); n]),
-            written: 0,
-        }
+    /// Whether a commit's record has a consumer: the WAL or the
+    /// replication engine. Without one no record is built.
+    fn keeps_records(&self) -> bool {
+        self.wal.is_some() || self.replicate
     }
 
     /// Step 2 — **commit**: Definition 1's `w(MV)` for slot `i`. Applies
-    /// `change` (`None`: the batch does not touch this view's extent),
-    /// charges the port for the tuples written, advances the slot's vector
-    /// past the batch and refreshes its staleness lane. The slot's WAL and
-    /// replication forms go into `done`.
+    /// `change` through [`apply_change`] (kept whole for the record when
+    /// `keep`), then does what only a live commit does: view stats,
+    /// plan-cache invalidation after a rewrite, the port's write charge,
+    /// and — unless the slot defers the batch — advancing its vector past
+    /// the batch and refreshing its staleness lane. Returns the tuples
+    /// written.
     fn commit(
         &mut self,
         i: usize,
-        change: Option<Staged>,
+        change: &mut AppliedChange,
         batch: &[UpdateMeta<UpdateMessage>],
-        schema_changes: usize,
-        done: &mut Committed,
+        keep: bool,
         port: &mut dyn SourcePort,
-    ) -> Result<(), RelationalError> {
+    ) -> Result<u64, RelationalError> {
         let slot = &mut self.slots[i];
-        if let Some(change) = change {
-            if let Some(rows) = &mut done.rows {
-                rows[i] = change.publish_rows().clone();
-            }
-            if let Some(changes) = &mut done.changes {
-                changes[i] = change.applied_change();
-            }
-            // An apply writes the rows it takes in; `apply` consumes the
-            // change, so the count is kept for the node's rows out.
+        let clamp = self.umq_bound.is_some().then_some(&self.metrics.mv_clamped);
+        if matches!(change, AppliedChange::Deferred) {
+            return apply_change(slot, change, batch, keep, clamp);
+        }
+        let mut written = 0;
+        if let Some(rows) = change.rows().map(ZSet::distinct_len) {
+            let op = match change {
+                AppliedChange::Delta { .. } => "apply_delta",
+                AppliedChange::Incremental { .. } => "apply_incremental",
+                _ => "replace",
+            };
             let prof = profiler(&self.obs, "warehouse", "pipeline");
-            let op = change.apply_op();
-            let mut rows = 0;
-            let window = prof.start(|| {
-                rows = change.publish_rows().distinct_len();
-                rows
-            });
-            let applied = change.apply(
-                slot,
-                batch.len(),
-                schema_changes,
-                self.umq_bound.is_some().then_some(&self.metrics.mv_clamped),
-                &self.obs,
-            );
+            let window = prof.start(|| rows);
+            let applied = apply_change(slot, change, batch, keep, clamp);
             prof.finish(window, 2, OpPhase::Apply, op, &slot.view.name, || rows);
-            let written = applied?;
+            written = applied?;
+            if op == "apply_delta" {
+                slot.stats.du_committed += 1;
+            } else {
+                slot.plans.invalidate(schema_changes_in(batch) as u64, &self.obs);
+                slot.stats.batches_committed += 1;
+                slot.stats.batched_updates += batch.len() as u64;
+                slot.stats.incremental_batches += u64::from(op == "apply_incremental");
+            }
             port.charge_mv_write(written);
-            done.written += written;
         }
         advance(&mut slot.reflected, batch);
         if let (Some(tracker), Some(lane)) = (&self.staleness, slot.lane) {
             tracker.note_refresh_for(lane, &sorted(&slot.reflected), self.obs.now_us());
         }
-        Ok(())
+        Ok(written)
     }
 
-    /// Step 3 — **record**: Definition 1's `c(MV)`. Commit protocol, write
-    /// 2 of 2 — one atomic `Applied` record across every view, making the
-    /// whole batch durable or (on a crash) none of it, the durable form of
-    /// Equation 6's all-or-nothing batch; deferring views are part of the
+    /// Step 3 — **record**: Definition 1's `c(MV)`. With a consumer the
+    /// commit's `changes` become its [`AppliedRecord`]: commit protocol,
+    /// write 2 of 2 — one atomic `Applied` record across every view, making
+    /// the whole batch durable or (on a crash) none of it, the durable form
+    /// of Equation 6's all-or-nothing batch; deferring views are part of the
     /// atom (replay moves their copy of the batch into their durable
-    /// deferred queue). Then the commit is queued for the replication
-    /// engine, counted, and reported to the port.
+    /// deferred queue) — and then the same record is queued for the
+    /// replication engine. Either way the commit is counted and reported to
+    /// the port.
     fn record(
         &mut self,
         batch: &[UpdateMeta<UpdateMessage>],
-        done: Committed,
+        changes: Option<Vec<AppliedChange>>,
+        written: u64,
         port: &mut dyn SourcePort,
     ) {
-        if let (Some(changes), Some(log)) = (done.changes, self.wal.as_mut()) {
+        if let Some(changes) = changes {
             let rec = AppliedRecord {
                 keys: keys_of(batch),
                 changes,
                 reflected: sorted(&self.reflected),
                 view_reflected: self.slots.iter().map(|s| sorted(&s.reflected)).collect(),
             };
-            let prof = profiler(&self.obs, "warehouse", "pipeline");
-            let window = prof.start(|| batch.len());
-            log.log_applied(&rec);
-            prof.finish(window, 3, OpPhase::Wal, "log_applied", "batch", || done.written as usize);
-        }
-        if let Some(rows) = done.rows {
-            self.publish.push(PendingPublish { keys: keys_of(batch), rows });
+            if let Some(log) = self.wal.as_mut() {
+                let prof = profiler(&self.obs, "warehouse", "pipeline");
+                let window = prof.start(|| batch.len());
+                log.log_applied(&rec);
+                prof.finish(window, 3, OpPhase::Wal, "log_applied", "batch", || written as usize);
+            }
+            if self.replicate {
+                self.publish.push(rec);
+            }
         }
         self.obs.counter("view.commits").inc();
         port.on_maintenance_event(MaintEvent::Commit);
@@ -846,15 +747,17 @@ impl Warehouse {
     }
 
     /// Marks this warehouse as one peer of a replicated set: every commit
-    /// queues a [`PendingPublish`] entry for the replication engine, and
+    /// queues its [`AppliedRecord`] for the replication engine, and
     /// periodic checkpoints are held until the engine drains the buffer
     /// (via [`Warehouse::take_published`]) and logs the publish events.
     pub fn enable_replication(&mut self) {
         self.views.replicate = true;
     }
 
-    /// Drains the commits awaiting publication, oldest first.
-    pub fn take_published(&mut self) -> Vec<PendingPublish> {
+    /// Drains the commits awaiting publication, oldest first — the same
+    /// records the WAL logged and replay hands back in
+    /// [`Warehouse::take_replica_tail`].
+    pub fn take_published(&mut self) -> Vec<AppliedRecord> {
         std::mem::take(&mut self.views.publish)
     }
 
@@ -885,37 +788,24 @@ impl Warehouse {
         }
     }
 
-    /// Applies one resolved peer delta: when `applied`, `key`'s rows in
-    /// view `view` are replaced by the winning post-image `post` (returned
-    /// as the signed delta that was merged); a superseded loser only logs.
-    /// Either way the durable `Remote` record (with the engine's stamp
-    /// `meta`) lands so registers and floors survive a kill — replay
-    /// re-folds applied post-images idempotently, exactly once.
-    pub fn apply_remote(
-        &mut self,
-        view: usize,
-        key_col: usize,
-        key: &Value,
-        post: &ZSet,
-        applied: bool,
-        meta: &[u8],
-    ) -> Result<ZSet, ViewError> {
+    /// Applies one resolved peer delta: when `remote.applied`, its key's
+    /// rows in its view are replaced by the winning post-image (returned as
+    /// the signed delta that was merged); a superseded loser only logs.
+    /// Either way the durable `Remote` record lands, by reference, so
+    /// registers and floors survive a kill — replay re-folds applied
+    /// post-images through the same [`replace_key`], exactly once.
+    pub fn apply_remote(&mut self, remote: &RemoteRecord) -> Result<ZSet, ViewError> {
         let prof = profiler(&self.views.obs, "warehouse", "pipeline");
         let mut delta = ZSet::new();
-        if applied {
-            let window = prof.start(|| post.distinct_len());
-            let slot = self.views.slots.get_mut(view).ok_or_else(|| {
-                ViewError::Internal(RelationalError::InvalidQuery {
-                    reason: format!("remote delta for unknown view {view}"),
-                })
-            })?;
-            delta = replace_key(&mut slot.mv, key_col, key, post).map_err(ViewError::Internal)?;
-            let out_rows = || delta.distinct_len();
-            prof.finish(window, 2, OpPhase::Apply, "apply_remote", &slot.view.name, out_rows);
+        if remote.applied {
+            let window = prof.start(|| remote.post.distinct_len());
+            delta = replace_key(&mut self.views.slots, remote).map_err(ViewError::Internal)?;
+            let name = &self.views.slots[remote.view as usize].view.name;
+            prof.finish(window, 2, OpPhase::Apply, "apply_remote", name, || delta.distinct_len());
         }
         if let Some(log) = self.views.wal.as_mut() {
-            let window = prof.start(|| post.distinct_len());
-            log.log_replica_remote(view as u32, key_col as u32, key, post, applied, meta);
+            let window = prof.start(|| remote.post.distinct_len());
+            log.log_replica_remote(remote);
             let out_rows = || delta.distinct_len();
             prof.finish(window, 3, OpPhase::Wal, "log_replica_remote", "remote", out_rows);
         }
@@ -1272,28 +1162,31 @@ impl Warehouse {
                 self.views.slots[idx].deferred = queue;
                 self.ingest(arrivals);
                 let failure = match staged {
-                    Ok(change) => {
+                    Ok(mut change) => {
                         let views = &mut self.views;
                         let batch = views.slots[idx].deferred.pop_front().expect("staged head");
                         views.log_intent(&batch, schema_changes);
-                        let mut done = views.open_commit();
-                        let applied = views.commit(
-                            idx,
-                            Some(change),
-                            &batch,
-                            schema_changes,
-                            &mut done,
-                            port,
-                        );
-                        if let Err(e) = applied {
-                            views.slots[idx].deferred.push_front(batch);
-                            BatchFailure::Internal(e)
-                        } else {
-                            views.record(&batch, done, port);
-                            views.metrics.drains.inc();
-                            self.maybe_checkpoint();
-                            commits += 1;
-                            continue;
+                        let keep = views.keeps_records();
+                        match views.commit(idx, &mut change, &batch, keep, port) {
+                            Err(e) => {
+                                views.slots[idx].deferred.push_front(batch);
+                                BatchFailure::Internal(e)
+                            }
+                            Ok(written) => {
+                                // The record holds the drained slot's change
+                                // and `Skipped` for every peer.
+                                let changes = keep.then(|| {
+                                    let mut changes =
+                                        vec![AppliedChange::Skipped; views.slots.len()];
+                                    changes[idx] = change;
+                                    changes
+                                });
+                                views.record(&batch, changes, written, port);
+                                views.metrics.drains.inc();
+                                self.maybe_checkpoint();
+                                commits += 1;
+                                continue;
+                            }
                         }
                     }
                     Err(failure) => failure,
@@ -1404,14 +1297,10 @@ impl Warehouse {
                 *open_intents = 0;
             }
             Record::Replica(event) => {
-                if let ReplicaTailEvent::Remote {
-                    view, key_col, key, post, applied: true, ..
-                } = &event
-                {
-                    let slot = self.views.slots.get_mut(*view as usize);
-                    let slot =
-                        slot.ok_or_else(|| invalid(format!("remote delta for view {view}")))?;
-                    replace_key(&mut slot.mv, *key_col as usize, key, post).map_err(invalid)?;
+                if let ReplicaTailEvent::Remote(remote) = &event {
+                    if remote.applied {
+                        replace_key(&mut self.views.slots, remote).map_err(invalid)?;
+                    }
                 }
                 self.replica_tail.push(event);
             }
@@ -1421,13 +1310,15 @@ impl Warehouse {
     }
 
     /// Replays one `Applied` record all or nothing. The whole record is
-    /// checked first — view and vector counts, a queued batch for every
-    /// `Deferred`, SQL that parses, deltas that keep every extent
-    /// non-negative — and only then does any slot change.
-    fn replay_applied(&mut self, rec: AppliedRecord) -> Result<(), WireError> {
+    /// checked first — one change and one vector per view, a queued batch
+    /// for every `Deferred`, deltas that keep every extent non-negative (its
+    /// SQL parsed when it decoded) — and only then does any slot change,
+    /// through the live commit's [`apply_change`]. The record itself then
+    /// joins the replication tail.
+    fn replay_applied(&mut self, mut rec: AppliedRecord) -> Result<(), WireError> {
         let slots = &mut self.views.slots;
         let n = slots.len();
-        if rec.changes.len() != n || ![0, n].contains(&rec.view_reflected.len()) {
+        if rec.changes.len() != n || rec.view_reflected.len() != n {
             return Err(invalid(format!("applied record does not cover the {n} views")));
         }
         let keys: Vec<UpdateKey> = rec.keys.iter().map(|&k| UpdateKey(k)).collect();
@@ -1442,87 +1333,111 @@ impl Warehouse {
         if defers && batch.is_empty() {
             return Err(invalid("deferred change with no queued batch to defer"));
         }
-        let mut rewritten = Vec::new();
-        for (i, (slot, change)) in slots.iter().zip(&rec.changes).enumerate() {
-            let fits = |rows| fits(slot.mv.extent(), rows);
-            let sql = match change {
-                AppliedChange::Delta { rows } if fits(rows) => None,
-                AppliedChange::Incremental { sql, rows } if fits(rows) => Some(sql),
-                AppliedChange::Replace { sql, extent, .. } if extent.is_non_negative() => Some(sql),
-                AppliedChange::Skipped | AppliedChange::Deferred => None,
-                _ => {
-                    return Err(invalid(format!(
-                        "applied change drives `{}` negative",
-                        slot.view.name
-                    )))
+        for (slot, change) in slots.iter().zip(&rec.changes) {
+            let fits = match change {
+                AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => {
+                    fits(slot.mv.extent(), rows)
                 }
+                AppliedChange::Replace { extent, .. } => extent.is_non_negative(),
+                AppliedChange::Skipped | AppliedChange::Deferred => true,
             };
-            if let Some(sql) = sql {
-                rewritten.push((i, parse_view(sql)?));
+            if !fits {
+                let name = &slot.view.name;
+                return Err(invalid(format!("applied change drives `{name}` negative")));
             }
         }
-        let mut rows = Vec::with_capacity(n);
-        for (slot, change) in slots.iter_mut().zip(rec.changes) {
+        for (slot, change) in slots.iter_mut().zip(&mut rec.changes) {
             // A materializing change resolves the keys from this view's own
             // deferred queue too (the per-view drain commits a deferred
             // batch through the same record shape, its peers `Skipped`).
-            if !matches!(change, AppliedChange::Skipped | AppliedChange::Deferred) {
+            if change.rows().is_some() {
                 for deferred in &mut slot.deferred {
                     deferred.retain(|m| !keys.contains(&m.key));
                 }
                 slot.deferred.retain(|b| !b.is_empty());
             }
-            rows.push(match change {
-                AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => {
-                    slot.mv.merge(&rows).map_err(invalid)?;
-                    rows
-                }
-                AppliedChange::Replace { cols, extent, .. } => {
-                    slot.mv.replace(cols, extent.clone()).map_err(invalid)?;
-                    extent
-                }
-                AppliedChange::Skipped => ZSet::new(),
-                AppliedChange::Deferred => {
-                    slot.deferred.push_back(batch.clone());
-                    ZSet::new()
-                }
-            });
-        }
-        for (i, view) in rewritten {
-            slots[i].view = view;
+            apply_change(slot, change, &batch, true, None).map_err(invalid)?;
         }
         for (slot, vr) in slots.iter_mut().zip(&rec.view_reflected) {
             set_reflected(&mut slot.reflected, vr);
         }
         set_reflected(&mut self.views.reflected, &rec.reflected);
         self.umq.remove_by_keys(&keys);
-        self.replica_tail.push(ReplicaTailEvent::Applied { keys: rec.keys, rows });
+        self.replica_tail.push(ReplicaTailEvent::Applied(rec));
         Ok(())
     }
 }
 
-/// Replaces `key`'s rows in `mv` with the winning post-image `post` and
-/// returns the signed delta merged: [`Warehouse::apply_remote`] and the
-/// replay of its `Remote` record share it, and it is idempotent because the
-/// post-image is absolute.
-fn replace_key(
-    mv: &mut MaterializedView,
-    key_col: usize,
-    key: &Value,
-    post: &ZSet,
-) -> Result<ZSet, RelationalError> {
+/// Applies one slot's change — the one place a commit changes a slot, for
+/// a live commit and for the replay of its record alike: a delta merges
+/// into the extent (clamped at zero when admission shedding passes the
+/// `clamp` counter for the dropped magnitude), an adaptation also installs
+/// its rewritten definition, and a deferral queues a copy of `batch`. With
+/// `keep` the change stays whole for its record (a replaced extent and a
+/// rewritten definition are cloned into the slot); without, they move.
+/// Returns the tuples written.
+fn apply_change(
+    slot: &mut ViewSlot,
+    change: &mut AppliedChange,
+    batch: &[UpdateMeta<UpdateMessage>],
+    keep: bool,
+    clamp: Option<&Counter>,
+) -> Result<u64, RelationalError> {
+    let written = match change {
+        AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => {
+            match clamp {
+                Some(clamped) => clamped.add(slot.mv.merge_clamped(rows)),
+                None => slot.mv.merge(rows)?,
+            }
+            rows.weight()
+        }
+        AppliedChange::Replace { cols, extent, .. } => {
+            let written = extent.weight();
+            if keep {
+                slot.mv.replace(cols.clone(), extent.clone())?;
+            } else {
+                slot.mv.replace(std::mem::take(cols), std::mem::take(extent))?;
+            }
+            written
+        }
+        AppliedChange::Skipped => 0,
+        AppliedChange::Deferred => {
+            slot.deferred.push_back(batch.to_vec());
+            0
+        }
+    };
+    if let AppliedChange::Incremental { view, .. } | AppliedChange::Replace { view, .. } = change {
+        if keep {
+            slot.view = view.clone();
+        } else {
+            std::mem::swap(&mut slot.view, view);
+        }
+    }
+    Ok(written)
+}
+
+/// Folds an applied peer delta into its view: `remote.key`'s rows are
+/// replaced with the winning post-image and the signed delta merged is
+/// returned. [`Warehouse::apply_remote`] and the replay of its `Remote`
+/// record share it, and it is idempotent because the post-image is
+/// absolute.
+fn replace_key(slots: &mut [ViewSlot], remote: &RemoteRecord) -> Result<ZSet, RelationalError> {
+    let RemoteRecord { view, key_col, key, post, .. } = remote;
+    let slot = slots.get_mut(*view as usize).ok_or_else(|| RelationalError::InvalidQuery {
+        reason: format!("remote delta for unknown view {view}"),
+    })?;
     if !post.is_non_negative() {
         return Err(RelationalError::InvalidQuery {
-            reason: format!("post-image for `{}` has negative multiplicities", mv.name()),
+            reason: format!("post-image for `{}` has negative multiplicities", slot.mv.name()),
         });
     }
     let mut delta = post.clone();
-    for (t, w) in mv.extent().iter() {
-        if t.values().get(key_col) == Some(key) {
+    for (t, w) in slot.mv.extent().iter() {
+        if t.values().get(*key_col as usize) == Some(key) {
             delta.add(t.clone(), -w);
         }
     }
-    mv.merge(&delta)?;
+    slot.mv.merge(&delta)?;
     Ok(delta)
 }
 
@@ -1530,10 +1445,6 @@ fn replace_key(
 /// non-negative (and in range).
 fn fits(extent: &ZSet, delta: &ZSet) -> bool {
     delta.iter().all(|(t, w)| extent.count(t).checked_add(w).is_some_and(|c| c >= 0))
-}
-
-fn parse_view(sql: &str) -> Result<ViewDefinition, WireError> {
-    ViewDefinition::parse(sql, "view").map_err(|e| invalid(format!("view sql: {e}")))
 }
 
 /// A version vector in its canonical on-disk form: pairs sorted by source.
@@ -1560,29 +1471,6 @@ struct Maintenance<'a> {
     views: &'a mut Views,
     port: &'a mut dyn SourcePort,
     arrivals: Vec<UpdateMessage>,
-}
-
-/// Applies a signed delta to a view extent: strict when maintenance is
-/// lossless (a negative multiplicity is a bug), clamped when admission
-/// shedding is on (a shed insert's later delete legitimately misses the
-/// extent; the dropped magnitude feeds the `view.clamped_rows` counter
-/// passed as `clamp`).
-fn apply_signed(
-    mv: &mut MaterializedView,
-    cols: &[String],
-    rows: &ZSet,
-    clamp: Option<&Counter>,
-) -> Result<(), RelationalError> {
-    match clamp {
-        Some(clamped) => {
-            let dropped = mv.apply_delta_clamped(cols, rows)?;
-            if dropped > 0 {
-                clamped.add(dropped);
-            }
-            Ok(())
-        }
-        None => mv.apply_delta(cols, rows),
-    }
 }
 
 impl Maintainer<UpdateMessage> for Maintenance<'_> {
@@ -1626,30 +1514,35 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
         // vector past queued updates of the same source would corrupt the
         // point-in-time audit). SC-bearing batches are active for every
         // current slot — adaptation handles irrelevance internally, and the
-        // relation-irrelevance argument that justifies `Skip` only holds
+        // relation-irrelevance argument that justifies `Skipped` only holds
         // for data updates.
         let has_sc = schema_changes > 0;
         let prof = profiler(&views.obs, "warehouse", "pipeline");
         let window = prof.start(|| batch.len());
-        let mut dispo: Vec<Disposition> = views
-            .slots
+        let slots = &views.slots;
+        let mut changes: Vec<AppliedChange> = slots
             .iter()
             .map(|slot| {
-                if !slot.deferred.is_empty() {
-                    Disposition::Defer
-                } else if has_sc
-                    || batch.iter().any(|m| match &m.payload.update {
-                        SourceUpdate::Data(du) => slot.view.references_relation(&du.relation),
-                        SourceUpdate::Schema(_) => true,
-                    })
-                {
-                    Disposition::Active
+                if slot.deferred.is_empty() {
+                    AppliedChange::Skipped
                 } else {
-                    Disposition::Skip
+                    AppliedChange::Deferred
                 }
             })
             .collect();
-        let active_total = dispo.iter().filter(|d| matches!(d, Disposition::Active)).count();
+        let active: Vec<usize> = (0..n)
+            .filter(|&i| {
+                slots[i].deferred.is_empty()
+                    && (has_sc
+                        || batch.iter().any(|m| match &m.payload.update {
+                            SourceUpdate::Data(du) => {
+                                slots[i].view.references_relation(&du.relation)
+                            }
+                            SourceUpdate::Schema(_) => true,
+                        }))
+            })
+            .collect();
+        let active_total = active.len();
         prof.finish(window, 0, OpPhase::Detect, "classify", "batch", || active_total);
 
         // Phase 1: stage every active view's change without committing
@@ -1662,19 +1555,15 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
         // (classic Dyno semantics).
         let mut shared =
             (is_plain_du && views.share_subplans && active_total >= 2).then(SharedSubplans::new);
-        let mut staged: Vec<Option<Staged>> = (0..n).map(|_| None).collect();
         let mut blocked = 0usize;
-        for i in 0..n {
-            if !matches!(dispo[i], Disposition::Active) {
-                continue;
-            }
+        for &i in &active {
             let (result, arrivals) = views.stage(i, batch, &pending, port, shared.as_mut());
             self.arrivals.extend(arrivals);
             match result {
-                Ok(s) => staged[i] = Some(s),
+                Ok(change) => changes[i] = change,
                 Err(BatchFailure::Unavailable(e)) => {
                     blocked += 1;
-                    dispo[i] = Disposition::Defer;
+                    changes[i] = AppliedChange::Deferred;
                     if views.obs.capturing(Capture::TRACE) {
                         views.obs.event(
                             Level::Warn,
@@ -1708,26 +1597,18 @@ impl Maintainer<UpdateMessage> for Maintenance<'_> {
         // slot index). Active slots apply their staged change; skipped
         // slots advance their vector for free; deferring slots enqueue the
         // batch and freeze.
-        let mut done = views.open_commit();
+        let keep = views.keeps_records();
+        let mut written = 0;
         for k in 0..n {
             let i = views.dag.refresh_order()[k];
-            if matches!(dispo[i], Disposition::Defer) {
-                if let Some(changes) = &mut done.changes {
-                    changes[i] = AppliedChange::Deferred;
-                }
-                views.slots[i].deferred.push_back(batch.to_vec());
-                continue;
-            }
-            if let Err(e) =
-                views.commit(i, staged[i].take(), batch, schema_changes, &mut done, port)
-            {
-                return views.fail(BatchFailure::Internal(e), 0..n, port);
+            match views.commit(i, &mut changes[i], batch, keep, port) {
+                Ok(w) => written += w,
+                Err(e) => return views.fail(BatchFailure::Internal(e), 0..n, port),
             }
         }
         advance(&mut views.reflected, batch);
-        let written = done.written;
         let was_cut = views.wal.as_ref().is_some_and(DurableLog::power_cut);
-        views.record(batch, done, port);
+        views.record(batch, keep.then_some(changes), written, port);
         // Terminal provenance, skipped when the power was already cut
         // before the Applied append (the append was dropped, so recovery
         // re-executes this batch and records the terminal stages exactly
@@ -1795,7 +1676,7 @@ mod tests {
     use super::*;
     use crate::engine::{InProcessPort, TracingPort};
     use crate::testkit::*;
-    use dyno_relational::{DataUpdate, SchemaChange, SpjQuery, Tuple};
+    use dyno_relational::{DataUpdate, SchemaChange, SpjQuery, Tuple, Value};
     use dyno_source::SourceId;
 
     /// A second view over the Retailer only: store price list.
@@ -2579,6 +2460,153 @@ mod tests {
         }
     }
 
+    /// Everything a recovery restores that a reader can see: per slot its
+    /// SQL, columns, extent, vector and deferred-batch keys; then the
+    /// warehouse vector, the ingress marks and the queued update keys.
+    fn restored_state(wh: &Warehouse) -> Vec<String> {
+        let slot = |i| {
+            let (view, mv) = (wh.view(i), wh.mv(i));
+            let (extent, deferred) = (mv.sorted_tuples(), wh.deferred_keys(i));
+            format!("{view} {:?} {extent:?} {:?} {deferred:?}", mv.cols(), wh.view_reflected(i))
+        };
+        let mut state: Vec<String> = (0..wh.view_count()).map(slot).collect();
+        state.push(format!("{:?} {:?}", sorted(wh.reflected()), wh.ingress_marks()));
+        state.push(format!("{:?}", wh.queued_keys()));
+        state
+    }
+
+    /// One `Catalog` row in the Library's current schema, whatever renames
+    /// and drops have done to its columns.
+    fn catalog_insert(port: &DownPort, title: &str, k: u64) -> SourceUpdate {
+        let library = port.inner.space().server(SourceId(1)).catalog();
+        let schema = library.get("Catalog").unwrap().schema().clone();
+        let value = |name: &str| match name {
+            "Title" => Value::str(title),
+            _ => Value::str(format!("{name}{k}")),
+        };
+        let row = Tuple::new(schema.attrs().iter().map(|a| value(&a.name)).collect());
+        SourceUpdate::Data(DataUpdate::new(dyno_relational::Delta::inserts(schema, [row]).unwrap()))
+    }
+
+    #[test]
+    fn recovery_after_every_step_restores_the_live_warehouse() {
+        // Seeded trains over a WAL: Item inserts and deletes (`Delta`), a
+        // ReaderDigest insert no view reads (`Skipped`), a Catalog outage
+        // that defers BookInfo while PriceList commits (`Deferred`, drained
+        // once the Library returns), a `Publisher` rename (`Incremental`)
+        // and a dropped `Category` column that BookInfo and Publishers
+        // prune (`Replace`). After every step, recovering a copy of the
+        // disk gives back the live warehouse.
+        for seed in 0..24u64 {
+            let mut rng = dyno_fault::rng::Rng::new(seed);
+            let space = bookinfo_space();
+            let info = space.info().clone();
+            let disk = dyno_durable::MemStorage::new();
+            let mut port = DownPort::new(InProcessPort::new(space));
+            let strategy = *rng.choose(&[Strategy::Pessimistic, Strategy::Optimistic]);
+            let mut wh = Warehouse::new(info.clone(), strategy);
+            let three = rng.gen_ratio(1, 2);
+            let mut tier = || u8::from(rng.gen_ratio(1, 2));
+            wh.add_view_tiered(bookinfo_view(), tier());
+            wh.add_view_tiered(pricelist_view(), tier());
+            if three {
+                wh.add_view_tiered(publishers_view(), tier());
+            }
+            wh.initialize(&mut port).unwrap();
+            let log = DurableLog::create(Box::new(disk.clone())).unwrap();
+            let mut wh = wh.with_wal(log).unwrap();
+            wh.set_checkpoint_every(rng.gen_range(3..40u64));
+
+            let titles = ["Databases", "Data Integration Guide", "Compilers"];
+            let mut script: Vec<&str> = vec!["du", "du", "du", "delete", "digest", "catalog"];
+            script.extend(["outage", "du", "rename", "catalog", "restore"]);
+            script.extend(["drop", "du", "catalog", "du", "delete"]);
+            rng.shuffle(&mut script[..6]);
+            let (mut inserted, mut k) = (Vec::new(), 0u64);
+            for event in script {
+                k += 1;
+                let update = match event {
+                    "du" => {
+                        let (sid, title) = (*rng.choose(&[1, 10]), *rng.choose(&titles));
+                        let du = insert_item(sid, title, "Adams", k as i64);
+                        inserted.push(du.delta.rows().iter().next().unwrap().0.clone());
+                        Some((SourceId(0), SourceUpdate::Data(du)))
+                    }
+                    "delete" => inserted.pop().map(|row| {
+                        let delta = dyno_relational::Delta::deletes(item_schema(), [row]);
+                        (SourceId(0), SourceUpdate::Data(DataUpdate::new(delta.unwrap())))
+                    }),
+                    "digest" => {
+                        let schema = readerdigest_schema();
+                        let row = Tuple::of([Value::str(format!("Article{k}")), Value::str("ok")]);
+                        let delta = dyno_relational::Delta::inserts(schema, [row]).unwrap();
+                        Some((SourceId(2), SourceUpdate::Data(DataUpdate::new(delta))))
+                    }
+                    "catalog" => {
+                        let title = *rng.choose(&titles);
+                        Some((SourceId(1), catalog_insert(&port, title, k)))
+                    }
+                    "rename" => Some((
+                        SourceId(1),
+                        SourceUpdate::Schema(SchemaChange::RenameAttribute {
+                            relation: "Catalog".into(),
+                            from: "Publisher".into(),
+                            to: "House".into(),
+                        }),
+                    )),
+                    "drop" => Some((
+                        SourceId(1),
+                        SourceUpdate::Schema(SchemaChange::DropAttribute {
+                            relation: "Catalog".into(),
+                            attr: "Category".into(),
+                        }),
+                    )),
+                    "outage" => {
+                        port.down.insert("Catalog".into());
+                        None
+                    }
+                    _ => {
+                        port.down.clear();
+                        None
+                    }
+                };
+                if let Some((source, update)) = update {
+                    port.inner.commit(source, update).unwrap();
+                }
+                for _ in 0..20 {
+                    let outcome = wh.step(&mut port).unwrap();
+                    let copy = dyno_durable::MemStorage::new();
+                    copy.set(disk.snapshot());
+                    let (back, report) =
+                        Warehouse::recover(Box::new(copy), info.clone(), Collector::disabled())
+                            .unwrap();
+                    assert_eq!(report.torn_records, 0, "seed {seed}, {event}");
+                    assert_eq!(
+                        restored_state(&back),
+                        restored_state(&wh),
+                        "seed {seed}, {event}: recovered ≠ live"
+                    );
+                    if outcome == StepOutcome::Idle {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(wh.deferred_total(), 0, "seed {seed}: the drain caught up");
+            for i in 0..wh.view_count() {
+                let expected =
+                    dyno_relational::eval(&wh.view(i).query, &port.inner.space().provider());
+                assert_eq!(wh.mv(i).extent(), &expected.unwrap().rows, "seed {seed}: view {i}");
+            }
+            let bookinfo = wh.stats(0);
+            let replaced = bookinfo.batches_committed - bookinfo.incremental_batches;
+            assert!(
+                bookinfo.incremental_batches >= 1 && replaced >= 1,
+                "seed {seed}: {bookinfo:?}"
+            );
+            assert!(wh.drained_commits() >= 1, "seed {seed}: BookInfo drained its deferral");
+        }
+    }
+
     #[test]
     fn shared_and_unshared_execution_are_bit_identical() {
         let run = |share: bool| {
@@ -2734,7 +2762,9 @@ mod tests {
         let row = wh.mv(1).extent().iter().next().expect("PriceList holds rows").0.clone();
         let post: ZSet = [(row.clone(), 2)].into_iter().collect();
         for applied in [true, false] {
-            wh.apply_remote(1, 0, row.get(0), &post, applied, b"stamp").unwrap();
+            let (key, post, bytes) = (row.get(0).clone(), post.clone(), b"stamp".to_vec());
+            wh.apply_remote(&RemoteRecord { view: 1, key_col: 0, key, post, applied, bytes })
+                .unwrap();
         }
         insert_catalog(&mut port);
         wh.ingest(port.drain_arrivals());

@@ -12,6 +12,14 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== no too_many_arguments allowance =="
+# A long parameter list is a missing type: bundle the arguments (or read
+# them from the value already passed) instead of silencing the lint.
+if grep -rn --include='*.rs' 'allow(clippy::too_many_arguments)' crates src tests examples; then
+    echo "verify: a too_many_arguments allowance (listed above) silences clippy" >&2
+    exit 1
+fi
+
 echo "== cargo build --release (offline) =="
 cargo build --release --offline
 
