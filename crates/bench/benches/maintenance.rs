@@ -1,8 +1,8 @@
 //! μ3: view-maintenance machinery — SWEEP incremental maintenance of one
 //! data update, Equation-6 incremental adaptation vs. full recompute,
 //! what a schema change costs (a rename's commit, one extent fetch, one
-//! batch adaptation), and the durable layer's three costs (checkpoint
-//! image, one `Applied` append, CRC).
+//! batch adaptation), the durable layer's three costs (checkpoint
+//! image, one `Applied` append, CRC), and extent apply across a fan-out.
 
 use std::collections::HashMap;
 
@@ -55,7 +55,7 @@ const SCAN_SWEEP_CAP: usize = 400_000;
 /// per call; `sweep_du_planned`: plan cached) stay flat to 10 M rows.
 ///
 /// One testbed per size serves both bench pairs: at 10 M rows the build
-/// (~17 GB of BTreeMap rows plus hash indexes) dominates the whole bench
+/// (~17 GB of rows plus hash indexes) dominates the whole bench
 /// run, so it is paid exactly once — the read-only join benches run first,
 /// then the testbed is consumed by the maintenance port.
 ///
@@ -222,8 +222,8 @@ fn bench_compensation(h: &mut Harness) {
 /// copy of anything trips on any machine). `fetch_extent/2000x4` is one of
 /// the six whole-relation queries an adaptation ships through a port that
 /// answers its reads that way (a single-table, predicate-free projection:
-/// one scan, bulk-built — the row behind `ZSet::project`'s bulk threshold,
-/// and what the recompute path still pays per relation).
+/// one scan into a pre-sized table, and what the recompute path still pays
+/// per relation).
 /// `plan_build/testbed6` is one `MaintPlan` of the 24-column six-way view —
 /// what a warehouse rebuilds per relation after every schema-change batch.
 /// `adapt_batch_rename/6xN` is the whole incremental adaptation of a merged
@@ -333,6 +333,32 @@ fn materialized(view: &ViewDefinition, space: &SourceSpace) -> MaterializedView 
     mv
 }
 
+/// Extent apply at the `fanout_burst` benchmark's shape: one committed
+/// insert fans out to 24 views, each holding 20 000 four-column rows, and
+/// every view applies the one-row ΔV (Definition 1's `w(MV)`). One
+/// iteration applies the delta to all 24 extents and reverts it, so the
+/// extents never grow.
+fn bench_extent_apply(h: &mut Harness) {
+    let cols: Vec<String> = (0..4).map(|i| format!("c{i}")).collect();
+    let mut views: Vec<MaterializedView> = (0..24i64)
+        .map(|v| {
+            let extent: ZSet =
+                (0..20_000i64).map(|k| (Tuple::of([k, v, k % 97, k * 7]), 1)).collect();
+            let mut mv = MaterializedView::new(format!("V{v}"), cols.clone());
+            mv.replace(cols.clone(), extent).expect("a non-negative extent");
+            mv
+        })
+        .collect();
+    let delta: ZSet = [(Tuple::of([20_000i64, 0, 3, 11]), 1)].into_iter().collect();
+    let revert = delta.negated();
+    h.bench("extent_apply/24x20000", || {
+        for mv in &mut views {
+            mv.apply_delta(&cols, &delta).expect("an insert applies");
+            mv.apply_delta(&cols, &revert).expect("its revert applies");
+        }
+    });
+}
+
 /// A disk that keeps nothing, so an append-only bench does not spend its
 /// budget growing (and then paging) a buffer.
 #[derive(Debug, Clone, Default)]
@@ -408,6 +434,7 @@ fn main() {
         bench_compensation(&mut h);
         bench_schema_change(&mut h);
         bench_wal(&mut h);
+        bench_extent_apply(&mut h);
     }
     h.finish();
 }

@@ -379,7 +379,7 @@ impl Repl {
         let query = parse_query(sql).map_err(|e| e.to_string())?;
         let result = self.port.execute(&query, &[]).map_err(|e| e.to_string())?;
         let mut out = format!("({})\n", result.cols.join(", "));
-        for (t, c) in result.rows.sorted_entries().into_iter().take(50) {
+        for (t, c) in result.rows.sorted().into_iter().take(50) {
             if c == 1 {
                 let _ = writeln!(out, "  {t}");
             } else {

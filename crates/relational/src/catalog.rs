@@ -457,6 +457,29 @@ mod tests {
     }
 
     #[test]
+    fn failed_data_update_leaves_relation_and_indexes_agreeing() {
+        // (5, NULL) fits R(a Int, b Str); (6, 7) does not. The update fails
+        // whole, so the index (untouched on failure) still matches R.
+        let mut c = indexed_catalog();
+        let before = c.get("R").unwrap().clone();
+        let du = DataUpdate::new(
+            Delta::from_rows(
+                Schema::of("R", &[("a", AttrType::Int), ("c", AttrType::Int)]),
+                [
+                    (Tuple::of([Value::from(5), Value::Null]), 1),
+                    (Tuple::of([Value::from(6), Value::from(7)]), 1),
+                ],
+            )
+            .unwrap(),
+        );
+        assert!(c.apply_data_update(&du).is_err());
+        assert_eq!(c.get("R").unwrap(), &before);
+        let idx = c.index_covering("R", &["a"]).unwrap();
+        assert_eq!(idx.len(), before.rows().distinct_len());
+        assert!(idx.probe(&[&Value::from(5)]).is_empty());
+    }
+
+    #[test]
     fn rename_relation_carries_indexes() {
         let mut c = indexed_catalog();
         c.apply_schema_change(&SchemaChange::RenameRelation { from: "R".into(), to: "S".into() })

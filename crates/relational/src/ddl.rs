@@ -12,7 +12,6 @@ use std::fmt;
 use crate::error::RelationalError;
 use crate::relation::Relation;
 use crate::schema::{Attribute, Schema};
-use crate::tuple::ZSet;
 use crate::value::Value;
 
 /// A single schema change committed by a source.
@@ -168,13 +167,7 @@ pub fn apply_to_relation(
         SchemaChange::AddAttribute { relation, attr, default } => {
             expect_touches(rel, relation)?;
             let schema = rel.schema().with_attr_added(attr.clone())?;
-            let mut rows = ZSet::new();
-            for (t, c) in rel.rows().iter() {
-                let mut vals = t.values().to_vec();
-                vals.push(default.clone());
-                rows.add(crate::tuple::Tuple::new(vals), c);
-            }
-            Ok(Some(Relation::replace_parts(schema, rows)))
+            Ok(Some(Relation::replace_parts(schema, rel.rows().widened(default))))
         }
         SchemaChange::DropAttribute { relation, attr } => {
             expect_touches(rel, relation)?;

@@ -15,7 +15,8 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 
 use crate::error::RelationalError;
-use crate::index::{key_hash, HashIndex};
+use crate::hash::{hash_values, PreHashedMap};
+use crate::index::HashIndex;
 use crate::query::{CmpOp, Predicate, SpjQuery};
 use crate::relation::{Delta, Relation};
 use crate::schema::{ColRef, Schema};
@@ -372,6 +373,23 @@ fn passes(t: &Tuple, filters: &Filters<'_>) -> Result<bool, RelationalError> {
     Ok(true)
 }
 
+/// [`passes`] for row `t` of a scan over `rows` that stops at its first
+/// error. The scan visits rows in hash order, so on an error the one
+/// reported is what the least row (in tuple order) among those the scan
+/// `checks` raises: the error names the same row whatever the table's
+/// layout.
+fn passes_in(
+    rows: &ZSet,
+    t: &Tuple,
+    filters: &Filters<'_>,
+    checks: impl Fn(&Tuple) -> bool,
+) -> Result<bool, RelationalError> {
+    passes(t, filters).map_err(|_| {
+        rows.least_error(|t, _| if checks(t) { passes(t, filters).map(drop) } else { Ok(()) })
+            .expect("the failing row is among the rows checked")
+    })
+}
+
 /// The constant filters `query` places on table `name`, resolved against
 /// `schema`.
 fn filters_on<'q>(
@@ -442,7 +460,7 @@ fn load_rows<P: RelationProvider + ?Sized>(
 
     for (t, c) in slice.rows.iter() {
         scanned += 1;
-        if passes(t, filters)? {
+        if passes_in(slice.rows, t, filters, |_| true)? {
             rows.add(t.clone(), c);
         }
     }
@@ -556,12 +574,14 @@ fn probe_plan<'p, P: RelationProvider + ?Sized>(
 
 /// Up to this many build-side rows a hash join keeps a plain list and every
 /// probe row compares its key against each entry, instead of hashing the
-/// probe key (SipHash over borrowed values) to find a bucket. That is the
-/// shape of Equation 6's chains — a Δ of a few rows against an unindexed
-/// fetched state of thousands (the `adapt_batch_rename/6x2000` bench row).
-/// Measured against 2 000 probe rows: a key hash costs ≈ 50 ns per probe
-/// row, a direct comparison ≈ 2.5 ns per probe row and build row, so the
-/// list wins up to ≈ 20 build rows (1 row: 17 µs vs 105 µs per hop).
+/// probe key (over borrowed values) to find a bucket. That is the shape of
+/// Equation 6's chains — a Δ of a few rows against an unindexed fetched
+/// state of thousands (the `adapt_batch_rename/6x2000` bench row).
+/// Measured against 2 000 probe rows when the key hash was SipHash: a key
+/// hash cost ≈ 50 ns per probe row, a direct comparison ≈ 2.5 ns per probe
+/// row and build row, so the list won up to ≈ 20 build rows (1 row: 17 µs
+/// vs 105 µs per hop). [`hash_values`] is cheaper, so that is an upper
+/// bound on the crossover.
 const LIST_BUILD_MAX: usize = 16;
 
 /// The build side of the hash-join fallback: the rows of the smaller input,
@@ -570,7 +590,7 @@ const LIST_BUILD_MAX: usize = 16;
 /// key columns, so both forms yield the same matches.
 enum BuildSide<'a> {
     List(Vec<(&'a Tuple, i64)>),
-    Hashed(HashMap<u64, Vec<(&'a Tuple, i64)>>),
+    Hashed(PreHashedMap<u64, Vec<(&'a Tuple, i64)>>),
 }
 
 impl<'a> BuildSide<'a> {
@@ -579,7 +599,7 @@ impl<'a> BuildSide<'a> {
         if rows <= LIST_BUILD_MAX {
             BuildSide::List(Vec::with_capacity(rows))
         } else {
-            BuildSide::Hashed(HashMap::new())
+            BuildSide::Hashed(PreHashedMap::default())
         }
     }
 
@@ -625,7 +645,7 @@ fn join_rows(
         for (lt, lc) in left.iter() {
             for (rt, rc) in right.iter() {
                 scanned += 1;
-                if passes(rt, filters)? {
+                if passes_in(right, rt, filters, |_| true)? {
                     emit(lt, rt, lc * rc);
                 }
             }
@@ -668,8 +688,8 @@ fn join_rows(
     // entries are verified against the actual key columns, so hash
     // collisions cannot produce spurious matches. A build side of a handful
     // of rows is not hashed at all (see [`BuildSide`]).
-    let left_hash = |t: &Tuple| key_hash(keys.iter().map(|&(li, _)| t.get(li)));
-    let right_hash = |t: &Tuple| key_hash(keys.iter().map(|&(_, ri)| t.get(ri)));
+    let left_hash = |t: &Tuple| hash_values(keys.iter().map(|&(li, _)| t.get(li)));
+    let right_hash = |t: &Tuple| hash_values(keys.iter().map(|&(_, ri)| t.get(ri)));
     let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(li, ri)| lt.get(li) == rt.get(ri));
 
     if left.distinct_len() <= right.distinct_len() {
@@ -682,7 +702,7 @@ fn join_rows(
         }
         for (rt, rc) in right.iter() {
             scanned += 1;
-            if right_null(rt) || !passes(rt, filters)? {
+            if right_null(rt) || !passes_in(right, rt, filters, |t| !right_null(t))? {
                 continue;
             }
             for (lt, lc) in build.candidates(|| right_hash(rt)) {
@@ -696,7 +716,7 @@ fn join_rows(
         let mut build = BuildSide::sized_for(right.distinct_len());
         for (t, c) in right.iter() {
             scanned += 1;
-            if !right_null(t) && passes(t, filters)? {
+            if !right_null(t) && passes_in(right, t, filters, |t| !right_null(t))? {
                 build.push(|| right_hash(t), t, c);
             }
         }
@@ -739,16 +759,25 @@ pub fn delta_select(
     if filters.is_empty() {
         return Ok(delta.clone());
     }
-    let mut out = ZSet::new();
-    let mut scanned = 0u64;
-    'tuples: for (t, c) in delta.iter() {
-        scanned += 1;
+    let keep = |t: &Tuple| -> Result<bool, RelationalError> {
         for (idx, op, v) in filters {
             if !compare(t.get(*idx), *op, v)? {
-                continue 'tuples;
+                return Ok(false);
             }
         }
-        out.add(t.clone(), c);
+        Ok(true)
+    };
+    let mut out = ZSet::new();
+    let mut scanned = 0u64;
+    for (t, c) in delta.iter() {
+        scanned += 1;
+        // On an error, report the least failing row's (see [`passes_in`]).
+        let kept = keep(t).map_err(|_| {
+            delta.least_error(|t, _| keep(t).map(drop)).expect("the failing row is in Δ")
+        })?;
+        if kept {
+            out.add(t.clone(), c);
+        }
     }
     bump(|s| s.rows_scanned += scanned);
     Ok(out)
@@ -760,12 +789,20 @@ pub fn delta_select(
 /// vocabulary so delta pipelines read uniformly, and counting collisions
 /// that annihilate into [`ExecStats::weights_cancelled`].
 pub fn delta_project(delta: &ZSet, indices: &[usize]) -> ZSet {
-    let mut out = ZSet::new();
+    let mut out = ZSet::with_capacity(delta.distinct_len());
     let mut cancelled = 0u64;
-    for (t, c) in delta.iter() {
+    let mut add = |t: &Tuple, c: i64| {
         if out.add(t.project(indices), c) == 0 {
             cancelled += 1;
         }
+    };
+    // How often a projected row's running weight touches zero depends on
+    // the order its contributions arrive once it has three of them, so a
+    // delta that big is projected in tuple order.
+    if delta.distinct_len() < 3 {
+        delta.iter().for_each(|(t, c)| add(t, c));
+    } else {
+        delta.sorted().into_iter().for_each(|(t, c)| add(t, c));
     }
     if cancelled > 0 {
         bump(|s| s.weights_cancelled += cancelled);
@@ -896,7 +933,7 @@ pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
 pub fn delta_join(left: &ZSet, left_keys: &[usize], right: &ZSet, right_keys: &[usize]) -> ZSet {
     debug_assert_eq!(left_keys.len(), right_keys.len());
     let null_key = |t: &Tuple, idx: &[usize]| idx.iter().any(|&i| t.get(i).is_null());
-    let hash_of = |t: &Tuple, idx: &[usize]| key_hash(idx.iter().map(|&i| t.get(i)));
+    let hash_of = |t: &Tuple, idx: &[usize]| hash_values(idx.iter().map(|&i| t.get(i)));
     let keys_match = |lt: &Tuple, rt: &Tuple| {
         left_keys.iter().zip(right_keys).all(|(&li, &ri)| lt.get(li) == rt.get(ri))
     };
@@ -905,7 +942,7 @@ pub fn delta_join(left: &ZSet, left_keys: &[usize], right: &ZSet, right_keys: &[
     let mut scanned = 0u64;
     let mut cancelled = 0u64;
     if left.distinct_len() <= right.distinct_len() {
-        let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
+        let mut table: PreHashedMap<u64, Vec<(&Tuple, i64)>> = PreHashedMap::default();
         for (t, c) in left.iter() {
             if !null_key(t, left_keys) {
                 table.entry(hash_of(t, left_keys)).or_default().push((t, c));
@@ -925,7 +962,7 @@ pub fn delta_join(left: &ZSet, left_keys: &[usize], right: &ZSet, right_keys: &[
             }
         }
     } else {
-        let mut table: HashMap<u64, Vec<(&Tuple, i64)>> = HashMap::new();
+        let mut table: PreHashedMap<u64, Vec<(&Tuple, i64)>> = PreHashedMap::default();
         for (t, c) in right.iter() {
             if !null_key(t, right_keys) {
                 table.entry(hash_of(t, right_keys)).or_default().push((t, c));

@@ -2,7 +2,8 @@
 //!
 //! A [`HashIndex`] maps a key — the values of a fixed attribute set — to the
 //! signed rows carrying that key. Buckets are keyed by a 64-bit hash of the
-//! key values so probes never materialize a key [`Tuple`]: the executor
+//! key values (`hash::hash_values`, the crate's one hasher), and the bucket map
+//! uses that hash as is, so probes never materialize a key [`Tuple`]: the executor
 //! hashes *borrowed* values straight out of the probing row and verifies
 //! candidate rows with an equality check (hash collisions are possible and
 //! must be filtered by the caller via [`HashIndex::key_matches`]).
@@ -12,25 +13,11 @@
 //! changes rebuild or drop affected indexes (see
 //! `Catalog::apply_schema_change`).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-
 use crate::error::RelationalError;
+use crate::hash::{hash_values, PreHashedMap};
 use crate::relation::Relation;
 use crate::tuple::{Tuple, ZSet};
 use crate::value::Value;
-
-/// Hashes a sequence of borrowed values into a bucket key. The same function
-/// serves index maintenance (hashing stored rows) and probes (hashing values
-/// borrowed from the probing row), so the two always agree.
-pub fn key_hash<'a, I: IntoIterator<Item = &'a Value>>(values: I) -> u64 {
-    let mut h = DefaultHasher::new();
-    for v in values {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
 
 /// A secondary hash index on one relation, covering a fixed attribute set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -39,9 +26,10 @@ pub struct HashIndex {
     attrs: Vec<String>,
     /// Column positions of `attrs` in the indexed relation's schema.
     cols: Vec<usize>,
-    /// Bucket-hash → signed rows whose key hashes there. Buckets hold whole
-    /// rows (not projections), so probes return rows directly.
-    buckets: HashMap<u64, ZSet>,
+    /// Bucket-hash ([`hash_values`] of the key) → signed rows whose key
+    /// hashes there. Buckets hold whole rows (not projections), so probes
+    /// return rows directly.
+    buckets: PreHashedMap<u64, ZSet>,
 }
 
 impl HashIndex {
@@ -53,7 +41,10 @@ impl HashIndex {
         // Pre-size for the distinct-row count: a multi-million-row build
         // would otherwise rehash through every table doubling, churning
         // hundreds of megabytes of transient allocations.
-        let buckets = HashMap::with_capacity(relation.rows().distinct_len());
+        let buckets = PreHashedMap::with_capacity_and_hasher(
+            relation.rows().distinct_len(),
+            Default::default(),
+        );
         let mut index = HashIndex { attrs: attrs.to_vec(), cols, buckets };
         index.apply(relation.rows().iter());
         Ok(index)
@@ -87,7 +78,7 @@ impl HashIndex {
     /// removed so the index never retains tombstones.
     pub fn apply<'a, I: IntoIterator<Item = (&'a Tuple, i64)>>(&mut self, rows: I) {
         for (t, c) in rows {
-            let h = key_hash(self.cols.iter().map(|&i| t.get(i)));
+            let h = hash_values(self.cols.iter().map(|&i| t.get(i)));
             let bucket = self.buckets.entry(h).or_default();
             bucket.add(t.clone(), c);
             if bucket.is_empty() {
@@ -101,7 +92,7 @@ impl HashIndex {
     /// `key` values align with [`HashIndex::attrs`] order.
     pub fn lookup(&self, key: &[&Value]) -> Option<&ZSet> {
         debug_assert_eq!(key.len(), self.cols.len());
-        self.buckets.get(&key_hash(key.iter().copied()))
+        self.buckets.get(&hash_values(key.iter().copied()))
     }
 
     /// True iff `row`'s indexed columns equal `key` (aligned with

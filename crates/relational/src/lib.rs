@@ -22,6 +22,7 @@ pub mod catalog;
 pub mod ddl;
 pub mod error;
 pub mod exec;
+pub(crate) mod hash;
 pub mod index;
 pub mod parser;
 pub mod query;
@@ -39,7 +40,7 @@ pub use exec::{
     delta_hop, delta_join, delta_join_probe, delta_project, delta_select, distinct_delta, eval,
     thread_stats, validate, ExecStats, Overlay, QueryResult, RelationProvider, TableSlice,
 };
-pub use index::{key_hash, HashIndex};
+pub use index::HashIndex;
 pub use parser::{parse_create_view, parse_query, ParseError};
 pub use query::{CmpOp, Predicate, ProjItem, SpjQuery, SpjQueryBuilder};
 pub use relation::{Delta, Relation};

@@ -73,6 +73,12 @@ impl Relation {
 
     /// Applies a delta; errors (leaving `self` unchanged) if the result would
     /// contain a negative multiplicity or the schemas are incompatible.
+    ///
+    /// Each row is type-checked and applied with one probe; the first
+    /// failure undoes the rows already applied. The error reported does not
+    /// depend on the order rows were applied in: a row that would go
+    /// negative if there is one, else an ill-typed row — the least such row
+    /// in tuple order.
     pub fn apply(&mut self, delta: &Delta) -> Result<(), RelationalError> {
         if delta.schema().arity() != self.schema.arity() {
             return Err(RelationalError::ArityMismatch {
@@ -81,19 +87,33 @@ impl Relation {
                 got: delta.schema().arity(),
             });
         }
-        for (t, c) in delta.rows().iter() {
+        let mut applied = 0;
+        let ok = delta.rows().iter().all(|(t, c)| {
+            t.check_against(&self.schema).is_ok() && {
+                applied += 1;
+                self.rows.add(t.clone(), c) >= 0
+            }
+        });
+        if ok {
+            return Ok(());
+        }
+        for (t, c) in delta.rows().iter().take(applied) {
+            self.rows.add(t.clone(), -c);
+        }
+        let rows = delta.rows();
+        let negative = rows.least_error(|t, c| {
             if self.rows.count(t) + c < 0 {
-                return Err(RelationalError::DeleteMissing {
+                Err(RelationalError::DeleteMissing {
                     relation: self.schema.relation.clone(),
                     tuple: t.to_string(),
-                });
+                })
+            } else {
+                Ok(())
             }
-        }
-        for (t, c) in delta.rows().iter() {
-            t.check_against(&self.schema)?;
-            self.rows.add(t.clone(), c);
-        }
-        Ok(())
+        });
+        Err(negative
+            .or_else(|| rows.least_error(|t, _| t.check_against(&self.schema)))
+            .expect("a row failed to apply"))
     }
 
     /// Replaces this relation's schema (used by DDL); the caller must have
@@ -118,7 +138,7 @@ impl Relation {
     /// Renders up to `limit` tuples as a sorted, human-readable table.
     pub fn display_sample(&self, limit: usize) -> String {
         let mut out = format!("{} [{} tuples]\n", self.schema, self.len());
-        for (t, c) in self.rows.sorted_entries().into_iter().take(limit) {
+        for (t, c) in self.rows.sorted().into_iter().take(limit) {
             if c == 1 {
                 out.push_str(&format!("  {t}\n"));
             } else {
@@ -159,6 +179,16 @@ impl Delta {
             d.add(t, c)?;
         }
         Ok(d)
+    }
+
+    /// A delta over `schema` holding `rows`, type-checking each tuple (the
+    /// error names the least ill-typed one, in tuple order).
+    pub fn from_bag(schema: Schema, rows: ZSet) -> Result<Self, RelationalError> {
+        if rows.iter().any(|(t, _)| t.check_against(&schema).is_err()) {
+            let err = rows.least_error(|t, _| t.check_against(&schema));
+            return Err(err.expect("a row is ill-typed"));
+        }
+        Ok(Delta { schema, rows })
     }
 
     /// A pure-insert delta.
@@ -236,7 +266,7 @@ impl Delta {
 impl fmt::Display for Delta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Δ{} [{} rows]", self.schema, self.rows.distinct_len())?;
-        for (t, c) in self.rows.sorted_entries().into_iter().take(20) {
+        for (t, c) in self.rows.sorted().into_iter().take(20) {
             writeln!(f, "  {} {t}", if c > 0 { "+" } else { "-" })?;
         }
         Ok(())
@@ -276,6 +306,58 @@ mod tests {
         let before = r.clone();
         assert!(r.apply(&bad).is_err());
         assert_eq!(r, before, "failed apply must not partially mutate");
+    }
+
+    #[test]
+    fn apply_leaves_no_prefix_when_a_later_row_is_ill_typed() {
+        use crate::value::Value;
+        // R(K Int, B Str) and a delta over (K Int, A Int): (1, NULL) fits R,
+        // (2, 6) does not. Neither may land, whichever is visited first.
+        let r_schema = Schema::of("R", &[("K", AttrType::Int), ("B", AttrType::Str)]);
+        let d_schema = Schema::of("R", &[("K", AttrType::Int), ("A", AttrType::Int)]);
+        let mut r = Relation::from_tuples(r_schema, [Tuple::of([Value::from(0), Value::str("a")])])
+            .unwrap();
+        let before = r.clone();
+        let delta = Delta::from_rows(
+            d_schema,
+            [
+                (Tuple::of([Value::from(1), Value::Null]), 1),
+                (Tuple::of([Value::from(2), Value::from(6)]), 1),
+            ],
+        )
+        .unwrap();
+        let err = r.apply(&delta).unwrap_err();
+        assert!(matches!(err, RelationalError::TypeMismatch { ref attr, .. } if attr == "B"));
+        assert_eq!(r, before, "a failed apply leaves the relation unchanged");
+    }
+
+    #[test]
+    fn apply_reports_the_least_negative_row_before_any_type_error() {
+        use crate::value::Value;
+        let mut r = Relation::from_tuples(schema(), (0..40).map(|i| t(i, i))).unwrap();
+        let before = r.clone();
+        let mut rows: Vec<(Tuple, i64)> = (0..40).map(|i| (t(i, i), -1)).collect();
+        rows.extend([(t(70, 70), -1), (t(60, 60), -1)]);
+        let delta = Delta::from_rows(schema(), rows).unwrap();
+        let err = r.apply(&delta).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            RelationalError::DeleteMissing { relation: "R".into(), tuple: t(60, 60).to_string() }
+                .to_string()
+        );
+        assert_eq!(r, before);
+        // Negativity outranks an ill-typed row, as it always has.
+        let mixed = Schema::of("R", &[("a", AttrType::Int), ("b", AttrType::Str)]);
+        let bad = Delta::from_rows(
+            mixed,
+            [
+                (Tuple::of([Value::from(1), Value::str("x")]), 1),
+                (Tuple::of([Value::from(99), Value::Null]), -1),
+            ],
+        )
+        .unwrap();
+        assert!(matches!(r.apply(&bad), Err(RelationalError::DeleteMissing { .. })));
+        assert_eq!(r, before);
     }
 
     #[test]

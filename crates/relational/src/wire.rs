@@ -62,13 +62,13 @@ pub fn dec_tuple(d: &mut Dec<'_>) -> Result<Tuple, WireError> {
     Ok(Tuple::new(dec_seq(d, dec_value)?))
 }
 
-/// Encode a [`ZSet`] deterministically (entries in sorted order, so
-/// two equal bags always produce identical bytes). The Z-set iterates
-/// sorted natively, so no copy of the entries is materialized — the byte
-/// layout is unchanged from the `sorted_entries`-based encoding.
+/// Encode a [`ZSet`] deterministically: entries in tuple order
+/// ([`ZSet::sorted`]), so two equal bags always produce identical bytes
+/// however their tables were built. WAL records, checkpoints, the replica
+/// wire and extent CRCs all encode through here.
 pub fn enc_bag(e: &mut Enc, bag: &ZSet) {
     e.u32(bag.distinct_len() as u32);
-    for (t, n) in bag.iter() {
+    for (t, n) in bag.sorted() {
         enc_tuple(e, t);
         e.i64(n);
     }
@@ -141,8 +141,7 @@ pub fn enc_delta(e: &mut Enc, delta: &Delta) {
 pub fn dec_delta(d: &mut Dec<'_>) -> Result<Delta, WireError> {
     let schema = dec_schema(d)?;
     let rows = dec_bag(d)?;
-    Delta::from_rows(schema, rows.sorted_entries())
-        .map_err(|err| WireError::Invalid(format!("delta: {err}")))
+    Delta::from_bag(schema, rows).map_err(|err| WireError::Invalid(format!("delta: {err}")))
 }
 
 /// Encode a [`Relation`] (schema + extent).
@@ -156,7 +155,7 @@ pub fn enc_relation(e: &mut Enc, r: &Relation) {
 pub fn dec_relation(d: &mut Dec<'_>) -> Result<Relation, WireError> {
     let schema = dec_schema(d)?;
     let rows = dec_bag(d)?;
-    let delta = Delta::from_rows(schema.clone(), rows.sorted_entries())
+    let delta = Delta::from_bag(schema.clone(), rows)
         .map_err(|err| WireError::Invalid(format!("relation rows: {err}")))?;
     let mut rel = Relation::empty(schema);
     rel.apply(&delta).map_err(|err| WireError::Invalid(format!("relation extent: {err}")))?;

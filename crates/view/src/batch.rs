@@ -547,18 +547,12 @@ pub fn homogenize_delta<'c>(
                 if *relation == name && !schema.has_attr(&attr.name) =>
             {
                 schema = schema.with_attr_added(attr.clone())?;
-                let mut widened = ZSet::new();
-                for (t, c) in rows.iter() {
-                    let mut vals = t.values().to_vec();
-                    vals.push(default.clone());
-                    widened.add(dyno_relational::Tuple::new(vals), c);
-                }
-                rows = widened;
+                rows = rows.widened(default);
             }
             _ => {}
         }
     }
-    Delta::from_rows(schema, rows.iter().map(|(t, c)| (t.clone(), c)))
+    Delta::from_bag(schema, rows)
 }
 
 /// Rollback projection failures: a missing attribute means a concurrent

@@ -60,11 +60,15 @@ impl MaterializedView {
     /// view's columns (recovery replays the view's own logged deltas).
     pub(crate) fn merge(&mut self, delta: &ZSet) -> Result<(), RelationalError> {
         // A negative multiplicity can only appear at a tuple the delta
-        // touches, so merge in place and check just those keys — O(|Δ| log n)
-        // instead of cloning and re-walking the whole extent. On violation
-        // the merge is undone, preserving the unchanged-on-error contract.
-        self.extent.merge(delta);
-        if delta.iter().any(|(t, _)| self.extent.count(t) < 0) {
+        // touches, so merge in place and read each touched key's new weight
+        // off its one probe — O(|Δ|) instead of cloning and re-walking the
+        // whole extent. On violation the merge is undone, preserving the
+        // unchanged-on-error contract.
+        let mut negative = false;
+        for (t, c) in delta.iter() {
+            negative |= self.extent.add(t.clone(), c) < 0;
+        }
+        if negative {
             self.extent.merge_negated(delta);
             return Err(RelationalError::InvalidQuery {
                 reason: format!(
@@ -125,7 +129,7 @@ impl MaterializedView {
 impl fmt::Display for MaterializedView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}({}) [{} tuples]", self.name, self.cols.join(", "), self.len())?;
-        for (t, c) in self.sorted_tuples().into_iter().take(20) {
+        for (t, c) in self.extent.sorted().into_iter().take(20) {
             if c == 1 {
                 writeln!(f, "  {t}")?;
             } else {

@@ -9,6 +9,8 @@
 //! Cases are drawn from the in-repo seeded PRNG (`dyno::sim::Rng`), so every
 //! run replays the same case set and a failure is reproducible.
 
+use std::collections::BTreeMap;
+
 use dyno::prelude::*;
 use dyno::relational::{delta_join, distinct_delta, eval, ZSet};
 use dyno::sim::{build_testbed, Rng};
@@ -72,6 +74,106 @@ fn zset_group_laws_hold_with_cancellation_invariant() {
         let dist = a.distinct();
         assert!(dist.iter().all(|(_, w)| w == 1), "case {case}: distinct weights are 1");
         assert_eq!(dist.distinct(), dist, "case {case}: distinct is idempotent");
+    }
+}
+
+/// The reference model of a Z-set: an ordered map with every zero-weight
+/// entry removed.
+type Model = BTreeMap<Tuple, i64>;
+
+fn model_add(m: &mut Model, t: Tuple, c: i64) {
+    let w = m.entry(t.clone()).or_insert(0);
+    *w += c;
+    if *w == 0 {
+        m.remove(&t);
+    }
+}
+
+/// A 3-column row over narrow ranges, so adds collide and cancel.
+fn random_row(rng: &mut Rng) -> Tuple {
+    Tuple::of([rng.gen_range(0..6i64), rng.gen_range(0..40i64), rng.gen_range(0..3i64)])
+}
+
+/// The hashed `ZSet` against an ordered-map reference over random traces of
+/// every mutating operation. Bursts of a few hundred adds (and the deletes
+/// that cancel them) grow and empty the tables, so equal sets are compared
+/// across different table capacities and insertion histories. After every
+/// step the set's sorted entries, sizes, sums and probes must equal the
+/// model's.
+#[test]
+fn hashed_zset_equals_an_ordered_reference_model() {
+    let mut rng = Rng::new(0x4A54_ED00);
+    for trace in 0..40 {
+        let mut sets: Vec<(ZSet, Model)> = (0..3).map(|_| (ZSet::new(), Model::new())).collect();
+        for step in 0..120 {
+            let (i, j) = (rng.gen_range(0..3usize), rng.gen_range(0..3usize));
+            let other = sets[j].clone();
+            let (z, m) = &mut sets[i];
+            let op = rng.gen_range(0..9u32);
+            match op {
+                0 | 1 => {
+                    let n = if rng.gen_ratio(1, 8) { rng.gen_range(100..400usize) } else { 1 };
+                    for _ in 0..n {
+                        let (t, c) = (random_row(&mut rng), *rng.choose(&[-2, -1, 1, 1, 2]));
+                        assert_eq!(z.add(t.clone(), c), m.get(&t).copied().unwrap_or(0) + c);
+                        model_add(m, t, c);
+                    }
+                }
+                2 => {
+                    z.merge(&other.0);
+                    other.1.iter().for_each(|(t, &c)| model_add(m, t.clone(), c));
+                }
+                3 => {
+                    z.merge_negated(&other.0);
+                    other.1.iter().for_each(|(t, &c)| model_add(m, t.clone(), -c));
+                }
+                4 => {
+                    *z = z.negated();
+                    m.values_mut().for_each(|c| *c = -*c);
+                }
+                5 => {
+                    *z = z.diff(&other.0);
+                    other.1.iter().for_each(|(t, &c)| model_add(m, t.clone(), -c));
+                }
+                6 => {
+                    // Only full-width rows project; a projected set is
+                    // replaced rather than projected again.
+                    let choices: [&[usize]; 5] = [&[0], &[2, 0], &[1, 2], &[0, 1, 2], &[]];
+                    let indices = *rng.choose(&choices);
+                    if m.keys().all(|t| t.arity() == 3) {
+                        *z = z.project(indices);
+                        let mut p = Model::new();
+                        m.iter().for_each(|(t, &c)| model_add(&mut p, t.project(indices), c));
+                        *m = p;
+                    }
+                }
+                7 => {
+                    *z = z.distinct();
+                    m.retain(|_, c| *c > 0);
+                    m.values_mut().for_each(|c| *c = 1);
+                }
+                _ => {
+                    let want: u64 = m.values().filter(|&&c| c < 0).map(|c| c.unsigned_abs()).sum();
+                    assert_eq!(z.clamp_non_negative(), want, "trace {trace} step {step}: clamp");
+                    m.retain(|_, c| *c > 0);
+                }
+            }
+            let ctx = format!("trace {trace} step {step} op {op}");
+            let want: Vec<(Tuple, i64)> = m.iter().map(|(t, &c)| (t.clone(), c)).collect();
+            assert_eq!(z.sorted_entries(), want, "{ctx}: entries");
+            assert_eq!(z.distinct_len(), m.len(), "{ctx}: distinct_len");
+            assert_eq!(z.weight(), m.values().map(|c| c.unsigned_abs()).sum::<u64>(), "{ctx}");
+            assert_eq!(z.net(), m.values().sum::<i64>(), "{ctx}: net");
+            assert_eq!(z.is_non_negative(), m.values().all(|&c| c > 0), "{ctx}");
+            for _ in 0..4 {
+                let t = random_row(&mut rng);
+                assert_eq!(z.count(&t), m.get(&t).copied().unwrap_or(0), "{ctx}: count {t}");
+            }
+            assert_no_zero_weights(z, &ctx);
+            let rebuilt: ZSet = want.into_iter().rev().collect();
+            assert_eq!(*z, rebuilt, "{ctx}: equality ignores insertion history");
+            assert_eq!(format!("{z:?}"), format!("{rebuilt:?}"), "{ctx}: Debug");
+        }
     }
 }
 
