@@ -76,17 +76,17 @@ pub mod stage {
     pub const APPLIED: &str = "applied";
     /// The committed view-extent delta for the batch (fields: `rows`).
     pub const EXTENT: &str = "extent";
-    /// A committed extent delta was published to a peer replica (fields:
-    /// `peer`, `seq`, `view`).
+    /// A client source write was published to a peer replica (fields:
+    /// `peer`, `seq`, `relation`).
     pub const REPL_SEND: &str = "repl.send";
-    /// A peer replica's delta was received in causal order (fields:
-    /// `origin`, `seq`, `view`).
+    /// A peer replica's write was received in causal order (fields:
+    /// `origin`, `seq`, `relation`).
     pub const REPL_RECV: &str = "repl.recv";
-    /// A received peer delta was applied to the local extent (terminal for
-    /// the remote-apply path, exactly once per receiving replica; fields:
-    /// `origin`, `lag_us`).
+    /// A received peer write won resolution and goes to the local sources
+    /// (terminal for the remote path, exactly once per receiving replica;
+    /// fields: `origin`, `lag_us`).
     pub const REPL_APPLY: &str = "repl.apply";
-    /// A received peer delta lost last-writer-wins conflict resolution and
+    /// A received peer write lost last-writer-wins conflict resolution and
     /// was discarded without being applied (terminal, exactly once per
     /// receiving replica, mutually exclusive with `repl.apply`; fields:
     /// `origin`, `kind` = "rd").

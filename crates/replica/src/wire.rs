@@ -1,82 +1,79 @@
 //! Wire format of the peer-replication protocol: the [`PeerDelta`] message
 //! replicas exchange, the [`Stamp`] a conflict register remembers about the
-//! last winning writer, and the encoded forms the engine persists through
-//! the warehouse WAL (`Published` bodies, `Remote` metadata, and the
-//! engine's checkpoint snapshot).
+//! last winning writer, and the bodies of the two engine records the
+//! warehouse WAL carries opaquely (`Published`, `Remote`).
 //!
 //! Everything rides the workspace codec ([`Enc`]/[`Dec`]) plus the
 //! relational value encoders, so peer messages share byte-level conventions
 //! with the WAL and the wrapper transport.
 
 use dyno_durable::codec::{dec_seq, enc_seq, Dec, Enc, WireError};
-use dyno_relational::wire::{dec_bag, dec_value, enc_bag, enc_value};
-use dyno_relational::{Value, ZSet};
+use dyno_relational::wire::{dec_tuple, dec_value, enc_tuple, enc_value};
+use dyno_relational::{Tuple, Value};
 
 /// The causal identity of a register's last winning write.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stamp {
+pub(crate) struct Stamp {
     /// The writer's hybrid-logical-clock timestamp (total order;
     /// last-writer-wins tiebreaker).
-    pub hlc: u64,
+    pub(crate) hlc: u64,
     /// The writing replica (breaks exact HLC ties deterministically).
-    pub origin: u16,
+    pub(crate) origin: u16,
     /// The writer's vector clock at publish time (causal order).
-    pub vc: Vec<u64>,
+    pub(crate) vc: Vec<u64>,
 }
 
 impl Stamp {
     /// Orders two stamps for last-writer-wins: HLC first, origin breaks
     /// exact ties. Total and antisymmetric for distinct `(hlc, origin)`.
-    pub fn wins_over(&self, other: &Stamp) -> bool {
+    pub(crate) fn wins_over(&self, other: &Stamp) -> bool {
         (self.hlc, self.origin) > (other.hlc, other.origin)
     }
 }
 
-/// One replicated view change: the full post-image of `key`'s rows in
-/// `view`, stamped with the publisher's causal clocks. Post-image (not
-/// delta) replication is what makes conflict resolution a per-key
-/// last-writer-wins register: applying the winner *replaces* the key's rows,
-/// so losers leave no residue.
+/// One replicated client write: `row` replaces the rows of `relation` whose
+/// key (first attribute) is the row's own, stamped with the publisher's
+/// causal clocks. A keyed upsert is absolute, so resolving concurrent
+/// writes is a per-`(relation, key)` last-writer-wins register: the winner
+/// replaces the key's row and losers leave no residue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerDelta {
+pub(crate) struct PeerDelta {
     /// Publishing replica.
-    pub origin: u16,
+    pub(crate) origin: u16,
     /// Per-link sequence number (contiguous per `origin → receiver` link;
     /// the receiver's reorder buffer releases in order and NACKs gaps).
-    pub seq: u64,
-    /// Target view slot (replicas register identical view sets).
-    pub view: u32,
-    /// Column of the view's key attribute.
-    pub key_col: u32,
-    /// The key whose rows this message replaces.
-    pub key: Value,
-    /// The key's complete new rows (empty = the key vanished).
-    pub post: ZSet,
+    pub(crate) seq: u64,
+    /// The written source relation.
+    pub(crate) relation: String,
+    /// The key's new row; its first attribute is the key.
+    pub(crate) row: Tuple,
     /// Publisher HLC at publish.
-    pub hlc: u64,
+    pub(crate) hlc: u64,
     /// Publisher vector clock at publish.
-    pub vc: Vec<u64>,
-    /// Causal ids of the source updates folded into this post-image
-    /// (lineage: `repl.send` → `repl.recv` → `repl.apply`/`superseded`).
-    pub ids: Vec<u64>,
+    pub(crate) vc: Vec<u64>,
 }
 
 impl PeerDelta {
     /// The message's causal stamp.
-    pub fn stamp(&self) -> Stamp {
+    pub(crate) fn stamp(&self) -> Stamp {
         Stamp { hlc: self.hlc, origin: self.origin, vc: self.vc.clone() }
+    }
+
+    /// The conflict register the write targets: `(relation, key)`.
+    pub(crate) fn register(&self) -> (String, Value) {
+        (self.relation.clone(), self.row.get(0).clone())
     }
 }
 
 /// Encodes a stamp.
-pub fn enc_stamp(e: &mut Enc, s: &Stamp) {
+pub(crate) fn enc_stamp(e: &mut Enc, s: &Stamp) {
     e.u64(s.hlc);
     e.u32(s.origin as u32);
     enc_seq(e, &s.vc, |e, &c| e.u64(c));
 }
 
 /// Decodes a stamp.
-pub fn dec_stamp(d: &mut Dec<'_>) -> Result<Stamp, WireError> {
+pub(crate) fn dec_stamp(d: &mut Dec<'_>) -> Result<Stamp, WireError> {
     let hlc = d.u64()?;
     let origin = d.u32()? as u16;
     let vc = dec_seq(d, |d| d.u64())?;
@@ -84,64 +81,52 @@ pub fn dec_stamp(d: &mut Dec<'_>) -> Result<Stamp, WireError> {
 }
 
 /// Encodes one peer message body.
-pub fn enc_peer_delta(e: &mut Enc, m: &PeerDelta) {
+pub(crate) fn enc_peer_delta(e: &mut Enc, m: &PeerDelta) {
     e.u32(m.origin as u32);
     e.u64(m.seq);
-    e.u32(m.view);
-    e.u32(m.key_col);
-    enc_value(e, &m.key);
-    enc_bag(e, &m.post);
+    e.str(&m.relation);
+    enc_tuple(e, &m.row);
     e.u64(m.hlc);
     enc_seq(e, &m.vc, |e, &c| e.u64(c));
-    enc_seq(e, &m.ids, |e, &id| e.u64(id));
 }
 
-/// Decodes one peer message body.
-pub fn dec_peer_delta(d: &mut Dec<'_>) -> Result<PeerDelta, WireError> {
-    Ok(PeerDelta {
-        origin: d.u32()? as u16,
-        seq: d.u64()?,
-        view: d.u32()?,
-        key_col: d.u32()?,
-        key: dec_value(d)?,
-        post: dec_bag(d)?,
-        hlc: d.u64()?,
-        vc: dec_seq(d, |d| d.u64())?,
-        ids: dec_seq(d, |d| d.u64())?,
-    })
+/// Decodes one peer message body. A row without a key is corrupt.
+pub(crate) fn dec_peer_delta(d: &mut Dec<'_>) -> Result<PeerDelta, WireError> {
+    let (origin, seq, relation) = (d.u32()? as u16, d.u64()?, d.str()?);
+    let row = dec_tuple(d)?;
+    if row.values().is_empty() {
+        return Err(WireError::Invalid("peer write without a key".into()));
+    }
+    Ok(PeerDelta { origin, seq, relation, row, hlc: d.u64()?, vc: dec_seq(d, |d| d.u64())? })
 }
 
 /// Encodes a standalone message (its own length-delimited buffer).
-pub fn enc_msg(m: &PeerDelta) -> Vec<u8> {
+pub(crate) fn enc_msg(m: &PeerDelta) -> Vec<u8> {
     let mut e = Enc::new();
     enc_peer_delta(&mut e, m);
     e.finish()
 }
 
 /// Decodes a standalone message.
-pub fn dec_msg(bytes: &[u8]) -> Result<PeerDelta, WireError> {
+pub(crate) fn dec_msg(bytes: &[u8]) -> Result<PeerDelta, WireError> {
     let mut d = Dec::new(bytes);
     dec_peer_delta(&mut d)
 }
 
-/// The durable body of one `Published` WAL record: the committed batch's
-/// causal keys plus every peer copy `(peer, message)` the engine is about
-/// to hand to the network. Logged **before** the send, so a crash between
-/// the log write and the send re-sends these exact bytes instead of
-/// reusing sequence numbers for different content.
+/// The durable body of one `Published` WAL record: every peer copy
+/// `(peer, message)` of one client write the engine is about to hand to the
+/// network. Logged **before** the send, so a crash between the log write
+/// and the send re-sends these exact bytes instead of reusing sequence
+/// numbers for different content.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublishedRecord {
-    /// Causal ids of the published commit (pairs with the preceding
-    /// `Applied` record during recovery).
-    pub keys: Vec<u64>,
+pub(crate) struct PublishedRecord {
     /// Every outgoing copy: receiving peer and the full message.
-    pub msgs: Vec<(u16, PeerDelta)>,
+    pub(crate) msgs: Vec<(u16, PeerDelta)>,
 }
 
 /// Encodes a `Published` record body.
-pub fn enc_published(r: &PublishedRecord) -> Vec<u8> {
+pub(crate) fn enc_published(r: &PublishedRecord) -> Vec<u8> {
     let mut e = Enc::new();
-    enc_seq(&mut e, &r.keys, |e, &k| e.u64(k));
     enc_seq(&mut e, &r.msgs, |e, (peer, m)| {
         e.u32(*peer as u32);
         enc_peer_delta(e, m);
@@ -150,66 +135,73 @@ pub fn enc_published(r: &PublishedRecord) -> Vec<u8> {
 }
 
 /// Decodes a `Published` record body.
-pub fn dec_published(bytes: &[u8]) -> Result<PublishedRecord, WireError> {
+pub(crate) fn dec_published(bytes: &[u8]) -> Result<PublishedRecord, WireError> {
     let mut d = Dec::new(bytes);
-    let keys = dec_seq(&mut d, |d| d.u64())?;
     let msgs = dec_seq(&mut d, |d| {
         let peer = d.u32()? as u16;
         let m = dec_peer_delta(d)?;
         Ok((peer, m))
     })?;
-    Ok(PublishedRecord { keys, msgs })
+    Ok(PublishedRecord { msgs })
 }
 
-/// The durable metadata of one `Remote` WAL record: where the resolved
-/// message came from (so delivery floors recover) and the stamp that won or
-/// lost (so conflict registers recover).
+/// The durable body of one `Remote` WAL record: a resolved message's origin
+/// and sequence (so delivery floors recover), its register and stamp, and
+/// whether it won (so conflict registers recover). The row itself is not
+/// logged: a winner is committed to the peer's own sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteMeta {
+pub(crate) struct RemoteMeta {
     /// Publishing replica.
-    pub origin: u16,
+    pub(crate) origin: u16,
     /// Per-link sequence of the resolved message.
-    pub seq: u64,
+    pub(crate) seq: u64,
+    /// The written relation.
+    pub(crate) relation: String,
+    /// The written key.
+    pub(crate) key: Value,
     /// The message's stamp (the new register value when applied).
-    pub stamp: Stamp,
+    pub(crate) stamp: Stamp,
+    /// True iff the message won resolution.
+    pub(crate) applied: bool,
 }
 
-/// Encodes a `Remote` record's metadata.
-pub fn enc_remote_meta(m: &RemoteMeta) -> Vec<u8> {
+/// Encodes a `Remote` record body.
+pub(crate) fn enc_remote_meta(m: &RemoteMeta) -> Vec<u8> {
     let mut e = Enc::new();
     e.u32(m.origin as u32);
     e.u64(m.seq);
+    e.str(&m.relation);
+    enc_value(&mut e, &m.key);
     enc_stamp(&mut e, &m.stamp);
+    e.bool(m.applied);
     e.finish()
 }
 
-/// Decodes a `Remote` record's metadata.
-pub fn dec_remote_meta(bytes: &[u8]) -> Result<RemoteMeta, WireError> {
+/// Decodes a `Remote` record body.
+pub(crate) fn dec_remote_meta(bytes: &[u8]) -> Result<RemoteMeta, WireError> {
     let mut d = Dec::new(bytes);
-    let origin = d.u32()? as u16;
-    let seq = d.u64()?;
-    let stamp = dec_stamp(&mut d)?;
-    Ok(RemoteMeta { origin, seq, stamp })
+    Ok(RemoteMeta {
+        origin: d.u32()? as u16,
+        seq: d.u64()?,
+        relation: d.str()?,
+        key: dec_value(&mut d)?,
+        stamp: dec_stamp(&mut d)?,
+        applied: d.bool()?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyno_relational::Tuple;
 
     fn sample_msg() -> PeerDelta {
-        let mut post = ZSet::new();
-        post.add(Tuple::of([Value::from(7i64), Value::str("x")]), 1);
         PeerDelta {
             origin: 2,
             seq: 41,
-            view: 1,
-            key_col: 0,
-            key: Value::from(7i64),
-            post,
+            relation: "R1".into(),
+            row: Tuple::of([Value::from(7i64), Value::str("x")]),
             hlc: 9_000_123,
             vc: vec![3, 0, 5],
-            ids: vec![17, 18],
         }
     }
 
@@ -217,21 +209,27 @@ mod tests {
     fn peer_delta_roundtrips() {
         let m = sample_msg();
         assert_eq!(dec_msg(&enc_msg(&m)).unwrap(), m);
+        assert_eq!(m.register(), ("R1".to_string(), Value::from(7i64)), "keyed on the row");
+        let keyless = PeerDelta { row: Tuple::new(Vec::new()), ..m };
+        assert!(dec_msg(&enc_msg(&keyless)).is_err(), "a row without a key is corrupt");
     }
 
     #[test]
     fn published_record_roundtrips() {
-        let r = PublishedRecord {
-            keys: vec![17, 18],
-            msgs: vec![(0, sample_msg()), (1, sample_msg())],
-        };
+        let r = PublishedRecord { msgs: vec![(0, sample_msg()), (1, sample_msg())] };
         assert_eq!(dec_published(&enc_published(&r)).unwrap(), r);
     }
 
     #[test]
     fn remote_meta_roundtrips() {
-        let m =
-            RemoteMeta { origin: 1, seq: 6, stamp: Stamp { hlc: 55, origin: 1, vc: vec![0, 6] } };
+        let m = RemoteMeta {
+            origin: 1,
+            seq: 6,
+            relation: "R0".into(),
+            key: Value::from(5i64),
+            stamp: Stamp { hlc: 55, origin: 1, vc: vec![0, 6] },
+            applied: true,
+        };
         assert_eq!(dec_remote_meta(&enc_remote_meta(&m)).unwrap(), m);
     }
 

@@ -24,18 +24,22 @@ use dyno_view::{LocalProvider, MaterializedView, ViewDefinition, Warehouse};
 
 /// Evaluates `view` over the source space with each source rolled back to
 /// the version given in `versions` (sources absent from the map are taken
-/// at version 0 — never reflected).
+/// at version 0 — never reflected). Each source is rewound at most once.
 pub fn eval_view_at(
     space: &SourceSpace,
     view: &ViewDefinition,
     versions: &HashMap<SourceId, u64>,
 ) -> Result<ZSet, RelationalError> {
     let mut provider = LocalProvider::new();
+    let mut rewound = vec![None; space.servers().len()];
     for table in &view.query.tables {
         let mut found = false;
-        for server in space.servers() {
+        for (server, catalog) in space.servers().iter().zip(&mut rewound) {
             let version = versions.get(&server.id()).copied().unwrap_or(0);
-            let catalog = server.state_at(version)?;
+            let catalog = match catalog {
+                Some(catalog) => catalog,
+                None => catalog.insert(server.state_at(version)?),
+            };
             if let Ok(rel) = catalog.get(table) {
                 provider.insert_relation(rel);
                 found = true;
@@ -137,13 +141,14 @@ mod tests {
     #[test]
     fn audit_fails_exactly_the_views_reading_a_silently_rewritten_relation() {
         use crate::testbed::{build_multiview, build_space, TestbedConfig};
-        use dyno_relational::{Delta, Tuple, Value};
+        use dyno_relational::{DataUpdate, Delta, Tuple, Value};
+        use dyno_source::SourceServer;
 
         // V_i = R0 ⋈ R1 ⋈ R{2+i}: R3 is read by V1 alone, R0 by all three.
         let cfg = TestbedConfig { tuples_per_relation: 20, ..Default::default() };
         let space = build_space(&cfg);
         let info = space.info().clone();
-        let mut port = InProcessPort::new(space);
+        let mut port = InProcessPort::new(space.clone());
         let mut wh = Warehouse::new(info, Strategy::Pessimistic);
         for view in build_multiview(&cfg, 3) {
             wh.add_view(view);
@@ -151,19 +156,26 @@ mod tests {
         wh.initialize(&mut port).unwrap();
         assert_eq!(audit(&wh, port.space()).unwrap(), 0);
 
-        // A row changes behind the warehouse's back: no version bump, no
-        // message, so no view can ever reflect it.
-        let rewrite = |port: &mut InProcessPort, idx: usize| {
-            let schema = cfg.schema(idx);
-            let sid = port.space().locate(&schema.relation).unwrap();
-            let row = Tuple::new(std::iter::once(7).chain([-1; 3]).map(Value::from).collect());
-            let delta = Delta::inserts(schema, [row]).unwrap();
-            port.space_mut().server_mut(sid).overwrite(&delta).unwrap();
+        // A copy of the sources whose history says the relations `idxs`
+        // always held one more row: no version, no message ever told the
+        // warehouse, so no view can reflect it.
+        let rewritten = |idxs: &[usize]| {
+            let mut copy = SourceSpace::new();
+            for server in space.servers() {
+                let mut catalog = server.catalog().clone();
+                for schema in idxs.iter().map(|&idx| cfg.schema(idx)) {
+                    if catalog.get(&schema.relation).is_ok() {
+                        let row = std::iter::once(7).chain([-1; 3]).map(Value::from).collect();
+                        let delta = Delta::inserts(schema, [Tuple::new(row)]).unwrap();
+                        catalog.apply_data_update(&DataUpdate::new(delta)).unwrap();
+                    }
+                }
+                copy.add_server(SourceServer::new(server.id(), server.name(), catalog));
+            }
+            copy
         };
-        rewrite(&mut port, 3);
-        assert_eq!(audit(&wh, port.space()).unwrap(), 1, "V1 alone reads R3");
-        rewrite(&mut port, 0);
-        assert_eq!(audit(&wh, port.space()).unwrap(), 3, "every view reads R0");
+        assert_eq!(audit(&wh, &rewritten(&[3])).unwrap(), 1, "V1 alone reads R3");
+        assert_eq!(audit(&wh, &rewritten(&[3, 0])).unwrap(), 3, "every view reads R0");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! sources, joined by a peer fabric ([`crate::replica`]). The fields
 //! compose: the loop is the same whichever are set, and so is the oracle
 //! ([`audit`] after every commit and recovery, convergence per view at the
-//! end).
+//! end, and — across peers — every source's history rewound to its start).
 //!
 //! A run is a pure function of its experiment: the workload, the transport's
 //! fault rolls, the retry jitter and the discrete-event clock are all seeded,
@@ -276,6 +276,8 @@ pub struct Report {
     pub obs: Collector,
     /// Every warehouse's collector, in peer order.
     pub peer_obs: Vec<Collector>,
+    /// Every warehouse's sources as the run left them, in peer order.
+    pub peer_sources: Vec<SourceSpace>,
 }
 
 impl Report {
@@ -445,8 +447,8 @@ fn advance<T: Transport>(nodes: &mut [Node<T>], t: u64) {
 /// Steps every warehouse to quiescence (or budget), recovering a warehouse
 /// from its WAL at each planned power cut and ticking `telemetry` once per
 /// iteration; `Err` is the hard maintenance or oracle error that ended the
-/// run. A fabric acts at the loop's four points: as an event source, when
-/// due, after each commit, and at quiescence.
+/// run. A fabric acts at three of the loop's points: as an event source,
+/// when due, and at quiescence.
 fn drive<T: Transport>(
     nodes: &mut Vec<Node<T>>,
     fabric: &mut Option<Fabric>,
@@ -467,7 +469,7 @@ fn drive<T: Transport>(
     // already due cannot spin; a reliable one jumps exactly to the commit.
     let slack = u64::from(run.faulty);
     // What only a quiescence flush recovers: messages a faulty transport
-    // dropped, and peer deltas the fabric dropped or a gap withholds. A
+    // dropped, and peer writes the fabric dropped or a gap withholds. A
     // second flush in a row finds nothing and ends the run.
     let withheld = run.faulty || fabric.is_some();
     let mut flushed = false;
@@ -539,7 +541,6 @@ fn drive<T: Transport>(
                         n.port.ack_durable(SourceId(s), v);
                     }
                 }
-                fabric.as_mut().map_or(Ok(()), |f| f.publish(n, p, now))?;
             }
             StepOutcome::Aborted => {}
             StepOutcome::Parked => {
@@ -600,7 +601,7 @@ fn simulate<T: Transport>(
     // releases one at a time; a lone warehouse's port holds its own.
     let mut schedule = std::mem::take(&mut exp.schedule);
     let writes = if exp.peers.is_some() { std::mem::take(&mut schedule) } else { Vec::new() };
-    // A peer also logs its publishes and remote deltas: it snapshots twice as often.
+    // A peer also logs its publishes and resolutions: it snapshots twice as often.
     let checkpoint_every = CHECKPOINT_EVERY >> u32::from(exp.peers.is_some());
     let run = Run { exp: &exp, faulty: exp.fault.is_some(), max_steps, checkpoint_every };
 
@@ -645,7 +646,7 @@ fn simulate<T: Transport>(
         port.start_metering();
 
         // A kill needs a log to recover from, and a peer logs its publishes
-        // and remote deltas.
+        // and resolutions.
         let disk = MemStorage::new();
         if !exp.kills.is_empty() || exp.peers.is_some() {
             let log = DurableLog::create(Box::new(disk.clone()))
@@ -657,7 +658,7 @@ fn simulate<T: Transport>(
         let port = wrap(port, transport(&obs), versions.clone(), &run, &obs, 0);
         nodes.push(Node { wh, port, obs, disk, versions, kills: 0 });
     }
-    let mut fabric = exp.peers.as_ref().map(|p| Fabric::new(p, exp.seed, writes, &mut nodes));
+    let mut fabric = exp.peers.as_ref().map(|p| Fabric::new(p, exp.seed, writes, &nodes));
 
     let mut driven = Driven::default();
     let driven_to = drive(&mut nodes, &mut fabric, &mut telemetry, &run, &mut driven);
@@ -685,6 +686,18 @@ fn simulate<T: Transport>(
             (0..wh.view_count()).map(outcome).collect()
         })
         .collect();
+    // A peer's sources commit every write they hold, local or remote, as an
+    // ordinary logged update: each one's history must rewind to its start.
+    if exp.peers.is_some() {
+        for (p, n) in nodes.iter().enumerate() {
+            for server in n.port.inner().space().servers() {
+                if let Err(e) = server.state_at(0) {
+                    let s = server.id();
+                    last_error.get_or_insert(format!("history oracle: peer {p} source {s}: {e}"));
+                }
+            }
+        }
+    }
     let crcs = |views: &[ViewOutcome]| views.iter().map(|v| v.extent_crc).collect::<Vec<_>>();
     Ok(Report {
         converged: last_error.is_none()
@@ -702,6 +715,10 @@ fn simulate<T: Transport>(
         telemetry,
         obs: nodes[0].obs.clone(),
         peer_obs: nodes.iter().map(|n| n.obs.clone()).collect(),
+        peer_sources: nodes
+            .iter_mut()
+            .map(|n| std::mem::take(n.port.inner_mut().space_mut()))
+            .collect(),
     })
 }
 

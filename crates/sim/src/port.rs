@@ -139,7 +139,8 @@ impl SimPort {
         &self.space
     }
 
-    /// The sources, for silent overwrites (no version bump, no message).
+    /// The sources, mutably: for setup outside the schedule, and to move
+    /// them out at the end of a run.
     pub fn space_mut(&mut self) -> &mut SourceSpace {
         &mut self.space
     }

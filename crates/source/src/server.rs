@@ -210,25 +210,6 @@ impl SourceServer {
     pub fn updates_since(&self, version: u64) -> impl Iterator<Item = &LogEntry> {
         self.log.iter().filter(move |e| e.version > version)
     }
-
-    /// Applies a delta to the current catalog **silently**: no version bump,
-    /// no log entry. This is the replica write-back path — a
-    /// conflict-resolution winner delivered from a peer replaces local rows
-    /// without looking like a fresh local commit (a version bump would make
-    /// the ingress resequencer expect a committed-update message that never
-    /// arrives, wedging delivery).
-    ///
-    /// Caveat: every [`SourceServer::state_at`] reconstruction rewinds from
-    /// the current catalog, and the mutation is invisible to the log — so
-    /// after an overwrite every reconstructed version carries the shifted
-    /// rows, and a rewind that passes the logged commit of a replaced row
-    /// fails with `DeleteMissing` (the logged insert can no longer be
-    /// undone). The replica path only ever overwrites rows from data updates
-    /// and never asks an overwritten source for its history, so this is
-    /// safe there; any other caller must accept the same trade.
-    pub fn overwrite(&mut self, delta: &dyno_relational::Delta) -> Result<(), RelationalError> {
-        self.catalog.apply_update(&SourceUpdate::Data(DataUpdate::new(delta.clone())))
-    }
 }
 
 #[cfg(test)]
@@ -421,28 +402,6 @@ mod tests {
         let v0 = s.state_at(0).unwrap();
         assert!(v0.index_covering("R", &["a"]).is_some());
         assert_eq!(v0.index_covering("R", &["a"]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn overwrite_mutates_without_version_or_log() {
-        let mut s = server();
-        insert(&mut s, 2, "y");
-        let schema = s.catalog().get("R").unwrap().schema().clone();
-        let mut d =
-            Delta::deletes(schema.clone(), [Tuple::of([Value::from(2), Value::str("y")])]).unwrap();
-        d.merge(
-            &Delta::inserts(schema, [Tuple::of([Value::from(2), Value::str("peer")])]).unwrap(),
-        )
-        .unwrap();
-        s.overwrite(&d).unwrap();
-        assert_eq!(s.version(), 1, "no version bump");
-        assert_eq!(s.log().len(), 1, "no log entry");
-        let rel = s.catalog().get("R").unwrap();
-        let peer_row = Tuple::of([Value::from(2), Value::str("peer")]);
-        assert!(rel.rows().iter().any(|(t, w)| t == &peer_row && w == 1));
-        // Documented caveat: rewinding through the silent overwrite fails —
-        // the logged insert of (2, 'y') can no longer be undone.
-        assert!(s.state_at(0).is_err(), "history through an overwrite is gone");
     }
 
     #[test]

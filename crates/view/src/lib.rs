@@ -50,6 +50,6 @@ pub use vm::{sweep_maintain, sweep_maintain_shared, MaintFailure, ViewDelta};
 pub use vs::{synchronize, synchronize_all, VsError};
 pub use wal::{
     AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, RecoverError, RecoverReport,
-    RemoteRecord, ReplicaTailEvent,
+    ReplicaTailEvent,
 };
 pub use warehouse::{ReflectedVersions, ViewError, ViewStats, Warehouse};

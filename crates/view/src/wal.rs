@@ -8,16 +8,19 @@
 //! | 2 | `Admitted(UpdateMeta)` | when the ingress gate admits a message to the UMQ |
 //! | 3 | `Intent{keys, has_sc}` | immediately **before** a batch's maintenance executes |
 //! | 4 | `Applied(AppliedRecord)` — `{keys, changes, reflected, view_reflected}` | immediately **after** the in-memory commit of a batch, as **one** record covering every view |
-//! | 5 | `Replica` (`Published{bytes}` / `Remote(RemoteRecord)`) | when the replication engine publishes a commit's peer deltas (before they reach the network) and when a received peer delta is resolved (applied or superseded) |
+//! | 5 | `Replica`: sub-tag 0 `Published{bytes}`, sub-tag 2 `Remote{bytes}` (sub-tag 1, a view post-image, is retired and rejected on replay) | when the replication engine publishes a client write (before it reaches the network) and when it resolves a received peer write (applied or superseded) |
 //!
 //! A commit has one form: the [`AppliedRecord`], one [`AppliedChange`] per
 //! view slot. Staging yields the changes, the warehouse applies them through
-//! one function (live and on replay), this log appends the record by
-//! reference, and the replication engine publishes from the same record —
-//! queued live ([`Warehouse::take_published`]) or handed back by replay
-//! ([`ReplicaTailEvent::Applied`]). In memory a change carries its parsed
-//! [`ViewDefinition`]; the codec renders it as SQL and parses it back, and
-//! SQL that does not parse makes the record corrupt.
+//! one function (live and on replay), and this log appends the record by
+//! reference. In memory a change carries its parsed [`ViewDefinition`]; the
+//! codec renders it as SQL and parses it back, and SQL that does not parse
+//! makes the record corrupt.
+//!
+//! The two replication records are the engine's own bytes: the warehouse
+//! logs them and hands them back after a recovery
+//! ([`Warehouse::take_replica_tail`]) without reading them. A replicated
+//! write reaches a view only as a source update the warehouse maintains.
 //!
 //! The checkpoint image and the replay that folds records back into a
 //! warehouse belong to [`Warehouse`] itself ([`Warehouse::recover`]).
@@ -57,53 +60,31 @@ use dyno_durable::storage::Storage;
 use dyno_durable::wal::{Wal, WalError};
 use dyno_obs::Collector;
 use dyno_relational::wire as rel_wire;
-use dyno_relational::{Value, ZSet};
+use dyno_relational::ZSet;
 use dyno_source::wire as src_wire;
 use dyno_source::UpdateMessage;
 
 use crate::{ViewDefinition, Warehouse};
 
-/// One post-checkpoint replication event surfaced to the engine by replay
-/// (see [`Warehouse::take_replica_tail`]).
+/// One post-checkpoint replication-engine record surfaced by replay (see
+/// [`Warehouse::take_replica_tail`]); both bodies are engine-opaque.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicaTailEvent {
-    /// A local commit landed (its `Applied` record was durable): the record
-    /// itself, the same value a live commit queues for the engine
-    /// ([`Warehouse::take_published`]).
-    Applied(AppliedRecord),
-    /// The engine published the peer deltas for a commit; `bytes` is the
-    /// engine-encoded publish event (assigned sequences, message bodies,
-    /// stamps).
+    /// The engine published a client write to its peers (assigned
+    /// sequences, message bodies, stamps).
     Published {
         /// Engine-opaque publish event.
         bytes: Vec<u8>,
     },
-    /// A peer delta was received and resolved. Replay has already folded an
-    /// `applied` record's post-image into the view extent (exactly once).
-    Remote(RemoteRecord),
-}
-
-/// One received peer delta and its resolution: what
-/// [`Warehouse::apply_remote`] applies and logs, and what replay folds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteRecord {
-    /// View slot the delta targeted.
-    pub view: u32,
-    /// Join-key column in the view's output row.
-    pub key_col: u32,
-    /// The key whose post-image the delta replaces.
-    pub key: Value,
-    /// The winning post-image rows.
-    pub post: ZSet,
-    /// True iff the delta won resolution and is applied (a superseded
-    /// loser is logged too, so registers survive the crash).
-    pub applied: bool,
-    /// Engine-opaque stamp metadata, for register/floor restoration.
-    pub bytes: Vec<u8>,
+    /// The engine resolved one received peer write (applied or superseded).
+    Remote {
+        /// Engine-opaque resolution.
+        bytes: Vec<u8>,
+    },
 }
 
 /// What one commit does to one view slot. Staging yields it, the warehouse
-/// applies it, the WAL logs it and peers are published from it.
+/// applies it and the WAL logs it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppliedChange {
     /// SWEEP delta merged into the extent (definition and columns unchanged).
@@ -138,8 +119,8 @@ pub enum AppliedChange {
 }
 
 impl AppliedChange {
-    /// The rows a peer replica is told changed: the delta, or a replace's
-    /// whole new extent; `None` when the extent is left alone.
+    /// The rows the change writes: the delta, or a replace's whole new
+    /// extent; `None` when the extent is left alone.
     pub fn rows(&self) -> Option<&ZSet> {
         match self {
             AppliedChange::Delta { rows } | AppliedChange::Incremental { rows, .. } => Some(rows),
@@ -243,7 +224,10 @@ const TAG_APPLIED: u8 = 4;
 const TAG_REPLICA: u8 = 5;
 
 const REPL_PUBLISHED: u8 = 0;
-const REPL_REMOTE: u8 = 1;
+/// Retired: a view post-image forced into the extent on replay. Replay
+/// rejects it by name.
+const REPL_REMOTE_POST_IMAGE: u8 = 1;
+const REPL_REMOTE: u8 = 2;
 
 /// Below this many tail bytes the size rule never fires, so a warehouse
 /// whose whole snapshot is a few hundred bytes does not compact every third
@@ -410,7 +394,7 @@ impl DurableLog {
         });
     }
 
-    /// Logs the engine-encoded publish event for a commit — written
+    /// Logs the engine-encoded publish event for a client write — written
     /// **before** the messages reach the network, so a crash after this
     /// record re-sends (receivers dedupe by sequence) rather than assigning
     /// the same sequences to different bodies.
@@ -422,19 +406,12 @@ impl DurableLog {
         });
     }
 
-    /// Logs one received peer delta and its resolution. Replay folds an
-    /// `applied` record's post-image into the view extent exactly once;
-    /// `bytes` carries the engine's stamp metadata either way.
-    pub fn log_replica_remote(&mut self, remote: &RemoteRecord) {
+    /// Logs the engine-encoded resolution of one received peer write.
+    pub fn log_replica_remote(&mut self, bytes: &[u8]) {
         self.append(RecordKind::Remote, |e| {
             e.u8(TAG_REPLICA);
             e.u8(REPL_REMOTE);
-            e.u32(remote.view);
-            e.u32(remote.key_col);
-            rel_wire::enc_value(e, &remote.key);
-            rel_wire::enc_bag(e, &remote.post);
-            e.bool(remote.applied);
-            e.bytes(&remote.bytes);
+            e.bytes(bytes);
         });
     }
 
@@ -491,7 +468,7 @@ pub(crate) enum Record<'a> {
     Intent,
     /// One atomic commit.
     Applied(AppliedRecord),
-    /// A replication event (`Published` or `Remote`).
+    /// A replication-engine record (`Published` or `Remote`).
     Replica(ReplicaTailEvent),
 }
 
@@ -511,14 +488,13 @@ impl<'a> Record<'a> {
             TAG_APPLIED => Record::Applied(dec_applied(&mut d)?),
             TAG_REPLICA => Record::Replica(match d.u8()? {
                 REPL_PUBLISHED => ReplicaTailEvent::Published { bytes: d.bytes()?.to_vec() },
-                REPL_REMOTE => ReplicaTailEvent::Remote(RemoteRecord {
-                    view: d.u32()?,
-                    key_col: d.u32()?,
-                    key: rel_wire::dec_value(&mut d)?,
-                    post: rel_wire::dec_bag(&mut d)?,
-                    applied: d.bool()?,
-                    bytes: d.bytes()?.to_vec(),
-                }),
+                REPL_REMOTE => ReplicaTailEvent::Remote { bytes: d.bytes()?.to_vec() },
+                REPL_REMOTE_POST_IMAGE => {
+                    return Err(WireError::Invalid(format!(
+                        "replica subtag {REPL_REMOTE_POST_IMAGE} (a view post-image \
+                         `Remote` record) is retired: peers now replicate source writes"
+                    )))
+                }
                 t => return Err(WireError::Invalid(format!("replica subtag {t}"))),
             }),
             t => return Err(WireError::Invalid(format!("record tag {t}"))),
@@ -812,12 +788,6 @@ mod tests {
         view
     }
 
-    /// A resolved peer delta for key `key` of view 0 (key column 0).
-    fn remote(key: i64, post: &[i64], applied: bool, bytes: &[u8]) -> RemoteRecord {
-        let (key, post, bytes) = (Value::Int(key), bag(post), bytes.to_vec());
-        RemoteRecord { view: 0, key_col: 0, key, post, applied, bytes }
-    }
-
     #[test]
     fn applied_record_replays_all_or_nothing() {
         // A CRC-valid `Applied` whose second change cannot replay is torn
@@ -956,42 +926,48 @@ mod tests {
         let (wh, info) = warehouse(false);
         let (disk, mut log) = logged(&wh);
         log.log_replica_published(&[1, 2, 3]);
-        // A winning remote post-image replaces key 1's rows…
-        log.log_replica_remote(&remote(1, &[5], true, &[9]));
-        // …a superseded loser is logged but never applied.
-        log.log_replica_remote(&remote(2, &[7], false, &[8]));
+        log.log_replica_remote(&[9]);
+        log.log_replica_remote(&[8]);
 
         let obs = Collector::wall();
         let (mut back, report) = recover(&disk, &info, &obs);
         assert_eq!(report.replayed_records, 4);
-        assert_eq!(back.mv(0).extent(), &bag(&[2, 5]), "applied folded exactly once");
-        let tail = back.take_replica_tail();
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail[0], ReplicaTailEvent::Published { bytes: vec![1, 2, 3] });
-        assert_eq!(tail[1], ReplicaTailEvent::Remote(remote(1, &[5], true, &[9])));
-        assert_eq!(tail[2], ReplicaTailEvent::Remote(remote(2, &[7], false, &[8])));
+        assert_eq!(back.mv(0).extent(), &bag(&[1, 2]), "engine records never touch a view");
+        let remote = |bytes: &[u8]| ReplicaTailEvent::Remote { bytes: bytes.to_vec() };
+        assert_eq!(
+            back.take_replica_tail(),
+            [ReplicaTailEvent::Published { bytes: vec![1, 2, 3] }, remote(&[9]), remote(&[8])],
+            "in log order, bytes untouched"
+        );
 
         // Recovery's closing checkpoint truncated the tail records: a
-        // second pass starts from the folded extent with an empty tail.
+        // second pass starts with an empty tail.
         let (mut again, _) = recover(&disk, &info, &obs);
-        assert_eq!(again.mv(0).extent(), &bag(&[2, 5]));
         assert!(again.take_replica_tail().is_empty());
     }
 
     #[test]
-    fn applied_records_surface_their_rows_in_the_tail() {
+    fn a_retired_post_image_remote_record_is_rejected_by_name() {
         let (wh, info) = warehouse(false);
         let (disk, mut log) = logged(&wh);
-        let applied = AppliedRecord {
-            keys: vec![7],
-            changes: vec![AppliedChange::Delta { rows: bag(&[4]) }],
-            reflected: vec![(0, 1)],
-            view_reflected: vec![vec![(0, 1)]],
-        };
-        log.log_intent(&[7], false);
-        log.log_applied(&applied);
-        let (mut back, _) = recover(&disk, &info, &Collector::wall());
-        assert_eq!(back.take_replica_tail(), vec![ReplicaTailEvent::Applied(applied)]);
+        log.log_replica_remote(&[]);
+        // The same record under the retired sub-tag, re-framed.
+        let (_, replay) = Wal::open(Box::new(disk)).unwrap();
+        let mut payloads: Vec<Vec<u8>> = replay.payloads().map(<[u8]>::to_vec).collect();
+        assert_eq!(payloads[1][..2], [TAG_REPLICA, REPL_REMOTE]);
+        payloads[1][1] = REPL_REMOTE_POST_IMAGE;
+        let err = Record::decode(&payloads[1]).err().expect("the retired sub-tag is rejected");
+        let err = err.to_string();
+        assert!(err.contains("replica subtag 1") && err.contains("retired"), "{err}");
+        // Replay stops there: the record is a torn tail, never folded.
+        let retired = MemStorage::new();
+        let mut wal = Wal::create(Box::new(retired.clone())).unwrap();
+        for payload in &payloads {
+            wal.append_with(|e| e.raw(payload)).unwrap();
+        }
+        let (mut back, report) = recover(&retired, &info, &Collector::wall());
+        assert_eq!((report.replayed_records, report.torn_records), (1, 1));
+        assert!(back.take_replica_tail().is_empty());
     }
 
     #[test]
@@ -1082,7 +1058,7 @@ mod tests {
         let (wh, _) = warehouse(false);
         let (disk, mut log) = logged(&wh);
         log.arm(CrashPlan { point: CrashPoint::AfterPublish, skip: 1 });
-        log.log_replica_remote(&remote(1, &[], false, b"m")); // no match
+        log.log_replica_remote(b"m"); // no match
         log.log_replica_published(b"first"); // first match, skipped
         assert!(!log.power_cut());
         log.log_replica_published(b"second");

@@ -385,19 +385,21 @@ echo "recover: $(byte_columns BENCH_pr4.json | wc -l) rows byte-identical to BEN
 
 echo "== replication smoke (partitioned peer replicas, causal conflicts) =="
 # The replicated-warehouse suite (tests/replica_props.rs): N peer replicas
-# exchanging committed post-images across a partition-capable fabric, run by
-# the one loop. Every run must converge to bit-identical extents, and
-# partition runs must hold traffic, detect concurrent writes (rd conflicts)
-# and discard LWW losers — a suite that never partitions proves nothing
-# about partition tolerance.
+# exchanging client source writes across a partition-capable fabric, run by
+# the one loop; each replica commits a winner to its own sources and
+# maintains it like any other update. Every run must converge to
+# bit-identical extents with every peer source rewinding to version 0, and
+# partition runs must hold traffic, detect concurrent writes to one
+# (relation, key) (rd conflicts) and discard LWW losers — a suite that never
+# partitions proves nothing about partition tolerance.
 timeout 600 cargo test -q --release --offline --test replica_props -- "${grid_flags[@]}"
 
 echo "== recorded replica fingerprints (replicas x profiles x seeds 0..8, kills) =="
-# 155 replicated runs against tests/data/replica_grid.txt, recorded by the
-# round-loop replica driver the one loop replaced: convergence, bit identity,
-# per-peer extent CRCs and every replication counter (partitions, conflicts,
-# supersedes, applies, publishes, duplicates, kills) must not move. Runs on
-# every invocation; ~4 s in release.
+# 155 replicated runs against tests/data/replica_grid.txt: convergence (the
+# history oracle included), bit identity, per-peer extent CRCs and every
+# replication counter (partitions, conflicts, supersedes, applies,
+# publishes, duplicates, kills) must not move. Runs on every invocation;
+# ~6 s in release.
 timeout 600 cargo test -q --release --offline --test replica_props replica_grid_matches -- --ignored
 
 echo "== replication bench sweep (replica count x profile) =="
