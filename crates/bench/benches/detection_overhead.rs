@@ -12,7 +12,7 @@ impl Maintainer<()> for Noop {
     fn maintain(
         &mut self,
         _batch: &[UpdateMeta<()>],
-        _rest: &[&[UpdateMeta<()>]],
+        _rest: &[Vec<UpdateMeta<()>>],
     ) -> MaintainOutcome {
         MaintainOutcome::Committed
     }

@@ -2,7 +2,9 @@
 //! data update, Equation-6 incremental adaptation vs. full recompute,
 //! what a schema change costs (a rename's commit, one extent fetch, one
 //! batch adaptation), the durable layer's three costs (checkpoint
-//! image, one `Applied` append, CRC), and extent apply across a fan-out.
+//! image, one `Applied` append, CRC), extent apply across a fan-out, and
+//! what one data update costs a warehouse as views that do not read its
+//! relation are added.
 
 use std::collections::HashMap;
 
@@ -19,7 +21,7 @@ use dyno_view::wal::{AppliedChange, AppliedRecord};
 use dyno_view::{
     adapt_batch, equation6_delta, eval_with_bound, sweep_maintain, sweep_maintain_shared,
     AdaptationMode, BoundTable, DurableLog, InProcessPort, LocalProvider, MaintPlan,
-    MaterializedView, PlanCache, ViewDefinition, Warehouse,
+    MaterializedView, Pending, PlanCache, ViewDefinition, Warehouse,
 };
 
 fn cfg(tuples: usize) -> TestbedConfig {
@@ -114,7 +116,15 @@ fn bench_indexed_sweep(h: &mut Harness) {
         let mut plans = PlanCache::new();
         let obs = dyno_obs::Collector::disabled();
         h.bench(&format!("sweep_du_planned/{tuples}"), || {
-            sweep_maintain_shared(&view, &msg, &[], &mut port, &mut plans, &obs, None)
+            sweep_maintain_shared(
+                (&view, 0),
+                &msg,
+                Pending::default(),
+                &mut port,
+                &mut plans,
+                &obs,
+                None,
+            )
         });
     }
 }
@@ -283,7 +293,7 @@ fn bench_schema_change(h: &mut Harness) {
             adapt_batch(
                 (view, mv),
                 &[&*du, &*sc],
-                &[],
+                Pending::default(),
                 info,
                 auto,
                 port,
@@ -312,7 +322,7 @@ fn bench_schema_change(h: &mut Harness) {
             adapt_batch(
                 (&view, &mv),
                 &[&du, &sc],
-                &[],
+                Pending::default(),
                 &info,
                 mode,
                 &mut port,
@@ -357,6 +367,63 @@ fn bench_extent_apply(h: &mut Harness) {
             mv.apply_delta(&cols, &revert).expect("its revert applies");
         }
     });
+}
+
+/// `n` views over the testbed: `fanout_views(cfg, n)[..6]` project `R0`'s
+/// key, and every other one reads only `R1..R5` — a passthrough at an even
+/// index, a two-way key join at an odd one.
+fn fanout_views(cfg: &TestbedConfig, n: usize) -> Vec<ViewDefinition> {
+    let names = cfg.relation_names();
+    let others = names.len() - 1;
+    (0..n)
+        .map(|t| {
+            let r = if t < 6 { 0 } else { 1 + t % others };
+            let mut q = SpjQuery::over([names[r].clone()]);
+            if t % 2 == 1 && r > 0 {
+                let r2 = 1 + r % others;
+                q = SpjQuery::over([names[r].clone(), names[r2].clone()])
+                    .select_as(&names[r2], "A1", "B1")
+                    .join_eq((names[r].as_str(), "K"), (names[r2].as_str(), "K"));
+            }
+            let attrs = cfg.schema(r).attrs().len();
+            for attr in cfg.schema(r).attrs().iter().take(if r == 0 { 1 } else { attrs }) {
+                q = q.select(&names[r], &attr.name);
+            }
+            ViewDefinition::new(format!("F{t}"), q.build())
+        })
+        .collect()
+}
+
+/// One single-row data update to `R0` through a whole warehouse step —
+/// ingest, schedule, SWEEP for the six views reading `R0`, commit — with
+/// 24 and with 240 views registered. The other views read only relations
+/// the update does not touch, so the two rows must cost the same: a
+/// per-commit walk over every view shows up as the gap. One iteration
+/// inserts a row and deletes it again, so the extents never grow.
+fn bench_fanout_du(h: &mut Harness) {
+    let tb = cfg(2_000);
+    for n in [24, 240] {
+        let mut port = InProcessPort::new(dyno_sim::build_space(&tb));
+        let mut wh = Warehouse::new(port.space().info().clone(), Strategy::Pessimistic);
+        for view in fanout_views(&tb, n) {
+            wh.add_view(view);
+        }
+        wh.initialize(&mut port).expect("fan-out views initialize");
+        let r0 = port.space().locate("R0").expect("testbed relation");
+        let row = Tuple::new(
+            (0..tb.schema(0).arity()).map(|i| Value::from(1_000_000 + i as i64)).collect(),
+        );
+        let insert = Delta::inserts(tb.schema(0), [row.clone()]).expect("testbed schema");
+        let delete = Delta::deletes(tb.schema(0), [row]).expect("testbed schema");
+        h.bench(&format!("fanout_du/{n}"), || {
+            for delta in [&insert, &delete] {
+                let du = SourceUpdate::Data(DataUpdate::new(delta.clone()));
+                port.commit(r0, du).expect("a testbed DU commits");
+                wh.run_to_quiescence(&mut port, 4).expect("the DU maintains");
+            }
+        });
+        assert!(wh.stats(0).du_committed > 0, "the readers of R0 maintained the updates");
+    }
 }
 
 /// A disk that keeps nothing, so an append-only bench does not spend its
@@ -435,6 +502,7 @@ fn main() {
         bench_schema_change(&mut h);
         bench_wal(&mut h);
         bench_extent_apply(&mut h);
+        bench_fanout_du(&mut h);
     }
     h.finish();
 }

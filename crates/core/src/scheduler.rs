@@ -70,10 +70,12 @@ pub trait Maintainer<P> {
     /// Attempts to maintain one queue entry.
     ///
     /// `rest` is the remainder of the queue (everything buffered but not yet
-    /// processed, excluding `batch`): compensation-based view maintenance
-    /// needs it to subtract the effect of concurrent, not-yet-maintained
-    /// data updates from maintenance-query results (anomaly types 1–2).
-    fn maintain(&mut self, batch: &[UpdateMeta<P>], rest: &[&[UpdateMeta<P>]]) -> MaintainOutcome;
+    /// processed, excluding `batch`), borrowed as the queue's own entries:
+    /// compensation-based view maintenance needs it to subtract the effect
+    /// of concurrent, not-yet-maintained data updates from maintenance-query
+    /// results (anomaly types 1–2).
+    fn maintain(&mut self, batch: &[UpdateMeta<P>], rest: &[Vec<UpdateMeta<P>>])
+        -> MaintainOutcome;
 
     /// Recomputes whether each buffered schema change still invalidates the
     /// *current* (possibly just rewritten) view definition. Called before
@@ -269,8 +271,7 @@ impl Dyno {
             self.force_correction = false;
         }
 
-        let nodes = queue.nodes();
-        let Some((head, rest)) = nodes.split_first() else {
+        let Some((head, rest)) = queue.contiguous().split_first() else {
             return StepOutcome::Idle;
         };
         // Captured only when provenance is on: the `Parked` arm below needs
@@ -284,7 +285,6 @@ impl Dyno {
             let _maintain = self.obs.span("dyno.maintain", &[field("batch", head.len())]);
             maintainer.maintain(head, rest)
         };
-        drop(nodes);
         match outcome {
             MaintainOutcome::Committed => {
                 self.stats.committed += 1;
@@ -390,7 +390,7 @@ mod tests {
         fn maintain(
             &mut self,
             batch: &[UpdateMeta<()>],
-            _rest: &[&[UpdateMeta<()>]],
+            _rest: &[Vec<UpdateMeta<()>>],
         ) -> MaintainOutcome {
             let keys: Vec<u64> = batch.iter().map(|u| u.key.0).collect();
             // If a breaking SC exists that is not in this batch and has not
@@ -565,7 +565,7 @@ mod tests {
         fn maintain(
             &mut self,
             batch: &[UpdateMeta<()>],
-            rest: &[&[UpdateMeta<()>]],
+            rest: &[Vec<UpdateMeta<()>>],
         ) -> MaintainOutcome {
             if self.park_for > 0 {
                 self.park_for -= 1;

@@ -120,6 +120,19 @@ impl<P> Umq<P> {
         self.enqueued
     }
 
+    /// The entries, front to back, as one contiguous slice — what a step
+    /// hands the maintainer (its head and the rest) without collecting
+    /// anything. Takes `&mut` only to close the ring's wrap-around, which
+    /// moves entry handles, never updates, and is free once closed.
+    pub fn contiguous(&mut self) -> &[Vec<UpdateMeta<P>>] {
+        self.entries.make_contiguous()
+    }
+
+    /// Every buffered update in queue order, batch by batch.
+    pub fn updates(&self) -> impl Iterator<Item = &UpdateMeta<P>> {
+        self.entries.iter().flatten()
+    }
+
     /// Borrow the entries as node slices, the graph builder's input.
     pub fn nodes(&self) -> Vec<&[UpdateMeta<P>]> {
         self.entries.iter().map(Vec::as_slice).collect()

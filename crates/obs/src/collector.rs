@@ -200,19 +200,22 @@ impl Collector {
         self.inner.as_ref().map_or_else(Registry::new, |i| i.registry.clone())
     }
 
-    /// Counter `name` (detached and invisible when disabled).
+    /// Counter `name` (detached and invisible when disabled: it counts in
+    /// place and allocates nothing).
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.inner.as_ref().map_or_else(Counter::default, |i| i.registry.counter(name))
+        self.inner.as_ref().map_or_else(Counter::detached, |i| i.registry.counter(name))
     }
 
-    /// Gauge `name` (detached and invisible when disabled).
+    /// Gauge `name` (detached and invisible when disabled, like
+    /// [`Collector::counter`]).
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.inner.as_ref().map_or_else(Gauge::default, |i| i.registry.gauge(name))
+        self.inner.as_ref().map_or_else(Gauge::detached, |i| i.registry.gauge(name))
     }
 
-    /// Histogram `name` (detached and invisible when disabled).
+    /// Histogram `name` (detached when disabled: it allocates nothing and
+    /// drops its samples).
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.inner.as_ref().map_or_else(Histogram::default, |i| i.registry.histogram(name))
+        self.inner.as_ref().map_or_else(Histogram::detached, |i| i.registry.histogram(name))
     }
 
     /// The inner pipeline when it is capturing `kinds`.

@@ -7,7 +7,10 @@
 //! projection of a registry without a measurable cost.
 //!
 //! Everything is single-threaded by design (the whole reproduction is);
-//! clones of a handle share the same cell.
+//! clones of a handle share the same cell. The one exception is a
+//! *detached* handle, what a disabled collector hands out: it allocates
+//! nothing, a counter or gauge keeps its value in place (so a clone copies
+//! it), and a histogram drops its samples.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -16,11 +19,39 @@ use std::rc::Rc;
 
 use crate::json;
 
+/// The cell behind a counter or gauge: shared by every clone, or held in
+/// place by a detached handle.
+#[derive(Debug, Clone)]
+enum Slot<T: Copy> {
+    Shared(Rc<Cell<T>>),
+    Detached(Cell<T>),
+}
+
+impl<T: Copy + Default> Default for Slot<T> {
+    fn default() -> Self {
+        Slot::Shared(Rc::default())
+    }
+}
+
+impl<T: Copy> Slot<T> {
+    fn cell(&self) -> &Cell<T> {
+        match self {
+            Slot::Shared(c) => c,
+            Slot::Detached(c) => c,
+        }
+    }
+}
+
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+pub struct Counter(Slot<u64>);
 
 impl Counter {
+    /// A counter no registry sees, made without allocating.
+    pub(crate) fn detached() -> Self {
+        Counter(Slot::Detached(Cell::new(0)))
+    }
+
     /// Adds 1.
     pub fn inc(&self) {
         self.add(1);
@@ -28,33 +59,40 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
+        let c = self.0.cell();
+        c.set(c.get().wrapping_add(n));
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.cell().get()
     }
 }
 
 /// A gauge: a signed value that can move both ways.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<i64>>);
+pub struct Gauge(Slot<i64>);
 
 impl Gauge {
+    /// A gauge no registry sees, made without allocating.
+    pub(crate) fn detached() -> Self {
+        Gauge(Slot::Detached(Cell::new(0)))
+    }
+
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        self.0.set(v);
+        self.0.cell().set(v);
     }
 
     /// Adds `d` (may be negative).
     pub fn add(&self, d: i64) {
-        self.0.set(self.0.get() + d);
+        let c = self.0.cell();
+        c.set(c.get() + d);
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.0.get()
+        self.0.cell().get()
     }
 }
 
@@ -173,16 +211,39 @@ struct HistData {
     window: Bins,
 }
 
-/// A log₂-bucketed histogram of `u64` samples (typically microseconds).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<HistData>>);
+/// A log₂-bucketed histogram of `u64` samples (typically microseconds). A
+/// detached one holds nothing and reads as empty.
+#[derive(Debug, Clone)]
+pub struct Histogram(Option<Rc<RefCell<HistData>>>);
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram(Some(Rc::default()))
+    }
+}
 
 impl Histogram {
+    /// A histogram no registry sees, made without allocating; it drops
+    /// every sample.
+    pub(crate) fn detached() -> Self {
+        Histogram(None)
+    }
+
+    /// `f` over the recorded state (an empty one when detached).
+    fn read<R>(&self, f: impl FnOnce(&HistData) -> R) -> R {
+        match &self.0 {
+            Some(h) => f(&h.borrow()),
+            None => f(&HistData::default()),
+        }
+    }
+
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut h = self.0.borrow_mut();
-        h.total.record(v);
-        h.window.record(v);
+        if let Some(h) = &self.0 {
+            let mut h = h.borrow_mut();
+            h.total.record(v);
+            h.window.record(v);
+        }
     }
 
     /// Summarizes the samples recorded since the last call (or since
@@ -192,7 +253,8 @@ impl Histogram {
     /// percentiles while the time-series sampler reads per-window ones off
     /// the same histogram.
     pub fn snapshot_and_reset_window(&self) -> HistWindow {
-        let w = std::mem::take(&mut self.0.borrow_mut().window);
+        let Some(h) = &self.0 else { return HistWindow::default() };
+        let w = std::mem::take(&mut h.borrow_mut().window);
         HistWindow {
             count: w.count,
             sum: w.sum,
@@ -206,37 +268,37 @@ impl Histogram {
 
     /// Samples recorded in the current (un-snapshotted) window.
     pub fn window_count(&self) -> u64 {
-        self.0.borrow().window.count
+        self.read(|h| h.window.count)
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.0.borrow().total.count
+        self.read(|h| h.total.count)
     }
 
     /// Sum of samples.
     pub fn sum(&self) -> u64 {
-        self.0.borrow().total.sum
+        self.read(|h| h.total.sum)
     }
 
     /// Smallest sample (0 if empty).
     pub fn min(&self) -> u64 {
-        self.0.borrow().total.min
+        self.read(|h| h.total.min)
     }
 
     /// Largest sample (0 if empty).
     pub fn max(&self) -> u64 {
-        self.0.borrow().total.max
+        self.read(|h| h.total.max)
     }
 
     /// Occupancy of bucket `i`.
     pub fn bucket(&self, i: usize) -> u64 {
-        self.0.borrow().total.buckets[i]
+        self.read(|h| h.total.buckets[i])
     }
 
     /// `(bucket lower bound, count)` for every non-empty bucket, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        let buckets = self.0.borrow().total.buckets;
+        let buckets = self.read(|h| h.total.buckets);
         (0..HISTOGRAM_BUCKETS)
             .filter(|&i| buckets[i] != 0)
             .map(|i| (bucket_lo(i), buckets[i]))
@@ -250,7 +312,7 @@ impl Histogram {
     /// bucket's range (clamped to the observed `min`/`max`, so single-bucket
     /// distributions report exact values). Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        self.0.borrow().total.quantile(q)
+        self.read(|h| h.total.quantile(q))
     }
 
     /// The `(p50, p95, p99)` estimates (see [`Histogram::quantile`]).

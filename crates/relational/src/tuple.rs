@@ -254,6 +254,12 @@ impl ZSet {
         self.weights.iter().map(|(t, &c)| (t, c))
     }
 
+    /// The entries by value, in the same unspecified order as
+    /// [`ZSet::iter`].
+    pub fn into_entries(self) -> impl Iterator<Item = (Tuple, i64)> {
+        self.weights.into_iter()
+    }
+
     /// The entries in tuple order — the deterministic view: two equal
     /// Z-sets yield identical sequences however they were built.
     ///

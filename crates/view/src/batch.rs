@@ -55,7 +55,7 @@ use crate::mview::MaterializedView;
 use crate::plan::MaintPlan;
 use crate::viewdef::ViewDefinition;
 use crate::vm::{
-    compensate, hop_chain, profiler, seed_delta, Compensation, MaintFailure, ViewDelta,
+    compensate, hop_chain, profiler, seed_delta, Compensation, MaintFailure, Pending, ViewDelta,
 };
 use crate::vs::{renamed_col, renamed_relation, synchronize_all, VsError};
 
@@ -141,7 +141,7 @@ impl From<MaintFailure> for BatchFailure {
 pub fn adapt_batch(
     (view, mv): (&ViewDefinition, &MaterializedView),
     batch: &[&UpdateMessage],
-    pending: &[&UpdateMessage],
+    pending: Pending<'_>,
     info: &InfoSpace,
     mode: AdaptationMode,
     port: &mut dyn SourcePort,
@@ -867,8 +867,15 @@ mod tests {
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
         let batch = [&m1, &m2];
-        let (res, _) =
-            adapt_batch((&view, &mv), &batch, &[], &info, AdaptationMode::Auto, &mut port, &off());
+        let (res, _) = adapt_batch(
+            (&view, &mv),
+            &batch,
+            Pending::default(),
+            &info,
+            AdaptationMode::Auto,
+            &mut port,
+            &off(),
+        );
         match res.unwrap() {
             Adapted::Incremental { view: v, delta } => {
                 assert!(v.references_relation("Item2"));
@@ -879,7 +886,15 @@ mod tests {
         // Forcing recompute yields the same definition and a full extent
         // whose content equals old extent + delta.
         let recompute = AdaptationMode::RecomputeOnly;
-        let (res2, _) = adapt_batch((&view, &mv), &batch, &[], &info, recompute, &mut port, &off());
+        let (res2, _) = adapt_batch(
+            (&view, &mv),
+            &batch,
+            Pending::default(),
+            &info,
+            recompute,
+            &mut port,
+            &off(),
+        );
         match res2.unwrap() {
             Adapted::Replaced { extent, .. } => assert_eq!(extent.weight(), 2),
             other => panic!("RecomputeOnly must recompute, got {other:?}"),
@@ -906,8 +921,15 @@ mod tests {
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
         let batch = [&m1, &m2, &m3];
-        let (res, drained) =
-            adapt_batch((&view, &mv), &batch, &[], &info, AdaptationMode::Auto, &mut port, &off());
+        let (res, drained) = adapt_batch(
+            (&view, &mv),
+            &batch,
+            Pending::default(),
+            &info,
+            AdaptationMode::Auto,
+            &mut port,
+            &off(),
+        );
         assert!(drained.is_empty());
         let adapted = res.unwrap();
         assert!(adapted.view().references_relation("StoreItems"));
@@ -942,8 +964,15 @@ mod tests {
             .unwrap();
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
-        let (res, _) =
-            adapt_batch((&view, &mv), &[&m], &[], &info, AdaptationMode::Auto, &mut port, &off());
+        let (res, _) = adapt_batch(
+            (&view, &mv),
+            &[&m],
+            Pending::default(),
+            &info,
+            AdaptationMode::Auto,
+            &mut port,
+            &off(),
+        );
         assert!(matches!(res.unwrap_err(), BatchFailure::Broken(_)));
     }
 
@@ -963,8 +992,15 @@ mod tests {
         let info = space.info().clone();
         let mut port = InProcessPort::new(space);
         let auto = AdaptationMode::Auto;
-        let (res, _) =
-            adapt_batch((&view, &mv), &[&m_sc], &[&m_du], &info, auto, &mut port, &off());
+        let (res, _) = adapt_batch(
+            (&view, &mv),
+            &[&m_sc],
+            Pending::loose(&[&m_du]),
+            &info,
+            auto,
+            &mut port,
+            &off(),
+        );
         // Only the original 'Databases' row — the pending insert is rolled
         // back (it will be maintained by its own SWEEP pass later).
         match res.unwrap() {
@@ -1000,8 +1036,15 @@ mod tests {
         let mut shipped = crate::engine::TracingPort::new(&mut shipped_base);
         for port in [&mut live as &mut dyn SourcePort, &mut shipped] {
             let (batch, auto) = ([&m1, &m2], AdaptationMode::Auto);
-            let (res, _) =
-                adapt_batch((&view, &mv), &batch, &[&pending], &info, auto, port, &off());
+            let (res, _) = adapt_batch(
+                (&view, &mv),
+                &batch,
+                Pending::loose(&[&pending]),
+                &info,
+                auto,
+                port,
+                &off(),
+            );
             let Adapted::Incremental { view: v, delta } = res.unwrap() else {
                 panic!("a rename batch adapts incrementally");
             };

@@ -46,7 +46,7 @@ pub use mview::MaterializedView;
 pub use plan::{MaintPlan, MaintStep, PlanCache};
 pub use subplan::SharedSubplans;
 pub use viewdef::ViewDefinition;
-pub use vm::{sweep_maintain, sweep_maintain_shared, MaintFailure, ViewDelta};
+pub use vm::{sweep_maintain, sweep_maintain_shared, MaintFailure, Pending, ViewDelta};
 pub use vs::{synchronize, synchronize_all, VsError};
 pub use wal::{
     AppliedChange, AppliedRecord, CrashPlan, CrashPoint, DurableLog, RecoverError, RecoverReport,

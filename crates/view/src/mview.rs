@@ -80,6 +80,27 @@ impl MaterializedView {
         Ok(())
     }
 
+    /// [`MaterializedView::merge`] of a delta nobody reads afterwards: its
+    /// tuples move into the extent instead of being cloned. Every touched
+    /// weight is checked first, so a delta that would go negative leaves
+    /// the extent untouched.
+    pub(crate) fn merge_owned(&mut self, delta: ZSet) -> Result<(), RelationalError> {
+        let fits =
+            |(t, c): (&Tuple, i64)| self.extent.count(t).checked_add(c).is_some_and(|w| w >= 0);
+        if !delta.iter().all(fits) {
+            return Err(RelationalError::InvalidQuery {
+                reason: format!(
+                    "applying delta to view `{}` would produce negative multiplicities",
+                    self.name
+                ),
+            });
+        }
+        for (t, c) in delta.into_entries() {
+            self.extent.add(t, c);
+        }
+        Ok(())
+    }
+
     /// Like [`MaterializedView::merge`], but **clamps** instead of
     /// erroring: entries that would go negative are dropped and their
     /// magnitude returned. This is the apply path for warehouses running

@@ -10,9 +10,11 @@
 //!
 //! Invalidation is two-layered: the view manager explicitly invalidates on
 //! every schema-change batch commit (VS rewrote or revalidated the view),
-//! and the cache additionally pins the view definition it planned for — if
-//! a view ever changes without an explicit invalidation, the structural
-//! mismatch clears the cache rather than serving a stale plan.
+//! and the cache additionally pins the *generation* of the definition it
+//! planned for — a number its owner bumps whenever the definition changes.
+//! If a view ever changes without an explicit invalidation, the generation
+//! mismatch clears the cache rather than serving a stale plan, and a lookup
+//! costs one integer compare instead of a walk over the whole definition.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -271,10 +273,10 @@ impl MaintPlan {
 }
 
 /// Per-view cache of [`MaintPlan`]s, keyed by updated relation and pinned
-/// to the view definition they were planned for.
+/// to the generation of the view definition they were planned for.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    pinned: Option<ViewDefinition>,
+    pinned: Option<u64>,
     plans: HashMap<String, Rc<MaintPlan>>,
 }
 
@@ -307,23 +309,25 @@ impl PlanCache {
         obs.counter("plan.cache_invalidations").add(schema_changes);
     }
 
-    /// The plan maintaining `relation` against `view`: cached when `view`
-    /// still equals the pinned definition, rebuilt (and counted as a miss)
-    /// otherwise.
+    /// The plan maintaining `relation` against `view`, whose definition is
+    /// at `generation` (its owner bumps the number whenever the definition
+    /// changes): cached when the pinned generation is still `generation`,
+    /// rebuilt (and counted as a miss) otherwise.
     pub fn plan_for(
         &mut self,
         view: &ViewDefinition,
+        generation: u64,
         relation: &str,
         obs: &Collector,
     ) -> Result<Rc<MaintPlan>, RelationalError> {
-        if self.pinned.as_ref() != Some(view) {
+        if self.pinned != Some(generation) {
             if self.pinned.is_some() {
                 // The view changed without an explicit invalidation — the
-                // pinned-definition safety net catches it.
+                // pinned-generation safety net catches it.
                 obs.counter("plan.cache_invalidations").inc();
             }
             self.plans.clear();
-            self.pinned = Some(view.clone());
+            self.pinned = Some(generation);
         }
         if let Some(plan) = self.plans.get(relation) {
             obs.counter("plan.cache_hits").inc();
@@ -347,10 +351,10 @@ mod tests {
         let obs = Collector::wall();
         let mut cache = PlanCache::new();
         let view = bookinfo_view();
-        let p1 = cache.plan_for(&view, "Item", &obs).unwrap();
-        let p2 = cache.plan_for(&view, "Item", &obs).unwrap();
+        let p1 = cache.plan_for(&view, 0, "Item", &obs).unwrap();
+        let p2 = cache.plan_for(&view, 0, "Item", &obs).unwrap();
         assert!(Rc::ptr_eq(&p1, &p2));
-        cache.plan_for(&view, "Catalog", &obs).unwrap();
+        cache.plan_for(&view, 0, "Catalog", &obs).unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(obs.registry().counter_value("plan.cache_hits"), Some(1));
         assert_eq!(obs.registry().counter_value("plan.cache_misses"), Some(2));
@@ -361,12 +365,12 @@ mod tests {
         let obs = Collector::wall();
         let mut cache = PlanCache::new();
         let view = bookinfo_view();
-        cache.plan_for(&view, "Item", &obs).unwrap();
+        cache.plan_for(&view, 0, "Item", &obs).unwrap();
         cache.invalidate(3, &obs);
         assert!(cache.is_empty());
         assert_eq!(obs.registry().counter_value("plan.cache_invalidations"), Some(3));
         // Re-planning after invalidation is a miss, not a hit.
-        cache.plan_for(&view, "Item", &obs).unwrap();
+        cache.plan_for(&view, 1, "Item", &obs).unwrap();
         assert_eq!(obs.registry().counter_value("plan.cache_hits"), None);
     }
 
@@ -375,10 +379,11 @@ mod tests {
         let obs = Collector::wall();
         let mut cache = PlanCache::new();
         let view = bookinfo_view();
-        cache.plan_for(&view, "Item", &obs).unwrap();
+        cache.plan_for(&view, 0, "Item", &obs).unwrap();
         let mut renamed = view.clone();
         renamed.name = "other_view".into();
-        cache.plan_for(&renamed, "Item", &obs).unwrap();
+        // The owner bumped the generation with the rename.
+        cache.plan_for(&renamed, 1, "Item", &obs).unwrap();
         assert_eq!(obs.registry().counter_value("plan.cache_invalidations"), Some(1));
         assert_eq!(cache.len(), 1, "plans for the old definition are gone");
     }

@@ -31,13 +31,13 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use dyno_relational::{delta_select, CmpOp, DataUpdate, RelationalError, Value, ZSet};
+use dyno_relational::{CmpOp, DataUpdate, RelationalError, Value, ZSet};
 
 use dyno_obs::{OpPhase, Profiler};
 
 use crate::engine::{DeltaCols, HopRequest, SourcePort};
 use crate::plan::{HopKey, MaintPlan};
-use crate::vm::{Compensation, MaintFailure};
+use crate::vm::{select, Compensation, MaintFailure};
 
 /// One computed full-width hop: `ΔR ⋈ target` (compensated), no per-view
 /// filters, no per-view projection. Rows are all of ΔR in its schema's
@@ -142,7 +142,7 @@ impl SharedSubplans {
         filters.extend(step.t_filters.iter().map(|(a, op, v)| (t_pos(a), *op, v.clone())));
         out.extend(step.t_proj.iter().map(t_pos));
         let window = prof.start(|| hop.rows.distinct_len());
-        let derived = delta_select(&hop.rows, &filters)
+        let derived = select(&hop.rows, &filters)
             .map_err(|e| MaintFailure::from_query(|| step.query(), e))?
             .project(&out);
         let out_rows = || derived.distinct_len();

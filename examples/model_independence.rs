@@ -68,7 +68,7 @@ impl Maintainer<DocUpdate> for TagIndexMaintainer {
     fn maintain(
         &mut self,
         batch: &[UpdateMeta<DocUpdate>],
-        _rest: &[&[UpdateMeta<DocUpdate>]],
+        _rest: &[Vec<UpdateMeta<DocUpdate>>],
     ) -> MaintainOutcome {
         // "View synchronization" first: follow the batch's renames in a
         // candidate definition and record the name mapping — the same

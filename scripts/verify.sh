@@ -101,6 +101,15 @@ echo "== structural gate: a merged batch's adaptation cost follows |Δ|, not the
 # makes the 10x larger testbed ~10x slower.
 size_gate adapt_batch_rename 6x2000 6x20000
 
+echo "== structural gate: a data update costs the views that read its relation, not N =="
+# `fanout_du/N` runs one single-row insert to R0, and its delete, through a
+# whole warehouse step with N views registered. The same six views read R0
+# at both sizes; the rest read only relations the update does not touch. A
+# per-commit walk over every view (classifying each slot, committing a skip
+# to it, sizing a per-slot change vector) makes 240 views cost more than
+# twice 24.
+size_gate fanout_du 24 240
+
 echo "== structural gate: a pruned column adapts from the held extent, not a recompute =="
 # `adapt_batch_drop/6x2000` adapts one data update + a drop of a column the
 # view selects, on `InProcessPort`: V′ is the held extent projected plus

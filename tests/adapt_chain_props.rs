@@ -52,7 +52,7 @@ use dyno::relational::{eval, ZSet};
 use dyno::sim::Rng;
 use dyno::view::{
     adapt_batch, equation6_delta, homogenize_delta, sweep_maintain, AdaptationMode, Adapted,
-    BatchFailure,
+    BatchFailure, Pending,
 };
 
 const CASES: u64 = 96;
@@ -266,7 +266,7 @@ fn adapt_via(
     let pending: Vec<&UpdateMessage> = pending.iter().collect();
     let (port, obs) = (InProcessPort::new(space.clone()), Collector::disabled());
     let adapt = |port: &mut dyn SourcePort| {
-        adapt_batch((view, mv), &members, &pending, &info, mode, port, &obs)
+        adapt_batch((view, mv), &members, Pending::loose(&pending), &info, mode, port, &obs)
     };
     if shipped {
         (adapt(&mut ExecuteOnly(port)), 0)

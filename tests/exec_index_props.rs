@@ -11,7 +11,7 @@
 use dyno::prelude::*;
 use dyno::relational::{eval, HashIndex};
 use dyno::sim::Rng;
-use dyno::view::{sweep_maintain, sweep_maintain_shared, InProcessPort, PlanCache};
+use dyno::view::{sweep_maintain, sweep_maintain_shared, InProcessPort, Pending, PlanCache};
 
 /// A relation with key `k` plus `extra` integer attributes, populated with
 /// random duplicate-bearing rows over a narrow key range so joins match.
@@ -249,11 +249,13 @@ fn plan_cached_sweep_matches_uncached_sweep() {
             let uncached =
                 sweep_maintain(&view, &msg, &[], &mut port).0.expect("testbed DU maintains");
             let mut port = InProcessPort::new(space.clone());
+            let pending = Pending::default();
             let (cached, _) =
-                sweep_maintain_shared(&view, &msg, &[], &mut port, &mut cache, &obs, None);
+                sweep_maintain_shared((&view, 0), &msg, pending, &mut port, &mut cache, &obs, None);
             let cached = cached.expect("testbed DU maintains");
-            assert_eq!(uncached.cols, cached.cols, "case {case} DU {n}: columns identical");
-            assert_eq!(uncached.rows, cached.rows, "case {case} DU {n}: deltas identical");
+            // The cached path returns rows only: its columns are the view's.
+            assert_eq!(uncached.cols, view.output_cols(), "case {case} DU {n}: columns identical");
+            assert_eq!(uncached.rows, cached, "case {case} DU {n}: deltas identical");
         }
         // After many same-shape DUs the cache must actually be hitting.
         let hits = obs.registry().counter_value("plan.cache_hits").unwrap_or(0);

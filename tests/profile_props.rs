@@ -175,7 +175,9 @@ fn chaos_run_is_bit_identical_with_profiler_on_and_off() {
 /// check, or an early-returning record call — performs zero allocations,
 /// for every kind behind the gate word: spans, events, provenance records
 /// and batches, and operator samples, on an enabled-but-off collector and
-/// on a disabled one.
+/// on a disabled one. A disabled collector's metric handles are free too:
+/// looking up a counter, gauge or histogram and writing to it allocates
+/// nothing.
 #[test]
 fn disabled_profiler_path_does_not_allocate() {
     let obs = Collector::wall();
@@ -220,6 +222,9 @@ fn disabled_profiler_path_does_not_allocate() {
             assert_eq!(o.prov_batch(&[i, i + 1], stage::MERGE, &[field("position", i)]), 0);
             o.profile_invocation("V", "scope");
         }
+        disabled.counter("view.commits").inc();
+        disabled.gauge("umq.depth").set(i as i64);
+        disabled.histogram("replica.lag_us").record(i);
     }
     let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "disabled profiler path allocated {delta} times in 10k iterations");
