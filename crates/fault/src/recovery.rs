@@ -101,21 +101,37 @@ impl<M> Sequencer<M> {
         Offer { duplicate, out_of_order }
     }
 
+    /// Offers one message and releases into `out` what it makes
+    /// deliverable on its stream: [`Sequencer::offer`] then
+    /// [`Sequencer::pop_ready`] for a caller that releases after every
+    /// offer, so that no other stream can hold a ready prefix. The next
+    /// expected sequence of a stream with nothing parked goes straight to
+    /// `out`: an in-order stream never touches a reorder buffer.
+    pub fn offer_release(&mut self, stream: u32, seq: u64, m: M, out: &mut Vec<M>) -> Offer {
+        let d = self.delivered.entry(stream).or_insert(0);
+        if seq == *d + 1 && !self.buffer.contains_key(&stream) {
+            *d = seq;
+            out.push(m);
+            return Offer::default();
+        }
+        let offer = self.offer(stream, seq, m);
+        if let Some(buf) = self.buffer.get_mut(&stream) {
+            let d = self.delivered.entry(stream).or_insert(0);
+            release_prefix(d, buf, out);
+            if buf.is_empty() {
+                self.buffer.remove(&stream);
+            }
+        }
+        offer
+    }
+
     /// Releases every contiguous prefix (per stream, ascending stream order)
     /// into `out`, advancing the floors. A drained reorder buffer is evicted:
     /// memory stays O(streams + parked messages) however many streams have
     /// ever been out of order.
     pub fn pop_ready(&mut self, out: &mut Vec<M>) {
         self.buffer.retain(|s, buf| {
-            let d = self.delivered.entry(*s).or_insert(0);
-            while let Some(entry) = buf.first_entry() {
-                if *entry.key() == *d + 1 {
-                    out.push(entry.remove());
-                    *d += 1;
-                } else {
-                    break;
-                }
-            }
+            release_prefix(self.delivered.entry(*s).or_insert(0), buf, out);
             !buf.is_empty()
         });
     }
@@ -124,6 +140,19 @@ impl<M> Sequencer<M> {
     /// i.e. where the caller should refetch `(floor, first_buffered)` from.
     pub fn gaps(&self) -> Vec<(u32, u64)> {
         self.buffer.keys().map(|&s| (s, self.delivered(s))).collect()
+    }
+}
+
+/// Moves the parked run that continues floor `d` from `buf` into `out`,
+/// advancing `d` past it.
+fn release_prefix<M>(d: &mut u64, buf: &mut BTreeMap<u64, M>, out: &mut Vec<M>) {
+    while let Some(entry) = buf.first_entry() {
+        if *entry.key() == *d + 1 {
+            out.push(entry.remove());
+            *d += 1;
+        } else {
+            break;
+        }
     }
 }
 
@@ -411,5 +440,45 @@ mod tests {
         assert_eq!(out.len(), 20, "every message exactly once");
         assert!(versions(&out).windows(2).all(|w| w[0].1 + 1 == w[1].1));
         assert_eq!(t.held_len(), 0);
+    }
+
+    /// A seeded train of in-order runs, redeliveries, gaps filled late and
+    /// floor raises (each followed by an offer on its stream, as the
+    /// warehouse's admission gate does), over a few streams:
+    /// `offer_release` must release exactly what `offer` + `pop_ready`
+    /// released, with the same verdicts, floors and parked messages.
+    #[test]
+    fn offer_release_matches_offer_then_pop_ready() {
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::Rng::new(seed);
+            let mut fast: Sequencer<u64> = Sequencer::new(HashMap::new());
+            let mut model: Sequencer<u64> = Sequencer::new(HashMap::new());
+            let mut next = [1u64; 3];
+            for step in 0..200 {
+                let stream = rng.gen_range(0..3u32);
+                if rng.gen_ratio(1, 10) {
+                    let floor = fast.delivered(stream) + rng.gen_range(0..3u64);
+                    fast.set_floor(stream, floor);
+                    model.set_floor(stream, floor);
+                }
+                let top = next[stream as usize];
+                let seq = match rng.gen_range(0..9u32) {
+                    0..=4 => top,                          // in order
+                    5 | 6 => top + rng.gen_range(1..4u64), // over a gap
+                    7 => rng.gen_range(1..top + 1),        // a redelivery
+                    _ => fast.delivered(stream) + 1,       // fills a gap
+                };
+                next[stream as usize] = next[stream as usize].max(seq + 1);
+                let m = (u64::from(stream) << 32) | seq;
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let offer = fast.offer_release(stream, seq, m, &mut got);
+                assert_eq!(offer, model.offer(stream, seq, m), "seed {seed} step {step}");
+                model.pop_ready(&mut want);
+                assert_eq!(got, want, "seed {seed} step {step}: released");
+                assert_eq!(fast.buffered(), model.buffered(), "seed {seed} step {step}");
+                assert_eq!(fast.gaps(), model.gaps(), "seed {seed} step {step}");
+            }
+            assert_eq!(fast.streams(), model.streams());
+        }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use crate::ddl::{apply_to_relation, SchemaChange};
 use crate::error::RelationalError;
 use crate::exec::{RelationProvider, TableSlice};
-use crate::index::HashIndex;
+use crate::index::{AttrName, HashIndex};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::update::{DataUpdate, SourceUpdate};
@@ -14,10 +14,17 @@ use crate::update::{DataUpdate, SourceUpdate};
 /// secondary hash indexes maintained over them.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    relations: BTreeMap<String, Relation>,
-    /// Secondary indexes per relation, maintained through
-    /// [`Catalog::apply_data_update`] / [`Catalog::apply_schema_change`].
-    indexes: BTreeMap<String, Vec<HashIndex>>,
+    /// Each relation with its indexes, under the relation's name: one
+    /// lookup finds both.
+    tables: BTreeMap<String, Table>,
+}
+
+/// One relation and the secondary indexes over it, maintained through
+/// [`Catalog::apply_data_update`] / [`Catalog::apply_schema_change`].
+#[derive(Debug, Clone)]
+struct Table {
+    relation: Relation,
+    indexes: Vec<HashIndex>,
 }
 
 /// Catalog equality is over relation *content* only: indexes are an access
@@ -25,7 +32,12 @@ pub struct Catalog {
 /// equal whether or not indexes were declared on them.
 impl PartialEq for Catalog {
     fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
+        self.tables.len() == other.tables.len()
+            && self
+                .tables
+                .iter()
+                .zip(&other.tables)
+                .all(|((a, t), (b, u))| a == b && t.relation == u.relation)
     }
 }
 
@@ -45,17 +57,24 @@ impl Catalog {
     /// Adds a populated relation.
     pub fn add_relation(&mut self, relation: Relation) -> Result<(), RelationalError> {
         let name = relation.schema().relation.clone();
-        if self.relations.contains_key(&name) {
+        if self.tables.contains_key(&name) {
             return Err(RelationalError::DuplicateRelation { relation: name });
         }
-        self.relations.insert(name, relation);
+        self.tables.insert(name, Table { relation, indexes: Vec::new() });
         Ok(())
+    }
+
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table, RelationalError> {
+        self.tables
+            .get_mut(name)
+            .ok_or_else(|| RelationalError::UnknownRelation { relation: name.to_string() })
     }
 
     /// Looks up a relation by name.
     pub fn get(&self, name: &str) -> Result<&Relation, RelationalError> {
-        self.relations
+        self.tables
             .get(name)
+            .map(|t| &t.relation)
             .ok_or_else(|| RelationalError::UnknownRelation { relation: name.to_string() })
     }
 
@@ -63,28 +82,31 @@ impl Catalog {
     /// maintenance, so any secondary indexes on it are dropped first —
     /// use [`Catalog::apply_data_update`] to keep indexes live.
     pub fn get_mut(&mut self, name: &str) -> Result<&mut Relation, RelationalError> {
-        self.indexes.remove(name);
-        self.relations
-            .get_mut(name)
-            .ok_or_else(|| RelationalError::UnknownRelation { relation: name.to_string() })
+        let table = self.table_mut(name)?;
+        table.indexes.clear();
+        Ok(&mut table.relation)
     }
 
     /// Declares (or rebuilds) a secondary hash index on `relation` covering
     /// `attrs`. Idempotent per attribute set; fails if the relation or any
     /// attribute is unknown.
     pub fn create_index(&mut self, relation: &str, attrs: &[&str]) -> Result<(), RelationalError> {
-        let rel = self.get(relation)?;
+        let table = self.table_mut(relation)?;
         let owned: Vec<String> = attrs.iter().map(|a| a.to_string()).collect();
-        let index = HashIndex::build(rel, &owned)?;
-        let list = self.indexes.entry(relation.to_string()).or_default();
-        list.retain(|i| !i.covers(attrs));
-        list.push(index);
+        let index = HashIndex::build(&table.relation, owned)?;
+        table.indexes.retain(|i| !i.covers(attrs));
+        table.indexes.push(index);
         Ok(())
+    }
+
+    /// A relation with the indexes on it, found in one lookup.
+    pub fn lookup(&self, name: &str) -> Option<(&Relation, &[HashIndex])> {
+        self.tables.get(name).map(|t| (&t.relation, t.indexes.as_slice()))
     }
 
     /// All indexes on `relation` (empty when none are declared).
     pub fn indexes_on(&self, relation: &str) -> &[HashIndex] {
-        self.indexes.get(relation).map(Vec::as_slice).unwrap_or(&[])
+        self.tables.get(relation).map_or(&[], |t| &t.indexes)
     }
 
     /// The index on `relation` covering exactly `attrs`, if one exists.
@@ -94,35 +116,31 @@ impl Catalog {
 
     /// True iff the relation exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
+        self.tables.contains_key(name)
     }
 
     /// Names of all relations, sorted.
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
+        self.tables.keys().map(String::as_str)
     }
 
     /// Number of relations.
     pub fn len(&self) -> usize {
-        self.relations.len()
+        self.tables.len()
     }
 
     /// True iff the catalog has no relations.
     pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+        self.tables.is_empty()
     }
 
     /// Applies a data update to its relation, maintaining every index on it
     /// incrementally from the delta.
     pub fn apply_data_update(&mut self, du: &DataUpdate) -> Result<(), RelationalError> {
-        self.relations
-            .get_mut(&du.relation)
-            .ok_or_else(|| RelationalError::UnknownRelation { relation: du.relation.clone() })?
-            .apply(&du.delta)?;
-        if let Some(list) = self.indexes.get_mut(&du.relation) {
-            for index in list {
-                index.apply(du.delta.rows().iter());
-            }
+        let table = self.table_mut(&du.relation)?;
+        table.relation.apply(&du.delta)?;
+        for index in &mut table.indexes {
+            index.apply(du.delta.rows().iter());
         }
         Ok(())
     }
@@ -142,16 +160,11 @@ impl Catalog {
     /// `AddAttribute`, `CreateRelation` — can be undone from the change
     /// itself and returns nothing. The pre-images are moved out, not copied;
     /// a keeper of history (the source server) pins exactly these.
+    ///
+    /// A relation's indexes move and vanish with it; only a changed column
+    /// list rebuilds them, after the change applied cleanly, so a failed
+    /// change leaves indexes untouched too.
     pub fn apply_schema_change_displacing(
-        &mut self,
-        sc: &SchemaChange,
-    ) -> Result<Vec<Relation>, RelationalError> {
-        let displaced = self.apply_schema_change_inner(sc)?;
-        self.refresh_indexes_after(sc);
-        Ok(displaced)
-    }
-
-    fn apply_schema_change_inner(
         &mut self,
         sc: &SchemaChange,
     ) -> Result<Vec<Relation>, RelationalError> {
@@ -174,33 +187,54 @@ impl Catalog {
                         relation: replacement.schema().relation.clone(),
                     });
                 }
-                let displaced = dropped.iter().filter_map(|d| self.relations.remove(d)).collect();
+                let displaced =
+                    dropped.iter().filter_map(|d| self.tables.remove(d)).map(|t| t.relation);
+                let displaced = displaced.collect();
                 self.add_relation((**replacement).clone())?;
                 Ok(displaced)
             }
             // Renames change no row: the relation is moved (or renamed where
-            // it sits), never copied.
+            // it sits) with its indexes, never copied.
             SchemaChange::RenameRelation { from, to } => {
                 if self.contains(to) {
                     return Err(RelationalError::DuplicateRelation { relation: to.clone() });
                 }
-                let mut rel = self.relations.remove(from).ok_or_else(|| unknown(from))?;
-                rel.set_schema(rel.schema().renamed(to.clone()));
-                self.relations.insert(to.clone(), rel);
+                let mut table = self.tables.remove(from).ok_or_else(|| unknown(from))?;
+                table.relation.set_schema(table.relation.schema().renamed(to.clone()));
+                self.tables.insert(to.clone(), table);
                 Ok(Vec::new())
             }
             SchemaChange::RenameAttribute { relation, from, to } => {
-                let rel = self.relations.get_mut(relation).ok_or_else(|| unknown(relation))?;
-                let schema = rel.schema().with_attr_renamed(from, to)?;
-                rel.set_schema(schema);
+                let table = self.table_mut(relation)?;
+                let schema = table.relation.schema().with_attr_renamed(from, to)?;
+                table.relation.set_schema(schema);
+                // Column positions are unchanged by an attribute rename.
+                for index in &mut table.indexes {
+                    index.rename_attr(from, to);
+                }
                 Ok(Vec::new())
             }
             SchemaChange::AddAttribute { relation, .. }
             | SchemaChange::DropAttribute { relation, .. }
             | SchemaChange::DropRelation { relation } => {
                 let before = match apply_to_relation(self.get(relation)?, sc)? {
-                    Some(updated) => self.relations.insert(relation.clone(), updated),
-                    None => self.relations.remove(relation),
+                    Some(updated) => {
+                        let table = self.table_mut(relation)?;
+                        let before = std::mem::replace(&mut table.relation, updated);
+                        // Column positions shifted (or an indexed attribute
+                        // went away): rebuild from the post-change relation;
+                        // an index whose key attribute was dropped fails to
+                        // build and is discarded.
+                        let indexes = std::mem::take(&mut table.indexes);
+                        table.indexes = indexes
+                            .into_iter()
+                            .filter_map(|old| {
+                                HashIndex::build(&table.relation, old.into_attrs()).ok()
+                            })
+                            .collect();
+                        Some(before)
+                    }
+                    None => self.tables.remove(relation).map(|t| t.relation),
                 };
                 Ok(match sc {
                     // A widened relation is recovered by dropping the column.
@@ -208,55 +242,6 @@ impl Catalog {
                     _ => before.into_iter().collect(),
                 })
             }
-        }
-    }
-
-    /// Post-DDL index fixup; only called after the change applied cleanly,
-    /// so a failed change leaves indexes untouched too.
-    fn refresh_indexes_after(&mut self, sc: &SchemaChange) {
-        match sc {
-            SchemaChange::CreateRelation { .. } => {}
-            SchemaChange::RenameRelation { from, to } => {
-                if let Some(list) = self.indexes.remove(from) {
-                    self.indexes.insert(to.clone(), list);
-                }
-            }
-            SchemaChange::RenameAttribute { relation, from, to } => {
-                if let Some(list) = self.indexes.get_mut(relation) {
-                    for index in list {
-                        index.rename_attr(from, to);
-                    }
-                }
-            }
-            SchemaChange::AddAttribute { relation, .. }
-            | SchemaChange::DropAttribute { relation, .. } => {
-                // Column positions shifted (or an indexed attribute went
-                // away): rebuild from the post-change relation.
-                self.rebuild_indexes(relation);
-            }
-            SchemaChange::DropRelation { relation } => {
-                self.indexes.remove(relation);
-            }
-            SchemaChange::ReplaceRelations { dropped, replacement } => {
-                for d in dropped {
-                    self.indexes.remove(d);
-                }
-                self.indexes.remove(&replacement.schema().relation);
-            }
-        }
-    }
-
-    fn rebuild_indexes(&mut self, relation: &str) {
-        let Some(list) = self.indexes.remove(relation) else { return };
-        let Some(rel) = self.relations.get(relation) else { return };
-        let rebuilt: Vec<HashIndex> = list
-            .into_iter()
-            // An index whose key attribute was dropped fails to build and
-            // is discarded — exactly the invalidation we want.
-            .filter_map(|old| HashIndex::build(rel, old.attrs()).ok())
-            .collect();
-        if !rebuilt.is_empty() {
-            self.indexes.insert(relation.to_string(), rebuilt);
         }
     }
 
@@ -276,6 +261,19 @@ impl RelationProvider for Catalog {
 
     fn index_on(&self, name: &str, attrs: &[&str]) -> Option<&HashIndex> {
         self.index_covering(name, attrs)
+    }
+
+    fn table_and_index<K: AttrName>(
+        &self,
+        name: &str,
+        key: &[K],
+    ) -> Result<(TableSlice<'_>, Option<&HashIndex>), RelationalError> {
+        match self.lookup(name) {
+            Some((relation, indexes)) => {
+                Ok((relation.into(), indexes.iter().find(|i| i.covers(key))))
+            }
+            None => Err(RelationalError::UnknownRelation { relation: name.to_string() }),
+        }
     }
 }
 

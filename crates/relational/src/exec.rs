@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::error::RelationalError;
 use crate::hash::{hash_values, PreHashedMap};
-use crate::index::HashIndex;
+use crate::index::{AttrName, HashIndex};
 use crate::query::{CmpOp, Predicate, SpjQuery};
 use crate::relation::{Delta, Relation};
 use crate::schema::{ColRef, Schema};
@@ -124,6 +124,22 @@ pub trait RelationProvider {
         None
     }
 
+    /// `name`'s table together with its index covering exactly `key`, if
+    /// any: the two lookups behind an index probe, made as one — how
+    /// [`delta_hop`] resolves its target. The default makes them as two
+    /// calls, [`RelationProvider::table`] then [`RelationProvider::index_on`];
+    /// a provider holding a table and its indexes under one name answers
+    /// with one lookup and without collecting `key`'s names.
+    fn table_and_index<K: AttrName>(
+        &self,
+        name: &str,
+        key: &[K],
+    ) -> Result<(TableSlice<'_>, Option<&HashIndex>), RelationalError> {
+        let table = self.table(name)?;
+        let attrs: Vec<&str> = key.iter().map(AttrName::attr_name).collect();
+        Ok((table, self.index_on(name, &attrs)))
+    }
+
     /// Distinct-row cardinality of `name`, used by the planner to order
     /// joins smallest-input-first. `None` means unknown (planned last).
     fn cardinality(&self, name: &str) -> Option<usize> {
@@ -168,6 +184,17 @@ impl<'a, P: RelationProvider + ?Sized> RelationProvider for Overlay<'a, P> {
             None
         } else {
             self.base.index_on(name, attrs)
+        }
+    }
+
+    fn table_and_index<K: AttrName>(
+        &self,
+        name: &str,
+        key: &[K],
+    ) -> Result<(TableSlice<'_>, Option<&HashIndex>), RelationalError> {
+        match self.bound.get(name) {
+            Some(t) => Ok((*t, None)),
+            None => self.base.table_and_index(name, key),
         }
     }
 }
@@ -439,14 +466,12 @@ fn load_rows<P: RelationProvider + ?Sized>(
             let attr = slice.schema.attrs()[ei].name.as_str();
             if let Some(index) = provider.index_on(name, &[attr]) {
                 let key = [ev];
-                if let Some(bucket) = index.lookup(&key) {
-                    for (t, c) in bucket.iter() {
-                        scanned += 1;
-                        // Residual filters (the indexed one re-checks as a
-                        // no-op). Well-typedness means this cannot error.
-                        if index.key_matches(t, &key) && passes(t, filters)? {
-                            rows.add(t.clone(), c);
-                        }
+                for (t, c) in index.lookup(&key) {
+                    scanned += 1;
+                    // Residual filters (the indexed one re-checks as a
+                    // no-op). Well-typedness means this cannot error.
+                    if index.key_matches(t, &key) && passes(t, filters)? {
+                        rows.add(t.clone(), *c);
                     }
                 }
                 bump(|s| {
@@ -521,7 +546,12 @@ fn hash_join<P: RelationProvider + ?Sized>(
         }
     }
 
-    let probe = probe_plan(provider, new_name, slice, &keys, &filters, cur.rows.distinct_len());
+    let index = |keys: &[(usize, usize)]| {
+        let key_attrs: Vec<&str> =
+            keys.iter().map(|&(_, ni)| slice.schema.attrs()[ni].name.as_str()).collect();
+        provider.index_on(new_name, &key_attrs)
+    };
+    let probe = probe_plan(index, slice, &mut keys, &filters, cur.rows.distinct_len());
     let mut rows = ZSet::new();
     join_rows(&cur.rows, slice.rows, &keys, &filters, probe, |lt, rt, w| {
         rows.add(lt.concat(rt), w);
@@ -531,45 +561,37 @@ fn hash_join<P: RelationProvider + ?Sized>(
     Ok(Cursor { cols, rows })
 }
 
-/// Decides whether a join of `left_len` driving rows against table `name`
-/// runs as an index-nested-loop, and over which index. Only when the index
-/// covers the exact join-key attribute set, every constant filter is
-/// well-typed (so skipping unprobed rows cannot swallow a type error the
-/// scan would raise), and the driving side is at least
-/// [`INDEX_JOIN_FANOUT`]× smaller than the table, so probing beats one
-/// table pass. Returns the index and the driving-side column feeding each
-/// of its key attributes, in `index.attrs()` order.
-fn probe_plan<'p, P: RelationProvider + ?Sized>(
-    provider: &'p P,
-    name: &str,
+/// Decides whether a join of `left_len` driving rows against `slice` runs
+/// as an index-nested-loop over the provider's index covering the exact
+/// join-key attribute set, if `index` finds one. Only when every constant
+/// filter is well-typed (so skipping unprobed rows cannot swallow a type
+/// error the scan would raise) and the driving side is at least
+/// [`INDEX_JOIN_FANOUT`]× smaller than the table, so probing beats one table
+/// pass. On a probe, `keys` are put in the index's key order, so the driving
+/// side's key columns hash, in `keys` order, to the index's buckets.
+fn probe_plan<'i>(
+    index: impl FnOnce(&[(usize, usize)]) -> Option<&'i HashIndex>,
     slice: TableSlice<'_>,
-    keys: &[(usize, usize)],
+    keys: &mut [(usize, usize)],
     filters: &Filters<'_>,
     left_len: usize,
-) -> Option<(&'p HashIndex, Vec<usize>)> {
+) -> Option<&'i HashIndex> {
     if keys.is_empty()
         || !filters_well_typed(filters, slice.schema)
         || left_len.saturating_mul(INDEX_JOIN_FANOUT) > slice.rows.distinct_len()
     {
         return None;
     }
-    let key_attrs: Vec<&str> =
-        keys.iter().map(|&(_, ni)| slice.schema.attrs()[ni].name.as_str()).collect();
-    let index = provider.index_on(name, &key_attrs)?;
-    // The index may list its key attributes in a different order; line the
-    // probe values up with it.
-    let probe_cols = index
-        .attrs()
-        .iter()
-        .map(|a| {
-            let j = key_attrs
-                .iter()
-                .position(|k| k == a)
-                .expect("covering index key is a permutation of the join key");
-            keys[j].0
-        })
-        .collect();
-    Some((index, probe_cols))
+    let index = index(keys)?;
+    // The index may list its key attributes in a different order.
+    for (i, &col) in index.cols().iter().enumerate() {
+        let j = keys[i..]
+            .iter()
+            .position(|&(_, ni)| ni == col)
+            .expect("covering index key is a permutation of the join key");
+        keys.swap(i, i + j);
+    }
+    Some(index)
 }
 
 /// Up to this many build-side rows a hash join keeps a plain list and every
@@ -623,19 +645,20 @@ impl<'a> BuildSide<'a> {
 /// Joins `left` with `right` on the positional equi-join `keys`
 /// (`(left column, right column)` pairs), handing every match to `emit` as
 /// `(left row, right row, weight product)`; `filters` are `right`'s constant
-/// filters. No keys degenerates to a cartesian product. With a `probe` plan
-/// each left row probes the index — O(|left| × fan-out) instead of
-/// O(|right|). Otherwise a hash join runs over 64-bit key hashes of
-/// borrowed values (no per-row key tuples are materialized), built over the
-/// smaller side ([`BuildSide`]: a handful of build rows are compared
-/// directly instead); `right`'s filters are applied before any hash lookup,
-/// so non-qualifying rows never hash. NULL keys match nothing.
+/// filters. No keys degenerates to a cartesian product. With a `probe`
+/// index (`keys` in its key order, see [`probe_plan`]) each left row probes
+/// it — O(|left| × fan-out) instead of O(|right|). Otherwise a hash join
+/// runs over 64-bit key hashes of borrowed values (no per-row key tuples
+/// are materialized), built over the smaller side ([`BuildSide`]: a
+/// handful of build rows are compared directly instead); `right`'s filters
+/// are applied before any hash lookup, so non-qualifying rows never hash.
+/// NULL keys match nothing.
 fn join_rows(
     left: &ZSet,
     right: &ZSet,
     keys: &[(usize, usize)],
     filters: &Filters<'_>,
-    probe: Option<(&HashIndex, Vec<usize>)>,
+    probe: Option<&HashIndex>,
     mut emit: impl FnMut(&Tuple, &Tuple, i64),
 ) -> Result<(), RelationalError> {
     let mut scanned = 0u64;
@@ -656,23 +679,23 @@ fn join_rows(
 
     let left_null = |t: &Tuple| keys.iter().any(|&(li, _)| t.get(li).is_null());
     let right_null = |t: &Tuple| keys.iter().any(|&(_, ri)| t.get(ri).is_null());
+    // Key hashes of borrowed values; candidates are verified against the
+    // actual key columns, so hash collisions cannot produce spurious matches.
+    let left_hash = |t: &Tuple| hash_values(keys.iter().map(|&(li, _)| t.get(li)));
+    let right_hash = |t: &Tuple| hash_values(keys.iter().map(|&(_, ri)| t.get(ri)));
+    let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(li, ri)| lt.get(li) == rt.get(ri));
 
-    if let Some((index, probe_cols)) = probe {
+    if let Some(index) = probe {
         let mut probes = 0u64;
-        let mut key: Vec<&Value> = Vec::with_capacity(probe_cols.len());
         for (lt, lc) in left.iter() {
             if left_null(lt) {
                 continue;
             }
-            key.clear();
-            key.extend(probe_cols.iter().map(|&i| lt.get(i)));
             probes += 1;
-            if let Some(bucket) = index.lookup(&key) {
-                for (rt, rc) in bucket.iter() {
-                    scanned += 1;
-                    if index.key_matches(rt, &key) && passes(rt, filters)? {
-                        emit(lt, rt, lc * rc);
-                    }
+            for (rt, rc) in index.bucket(left_hash(lt)) {
+                scanned += 1;
+                if keys_match(lt, rt) && passes(rt, filters)? {
+                    emit(lt, rt, lc * rc);
                 }
             }
         }
@@ -684,13 +707,8 @@ fn join_rows(
         return Ok(());
     }
 
-    // Hash-join fallback over 64-bit hashes of borrowed key values; bucket
-    // entries are verified against the actual key columns, so hash
-    // collisions cannot produce spurious matches. A build side of a handful
-    // of rows is not hashed at all (see [`BuildSide`]).
-    let left_hash = |t: &Tuple| hash_values(keys.iter().map(|&(li, _)| t.get(li)));
-    let right_hash = |t: &Tuple| hash_values(keys.iter().map(|&(_, ri)| t.get(ri)));
-    let keys_match = |lt: &Tuple, rt: &Tuple| keys.iter().all(|&(li, ri)| lt.get(li) == rt.get(ri));
+    // Hash-join fallback over the same key hashes. A build side of a
+    // handful of rows is not hashed at all (see [`BuildSide`]).
 
     if left.distinct_len() <= right.distinct_len() {
         // Build over the (smaller) left side, probe the table.
@@ -823,18 +841,18 @@ pub fn delta_join_probe(delta: &ZSet, probe_cols: &[usize], index: &HashIndex) -
     let mut probes = 0u64;
     let mut scanned = 0u64;
     let mut cancelled = 0u64;
+    let key_matches = |dt: &Tuple, bt: &Tuple| {
+        index.cols().iter().zip(probe_cols).all(|(&b, &d)| bt.get(b) == dt.get(d))
+    };
     for (dt, dc) in delta.iter() {
         if probe_cols.iter().any(|&i| dt.get(i).is_null()) {
             continue;
         }
-        let key: Vec<&Value> = probe_cols.iter().map(|&i| dt.get(i)).collect();
         probes += 1;
-        if let Some(bucket) = index.lookup(&key) {
-            for (bt, bc) in bucket.iter() {
-                scanned += 1;
-                if index.key_matches(bt, &key) && out.add(dt.concat(bt), dc * bc) == 0 {
-                    cancelled += 1;
-                }
+        for (bt, bc) in index.bucket(hash_values(probe_cols.iter().map(|&i| dt.get(i)))) {
+            scanned += 1;
+            if key_matches(dt, bt) && out.add(dt.concat(bt), dc * bc) == 0 {
+                cancelled += 1;
             }
         }
     }
@@ -870,6 +888,11 @@ pub fn delta_join_probe(delta: &ZSet, probe_cols: &[usize], index: &HashIndex) -
 ///   fallback behave as in [`eval`].
 /// * **Metering** — [`ExecStats`] move exactly as under [`eval`], including
 ///   the |Δ| rows of the bound table in `rows_scanned`.
+///
+/// The target and its covering index come from one
+/// [`RelationProvider::table_and_index`] call, and column positions are
+/// resolved into per-thread buffers, so a hop allocates only its output:
+/// the set and one row per match.
 pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
     provider: &P,
     target: &str,
@@ -878,50 +901,74 @@ pub fn delta_hop<'a, P: RelationProvider + ?Sized>(
     t_proj: &'a [String],
     delta: &ZSet,
 ) -> Result<ZSet, RelationalError> {
-    let slice = provider.table(target)?;
+    let (slice, index) = provider.table_and_index(target, join_keys)?;
     let schema = slice.schema;
-    // Resolve every referenced attribute; on a miss report the one a
-    // name-ordered walk (the executor's validation order) meets first.
-    let mut missing: Option<&'a str> = None;
-    let mut resolve = |a: &'a str| {
-        schema.index_of(a).unwrap_or_else(|| {
-            missing = Some(missing.map_or(a, |m| m.min(a)));
-            usize::MAX
-        })
-    };
-    let proj: Vec<usize> = t_proj.iter().map(|a| resolve(a)).collect();
-    let keys: Vec<(usize, usize)> = join_keys.iter().map(|(d, a)| (*d, resolve(a))).collect();
-    let filters: Vec<(usize, CmpOp, &Value)> =
-        t_filters.iter().map(|(a, op, v)| (resolve(a), *op, v)).collect();
-    if let Some(attr) = missing {
-        return Err(schema.require(attr).expect_err("the attribute did not resolve"));
-    }
+    let mut cols = HOP_COLS.take();
+    let answer = (|| {
+        // Resolve every referenced attribute; on a miss report the one a
+        // name-ordered walk (the executor's validation order) meets first.
+        let mut missing: Option<&'a str> = None;
+        let mut resolve = |a: &'a str| {
+            schema.index_of(a).unwrap_or_else(|| {
+                missing = Some(missing.map_or(a, |m| m.min(a)));
+                usize::MAX
+            })
+        };
+        cols.proj.clear();
+        cols.proj.extend(t_proj.iter().map(|a| resolve(a)));
+        cols.keys.clear();
+        cols.keys.extend(join_keys.iter().map(|(d, a)| (*d, resolve(a))));
+        let filters: Vec<(usize, CmpOp, &Value)> =
+            t_filters.iter().map(|(a, op, v)| (resolve(a), *op, v)).collect();
+        if let Some(attr) = missing {
+            return Err(schema.require(attr).expect_err("the attribute did not resolve"));
+        }
 
-    let (n_d, n_t) = (delta.distinct_len(), slice.rows.distinct_len());
-    if keys.is_empty() {
-        bump(|s| s.cartesian_fallbacks += 1);
-    }
-    let mut out = ZSet::new();
-    let mut emit = |d: &Tuple, t: &Tuple, w: i64| {
-        let mut row = Vec::with_capacity(d.arity() + proj.len());
-        row.extend_from_slice(d.values());
-        row.extend(proj.iter().map(|&i| t.get(i).clone()));
-        out.add(Tuple::new(row), w);
-    };
-    if n_d < n_t || (n_d == n_t && filters.is_empty()) {
-        // Δ seeds: the executor loads (scans) the unfiltered bound table,
-        // then joins the target in.
-        bump(|s| s.rows_scanned += n_d as u64);
-        let probe = probe_plan(provider, target, slice, &keys, &filters, n_d);
-        join_rows(delta, slice.rows, &keys, &filters, probe, emit)?;
-    } else {
-        // The target seeds: its filters apply at load, and Δ — bound, so
-        // never indexed — joins in from the right.
-        let loaded = load_rows(target, slice, &filters, provider)?;
-        let swapped: Vec<(usize, usize)> = keys.iter().map(|&(d, t)| (t, d)).collect();
-        join_rows(&loaded, delta, &swapped, &[], None, |t, d, w| emit(d, t, w))?;
-    }
-    Ok(out)
+        let (n_d, n_t) = (delta.distinct_len(), slice.rows.distinct_len());
+        if cols.keys.is_empty() {
+            bump(|s| s.cartesian_fallbacks += 1);
+        }
+        let proj = &cols.proj;
+        let mut out = ZSet::new();
+        let mut emit = |d: &Tuple, t: &Tuple, w: i64| {
+            let mut row = Vec::with_capacity(d.arity() + proj.len());
+            row.extend_from_slice(d.values());
+            row.extend(proj.iter().map(|&i| t.get(i).clone()));
+            out.add(Tuple::new(row), w);
+        };
+        let keys = &mut cols.keys;
+        if n_d < n_t || (n_d == n_t && filters.is_empty()) {
+            // Δ seeds: the executor loads (scans) the unfiltered bound
+            // table, then joins the target in.
+            bump(|s| s.rows_scanned += n_d as u64);
+            let probe = probe_plan(|_| index, slice, keys, &filters, n_d);
+            join_rows(delta, slice.rows, keys, &filters, probe, emit)?;
+        } else {
+            // The target seeds: its filters apply at load, and Δ — bound,
+            // so never indexed — joins in from the right.
+            let loaded = load_rows(target, slice, &filters, provider)?;
+            keys.iter_mut().for_each(|k| *k = (k.1, k.0));
+            join_rows(&loaded, delta, keys, &[], None, |t, d, w| emit(d, t, w))?;
+        }
+        Ok(out)
+    })();
+    HOP_COLS.set(cols);
+    answer
+}
+
+/// Column positions one hop resolves against its target's schema: the
+/// target columns each output row appends, and the join keys as
+/// `(Δ position, target position)`. Kept per thread and reused, so
+/// resolving a hop allocates nothing once the thread has hopped before.
+#[derive(Default)]
+struct HopCols {
+    proj: Vec<usize>,
+    keys: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static HOP_COLS: Cell<HopCols> =
+        const { Cell::new(HopCols { proj: Vec::new(), keys: Vec::new() }) };
 }
 
 /// ΔA ⋈ ΔB — equi-join of two deltas on positional keys (`left_keys[i]`

@@ -40,7 +40,7 @@ pub use exec::{
     delta_hop, delta_join, delta_join_probe, delta_project, delta_select, distinct_delta, eval,
     thread_stats, validate, ExecStats, Overlay, QueryResult, RelationProvider, TableSlice,
 };
-pub use index::HashIndex;
+pub use index::{AttrName, HashIndex};
 pub use parser::{parse_create_view, parse_query, ParseError};
 pub use query::{CmpOp, Predicate, ProjItem, SpjQuery, SpjQueryBuilder};
 pub use relation::{Delta, Relation};

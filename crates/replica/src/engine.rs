@@ -233,12 +233,10 @@ impl ReplicaEngine {
         now_us: u64,
     ) -> Result<Vec<(String, Tuple)>, ViewError> {
         let msg = dec_msg(bytes).map_err(|e| corrupt("peer delta", e))?;
-        let offer = self.inbox.offer(msg.origin as u32, msg.seq, msg);
-        if offer.duplicate {
+        let mut ready = Vec::new();
+        if self.inbox.offer_release(msg.origin as u32, msg.seq, msg, &mut ready).duplicate {
             self.duplicates.inc();
         }
-        let mut ready = Vec::new();
-        self.inbox.pop_ready(&mut ready);
         let winners = ready.into_iter().filter_map(|m| self.resolve(wh, m, now_us)).collect();
         wh.set_replica_ext(self.encode_ext());
         wh.maybe_checkpoint();

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use dyno_relational::exec::{RelationProvider, TableSlice};
-use dyno_relational::{HashIndex, RelationalError, SourceUpdate};
+use dyno_relational::{AttrName, HashIndex, Relation, RelationalError, SourceUpdate};
 
 use crate::id::{SourceId, UpdateId};
 use crate::infospace::InfoSpace;
@@ -110,22 +110,38 @@ pub struct UnionProvider<'a> {
     space: &'a SourceSpace,
 }
 
+impl UnionProvider<'_> {
+    /// `name`'s relation with its indexes, from the source hosting it: the
+    /// one routing step every lookup below makes, one catalog lookup per
+    /// source tried.
+    fn route(&self, name: &str) -> Option<(&Relation, &[HashIndex])> {
+        self.space.servers.iter().find_map(|s| s.catalog().lookup(name))
+    }
+}
+
 impl RelationProvider for UnionProvider<'_> {
     fn table(&self, name: &str) -> Result<TableSlice<'_>, RelationalError> {
-        for s in &self.space.servers {
-            if s.catalog().contains(name) {
-                return s.catalog().table(name);
-            }
+        match self.route(name) {
+            Some((relation, _)) => Ok(relation.into()),
+            None => Err(RelationalError::UnknownRelation { relation: name.to_string() }),
         }
-        Err(RelationalError::UnknownRelation { relation: name.to_string() })
     }
 
     fn index_on(&self, name: &str, attrs: &[&str]) -> Option<&HashIndex> {
-        self.space
-            .servers
-            .iter()
-            .find(|s| s.catalog().contains(name))
-            .and_then(|s| s.catalog().index_on(name, attrs))
+        self.route(name)?.1.iter().find(|i| i.covers(attrs))
+    }
+
+    fn table_and_index<K: AttrName>(
+        &self,
+        name: &str,
+        key: &[K],
+    ) -> Result<(TableSlice<'_>, Option<&HashIndex>), RelationalError> {
+        match self.route(name) {
+            Some((relation, indexes)) => {
+                Ok((relation.into(), indexes.iter().find(|i| i.covers(key))))
+            }
+            None => Err(RelationalError::UnknownRelation { relation: name.to_string() }),
+        }
     }
 }
 

@@ -17,6 +17,7 @@
 //! the fault layer entirely cannot double-apply an update.
 
 use std::collections::HashMap;
+use std::vec::Drain;
 
 use dyno_fault::Sequencer;
 use dyno_obs::{stage, Collector, Counter};
@@ -30,6 +31,9 @@ use dyno_source::UpdateMessage;
 pub struct IngressGate {
     /// Per-source admitted high-water marks and reorder buffers.
     seq: Sequencer<UpdateMessage>,
+    /// What the last [`IngressGate::admit`] released; empty between calls,
+    /// kept so that admitting allocates nothing.
+    released: Vec<UpdateMessage>,
     /// False = pass-through (the broken-recovery ablation).
     dedupe: bool,
     duplicates_dropped: Counter,
@@ -48,6 +52,7 @@ impl IngressGate {
     pub fn new() -> Self {
         IngressGate {
             seq: Sequencer::new(HashMap::new()),
+            released: Vec::new(),
             dedupe: true,
             duplicates_dropped: Counter::default(),
             resequenced: Counter::default(),
@@ -103,32 +108,33 @@ impl IngressGate {
         self.seq.streams().len() + self.seq.gaps().len() + self.pending()
     }
 
-    /// Offers one message; returns the messages now admissible, in order.
+    /// Offers one message; yields the messages now admissible, in order.
     /// `floor` is the version the view already reflects for the source:
     /// nothing at or below it is admitted. Reflected versions trail the
     /// admitted mark, so it only bites as the baseline the first time a
-    /// source is seen.
-    pub fn admit(&mut self, msg: UpdateMessage, floor: u64) -> Vec<UpdateMessage> {
+    /// source is seen. An in-order message is released as it arrives, with
+    /// no reorder buffer on its way.
+    pub fn admit(&mut self, msg: UpdateMessage, floor: u64) -> Drain<'_, UpdateMessage> {
+        debug_assert!(self.released.is_empty());
         if !self.dedupe {
-            return vec![msg];
+            self.released.push(msg);
+            return self.released.drain(..);
         }
         let (source, id) = (msg.source.0, msg.id.0);
         self.seq.set_floor(source, floor);
-        if self.seq.offer(source, msg.source_version, msg).duplicate {
+        if self.seq.offer_release(source, msg.source_version, msg, &mut self.released).duplicate {
             self.duplicates_dropped.inc();
             self.obs.prov(id, stage::INGRESS_DUP, &[]);
         }
-        let mut out = Vec::new();
-        self.seq.pop_ready(&mut out);
-        if out.len() > 1 {
-            self.resequenced.add(out.len() as u64 - 1);
+        if self.released.len() > 1 {
+            self.resequenced.add(self.released.len() as u64 - 1);
             // The gap-filling arrival releases first; everything after it
             // was waiting in the reorder buffer.
-            for m in &out[1..] {
+            for m in &self.released[1..] {
                 self.obs.prov(m.id.0, stage::INGRESS_RESEQ, &[]);
             }
         }
-        out
+        self.released.drain(..)
     }
 }
 
@@ -150,6 +156,11 @@ mod tests {
         }
     }
 
+    /// What one admission releases, collected.
+    fn admit(g: &mut IngressGate, m: UpdateMessage, floor: u64) -> Vec<UpdateMessage> {
+        g.admit(m, floor).collect()
+    }
+
     fn released(out: &[UpdateMessage]) -> Vec<u64> {
         out.iter().map(|m| m.source_version).collect()
     }
@@ -157,8 +168,8 @@ mod tests {
     #[test]
     fn in_order_messages_flow_through() {
         let mut g = IngressGate::new();
-        assert_eq!(released(&g.admit(msg(1, 0, 1), 0)), vec![1]);
-        assert_eq!(released(&g.admit(msg(2, 0, 2), 0)), vec![2]);
+        assert_eq!(released(&admit(&mut g, msg(1, 0, 1), 0)), vec![1]);
+        assert_eq!(released(&admit(&mut g, msg(2, 0, 2), 0)), vec![2]);
         assert_eq!(g.pending(), 0);
     }
 
@@ -167,53 +178,53 @@ mod tests {
         let obs = Collector::wall();
         let mut g = IngressGate::new();
         g.bind_obs(&obs);
-        assert_eq!(g.admit(msg(1, 0, 1), 0).len(), 1);
-        assert!(g.admit(msg(1, 0, 1), 0).is_empty());
-        assert!(g.admit(msg(1, 0, 1), 0).is_empty());
+        assert_eq!(admit(&mut g, msg(1, 0, 1), 0).len(), 1);
+        assert!(admit(&mut g, msg(1, 0, 1), 0).is_empty());
+        assert!(admit(&mut g, msg(1, 0, 1), 0).is_empty());
         assert_eq!(obs.registry().counter_value("fault.duplicates_dropped"), Some(2));
     }
 
     #[test]
     fn early_arrival_waits_for_predecessor() {
         let mut g = IngressGate::new();
-        assert!(g.admit(msg(3, 0, 3), 0).is_empty());
-        assert!(g.admit(msg(2, 0, 2), 0).is_empty());
+        assert!(admit(&mut g, msg(3, 0, 3), 0).is_empty());
+        assert!(admit(&mut g, msg(2, 0, 2), 0).is_empty());
         assert_eq!(g.pending(), 2);
-        assert_eq!(released(&g.admit(msg(1, 0, 1), 0)), vec![1, 2, 3]);
+        assert_eq!(released(&admit(&mut g, msg(1, 0, 1), 0)), vec![1, 2, 3]);
         assert_eq!(g.pending(), 0);
     }
 
     #[test]
     fn duplicate_of_buffered_version_is_dropped() {
         let mut g = IngressGate::new();
-        assert!(g.admit(msg(2, 0, 2), 0).is_empty());
-        assert!(g.admit(msg(2, 0, 2), 0).is_empty());
+        assert!(admit(&mut g, msg(2, 0, 2), 0).is_empty());
+        assert!(admit(&mut g, msg(2, 0, 2), 0).is_empty());
         assert_eq!(g.pending(), 1, "second copy was not double-buffered");
     }
 
     #[test]
     fn floor_seeds_the_baseline_per_source() {
         let mut g = IngressGate::new();
-        assert!(g.admit(msg(1, 0, 3), 3).is_empty(), "at the floor: duplicate");
-        assert_eq!(released(&g.admit(msg(2, 0, 4), 3)), vec![4]);
+        assert!(admit(&mut g, msg(1, 0, 3), 3).is_empty(), "at the floor: duplicate");
+        assert_eq!(released(&admit(&mut g, msg(2, 0, 4), 3)), vec![4]);
         // Sources are independent.
-        assert_eq!(released(&g.admit(msg(3, 1, 1), 0)), vec![1]);
+        assert_eq!(released(&admit(&mut g, msg(3, 1, 1), 0)), vec![1]);
     }
 
     #[test]
     fn marks_round_trip_through_restore() {
         let mut g = IngressGate::new();
-        g.admit(msg(1, 0, 1), 0);
-        g.admit(msg(2, 0, 2), 0);
-        g.admit(msg(3, 1, 1), 0);
+        admit(&mut g, msg(1, 0, 1), 0);
+        admit(&mut g, msg(2, 0, 2), 0);
+        admit(&mut g, msg(3, 1, 1), 0);
         assert_eq!(g.marks(), vec![(0, 2), (1, 1)]);
 
         let mut fresh = IngressGate::new();
         for (source, mark) in g.marks() {
             fresh.raise_mark(source, mark);
         }
-        assert!(fresh.admit(msg(4, 0, 2), 0).is_empty(), "below restored mark: duplicate");
-        assert_eq!(released(&fresh.admit(msg(5, 0, 3), 0)), vec![3]);
+        assert!(admit(&mut fresh, msg(4, 0, 2), 0).is_empty(), "below restored mark: duplicate");
+        assert_eq!(released(&admit(&mut fresh, msg(5, 0, 3), 0)), vec![3]);
     }
 
     #[test]
@@ -225,10 +236,10 @@ mod tests {
         let mut admitted = 0u64;
         for v in 1..=1_000u64 {
             for _ in 0..3 {
-                admitted += g.admit(msg(v, 0, v), 0).len() as u64;
+                admitted += admit(&mut g, msg(v, 0, v), 0).len() as u64;
             }
             // A stale duplicate from far below the mark, every round.
-            g.admit(msg(1, 0, 1), 0);
+            admit(&mut g, msg(1, 0, 1), 0);
         }
         assert_eq!(admitted, 1_000);
         assert_eq!(
@@ -240,11 +251,11 @@ mod tests {
         // Now with a persistent reorder gap of window 4.
         let mut g = IngressGate::new();
         for v in 2..=1_000u64 {
-            g.admit(msg(v, 0, v), 0);
+            admit(&mut g, msg(v, 0, v), 0);
             if v >= 5 {
                 // Predecessor arrives 4 versions late.
-                g.admit(msg(v - 4, 0, v - 4), 0);
-                g.admit(msg(v - 4, 0, v - 4), 0); // and is redelivered
+                admit(&mut g, msg(v - 4, 0, v - 4), 0);
+                admit(&mut g, msg(v - 4, 0, v - 4), 0); // and is redelivered
             }
         }
         assert!(
@@ -258,8 +269,8 @@ mod tests {
     fn drained_reorder_buffer_leaves_no_empty_entry() {
         let mut g = IngressGate::new();
         for s in 0..100u32 {
-            assert!(g.admit(msg(1, s, 2), 0).is_empty(), "parks: gap at version 1");
-            assert_eq!(g.admit(msg(2, s, 1), 0).len(), 2, "gap fills, buffer drains");
+            assert!(admit(&mut g, msg(1, s, 2), 0).is_empty(), "parks: gap at version 1");
+            assert_eq!(admit(&mut g, msg(2, s, 1), 0).len(), 2, "gap fills, buffer drains");
         }
         assert_eq!(g.pending(), 0);
         assert_eq!(g.footprint(), 100, "only the 100 marks remain — no empty buffers");
@@ -269,7 +280,81 @@ mod tests {
     fn disabled_gate_passes_duplicates() {
         let mut g = IngressGate::new();
         g.set_dedupe(false);
-        assert_eq!(g.admit(msg(1, 0, 1), 0).len(), 1);
-        assert_eq!(g.admit(msg(1, 0, 1), 0).len(), 1, "ablation: the dup leaks");
+        assert_eq!(admit(&mut g, msg(1, 0, 1), 0).len(), 1);
+        assert_eq!(admit(&mut g, msg(1, 0, 1), 0).len(), 1, "ablation: the dup leaks");
+    }
+
+    /// The gate as it admitted before in-order messages skipped the reorder
+    /// buffer: park every message, then pop every ready prefix. Returns the
+    /// released versions and the (id, stage) provenance it would record.
+    struct ParkingGate {
+        seq: Sequencer<UpdateMessage>,
+        duplicates: u64,
+        resequenced: u64,
+        prov: Vec<(u64, &'static str)>,
+    }
+
+    impl ParkingGate {
+        fn admit(&mut self, msg: UpdateMessage, floor: u64) -> Vec<u64> {
+            let (source, id) = (msg.source.0, msg.id.0);
+            self.seq.set_floor(source, floor);
+            if self.seq.offer(source, msg.source_version, msg).duplicate {
+                self.duplicates += 1;
+                self.prov.push((id, stage::INGRESS_DUP));
+            }
+            let mut out = Vec::new();
+            self.seq.pop_ready(&mut out);
+            if out.len() > 1 {
+                self.resequenced += out.len() as u64 - 1;
+                self.prov.extend(out[1..].iter().map(|m| (m.id.0, stage::INGRESS_RESEQ)));
+            }
+            released(&out)
+        }
+    }
+
+    #[test]
+    fn in_order_duplicate_and_gap_filling_streams_admit_as_when_every_message_parked() {
+        // Per source: an in-order run, a redelivered run, and a gap filled
+        // late — interleaved across two sources, with a floor on one.
+        let arrivals: Vec<(u64, u32, u64, u64)> = vec![
+            (1, 0, 1, 0),
+            (2, 0, 2, 0),
+            (3, 1, 4, 3),
+            (2, 0, 2, 0),
+            (1, 0, 1, 0),
+            (6, 0, 5, 0),
+            (5, 0, 4, 0),
+            (6, 0, 5, 0),
+            (4, 1, 6, 3),
+            (4, 0, 3, 0),
+            (3, 1, 4, 3),
+            (7, 1, 5, 3),
+            (8, 0, 6, 0),
+            (9, 1, 2, 3),
+        ];
+        let obs = Collector::wall().with_capture(dyno_obs::Capture::PROV, 1024);
+        let mut g = IngressGate::new();
+        g.bind_obs(&obs);
+        let mut model = ParkingGate {
+            seq: Sequencer::new(HashMap::new()),
+            duplicates: 0,
+            resequenced: 0,
+            prov: Vec::new(),
+        };
+        for (id, source, version, floor) in arrivals {
+            let want = model.admit(msg(id, source, version), floor);
+            assert_eq!(released(&admit(&mut g, msg(id, source, version), floor)), want);
+        }
+        assert_eq!(g.pending(), model.seq.buffered());
+        assert_eq!(
+            g.marks(),
+            model.seq.streams().iter().map(|&s| (s, model.seq.delivered(s))).collect::<Vec<_>>()
+        );
+        let reg = obs.registry();
+        assert_eq!(reg.counter_value("fault.duplicates_dropped"), Some(model.duplicates));
+        assert_eq!(reg.counter_value("fault.resequenced"), Some(model.resequenced));
+        assert!(model.duplicates >= 3 && model.resequenced >= 3, "the train exercises both");
+        let prov: Vec<(u64, &str)> = obs.records().iter().map(|r| (r.id, r.name)).collect();
+        assert_eq!(prov, model.prov);
     }
 }

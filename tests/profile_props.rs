@@ -11,14 +11,22 @@
 //! * **one zero-cost gate** — the disabled gate path (the exact sequence
 //!   instrumented callers execute when capture is off: spans, events,
 //!   provenance records and batches, operator samples) performs zero heap
-//!   allocations, measured with a counting global allocator.
+//!   allocations, measured with a counting global allocator;
+//! * **a hop costs its probe** — with the same allocator: building a key
+//!   index allocates one row copy per row and no bucket storage of its own,
+//!   and a one-row SWEEP hop against a warm key index allocates only its
+//!   output set and one row per match.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dyno::obs::json::{parse, Value};
 use dyno::obs::{field, stage, Capture, Collector, Level, NodeKey, OpPhase, OpSample, Profiler};
+use dyno::relational::{
+    delta_hop, AttrType, Catalog, HashIndex, Relation, Schema, Tuple, Value as Val, ZSet,
+};
 use dyno::sim::{run, Experiment, Monitor, OpenLoopConfig, Report, TestbedConfig};
+use dyno::source::{SourceId, SourceServer, SourceSpace};
 
 /// Counts heap allocations made by *this thread* only, so the measurement
 /// is immune to other tests running concurrently in the same binary.
@@ -228,4 +236,68 @@ fn disabled_profiler_path_does_not_allocate() {
     }
     let delta = thread_allocations() - before;
     assert_eq!(delta, 0, "disabled profiler path allocated {delta} times in 10k iterations");
+}
+
+/// `R(K, V)` with `n` rows, keys `0..n / fanout`, each key on `fanout` rows.
+fn keyed_relation(n: i64, fanout: i64) -> Relation {
+    let schema = Schema::of("R", &[("K", AttrType::Int), ("V", AttrType::Int)]);
+    Relation::from_tuples(schema, (0..n).map(|i| Tuple::of([i / fanout, i]))).expect("well-typed")
+}
+
+/// Building an index over N unique-key rows allocates each row's copy and
+/// the bucket table: N + 2 allocations (the key positions and the table).
+/// Buckets of one row live inline in the table; a bucket that owned a hash
+/// map of its own cost ≈ 2N.
+#[test]
+fn building_a_key_index_allocates_one_copy_per_row() {
+    const N: u64 = 2_000;
+    let rel = keyed_relation(N as i64, 1);
+    let attrs = vec!["K".to_string()];
+    let before = thread_allocations();
+    let index = HashIndex::build(&rel, attrs).expect("K exists");
+    let allocs = thread_allocations() - before;
+    assert_eq!(index.len(), N as usize);
+    assert!(allocs <= N + 2, "building over {N} unique-key rows allocated {allocs} times");
+}
+
+/// A one-row-Δ SWEEP hop against a warm key index allocates its output set
+/// and one row per match, and nothing else: the target and its index are
+/// resolved in one provider call, and column positions, the probe key and
+/// the covering check allocate nothing. Checked through a catalog and
+/// through the union of a source space's catalogs, at fan-out 1 (the
+/// testbed's key index) and 3.
+#[test]
+fn a_one_row_hop_allocates_its_output_and_one_row_per_match() {
+    for fanout in [1, 3] {
+        let mut catalog = Catalog::new();
+        catalog.add_relation(keyed_relation(600, fanout)).expect("fresh catalog");
+        catalog.create_index("R", &["K"]).expect("K exists");
+        let mut space = SourceSpace::new();
+        space.add_server(SourceServer::new(SourceId(0), "s0", catalog.clone()));
+        let join_keys = vec![(0usize, "K".to_string())];
+        let t_proj = vec!["V".to_string()];
+        let mut delta = ZSet::new();
+        delta.add(Tuple::of([Val::from(7), Val::str("d")]), 1);
+
+        let hop = |label: &str, answer: &dyn Fn() -> ZSet| {
+            let warm = answer();
+            assert_eq!(warm.distinct_len(), fanout as usize, "{label}: the key's rows match");
+            let before = thread_allocations();
+            let out = answer();
+            let allocs = thread_allocations() - before;
+            let matches = out.distinct_len() as u64;
+            assert_eq!(out, warm);
+            assert!(
+                allocs <= 1 + matches,
+                "{label}: a one-row hop with {matches} match(es) allocated {allocs} times"
+            );
+        };
+        hop(&format!("catalog, fan-out {fanout}"), &|| {
+            delta_hop(&catalog, "R", &join_keys, &[], &t_proj, &delta).expect("hop")
+        });
+        let provider = space.provider();
+        hop(&format!("source space, fan-out {fanout}"), &|| {
+            delta_hop(&provider, "R", &join_keys, &[], &t_proj, &delta).expect("hop")
+        });
+    }
 }
